@@ -275,12 +275,12 @@ let select_system ?(uc_shards = 1) ?(lsm_ckpt = false) ?(lsm_fanout = 4)
     Error "--detect is not supported with --uc-shards"
   else if uc_shards > 1 && (dist_rw || log_mirror) then
     Error "--dist-rw/--log-mirror are not supported with --uc-shards"
-  else if uc_shards > Prep.Sharded_uc.max_shards then
+  else if uc_shards > Prep.Config.max_shards then
     Error
       (Printf.sprintf
          "--uc-shards is capped at %d (64-slot root directory, 8 slots per \
           shard)"
-         Prep.Sharded_uc.max_shards)
+         Prep.Config.max_shards)
   else if uc_shards > 1 then
     Ok
       (Sy.prep_sharded ~log_size ~flit ~slot_bitmap ~lsm_ckpt ~lsm_fanout
@@ -672,8 +672,8 @@ let bg_period_arg =
 let fuzz_shards_arg =
   let doc =
     "Fuzz the sharded construction with $(docv) PREP-Durable shards and \
-     cross-shard transactions in the mix (map structures only; implies \
-     --variant durable)."
+     cross-shard transactions in the mix (map structures and --variant \
+     durable only)."
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
 
@@ -720,136 +720,50 @@ let fuzz_ds ds =
         pair_gen ~push:Seqds.Stack_ds.op_push ~pop:Seqds.Stack_ds.op_pop )
   | other -> Error (Printf.sprintf "unknown data structure %S" other)
 
-(* Sharded fuzzing drives [Prep.Sharded_uc] (hash-routed shards + 2PC), so
-   the workload must be a map (single-key ops route on their key) and the
-   mode is necessarily Durable. The per-shard protocol knobs of the flat
-   fuzzer (flit, dist-rw, ...) are not plumbed through the sharded checker. *)
-let fuzz_sharded ~iters ~ds ~threads ~epsilon ~log_size ~ops ~seed ~fault
-    ~crash_op ~crash_time ~no_crash ~bg_period ~nshards ~multi_pct ~cross_pct
-    ~jobs =
-  match (parse_fault fault, fuzz_ds ds) with
-  | Error m, _ | _, Error m -> `Error (true, m)
-  | Ok fault_v, Ok ((module Ds), _) ->
-    if not (List.mem ds [ "hashmap"; "rbtree"; "skiplist" ]) then
-      `Error (true, "--shards needs a map data structure (ops route by key)")
-    else if multi_pct < 0 || multi_pct > 100 || cross_pct < 0 || cross_pct > 100
-    then `Error (true, "--multi-pct/--cross-pct must be in 0..100")
-    else begin
-      let module FS = Check.Fuzz_shard.Make (Ds) in
-      if threads < 1 || threads > FS.max_threads then
-        `Error
-          ( true,
-            Printf.sprintf "--threads must be between 1 and %d (got %d)"
-              FS.max_threads threads )
-      else begin
-        let gen_op =
-          let w =
-            Workload.map_workload_sharded ~read_pct:20 ~multi_pct ~cross_pct
-              ~nshards ~key_range:128 ~prefill_n:0
-          in
-          fun rng -> w.Workload.next rng ~phase:0
-        in
-        let template =
-          {
-            Check.Fuzz.workload_seed = seed;
-            threads;
-            epsilon;
-            log_size;
-            ops_per_worker = ops;
-            bg_period;
-            preempt_prob = 0.02;
-            crash = Check.Fuzz.No_crash;
-          }
-        in
-        let replay =
-          match (crash_op, crash_time, no_crash) with
-          | Some n, _, _ -> Some (Check.Fuzz.At_op n)
-          | None, Some ns, _ -> Some (Check.Fuzz.At_time ns)
-          | None, None, true -> Some Check.Fuzz.No_crash
-          | None, None, false -> None
-        in
-        match replay with
-        | Some crash ->
-          let ep = { template with crash } in
-          let out = FS.run_episode ~nshards ~fault:fault_v ~gen_op ep in
-          Printf.printf
-            "episode %s: crashed=%b logged=%d completed=%d applied=%d\n"
-            (Fmt.str "%a" Check.Fuzz.pp_episode ep)
-            out.Check.Fuzz.crashed out.Check.Fuzz.logged
-            out.Check.Fuzz.completed out.Check.Fuzz.applied;
-          if out.Check.Fuzz.violations = [] then begin
-            print_endline "no violations";
-            `Ok ()
-          end
-          else begin
-            List.iter
-              (fun v ->
-                Printf.printf "VIOLATION: %s\n"
-                  (Check.Durable_lin.violation_to_string v))
-              out.Check.Fuzz.violations;
-            `Error (false, "durable-linearizability violations found")
-          end
-        | None ->
-          let res =
-            FS.fuzz ~nshards ~fault:fault_v ~gen_op ~template ~iters
-              ~log:print_endline
-              ~runner:(Campaign.run ~j:jobs)
-              ()
-          in
-          Printf.printf "%d episodes (%d crashed), %d failing\n"
-            res.Check.Fuzz.episodes res.Check.Fuzz.crashes
-            (List.length res.Check.Fuzz.failures);
-          (match res.Check.Fuzz.failures with
-           | [] -> `Ok ()
-           | first :: _ ->
-             print_endline "shrinking first failure...";
-             let small =
-               FS.shrink ~nshards ~fault:fault_v ~gen_op
-                 first.Check.Fuzz.episode
-             in
-             Printf.printf "shrunk to: %s\nreplay with:\n  %s\n"
-               (Fmt.str "%a" Check.Fuzz.pp_episode small)
-               (Check.Fuzz_shard.repro_command ~nshards ~multi_pct ~cross_pct
-                  ~fault:fault_v ~ds small);
-             `Error (false, "durable-linearizability violations found"))
-      end
-    end
+let parse_variant = function
+  | "volatile" -> Ok Prep.Config.Volatile
+  | "buffered" -> Ok Prep.Config.Buffered
+  | "durable" -> Ok Prep.Config.Durable
+  | other -> Error (Printf.sprintf "unknown variant %S" other)
+
+let is_map ds = List.mem ds [ "hashmap"; "rbtree"; "skiplist" ]
+
+(* The checker subcommands build one configuration and validate it once,
+   up front, against the machine's beta: every feature-combination rule
+   lives in [Config.validate], and a refusal is a usage error. The two
+   rules below need the data structure, which the configuration does not
+   name. *)
+let validated_config ~beta ~ds cfg =
+  match Prep.Config.validate cfg ~beta with
+  | exception Invalid_argument m -> Error m
+  | () ->
+    if cfg.Prep.Config.lsm_ckpt && not (is_map ds) then
+      Error "--lsm-ckpt needs a map data structure (per-key dirty tracking)"
+    else if cfg.Prep.Config.shards > 1 && not (is_map ds) then
+      Error "sharding needs a map data structure (ops route by key)"
+    else Ok cfg
 
 let fuzz iters variant ds threads epsilon log_size ops seed fault crash_op
     crash_time no_crash bg_period flit dist_rw log_mirror slot_bitmap detect
-    lsm_ckpt nshards multi_pct cross_pct persist_policy jobs =
-  if nshards > 1 then begin
-    if persist_policy <> None then
-      `Error (true, "--persist-policy is not supported with --shards")
-    else if variant <> "durable" then
-      `Error (true, "--shards requires --variant durable (sharding is durable-only)")
-    else if flit || dist_rw || log_mirror || slot_bitmap || detect || lsm_ckpt
-    then
-      `Error
-        ( true,
-          "--flit/--dist-rw/--log-mirror/--slot-bitmap/--detect/--lsm-ckpt \
-           are not supported with --shards" )
-    else
-      fuzz_sharded ~iters ~ds ~threads ~epsilon ~log_size ~ops ~seed ~fault
-        ~crash_op ~crash_time ~no_crash ~bg_period ~nshards ~multi_pct
-        ~cross_pct ~jobs
-  end
-  else if nshards < 1 then `Error (true, "--shards must be at least 1")
-  else
-  match parse_policy persist_policy with
-  | Error m -> `Error (true, m)
-  | Ok persist_policy ->
-  let variant_v =
-    match variant with
-    | "volatile" -> Ok Prep.Config.Volatile
-    | "buffered" -> Ok Prep.Config.Buffered
-    | "durable" -> Ok Prep.Config.Durable
-    | other -> Error (Printf.sprintf "unknown variant %S" other)
-  in
-  match (variant_v, parse_fault fault, fuzz_ds ds) with
-  | Error m, _, _ | _, Error m, _ | _, _, Error m -> `Error (true, m)
-  | Ok mode, Ok fault, Ok ((module Ds), gen_op) ->
+    lsm_ckpt lsm_fanout shards multi_pct cross_pct persist_policy jobs =
+  match
+    (parse_variant variant, parse_fault fault, fuzz_ds ds,
+     parse_policy persist_policy)
+  with
+  | Error m, _, _, _ | _, Error m, _, _ | _, _, Error m, _ | _, _, _, Error m ->
+    `Error (true, m)
+  | Ok mode, Ok fault, Ok ((module Ds), gen_op), Ok persist_policy ->
     let module F = Check.Fuzz.Make (Ds) in
+    let config =
+      validated_config ~ds
+        ~beta:F.topology.Sim.Topology.cores_per_socket
+        (Prep.Config.make ~mode ~log_size ~epsilon ~flit ~dist_rw ~log_mirror
+           ~slot_bitmap ~detect ~shards ~lsm_ckpt ~lsm_fanout ?persist_policy
+           ~fault ~workers:threads ())
+    in
+    match config with
+    | Error m -> `Error (true, m)
+    | Ok config ->
     if threads < 1 || threads > F.max_threads then
       `Error
         ( true,
@@ -859,19 +773,23 @@ let fuzz iters variant ds threads epsilon log_size ops seed fault crash_op
       mode = Prep.Config.Volatile && (crash_op <> None || crash_time <> None)
     then
       `Error (true, "volatile episodes cannot crash: drop the crash flag")
-    else if detect && mode <> Prep.Config.Durable then
-      `Error (true, "--detect requires --variant durable")
-    else if fault = Prep.Config.Response_before_log_persist && not detect then
-      `Error (true, "--fault response-before-log-persist requires --detect")
-    else if lsm_ckpt && mode = Prep.Config.Volatile then
-      `Error (true, "--lsm-ckpt requires --variant buffered or durable")
-    else if lsm_ckpt && not (List.mem ds [ "hashmap"; "rbtree"; "skiplist" ])
-    then
-      `Error
-        (true, "--lsm-ckpt needs a map data structure (per-key dirty tracking)")
-    else if fault = Prep.Config.Manifest_before_segment_seal && not lsm_ckpt
-    then `Error (true, "--fault manifest-before-seal requires --lsm-ckpt")
+    else if
+      shards > 1
+      && (multi_pct < 0 || multi_pct > 100 || cross_pct < 0 || cross_pct > 100)
+    then `Error (true, "--multi-pct/--cross-pct must be in 0..100")
     else
+    (* sharded runs mix multi-key transactions into the map workload; the
+       generator's knobs ride along on the repro command *)
+    let gen_op, gen_flags =
+      if shards = 1 then (gen_op, "")
+      else
+        let w =
+          Workload.map_workload_sharded ~read_pct:20 ~multi_pct ~cross_pct
+            ~nshards:shards ~key_range:128 ~prefill_n:0
+        in
+        ( (fun rng -> w.Workload.next rng ~phase:0),
+          Printf.sprintf " --multi-pct %d --cross-pct %d" multi_pct cross_pct )
+    in
     let template =
       {
         Check.Fuzz.workload_seed = seed;
@@ -895,10 +813,7 @@ let fuzz iters variant ds threads epsilon log_size ops seed fault crash_op
      | Some crash ->
        (* replay a single, fully specified episode (shrunk repro) *)
        let ep = { template with crash } in
-       let out =
-         F.run_episode ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-           ~lsm_ckpt ?persist_policy ~mode ~fault ~gen_op ep
-       in
+       let out = F.run_episode ~config ~mode ~fault ~gen_op ep in
        Printf.printf
          "episode %s: crashed=%b logged=%d completed=%d applied=%d\n"
          (Fmt.str "%a" Check.Fuzz.pp_episode ep)
@@ -918,8 +833,7 @@ let fuzz iters variant ds threads epsilon log_size ops seed fault crash_op
        end
      | None ->
        let res =
-         F.fuzz ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt
-           ?persist_policy ~mode ~fault ~gen_op ~template ~iters
+         F.fuzz ~config ~mode ~fault ~gen_op ~template ~iters
            ~log:print_endline ~runner:(Campaign.run ~j:jobs) ()
        in
        Printf.printf "%d episodes (%d crashed), %d failing\n"
@@ -930,14 +844,12 @@ let fuzz iters variant ds threads epsilon log_size ops seed fault crash_op
         | first :: _ ->
           print_endline "shrinking first failure...";
           let small =
-            F.shrink ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-              ~lsm_ckpt ?persist_policy ~mode ~fault ~gen_op
-              first.Check.Fuzz.episode
+            F.shrink ~config ~mode ~fault ~gen_op first.Check.Fuzz.episode
           in
-          Printf.printf "shrunk to: %s\nreplay with:\n  %s\n"
+          Printf.printf "shrunk to: %s\nreplay with:\n  %s%s\n"
             (Fmt.str "%a" Check.Fuzz.pp_episode small)
-            (Check.Fuzz.repro_command ~flit ~dist_rw ~log_mirror ~slot_bitmap
-               ~detect ~lsm_ckpt ?persist_policy ~mode ~fault ~ds small);
+            (Check.Fuzz.repro_command ~config ~mode ~fault ~ds small)
+            gen_flags;
           `Error (false, "durable-linearizability violations found")))
 
 let fuzz_cmd =
@@ -952,7 +864,8 @@ let fuzz_cmd =
        $ fuzz_epsilon_arg $ fuzz_log_size_arg $ fuzz_ops_arg $ fuzz_seed_arg
        $ fault_arg $ crash_op_arg $ crash_time_arg $ no_crash_arg
        $ bg_period_arg $ flit_arg $ dist_rw_arg $ log_mirror_arg
-       $ slot_bitmap_arg $ detect_arg $ lsm_ckpt_arg $ fuzz_shards_arg
+       $ slot_bitmap_arg $ detect_arg $ lsm_ckpt_arg $ lsm_fanout_arg
+       $ fuzz_shards_arg
        $ multi_pct_arg $ cross_pct_arg $ persist_policy_arg $ jobs_arg))
 
 (* ---- explore ---- *)
@@ -1043,8 +956,6 @@ let no_persistence_arg =
   in
   Arg.(value & flag & info [ "no-persistence" ] ~doc)
 
-(* Shared result reporting for the flat and sharded explorers (both return
-   [Check.Explore.result]). *)
 let report_explore_result ~repro_command res =
   let s = res.Check.Explore.stats in
   Printf.printf
@@ -1115,35 +1026,23 @@ let explore variant ds threads ops epsilon log_size seed sockets cores fault
     flit dist_rw log_mirror slot_bitmap detect lsm_ckpt lsm_fanout
     max_schedules max_states max_steps frontier_lines no_prune no_persistence
     shards uc_shards persist_policy jobs replay crash_step frontier =
-  match parse_policy persist_policy with
-  | Error m -> `Error (true, m)
-  | Ok persist_policy ->
-  let variant_v =
-    match variant with
-    | "volatile" -> Ok Prep.Config.Volatile
-    | "buffered" -> Ok Prep.Config.Buffered
-    | "durable" -> Ok Prep.Config.Durable
-    | other -> Error (Printf.sprintf "unknown variant %S" other)
-  in
-  match (variant_v, parse_fault fault, fuzz_ds ds) with
-  | Error m, _, _ | _, Error m, _ | _, _, Error m -> `Error (true, m)
-  | _, _, _ when detect && variant <> "durable" ->
-    `Error (true, "--detect requires --variant durable")
-  | _, Ok f, _ when f = Prep.Config.Response_before_log_persist && not detect
-    ->
-    `Error (true, "--fault response-before-log-persist requires --detect")
-  | _, Ok f, _
-    when f = Prep.Config.Manifest_before_segment_seal && not lsm_ckpt ->
-    `Error (true, "--fault manifest-before-seal requires --lsm-ckpt")
-  | _, _, _ when lsm_ckpt && variant = "volatile" ->
-    `Error (true, "--lsm-ckpt requires --variant buffered or durable")
-  | _, _, _
-    when lsm_ckpt && not (List.mem ds [ "hashmap"; "rbtree"; "skiplist" ]) ->
-    `Error
-      (true, "--lsm-ckpt needs a map data structure (per-key dirty tracking)")
-  | _, _, _ when lsm_fanout < 2 ->
-    `Error (true, "--lsm-fanout must be at least 2")
-  | Ok mode, Ok fault_v, Ok ((module Ds), gen_op) ->
+  match
+    (parse_variant variant, parse_fault fault, fuzz_ds ds,
+     parse_policy persist_policy)
+  with
+  | Error m, _, _, _ | _, Error m, _, _ | _, _, Error m, _ | _, _, _, Error m ->
+    `Error (true, m)
+  | Ok mode, Ok fault, Ok ((module Ds), gen_op), Ok persist_policy ->
+    let config =
+      validated_config ~ds ~beta:cores
+        (Prep.Config.make ~mode ~log_size ~epsilon ~flit ~dist_rw ~log_mirror
+           ~slot_bitmap ~detect ~shards:uc_shards ~lsm_ckpt ~lsm_fanout
+           ?persist_policy ~fault ~workers:threads ())
+    in
+    match config with
+    | Error m -> `Error (true, m)
+    | Ok config ->
+    let module E = Check.Explore.Make (Ds) in
     let scope =
       {
         Check.Explore.seed;
@@ -1165,131 +1064,35 @@ let explore variant ds threads ops epsilon log_size seed sockets cores fault
         max_frontier_lines = frontier_lines;
       }
     in
-    if uc_shards > 1 then begin
-      let _ = mode in
-      if persist_policy <> None then
-        `Error (true, "--persist-policy is not supported with --uc-shards")
-      else if variant <> "durable" then
-        `Error
-          (true, "--uc-shards requires --variant durable (sharding is durable-only)")
-      else if flit || dist_rw || log_mirror || slot_bitmap || detect || lsm_ckpt
-      then
-        `Error
-          ( true,
-            "--flit/--dist-rw/--log-mirror/--slot-bitmap/--detect/--lsm-ckpt \
-             are not supported with --uc-shards" )
-      else if shards > 1 then
-        `Error
-          ( true,
-            "--shards (oracle campaign split) is not supported with \
-             --uc-shards" )
-      else if not (List.mem ds [ "hashmap"; "rbtree"; "skiplist" ]) then
-        `Error (true, "--uc-shards needs a map data structure (ops route by key)")
-      else begin
-        let module ES = Check.Explore_shard.Make (Ds) in
-        if threads < 1 || threads > ES.max_threads scope then
-          `Error
-            ( true,
-              Printf.sprintf "--threads must be between 1 and %d (got %d)"
-                (ES.max_threads scope) threads )
-        else begin
-          let repro_command decisions crash =
-            Printf.sprintf
-              "dune exec bin/prep_cli.exe -- explore --variant durable --ds \
-               %s --uc-shards %d --threads %d --ops %d --epsilon %d \
-               --log-size %d --seed %d --sockets %d --cores %d --fault %s%s \
-               --replay '%s'%s"
-              ds uc_shards threads ops epsilon log_size seed sockets cores
-              fault
-              (if no_persistence then " --no-persistence" else "")
-              (Check.Explore.decisions_to_string decisions)
-              (match crash with
-               | None -> ""
-               | Some (st, m) ->
-                 Printf.sprintf " --crash-step %d --frontier %d" st m)
-          in
-          match replay with
-          | Some trace_str ->
-            let decisions = Check.Explore.decisions_of_string trace_str in
-            let crash = Option.map (fun st -> (st, frontier)) crash_step in
-            report_explore_replay
-              (ES.replay ~nshards:uc_shards ~fault:fault_v
-                 ~gen_op:sharded_explore_gen ~scope ~decisions ?crash ())
-          | None ->
-            report_explore_result ~repro_command
-              (ES.explore ~budget ~nshards:uc_shards ~fault:fault_v
-                 ~gen_op:sharded_explore_gen ~scope ())
-        end
-      end
-    end
-    else if uc_shards < 1 then `Error (true, "--uc-shards must be at least 1")
-    else begin
-      let module E = Check.Explore.Make (Ds) in
-      if threads < 1 || threads > E.max_threads scope then
-        `Error
-          ( true,
-            Printf.sprintf "--threads must be between 1 and %d (got %d)"
-              (E.max_threads scope) threads )
-      else if shards < 1 then `Error (true, "--shards must be at least 1")
-      else begin
-        let flag_str =
-          String.concat ""
-            [
-              (if flit then " --flit" else "");
-              (if dist_rw then " --dist-rw" else "");
-              (if log_mirror then " --log-mirror" else "");
-              (if slot_bitmap then " --slot-bitmap" else "");
-              (if detect then " --detect" else "");
-              (if lsm_ckpt then " --lsm-ckpt" else "");
-              (if lsm_ckpt && lsm_fanout <> 4 then
-                 Printf.sprintf " --lsm-fanout %d" lsm_fanout
-               else "");
-              (if no_persistence then " --no-persistence" else "");
-              (match persist_policy with
-               | Some p when not (Nvm.Persist.is_default p) ->
-                 Printf.sprintf " --persist-policy \"%s\""
-                   (Nvm.Persist.to_spec p)
-               | Some _ | None -> "");
-            ]
+    let gen_op = if uc_shards > 1 then sharded_explore_gen else gen_op in
+    if threads < 1 || threads > Check.Explore.max_threads scope then
+      `Error
+        ( true,
+          Printf.sprintf "--threads must be between 1 and %d (got %d)"
+            (Check.Explore.max_threads scope) threads )
+    else if shards < 1 then `Error (true, "--shards must be at least 1")
+    else
+      match replay with
+      | Some trace_str ->
+        let decisions = Check.Explore.decisions_of_string trace_str in
+        let crash = Option.map (fun s -> (s, frontier)) crash_step in
+        report_explore_replay
+          (E.replay ~config ~mode ~fault ~gen_op ~scope ~decisions ?crash ())
+      | None ->
+        let explore shard =
+          E.explore ~config ~budget ~shard ~mode ~fault ~gen_op ~scope ()
         in
-        let repro_command decisions crash =
-          Printf.sprintf
-            "dune exec bin/prep_cli.exe -- explore --variant %s --ds %s \
-             --threads %d --ops %d --epsilon %d --log-size %d --seed %d \
-             --sockets %d --cores %d --fault %s%s --replay '%s'%s"
-            variant ds threads ops epsilon log_size seed sockets cores fault
-            flag_str
-            (Check.Explore.decisions_to_string decisions)
-            (match crash with
-             | None -> ""
-             | Some (s, m) -> Printf.sprintf " --crash-step %d --frontier %d" s m)
+        let res =
+          if shards = 1 then explore (0, 1)
+          else
+            Check.Explore.merge_shards
+              (Campaign.run ~j:jobs
+                 (Array.init shards (fun i () -> explore (i, shards))))
         in
-        match replay with
-        | Some trace_str ->
-          let decisions = Check.Explore.decisions_of_string trace_str in
-          let crash = Option.map (fun s -> (s, frontier)) crash_step in
-          report_explore_replay
-            (E.replay ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-               ~lsm_ckpt ~lsm_fanout ?persist_policy ~mode ~fault:fault_v
-               ~gen_op ~scope ~decisions ?crash ())
-        | None ->
-          let res =
-            if shards = 1 then
-              E.explore ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-                ~lsm_ckpt ~lsm_fanout ?persist_policy ~budget ~mode
-                ~fault:fault_v ~gen_op ~scope ()
-            else
-              Check.Explore.merge_shards
-                (Campaign.run ~j:jobs
-                   (Array.init shards (fun i () ->
-                        E.explore ~flit ~dist_rw ~log_mirror ~slot_bitmap
-                          ~detect ~lsm_ckpt ~lsm_fanout ?persist_policy
-                          ~budget ~shard:(i, shards) ~mode ~fault:fault_v
-                          ~gen_op ~scope ())))
-          in
-          report_explore_result ~repro_command res
-      end
-    end
+        report_explore_result
+          ~repro_command:
+            (Check.Explore.repro_command ~config ~mode ~fault ~ds ~scope)
+          res
 
 let explore_cmd =
   Cmd.v
@@ -1343,24 +1146,19 @@ let optimize_persist variant ds threads ops epsilon log_size seed sockets
     cores flit dist_rw log_mirror slot_bitmap detect lsm_ckpt max_schedules
     max_states max_steps frontier_lines no_persistence fuzz_threads fuzz_ops
     fuzz_iters bg_period out report_file =
-  let variant_v =
-    match variant with
-    | "buffered" -> Ok Prep.Config.Buffered
-    | "durable" -> Ok Prep.Config.Durable
-    | "volatile" ->
-      Error "optimize-persist needs a persistent variant (buffered/durable)"
-    | other -> Error (Printf.sprintf "unknown variant %S" other)
-  in
-  match (variant_v, fuzz_ds ds) with
+  match (parse_variant variant, fuzz_ds ds) with
   | Error m, _ | _, Error m -> `Error (true, m)
+  | Ok Prep.Config.Volatile, _ ->
+    `Error
+      (true, "optimize-persist needs a persistent variant (buffered/durable)")
   | Ok mode, Ok ((module Ds), gen_op) ->
-    if detect && mode <> Prep.Config.Durable then
-      `Error (true, "--detect requires --variant durable")
-    else if lsm_ckpt && not (List.mem ds [ "hashmap"; "rbtree"; "skiplist" ])
-    then
-      `Error
-        (true, "--lsm-ckpt needs a map data structure (per-key dirty tracking)")
-    else begin
+    match
+      validated_config ~ds ~beta:cores
+        (Prep.Config.make ~mode ~log_size ~epsilon ~flit ~dist_rw ~log_mirror
+           ~slot_bitmap ~detect ~lsm_ckpt ~workers:threads ())
+    with
+    | Error m -> `Error (true, m)
+    | Ok config ->
       let module PI = Check.Persist_infer.Make (Ds) in
       let scope =
         {
@@ -1396,8 +1194,8 @@ let optimize_persist variant ds threads ops epsilon log_size seed sockets
         }
       in
       let report =
-        PI.infer ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt
-          ~log:print_endline ~mode ~gen_op ~scope ~budget ~template
+        PI.infer ~config ~log:print_endline ~mode ~gen_op ~scope ~budget
+          ~template
           ~fuzz_iters ~ds ()
       in
       let write path contents =
@@ -1425,7 +1223,6 @@ let optimize_persist variant ds threads ops epsilon log_size seed sockets
         report.Check.Persist_infer.r_baseline_fences
         report.Check.Persist_infer.r_policy_fences;
       `Ok ()
-    end
 
 let optimize_persist_cmd =
   Cmd.v

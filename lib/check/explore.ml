@@ -28,6 +28,13 @@
       incremental fingerprints [Memory] maintains (values, media, dirty
       map, WPQ) plus the ghost state and per-fiber control state.
 
+    The system under test is a [Sut.S] selected by [config.shards]: the
+    single-instance construction or the sharded one, whose ghost state
+    spans every shard plus the router's transaction ghost and whose crash
+    verdict covers cross-shard atomicity. [replay] shares the build, spawn
+    and parking code with [explore], so a decision trace is consumed at
+    exactly the steps that recorded it.
+
     Soundness notes. Controlled mode explores *all* sequentially
     consistent interleavings — a superset of what timed dispatch can emit
     — so every violation found corresponds to a real protocol bug, and
@@ -278,16 +285,6 @@ let decisions_of_string s =
              in
              List.init n (fun _ -> fid))
 
-(* local hash mixing, same construction as Memory's fingerprints *)
-let mix x =
-  let x = x lxor (x lsr 30) in
-  let x = x * 0x1B03738712FAD5C9 in
-  let x = x lxor (x lsr 27) in
-  let x = x * 0x2545F4914F6CDD1D in
-  x lxor (x lsr 31)
-
-let h2 a b = mix (a + (mix b * 0x27D4EB2F165667C5))
-
 (* step footprints: (dirty_key | -1 global, is_write) *)
 type fp = (int * bool) list
 
@@ -316,117 +313,208 @@ exception Budget_exhausted
 exception Violation_found of violation
 exception Crash_now
 
-module Make (Ds : Seqds.Ds_intf.S) = struct
-  module Uc = Prep.Prep_uc.Make (Ds)
-  module Dl = Durable_lin.Make (Ds.Model)
-  open Nvm
 
-  let topology (s : scope) =
-    { Sim.Topology.sockets = s.sockets; cores_per_socket = s.cores_per_socket }
+open Nvm
 
-  let max_threads scope = (scope.sockets * scope.cores_per_socket) - 1
+let h2 = Memory.h2
+let mix = Memory.mix
 
-  (* The per-worker op lists are drawn once, outside the simulation, so
-     workers perform no rng draws at runtime: a fiber's behaviour is then a
-     pure function of the values it reads, which is what the control-state
-     fingerprint assumes. *)
-  let gen_workload ~gen_op ~scope =
-    let rng = Sim.Rng.create (Int64.of_int ((scope.seed * 1_000_003) + 11)) in
-    Array.init scope.threads (fun _ ->
-        List.init scope.ops_per_worker (fun _ -> gen_op rng))
+let topology (s : scope) =
+  { Sim.Topology.sockets = s.sockets; cores_per_socket = s.cores_per_socket }
 
-  let trace_hash trace =
-    let n = Prep.Trace.length trace in
-    let h = ref (mix n) in
-    for i = 0 to n - 1 do
-      let e = Prep.Trace.get trace i in
-      h :=
-        h2 !h
-          (h2 e.Prep.Trace.op
-             (h2
-                (Array.fold_left h2 0 e.Prep.Trace.args)
-                (h2
-                   (if e.Prep.Trace.completed then 1 else 0)
-                   (h2 e.Prep.Trace.tid e.Prep.Trace.seqno))))
-    done;
-    !h
+let max_threads scope = (scope.sockets * scope.cores_per_socket) - 1
 
-  (* latest applied client seqno per thread, from the tagged ghost trace *)
-  let applied_seqno_fn trace applied =
-    let tbl : (int, int) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun i ->
-        let e = Prep.Trace.get trace i in
-        if e.Prep.Trace.seqno > 0 then
-          let cur =
-            Option.value ~default:0 (Hashtbl.find_opt tbl e.Prep.Trace.tid)
-          in
-          if e.Prep.Trace.seqno > cur then
-            Hashtbl.replace tbl e.Prep.Trace.tid e.Prep.Trace.seqno)
-      applied;
-    fun tid -> Option.value ~default:0 (Hashtbl.find_opt tbl tid)
+(** A copy-pasteable [explore --replay] command for one schedule of
+    [scope] under [config], optionally crashing at [crash]. *)
+let repro_command ?(config = Sut.default_config) ~mode ~fault ~ds ~scope
+    decisions crash =
+  Printf.sprintf
+    "dune exec bin/prep_cli.exe -- explore --variant %s --ds %s --threads %d \
+     --ops %d --epsilon %d --log-size %d --seed %d --sockets %d --cores \
+     %d%s%s --replay '%s'%s"
+    (Prep.Config.variant_name mode)
+    ds scope.threads scope.ops_per_worker scope.epsilon scope.log_size
+    scope.seed scope.sockets scope.cores_per_socket
+    (if scope.persistence then "" else " --no-persistence")
+    (Prep.Config.to_flags ~shards_flag:"--uc-shards"
+       { config with Prep.Config.mode; fault })
+    (decisions_to_string decisions)
+    (match crash with
+     | None -> ""
+     | Some (step, mask) ->
+       Printf.sprintf " --crash-step %d --frontier %d" step mask)
 
-  (* Run recovery for [uc] on the memory's *current* (post-crash) state in
+(* The per-worker op lists are drawn once, outside the simulation, so
+   workers perform no rng draws at runtime: a fiber's behaviour is then a
+   pure function of the values it reads, which is what the control-state
+   fingerprint assumes. *)
+let gen_workload ~gen_op ~scope =
+  let rng = Sim.Rng.create (Int64.of_int ((scope.seed * 1_000_003) + 11)) in
+  Array.init scope.threads (fun _ ->
+      List.init scope.ops_per_worker (fun _ -> gen_op rng))
+
+(* crash the memory into the frontier that writes back [lines.(b)] for
+   every set bit [b] of [mask] *)
+let commit_frontier mem lines mask =
+  Array.iteri
+    (fun b key -> if mask land (1 lsl b) <> 0 then Memory.commit_line mem key)
+    lines
+
+(* Exploration and replay of one system under test. *)
+module Run (U : Sut.S) = struct
+  (* One controlled execution of the scope's workload: stateless
+     re-execution from scratch, shared by [explore]'s schedules and
+     [replay]. *)
+  type exec = {
+    sim : Sim.t;
+    mem : Memory.t;
+    mutable uc : U.t option;
+    mutable runtime : bool;  (** construction done, workers spawned *)
+    mutable done_count : int;
+    chains : (int, int) Hashtbl.t;
+        (** Per-fiber control state, tracked *exactly*: a hash chain over
+            the fiber's entire observation history — every access it
+            performed, with address, kind and the value read or written.
+            The fibers run deterministic code whose only inputs are these
+            observations (plus the ghost state hashed separately), so equal
+            chains imply equal continuations, which is what makes
+            state-hash dedup sound. *)
+    started : (int, unit) Hashtbl.t;
+        (** a freshly spawned fiber parks at its first op_point having
+            touched nothing: without this bit its start-step would hash
+            like a no-op and be dedup-pruned, losing every schedule where
+            its first access happens early *)
+    parked : (int, int) Hashtbl.t;
+        (** The await transformation (the spin-loop treatment of stateless
+            model checkers): a fiber entering a [Sim.spin] wait iteration
+            is *parked* — removed from the branching set — until some write
+            (or ghost-state change) occurs, recorded as a version counter.
+            Every wait loop in the codebase re-checks its condition from
+            scratch after each spin and its body has no effect when nothing
+            changed, so re-running a parked fiber before any write is a
+            global no-op; skipping those no-op steps loses no reachable
+            state and removes spin-loop unrolling from the search space
+            entirely. Wakes are conservative (any write wakes every parked
+            fiber). Decision traces record choices only at branching
+            points, so [replay] must park identically to consume them at
+            the same steps. *)
+    iter_start : (int, int) Hashtbl.t;
+        (** Version current when the fiber last *resumed* from a spin —
+            the start of its current wait-loop iteration. Parking must use
+            this, not the version at spin time: every memory access is its
+            own scheduling step, so a wait round's condition reads span
+            several steps, and a write interleaved between those reads and
+            the spin would otherwise be counted as already-seen — a lost
+            wakeup that leaves the fiber parked forever in a livelocked
+            branch. Fibers with no recorded iteration start (first spin
+            ever) park stale and re-poll once, which is the conservative
+            direction. *)
+    mutable write_version : int;
+    mutable last_ghost : int;
+    mutable cur_fp : fp;  (** footprint of the step in progress *)
+  }
+
+  let hook x key addr write value =
+    let fid = (Sim.self ()).Sim.fid in
+    x.cur_fp <- (key, write) :: x.cur_fp;
+    if write then x.write_version <- x.write_version + 1;
+    let av = h2 addr (h2 key (h2 (if write then 1 else 0) value)) in
+    Hashtbl.replace x.chains fid
+      (h2 (Option.value ~default:0 (Hashtbl.find_opt x.chains fid)) av)
+
+  let ghost_hash x =
+    h2 x.done_count (match x.uc with Some uc -> U.ghost_hash uc | None -> 0)
+
+  (* The runnable fibers not parked at the current version. Ghost progress
+     (done/stop flags, trace growth) also wakes parked fibers: those waits
+     read no memory. *)
+  let eligible x enabled =
+    let gh = ghost_hash x in
+    if gh <> x.last_ghost then begin
+      x.last_ghost <- gh;
+      x.write_version <- x.write_version + 1
+    end;
+    Array.to_list enabled
+    |> List.filter (fun fid ->
+           match Hashtbl.find_opt x.parked fid with
+           | Some v when v = x.write_version -> false
+           | _ -> true)
+
+  let pick x fid =
+    if Hashtbl.mem x.parked fid then begin
+      Hashtbl.replace x.iter_start fid x.write_version;
+      Hashtbl.remove x.parked fid
+    end;
+    Hashtbl.replace x.started fid ();
+    fid
+
+  (* Build the system in a fresh controlled simulation and spawn the
+     workload; [choose] makes every runtime scheduling decision. The caller
+     runs [x.sim]. *)
+  let start ~cfg ~scope ~workload ~choose =
+    let topo = topology scope in
+    let x =
+      {
+        sim = Sim.create topo;
+        mem =
+          Memory.make
+            ~seed:(Int64.of_int (scope.seed + 7919))
+            ~sockets:scope.sockets ~bg_period:0 ();
+        uc = None;
+        runtime = false;
+        done_count = 0;
+        chains = Hashtbl.create 16;
+        started = Hashtbl.create 16;
+        parked = Hashtbl.create 16;
+        iter_start = Hashtbl.create 16;
+        write_version = 0;
+        last_ghost = 0;
+        cur_fp = [];
+      }
+    in
+    Memory.set_access_hook x.mem (hook x);
+    Sim.set_spin_hook x.sim (fun fid ->
+        Hashtbl.replace x.parked fid
+          (Option.value ~default:(-1) (Hashtbl.find_opt x.iter_start fid)));
+    Sim.set_chooser x.sim (fun enabled ->
+        if not x.runtime then pick x enabled.(0) else choose x enabled);
+    ignore
+      (Sim.spawn x.sim ~socket:0 (fun () ->
+           let uc = U.create x.mem (Roots.make x.mem) cfg in
+           x.uc <- Some uc;
+           if scope.persistence then U.start_persistence uc;
+           for w = 0 to scope.threads - 1 do
+             let socket, core = Sim.Topology.place topo w in
+             let ops = workload.(w) in
+             Sim.spawn_here ~socket ~core (fun () ->
+                 U.register_worker uc;
+                 List.iter (fun (op, args) -> U.execute uc ~op ~args) ops;
+                 x.done_count <- x.done_count + 1)
+           done;
+           x.runtime <- true;
+           while x.done_count < scope.threads do
+             Sim.spin ()
+           done;
+           U.stop uc;
+           U.sync uc));
+    x
+
+  (* Recover and judge [uc] on the memory's *current* (post-crash) state in
      a fresh nested timed simulation, preserving and restoring the global
-     allocator-context table around it. Returns
-     (report, snapshot, resolutions) — resolutions is the per-thread
-     [Uc.resolve] verdict list, empty unless [detect]. *)
-  let run_recovery ~scope ~detect uc =
+     allocator-context table around it. *)
+  let recover ~scope uc =
     let saved_ctx = Context.save () in
     Context.reset ();
-    let topo = topology scope in
-    let sim2 = Sim.create ~seed:97L topo in
-    let out = ref None in
-    ignore
-      (Sim.spawn sim2 ~socket:0 (fun () ->
-           let uc', report = Uc.recover uc in
-           let resolutions =
-             if not detect then []
-             else
-               List.init scope.threads (fun w ->
-                   let socket, core = Sim.Topology.place topo w in
-                   let tid =
-                     (socket * topo.Sim.Topology.cores_per_socket) + core
-                   in
-                   (tid, Uc.resolve uc' ~tid))
-           in
-           out := Some (report, Uc.snapshot uc', resolutions)));
-    (match Sim.run sim2 () with
-     | `Done -> ()
-     | `Cut _ -> failwith "Explore: recovery did not finish");
-    Context.restore saved_ctx;
-    Option.get !out
-
-  (** Explore every interleaving and every reachable crash frontier of the
-      small-scope workload. Stops at the first violation (it carries a
-      replayable decision trace) or when the space/budget is exhausted.
-
-      [shard = (i, n)] splits the oracle work for a parallel campaign:
-      every shard replays the *identical* schedule DFS (all sleep-set and
-      state-dedup bookkeeping included — scheduling cost is replicated,
-      not divided), but performs only the crash recoveries and terminal
-      model-replays whose dedup hash falls in its residue class. A skipped
-      check is state-neutral (the memory snapshot would have been restored
-      anyway), so shards stay in lockstep; [merge_shards] reassembles the
-      full result and audits that lockstep. The default [(0, 1)] is the
-      exact unsharded search. *)
-  let explore ?(flit = false) ?(dist_rw = false) ?(log_mirror = false)
-      ?(slot_bitmap = false) ?(detect = false) ?(lsm_ckpt = false)
-      ?(lsm_fanout = 4) ?persist_policy ?(budget = default_budget)
-      ?(shard = (0, 1)) ~mode ~fault ~gen_op ~scope () =
-    if scope.threads < 1 || scope.threads > max_threads scope then
-      invalid_arg "Explore: thread count out of range";
-    let shard_ix, shard_n = shard in
-    if shard_n < 1 || shard_ix < 0 || shard_ix >= shard_n then
-      invalid_arg "Explore: shard index out of range";
-    let mine h = shard_n = 1 || (h land max_int) mod shard_n = shard_ix in
-    let topo = topology scope in
-    let beta = topo.Sim.Topology.cores_per_socket in
-    let loss_bound =
-      match mode with
-      | Prep.Config.Durable -> 0
-      | _ -> scope.epsilon + beta - 1
+    let v =
+      Sut.in_fresh_sim ~who:"Explore" ~seed:97L (topology scope) (fun () ->
+          U.recover uc)
     in
+    Context.restore saved_ctx;
+    v
+
+  let explore ~cfg ~budget ~shard ~gen_op ~scope =
+    let shard_ix, shard_n = shard in
+    let mine h = shard_n = 1 || (h land max_int) mod shard_n = shard_ix in
     let workload = gen_workload ~gen_op ~scope in
     let stats = new_stats () in
     (* state key -> sleep-set signatures it was explored under. Plain
@@ -450,99 +538,32 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let run_once () =
       let prefix_nodes = Array.of_list (List.rev !path) in
       let process_from = Array.length prefix_nodes - 1 in
-      let sim = Sim.create topo in
-      let mem =
-        Memory.make
-          ~seed:(Int64.of_int (scope.seed + 7919))
-          ~sockets:scope.sockets ~bg_period:0 ()
-      in
-      let uc_ref = ref None in
-      let runtime = ref false in
-      let done_count = ref 0 in
-      (* Per-fiber control state, tracked *exactly*: a hash chain over the
-         fiber's entire observation history — every access it performed,
-         with address, kind and the value read or written. The fibers run
-         deterministic code whose only inputs are these observations (plus
-         the ghost state hashed separately), so equal chains imply equal
-         continuations, which is what makes state-hash dedup sound. *)
-      let chains : (int, int) Hashtbl.t = Hashtbl.create 16 in
-      (* a freshly spawned fiber parks at its first op_point having touched
-         nothing: without this bit its start-step would hash like a no-op
-         and be dedup-pruned, losing every schedule where its first access
-         happens early *)
-      let started : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-      (* The await transformation (the spin-loop treatment of stateless
-         model checkers): a fiber entering a [Sim.spin] wait iteration is
-         *parked* — removed from the branching set — until some write (or
-         ghost-state change) occurs, recorded as a version counter. Every
-         wait loop in the codebase re-checks its condition from scratch
-         after each spin and its body has no effect when nothing changed,
-         so re-running a parked fiber before any write is a global no-op;
-         skipping those no-op steps loses no reachable state and removes
-         spin-loop unrolling from the search space entirely. Wakes are
-         conservative (any write wakes every parked fiber). *)
-      let parked : (int, int) Hashtbl.t = Hashtbl.create 16 in
-      (* Version current when the fiber last *resumed* from a spin — the
-         start of its current wait-loop iteration. Parking must use this,
-         not the version at spin time: every memory access is its own
-         scheduling step, so a wait round's condition reads span several
-         steps, and a write interleaved between those reads and the spin
-         would otherwise be counted as already-seen — a lost wakeup that
-         leaves the fiber parked forever in a livelocked branch. Fibers
-         with no recorded iteration start (first spin ever) park stale and
-         re-poll once, which is the conservative direction. *)
-      let iter_start : (int, int) Hashtbl.t = Hashtbl.create 16 in
-      let write_version = ref 0 in
-      let last_ghost = ref 0 in
-      let cur_fp : fp ref = ref [] in
-      let hook key addr write value =
-        let fid = (Sim.self ()).Sim.fid in
-        cur_fp := (key, write) :: !cur_fp;
-        if write then incr write_version;
-        let av = h2 addr (h2 key (h2 (if write then 1 else 0) value)) in
-        Hashtbl.replace chains fid
-          (h2 (Option.value ~default:0 (Hashtbl.find_opt chains fid)) av)
-      in
-      Memory.set_access_hook mem hook;
-      Sim.set_spin_hook sim (fun fid ->
-          Hashtbl.replace parked fid
-            (Option.value ~default:(-1) (Hashtbl.find_opt iter_start fid)));
       let decision_idx = ref 0 in
       let step_idx = ref 0 in
       let decisions_rev = ref [] in
       let pending_sleep : (int * fp) list ref = ref [] in
       let attr_node : node option ref = ref None in
 
-      let ghost_hash () =
-        let uc_ghost =
-          match !uc_ref with
-          | Some uc ->
-            h2
-              (if uc.Uc.stop_flag then 1 else 0)
-              (h2 (trace_hash uc.Uc.trace)
-                 (h2 (Uc.lsm_ghost uc)
-                    (Array.fold_left h2 0 uc.Uc.next_seq)))
-          | None -> 0
-        in
-        h2 !done_count uc_ghost
-      in
-      let state_key enabled =
+      let state_key x enabled =
+        let mem = x.mem in
         let h =
           ref
             (h2 (Memory.value_hash mem)
                (h2 (Memory.media_hash mem)
                   (h2 (Memory.dirty_hash mem) (Memory.wpq_hash mem))))
         in
-        h := h2 !h (ghost_hash ());
+        h := h2 !h (ghost_hash x);
         Array.iter
           (fun fid ->
-            let chain = Option.value ~default:0 (Hashtbl.find_opt chains fid) in
+            let chain =
+              Option.value ~default:0 (Hashtbl.find_opt x.chains fid)
+            in
             let fextra =
-              match Sim.find_fiber sim fid with
+              match Sim.find_fiber x.sim fid with
               | Some f ->
                 h2
                   ((if f.Sim.palloc then 2 else 0)
-                  + (if Hashtbl.mem started fid then 1 else 0))
+                  + if Hashtbl.mem x.started fid then 1 else 0)
                   (Int64.to_int f.Sim.frng.Sim.Rng.state)
               | None -> 0
             in
@@ -551,45 +572,35 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         !h
       in
 
-      (* crash a memory snapshot into every not-yet-seen frontier image *)
-      let check_crash uc ~snap ~lines ~mask ~this_step =
+      (* crash a memory snapshot into one frontier image, recover, judge *)
+      let check_crash x uc ~snap ~lines ~mask ~this_step =
         stats.recoveries <- stats.recoveries + 1;
-        Memory.clear_access_hook mem;
-        Array.iteri
-          (fun b key -> if mask land (1 lsl b) <> 0 then Memory.commit_line mem key)
-          lines;
-        Memory.crash mem;
-        let trace = Uc.trace uc in
-        let completed = Prep.Trace.completed_indexes trace in
-        let report, recovered_snapshot, resolutions =
-          run_recovery ~scope ~detect uc
-        in
-        let violations =
-          Dl.check ~trace ~prefill:(Uc.prefill_ops uc)
-            ~applied:report.Prep.Prep_uc.applied ~completed ~recovered_snapshot
-            ~loss_bound ()
-          @ Durable_lin.check_resolutions ~resolutions
-              ~applied_seqno:
-                (applied_seqno_fn trace report.Prep.Prep_uc.applied)
-        in
-        let lost = report.Prep.Prep_uc.lost_completed in
-        if lost > stats.max_completed_loss then stats.max_completed_loss <- lost;
-        Memory.restore mem snap;
-        Memory.set_access_hook mem hook;
-        if violations <> [] then
+        Memory.clear_access_hook x.mem;
+        commit_frontier x.mem lines mask;
+        Memory.crash x.mem;
+        let v = recover ~scope uc in
+        if v.Sut.lost > stats.max_completed_loss then
+          stats.max_completed_loss <- v.Sut.lost;
+        Memory.restore x.mem snap;
+        Memory.set_access_hook x.mem (hook x);
+        if v.Sut.violations <> [] then
           raise
             (Violation_found
                {
                  v_decisions = List.rev !decisions_rev;
                  v_crash = Some (this_step, mask);
-                 v_violations = violations;
-                 v_logged = Prep.Trace.length trace;
-                 v_completed = List.length completed;
-                 v_applied = List.length report.Prep.Prep_uc.applied;
+                 v_violations = v.Sut.violations;
+                 v_logged = U.logged uc;
+                 v_completed = U.completed uc;
+                 v_applied = v.Sut.applied;
                })
       in
 
-      let enumerate_crash_frontiers uc this_step =
+      (* the only crash-frontier enumeration: every subset of the dirty
+         NVM lines, in Gray-code order so consecutive images differ by one
+         line, each judged once per distinct (image, ghost) pair *)
+      let enumerate_crash_frontiers x uc this_step =
+        let mem = x.mem in
         let dirty = Memory.dirty_nvm_line_keys mem in
         let k_all = List.length dirty in
         let k = min k_all budget.max_frontier_lines in
@@ -601,9 +612,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         let lines = Array.sub lines 0 k in
         let deltas = Array.map (Memory.line_commit_delta mem) lines in
         let base_media = Memory.media_hash mem in
-        let th = trace_hash (Uc.trace uc) in
+        let th = U.crash_key uc in
         (* the reachable frontier images are fully determined by
-           (media, per-line deltas, ghost trace): skip the whole point if
+           (media, per-line deltas, ghost state): skip the whole point if
            that combination was already enumerated *)
         let base_key =
           h2 base_media (h2 th (Array.fold_left h2 (mix k) deltas))
@@ -636,200 +647,142 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                     snap := Some s;
                     s
                 in
-                check_crash uc ~snap ~lines ~mask:gray ~this_step
+                check_crash x uc ~snap ~lines ~mask:gray ~this_step
               end
             end
           done
         end
       in
 
-      let chooser (enabled : int array) : int =
-        let pick fid =
-          if Hashtbl.mem parked fid then begin
-            Hashtbl.replace iter_start fid !write_version;
-            Hashtbl.remove parked fid
-          end;
-          Hashtbl.replace started fid ();
-          fid
-        in
-        if not !runtime then pick enabled.(0)
-        else begin
-          (* a step just finished: attribute and consume its footprint *)
-          let fp = !cur_fp in
-          cur_fp := [];
-          (match !attr_node with
-           | Some n ->
-             n.nd_fp <- fp;
-             attr_node := None
-           | None -> ());
-          if fp <> [] && !pending_sleep <> [] then
-            pending_sleep :=
-              List.filter (fun (_, f) -> not (fp_conflict f fp)) !pending_sleep;
-          let this_step = !step_idx in
-          incr step_idx;
-          stats.steps <- stats.steps + 1;
-          if !step_idx > budget.max_steps then begin
-            depth_cut := true;
-            stats.depth_cutoffs <- stats.depth_cutoffs + 1;
-            raise Pruned
-          end;
-          let processing = !decision_idx > process_from in
-          (* ghost progress (done/stop flags, trace growth) also wakes
-             parked fibers: those waits read no memory *)
-          let gh = ghost_hash () in
-          if gh <> !last_ghost then begin
-            last_ghost := gh;
-            incr write_version
-          end;
-          let eligible =
-            Array.to_list enabled
-            |> List.filter (fun fid ->
-                   match Hashtbl.find_opt parked fid with
-                   | Some v when v = !write_version -> false
-                   | _ -> true)
-          in
-          (* Every runnable fiber is parked at the current version: no
-             fiber's wait condition can ever change again along this
-             schedule (the re-checks are memoryless), so its only
-             continuations are unfair infinite stutters. Cut it. *)
-          if eligible = [] then begin
-            stats.stutter_cuts <- stats.stutter_cuts + 1;
-            raise Pruned
-          end;
-          let eligible = Array.of_list eligible in
-          if processing then begin
-            (match !uc_ref with
-             | Some uc when mode <> Prep.Config.Volatile ->
-               enumerate_crash_frontiers uc this_step
-             | _ -> ());
-            if Array.length eligible > 1 then begin
-              let fresh_state = ref true in
-              if scope.prune then begin
-                let key = state_key enabled in
-                let sig_of_sleep sl =
-                  List.map
-                    (fun (fid, f) ->
-                      ( fid,
-                        List.fold_left
-                          (fun acc (k, w) -> acc lxor h2 k (if w then 1 else 0))
-                          0 f ))
-                    sl
-                  |> List.sort_uniq compare
-                in
-                let s = sig_of_sleep !pending_sleep in
-                let subset c = List.for_all (fun x -> List.mem x s) c in
-                (match Hashtbl.find_opt seen_states key with
-                 | Some cached when List.exists subset cached ->
-                   stats.dedup_hits <- stats.dedup_hits + 1;
-                   raise Pruned
-                 | Some cached ->
-                   fresh_state := false;
-                   (* drop cached supersets of [s]: [s] subsumes them *)
-                   let cached =
-                     List.filter
-                       (fun c -> not (List.for_all (fun x -> List.mem x c) s))
-                       cached
-                   in
-                   Hashtbl.replace seen_states key (s :: cached)
-                 | None -> Hashtbl.add seen_states key [ s ])
-              end;
-              if !fresh_state then stats.states <- stats.states + 1;
-              if stats.states >= budget.max_states then begin
-                budget_hit := true;
-                raise Budget_exhausted
-              end
-            end
-          end;
-          if Array.length eligible = 1 then pick eligible.(0)
-          else if not processing then begin
-            (* replay the DFS prefix *)
-            let n = prefix_nodes.(!decision_idx) in
-            if n.nd_enabled <> eligible then
-              failwith "Explore: replay divergence (internal invariant)";
-            incr decision_idx;
-            decisions_rev := n.nd_choice :: !decisions_rev;
-            pending_sleep := n.nd_sleep;
-            attr_node := Some n;
-            pick n.nd_choice
-          end
-          else begin
-            (* extend: open a new branching point *)
-            let sleep = !pending_sleep in
-            let asleep fid = List.exists (fun (q, _) -> q = fid) sleep in
-            match
-              Array.to_list eligible |> List.filter (fun f -> not (asleep f))
-            with
-            | [] ->
-              (* every eligible move sleeps: all successors covered elsewhere *)
-              stats.sleep_skips <- stats.sleep_skips + Array.length eligible;
-              raise Pruned
-            | c :: _ ->
-              let n =
-                {
-                  nd_enabled = eligible;
-                  nd_sleep = sleep;
-                  nd_tried = [];
-                  nd_choice = c;
-                  nd_fp = [];
-                }
+      let choose x (enabled : int array) : int =
+        (* a step just finished: attribute and consume its footprint *)
+        let fp = x.cur_fp in
+        x.cur_fp <- [];
+        (match !attr_node with
+         | Some n ->
+           n.nd_fp <- fp;
+           attr_node := None
+         | None -> ());
+        if fp <> [] && !pending_sleep <> [] then
+          pending_sleep :=
+            List.filter (fun (_, f) -> not (fp_conflict f fp)) !pending_sleep;
+        let this_step = !step_idx in
+        incr step_idx;
+        stats.steps <- stats.steps + 1;
+        if !step_idx > budget.max_steps then begin
+          depth_cut := true;
+          stats.depth_cutoffs <- stats.depth_cutoffs + 1;
+          raise Pruned
+        end;
+        let processing = !decision_idx > process_from in
+        let eligible = eligible x enabled in
+        (* Every runnable fiber is parked at the current version: no
+           fiber's wait condition can ever change again along this
+           schedule (the re-checks are memoryless), so its only
+           continuations are unfair infinite stutters. Cut it. *)
+        if eligible = [] then begin
+          stats.stutter_cuts <- stats.stutter_cuts + 1;
+          raise Pruned
+        end;
+        let eligible = Array.of_list eligible in
+        if processing then begin
+          (match x.uc with
+           | Some uc when cfg.Prep.Config.mode <> Prep.Config.Volatile ->
+             enumerate_crash_frontiers x uc this_step
+           | _ -> ());
+          if Array.length eligible > 1 then begin
+            let fresh_state = ref true in
+            if scope.prune then begin
+              let key = state_key x enabled in
+              let sig_of_sleep sl =
+                List.map
+                  (fun (fid, f) ->
+                    ( fid,
+                      List.fold_left
+                        (fun acc (k, w) -> acc lxor h2 k (if w then 1 else 0))
+                        0 f ))
+                  sl
+                |> List.sort_uniq compare
               in
-              path := n :: !path;
-              incr decision_idx;
-              decisions_rev := c :: !decisions_rev;
-              attr_node := Some n;
-              pick c
+              let s = sig_of_sleep !pending_sleep in
+              let subset c = List.for_all (fun x -> List.mem x s) c in
+              (match Hashtbl.find_opt seen_states key with
+               | Some cached when List.exists subset cached ->
+                 stats.dedup_hits <- stats.dedup_hits + 1;
+                 raise Pruned
+               | Some cached ->
+                 fresh_state := false;
+                 (* drop cached supersets of [s]: [s] subsumes them *)
+                 let cached =
+                   List.filter
+                     (fun c -> not (List.for_all (fun x -> List.mem x c) s))
+                     cached
+                 in
+                 Hashtbl.replace seen_states key (s :: cached)
+               | None -> Hashtbl.add seen_states key [ s ])
+            end;
+            if !fresh_state then stats.states <- stats.states + 1;
+            if stats.states >= budget.max_states then begin
+              budget_hit := true;
+              raise Budget_exhausted
+            end
           end
+        end;
+        if Array.length eligible = 1 then pick x eligible.(0)
+        else if not processing then begin
+          (* replay the DFS prefix *)
+          let n = prefix_nodes.(!decision_idx) in
+          if n.nd_enabled <> eligible then
+            failwith "Explore: replay divergence (internal invariant)";
+          incr decision_idx;
+          decisions_rev := n.nd_choice :: !decisions_rev;
+          pending_sleep := n.nd_sleep;
+          attr_node := Some n;
+          pick x n.nd_choice
+        end
+        else begin
+          (* extend: open a new branching point *)
+          let sleep = !pending_sleep in
+          let asleep fid = List.exists (fun (q, _) -> q = fid) sleep in
+          match
+            Array.to_list eligible |> List.filter (fun f -> not (asleep f))
+          with
+          | [] ->
+            (* every eligible move sleeps: all successors covered elsewhere *)
+            stats.sleep_skips <- stats.sleep_skips + Array.length eligible;
+            raise Pruned
+          | c :: _ ->
+            let n =
+              {
+                nd_enabled = eligible;
+                nd_sleep = sleep;
+                nd_tried = [];
+                nd_choice = c;
+                nd_fp = [];
+              }
+            in
+            path := n :: !path;
+            incr decision_idx;
+            decisions_rev := c :: !decisions_rev;
+            attr_node := Some n;
+            pick x c
         end
       in
-      Sim.set_chooser sim chooser;
-      ignore
-        (Sim.spawn sim ~socket:0 (fun () ->
-             let roots = Roots.make mem in
-             let cfg =
-               Prep.Config.make ~mode ~log_size:scope.log_size
-                 ~epsilon:scope.epsilon ~flit ~dist_rw ~log_mirror ~slot_bitmap
-                 ~detect ~lsm_ckpt ~lsm_fanout ?persist_policy ~fault
-                 ~workers:scope.threads ()
-             in
-             let uc = Uc.create mem roots cfg in
-             uc_ref := Some uc;
-             if scope.persistence then Uc.start_persistence uc;
-             for w = 0 to scope.threads - 1 do
-               let socket, core = Sim.Topology.place topo w in
-               let ops = workload.(w) in
-               Sim.spawn_here ~socket ~core (fun () ->
-                   Uc.register_worker uc;
-                   List.iter (fun (op, args) -> ignore (Uc.execute uc ~op ~args)) ops;
-                   incr done_count)
-             done;
-             runtime := true;
-             while !done_count < scope.threads do
-               Sim.spin ()
-             done;
-             Uc.stop uc;
-             Uc.sync uc));
-      (match Sim.run sim () with
+      let x = start ~cfg ~scope ~workload ~choose in
+      (match Sim.run x.sim () with
        | `Done -> ()
        | `Cut _ -> assert false);
       (* terminal: quiescent state must equal the full-trace model replay *)
-      let uc = Option.get !uc_ref in
+      let uc = Option.get x.uc in
       stats.terminals <- stats.terminals + 1;
-      let trace = Uc.trace uc in
-      let logged = Prep.Trace.length trace in
-      let completed = Prep.Trace.completed_indexes trace in
-      let applied = List.init logged (fun i -> i) in
-      let snapshot = Uc.snapshot uc in
-      Hashtbl.replace terminal_states snapshot ();
+      Hashtbl.replace terminal_states (U.snapshot uc) ();
       (* terminal model-replay is sharded by decision-trace hash; snapshot
          collection above is not (every shard sees every terminal) *)
       let dh =
         List.fold_left h2 (mix (List.length !decisions_rev)) !decisions_rev
       in
       if mine dh then begin
-        let violations =
-          Dl.check ~trace ~prefill:(Uc.prefill_ops uc) ~applied ~completed
-            ~recovered_snapshot:snapshot ~loss_bound:0 ()
-        in
+        let violations = U.quiescent uc in
         if violations <> [] then
           raise
             (Violation_found
@@ -837,9 +790,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                  v_decisions = List.rev !decisions_rev;
                  v_crash = None;
                  v_violations = violations;
-                 v_logged = logged;
-                 v_completed = List.length completed;
-                 v_applied = logged;
+                 v_logged = U.logged uc;
+                 v_completed = U.completed uc;
+                 v_applied = U.logged uc;
                })
       end
     in
@@ -903,185 +856,100 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         && not !truncated;
     }
 
+  let replay ~cfg ~gen_op ~scope ~decisions ?crash () =
+    let workload = gen_workload ~gen_op ~scope in
+    let decisions = Array.of_list decisions in
+    let decision_idx = ref 0 in
+    let step_idx = ref 0 in
+    let choose x (enabled : int array) : int =
+      let this_step = !step_idx in
+      incr step_idx;
+      (match crash with
+       | Some (s, mask) when this_step = s ->
+         commit_frontier x.mem
+           (Array.of_list (Memory.dirty_nvm_line_keys x.mem))
+           mask;
+         raise Crash_now
+       | _ -> ());
+      let eligible =
+        match eligible x enabled with [] -> enabled | l -> Array.of_list l
+      in
+      if Array.length eligible = 1 then pick x eligible.(0)
+      else if !decision_idx < Array.length decisions then begin
+        let c = decisions.(!decision_idx) in
+        incr decision_idx;
+        if not (Array.exists (fun f -> f = c) eligible) then
+          failwith "Explore.replay: decision trace does not match execution";
+        pick x c
+      end
+      else pick x eligible.(0)
+    in
+    let x = start ~cfg ~scope ~workload ~choose in
+    let crashed =
+      try
+        (match Sim.run x.sim () with `Done -> () | `Cut _ -> assert false);
+        false
+      with Crash_now -> true
+    in
+    let uc = Option.get x.uc in
+    let logged = U.logged uc and completed = U.completed uc in
+    if crashed then begin
+      Memory.clear_access_hook x.mem;
+      Memory.crash x.mem;
+      let v = recover ~scope uc in
+      (v.Sut.violations, true, logged, completed, v.Sut.applied)
+    end
+    else (U.quiescent uc, false, logged, completed, logged)
+end
+
+module Make (Ds : Seqds.Ds_intf.S) = struct
+  module Systems = Sut.Make (Ds)
+
+  (** Explore every interleaving and every reachable crash frontier of the
+      small-scope workload. Stops at the first violation (it carries a
+      replayable decision trace) or when the space/budget is exhausted.
+
+      [config] supplies the feature set; mode, fault, ε, log size and
+      workers come from the arguments and [scope]. [config.shards > 1]
+      explores the sharded construction.
+
+      [shard = (i, n)] splits the oracle work for a parallel campaign:
+      every shard replays the *identical* schedule DFS (all sleep-set and
+      state-dedup bookkeeping included — scheduling cost is replicated,
+      not divided), but performs only the crash recoveries and terminal
+      model-replays whose dedup hash falls in its residue class. A skipped
+      check is state-neutral (the memory snapshot would have been restored
+      anyway), so shards stay in lockstep; [merge_shards] reassembles the
+      full result and audits that lockstep. The default [(0, 1)] is the
+      exact unsharded search. *)
+  let explore ?config ?(budget = default_budget)
+      ?(shard = (0, 1)) ~mode ~fault ~gen_op ~scope () =
+    if scope.threads < 1 || scope.threads > max_threads scope then
+      invalid_arg "Explore: thread count out of range";
+    let shard_ix, shard_n = shard in
+    if shard_n < 1 || shard_ix < 0 || shard_ix >= shard_n then
+      invalid_arg "Explore: shard index out of range";
+    let cfg =
+      Sut.checker_config ?config ~mode ~fault ~epsilon:scope.epsilon
+        ~log_size:scope.log_size ~workers:scope.threads ()
+    in
+    let module U = (val Systems.select cfg : Sut.S) in
+    let module R = Run (U) in
+    R.explore ~cfg ~budget ~shard ~gen_op ~scope
+
   (** Re-execute exactly one schedule from its decision trace; optionally
       crash at [crash = (step, frontier_mask)] — the mask selects, bit [b],
       the [b]-th dirty NVM line (sorted) at that step — then recover and
       check. Everything is deterministic: replaying a violation's trace
-      reproduces its violation. *)
-  let replay ?(flit = false) ?(dist_rw = false) ?(log_mirror = false)
-      ?(slot_bitmap = false) ?(detect = false) ?(lsm_ckpt = false)
-      ?(lsm_fanout = 4) ?persist_policy ~mode ~fault ~gen_op ~scope ~decisions
+      under the same [config] reproduces its violation. Returns
+      [(violations, crashed, logged, completed, applied)]. *)
+  let replay ?config ~mode ~fault ~gen_op ~scope ~decisions
       ?crash () =
-    let topo = topology scope in
-    let beta = topo.Sim.Topology.cores_per_socket in
-    let loss_bound =
-      match mode with
-      | Prep.Config.Durable -> 0
-      | _ -> scope.epsilon + beta - 1
+    let cfg =
+      Sut.checker_config ?config ~mode ~fault ~epsilon:scope.epsilon
+        ~log_size:scope.log_size ~workers:scope.threads ()
     in
-    let workload = gen_workload ~gen_op ~scope in
-    let decisions = Array.of_list decisions in
-    let sim = Sim.create topo in
-    let mem =
-      Memory.make
-        ~seed:(Int64.of_int (scope.seed + 7919))
-        ~sockets:scope.sockets ~bg_period:0 ()
-    in
-    let uc_ref = ref None in
-    let runtime = ref false in
-    let done_count = ref 0 in
-    let decision_idx = ref 0 in
-    let step_idx = ref 0 in
-    (* the same await-parking as [explore]: decision traces only record
-       choices at branching points, so replay must reconstruct the same
-       eligible sets to consume them at the same steps *)
-    let parked : (int, int) Hashtbl.t = Hashtbl.create 16 in
-    let iter_start : (int, int) Hashtbl.t = Hashtbl.create 16 in
-    let write_version = ref 0 in
-    let last_ghost = ref 0 in
-    Memory.set_access_hook mem (fun _ _ write _ ->
-        if write then incr write_version);
-    Sim.set_spin_hook sim (fun fid ->
-        Hashtbl.replace parked fid
-          (Option.value ~default:(-1) (Hashtbl.find_opt iter_start fid)));
-    let ghost_hash () =
-      let uc_ghost =
-        match !uc_ref with
-        | Some uc ->
-          h2
-            (if uc.Uc.stop_flag then 1 else 0)
-            (h2 (trace_hash uc.Uc.trace)
-               (h2 (Uc.lsm_ghost uc)
-                  (Array.fold_left h2 0 uc.Uc.next_seq)))
-        | None -> 0
-      in
-      h2 !done_count uc_ghost
-    in
-    let chooser (enabled : int array) : int =
-      if not !runtime then enabled.(0)
-      else begin
-        let this_step = !step_idx in
-        incr step_idx;
-        (match crash with
-         | Some (s, mask) when this_step = s ->
-           let lines = Array.of_list (Memory.dirty_nvm_line_keys mem) in
-           Array.iteri
-             (fun b key ->
-               if mask land (1 lsl b) <> 0 then Memory.commit_line mem key)
-             lines;
-           raise Crash_now
-         | _ -> ());
-        let gh = ghost_hash () in
-        if gh <> !last_ghost then begin
-          last_ghost := gh;
-          incr write_version
-        end;
-        let eligible =
-          Array.to_list enabled
-          |> List.filter (fun fid ->
-                 match Hashtbl.find_opt parked fid with
-                 | Some v when v = !write_version -> false
-                 | _ -> true)
-        in
-        let eligible =
-          if eligible = [] then enabled else Array.of_list eligible
-        in
-        let pick fid =
-          if Hashtbl.mem parked fid then begin
-            Hashtbl.replace iter_start fid !write_version;
-            Hashtbl.remove parked fid
-          end;
-          fid
-        in
-        if Array.length eligible = 1 then pick eligible.(0)
-        else if !decision_idx < Array.length decisions then begin
-          let c = decisions.(!decision_idx) in
-          incr decision_idx;
-          if not (Array.exists (fun f -> f = c) eligible) then
-            failwith "Explore.replay: decision trace does not match execution";
-          pick c
-        end
-        else pick eligible.(0)
-      end
-    in
-    Sim.set_chooser sim chooser;
-    ignore
-      (Sim.spawn sim ~socket:0 (fun () ->
-           let roots = Roots.make mem in
-           let cfg =
-             Prep.Config.make ~mode ~log_size:scope.log_size
-               ~epsilon:scope.epsilon ~flit ~dist_rw ~log_mirror ~slot_bitmap
-               ~detect ~lsm_ckpt ~lsm_fanout ?persist_policy ~fault
-               ~workers:scope.threads ()
-           in
-           let uc = Uc.create mem roots cfg in
-           uc_ref := Some uc;
-           if scope.persistence then Uc.start_persistence uc;
-           for w = 0 to scope.threads - 1 do
-             let socket, core = Sim.Topology.place topo w in
-             let ops = workload.(w) in
-             Sim.spawn_here ~socket ~core (fun () ->
-                 Uc.register_worker uc;
-                 List.iter (fun (op, args) -> ignore (Uc.execute uc ~op ~args)) ops;
-                 incr done_count)
-           done;
-           runtime := true;
-           while !done_count < scope.threads do
-             Sim.spin ()
-           done;
-           Uc.stop uc;
-           Uc.sync uc));
-    let crashed =
-      try
-        (match Sim.run sim () with `Done -> () | `Cut _ -> assert false);
-        false
-      with Crash_now -> true
-    in
-    let uc = Option.get !uc_ref in
-    let trace = Uc.trace uc in
-    let logged = Prep.Trace.length trace in
-    let completed = Prep.Trace.completed_indexes trace in
-    if crashed then begin
-      Memory.clear_access_hook mem;
-      Memory.crash mem;
-      Context.reset ();
-      let sim2 = Sim.create ~seed:97L topo in
-      let out = ref None in
-      ignore
-        (Sim.spawn sim2 ~socket:0 (fun () ->
-             let uc', report = Uc.recover uc in
-             let resolutions =
-               if not detect then []
-               else
-                 List.init scope.threads (fun w ->
-                     let socket, core = Sim.Topology.place topo w in
-                     let tid = (socket * beta) + core in
-                     (tid, Uc.resolve uc' ~tid))
-             in
-             out := Some (report, Uc.snapshot uc', resolutions)));
-      (match Sim.run sim2 () with
-       | `Done -> ()
-       | `Cut _ -> failwith "Explore.replay: recovery did not finish");
-      let report, recovered_snapshot, resolutions = Option.get !out in
-      let violations =
-        Dl.check ~trace ~prefill:(Uc.prefill_ops uc)
-          ~applied:report.Prep.Prep_uc.applied ~completed ~recovered_snapshot
-          ~loss_bound ()
-        @ Durable_lin.check_resolutions ~resolutions
-            ~applied_seqno:(applied_seqno_fn trace report.Prep.Prep_uc.applied)
-      in
-      ( violations,
-        true,
-        logged,
-        List.length completed,
-        List.length report.Prep.Prep_uc.applied )
-    end
-    else begin
-      let applied = List.init logged (fun i -> i) in
-      let violations =
-        Dl.check ~trace ~prefill:(Uc.prefill_ops uc) ~applied ~completed
-          ~recovered_snapshot:(Uc.snapshot uc) ~loss_bound:0 ()
-      in
-      (violations, false, logged, List.length completed, logged)
-    end
+    let module U = (val Systems.select cfg : Sut.S) in
+    let module R = Run (U) in
+    R.replay ~cfg ~gen_op ~scope ~decisions ?crash ()
 end

@@ -17,6 +17,11 @@
       smallest episode that still reproduces, and [repro_command] prints a
       replayable CLI invocation.
 
+    The system under test is a [Sut.S]: one PREP-UC instance, or the
+    sharded construction when [config.shards > 1] — judged as one history,
+    cross-shard atomicity included, which is how the planted
+    [Config.Commit_before_prepare_persist] fault is caught.
+
     Everything is a deterministic function of the episode parameters, so a
     CI budget of episodes explores fresh crash points per seed without
     flakiness, and every failure is replayable from its printed command. *)
@@ -62,30 +67,17 @@ let crash_flag = function
   | At_time ns -> Printf.sprintf "--crash-at %d" ns
   | No_crash -> "--no-crash"
 
-let variant_name = function
-  | Prep.Config.Volatile -> "volatile"
-  | Prep.Config.Buffered -> "buffered"
-  | Prep.Config.Durable -> "durable"
-
-(** A copy-pasteable replay of [ep]: runs exactly one episode. *)
-let repro_command ?(flit = false) ?(dist_rw = false) ?(log_mirror = false)
-    ?(slot_bitmap = false) ?(detect = false) ?(lsm_ckpt = false)
-    ?persist_policy ~mode ~fault ~ds ep =
+(** A copy-pasteable replay of [ep] under [config]: runs exactly one
+    episode. A sharded workload's [--multi-pct]/[--cross-pct] belong to
+    the generator, not the configuration; the caller appends them. *)
+let repro_command ?(config = Sut.default_config) ~mode ~fault ~ds ep =
   Printf.sprintf
     "dune exec bin/prep_cli.exe -- fuzz --variant %s --ds %s --threads %d \
-     --epsilon %d --log-size %d --ops %d --seed %d --fault %s%s%s%s%s%s%s%s %s"
-    (variant_name mode) ds ep.threads ep.epsilon ep.log_size ep.ops_per_worker
-    ep.workload_seed (Prep.Config.fault_name fault)
-    (if flit then " --flit" else "")
-    (if dist_rw then " --dist-rw" else "")
-    (if log_mirror then " --log-mirror" else "")
-    (if slot_bitmap then " --slot-bitmap" else "")
-    (if detect then " --detect" else "")
-    (if lsm_ckpt then " --lsm-ckpt" else "")
-    (match persist_policy with
-     | Some p when not (Nvm.Persist.is_default p) ->
-         Printf.sprintf " --persist-policy \"%s\"" (Nvm.Persist.to_spec p)
-     | Some _ | None -> "")
+     --epsilon %d --log-size %d --ops %d --seed %d%s %s"
+    (Prep.Config.variant_name mode)
+    ds ep.threads ep.epsilon ep.log_size ep.ops_per_worker ep.workload_seed
+    (Prep.Config.to_flags ~shards_flag:"--shards"
+       { config with Prep.Config.mode; fault })
     (crash_flag ep.crash)
 
 let pp_episode ppf ep =
@@ -93,27 +85,29 @@ let pp_episode ppf ep =
     ep.threads ep.epsilon ep.ops_per_worker (crash_flag ep.crash)
 
 module Make (Ds : Seqds.Ds_intf.S) = struct
-  module Uc = Prep.Prep_uc.Make (Ds)
-  module Dl = Durable_lin.Make (Ds.Model)
+  module Systems = Sut.Make (Ds)
   open Nvm
 
   (* Small fixed machine: plenty of cross-socket traffic, fast episodes.
      Worker count is capped at total cores − 1 (persistence thread). *)
   let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
-  let beta = topology.Sim.Topology.cores_per_socket
   let max_threads = Sim.Topology.total_cores topology - 1
 
   (** Run one episode: workload, optional crash, recovery, checks.
-      [gen_op] draws one (op, args) pair from the fiber's rng. [flit],
-      [dist_rw], [log_mirror], [slot_bitmap] and [lsm_ckpt] fuzz the
-      corresponding gated layer instead of the baseline; [detect] additionally
-      drives the announce/response protocol and, after a crash, judges
-      every thread's [resolve] verdict against ghost truth. *)
-  let run_episode ?(flit = false) ?(dist_rw = false) ?(log_mirror = false)
-      ?(slot_bitmap = false) ?(detect = false) ?(lsm_ckpt = false)
-      ?persist_policy ~mode ~fault ~gen_op ep =
+      [gen_op] draws one (op, args) pair from the fiber's rng. [config]
+      selects the system and its gated layers ([shards > 1] fuzzes the
+      sharded construction, whose generator may draw multi-key ops — see
+      [Harness.Workload.map_workload_sharded]); the episode sets mode,
+      fault, ε, log size and workers. Under [detect], every thread's
+      [resolve] verdict is judged against ghost truth after a crash. *)
+  let run_episode ?config ~mode ~fault ~gen_op ep =
     if ep.threads < 1 || ep.threads > max_threads then
       invalid_arg "Fuzz: thread count out of range";
+    let cfg =
+      Sut.checker_config ?config ~mode ~fault ~epsilon:ep.epsilon
+        ~log_size:ep.log_size ~workers:ep.threads ()
+    in
+    let module U = (val Systems.select cfg : Sut.S) in
     let sim =
       Sim.create
         ~seed:(Int64.of_int ep.workload_seed)
@@ -129,13 +123,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let end_time = ref 0 in
     ignore
       (Sim.spawn sim ~socket:0 (fun () ->
-           let roots = Roots.make mem in
-           let cfg =
-             Prep.Config.make ~mode ~log_size:ep.log_size ~epsilon:ep.epsilon
-               ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt
-               ?persist_policy ~fault ~workers:ep.threads ()
-           in
-           let uc = Uc.create mem roots cfg in
+           let uc = U.create mem (Roots.make mem) cfg in
            uc_ref := Some uc;
            setup_ops := Memory.op_index mem;
            (* only now is there a recoverable checkpoint: crash points are
@@ -146,24 +134,24 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
               Memory.set_crash_hook mem (fun i ->
                   if i - base >= n then raise Crash_injected)
             | At_time _ | No_crash -> ());
-           Uc.start_persistence uc;
+           U.start_persistence uc;
            let done_count = ref 0 in
            for w = 0 to ep.threads - 1 do
              let socket, core = Sim.Topology.place topology w in
              Sim.spawn_here ~socket ~core (fun () ->
-                 Uc.register_worker uc;
+                 U.register_worker uc;
                  let rng = Sim.fiber_rng () in
                  for _ = 1 to ep.ops_per_worker do
                    let op, args = gen_op rng in
-                   ignore (Uc.execute uc ~op ~args)
+                   U.execute uc ~op ~args
                  done;
                  incr done_count)
            done;
            while !done_count < ep.threads do
              Sim.tick 10_000
            done;
-           Uc.stop uc;
-           Uc.sync uc;
+           U.stop uc;
+           U.sync uc;
            end_time := Sim.now ()));
     let crashed =
       match ep.crash with
@@ -173,14 +161,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         | `Cut _ -> assert false)
       | At_time ns -> (
         match Sim.run ~until:ns sim () with `Cut _ -> true | `Done -> false)
-      | At_op _ ->
-        let r =
-          try
-            ignore (Sim.run sim ());
-            false
-          with Crash_injected -> true
-        in
-        r
+      | At_op _ -> (
+        try
+          ignore (Sim.run sim ());
+          false
+        with Crash_injected -> true)
     in
     Memory.clear_crash_hook mem;
     match !uc_ref with
@@ -197,96 +182,44 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         end_time = 0;
       }
     | Some uc ->
-      let trace = Uc.trace uc in
-      let completed = Prep.Trace.completed_indexes trace in
-      let logged = Prep.Trace.length trace in
+      let logged = U.logged uc in
+      let completed = U.completed uc in
       let runtime_ops = Memory.op_index mem - !setup_ops in
       if crashed then begin
         if mode = Prep.Config.Volatile then
           invalid_arg "Fuzz: volatile episodes cannot crash";
         Memory.crash mem;
         Context.reset ();
-        let sim2 =
-          Sim.create ~seed:(Int64.of_int (ep.workload_seed + 1)) topology
-        in
-        let out = ref None in
-        ignore
-          (Sim.spawn sim2 ~socket:0 (fun () ->
-               let uc', report = Uc.recover uc in
-               let resolutions =
-                 if not detect then []
-                 else
-                   List.init ep.threads (fun w ->
-                       let socket, core = Sim.Topology.place topology w in
-                       let tid = (socket * beta) + core in
-                       (tid, Uc.resolve uc' ~tid))
-               in
-               out := Some (report, Uc.snapshot uc', resolutions)));
-        (match Sim.run sim2 () with
-         | `Done -> ()
-         | `Cut _ -> failwith "Fuzz: recovery did not finish");
-        let report, snap, resolutions = Option.get !out in
-        let loss_bound =
-          if mode = Prep.Config.Durable then 0 else ep.epsilon + beta - 1
-        in
-        let violations =
-          Dl.check ~trace ~prefill:(Uc.prefill_ops uc)
-            ~applied:report.Prep.Prep_uc.applied
-            ~completed ~recovered_snapshot:snap ~loss_bound ()
-        in
-        let violations =
-          if not detect then violations
-          else
-            (* resolve-consistency: each thread's verdict must name exactly
-               the frontier of what the recovered state contains *)
-            let applied_seqno =
-              let tbl = Hashtbl.create 16 in
-              List.iter
-                (fun i ->
-                  let e = Prep.Trace.get trace i in
-                  if e.Prep.Trace.seqno > 0 then
-                    let cur =
-                      Option.value ~default:0
-                        (Hashtbl.find_opt tbl e.Prep.Trace.tid)
-                    in
-                    if e.Prep.Trace.seqno > cur then
-                      Hashtbl.replace tbl e.Prep.Trace.tid e.Prep.Trace.seqno)
-                report.Prep.Prep_uc.applied;
-              fun tid -> Option.value ~default:0 (Hashtbl.find_opt tbl tid)
-            in
-            violations
-            @ Durable_lin.check_resolutions ~resolutions ~applied_seqno
+        let v =
+          Sut.in_fresh_sim ~who:"Fuzz"
+            ~seed:(Int64.of_int (ep.workload_seed + 1))
+            topology
+            (fun () -> U.recover uc)
         in
         {
           crashed = true;
           vacuous = false;
-          violations;
+          violations = v.Sut.violations;
           logged;
-          completed = List.length completed;
-          applied = List.length report.Prep.Prep_uc.applied;
+          completed;
+          applied = v.Sut.applied;
           runtime_ops;
           end_time = 0;
         }
       end
-      else begin
+      else
         (* quiescent run: every logged op completed and the final state
            must equal the full-trace replay *)
-        let applied = List.init logged (fun i -> i) in
-        let violations =
-          Dl.check ~trace ~prefill:(Uc.prefill_ops uc) ~applied ~completed
-            ~recovered_snapshot:(Uc.snapshot uc) ~loss_bound:0 ()
-        in
         {
           crashed = false;
           vacuous = false;
-          violations;
+          violations = U.quiescent uc;
           logged;
-          completed = List.length completed;
+          completed;
           applied = logged;
           runtime_ops;
           end_time = !end_time;
         }
-      end
 
   (** Fuzz [iters] episodes derived from [template] (whose [crash] field is
       ignored): one calibration run sizes the crash-point space, then each
@@ -300,18 +233,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       any episode runs, each episode is a self-contained sim, and the
       results are merged in episode order, so the result and the log are
       byte-identical whatever the runner's parallelism. *)
-  let fuzz ?(flit = false) ?(dist_rw = false) ?(log_mirror = false)
-      ?(slot_bitmap = false) ?(detect = false) ?(lsm_ckpt = false)
-      ?persist_policy ~mode ~fault ~gen_op ~template ~iters
+  let fuzz ?config ~mode ~fault ~gen_op ~template ~iters
       ?(log = fun _ -> ())
       ?(runner = fun tasks -> Array.map (fun task -> task ()) tasks) () =
-    let run_episode =
-      run_episode ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt
-        ?persist_policy
-    in
-    let calib =
-      run_episode ~mode ~fault ~gen_op { template with crash = No_crash }
-    in
+    let run_episode = run_episode ?config ~mode ~fault ~gen_op in
+    let calib = run_episode { template with crash = No_crash } in
     log
       (Fmt.str "calibration: %d ops logged, %d mem-ops, %d ns"
          calib.logged calib.runtime_ops calib.end_time);
@@ -329,9 +255,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           in
           { template with workload_seed = template.workload_seed + i; crash })
     in
-    let outs =
-      runner (Array.map (fun ep () -> run_episode ~mode ~fault ~gen_op ep) plan)
-    in
+    let outs = runner (Array.map (fun ep () -> run_episode ep) plan) in
     let failures = ref [] in
     let crashes = ref 0 in
     Array.iteri
@@ -352,13 +276,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   (** Minimize a failing episode: fewest threads first (re-probing several
       crash points, since fewer threads shift the schedule), then an
       earlier crash point, then less work per worker. *)
-  let shrink ?(flit = false) ?(dist_rw = false) ?(log_mirror = false)
-      ?(slot_bitmap = false) ?(detect = false) ?(lsm_ckpt = false)
-      ?persist_policy ~mode ~fault ~gen_op ep =
+  let shrink ?config ~mode ~fault ~gen_op ep =
     let fails ep =
-      (run_episode ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt
-         ?persist_policy ~mode ~fault ~gen_op ep).violations
-      <> []
+      (run_episode ?config ~mode ~fault ~gen_op ep).violations <> []
     in
     let scale_crash ep num den =
       match ep.crash with

@@ -155,16 +155,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   (* Per-(site, primitive) emitted counts from one instrumented run.
      Telemetry recording is cost- and schedule-neutral, so the measured run
      is the same run the fuzz soak replays. *)
-  let measure ?persist_policy ~flags ~mode ~gen_op template =
+  let measure ~config ~mode ~gen_op template =
     let reg = Telemetry.Registry.create () in
     let out =
       Telemetry.Registry.with_current reg (fun () ->
-          let flit, dist_rw, log_mirror, slot_bitmap, detect, lsm_ckpt =
-            flags
-          in
-          F.run_episode ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-            ~lsm_ckpt ?persist_policy ~mode ~fault:Prep.Config.No_fault
-            ~gen_op
+          F.run_episode ~config ~mode ~fault:Prep.Config.No_fault ~gen_op
             { template with Fuzz.crash = Fuzz.No_crash })
     in
     let snap = Telemetry.Registry.snapshot reg in
@@ -218,39 +213,14 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
            if w1 <> w2 then compare w2 w1
            else compare (Persist.index s1) (Persist.index s2))
 
-  let spec_of_trial trial = Persist.to_spec trial
-
-  (* Repro command for an explorer rejection: replay the violating decision
-     trace under the one-site policy that produced it. *)
-  let explore_repro ~ds ~mode ~scope ~spec decisions crash =
-    Printf.sprintf
-      "dune exec bin/prep_cli.exe -- explore --variant %s --ds %s --threads \
-       %d --ops %d --epsilon %d --log-size %d --seed %d --sockets %d --cores \
-       %d%s --persist-policy \"%s\" --replay '%s'%s"
-      (Fuzz.variant_name mode) ds scope.Explore.threads
-      scope.Explore.ops_per_worker scope.Explore.epsilon
-      scope.Explore.log_size scope.Explore.seed scope.Explore.sockets
-      scope.Explore.cores_per_socket
-      (if scope.Explore.persistence then "" else " --no-persistence")
-      spec
-      (Explore.decisions_to_string decisions)
-      (match crash with
-       | None -> ""
-       | Some (step, mask) ->
-         Printf.sprintf " --crash-step %d --frontier %d" step mask)
-
-  (* Both oracles on one candidate policy. The explorer must exhaust its
-     scope clean; the fuzz soak must match the baseline crash-free run and
-     survive its crash plan. *)
-  let check ~flags ~mode ~gen_op ~scope ~budget ~template ~fuzz_iters ~ds
-      ~baseline trial =
-    let flit, dist_rw, log_mirror, slot_bitmap, detect, lsm_ckpt = flags in
-    let spec = spec_of_trial trial in
-    let eres =
-      E.explore ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt
-        ~persist_policy:trial ~budget ~mode ~fault:Prep.Config.No_fault
-        ~gen_op ~scope ()
-    in
+  (* Both oracles on one candidate policy (installed in [config]). The
+     explorer must exhaust its scope clean; the fuzz soak must match the
+     baseline crash-free run and survive its crash plan. Rejections carry
+     a repro command for the configuration that failed. *)
+  let check ~config ~mode ~gen_op ~scope ~budget ~template ~fuzz_iters ~ds
+      ~baseline =
+    let fault = Prep.Config.No_fault in
+    let eres = E.explore ~config ~budget ~mode ~fault ~gen_op ~scope () in
     match eres.Explore.violation with
     | Some v ->
       let desc =
@@ -259,15 +229,13 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       in
       ( Rejected_explorer desc,
         Some
-          (explore_repro ~ds ~mode ~scope ~spec v.Explore.v_decisions
-             v.Explore.v_crash) )
+          (Explore.repro_command ~config ~mode ~fault ~ds ~scope
+             v.Explore.v_decisions v.Explore.v_crash) )
     | None when not eres.Explore.exhausted -> (Unproven, None)
     | None ->
       (* differential: crash-free semantics must be byte-identical *)
       let out =
-        F.run_episode ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-          ~lsm_ckpt ~persist_policy:trial ~mode ~fault:Prep.Config.No_fault
-          ~gen_op
+        F.run_episode ~config ~mode ~fault ~gen_op
           { template with Fuzz.crash = Fuzz.No_crash }
       in
       let same (a : Fuzz.outcome) (b : Fuzz.outcome) =
@@ -279,20 +247,14 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       if not (same out baseline) then (Rejected_differential, None)
       else begin
         let fres =
-          F.fuzz ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt
-            ~persist_policy:trial ~mode ~fault:Prep.Config.No_fault ~gen_op
-            ~template ~iters:fuzz_iters ()
+          F.fuzz ~config ~mode ~fault ~gen_op ~template ~iters:fuzz_iters ()
         in
         match fres.Fuzz.failures with
         | [] -> (Admitted, None)
         | f :: _ ->
-          let repro =
-            Fuzz.repro_command ~flit ~dist_rw ~log_mirror ~slot_bitmap
-              ~detect ~lsm_ckpt ~persist_policy:trial ~mode
-              ~fault:Prep.Config.No_fault ~ds f.Fuzz.episode
-          in
           ( Rejected_fuzz (Format.asprintf "%a" Fuzz.pp_episode f.Fuzz.episode),
-            Some repro )
+            Some (Fuzz.repro_command ~config ~mode ~fault ~ds f.Fuzz.episode)
+          )
       end
 
   (** Run the full inference: measure, rank, greedily weaken, prove.
@@ -300,12 +262,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       drive the measurement run and the fuzz soak; [ds] names the data
       structure in emitted repro commands. Returns the proven policy and
       the full decision log. *)
-  let infer ?(flit = false) ?(dist_rw = false) ?(log_mirror = false)
-      ?(slot_bitmap = false) ?(detect = false) ?(lsm_ckpt = false)
-      ?(log = fun (_ : string) -> ()) ~mode ~gen_op ~scope ~budget ~template
-      ~fuzz_iters ~ds () =
-    let flags = (flit, dist_rw, log_mirror, slot_bitmap, detect, lsm_ckpt) in
-    let baseline, table = measure ~flags ~mode ~gen_op template in
+  let infer ?(config = Sut.default_config) ?(log = fun (_ : string) -> ())
+      ~mode ~gen_op ~scope ~budget ~template ~fuzz_iters ~ds () =
+    let with_policy p = { config with Prep.Config.persist_policy = Some p } in
+    let baseline, table = measure ~config ~mode ~gen_op template in
     if baseline.Fuzz.violations <> [] then
       invalid_arg
         "Persist_infer: baseline run violates durable linearizability — \
@@ -342,8 +302,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                  (Persist.action_to_string action)
                  weight);
             let verdict, repro =
-              check ~flags ~mode ~gen_op ~scope ~budget ~template ~fuzz_iters
-                ~ds ~baseline trial
+              check ~config:(with_policy trial) ~mode ~gen_op ~scope ~budget
+                ~template ~fuzz_iters ~ds ~baseline
             in
             record
               { d_site = site; d_action = action; d_weight = weight;
@@ -369,7 +329,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       cands;
     (* re-measure the same workload under the proven policy *)
     let _, ptable =
-      measure ~persist_policy:policy ~flags ~mode ~gen_op template
+      measure ~config:(with_policy policy) ~mode ~gen_op template
     in
     let pol_flush = total flush_metrics ptable in
     let pol_fence = total fence_metrics ptable in

@@ -10,6 +10,12 @@ let mode_name = function
   | Buffered -> "PREP-Buffered"
   | Durable -> "PREP-Durable"
 
+(** The [--variant] spelling of a mode on the checker subcommands. *)
+let variant_name = function
+  | Volatile -> "volatile"
+  | Buffered -> "buffered"
+  | Durable -> "durable"
+
 (** How the persistence thread writes the active persistent replica back
     to NVM at the end of an update cycle. [Wbinvd] is the paper's default
     (write back and invalidate the whole cache); [Flush_heap] walks the
@@ -162,6 +168,11 @@ type t = {
   fault : fault;
 }
 
+(** Shard [i] owns root-directory slots [i*8 .. i*8+6]; slot 7 of the last
+    stride holds the cross-shard decision table, so the 64-slot directory
+    caps the shard count. *)
+let max_shards = (Nvm.Roots.max_slots - 7) / 8
+
 (** Validate against the constraint of §5.1: the persistence-cycle length
     must leave room for one full batch plus the lowMark slack,
     ε ≤ LOG_SIZE − β − 1. *)
@@ -190,6 +201,17 @@ let validate t ~beta =
   if t.shards > 1 && t.detect then
     invalid_arg "Config: detectable execution is per-instance; not yet \
                  wired through the shard router";
+  if t.shards > max_shards then
+    invalid_arg
+      (Printf.sprintf
+         "Config: at most %d shards (64-slot root directory, 8 slots per \
+          shard)"
+         max_shards);
+  if t.shards > 1 && (t.dist_rw || t.log_mirror) then
+    invalid_arg
+      "Config: the NUMA read-path options (dist_rw, log_mirror) are not \
+       wired through the sharded experiment system, so a checked sharded \
+       configuration with them could not be run";
   if t.fault = Commit_before_prepare_persist && t.shards < 2 then
     invalid_arg
       "Config: commit-before-prepare fault only exists with --shards >= 2";
@@ -212,3 +234,34 @@ let make ?(mode = Buffered) ?(log_size = 65536) ?(epsilon = 1024)
   { mode; log_size; epsilon; workers; flush; flit; dist_rw; log_mirror;
     slot_bitmap; detect; shards; lsm_ckpt; lsm_fanout; lsm_compact;
     root_base; tag; persist_policy; fault }
+
+(** The checker command-line flags that rebuild [t]'s fault and feature
+    set — every such field that differs from [make]'s default, in a fixed
+    order — so a printed repro command replays exactly the configuration
+    that failed. [shards_flag] spells the shard count ([fuzz] says
+    [--shards], [explore] [--uc-shards]). Not rendered: the fields the
+    checkers set from their own arguments (mode, ε, log size, workers) and
+    those the checker subcommands have no flag for ([flush],
+    [lsm_compact], [root_base], [tag]). *)
+let to_flags ~shards_flag t =
+  let d = make ~workers:t.workers () in
+  String.concat ""
+    [
+      (if t.fault <> d.fault then " --fault " ^ fault_name t.fault else "");
+      (if t.flit then " --flit" else "");
+      (if t.dist_rw then " --dist-rw" else "");
+      (if t.log_mirror then " --log-mirror" else "");
+      (if t.slot_bitmap then " --slot-bitmap" else "");
+      (if t.detect then " --detect" else "");
+      (if t.shards <> d.shards then
+         Printf.sprintf " %s %d" shards_flag t.shards
+       else "");
+      (if t.lsm_ckpt then " --lsm-ckpt" else "");
+      (if t.lsm_ckpt && t.lsm_fanout <> d.lsm_fanout then
+         Printf.sprintf " --lsm-fanout %d" t.lsm_fanout
+       else "");
+      (match t.persist_policy with
+       | Some p when not (Nvm.Persist.is_default p) ->
+         Printf.sprintf " --persist-policy \"%s\"" (Nvm.Persist.to_spec p)
+       | Some _ | None -> "");
+    ]

@@ -1604,6 +1604,16 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       h := Memory.h2 !h (view_hash t.shadow_view);
       !h
 
+  (** Hash of the instance's ghost (OCaml-heap) progress the memory
+      fingerprints cannot see — stop flag, trace, [--lsm-ckpt] state,
+      client seqno counters — for the explorer's state dedup and
+      parked-fiber wakes. *)
+  let ghost_hash t =
+    Memory.h2
+      (if t.stop_flag then 1 else 0)
+      (Memory.h2 (Trace.hash t.trace)
+         (Memory.h2 (lsm_ghost t) (Array.fold_left Memory.h2 0 t.next_seq)))
+
   (* ---- recovery (paper §5.1 / §5.2) ---- *)
 
   (* Classic (whole-replica checkpoint) recovery: attach the stable NVM

@@ -97,11 +97,6 @@ let op_get = 2
     would align shard and bucket boundaries. *)
 let route_key ~nshards key = key * 0x9E3779B1 land max_int mod nshards
 
-(** Shard i owns root-directory slots [i*8 .. i*8+6]; slot 7 of the last
-    stride holds the cross-shard decision table, so the 64-slot directory
-    caps the shard count. *)
-let max_shards = (Roots.max_slots - 7) / 8
-
 (* Absolute root-directory slot of the decision-table directory block.
    Shard [i] occupies slots [i*8 + 1 .. i*8 + 6]; slot 7 is free. *)
 let slot_decision = 7
@@ -315,7 +310,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let n = cfg.Config.shards in
     if cfg.Config.mode <> Config.Durable then
       invalid_arg "Sharded_uc: requires durable mode";
-    if n > max_shards then
+    if n > Config.max_shards then
       invalid_arg "Sharded_uc: too many shards for the root directory";
     let dec = Decision.create mem roots ~cap:(n * cfg.Config.log_size) in
     let shard_prefill i =

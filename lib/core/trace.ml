@@ -50,6 +50,22 @@ let completed t idx = t.entries.(idx).completed <- true
 let length t = t.len
 let get t idx = t.entries.(idx)
 
+(** Hash of every entry and its completion mark — the explorer's view of
+    the trace in its state-dedup and crash-dedup keys. *)
+let hash t =
+  let open Nvm.Memory in
+  let h = ref (mix t.len) in
+  for i = 0 to t.len - 1 do
+    let e = t.entries.(i) in
+    h :=
+      h2 !h
+        (h2 e.op
+           (h2
+              (Array.fold_left h2 0 e.args)
+              (h2 (if e.completed then 1 else 0) (h2 e.tid e.seqno))))
+  done;
+  !h
+
 (** Indexes of completed ops. *)
 let completed_indexes t =
   let acc = ref [] in

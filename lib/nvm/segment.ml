@@ -30,9 +30,10 @@ let header_words = 8
 
 let magic = 0x5E6_C0DE (* "segment, sealed" *)
 
-(** Sentinel value recording a deletion. Client values are non-negative in
-    every workload this repo generates; the guard in [Memtable.put] keeps
-    the sentinel from ever colliding with a real value. *)
+(** Sentinel value recording a deletion. Client values may be negative
+    (sharded transfers drive balances below zero); the guard in
+    [Memtable.put] keeps the sentinel from ever colliding with a real
+    value. *)
 let tombstone = min_int / 2
 
 module Bloom = struct
@@ -285,7 +286,7 @@ module Memtable = struct
   let size (t : t) = Hashtbl.length t
 
   let put (t : t) key value =
-    if value < 0 then invalid_arg "Memtable.put: negative value";
+    if value = tombstone then invalid_arg "Memtable.put: tombstone value";
     Hashtbl.replace t key value
 
   let del (t : t) key = Hashtbl.replace t key tombstone

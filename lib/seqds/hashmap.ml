@@ -190,9 +190,10 @@ module Model = struct
     IntMap.bindings m |> List.concat_map (fun (k, v) -> [ k; v ])
 end
 
+(* [op_get]'s read path, but exact: [-1] is a storable value (sharded
+   transfers drive balances negative), so absence is the missing node *)
 let key_get t key =
-  match execute t ~op:op_get ~args:[| key |] with
-  | -1 -> None
-  | v -> Some v
+  let found, _, _ = find_node t key in
+  if found = Memory.null then None else Some (Memory.read t.mem (found + 1))
 
 let key_put t key value = ignore (execute t ~op:op_insert ~args:[| key; value |])

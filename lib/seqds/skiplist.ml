@@ -191,9 +191,11 @@ let check_invariants t =
 
 module Model = Hashmap.Model
 
+(* [op_get]'s read path, but exact: [-1] is a storable value (sharded
+   transfers drive balances negative), so absence is the missing node *)
 let key_get t key =
-  match execute t ~op:op_get ~args:[| key |] with
-  | -1 -> None
-  | v -> Some v
+  let update = Array.make max_height Memory.null in
+  let found = find_predecessors t key update in
+  if found = Memory.null then None else Some (Memory.read t.mem (found + 1))
 
 let key_put t key value = ignore (execute t ~op:op_insert ~args:[| key; value |])

@@ -15,6 +15,11 @@ let check_bool = Alcotest.(check bool)
 module H = Seqds.Hashmap
 module Uc = Prep_uc.Make (H)
 module F = Check.Fuzz.Make (H)
+
+(* checker configuration with the given feature flags; the checkers set
+   mode, fault, epsilon, log size and workers themselves *)
+let cfg = Config.make ~workers:1
+
 module S = Harness.Session.Make (H)
 
 let gen_op rng =
@@ -292,7 +297,8 @@ let test_detect_invisible_without_crash () =
       (template ~seed:31 ~ops:120)
   in
   let det =
-    F.run_episode ~detect:true ~mode:Config.Durable ~fault:Config.No_fault
+    F.run_episode ~config:(cfg ~detect:true ())
+      ~mode:Config.Durable ~fault:Config.No_fault
       ~gen_op (template ~seed:31 ~ops:120)
   in
   check "no-crash base clean" 0 (List.length base.Check.Fuzz.violations);
@@ -304,7 +310,8 @@ let test_detect_invisible_without_crash () =
   in
   let a = F.run_episode ~mode:Config.Durable ~fault:Config.No_fault ~gen_op calib in
   let b =
-    F.run_episode ~detect:true ~mode:Config.Durable ~fault:Config.No_fault
+    F.run_episode ~config:(cfg ~detect:true ())
+      ~mode:Config.Durable ~fault:Config.No_fault
       ~gen_op calib
   in
   check "calibration: same logged" a.Check.Fuzz.logged b.Check.Fuzz.logged;

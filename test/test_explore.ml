@@ -44,17 +44,50 @@ let scope_1w =
 let budget =
   { Check.Explore.default_budget with Check.Explore.max_schedules = 20_000 }
 
+(* checker configuration with the given feature flags; the explorer sets
+   mode, fault, epsilon, log size and workers itself *)
+let cfg ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt ?lsm_fanout
+    () =
+  Config.make ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
+    ?lsm_fanout ~workers:1 ()
+
 let explore ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
     ?lsm_fanout ?(budget = budget) ?(scope = scope_1w) mode fault =
-  E.explore ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
-    ?lsm_fanout ~budget ~mode ~fault ~gen_op ~scope ()
+  E.explore
+    ~config:
+      (cfg ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
+         ?lsm_fanout ())
+    ~budget ~mode ~fault ~gen_op ~scope ()
 
-let exhausted_clean label (res : Check.Explore.result) =
+(* The exact DFS statistics of an exhausted scope, in the order schedules,
+   terminals, steps, states, dedup hits, sleep skips, crash points,
+   frontiers, recoveries: any change to the schedule search, the ghost
+   hashes or the crash-frontier dedup shows here, not only one that
+   breaks exhaustion. *)
+let pinned label (res : Check.Explore.result) expected =
+  let s = res.Check.Explore.stats in
+  List.iter2
+    (fun (name, got) want -> check (label ^ ": " ^ name) want got)
+    [
+      ("schedules", s.Check.Explore.schedules);
+      ("terminals", s.Check.Explore.terminals);
+      ("steps", s.Check.Explore.steps);
+      ("states", s.Check.Explore.states);
+      ("dedup hits", s.Check.Explore.dedup_hits);
+      ("sleep skips", s.Check.Explore.sleep_skips);
+      ("crash points", s.Check.Explore.crash_points);
+      ("frontiers", s.Check.Explore.frontiers);
+      ("recoveries", s.Check.Explore.recoveries);
+    ]
+    expected
+
+let exhausted_clean label ~stats (res : Check.Explore.result) =
   check_bool (label ^ ": no violation") true
     (res.Check.Explore.violation = None);
   check_bool (label ^ ": exhausted") true res.Check.Explore.exhausted;
   check_bool (label ^ ": reached terminals") true
-    (res.Check.Explore.stats.Check.Explore.terminals > 0)
+    (res.Check.Explore.stats.Check.Explore.terminals > 0);
+  pinned label res stats
 
 (* A violation's decision trace must replay to the same violation — the
    round-trip through the textual run-length encoding included, because
@@ -67,8 +100,11 @@ let replay_reproduces ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect
       (Check.Explore.decisions_to_string v.Check.Explore.v_decisions)
   in
   let violations, crashed, logged, completed, applied =
-    E.replay ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
-      ?lsm_fanout ~mode ~fault ~gen_op ~scope ~decisions
+    E.replay
+      ~config:
+        (cfg ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
+           ?lsm_fanout ())
+      ~mode ~fault ~gen_op ~scope ~decisions
       ?crash:v.Check.Explore.v_crash ()
   in
   check_bool (label ^ ": replay violates") true (violations <> []);
@@ -146,7 +182,8 @@ let buffered_clean =
 
 let test_no_fault_buffered_exhausts () =
   let res = Lazy.force buffered_clean in
-  exhausted_clean "buffered" res;
+  exhausted_clean "buffered" res
+    ~stats:[ 7869; 105; 667765; 3715; 7764; 3413; 53; 313; 123 ];
   (* epsilon + beta - 1 = 1: crashes may lose at most one completed op,
      and some crash does lose one *)
   check "max completed-op loss at the bound" 1
@@ -157,6 +194,7 @@ let test_no_fault_buffered_exhausts () =
 let test_no_fault_flit_exhausts () =
   let res = explore ~flit:true Config.Buffered Config.No_fault in
   exhausted_clean "flit" res
+    ~stats:[ 7891; 105; 669767; 3715; 7786; 3439; 53; 313; 123 ]
 
 (* Full NUMA hot-path package (distributed reader locks, DRAM log
    mirror, slot-occupancy bitmaps) plus flush elimination, in durable
@@ -169,7 +207,8 @@ let package_clean =
 
 let test_no_fault_package_exhausts () =
   let res = Lazy.force package_clean in
-  exhausted_clean "numa package" res;
+  exhausted_clean "numa package" res
+    ~stats:[ 9139; 109; 913835; 4353; 9030; 4019; 128; 1033; 274 ];
   check "durable: no completed op ever lost" 0
     res.Check.Explore.stats.Check.Explore.max_completed_loss
 
@@ -181,7 +220,8 @@ let test_loss_bound_tight () =
      attained) and none losing more (the bound holds) *)
   let scope = { scope_1w with Check.Explore.ops_per_worker = 3; epsilon = 2 } in
   let res = explore ~scope Config.Buffered Config.No_fault in
-  exhausted_clean "tightness" res;
+  exhausted_clean "tightness" res
+    ~stats:[ 12353; 82; 1379982; 6433; 12271; 5948; 69; 623; 233 ];
   check "worst crash loses exactly epsilon+beta-1 = 2" 2
     res.Check.Explore.stats.Check.Explore.max_completed_loss
 
@@ -196,7 +236,8 @@ let test_pruning_reduction () =
      distinct states for both the one-op and two-op scopes. *)
   let scope = { scope_1w with Check.Explore.ops_per_worker = 1 } in
   let pruned = explore ~scope Config.Buffered Config.No_fault in
-  exhausted_clean "pruned one-op scope" pruned;
+  exhausted_clean "pruned one-op scope" pruned
+    ~stats:[ 3897; 125; 242417; 1628; 3772; 1630; 31; 203; 69 ];
   let ps = pruned.Check.Explore.stats in
   check_bool "sleep sets fired" true (ps.Check.Explore.sleep_skips > 0);
   check_bool "state dedup fired" true (ps.Check.Explore.dedup_hits > 0);
@@ -224,30 +265,37 @@ let test_pruning_reduction () =
    confluent: a single terminal state, equal across configurations, and
    zero violations on every side). *)
 
-let equivalent label base opt =
+let equivalent label ~stats base opt =
   check_bool (label ^ ": baseline clean") true
     (base.Check.Explore.violation = None && base.Check.Explore.exhausted);
   check_bool (label ^ ": optimised clean") true
     (opt.Check.Explore.violation = None && opt.Check.Explore.exhausted);
   check_bool (label ^ ": same terminal states") true
-    (base.Check.Explore.terminal_states = opt.Check.Explore.terminal_states)
+    (base.Check.Explore.terminal_states = opt.Check.Explore.terminal_states);
+  pinned (label ^ " baseline") base
+    [ 8395; 105; 764051; 3963; 8290; 3585; 128; 999; 274 ];
+  pinned label opt stats
 
 let durable_base = lazy (explore Config.Durable Config.No_fault)
 
 let test_equiv_dist_rw () =
   equivalent "dist-rw" (Lazy.force durable_base)
     (explore ~dist_rw:true Config.Durable Config.No_fault)
+    ~stats:[ 8459; 109; 781211; 4064; 8350; 3696; 128; 999; 274 ]
 
 let test_equiv_log_mirror () =
   equivalent "log-mirror" (Lazy.force durable_base)
     (explore ~log_mirror:true Config.Durable Config.No_fault)
+    ~stats:[ 8581; 105; 826318; 4090; 8476; 3703; 128; 999; 274 ]
 
 let test_equiv_slot_bitmap () =
   equivalent "slot-bitmap" (Lazy.force durable_base)
     (explore ~slot_bitmap:true Config.Durable Config.No_fault)
+    ~stats:[ 8926; 105; 844406; 4155; 8821; 3762; 128; 999; 274 ]
 
 let test_equiv_combined () =
   equivalent "combined" (Lazy.force durable_base) (Lazy.force package_clean)
+    ~stats:[ 9139; 109; 913835; 4353; 9030; 4019; 128; 1033; 274 ]
 
 (* Two workers, three ops each (six ops total): the interleaving space
    is too large to exhaust in runtest, so each flag configuration gets
@@ -304,7 +352,8 @@ let test_equiv_two_thread_budgeted () =
 
 let test_detect_scope_exhausts () =
   let res = explore ~detect:true Config.Durable Config.No_fault in
-  exhausted_clean "detect" res;
+  exhausted_clean "detect" res
+    ~stats:[ 9061; 105; 1057955; 4277; 8956; 3837; 297; 2901; 606 ];
   check "durable+detect: no completed op ever lost" 0
     res.Check.Explore.stats.Check.Explore.max_completed_loss;
   check_bool "crash frontiers ran resolve checks" true
@@ -386,7 +435,8 @@ let test_lsm_scope_exhausts () =
     explore ~lsm_ckpt:true ~lsm_fanout:2 ~budget:lsm_budget Config.Durable
       Config.No_fault
   in
-  exhausted_clean "lsm" res;
+  exhausted_clean "lsm" res
+    ~stats:[ 66440; 474; 8980896; 16498; 65270; 16286; 132; 319; 110 ];
   check "durable: no completed op ever lost" 0
     res.Check.Explore.stats.Check.Explore.max_completed_loss
 

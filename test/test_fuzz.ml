@@ -11,6 +11,11 @@ let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 module F = Check.Fuzz.Make (Seqds.Hashmap)
+
+(* checker configuration with the given feature flags; the checkers set
+   mode, fault, epsilon, log size and workers themselves *)
+let cfg = Config.make ~workers:1
+
 module H = Seqds.Hashmap
 
 (* Same mix as the CLI fuzz workload: 60% updates over a small key range. *)
@@ -160,7 +165,8 @@ let test_fuzz_flit_differential () =
       ~iters:10 ()
   in
   let flit =
-    F.fuzz ~flit:true ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
+    F.fuzz ~config:(cfg ~flit:true ())
+      ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
       ~template:tpl ~iters:10 ()
   in
   no_failures "baseline" base;
@@ -180,7 +186,8 @@ let test_fuzz_flit_differential () =
   in
   let a = F.run_episode ~mode:Config.Durable ~fault:Config.No_fault ~gen_op calib in
   let b =
-    F.run_episode ~flit:true ~mode:Config.Durable ~fault:Config.No_fault
+    F.run_episode ~config:(cfg ~flit:true ())
+      ~mode:Config.Durable ~fault:Config.No_fault
       ~gen_op calib
   in
   check "calibration: same logged" a.Check.Fuzz.logged b.Check.Fuzz.logged;
@@ -190,7 +197,8 @@ let test_fuzz_flit_differential () =
 
 let test_fuzz_flit_buffered () =
   let res =
-    F.fuzz ~flit:true ~mode:Config.Buffered ~fault:Config.No_fault ~gen_op
+    F.fuzz ~config:(cfg ~flit:true ())
+      ~mode:Config.Buffered ~fault:Config.No_fault ~gen_op
       ~template:(template ~seed:4200 ~epsilon:16 ~ops:120)
       ~iters:10 ()
   in
@@ -204,7 +212,8 @@ let test_flit_elide_ct_flush_caught_and_shrunk () =
      completed operations and shrink it to a small replayable repro *)
   let mode = Config.Durable and fault = Config.Elide_ct_flush in
   let tpl = template ~seed:9100 ~epsilon:16 ~ops:120 in
-  let res = F.fuzz ~flit:true ~mode ~fault ~gen_op ~template:tpl ~iters:8 () in
+  let res = F.fuzz ~config:(cfg ~flit:true ())
+    ~mode ~fault ~gen_op ~template:tpl ~iters:8 () in
   check_bool "planted fault caught" true (res.Check.Fuzz.failures <> []);
   let first = List.hd res.Check.Fuzz.failures in
   check_bool "caught as durable loss" true
@@ -214,15 +223,18 @@ let test_flit_elide_ct_flush_caught_and_shrunk () =
          | Check.Durable_lin.Prefix_violation _ -> true
          | _ -> false)
        first.Check.Fuzz.violations);
-  let small = F.shrink ~flit:true ~mode ~fault ~gen_op first.Check.Fuzz.episode in
+  let small = F.shrink ~config:(cfg ~flit:true ())
+    ~mode ~fault ~gen_op first.Check.Fuzz.episode in
   check_bool
     (Fmt.str "shrunk to <= 4 threads (%a)" Check.Fuzz.pp_episode small)
     true
     (small.Check.Fuzz.threads <= 4);
-  let out = F.run_episode ~flit:true ~mode ~fault ~gen_op small in
+  let out = F.run_episode ~config:(cfg ~flit:true ())
+    ~mode ~fault ~gen_op small in
   check_bool "shrunk repro still fails" true (out.Check.Fuzz.violations <> []);
   (* the printed repro must carry both the fault and the flit flag *)
-  let cmd = Check.Fuzz.repro_command ~flit:true ~mode ~fault ~ds:"hashmap" small in
+  let cmd = Check.Fuzz.repro_command ~config:(cfg ~flit:true ())
+    ~mode ~fault ~ds:"hashmap" small in
   let contains s sub =
     let n = String.length sub in
     let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
@@ -279,7 +291,8 @@ let test_fuzz_mirror_differential () =
       ~iters:10 ()
   in
   let mir =
-    F.fuzz ~log_mirror:true ~mode:Config.Durable ~fault:Config.No_fault
+    F.fuzz ~config:(cfg ~log_mirror:true ())
+      ~mode:Config.Durable ~fault:Config.No_fault
       ~gen_op ~template:tpl ~iters:10 ()
   in
   no_failures "baseline" base;
@@ -287,7 +300,7 @@ let test_fuzz_mirror_differential () =
   check "same episode budget" base.Check.Fuzz.episodes mir.Check.Fuzz.episodes;
   check_bool "mirror crash points explored" true (mir.Check.Fuzz.crashes > 0);
   calibrate "calibration" tpl
-    (F.run_episode ~log_mirror:true ~mode:Config.Durable
+    (F.run_episode ~config:(cfg ~log_mirror:true ()) ~mode:Config.Durable
        ~fault:Config.No_fault ~gen_op)
 
 let test_fuzz_dist_rw_differential () =
@@ -297,7 +310,8 @@ let test_fuzz_dist_rw_differential () =
       ~iters:10 ()
   in
   let dist =
-    F.fuzz ~dist_rw:true ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
+    F.fuzz ~config:(cfg ~dist_rw:true ())
+      ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
       ~template:tpl ~iters:10 ()
   in
   no_failures "baseline" base;
@@ -305,7 +319,8 @@ let test_fuzz_dist_rw_differential () =
   check "same episode budget" base.Check.Fuzz.episodes dist.Check.Fuzz.episodes;
   check_bool "dist-rw crash points explored" true (dist.Check.Fuzz.crashes > 0);
   calibrate "calibration" tpl
-    (F.run_episode ~dist_rw:true ~mode:Config.Durable ~fault:Config.No_fault
+    (F.run_episode ~config:(cfg ~dist_rw:true ())
+      ~mode:Config.Durable ~fault:Config.No_fault
        ~gen_op)
 
 let test_fuzz_package_differential () =
@@ -315,15 +330,19 @@ let test_fuzz_package_differential () =
   List.iter
     (fun mode ->
       let res =
-        F.fuzz ~flit:true ~dist_rw:true ~log_mirror:true ~slot_bitmap:true
+        F.fuzz
+          ~config:
+            (cfg ~flit:true ~dist_rw:true ~log_mirror:true ~slot_bitmap:true ())
           ~mode ~fault:Config.No_fault ~gen_op ~template:tpl ~iters:10 ()
       in
       no_failures "package" res;
       check_bool "crash points explored" true (res.Check.Fuzz.crashes > 0))
     [ Config.Buffered; Config.Durable ];
   calibrate "calibration" tpl
-    (F.run_episode ~flit:true ~dist_rw:true ~log_mirror:true ~slot_bitmap:true
-       ~mode:Config.Durable ~fault:Config.No_fault ~gen_op)
+    (F.run_episode
+       ~config:
+         (cfg ~flit:true ~dist_rw:true ~log_mirror:true ~slot_bitmap:true ())
+      ~mode:Config.Durable ~fault:Config.No_fault ~gen_op)
 
 let test_mirror_read_recovery_caught_and_shrunk () =
   (* the planted fault serves recovery's log replay from the DRAM mirror —
@@ -333,7 +352,8 @@ let test_mirror_read_recovery_caught_and_shrunk () =
   let mode = Config.Durable and fault = Config.Mirror_read_on_recovery in
   let tpl = template ~seed:9300 ~epsilon:16 ~ops:40 in
   let res =
-    F.fuzz ~log_mirror:true ~mode ~fault ~gen_op ~template:tpl ~iters:8 ()
+    F.fuzz ~config:(cfg ~log_mirror:true ())
+      ~mode ~fault ~gen_op ~template:tpl ~iters:8 ()
   in
   check_bool "planted fault caught" true (res.Check.Fuzz.failures <> []);
   let first = List.hd res.Check.Fuzz.failures in
@@ -346,16 +366,19 @@ let test_mirror_read_recovery_caught_and_shrunk () =
          | _ -> false)
        first.Check.Fuzz.violations);
   let small =
-    F.shrink ~log_mirror:true ~mode ~fault ~gen_op first.Check.Fuzz.episode
+    F.shrink ~config:(cfg ~log_mirror:true ())
+      ~mode ~fault ~gen_op first.Check.Fuzz.episode
   in
   check_bool
     (Fmt.str "shrunk to <= 4 threads (%a)" Check.Fuzz.pp_episode small)
     true
     (small.Check.Fuzz.threads <= 4);
-  let out = F.run_episode ~log_mirror:true ~mode ~fault ~gen_op small in
+  let out = F.run_episode ~config:(cfg ~log_mirror:true ())
+    ~mode ~fault ~gen_op small in
   check_bool "shrunk repro still fails" true (out.Check.Fuzz.violations <> []);
   let cmd =
-    Check.Fuzz.repro_command ~log_mirror:true ~mode ~fault ~ds:"hashmap" small
+    Check.Fuzz.repro_command ~config:(cfg ~log_mirror:true ())
+      ~mode ~fault ~ds:"hashmap" small
   in
   let contains s sub =
     let n = String.length sub in
@@ -384,7 +407,8 @@ let test_mirror_fault_inert_without_mirror () =
 
 let test_fuzz_detect_clean () =
   let res =
-    F.fuzz ~detect:true ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
+    F.fuzz ~config:(cfg ~detect:true ())
+      ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
       ~template:(template ~seed:5600 ~epsilon:16 ~ops:120)
       ~iters:10 ()
   in
@@ -399,7 +423,8 @@ let test_response_before_log_persist_caught_and_shrunk () =
      op not applied) or as completed-op loss *)
   let mode = Config.Durable and fault = Config.Response_before_log_persist in
   let tpl = template ~seed:9400 ~epsilon:16 ~ops:60 in
-  let res = F.fuzz ~detect:true ~mode ~fault ~gen_op ~template:tpl ~iters:8 () in
+  let res = F.fuzz ~config:(cfg ~detect:true ())
+    ~mode ~fault ~gen_op ~template:tpl ~iters:8 () in
   check_bool "planted fault caught" true (res.Check.Fuzz.failures <> []);
   let first = List.hd res.Check.Fuzz.failures in
   check_bool "caught as resolve mismatch or durable loss" true
@@ -410,15 +435,18 @@ let test_response_before_log_persist_caught_and_shrunk () =
          | Check.Durable_lin.Prefix_violation _ -> true
          | _ -> false)
        first.Check.Fuzz.violations);
-  let small = F.shrink ~detect:true ~mode ~fault ~gen_op first.Check.Fuzz.episode in
+  let small = F.shrink ~config:(cfg ~detect:true ())
+    ~mode ~fault ~gen_op first.Check.Fuzz.episode in
   check_bool
     (Fmt.str "shrunk to <= 4 threads (%a)" Check.Fuzz.pp_episode small)
     true
     (small.Check.Fuzz.threads <= 4);
-  let out = F.run_episode ~detect:true ~mode ~fault ~gen_op small in
+  let out = F.run_episode ~config:(cfg ~detect:true ())
+    ~mode ~fault ~gen_op small in
   check_bool "shrunk repro still fails" true (out.Check.Fuzz.violations <> []);
   let cmd =
-    Check.Fuzz.repro_command ~detect:true ~mode ~fault ~ds:"hashmap" small
+    Check.Fuzz.repro_command ~config:(cfg ~detect:true ())
+      ~mode ~fault ~ds:"hashmap" small
   in
   let contains s sub =
     let n = String.length sub in
@@ -491,7 +519,8 @@ let test_fuzz_lsm_differential () =
       ~iters:8 ()
   in
   let lsm =
-    F.fuzz ~lsm_ckpt:true ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
+    F.fuzz ~config:(cfg ~lsm_ckpt:true ())
+      ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
       ~template:tpl ~iters:8 ()
   in
   no_failures "baseline" base;
@@ -499,7 +528,8 @@ let test_fuzz_lsm_differential () =
   check "same episode budget" base.Check.Fuzz.episodes lsm.Check.Fuzz.episodes;
   check_bool "lsm crash points explored" true (lsm.Check.Fuzz.crashes > 0);
   calibrate "calibration" tpl
-    (F.run_episode ~lsm_ckpt:true ~mode:Config.Durable ~fault:Config.No_fault
+    (F.run_episode ~config:(cfg ~lsm_ckpt:true ())
+      ~mode:Config.Durable ~fault:Config.No_fault
        ~gen_op)
 
 let test_fuzz_lsm_all_maps () =
@@ -513,13 +543,16 @@ let test_fuzz_lsm_all_maps () =
       (res.Check.Fuzz.crashes > 0)
   in
   run "lsm rbtree"
-    (Frb.fuzz ~lsm_ckpt:true ~mode:Config.Durable ~fault:Config.No_fault
+    (Frb.fuzz ~config:(cfg ~lsm_ckpt:true ())
+      ~mode:Config.Durable ~fault:Config.No_fault
        ~gen_op ~template:tpl ~iters:6 ());
   run "lsm skiplist"
-    (Fsl.fuzz ~lsm_ckpt:true ~mode:Config.Durable ~fault:Config.No_fault
+    (Fsl.fuzz ~config:(cfg ~lsm_ckpt:true ())
+      ~mode:Config.Durable ~fault:Config.No_fault
        ~gen_op ~template:tpl ~iters:6 ());
   run "lsm buffered hashmap"
-    (F.fuzz ~lsm_ckpt:true ~mode:Config.Buffered ~fault:Config.No_fault
+    (F.fuzz ~config:(cfg ~lsm_ckpt:true ())
+      ~mode:Config.Buffered ~fault:Config.No_fault
        ~gen_op ~template:tpl ~iters:6 ())
 
 let test_manifest_before_seal_caught_and_shrunk () =
@@ -529,7 +562,8 @@ let test_manifest_before_seal_caught_and_shrunk () =
      entries, so recovery silently loses sealed effects *)
   let mode = Config.Durable and fault = Config.Manifest_before_segment_seal in
   let tpl = template ~seed:9400 ~epsilon:8 ~ops:120 in
-  let res = F.fuzz ~lsm_ckpt:true ~mode ~fault ~gen_op ~template:tpl ~iters:8 () in
+  let res = F.fuzz ~config:(cfg ~lsm_ckpt:true ())
+    ~mode ~fault ~gen_op ~template:tpl ~iters:8 () in
   check_bool "planted fault caught" true (res.Check.Fuzz.failures <> []);
   let first = List.hd res.Check.Fuzz.failures in
   check_bool "caught as durable loss" true
@@ -540,14 +574,17 @@ let test_manifest_before_seal_caught_and_shrunk () =
          | Check.Durable_lin.State_mismatch _ -> true
          | _ -> false)
        first.Check.Fuzz.violations);
-  let small = F.shrink ~lsm_ckpt:true ~mode ~fault ~gen_op first.Check.Fuzz.episode in
+  let small = F.shrink ~config:(cfg ~lsm_ckpt:true ())
+    ~mode ~fault ~gen_op first.Check.Fuzz.episode in
   check_bool
     (Fmt.str "shrunk to <= 4 threads (%a)" Check.Fuzz.pp_episode small)
     true
     (small.Check.Fuzz.threads <= 4);
-  let out = F.run_episode ~lsm_ckpt:true ~mode ~fault ~gen_op small in
+  let out = F.run_episode ~config:(cfg ~lsm_ckpt:true ())
+    ~mode ~fault ~gen_op small in
   check_bool "shrunk repro still fails" true (out.Check.Fuzz.violations <> []);
-  let cmd = Check.Fuzz.repro_command ~lsm_ckpt:true ~mode ~fault ~ds:"hashmap" small in
+  let cmd = Check.Fuzz.repro_command ~config:(cfg ~lsm_ckpt:true ())
+    ~mode ~fault ~ds:"hashmap" small in
   let contains s sub =
     let n = String.length sub in
     let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
@@ -555,6 +592,57 @@ let test_manifest_before_seal_caught_and_shrunk () =
   in
   check_bool "repro names the fault" true (contains cmd "manifest-before-seal");
   check_bool "repro passes --lsm-ckpt" true (contains cmd "--lsm-ckpt")
+
+(* A repro command is only useful if the CLI accepts it: run the printed
+   command's arguments through the built [fuzz] subcommand and require
+   that it replays the in-process episode exactly — a usage error (also
+   exit 124) or a dropped flag shows up as a different outcome line. A
+   non-default fanout covers the flag most likely to be missing: at this
+   crash point, the default fanout logs 65 ops where fanout 2 logs 62. *)
+let test_lsm_repro_parses () =
+  let config = cfg ~lsm_ckpt:true ~lsm_fanout:2 () in
+  let mode = Config.Durable and fault = Config.No_fault in
+  let ep =
+    { (template ~seed:5700 ~epsilon:8 ~ops:40) with
+      Check.Fuzz.threads = 3;
+      crash = Check.Fuzz.At_op 20000 }
+  in
+  let out = F.run_episode ~config ~mode ~fault ~gen_op ep in
+  check_bool "episode crashed" true out.Check.Fuzz.crashed;
+  let cmd = Check.Fuzz.repro_command ~config ~mode ~fault ~ds:"hashmap" ep in
+  let contains sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length cmd && (String.sub cmd i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  check_bool "repro passes the fanout" true (contains " --lsm-fanout 2");
+  let prefix = "dune exec bin/prep_cli.exe -- " in
+  let n = String.length prefix in
+  check_bool "repro runs the CLI" true
+    (String.length cmd > n && String.sub cmd 0 n = prefix);
+  let args = String.sub cmd n (String.length cmd - n) in
+  let log = Filename.temp_file "fuzz_repro" ".out" in
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/prep_cli.exe"
+  in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote cli) args
+         (Filename.quote log))
+  in
+  let lines = In_channel.with_open_text log In_channel.input_all in
+  Sys.remove log;
+  Alcotest.(check int) (Printf.sprintf "exit code of %s\n%s" cmd lines) 0 code;
+  Alcotest.(check string) "replayed outcome"
+    (Printf.sprintf
+       "episode %s: crashed=%b logged=%d completed=%d applied=%d\n\
+        no violations\n"
+       (Fmt.str "%a" Check.Fuzz.pp_episode ep)
+       out.Check.Fuzz.crashed out.Check.Fuzz.logged out.Check.Fuzz.completed
+       out.Check.Fuzz.applied)
+    lines
 
 let test_lsm_config_rejections () =
   (* the config layer pins the lsm flag combinations that have no
@@ -709,6 +797,8 @@ let () =
             test_fuzz_lsm_all_maps;
           Alcotest.test_case "manifest-before-seal caught and shrunk" `Slow
             test_manifest_before_seal_caught_and_shrunk;
+          Alcotest.test_case "lsm repro parses and replays" `Slow
+            test_lsm_repro_parses;
           Alcotest.test_case "config rejects meaningless lsm combinations"
             `Quick test_lsm_config_rejections;
         ] );

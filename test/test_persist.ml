@@ -240,9 +240,14 @@ let scope_1w =
 let budget =
   { Check.Explore.default_budget with Check.Explore.max_schedules = 20_000 }
 
+(* checker configuration carrying [persist_policy]; the checkers set mode,
+   fault, epsilon, log size and workers themselves *)
+let policy_config persist_policy =
+  Prep.Config.make ?persist_policy ~workers:1 ()
+
 let explore_policy spec =
   E.explore
-    ~persist_policy:(policy_of_spec spec)
+    ~config:(policy_config (Some (policy_of_spec spec)))
     ~budget ~mode:Prep.Config.Durable ~fault:Prep.Config.No_fault ~gen_op
     ~scope:scope_1w ()
 
@@ -306,21 +311,21 @@ module Fsl = Check.Fuzz.Make (Seqds.Skiplist)
 let test_fuzz_hashmap () =
   fuzz_clean
     (fun p t ->
-      F.fuzz ~persist_policy:p ~mode:Prep.Config.Durable
+      F.fuzz ~config:(policy_config (Some p)) ~mode:Prep.Config.Durable
         ~fault:Prep.Config.No_fault ~gen_op ~template:t ~iters:10 ())
     "hashmap" 7100
 
 let test_fuzz_rbtree () =
   fuzz_clean
     (fun p t ->
-      Frb.fuzz ~persist_policy:p ~mode:Prep.Config.Durable
+      Frb.fuzz ~config:(policy_config (Some p)) ~mode:Prep.Config.Durable
         ~fault:Prep.Config.No_fault ~gen_op ~template:t ~iters:10 ())
     "rbtree" 7200
 
 let test_fuzz_skiplist () =
   fuzz_clean
     (fun p t ->
-      Fsl.fuzz ~persist_policy:p ~mode:Prep.Config.Durable
+      Fsl.fuzz ~config:(policy_config (Some p)) ~mode:Prep.Config.Durable
         ~fault:Prep.Config.No_fault ~gen_op ~template:t ~iters:10 ())
     "skiplist" 7300
 
@@ -328,7 +333,7 @@ let test_differential_crash_free () =
   (* a policy that only removes redundant persistency must not change
      crash-free results: same logged/completed/applied as the baseline *)
   let run policy =
-    F.run_episode ?persist_policy:policy ~mode:Prep.Config.Durable
+    F.run_episode ~config:(policy_config policy) ~mode:Prep.Config.Durable
       ~fault:Prep.Config.No_fault ~gen_op (template ~seed:7400)
   in
   let a = run None and b = run (Some (policy_of_spec proven)) in
@@ -385,6 +390,66 @@ let test_infer_end_to_end () =
   check_bool "completed_tail never weakened" false
     (List.mem_assoc Persist.Prep_completed_tail ws)
 
+(* A repro command names the configuration that failed. Under FliT the
+   explorer rejects at least one candidate that the baseline admits
+   (e.g. log.persist_range=elide: the FliT combiner persists the log
+   through that sweep), so a repro that drops --flit replays clean. The
+   printed command itself — policy, decision trace, crash point — must
+   replay to a violation under FliT. *)
+let test_infer_flit_repro_replays () =
+  let config = Prep.Config.make ~flit:true ~workers:1 () in
+  let report =
+    PI.infer ~config ~mode:Prep.Config.Durable ~gen_op ~scope:scope_1w
+      ~budget
+      ~template:{ (template ~seed:6) with Check.Fuzz.threads = 1;
+                  ops_per_worker = 60 }
+      ~fuzz_iters:6 ~ds:"hashmap" ()
+  in
+  let repros =
+    List.filter_map
+      (fun (d : Check.Persist_infer.decision) ->
+        match d.Check.Persist_infer.d_verdict with
+        | Check.Persist_infer.Rejected_explorer _ ->
+          d.Check.Persist_infer.d_repro
+        | _ -> None)
+      report.Check.Persist_infer.r_decisions
+  in
+  check_bool "some candidate rejected by the explorer" true (repros <> []);
+  List.iter
+    (fun cmd ->
+      let words = String.split_on_char ' ' cmd in
+      let rec arg flag = function
+        | f :: v :: _ when f = flag -> Some v
+        | _ :: rest -> arg flag rest
+        | [] -> None
+      in
+      let unquote v = String.sub v 1 (String.length v - 2) in
+      check_bool ("repro passes --flit: " ^ cmd) true (List.mem "--flit" words);
+      let policy =
+        match arg "--persist-policy" words with
+        | Some spec -> policy_of_spec (unquote spec)
+        | None -> Alcotest.failf "repro names no policy: %s" cmd
+      in
+      let decisions =
+        match arg "--replay" words with
+        | Some t -> Check.Explore.decisions_of_string (unquote t)
+        | None -> Alcotest.failf "repro has no decision trace: %s" cmd
+      in
+      let crash =
+        match (arg "--crash-step" words, arg "--frontier" words) with
+        | Some st, Some m -> Some (int_of_string st, int_of_string m)
+        | _ -> None
+      in
+      let violations, _, _, _, _ =
+        E.replay
+          ~config:{ config with Prep.Config.persist_policy = Some policy }
+          ~mode:Prep.Config.Durable ~fault:Prep.Config.No_fault ~gen_op
+          ~scope:scope_1w ~decisions ?crash ()
+      in
+      check_bool ("repro replays to a violation: " ^ cmd) true
+        (violations <> []))
+    repros
+
 let () =
   Alcotest.run "persist"
     [
@@ -430,6 +495,10 @@ let () =
             test_differential_crash_free;
         ] );
       ( "inference",
-        [ Alcotest.test_case "greedy loop end-to-end" `Slow
-            test_infer_end_to_end ] );
+        [
+          Alcotest.test_case "greedy loop end-to-end" `Slow
+            test_infer_end_to_end;
+          Alcotest.test_case "flit repro replays its violation" `Slow
+            test_infer_flit_repro_replays;
+        ] );
     ]

@@ -170,6 +170,24 @@ let test_copy_queue () = copy_preserves (module Queue_ds) ~gen_op:queue_op ()
 let test_copy_pqueue () = copy_preserves (module Pqueue) ~gen_op:pq_op ()
 let test_copy_skiplist () = copy_preserves (module Skiplist) ~gen_op:(map_op 100) ()
 
+(* ---- key_get: the incremental checkpoint's per-key read ----
+
+   [op_get] answers [-1] for an absent key, but [-1] is also a value the
+   maps store (sharded transfers drive balances negative). [key_get]
+   must tell the two apart, or the checkpoint records the key as deleted. *)
+
+let key_get_exact (type h) (module Ds : Seqds.Ds_intf.S with type handle = h)
+    () =
+  with_ds (module Ds) (fun ds _m ->
+      let got = Alcotest.(check (option int)) in
+      Ds.key_put ds 5 (-1);
+      Ds.key_put ds 6 (-7);
+      got (Ds.name ^ ": stored -1") (Some (-1)) (Ds.key_get ds 5);
+      got (Ds.name ^ ": stored -7") (Some (-7)) (Ds.key_get ds 6);
+      got (Ds.name ^ ": absent") None (Ds.key_get ds 9);
+      ignore (Ds.execute ds ~op:Hashmap.op_remove ~args:[| 5 |]);
+      got (Ds.name ^ ": removed") None (Ds.key_get ds 5))
+
 (* ---- persistence through the DS: flushed structure recovers ---- *)
 
 let test_hashmap_in_nvm_recovers_when_flushed () =
@@ -408,6 +426,15 @@ let () =
         [
           Alcotest.test_case "invariants random" `Quick test_rbtree_invariants_random;
           Alcotest.test_case "sorted snapshot" `Quick test_rbtree_sorted_snapshot;
+        ] );
+      ( "key_get",
+        [
+          Alcotest.test_case "hashmap exact" `Quick
+            (key_get_exact (module Hashmap));
+          Alcotest.test_case "rbtree exact" `Quick
+            (key_get_exact (module Rbtree));
+          Alcotest.test_case "skiplist exact" `Quick
+            (key_get_exact (module Skiplist));
         ] );
       ( "copy",
         [

@@ -9,8 +9,13 @@ let check_bool = Alcotest.(check bool)
 
 module H = Seqds.Hashmap
 module S = Sharded_uc.Make (Seqds.Hashmap)
-module FS = Check.Fuzz_shard.Make (Seqds.Hashmap)
-module ES = Check.Explore_shard.Make (Seqds.Hashmap)
+module FS = Check.Fuzz.Make (Seqds.Hashmap)
+module ES = Check.Explore.Make (Seqds.Hashmap)
+
+(* checker configuration of an [nshards]-way construction; the checkers
+   set mode, fault, epsilon, log size and workers themselves *)
+let sharded ?flit ?lsm_ckpt ?lsm_fanout nshards =
+  Config.make ?flit ?lsm_ckpt ?lsm_fanout ~shards:nshards ~workers:1 ()
 
 let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
 
@@ -177,29 +182,75 @@ let no_failures label (res : Check.Fuzz.result) =
            (List.map Check.Durable_lin.violation_to_string violations)))
     res.Check.Fuzz.failures
 
-let campaign ~seed ~nshards ~multi_pct ~cross_pct ~iters =
-  FS.fuzz ~nshards ~fault:Config.No_fault
+let campaign ?flit ?lsm_ckpt ?lsm_fanout ~seed ~nshards ~multi_pct ~cross_pct
+    ~iters () =
+  FS.fuzz ~config:(sharded ?flit ?lsm_ckpt ?lsm_fanout nshards)
+    ~mode:Config.Durable ~fault:Config.No_fault
     ~gen_op:(gen_sharded ~nshards ~multi_pct ~cross_pct)
     ~template:(template ~seed ~ops:100) ~iters ()
 
 let test_fuzz_single_key () =
-  let res = campaign ~seed:8100 ~nshards:4 ~multi_pct:0 ~cross_pct:0 ~iters:8 in
+  let res = campaign ~seed:8100 ~nshards:4 ~multi_pct:0 ~cross_pct:0 ~iters:8 () in
   no_failures "0% multi" res;
   check_bool "crash points explored" true (res.Check.Fuzz.crashes > 0)
 
 let test_fuzz_cross_10 () =
   let res =
-    campaign ~seed:8200 ~nshards:4 ~multi_pct:10 ~cross_pct:100 ~iters:8
+    campaign ~seed:8200 ~nshards:4 ~multi_pct:10 ~cross_pct:100 ~iters:8 ()
   in
   no_failures "10% multi, all cross" res;
   check_bool "crash points explored" true (res.Check.Fuzz.crashes > 0)
 
 let test_fuzz_cross_50 () =
   let res =
-    campaign ~seed:8300 ~nshards:2 ~multi_pct:50 ~cross_pct:50 ~iters:8
+    campaign ~seed:8300 ~nshards:2 ~multi_pct:50 ~cross_pct:50 ~iters:8 ()
   in
   no_failures "50% multi on 2 shards" res;
   check_bool "crash points explored" true (res.Check.Fuzz.crashes > 0)
+
+let test_fuzz_flit_cross_40 () =
+  (* the benchmark's sharded-2pc configuration: 4 shards under FliT,
+     40% multi-key transactions, all of them cross-shard *)
+  let res =
+    campaign ~flit:true ~seed:8600 ~nshards:4 ~multi_pct:40 ~cross_pct:100
+      ~iters:8 ()
+  in
+  no_failures "flit, 40% multi, all cross" res;
+  check_bool "crash points explored" true (res.Check.Fuzz.crashes > 0)
+
+let test_fuzz_lsm_cross_40 () =
+  (* every shard checkpoints through the log-structured backend, fanout 2
+     so compaction runs inside the episodes; transfers drive balances
+     negative, which the memtable and the seal must carry as values *)
+  let res =
+    campaign ~lsm_ckpt:true ~lsm_fanout:2 ~seed:8700 ~nshards:4 ~multi_pct:40
+      ~cross_pct:100 ~iters:8 ()
+  in
+  no_failures "lsm, 40% multi, all cross" res;
+  check_bool "crash points explored" true (res.Check.Fuzz.crashes > 0)
+
+let test_lsm_negative_balance_survives () =
+  (* a transfer leaves key 67 at -1, which [op_get] also answers for an
+     absent key: the recovery re-seal once read it as a deletion and the
+     recovered state lost the key *)
+  let nshards = 4 in
+  let ep =
+    { (template ~seed:60 ~ops:37) with
+      Check.Fuzz.threads = 4;
+      crash = Check.Fuzz.At_time 393024 }
+  in
+  let out =
+    FS.run_episode ~config:(sharded ~lsm_ckpt:true nshards)
+      ~mode:Config.Durable ~fault:Config.No_fault
+      ~gen_op:(gen_sharded ~nshards ~multi_pct:25 ~cross_pct:75)
+      ep
+  in
+  check_bool "crashed" true out.Check.Fuzz.crashed;
+  List.iter
+    (fun v ->
+      Alcotest.failf "negative balance: %s"
+        (Check.Durable_lin.violation_to_string v))
+    out.Check.Fuzz.violations
 
 (* ---- the planted commit-ordering fault ---- *)
 
@@ -207,7 +258,7 @@ let test_fuzz_catches_planted_fault () =
   let nshards = 4 in
   let gen_op = gen_sharded ~nshards ~multi_pct:40 ~cross_pct:100 in
   let res =
-    FS.fuzz ~nshards ~fault:Config.Commit_before_prepare_persist ~gen_op
+    FS.fuzz ~config:(sharded nshards) ~mode:Config.Durable ~fault:Config.Commit_before_prepare_persist ~gen_op
       ~template:(template ~seed:8400 ~ops:100) ~iters:20 ()
   in
   check_bool "planted commit-before-prepare fault caught" true
@@ -223,11 +274,11 @@ let test_fuzz_catches_planted_fault () =
        f.Check.Fuzz.violations);
   (* and it shrinks to a smaller reproducible episode *)
   let small =
-    FS.shrink ~nshards ~fault:Config.Commit_before_prepare_persist ~gen_op
+    FS.shrink ~config:(sharded nshards) ~mode:Config.Durable ~fault:Config.Commit_before_prepare_persist ~gen_op
       f.Check.Fuzz.episode
   in
   check_bool "shrunk episode still fails" true
-    ((FS.run_episode ~nshards ~fault:Config.Commit_before_prepare_persist
+    ((FS.run_episode ~config:(sharded nshards) ~mode:Config.Durable ~fault:Config.Commit_before_prepare_persist
         ~gen_op small)
        .Check.Fuzz.violations
     <> []);
@@ -238,7 +289,7 @@ let test_fault_inert_without_multis () =
   (* with no multi-key ops there are no transactions, so the planted
      fault has nothing to break *)
   let res =
-    FS.fuzz ~nshards:2 ~fault:Config.Commit_before_prepare_persist
+    FS.fuzz ~config:(sharded 2) ~mode:Config.Durable ~fault:Config.Commit_before_prepare_persist
       ~gen_op:(gen_sharded ~nshards:2 ~multi_pct:0 ~cross_pct:0)
       ~template:(template ~seed:8500 ~ops:100) ~iters:6 ()
   in
@@ -270,23 +321,101 @@ let gen_explore rng =
   | 2 -> (H.op_get, [| k |])
   | _ -> (Sharded_uc.op_transfer, [| k; k + 3; 1 |])
 
+let explore_2shard ?flit ?lsm_ckpt ?shard () =
+  ES.explore ~config:(sharded ?flit ?lsm_ckpt 2) ?shard ~mode:Config.Durable
+    ~fault:Config.No_fault ~gen_op:gen_explore ~scope:explore_scope ()
+
+let explore_2shard_serial = lazy (explore_2shard ())
+
+let no_violation (res : Check.Explore.result) =
+  match res.Check.Explore.violation with
+  | None -> ()
+  | Some v ->
+    Alcotest.failf "unexpected violation: %s"
+      (String.concat "; "
+         (List.map Check.Durable_lin.violation_to_string
+            v.Check.Explore.v_violations))
+
+(* schedules, terminals, steps, states, dedup hits, sleep skips, crash
+   points, frontiers, recoveries of the 2-shard scope *)
+let check_2shard_stats (res : Check.Explore.result) =
+  let s = res.Check.Explore.stats in
+  List.iter
+    (fun (label, want, got) -> check label want got)
+    [
+      ("schedules", 1336, s.Check.Explore.schedules);
+      ("terminals", 54, s.Check.Explore.terminals);
+      ("steps", 50381, s.Check.Explore.steps);
+      ("states", 795, s.Check.Explore.states);
+      ("dedup hits", 1282, s.Check.Explore.dedup_hits);
+      ("sleep skips", 581, s.Check.Explore.sleep_skips);
+      ("crash points", 11, s.Check.Explore.crash_points);
+      ("frontiers", 16, s.Check.Explore.frontiers);
+      ("recoveries", 9, s.Check.Explore.recoveries);
+    ]
+
 let test_explore_2shard_clean () =
-  let res =
-    ES.explore ~nshards:2 ~fault:Config.No_fault ~gen_op:gen_explore
-      ~scope:explore_scope ()
-  in
-  (match res.Check.Explore.violation with
-   | None -> ()
-   | Some v ->
-     Alcotest.failf "unexpected violation: %s"
-       (String.concat "; "
-          (List.map Check.Durable_lin.violation_to_string
-             v.Check.Explore.v_violations)));
+  let res = Lazy.force explore_2shard_serial in
+  no_violation res;
   check_bool "exhausted" true res.Check.Explore.exhausted;
   check_bool "reached terminals" true
     (res.Check.Explore.stats.Check.Explore.terminals > 0);
   check_bool "crash frontiers judged" true
-    (res.Check.Explore.stats.Check.Explore.frontiers > 0)
+    (res.Check.Explore.stats.Check.Explore.frontiers > 0);
+  (* the sharded DFS is pinned: any change to the shared schedule search,
+     the sharded ghost hashes or the crash-frontier dedup shows here *)
+  check_2shard_stats res
+
+let test_explore_2shard_oracle_split () =
+  (* the oracle split runs the sharded construction like the flat one:
+     both halves replay the same DFS, and the merge is the serial result *)
+  let serial = Lazy.force explore_2shard_serial in
+  let merged =
+    Check.Explore.merge_shards
+      (Array.init 2 (fun i -> explore_2shard ~shard:(i, 2) ()))
+  in
+  let s = serial.Check.Explore.stats and m = merged.Check.Explore.stats in
+  List.iter
+    (fun (label, f) -> check label (f s) (f m))
+    [
+      ("schedules", fun s -> s.Check.Explore.schedules);
+      ("terminals", fun s -> s.Check.Explore.terminals);
+      ("steps", fun s -> s.Check.Explore.steps);
+      ("states", fun s -> s.Check.Explore.states);
+      ("dedup hits", fun s -> s.Check.Explore.dedup_hits);
+      ("sleep skips", fun s -> s.Check.Explore.sleep_skips);
+      ("crash points", fun s -> s.Check.Explore.crash_points);
+      ("frontiers", fun s -> s.Check.Explore.frontiers);
+      ("recoveries", fun s -> s.Check.Explore.recoveries);
+      ("max completed-op loss", fun s -> s.Check.Explore.max_completed_loss);
+    ];
+  check_bool "same terminal states" true
+    (serial.Check.Explore.terminal_states = merged.Check.Explore.terminal_states);
+  check_bool "same verdict" true
+    (serial.Check.Explore.violation = merged.Check.Explore.violation
+    && serial.Check.Explore.exhausted = merged.Check.Explore.exhausted)
+
+let test_explore_2shard_flit_clean () =
+  (* the benchmark's sharded configuration runs FliT: its flush
+     elimination must keep the 2-shard scope clean at every crash
+     frontier too *)
+  let res = explore_2shard ~flit:true () in
+  no_violation res;
+  check_bool "exhausted" true res.Check.Explore.exhausted;
+  check_bool "crash frontiers judged" true
+    (res.Check.Explore.stats.Check.Explore.recoveries > 0)
+
+let test_explore_2shard_lsm_clean () =
+  (* the log-structured backend on every shard: without the checkpoint
+     fibers nothing seals, so each crash frontier recovers by mounting an
+     empty manifest, replaying the whole log and re-sealing what it
+     dirtied. The memtables enter the state hash through
+     [Prep_uc.ghost_hash], but they only ever track the trace here, so
+     the search is the classic scope's, schedule for schedule *)
+  let res = explore_2shard ~lsm_ckpt:true () in
+  no_violation res;
+  check_bool "exhausted" true res.Check.Explore.exhausted;
+  check_2shard_stats res
 
 let test_explore_finds_planted_fault () =
   (* one worker issuing two cross-shard multi-puts (keys 0 and 1 hash to
@@ -298,7 +427,7 @@ let test_explore_finds_planted_fault () =
   in
   let gen _rng = (Sharded_uc.op_multi_put, [| 0; 1; 5 |]) in
   let res =
-    ES.explore ~nshards:2 ~fault:Config.Commit_before_prepare_persist
+    ES.explore ~config:(sharded 2) ~mode:Config.Durable ~fault:Config.Commit_before_prepare_persist
       ~gen_op:gen ~scope ()
   in
   match res.Check.Explore.violation with
@@ -315,7 +444,7 @@ let test_explore_finds_planted_fault () =
       (v.Check.Explore.v_crash <> None);
     (* the decision trace + crash point replays to the same verdict *)
     let violations, crashed, _, _, _ =
-      ES.replay ~nshards:2 ~fault:Config.Commit_before_prepare_persist
+      ES.replay ~config:(sharded 2) ~mode:Config.Durable ~fault:Config.Commit_before_prepare_persist
         ~gen_op:gen ~scope ~decisions:v.Check.Explore.v_decisions
         ?crash:v.Check.Explore.v_crash ()
     in
@@ -360,6 +489,12 @@ let () =
           Alcotest.test_case "single-key campaign" `Slow test_fuzz_single_key;
           Alcotest.test_case "10% cross campaign" `Slow test_fuzz_cross_10;
           Alcotest.test_case "50% multi campaign" `Slow test_fuzz_cross_50;
+          Alcotest.test_case "flit 40% cross campaign" `Slow
+            test_fuzz_flit_cross_40;
+          Alcotest.test_case "lsm 40% cross campaign" `Slow
+            test_fuzz_lsm_cross_40;
+          Alcotest.test_case "lsm negative balance survives" `Quick
+            test_lsm_negative_balance_survives;
           Alcotest.test_case "planted fault caught + shrunk" `Slow
             test_fuzz_catches_planted_fault;
           Alcotest.test_case "fault inert without txns" `Slow
@@ -369,6 +504,12 @@ let () =
         [
           Alcotest.test_case "2-shard clean exhaustion" `Slow
             test_explore_2shard_clean;
+          Alcotest.test_case "2-shard oracle split equals serial" `Slow
+            test_explore_2shard_oracle_split;
+          Alcotest.test_case "2-shard flit clean exhaustion" `Slow
+            test_explore_2shard_flit_clean;
+          Alcotest.test_case "2-shard lsm clean exhaustion" `Slow
+            test_explore_2shard_lsm_clean;
           Alcotest.test_case "planted fault found + replayed" `Quick
             test_explore_finds_planted_fault;
         ] );
