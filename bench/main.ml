@@ -10,7 +10,9 @@
      dune exec bench/main.exe             # all figures, quick scale
      FULL=1 dune exec bench/main.exe      # paper-scale parameters
      dune exec bench/main.exe fig2        # a single figure
-     dune exec bench/main.exe micro       # Bechamel micro-benchmarks *)
+     dune exec bench/main.exe micro       # Bechamel micro-benchmarks
+     dune exec bench/main.exe -- ckptscale --sizes 10000,100000 \
+       --json ckpt.json                   # O(dirty) + flat-recovery gates *)
 
 open Bechamel
 open Harness
@@ -37,17 +39,13 @@ let map_workload read_pct =
     ~prefill_n:(micro_scale.Figures.key_range / 2)
 
 module Hm = Experiment.Systems (Seqds.Hashmap)
-module Rb = Experiment.Systems (Seqds.Rbtree)
-module Qu = Experiment.Systems (Seqds.Queue_ds)
 module Pq = Experiment.Systems (Seqds.Pqueue)
 module St = Experiment.Systems (Seqds.Stack_ds)
 
-let prep mk mode eps =
-  mk
-    ?log_size:(Some micro_scale.Figures.log_size)
-    ?flush:None ?flit:None ?dist_rw:None ?log_mirror:None ?slot_bitmap:None
-    ?detect:None ?lsm_ckpt:None ?lsm_fanout:None ?lsm_compact:None
-    ?persist_policy:None ?name:None ~mode ~epsilon:eps ()
+let prep of_config mode epsilon =
+  of_config
+    (Prep.Config.make ~log_size:micro_scale.Figures.log_size ~mode ~epsilon
+       ~workers:1 ())
 
 (* One Bechamel test per table/figure of the paper. *)
 let bechamel_tests =
@@ -69,27 +67,27 @@ let bechamel_tests =
     Test.make ~name:"fig1.volatile-ucs"
       (Staged.stage (fun () ->
            micro_point
-             ~system:(prep Hm.prep Prep.Config.Volatile 1)
+             ~system:(prep Hm.of_config Prep.Config.Volatile 1)
              ~workload:(map_workload 90)));
     Test.make ~name:"fig2.pucs-hashmap"
       (Staged.stage (fun () ->
            micro_point
-             ~system:(prep Hm.prep Prep.Config.Buffered 1024)
+             ~system:(prep Hm.of_config Prep.Config.Buffered 1024)
              ~workload:(map_workload 90)));
     Test.make ~name:"fig3.epsilon-effect"
       (Staged.stage (fun () ->
            micro_point
-             ~system:(prep Hm.prep Prep.Config.Durable 64)
+             ~system:(prep Hm.of_config Prep.Config.Durable 64)
              ~workload:(map_workload 90)));
     Test.make ~name:"fig4.pqueue"
       (Staged.stage (fun () ->
            micro_point
-             ~system:(prep Pq.prep Prep.Config.Buffered 1024)
+             ~system:(prep Pq.of_config Prep.Config.Buffered 1024)
              ~workload:(Workload.pqueue_pairs ~prefill_n:1000)));
     Test.make ~name:"fig5.stack"
       (Staged.stage (fun () ->
            micro_point
-             ~system:(prep St.prep Prep.Config.Buffered 1024)
+             ~system:(prep St.of_config Prep.Config.Buffered 1024)
              ~workload:(Workload.stack_pairs ~prefill_n:500)));
     Test.make ~name:"fig6.soft-hashtable"
       (Staged.stage (fun () ->
@@ -144,35 +142,12 @@ let smoke_scale =
     warmup_ns = 300_000;
   }
 
-let json_of_counters counters =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) counters)
-  ^ "}"
-
-let json_of_result (r : Experiment.result) =
-  Printf.sprintf
-    {|{"system": %S, "workload": %S, "workers": %d, "ops": %d, "duration_ns": %d, "throughput": %.1f, "wbinvd": %d, "clwb": %d, "clwb_elided": %d, "clwb_coalesced": %d, "clflush": %d, "clflush_elided": %d, "sfence": %d, "sfence_elided": %d, "bg_flushes": %d, "counters": %s}|}
-    r.Experiment.system r.Experiment.workload r.Experiment.workers
-    r.Experiment.ops r.Experiment.duration_ns r.Experiment.throughput
-    r.Experiment.wbinvd r.Experiment.clwb r.Experiment.clwb_elided
-    r.Experiment.clwb_coalesced r.Experiment.clflush
-    r.Experiment.clflush_elided r.Experiment.sfence r.Experiment.sfence_elided
-    r.Experiment.bg_flushes
-    (json_of_counters (Experiment.counters r))
-
-(* Write a bench artifact, then check the exact bytes written against the
-   bench schema — a malformed artifact fails the producing job, not some
-   downstream consumer. *)
+(* A malformed artifact fails the bench mode that wrote it. *)
 let write_validated path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  match Telemetry.Json.(validate_string validate_bench contents) with
+  match Experiment.write_bench_json path contents with
   | Ok () -> ()
-  | Error errs ->
-    List.iter (fun e -> Printf.eprintf "%s: %s\n" path e) errs;
-    Printf.eprintf "bench FAILED: %s does not validate against the bench schema\n" path;
+  | Error m ->
+    Printf.eprintf "bench FAILED: %s\n" m;
     exit 1
 
 let run_smoke path =
@@ -225,8 +200,9 @@ let run_smoke path =
        \    \"baseline\": %s,\n    \"numa\": %s,\n    \"speedup\": %.4f\n  }\n}\n"
        Telemetry.Json.schema_version threads scale.Figures.key_range
        scale.Figures.log_size scale.Figures.eps_large
-       scale.Figures.duration_ns (json_of_result base) (json_of_result flit)
-       speedup threads90 (json_of_result base90) (json_of_result numa90)
+       scale.Figures.duration_ns (Experiment.json_of_result base)
+       (Experiment.json_of_result flit) speedup threads90
+       (Experiment.json_of_result base90) (Experiment.json_of_result numa90)
        speedup90);
   Printf.printf
     "bench smoke: baseline %.0f ops/s, flit %.0f ops/s (%.1f%% %s); \
@@ -355,8 +331,9 @@ let run_persistgain path policy_arg =
        Telemetry.Json.schema_version threads scale.Figures.key_range
        scale.Figures.log_size epsilon scale.Figures.duration_ns
        (Nvm.Persist.to_spec policy)
-       (json_of_result base) (json_of_result pol) (json_of_result flit)
-       (json_of_result both) speedup);
+       (Experiment.json_of_result base) (Experiment.json_of_result pol)
+       (Experiment.json_of_result flit)
+       (Experiment.json_of_result both) speedup);
   Printf.printf
     "bench persistgain: policy fences/op %.3f vs baseline %.3f (flit %.3f); \
      policy traffic/op %.3f vs baseline %.3f; policy vs flit throughput \
@@ -448,7 +425,8 @@ let run_readscale path =
                 "    {\"read_pct\": %d, \"threads\": %d,\n\
                 \     \"baseline\": %s,\n     \"numa\": %s,\n\
                 \     \"speedup\": %.4f}"
-                read_pct threads (json_of_result base) (json_of_result numa)
+                read_pct threads (Experiment.json_of_result base)
+                (Experiment.json_of_result numa)
                 speedup
               :: !points
           | _ -> ())
@@ -652,7 +630,7 @@ let run_shardscale path =
           "    {\"shards\": %d, \"speedup\": %.4f,\n     \"result\": %s}"
           shards
           (r.Experiment.throughput /. base_tp)
-          (json_of_result r))
+          (Experiment.json_of_result r))
       scaling
   in
   let ablation_json =
@@ -663,7 +641,7 @@ let run_shardscale path =
            \"relative\": %.4f,\n     \"result\": %s}"
           cross_pct
           (r.Experiment.throughput /. abl_base)
-          (json_of_result r))
+          (Experiment.json_of_result r))
       ablation
   in
   write_validated path
@@ -691,6 +669,304 @@ let run_shardscale path =
       speedup4;
     exit 1
   end
+
+(* ---- ckptscale: checkpoint cost vs dirty set, recovery vs object size ---- *)
+
+(* One measured point of the incremental-checkpoint scaling study: prefill
+   an rbtree with [n] keys under PREP-Durable, hammer a ~[dirty_pct]% key
+   range so checkpoints see a small dirty set, read the per-checkpoint
+   simulated cost counters, then crash and time recovery up to the first
+   executed operation. [lsm] selects the backend under test; the baseline
+   is the whole-replica flush checkpoint. *)
+type ck_point = {
+  ck_system : string;
+  ck_keys : int;
+  ck_ops : int;
+  ck_duration_ns : int;
+  ck_ckpts : int;
+  ck_cost_avg : int;
+  ck_cost_last : int;
+  ck_recovery_ns : int;
+  ck_segments : int;
+  ck_compactions : int;
+  ck_stats : Nvm.Memory.stats;
+}
+
+let ckpt_episode ~lsm ~lsm_fanout ~n ~dirty_pct ~epsilon ~threads
+    ~ops_per_worker ~seed =
+  let module Uc = Prep.Prep_uc.Make (Seqds.Rbtree) in
+  let module R = Seqds.Rbtree in
+  let topology = Sim.Topology.default in
+  let sim = Sim.create ~seed:(Int64.of_int seed) topology in
+  let mem =
+    Nvm.Memory.make ~sockets:topology.Sim.Topology.sockets ~bg_period:5000 ()
+  in
+  let uc_ref = ref None in
+  let work_ns = ref 0 in
+  let done_count = ref 0 in
+  let dirty_range = max 64 (n * dirty_pct / 100) in
+  (* The crash lands after a closing phase over a small FIXED window, so
+     the log suffix recovery must replay describes the same workload at
+     every object size — isolating the recovery-vs-size measurement from
+     the dirty set (which scales with n by design). *)
+  let tail_range = 512 in
+  let tail_per_worker = max 1 (3 * epsilon / 2 / threads) in
+  ignore
+    (Sim.spawn sim ~socket:0 (fun () ->
+         let roots = Nvm.Roots.make mem in
+         let cfg =
+           (* the baseline checkpoints with the practical whole-replica
+              heap walk (O(n) lines), not the flat-cost WBINVD stall —
+              that is the curve the O(dirty) claim is measured against *)
+           Prep.Config.make ~mode:Prep.Config.Durable ~log_size:16384
+             ~epsilon ~workers:threads ~flush:Prep.Config.Flush_heap
+             ~lsm_ckpt:lsm ~lsm_fanout ()
+         in
+         let prefill = List.init n (fun k -> (R.op_insert, [| k; k |])) in
+         let uc = Uc.create ~prefill mem roots cfg in
+         uc_ref := Some uc;
+         Uc.start_persistence uc;
+         for w = 0 to threads - 1 do
+           let socket, core = Sim.Topology.place topology w in
+           Sim.spawn_here ~socket ~core (fun () ->
+               Uc.register_worker uc;
+               let rng = Sim.fiber_rng () in
+               for _ = 1 to ops_per_worker do
+                 let k = Sim.Rng.int rng dirty_range in
+                 ignore
+                   (Uc.execute uc ~op:R.op_insert
+                      ~args:[| k; 1 + Sim.Rng.int rng 1000 |])
+               done;
+               for _ = 1 to tail_per_worker do
+                 let k = Sim.Rng.int rng tail_range in
+                 ignore
+                   (Uc.execute uc ~op:R.op_insert
+                      ~args:[| k; 1 + Sim.Rng.int rng 1000 |])
+               done;
+               incr done_count)
+         done;
+         while !done_count < threads do
+           Sim.tick 50_000
+         done;
+         work_ns := Sim.now ();
+         Uc.stop uc));
+  (match Sim.run sim () with
+   | `Done -> ()
+   | `Cut _ -> failwith "ckptscale: workload wedged");
+  let uc = Option.get !uc_ref in
+  let counter name =
+    match List.assoc_opt name (Uc.counters uc) with Some v -> v | None -> 0
+  in
+  let ckpts = counter "ckpt_count" in
+  let cost_total = counter "ckpt_cost_total" in
+  let cost_last = counter "ckpt_cost_last" in
+  let segments = counter "lsm_segments_live" in
+  let compactions = counter "lsm_compactions" in
+  (* power failure, then time recovery through the first executed op *)
+  Nvm.Memory.crash mem;
+  Nvm.Context.reset ();
+  let recovery_ns = ref 0 in
+  let sim2 = Sim.create ~seed:(Int64.of_int (seed + 1)) topology in
+  ignore
+    (Sim.spawn sim2 ~socket:0 (fun () ->
+         let uc2, _report = Uc.recover uc in
+         Uc.register_worker uc2;
+         ignore (Uc.execute uc2 ~op:R.op_get ~args:[| 0 |]);
+         recovery_ns := Sim.now ()));
+  (match Sim.run sim2 () with
+   | `Done -> ()
+   | `Cut _ -> failwith "ckptscale: recovery wedged");
+  Nvm.Context.reset ();
+  {
+    ck_system = (if lsm then "PREP-Durable/lsm" else "PREP-Durable");
+    ck_keys = n;
+    ck_ops = threads * (ops_per_worker + tail_per_worker);
+    ck_duration_ns = !work_ns;
+    ck_ckpts = ckpts;
+    ck_cost_avg = (if ckpts = 0 then 0 else cost_total / ckpts);
+    ck_cost_last = cost_last;
+    ck_recovery_ns = !recovery_ns;
+    ck_segments = segments;
+    ck_compactions = compactions;
+    ck_stats = Nvm.Memory.stats mem;
+  }
+
+let json_of_ck_point p =
+  Experiment.json_of_run ~system:p.ck_system
+    ~workload:(Printf.sprintf "ckptscale keys=%d" p.ck_keys)
+    ~workers:0 ~ops:p.ck_ops ~duration_ns:p.ck_duration_ns p.ck_stats
+    [ ("keys", p.ck_keys); ("ckpts", p.ck_ckpts);
+      ("ckpt_cost_avg_ns", p.ck_cost_avg);
+      ("ckpt_cost_last_ns", p.ck_cost_last);
+      ("recovery_first_op_ns", p.ck_recovery_ns);
+      ("lsm_segments_live", p.ck_segments);
+      ("lsm_compactions", p.ck_compactions) ]
+
+open Cmdliner
+
+let sizes_arg =
+  let doc = "Comma-separated object sizes (prefill key counts) to sweep." in
+  Arg.(
+    value & opt (list int) [ 10000; 100000 ] & info [ "sizes" ] ~docv:"LIST" ~doc)
+
+let dirty_pct_arg =
+  let doc =
+    "Percent of the key space the workload dirties between checkpoints."
+  in
+  Arg.(value & opt int 1 & info [ "dirty-pct" ] ~docv:"PCT" ~doc)
+
+let ckpt_ratio_arg =
+  let doc =
+    "Gate: at the largest size the baseline checkpoint must cost at least \
+     $(docv) times the incremental one."
+  in
+  Arg.(value & opt float 10.0 & info [ "min-ratio" ] ~docv:"R" ~doc)
+
+let recovery_flat_arg =
+  let doc =
+    "Gate: incremental recovery-to-first-op across sizes must stay within \
+     a factor $(docv) of its minimum."
+  in
+  Arg.(value & opt float 2.0 & info [ "max-recovery-spread" ] ~docv:"R" ~doc)
+
+let no_gate_arg =
+  let doc = "Report the table without enforcing the scaling gates." in
+  Arg.(value & flag & info [ "no-gate" ] ~doc)
+
+let ckptscale sizes dirty_pct epsilon threads seed lsm_fanout min_ratio
+    max_spread no_gate json =
+  match sizes with
+  | [] -> `Error (true, "empty --sizes list")
+  | sizes_l ->
+    if List.exists (fun n -> n < 1000) sizes_l then
+      `Error (true, "--sizes entries must be at least 1000")
+    else if dirty_pct < 1 || dirty_pct > 100 then
+      `Error (true, "--dirty-pct must be in 1..100")
+    else if lsm_fanout < 2 then
+      `Error (true, "--lsm-fanout must be at least 2")
+    else begin
+      (* enough update traffic for several seals past the prefill *)
+      let ops_per_worker = max 1 (3 * epsilon / max 1 threads) in
+      let points =
+        List.concat_map
+          (fun n ->
+            List.map
+              (fun lsm ->
+                ckpt_episode ~lsm ~lsm_fanout ~n ~dirty_pct ~epsilon
+                  ~threads ~ops_per_worker ~seed)
+              [ false; true ])
+          sizes_l
+      in
+      Printf.printf
+        "%-18s %9s %6s %14s %16s %9s %6s\n"
+        "system" "keys" "ckpts" "ckpt-avg-ns" "recovery-ns" "segs" "cmpct";
+      List.iter
+        (fun p ->
+          Printf.printf "%-18s %9d %6d %14d %16d %9d %6d\n" p.ck_system
+            p.ck_keys p.ck_ckpts p.ck_cost_avg p.ck_recovery_ns
+            p.ck_segments p.ck_compactions)
+        points;
+      let lsm_points =
+        List.filter (fun p -> p.ck_system = "PREP-Durable/lsm") points
+      in
+      let base_points =
+        List.filter (fun p -> p.ck_system = "PREP-Durable") points
+      in
+      let n_max = List.fold_left (fun a n -> max a n) 0 sizes_l in
+      let at sys_points n = List.find (fun p -> p.ck_keys = n) sys_points in
+      let ratio =
+        let b = at base_points n_max and l = at lsm_points n_max in
+        if l.ck_cost_avg = 0 then infinity
+        else float_of_int b.ck_cost_avg /. float_of_int l.ck_cost_avg
+      in
+      let rec_min, rec_max =
+        List.fold_left
+          (fun (lo, hi) p -> (min lo p.ck_recovery_ns, max hi p.ck_recovery_ns))
+          (max_int, 0) lsm_points
+      in
+      let spread =
+        if rec_min = 0 then infinity
+        else float_of_int rec_max /. float_of_int rec_min
+      in
+      Printf.printf
+        "checkpoint cost ratio at %d keys (baseline/lsm): %.1fx (gate >= \
+         %.1fx)\n"
+        n_max ratio min_ratio;
+      Printf.printf
+        "lsm recovery-to-first-op spread across sizes: %.2fx (gate <= %.2fx)\n"
+        spread max_spread;
+      let json_status =
+        match json with
+        | None -> Ok ()
+        | Some path ->
+          let contents =
+            Printf.sprintf
+              "{\n  \"schema_version\": %d,\n\
+              \  \"config\": {\"ds\": \"rbtree\", \"dirty_pct\": %d, \"epsilon\": \
+               %d, \"threads\": %d, \"seed\": %d, \"lsm_fanout\": %d},\n\
+              \  \"results\": [\n    %s\n  ]\n}\n"
+              Telemetry.Json.schema_version dirty_pct epsilon threads seed
+              lsm_fanout
+              (String.concat ",\n    " (List.map json_of_ck_point points))
+          in
+          Experiment.write_bench_json path contents
+          |> Result.map (fun () -> Printf.printf "artifact: %s\n" path)
+      in
+      match json_status with
+      | Error m -> `Error (false, m)
+      | Ok () ->
+        if no_gate then `Ok ()
+        else if ratio < min_ratio then
+          `Error
+            ( false,
+              Printf.sprintf
+                "ckptscale gate FAILED: baseline/lsm checkpoint cost ratio \
+                 %.1fx < %.1fx at %d keys"
+                ratio min_ratio n_max )
+        else if List.length sizes_l > 1 && spread > max_spread then
+          `Error
+            ( false,
+              Printf.sprintf
+                "ckptscale gate FAILED: lsm recovery spread %.2fx > %.2fx"
+                spread max_spread )
+        else begin
+          print_endline "ckptscale gates: PASS";
+          `Ok ()
+        end
+    end
+
+let ckpt_seed_arg =
+  Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
+
+let ckpt_fanout_arg =
+  let doc =
+    "Size-tiered compaction fanout of the --lsm-ckpt backend under test."
+  in
+  Arg.(value & opt int 4 & info [ "lsm-fanout" ] ~docv:"K" ~doc)
+
+let ckpt_json_arg =
+  let doc = "Write a bench-schema JSON artifact of the study to $(docv)." in
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+
+let ckpt_threads_arg =
+  Arg.(value & opt int 4 & info [ "threads"; "t" ] ~docv:"N" ~doc:"Worker threads.")
+
+let ckpt_epsilon_arg =
+  Arg.(value & opt int 4096 & info [ "epsilon"; "e" ] ~docv:"EPS" ~doc:"Flush boundary step.")
+
+let ckptscale_cmd =
+  Cmd.v
+    (Cmd.info "ckptscale"
+       ~doc:
+         "Incremental-checkpoint scaling study: checkpoint cost vs dirty-set \
+          size and recovery-to-first-op vs object size, baseline \
+          whole-replica flush against --lsm-ckpt, with CI gates on the \
+          O(dirty) cost ratio and recovery flatness")
+    Term.(
+      ret
+        (const ckptscale $ sizes_arg $ dirty_pct_arg $ ckpt_epsilon_arg
+       $ ckpt_threads_arg $ ckpt_seed_arg $ ckpt_fanout_arg $ ckpt_ratio_arg
+       $ recovery_flat_arg $ no_gate_arg $ ckpt_json_arg))
 
 let () =
   let scale = Figures.scale_of_env () in
@@ -721,9 +997,14 @@ let () =
   | "shardscale" ->
     run_shardscale
       (if Array.length Sys.argv > 2 then Sys.argv.(2) else "bench-shardscale.json")
+  | "ckptscale" ->
+    exit
+      (Cmd.eval
+         ~argv:(Array.sub Sys.argv 1 (Array.length Sys.argv - 1))
+         ckptscale_cmd)
   | other ->
     Printf.eprintf
       "unknown command %S (expected \
-       all|table1|fig1..fig6|ablation|flushstats|micro|smoke|persistgain|readscale|loadcurve|shardscale)\n"
+       all|table1|fig1..fig6|ablation|flushstats|micro|smoke|persistgain|readscale|loadcurve|shardscale|ckptscale)\n"
       other;
     exit 1

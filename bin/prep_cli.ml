@@ -11,7 +11,12 @@
      session   crash-restart-continue client sessions (exactly-once check)
      sweep     closed-loop threads x read-pct grid, bench-schema JSON
      serve-sim open-loop arrival-process points (offered load vs sojourn)
-     ckptscale checkpoint cost vs dirty set, recovery vs object size
+     optimize-persist  derive a proven per-site persistency policy
+
+   Every PREP subcommand takes the same feature flags (--flit, --dist-rw,
+   --log-mirror, --slot-bitmap, --detect, --lsm-ckpt, --lsm-fanout,
+   --no-lsm-compact, --persist-policy), read by one cmdliner term into a
+   [Prep.Config.t] that [Config.validate] accepts or refuses once.
 
    The harness subcommands take [-j N] to fan independent simulations
    across N domains (Harness.Campaign); results are deterministic — byte
@@ -42,9 +47,7 @@
      dune exec bin/prep_cli.exe -- serve-sim --arrival bursty \
        --rates 5e5,1e6,2e6 --theta 0.99 --shed 64 --json curve.json
      dune exec bin/prep_cli.exe -- run --system prep-durable --lsm-ckpt \
-       --ds rbtree --threads 8          # incremental checkpoint backend
-     dune exec bin/prep_cli.exe -- ckptscale --sizes 10000,100000 \
-       --json ckpt.json                 # O(dirty) + flat-recovery gates *)
+       --ds rbtree --threads 8          # incremental checkpoint backend *)
 
 open Cmdliner
 open Harness
@@ -90,9 +93,55 @@ let system_arg =
     & opt string "prep-buffered"
     & info [ "system"; "s" ] ~docv:"SYSTEM" ~doc)
 
+(* Op mixes for the checker workloads. The map structures share op codes. *)
+let map_gen rng =
+  let k = Sim.Rng.int rng 64 in
+  match Sim.Rng.int rng 10 with
+  | 0 | 1 | 2 | 3 -> (Seqds.Hashmap.op_insert, [| k; Sim.Rng.int rng 1000 |])
+  | 4 | 5 -> (Seqds.Hashmap.op_remove, [| k |])
+  | 6 | 7 | 8 -> (Seqds.Hashmap.op_get, [| k |])
+  | _ -> (Seqds.Hashmap.op_size, [||])
+
+let pair_gen ~push ~pop rng =
+  if Sim.Rng.int rng 2 = 0 then (push, [| Sim.Rng.int rng 1000 |])
+  else (pop, [||])
+
+(* Every [--ds]. A keyless structure carries its push/pop op codes and its
+   throughput workload; a map (no pairs) runs the [--read-pct] mix. *)
+type ds_entry =
+  (module Seqds.Ds_intf.S) * (int * int * (prefill_n:int -> Workload.t)) option
+
+let data_structures : (string * ds_entry) list =
+  [ ("hashmap", ((module Seqds.Hashmap), None));
+    ("rbtree", ((module Seqds.Rbtree), None));
+    ("skiplist", ((module Seqds.Skiplist), None));
+    ( "queue",
+      ( (module Seqds.Queue_ds),
+        Some
+          ( Seqds.Queue_ds.op_enqueue, Seqds.Queue_ds.op_dequeue,
+            Workload.queue_pairs ) ) );
+    ( "pqueue",
+      ( (module Seqds.Pqueue),
+        Some
+          ( Seqds.Pqueue.op_enqueue, Seqds.Pqueue.op_dequeue,
+            Workload.pqueue_pairs ) ) );
+    ( "stack",
+      ( (module Seqds.Stack_ds),
+        Some (Seqds.Stack_ds.op_push, Seqds.Stack_ds.op_pop, Workload.stack_pairs)
+      ) ) ]
+
+let is_map ds = List.mem ds [ "hashmap"; "rbtree"; "skiplist" ]
+
+(* The structure and the checker op mix of a [--ds]. *)
+let fuzz_ds ds =
+  match List.assoc ds data_structures with
+  | m, None -> (m, map_gen)
+  | m, Some (push, pop, _) -> (m, pair_gen ~push ~pop)
+
 let ds_arg =
   let doc = "Data structure: hashmap, rbtree, skiplist, queue, pqueue, stack." in
-  Arg.(value & opt string "hashmap" & info [ "ds" ] ~docv:"DS" ~doc)
+  let names = Arg.enum (List.map (fun (n, _) -> (n, n)) data_structures) in
+  Arg.(value & opt names "hashmap" & info [ "ds" ] ~docv:"DS" ~doc)
 
 let threads_arg =
   Arg.(value & opt int 8 & info [ "threads"; "t" ] ~docv:"N" ~doc:"Worker threads.")
@@ -113,44 +162,6 @@ let seed_arg =
   Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
 
 let log_size = 16384
-
-module type SYSTEMS = sig
-  val prep :
-    ?log_size:int ->
-    ?flush:Prep.Config.flush_strategy ->
-    ?flit:bool ->
-    ?dist_rw:bool ->
-    ?log_mirror:bool ->
-    ?slot_bitmap:bool ->
-    ?detect:bool ->
-    ?lsm_ckpt:bool ->
-    ?lsm_fanout:int ->
-    ?lsm_compact:bool ->
-    ?persist_policy:Nvm.Persist.policy ->
-    ?name:string ->
-    mode:Prep.Config.mode ->
-    epsilon:int ->
-    unit ->
-    Experiment.system
-
-  val prep_sharded :
-    ?log_size:int ->
-    ?flush:Prep.Config.flush_strategy ->
-    ?flit:bool ->
-    ?slot_bitmap:bool ->
-    ?lsm_ckpt:bool ->
-    ?lsm_fanout:int ->
-    ?lsm_compact:bool ->
-    ?persist_policy:Nvm.Persist.policy ->
-    ?name:string ->
-    shards:int ->
-    epsilon:int ->
-    unit ->
-    Experiment.system
-
-  val global_lock : Experiment.system
-  val cx : ?queue_capacity:int -> unit -> Experiment.system
-end
 
 let flit_arg =
   let doc =
@@ -232,12 +243,30 @@ let persist_policy_arg =
        & opt (some string) None
        & info [ "persist-policy" ] ~docv:"SPEC|FILE" ~doc)
 
-let parse_policy = function
-  | None -> Ok None
-  | Some arg ->
-    (match Nvm.Persist.load arg with
-     | Ok p -> Ok (Some p)
-     | Error e -> Error e)
+(* The feature part of a [Prep.Config.t], parsed once for every PREP
+   subcommand. Mode, epsilon, log size, shards, workers and fault stay at
+   [Config.make]'s defaults for the subcommand to set. *)
+let features_term =
+  let features flit dist_rw log_mirror slot_bitmap detect lsm_ckpt lsm_fanout
+      no_lsm_compact persist_policy =
+    let policy =
+      match persist_policy with
+      | None -> Ok None
+      | Some arg -> Result.map Option.some (Nvm.Persist.load arg)
+    in
+    match policy with
+    | Error e -> `Error (true, e)
+    | Ok persist_policy ->
+      `Ok
+        (Prep.Config.make ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
+           ~lsm_ckpt ~lsm_fanout ~lsm_compact:(not no_lsm_compact)
+           ?persist_policy ~workers:1 ())
+  in
+  Term.(
+    ret
+      (const features $ flit_arg $ dist_rw_arg $ log_mirror_arg
+     $ slot_bitmap_arg $ detect_arg $ lsm_ckpt_arg $ lsm_fanout_arg
+     $ no_lsm_compact_arg $ persist_policy_arg))
 
 let trace_arg =
   let doc =
@@ -253,69 +282,67 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-(* Map a --system name to an [Experiment.system] under a data structure's
-   [SYSTEMS] instantiation; shared by run/profile/sweep/serve-sim. *)
-let select_system ?(uc_shards = 1) ?(lsm_ckpt = false) ?(lsm_fanout = 4)
-    ?(lsm_compact = true) ?persist_policy ~system ~epsilon ~flit ~dist_rw
-    ~log_mirror ~slot_bitmap ~detect (module Sy : SYSTEMS) =
-  if detect && system <> "prep-durable" then
-    Error "--detect requires --system prep-durable"
-  else if
-    persist_policy <> None
-    && not (List.mem system [ "prep-v"; "prep-buffered"; "prep-durable" ])
-  then Error "--persist-policy requires a PREP system"
-  else if
-    lsm_ckpt && not (List.mem system [ "prep-buffered"; "prep-durable" ])
-  then Error "--lsm-ckpt requires --system prep-buffered or prep-durable"
-  else if lsm_fanout < 2 then Error "--lsm-fanout must be at least 2"
-  else if uc_shards < 1 then Error "--uc-shards must be at least 1"
-  else if uc_shards > 1 && system <> "prep-durable" then
-    Error "--uc-shards requires --system prep-durable (sharding is durable-only)"
-  else if uc_shards > 1 && detect then
-    Error "--detect is not supported with --uc-shards"
-  else if uc_shards > 1 && (dist_rw || log_mirror) then
-    Error "--dist-rw/--log-mirror are not supported with --uc-shards"
-  else if uc_shards > Prep.Config.max_shards then
-    Error
-      (Printf.sprintf
-         "--uc-shards is capped at %d (64-slot root directory, 8 slots per \
-          shard)"
-         Prep.Config.max_shards)
-  else if uc_shards > 1 then
-    Ok
-      (Sy.prep_sharded ~log_size ~flit ~slot_bitmap ~lsm_ckpt ~lsm_fanout
-         ~lsm_compact ?persist_policy ~shards:uc_shards ~epsilon ())
-  else
-    match system with
-    | "gl" -> Ok Sy.global_lock
-    | "prep-v" -> Ok (Sy.prep ~log_size ~mode:Prep.Config.Volatile ~epsilon:1 ())
-    | "prep-buffered" ->
-      Ok
-        (Sy.prep ~log_size ~flit ~dist_rw ~log_mirror ~slot_bitmap ~lsm_ckpt
-           ~lsm_fanout ~lsm_compact ?persist_policy
-           ~mode:Prep.Config.Buffered ~epsilon ())
-    | "prep-durable" ->
-      Ok
-        (Sy.prep ~log_size ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-           ~lsm_ckpt ~lsm_fanout ~lsm_compact ?persist_policy
-           ~mode:Prep.Config.Durable ~epsilon ())
-    | "cx" -> Ok (Sy.cx ())
-    | "soft-1k" -> Ok (Experiment.soft ~nbuckets:1000)
-    | "soft-10k" -> Ok (Experiment.soft ~nbuckets:10_000)
-    | other -> Error (Printf.sprintf "unknown system %S" other)
+(* Every PREP subcommand builds one configuration and validates it once,
+   up front, against the machine's beta: every feature-combination rule
+   lives in [Config.validate], and a refusal is a usage error. The two
+   rules below need the data structure, which the configuration does not
+   name. *)
+let validated_config ~beta ~ds cfg =
+  match Prep.Config.validate cfg ~beta with
+  | exception Invalid_argument m -> Error m
+  | () ->
+    if cfg.Prep.Config.lsm_ckpt && not (is_map ds) then
+      Error "--lsm-ckpt needs a map data structure (per-key dirty tracking)"
+    else if cfg.Prep.Config.shards > 1 && not (is_map ds) then
+      Error "sharding needs a map data structure (ops route by key)"
+    else Ok cfg
+
+(* The [--system] of run/profile/sweep/serve-sim on [--ds]: a PREP mode is
+   [features] at that mode, built through [Systems.of_config]; the other
+   systems are not PREP and take no feature flag. *)
+let experiment_system ~system ~ds ~epsilon ~uc_shards ~workers features =
+  let (module Ds), _ = List.assoc ds data_structures in
+  let module Sy = Experiment.Systems (Ds) in
+  let prep mode =
+    validated_config ~ds
+      ~beta:Sim.Topology.default.Sim.Topology.cores_per_socket
+      { features with
+        Prep.Config.mode; epsilon; log_size; shards = uc_shards; workers }
+    |> Result.map (fun cfg -> Sy.of_config cfg)
+  in
+  let baseline sys =
+    if features <> Check.Sut.default_config || uc_shards <> 1 then
+      Error
+        (Printf.sprintf
+           "--system %s is not a PREP system: feature flags and \
+            --uc-shards need prep-v, prep-buffered or prep-durable"
+           system)
+    else Ok sys
+  in
+  match system with
+  | "prep-v" -> prep Prep.Config.Volatile
+  | "prep-buffered" -> prep Prep.Config.Buffered
+  | "prep-durable" -> prep Prep.Config.Durable
+  | "gl" -> baseline Sy.global_lock
+  | "cx" -> baseline (Sy.cx ())
+  | "soft-1k" -> baseline (Experiment.soft ~nbuckets:1000)
+  | "soft-10k" -> baseline (Experiment.soft ~nbuckets:10_000)
+  | other -> Error (Printf.sprintf "unknown system %S" other)
 
 let run_point ~profile system ds threads epsilon read_pct keys duration seed
-    flit dist_rw log_mirror slot_bitmap detect lsm_ckpt lsm_fanout
-    no_lsm_compact uc_shards persist_policy trace =
-  match parse_policy persist_policy with
+    features uc_shards trace =
+  match
+    experiment_system ~system ~ds ~epsilon ~uc_shards ~workers:threads
+      features
+  with
   | Error m -> `Error (true, m)
-  | Ok persist_policy ->
-  let workload_map, workload_pairs =
-    ( (fun () -> Workload.map_workload ~read_pct ~key_range:keys ~prefill_n:(keys / 2)),
-      fun pairs -> pairs ~prefill_n:(keys / 2) )
-  in
-  let fail msg = `Error (true, msg) in
-  let go sys workload =
+  | Ok sys ->
+    let workload =
+      match List.assoc ds data_structures with
+      | _, None ->
+        Workload.map_workload ~read_pct ~key_range:keys ~prefill_n:(keys / 2)
+      | _, Some (_, _, pairs) -> pairs ~prefill_n:(keys / 2)
+    in
     (* profiling and tracing both need a live ambient registry; the plain
        [run] subcommand keeps the registry-free default path *)
     let tel =
@@ -371,58 +398,13 @@ let run_point ~profile system ds threads epsilon read_pct keys duration seed
           ( false,
             "trace failed self-validation:\n  " ^ String.concat "\n  " errs ))
     | _ -> `Ok ()
-  in
-  let prep_sys =
-    select_system ~uc_shards ~lsm_ckpt ~lsm_fanout
-      ~lsm_compact:(not no_lsm_compact) ?persist_policy ~system ~epsilon
-      ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-  in
-  if lsm_ckpt && not (List.mem ds [ "hashmap"; "rbtree"; "skiplist" ]) then
-    fail "--lsm-ckpt needs a map data structure (per-key dirty tracking)"
-  else
-  match ds with
-  | "hashmap" ->
-    let module Sy = Experiment.Systems (Seqds.Hashmap) in
-    (match prep_sys (module Sy) with
-     | Ok sys -> go sys (workload_map ())
-     | Error m -> fail m)
-  | "rbtree" ->
-    let module Sy = Experiment.Systems (Seqds.Rbtree) in
-    (match prep_sys (module Sy) with
-     | Ok sys -> go sys (workload_map ())
-     | Error m -> fail m)
-  | "skiplist" ->
-    let module Sy = Experiment.Systems (Seqds.Skiplist) in
-    (match prep_sys (module Sy) with
-     | Ok sys -> go sys (workload_map ())
-     | Error m -> fail m)
-  | ("queue" | "pqueue" | "stack") when uc_shards > 1 ->
-    fail "--uc-shards needs a map data structure (ops route by key)"
-  | "queue" ->
-    let module Sy = Experiment.Systems (Seqds.Queue_ds) in
-    (match prep_sys (module Sy) with
-     | Ok sys -> go sys (workload_pairs Workload.queue_pairs)
-     | Error m -> fail m)
-  | "pqueue" ->
-    let module Sy = Experiment.Systems (Seqds.Pqueue) in
-    (match prep_sys (module Sy) with
-     | Ok sys -> go sys (workload_pairs Workload.pqueue_pairs)
-     | Error m -> fail m)
-  | "stack" ->
-    let module Sy = Experiment.Systems (Seqds.Stack_ds) in
-    (match prep_sys (module Sy) with
-     | Ok sys -> go sys (workload_pairs Workload.stack_pairs)
-     | Error m -> fail m)
-  | other -> fail (Printf.sprintf "unknown data structure %S" other)
 
 let point_term ~profile =
   Term.(
     ret
       (const (run_point ~profile) $ system_arg $ ds_arg $ threads_arg
      $ epsilon_arg $ read_pct_arg $ keys_arg $ duration_arg $ seed_arg
-     $ flit_arg $ dist_rw_arg $ log_mirror_arg $ slot_bitmap_arg $ detect_arg
-     $ lsm_ckpt_arg $ lsm_fanout_arg $ no_lsm_compact_arg $ uc_shards_arg
-     $ persist_policy_arg $ trace_arg))
+     $ features_term $ uc_shards_arg $ trace_arg))
 
 let run_cmd =
   Cmd.v
@@ -535,7 +517,13 @@ let validate_cmd =
 
 let mode_arg =
   let doc = "PREP mode: buffered or durable." in
-  Arg.(value & opt string "buffered" & info [ "mode"; "m" ] ~docv:"MODE" ~doc)
+  let modes =
+    [ ("buffered", Prep.Config.Buffered); ("durable", Prep.Config.Durable) ]
+  in
+  Arg.(
+    value
+    & opt (enum modes) Prep.Config.Buffered
+    & info [ "mode"; "m" ] ~docv:"MODE" ~doc)
 
 let crash_at_arg =
   Arg.(value & opt int 2_000_000 & info [ "crash-at" ] ~docv:"NS" ~doc:"Crash time, simulated ns.")
@@ -543,64 +531,55 @@ let crash_at_arg =
 let crash mode epsilon threads crash_at seed =
   let module Uc = Prep.Prep_uc.Make (Seqds.Hashmap) in
   let module H = Seqds.Hashmap in
-  let mode_v =
-    match mode with
-    | "buffered" -> Ok Prep.Config.Buffered
-    | "durable" -> Ok Prep.Config.Durable
-    | other -> Error (Printf.sprintf "unknown mode %S" other)
+  let topology = Sim.Topology.default in
+  let beta = topology.Sim.Topology.cores_per_socket in
+  let sim = Sim.create ~seed:(Int64.of_int seed) topology in
+  let mem = Nvm.Memory.make ~sockets:topology.Sim.Topology.sockets ~bg_period:5000 () in
+  let uc_ref = ref None in
+  ignore
+    (Sim.spawn sim ~socket:0 (fun () ->
+         let roots = Nvm.Roots.make mem in
+         let cfg =
+           Prep.Config.make ~mode ~log_size:16384 ~epsilon
+             ~workers:threads ()
+         in
+         let uc = Uc.create mem roots cfg in
+         uc_ref := Some uc;
+         Uc.start_persistence uc;
+         for w = 0 to threads - 1 do
+           let socket, core = Sim.Topology.place topology w in
+           Sim.spawn_here ~socket ~core (fun () ->
+               Uc.register_worker uc;
+               let rng = Sim.fiber_rng () in
+               while true do
+                 let k = Sim.Rng.int rng 256 in
+                 ignore (Uc.execute uc ~op:H.op_insert ~args:[| k; Sim.Rng.int rng 1000 |])
+               done)
+         done));
+  (match Sim.run ~until:crash_at sim () with
+   | `Cut t -> Printf.printf "power failure at %d ns\n" t
+   | `Done -> ());
+  Nvm.Memory.crash mem;
+  Nvm.Context.reset ();
+  let uc = Option.get !uc_ref in
+  let completed =
+    List.length (Prep.Trace.completed_indexes (Uc.trace uc))
   in
-  match mode_v with
-  | Error m -> `Error (true, m)
-  | Ok mode_v ->
-    let topology = Sim.Topology.default in
-    let beta = topology.Sim.Topology.cores_per_socket in
-    let sim = Sim.create ~seed:(Int64.of_int seed) topology in
-    let mem = Nvm.Memory.make ~sockets:topology.Sim.Topology.sockets ~bg_period:5000 () in
-    let uc_ref = ref None in
-    ignore
-      (Sim.spawn sim ~socket:0 (fun () ->
-           let roots = Nvm.Roots.make mem in
-           let cfg =
-             Prep.Config.make ~mode:mode_v ~log_size:16384 ~epsilon
-               ~workers:threads ()
-           in
-           let uc = Uc.create mem roots cfg in
-           uc_ref := Some uc;
-           Uc.start_persistence uc;
-           for w = 0 to threads - 1 do
-             let socket, core = Sim.Topology.place topology w in
-             Sim.spawn_here ~socket ~core (fun () ->
-                 Uc.register_worker uc;
-                 let rng = Sim.fiber_rng () in
-                 while true do
-                   let k = Sim.Rng.int rng 256 in
-                   ignore (Uc.execute uc ~op:H.op_insert ~args:[| k; Sim.Rng.int rng 1000 |])
-                 done)
-           done));
-    (match Sim.run ~until:crash_at sim () with
-     | `Cut t -> Printf.printf "power failure at %d ns\n" t
-     | `Done -> ());
-    Nvm.Memory.crash mem;
-    Nvm.Context.reset ();
-    let uc = Option.get !uc_ref in
-    let completed =
-      List.length (Prep.Trace.completed_indexes (Uc.trace uc))
-    in
-    let sim2 = Sim.create ~seed:(Int64.of_int (seed + 1)) topology in
-    ignore
-      (Sim.spawn sim2 ~socket:0 (fun () ->
-           let _, report = Uc.recover uc in
-           Printf.printf
-             "completed before crash: %d\nrecovered: %d ops\nlost completed: %d (bound epsilon+beta-1 = %d)\ncontiguous prefix: %b\nskipped completed (must be 0): %d\n"
-             completed
-             (List.length report.Prep.Prep_uc.applied)
-             report.Prep.Prep_uc.lost_completed
-             (epsilon + beta - 1)
-             report.Prep.Prep_uc.contiguous_prefix
-             report.Prep.Prep_uc.skipped_completed));
-    (match Sim.run sim2 () with
-     | `Done -> `Ok ()
-     | `Cut _ -> `Error (false, "recovery did not finish"))
+  let sim2 = Sim.create ~seed:(Int64.of_int (seed + 1)) topology in
+  ignore
+    (Sim.spawn sim2 ~socket:0 (fun () ->
+         let _, report = Uc.recover uc in
+         Printf.printf
+           "completed before crash: %d\nrecovered: %d ops\nlost completed: %d (bound epsilon+beta-1 = %d)\ncontiguous prefix: %b\nskipped completed (must be 0): %d\n"
+           completed
+           (List.length report.Prep.Prep_uc.applied)
+           report.Prep.Prep_uc.lost_completed
+           (epsilon + beta - 1)
+           report.Prep.Prep_uc.contiguous_prefix
+           report.Prep.Prep_uc.skipped_completed));
+  (match Sim.run sim2 () with
+   | `Done -> `Ok ()
+   | `Cut _ -> `Error (false, "recovery did not finish"))
 
 let crash_cmd =
   Cmd.v
@@ -615,7 +594,15 @@ let iters_arg =
 
 let variant_arg =
   let doc = "Variant under test: volatile, buffered or durable." in
-  Arg.(value & opt string "buffered" & info [ "variant" ] ~docv:"VARIANT" ~doc)
+  let modes =
+    List.map
+      (fun m -> (Prep.Config.variant_name m, m))
+      Prep.Config.[ Volatile; Buffered; Durable ]
+  in
+  Arg.(
+    value
+    & opt (enum modes) Prep.Config.Buffered
+    & info [ "variant" ] ~docv:"VARIANT" ~doc)
 
 let fault_arg =
   let doc =
@@ -626,17 +613,18 @@ let fault_arg =
      manifest-before-seal (requires --lsm-ckpt: the checkpoint manifest is \
      published before the segment bodies it points at are fenced)."
   in
-  Arg.(value & opt string "none" & info [ "fault" ] ~docv:"FAULT" ~doc)
-
-let parse_fault = function
-  | "none" -> Ok Prep.Config.No_fault
-  | "early-boundary" -> Ok Prep.Config.Early_boundary_advance
-  | "elide-ct-flush" -> Ok Prep.Config.Elide_ct_flush
-  | "mirror-read-recovery" -> Ok Prep.Config.Mirror_read_on_recovery
-  | "response-before-log-persist" -> Ok Prep.Config.Response_before_log_persist
-  | "commit-before-prepare" -> Ok Prep.Config.Commit_before_prepare_persist
-  | "manifest-before-seal" -> Ok Prep.Config.Manifest_before_segment_seal
-  | other -> Error (Printf.sprintf "unknown fault %S" other)
+  let faults =
+    List.map
+      (fun f -> (Prep.Config.fault_name f, f))
+      Prep.Config.
+        [ No_fault; Early_boundary_advance; Elide_ct_flush;
+          Mirror_read_on_recovery; Response_before_log_persist;
+          Commit_before_prepare_persist; Manifest_before_segment_seal ]
+  in
+  Arg.(
+    value
+    & opt (enum faults) Prep.Config.No_fault
+    & info [ "fault" ] ~docv:"FAULT" ~doc)
 
 let fuzz_threads_arg =
   Arg.(value & opt int 6 & info [ "threads"; "t" ] ~docv:"N" ~doc:"Worker threads (1-7).")
@@ -688,169 +676,108 @@ let cross_pct_arg =
   in
   Arg.(value & opt int 75 & info [ "cross-pct" ] ~docv:"PCT" ~doc)
 
-(* Op mixes for the fuzz workloads. The map structures share op codes. *)
-let map_gen rng =
-  let k = Sim.Rng.int rng 64 in
-  match Sim.Rng.int rng 10 with
-  | 0 | 1 | 2 | 3 -> (Seqds.Hashmap.op_insert, [| k; Sim.Rng.int rng 1000 |])
-  | 4 | 5 -> (Seqds.Hashmap.op_remove, [| k |])
-  | 6 | 7 | 8 -> (Seqds.Hashmap.op_get, [| k |])
-  | _ -> (Seqds.Hashmap.op_size, [||])
+(* A checker's verdict on one run: its violations, or "no violations". *)
+let verdict violations =
+  List.iter
+    (fun v ->
+      Printf.printf "VIOLATION: %s\n" (Check.Durable_lin.violation_to_string v))
+    violations;
+  if violations = [] then begin
+    print_endline "no violations";
+    `Ok ()
+  end
+  else `Error (false, "durable-linearizability violations found")
 
-let pair_gen ~push ~pop rng =
-  if Sim.Rng.int rng 2 = 0 then (push, [| Sim.Rng.int rng 1000 |])
-  else (pop, [||])
-
-let fuzz_ds ds =
-  match ds with
-  | "hashmap" -> Ok ((module Seqds.Hashmap : Seqds.Ds_intf.S), map_gen)
-  | "rbtree" -> Ok ((module Seqds.Rbtree : Seqds.Ds_intf.S), map_gen)
-  | "skiplist" -> Ok ((module Seqds.Skiplist : Seqds.Ds_intf.S), map_gen)
-  | "queue" ->
-    Ok
-      ( (module Seqds.Queue_ds : Seqds.Ds_intf.S),
-        pair_gen ~push:Seqds.Queue_ds.op_enqueue ~pop:Seqds.Queue_ds.op_dequeue )
-  | "pqueue" ->
-    Ok
-      ( (module Seqds.Pqueue : Seqds.Ds_intf.S),
-        pair_gen ~push:Seqds.Pqueue.op_enqueue ~pop:Seqds.Pqueue.op_dequeue )
-  | "stack" ->
-    Ok
-      ( (module Seqds.Stack_ds : Seqds.Ds_intf.S),
-        pair_gen ~push:Seqds.Stack_ds.op_push ~pop:Seqds.Stack_ds.op_pop )
-  | other -> Error (Printf.sprintf "unknown data structure %S" other)
-
-let parse_variant = function
-  | "volatile" -> Ok Prep.Config.Volatile
-  | "buffered" -> Ok Prep.Config.Buffered
-  | "durable" -> Ok Prep.Config.Durable
-  | other -> Error (Printf.sprintf "unknown variant %S" other)
-
-let is_map ds = List.mem ds [ "hashmap"; "rbtree"; "skiplist" ]
-
-(* The checker subcommands build one configuration and validate it once,
-   up front, against the machine's beta: every feature-combination rule
-   lives in [Config.validate], and a refusal is a usage error. The two
-   rules below need the data structure, which the configuration does not
-   name. *)
-let validated_config ~beta ~ds cfg =
-  match Prep.Config.validate cfg ~beta with
-  | exception Invalid_argument m -> Error m
-  | () ->
-    if cfg.Prep.Config.lsm_ckpt && not (is_map ds) then
-      Error "--lsm-ckpt needs a map data structure (per-key dirty tracking)"
-    else if cfg.Prep.Config.shards > 1 && not (is_map ds) then
-      Error "sharding needs a map data structure (ops route by key)"
-    else Ok cfg
-
-let fuzz iters variant ds threads epsilon log_size ops seed fault crash_op
-    crash_time no_crash bg_period flit dist_rw log_mirror slot_bitmap detect
-    lsm_ckpt lsm_fanout shards multi_pct cross_pct persist_policy jobs =
-  match
-    (parse_variant variant, parse_fault fault, fuzz_ds ds,
-     parse_policy persist_policy)
-  with
-  | Error m, _, _, _ | _, Error m, _, _ | _, _, Error m, _ | _, _, _, Error m ->
-    `Error (true, m)
-  | Ok mode, Ok fault, Ok ((module Ds), gen_op), Ok persist_policy ->
-    let module F = Check.Fuzz.Make (Ds) in
-    let config =
-      validated_config ~ds
-        ~beta:F.topology.Sim.Topology.cores_per_socket
-        (Prep.Config.make ~mode ~log_size ~epsilon ~flit ~dist_rw ~log_mirror
-           ~slot_bitmap ~detect ~shards ~lsm_ckpt ~lsm_fanout ?persist_policy
-           ~fault ~workers:threads ())
-    in
-    match config with
-    | Error m -> `Error (true, m)
-    | Ok config ->
-    if threads < 1 || threads > F.max_threads then
-      `Error
-        ( true,
-          Printf.sprintf "--threads must be between 1 and %d (got %d)"
-            F.max_threads threads )
-    else if
-      mode = Prep.Config.Volatile && (crash_op <> None || crash_time <> None)
-    then
-      `Error (true, "volatile episodes cannot crash: drop the crash flag")
-    else if
-      shards > 1
-      && (multi_pct < 0 || multi_pct > 100 || cross_pct < 0 || cross_pct > 100)
-    then `Error (true, "--multi-pct/--cross-pct must be in 0..100")
+let fuzz iters mode ds threads epsilon log_size ops seed fault crash_op
+    crash_time no_crash bg_period features shards multi_pct cross_pct jobs =
+  let (module Ds), gen_op = fuzz_ds ds in
+  let module F = Check.Fuzz.Make (Ds) in
+  let config =
+    validated_config ~ds
+      ~beta:F.topology.Sim.Topology.cores_per_socket
+      { features with
+        Prep.Config.mode; log_size; epsilon; shards; fault;
+        workers = threads }
+  in
+  match config with
+  | Error m -> `Error (true, m)
+  | Ok config ->
+  if threads < 1 || threads > F.max_threads then
+    `Error
+      ( true,
+        Printf.sprintf "--threads must be between 1 and %d (got %d)"
+          F.max_threads threads )
+  else if
+    mode = Prep.Config.Volatile && (crash_op <> None || crash_time <> None)
+  then
+    `Error (true, "volatile episodes cannot crash: drop the crash flag")
+  else if
+    shards > 1
+    && (multi_pct < 0 || multi_pct > 100 || cross_pct < 0 || cross_pct > 100)
+  then `Error (true, "--multi-pct/--cross-pct must be in 0..100")
+  else
+  (* sharded runs mix multi-key transactions into the map workload; the
+     generator's knobs ride along on the repro command *)
+  let gen_op, gen_flags =
+    if shards = 1 then (gen_op, "")
     else
-    (* sharded runs mix multi-key transactions into the map workload; the
-       generator's knobs ride along on the repro command *)
-    let gen_op, gen_flags =
-      if shards = 1 then (gen_op, "")
-      else
-        let w =
-          Workload.map_workload_sharded ~read_pct:20 ~multi_pct ~cross_pct
-            ~nshards:shards ~key_range:128 ~prefill_n:0
+      let w =
+        Workload.map_workload_sharded ~read_pct:20 ~multi_pct ~cross_pct
+          ~nshards:shards ~key_range:128 ~prefill_n:0
+      in
+      ( (fun rng -> w.Workload.next rng ~phase:0),
+        Printf.sprintf " --multi-pct %d --cross-pct %d" multi_pct cross_pct )
+  in
+  let template =
+    {
+      Check.Fuzz.workload_seed = seed;
+      threads;
+      epsilon;
+      log_size;
+      ops_per_worker = ops;
+      bg_period;
+      preempt_prob = 0.02;
+      crash = Check.Fuzz.No_crash;
+    }
+  in
+  let replay =
+    match (crash_op, crash_time, no_crash) with
+    | Some n, _, _ -> Some (Check.Fuzz.At_op n)
+    | None, Some ns, _ -> Some (Check.Fuzz.At_time ns)
+    | None, None, true -> Some Check.Fuzz.No_crash
+    | None, None, false -> None
+  in
+  (match replay with
+   | Some crash ->
+     (* replay a single, fully specified episode (shrunk repro) *)
+     let ep = { template with crash } in
+     let out = F.run_episode ~config ~mode ~fault ~gen_op ep in
+     Printf.printf
+       "episode %s: crashed=%b logged=%d completed=%d applied=%d\n"
+       (Fmt.str "%a" Check.Fuzz.pp_episode ep)
+       out.Check.Fuzz.crashed out.Check.Fuzz.logged out.Check.Fuzz.completed
+       out.Check.Fuzz.applied;
+     verdict out.Check.Fuzz.violations
+   | None ->
+     let res =
+       F.fuzz ~config ~mode ~fault ~gen_op ~template ~iters
+         ~log:print_endline ~runner:(Campaign.run ~j:jobs) ()
+     in
+     Printf.printf "%d episodes (%d crashed), %d failing\n"
+       res.Check.Fuzz.episodes res.Check.Fuzz.crashes
+       (List.length res.Check.Fuzz.failures);
+     (match res.Check.Fuzz.failures with
+      | [] -> `Ok ()
+      | first :: _ ->
+        print_endline "shrinking first failure...";
+        let small =
+          F.shrink ~config ~mode ~fault ~gen_op first.Check.Fuzz.episode
         in
-        ( (fun rng -> w.Workload.next rng ~phase:0),
-          Printf.sprintf " --multi-pct %d --cross-pct %d" multi_pct cross_pct )
-    in
-    let template =
-      {
-        Check.Fuzz.workload_seed = seed;
-        threads;
-        epsilon;
-        log_size;
-        ops_per_worker = ops;
-        bg_period;
-        preempt_prob = 0.02;
-        crash = Check.Fuzz.No_crash;
-      }
-    in
-    let replay =
-      match (crash_op, crash_time, no_crash) with
-      | Some n, _, _ -> Some (Check.Fuzz.At_op n)
-      | None, Some ns, _ -> Some (Check.Fuzz.At_time ns)
-      | None, None, true -> Some Check.Fuzz.No_crash
-      | None, None, false -> None
-    in
-    (match replay with
-     | Some crash ->
-       (* replay a single, fully specified episode (shrunk repro) *)
-       let ep = { template with crash } in
-       let out = F.run_episode ~config ~mode ~fault ~gen_op ep in
-       Printf.printf
-         "episode %s: crashed=%b logged=%d completed=%d applied=%d\n"
-         (Fmt.str "%a" Check.Fuzz.pp_episode ep)
-         out.Check.Fuzz.crashed out.Check.Fuzz.logged out.Check.Fuzz.completed
-         out.Check.Fuzz.applied;
-       if out.Check.Fuzz.violations = [] then begin
-         print_endline "no violations";
-         `Ok ()
-       end
-       else begin
-         List.iter
-           (fun v ->
-             Printf.printf "VIOLATION: %s\n"
-               (Check.Durable_lin.violation_to_string v))
-           out.Check.Fuzz.violations;
-         `Error (false, "durable-linearizability violations found")
-       end
-     | None ->
-       let res =
-         F.fuzz ~config ~mode ~fault ~gen_op ~template ~iters
-           ~log:print_endline ~runner:(Campaign.run ~j:jobs) ()
-       in
-       Printf.printf "%d episodes (%d crashed), %d failing\n"
-         res.Check.Fuzz.episodes res.Check.Fuzz.crashes
-         (List.length res.Check.Fuzz.failures);
-       (match res.Check.Fuzz.failures with
-        | [] -> `Ok ()
-        | first :: _ ->
-          print_endline "shrinking first failure...";
-          let small =
-            F.shrink ~config ~mode ~fault ~gen_op first.Check.Fuzz.episode
-          in
-          Printf.printf "shrunk to: %s\nreplay with:\n  %s%s\n"
-            (Fmt.str "%a" Check.Fuzz.pp_episode small)
-            (Check.Fuzz.repro_command ~config ~mode ~fault ~ds small)
-            gen_flags;
-          `Error (false, "durable-linearizability violations found")))
+        Printf.printf "shrunk to: %s\nreplay with:\n  %s%s\n"
+          (Fmt.str "%a" Check.Fuzz.pp_episode small)
+          (Check.Fuzz.repro_command ~config ~mode ~fault ~ds small)
+          gen_flags;
+        `Error (false, "durable-linearizability violations found")))
 
 let fuzz_cmd =
   Cmd.v
@@ -863,10 +790,8 @@ let fuzz_cmd =
         (const fuzz $ iters_arg $ variant_arg $ ds_arg $ fuzz_threads_arg
        $ fuzz_epsilon_arg $ fuzz_log_size_arg $ fuzz_ops_arg $ fuzz_seed_arg
        $ fault_arg $ crash_op_arg $ crash_time_arg $ no_crash_arg
-       $ bg_period_arg $ flit_arg $ dist_rw_arg $ log_mirror_arg
-       $ slot_bitmap_arg $ detect_arg $ lsm_ckpt_arg $ lsm_fanout_arg
-       $ fuzz_shards_arg
-       $ multi_pct_arg $ cross_pct_arg $ persist_policy_arg $ jobs_arg))
+       $ bg_period_arg $ features_term $ fuzz_shards_arg $ multi_pct_arg
+       $ cross_pct_arg $ jobs_arg))
 
 (* ---- explore ---- *)
 
@@ -956,6 +881,35 @@ let no_persistence_arg =
   in
   Arg.(value & flag & info [ "no-persistence" ] ~doc)
 
+(* The explorer's scope and budget, shared by explore and optimize-persist.
+   The scope prunes; explore's --no-prune turns that off. *)
+let scope_term =
+  let scope threads ops epsilon log_size seed sockets cores no_persistence =
+    {
+      Check.Explore.seed;
+      threads;
+      ops_per_worker = ops;
+      epsilon;
+      log_size;
+      sockets;
+      cores_per_socket = cores;
+      prune = true;
+      persistence = not no_persistence;
+    }
+  in
+  Term.(
+    const scope $ exp_threads_arg $ exp_ops_arg $ exp_epsilon_arg
+    $ exp_log_size_arg $ exp_seed_arg $ exp_sockets_arg $ exp_cores_arg
+    $ no_persistence_arg)
+
+let budget_term =
+  let budget max_schedules max_states max_steps max_frontier_lines =
+    { Check.Explore.max_schedules; max_states; max_steps; max_frontier_lines }
+  in
+  Term.(
+    const budget $ max_schedules_arg $ max_states_arg $ max_steps_arg
+    $ frontier_lines_arg)
+
 let report_explore_result ~repro_command res =
   let s = res.Check.Explore.stats in
   Printf.printf
@@ -973,15 +927,9 @@ let report_explore_result ~repro_command res =
     (List.length res.Check.Explore.terminal_states)
     res.Check.Explore.exhausted;
   match res.Check.Explore.violation with
-  | None ->
-    print_endline "no violations";
-    `Ok ()
+  | None -> verdict []
   | Some v ->
-    List.iter
-      (fun vi ->
-        Printf.printf "VIOLATION: %s\n"
-          (Check.Durable_lin.violation_to_string vi))
-      v.Check.Explore.v_violations;
+    let failed = verdict v.Check.Explore.v_violations in
     Printf.printf "logged=%d completed=%d applied=%d\n"
       v.Check.Explore.v_logged v.Check.Explore.v_completed
       v.Check.Explore.v_applied;
@@ -993,23 +941,12 @@ let report_explore_result ~repro_command res =
      | None -> print_endline "crash: none (terminal-state violation)");
     Printf.printf "replay with:\n  %s\n"
       (repro_command v.Check.Explore.v_decisions v.Check.Explore.v_crash);
-    `Error (false, "durable-linearizability violations found")
+    failed
 
 let report_explore_replay (violations, crashed, logged, completed, applied) =
   Printf.printf "replay: crashed=%b logged=%d completed=%d applied=%d\n"
     crashed logged completed applied;
-  if violations = [] then begin
-    print_endline "no violations";
-    `Ok ()
-  end
-  else begin
-    List.iter
-      (fun v ->
-        Printf.printf "VIOLATION: %s\n"
-          (Check.Durable_lin.violation_to_string v))
-      violations;
-    `Error (false, "durable-linearizability violations found")
-  end
+  verdict violations
 
 (* Op mix for sharded exploration: single-key inserts/gets plus cross-shard
    multi-puts and transfers over a small key range, so the 2PC paths are in
@@ -1022,77 +959,50 @@ let sharded_explore_gen rng =
   | 2 -> (Seqds.Hashmap.op_get, [| k |])
   | _ -> (Prep.Sharded_uc.op_transfer, [| k; k + 3; 1 |])
 
-let explore variant ds threads ops epsilon log_size seed sockets cores fault
-    flit dist_rw log_mirror slot_bitmap detect lsm_ckpt lsm_fanout
-    max_schedules max_states max_steps frontier_lines no_prune no_persistence
-    shards uc_shards persist_policy jobs replay crash_step frontier =
-  match
-    (parse_variant variant, parse_fault fault, fuzz_ds ds,
-     parse_policy persist_policy)
-  with
-  | Error m, _, _, _ | _, Error m, _, _ | _, _, Error m, _ | _, _, _, Error m ->
-    `Error (true, m)
-  | Ok mode, Ok fault, Ok ((module Ds), gen_op), Ok persist_policy ->
-    let config =
-      validated_config ~ds ~beta:cores
-        (Prep.Config.make ~mode ~log_size ~epsilon ~flit ~dist_rw ~log_mirror
-           ~slot_bitmap ~detect ~shards:uc_shards ~lsm_ckpt ~lsm_fanout
-           ?persist_policy ~fault ~workers:threads ())
-    in
-    match config with
-    | Error m -> `Error (true, m)
-    | Ok config ->
-    let module E = Check.Explore.Make (Ds) in
-    let scope =
-      {
-        Check.Explore.seed;
-        threads;
-        ops_per_worker = ops;
-        epsilon;
-        log_size;
-        sockets;
-        cores_per_socket = cores;
-        prune = not no_prune;
-        persistence = not no_persistence;
-      }
-    in
-    let budget =
-      {
-        Check.Explore.max_schedules;
-        max_states;
-        max_steps;
-        max_frontier_lines = frontier_lines;
-      }
-    in
-    let gen_op = if uc_shards > 1 then sharded_explore_gen else gen_op in
-    if threads < 1 || threads > Check.Explore.max_threads scope then
-      `Error
-        ( true,
-          Printf.sprintf "--threads must be between 1 and %d (got %d)"
-            (Check.Explore.max_threads scope) threads )
-    else if shards < 1 then `Error (true, "--shards must be at least 1")
-    else
-      match replay with
-      | Some trace_str ->
-        let decisions = Check.Explore.decisions_of_string trace_str in
-        let crash = Option.map (fun s -> (s, frontier)) crash_step in
-        report_explore_replay
-          (E.replay ~config ~mode ~fault ~gen_op ~scope ~decisions ?crash ())
-      | None ->
-        let explore shard =
-          E.explore ~config ~budget ~shard ~mode ~fault ~gen_op ~scope ()
-        in
-        let res =
-          if shards = 1 then explore (0, 1)
-          else
-            Check.Explore.merge_shards
-              (Campaign.run ~j:jobs
-                 (Array.init shards (fun i () -> explore (i, shards))))
-        in
-        report_explore_result
-          ~repro_command:
-            (Check.Explore.repro_command ~config ~mode ~fault ~ds ~scope)
-          res
+let explore mode ds scope fault features budget no_prune shards uc_shards jobs
+    replay crash_step frontier =
+  let scope = { scope with Check.Explore.prune = not no_prune } in
+  let { Check.Explore.threads; epsilon; log_size; _ } = scope in
+  let (module Ds), gen_op = fuzz_ds ds in
+  let config =
+    validated_config ~ds ~beta:scope.Check.Explore.cores_per_socket
+      { features with
+        Prep.Config.mode; log_size; epsilon; shards = uc_shards; fault;
+        workers = threads }
+  in
+  match config with
+  | Error m -> `Error (true, m)
+  | Ok config ->
+  let module E = Check.Explore.Make (Ds) in
+  let gen_op = if uc_shards > 1 then sharded_explore_gen else gen_op in
+  if threads < 1 || threads > Check.Explore.max_threads scope then
+    `Error
+      ( true,
+        Printf.sprintf "--threads must be between 1 and %d (got %d)"
+          (Check.Explore.max_threads scope) threads )
+  else if shards < 1 then `Error (true, "--shards must be at least 1")
+  else
+    match replay with
+    | Some trace_str ->
+      let decisions = Check.Explore.decisions_of_string trace_str in
+      let crash = Option.map (fun s -> (s, frontier)) crash_step in
+      report_explore_replay
+        (E.replay ~config ~mode ~fault ~gen_op ~scope ~decisions ?crash ())
+    | None ->
+      let explore shard =
+        E.explore ~config ~budget ~shard ~mode ~fault ~gen_op ~scope ()
+      in
+      let res =
+        if shards = 1 then explore (0, 1)
+        else
+          Check.Explore.merge_shards
+            (Campaign.run ~j:jobs
+               (Array.init shards (fun i () -> explore (i, shards))))
+      in
+      report_explore_result
+        ~repro_command:
+          (Check.Explore.repro_command ~config ~mode ~fault ~ds ~scope)
+        res
 
 let explore_cmd =
   Cmd.v
@@ -1103,14 +1013,9 @@ let explore_cmd =
           frontier, DPOR-style pruning, replayable decision traces")
     Term.(
       ret
-        (const explore $ variant_arg $ ds_arg $ exp_threads_arg $ exp_ops_arg
-       $ exp_epsilon_arg $ exp_log_size_arg $ exp_seed_arg $ exp_sockets_arg
-       $ exp_cores_arg $ fault_arg $ flit_arg $ dist_rw_arg $ log_mirror_arg
-       $ slot_bitmap_arg $ detect_arg $ lsm_ckpt_arg $ lsm_fanout_arg
-       $ max_schedules_arg $ max_states_arg $ max_steps_arg
-       $ frontier_lines_arg $ no_prune_arg $ no_persistence_arg $ shards_arg
-       $ uc_shards_arg $ persist_policy_arg $ jobs_arg $ replay_arg
-       $ crash_step_arg $ frontier_arg))
+        (const explore $ variant_arg $ ds_arg $ scope_term $ fault_arg
+       $ features_term $ budget_term $ no_prune_arg $ shards_arg
+       $ uc_shards_arg $ jobs_arg $ replay_arg $ crash_step_arg $ frontier_arg))
 
 (* ---- optimize-persist ---- *)
 
@@ -1142,45 +1047,23 @@ let op_fuzz_iters_arg =
        & info [ "fuzz-iters" ] ~docv:"N"
            ~doc:"Crash episodes in the per-candidate differential fuzz soak.")
 
-let optimize_persist variant ds threads ops epsilon log_size seed sockets
-    cores flit dist_rw log_mirror slot_bitmap detect lsm_ckpt max_schedules
-    max_states max_steps frontier_lines no_persistence fuzz_threads fuzz_ops
+let optimize_persist mode ds scope features budget fuzz_threads fuzz_ops
     fuzz_iters bg_period out report_file =
-  match (parse_variant variant, fuzz_ds ds) with
-  | Error m, _ | _, Error m -> `Error (true, m)
-  | Ok Prep.Config.Volatile, _ ->
+  let { Check.Explore.threads; epsilon; log_size; seed; _ } = scope in
+  match (mode, fuzz_ds ds) with
+  | Prep.Config.Volatile, _ ->
     `Error
       (true, "optimize-persist needs a persistent variant (buffered/durable)")
-  | Ok mode, Ok ((module Ds), gen_op) ->
+  | _ when features.Prep.Config.persist_policy <> None ->
+    `Error (true, "optimize-persist derives a --persist-policy; it takes none")
+  | mode, ((module Ds), gen_op) ->
     match
-      validated_config ~ds ~beta:cores
-        (Prep.Config.make ~mode ~log_size ~epsilon ~flit ~dist_rw ~log_mirror
-           ~slot_bitmap ~detect ~lsm_ckpt ~workers:threads ())
+      validated_config ~ds ~beta:scope.Check.Explore.cores_per_socket
+        { features with Prep.Config.mode; log_size; epsilon; workers = threads }
     with
     | Error m -> `Error (true, m)
     | Ok config ->
       let module PI = Check.Persist_infer.Make (Ds) in
-      let scope =
-        {
-          Check.Explore.seed;
-          threads;
-          ops_per_worker = ops;
-          epsilon;
-          log_size;
-          sockets;
-          cores_per_socket = cores;
-          prune = true;
-          persistence = not no_persistence;
-        }
-      in
-      let budget =
-        {
-          Check.Explore.max_schedules;
-          max_states;
-          max_steps;
-          max_frontier_lines = frontier_lines;
-        }
-      in
       let template =
         {
           Check.Fuzz.workload_seed = seed;
@@ -1237,14 +1120,18 @@ let optimize_persist_cmd =
           candidates are recorded with replayable repro commands")
     Term.(
       ret
-        (const optimize_persist $ variant_arg $ ds_arg $ exp_threads_arg
-       $ exp_ops_arg $ exp_epsilon_arg $ exp_log_size_arg $ exp_seed_arg
-       $ exp_sockets_arg $ exp_cores_arg $ flit_arg $ dist_rw_arg
-       $ log_mirror_arg $ slot_bitmap_arg $ detect_arg $ lsm_ckpt_arg
-       $ max_schedules_arg $ max_states_arg $ max_steps_arg
-       $ frontier_lines_arg $ no_persistence_arg $ op_fuzz_threads_arg
-       $ op_fuzz_ops_arg $ op_fuzz_iters_arg $ bg_period_arg $ op_out_arg
-       $ op_report_arg))
+        (const optimize_persist $ variant_arg $ ds_arg $ scope_term
+       $ features_term $ budget_term $ op_fuzz_threads_arg $ op_fuzz_ops_arg
+       $ op_fuzz_iters_arg $ bg_period_arg $ op_out_arg $ op_report_arg))
+
+(* Write a bench-schema artifact; one that fails the schema fails the
+   subcommand. *)
+let write_artifact path contents =
+  match Experiment.write_bench_json path contents with
+  | Ok () ->
+    Printf.printf "artifact: %s\n" path;
+    `Ok ()
+  | Error m -> `Error (false, m)
 
 (* ---- session ---- *)
 
@@ -1280,8 +1167,9 @@ let session_json_arg =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 let json_of_outcome ~ds ~threads (o : Session.outcome) =
-  let st = o.Session.mem_stats in
-  let counters =
+  Experiment.json_of_run ~system:"PREP-Durable/det" ~workload:("session " ^ ds)
+    ~workers:threads ~ops:o.Session.history_len
+    ~duration_ns:o.Session.duration_ns o.Session.mem_stats
     [ ("seed", 0); ("epochs", List.length o.Session.epochs);
       ("crashes", o.Session.crashes_injected);
       ("submitted", o.Session.submitted);
@@ -1289,84 +1177,65 @@ let json_of_outcome ~ds ~threads (o : Session.outcome) =
       ("completed", o.Session.completed); ("lost", o.Session.lost);
       ("duplicated", o.Session.duplicated);
       ("violations", List.length o.Session.violations) ]
-  in
-  let json_counters =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) counters)
-    ^ "}"
-  in
-  Printf.sprintf
-    {|{"system": %S, "workload": %S, "workers": %d, "ops": %d, "duration_ns": %d, "throughput": %.1f, "wbinvd": %d, "clwb": %d, "clwb_elided": %d, "clwb_coalesced": %d, "clflush": %d, "clflush_elided": %d, "sfence": %d, "sfence_elided": %d, "bg_flushes": %d, "counters": %s}|}
-    "PREP-Durable/det" ("session " ^ ds) threads o.Session.history_len
-    o.Session.duration_ns
-    (float_of_int o.Session.history_len
-    *. 1e9
-    /. float_of_int o.Session.duration_ns)
-    st.Nvm.Memory.wbinvd st.Nvm.Memory.clwb st.Nvm.Memory.clwb_elided
-    st.Nvm.Memory.clwb_coalesced st.Nvm.Memory.clflush
-    st.Nvm.Memory.clflush_elided st.Nvm.Memory.sfence
-    st.Nvm.Memory.sfence_elided st.Nvm.Memory.bg_flushes json_counters
 
 let session ds threads ops epsilon log_size crashes seed sessions bg_period
     detect jobs json =
-  match fuzz_ds ds with
-  | Error m -> `Error (true, m)
-  | Ok ((module Ds), gen_op) ->
-    let module S = Session.Make (Ds) in
-    if threads < 1 || threads > S.max_threads then
-      `Error
-        ( true,
-          Printf.sprintf "--threads must be between 1 and %d (got %d)"
-            S.max_threads threads )
-    else begin
-      let cfg =
-        {
-          Session.default_config with
-          Session.seed;
-          threads;
-          ops_per_client = ops;
-          epsilon;
-          log_size;
-          crashes;
-          detect;
-          bg_period;
-        }
-      in
-      let outcomes = S.campaign ~j:jobs cfg ~gen_op ~sessions in
-      List.iteri
-        (fun i (o : Session.outcome) ->
-          Printf.printf "session %d (seed %d):\n" i (seed + i);
-          List.iter
-            (fun (e : Session.epoch_info) ->
-              Printf.printf
-                "  epoch %d: %s, %d re-submitted\n" e.Session.epoch
-                (if e.Session.crashed then "crashed" else "quiescent")
-                e.Session.resubmitted)
-            o.Session.epochs;
-          Printf.printf
-            "  submitted %d  applied %d  completed %d/%d  lost %d  \
-             duplicated %d  violations %d\n"
-            o.Session.submitted o.Session.history_len o.Session.completed
-            (threads * ops) o.Session.lost o.Session.duplicated
-            (List.length o.Session.violations);
-          List.iter
-            (fun v ->
-              Printf.printf "  VIOLATION: %s\n"
-                (Check.Durable_lin.violation_to_string v))
-            o.Session.violations)
-        outcomes;
-      let total f = List.fold_left (fun a o -> a + f o) 0 outcomes in
-      let crashes_tot = total (fun o -> o.Session.crashes_injected) in
-      let resub = total (fun o -> o.Session.resubmitted) in
-      let lost = total (fun o -> o.Session.lost) in
-      let dup = total (fun o -> o.Session.duplicated) in
-      let viol = total (fun o -> List.length o.Session.violations) in
-      (match json with
-       | None -> ()
-       | Some path ->
-         let contents =
-           Printf.sprintf
+  let (module Ds), gen_op = fuzz_ds ds in
+  let module S = Session.Make (Ds) in
+  if threads < 1 || threads > S.max_threads then
+    `Error
+      ( true,
+        Printf.sprintf "--threads must be between 1 and %d (got %d)"
+          S.max_threads threads )
+  else begin
+    let cfg =
+      {
+        Session.default_config with
+        Session.seed;
+        threads;
+        ops_per_client = ops;
+        epsilon;
+        log_size;
+        crashes;
+        detect;
+        bg_period;
+      }
+    in
+    let outcomes = S.campaign ~j:jobs cfg ~gen_op ~sessions in
+    List.iteri
+      (fun i (o : Session.outcome) ->
+        Printf.printf "session %d (seed %d):\n" i (seed + i);
+        List.iter
+          (fun (e : Session.epoch_info) ->
+            Printf.printf
+              "  epoch %d: %s, %d re-submitted\n" e.Session.epoch
+              (if e.Session.crashed then "crashed" else "quiescent")
+              e.Session.resubmitted)
+          o.Session.epochs;
+        Printf.printf
+          "  submitted %d  applied %d  completed %d/%d  lost %d  \
+           duplicated %d  violations %d\n"
+          o.Session.submitted o.Session.history_len o.Session.completed
+          (threads * ops) o.Session.lost o.Session.duplicated
+          (List.length o.Session.violations);
+        List.iter
+          (fun v ->
+            Printf.printf "  VIOLATION: %s\n"
+              (Check.Durable_lin.violation_to_string v))
+          o.Session.violations)
+      outcomes;
+    let total f = List.fold_left (fun a o -> a + f o) 0 outcomes in
+    let crashes_tot = total (fun o -> o.Session.crashes_injected) in
+    let resub = total (fun o -> o.Session.resubmitted) in
+    let lost = total (fun o -> o.Session.lost) in
+    let dup = total (fun o -> o.Session.duplicated) in
+    let viol = total (fun o -> List.length o.Session.violations) in
+    let artifact =
+      match json with
+      | None -> `Ok ()
+      | Some path ->
+        write_artifact path
+          (Printf.sprintf
              "{\n  \"schema_version\": %d,\n\
              \  \"config\": {\"ds\": %S, \"threads\": %d, \"ops\": %d, \
               \"epsilon\": %d, \"log_size\": %d, \"crashes\": %d, \"seed\": \
@@ -1375,47 +1244,39 @@ let session ds threads ops epsilon log_size crashes seed sessions bg_period
              Telemetry.Json.schema_version ds threads ops epsilon log_size
              crashes seed detect
              (String.concat ",\n    "
-                (List.map (json_of_outcome ~ds ~threads) outcomes));
-         in
-         let oc = open_out path in
-         output_string oc contents;
-         close_out oc;
-         (match Telemetry.Json.(validate_string validate_bench contents) with
-          | Ok () -> Printf.printf "artifact: %s\n" path
-          | Error errs ->
-            List.iter (fun e -> Printf.eprintf "%s: %s\n" path e) errs;
-            Printf.eprintf
-              "session FAILED: %s does not validate against the bench schema\n"
-              path;
-            exit 1));
-      if detect then
-        if lost = 0 && dup = 0 && viol = 0 then begin
-          Printf.printf
-            "exactly-once: PASS (%d clients, %d crashes, %d resubmitted, 0 \
-             lost, 0 duplicated)\n"
-            (threads * sessions) crashes_tot resub;
-          `Ok ()
-        end
-        else begin
-          Printf.printf
-            "exactly-once: FAIL (%d lost, %d duplicated, %d violations)\n"
-            lost dup viol;
-          `Error (false, "exactly-once contract violated")
-        end
-      else if dup = 0 && viol = 0 then begin
+                (List.map (json_of_outcome ~ds ~threads) outcomes)))
+    in
+    match artifact with
+    | `Error _ as failed -> failed
+    | `Ok () ->
+    if detect then
+      if lost = 0 && dup = 0 && viol = 0 then begin
         Printf.printf
-          "baseline (no --detect): %d crashes, %d lost, 0 duplicated — \
-           losses are the gap --detect closes\n"
-          crashes_tot lost;
+          "exactly-once: PASS (%d clients, %d crashes, %d resubmitted, 0 \
+           lost, 0 duplicated)\n"
+          (threads * sessions) crashes_tot resub;
         `Ok ()
       end
       else begin
         Printf.printf
-          "baseline (no --detect): FAIL (%d duplicated, %d violations)\n" dup
-          viol;
-        `Error (false, "durable-linearizability violations found")
+          "exactly-once: FAIL (%d lost, %d duplicated, %d violations)\n"
+          lost dup viol;
+        `Error (false, "exactly-once contract violated")
       end
+    else if dup = 0 && viol = 0 then begin
+      Printf.printf
+        "baseline (no --detect): %d crashes, %d lost, 0 duplicated — \
+         losses are the gap --detect closes\n"
+        crashes_tot lost;
+      `Ok ()
     end
+    else begin
+      Printf.printf
+        "baseline (no --detect): FAIL (%d duplicated, %d violations)\n" dup
+        viol;
+      `Error (false, "durable-linearizability violations found")
+    end
+  end
 
 let session_cmd =
   Cmd.v
@@ -1433,142 +1294,83 @@ let session_cmd =
 
 (* ---- sweep: closed-loop threads x read-pct grid, campaign-parallel ---- *)
 
-let json_of_result (r : Experiment.result) =
-  let counters =
-    "{"
-    ^ String.concat ", "
-        (List.map
-           (fun (k, v) -> Printf.sprintf "%S: %d" k v)
-           (Experiment.counters r))
-    ^ "}"
-  in
+let not_a_map ds =
   Printf.sprintf
-    {|{"system": %S, "workload": %S, "workers": %d, "ops": %d, "duration_ns": %d, "throughput": %.1f, "wbinvd": %d, "clwb": %d, "clwb_elided": %d, "clwb_coalesced": %d, "clflush": %d, "clflush_elided": %d, "sfence": %d, "sfence_elided": %d, "bg_flushes": %d, "counters": %s}|}
-    r.Experiment.system r.Experiment.workload r.Experiment.workers
-    r.Experiment.ops r.Experiment.duration_ns r.Experiment.throughput
-    r.Experiment.wbinvd r.Experiment.clwb r.Experiment.clwb_elided
-    r.Experiment.clwb_coalesced r.Experiment.clflush
-    r.Experiment.clflush_elided r.Experiment.sfence r.Experiment.sfence_elided
-    r.Experiment.bg_flushes counters
-
-let write_bench_json path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  match Telemetry.Json.(validate_string validate_bench contents) with
-  | Ok () ->
-    Printf.printf "artifact: %s\n" path;
-    Ok ()
-  | Error errs ->
-    List.iter (fun e -> Printf.eprintf "%s: %s\n" path e) errs;
-    Error
-      (Printf.sprintf "%s does not validate against the bench schema" path)
-
-let int_list_of_string s =
-  try
-    Ok
-      (String.split_on_char ',' s
-      |> List.filter (fun t -> String.trim t <> "")
-      |> List.map (fun t -> int_of_string (String.trim t)))
-  with _ -> Error (Printf.sprintf "bad integer list %S" s)
-
-let float_list_of_string s =
-  try
-    Ok
-      (String.split_on_char ',' s
-      |> List.filter (fun t -> String.trim t <> "")
-      |> List.map (fun t -> float_of_string (String.trim t)))
-  with _ -> Error (Printf.sprintf "bad number list %S" s)
-
-let map_systems ds : ((module SYSTEMS), string) result =
-  match ds with
-  | "hashmap" -> Ok (module Experiment.Systems (Seqds.Hashmap) : SYSTEMS)
-  | "rbtree" -> Ok (module Experiment.Systems (Seqds.Rbtree) : SYSTEMS)
-  | "skiplist" -> Ok (module Experiment.Systems (Seqds.Skiplist) : SYSTEMS)
-  | other ->
-    Error
-      (Printf.sprintf
-         "data structure %S is not a map (sweep/serve-sim need --read-pct \
-          workloads: hashmap, rbtree or skiplist)"
-         other)
+    "data structure %S is not a map (sweep/serve-sim need --read-pct \
+     workloads: hashmap, rbtree or skiplist)"
+    ds
 
 let threads_list_arg =
   let doc = "Comma-separated worker-thread counts to sweep." in
-  Arg.(value & opt string "2,8,16" & info [ "threads-list" ] ~docv:"LIST" ~doc)
+  Arg.(
+    value & opt (list int) [ 2; 8; 16 ] & info [ "threads-list" ] ~docv:"LIST" ~doc)
 
 let read_pcts_arg =
   let doc = "Comma-separated read percentages to sweep." in
-  Arg.(value & opt string "50,90" & info [ "read-pcts" ] ~docv:"LIST" ~doc)
+  Arg.(value & opt (list int) [ 50; 90 ] & info [ "read-pcts" ] ~docv:"LIST" ~doc)
 
 let sweep_json_arg =
   let doc = "Write a bench-schema JSON artifact of the grid to $(docv)." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-let sweep system ds threads_list read_pcts epsilon keys duration seed flit
-    dist_rw log_mirror slot_bitmap detect uc_shards jobs json =
+let sweep system ds threads_l pcts epsilon keys duration seed features
+    uc_shards jobs json =
   let fail msg = `Error (true, msg) in
-  match
-    (int_list_of_string threads_list, int_list_of_string read_pcts,
-     map_systems ds)
-  with
-  | Error m, _, _ | _, Error m, _ | _, _, Error m -> fail m
-  | Ok threads_l, Ok pcts, Ok (module Sy) -> (
-    let max_workers = Sim.Topology.total_cores Sim.Topology.default - 1 in
-    if threads_l = [] || pcts = [] then fail "empty sweep grid"
-    else if
-      List.exists (fun t -> t < 1 || t > max_workers) threads_l
-      || List.exists (fun p -> p < 0 || p > 100) pcts
-    then
-      fail
-        (Printf.sprintf "grid out of range (threads 1-%d, read-pct 0-100)"
-           max_workers)
-    else
-      match
-        select_system ~uc_shards ~system ~epsilon ~flit ~dist_rw ~log_mirror
-          ~slot_bitmap ~detect (module Sy)
-      with
-      | Error m -> fail m
-      | Ok sys ->
-        let grid =
-          Array.of_list
-            (List.concat_map
-               (fun t -> List.map (fun p -> (t, p)) pcts)
-               threads_l)
-        in
-        let results =
-          Campaign.map ~j:jobs
-            (fun (t, p) ->
-              Experiment.run ~seed:(Int64.of_int seed) ~duration_ns:duration
-                ~warmup_ns:(duration / 5) ~system:sys
-                ~workload:
-                  (Workload.map_workload ~read_pct:p ~key_range:keys
-                     ~prefill_n:(keys / 2))
-                ~workers:t ())
-            grid
-        in
-        Array.iter
-          (fun (r : Experiment.result) ->
-            Printf.printf "%s | %s | %2d threads: %.0f ops/sec (%d ops)\n"
-              r.Experiment.system r.Experiment.workload r.Experiment.workers
-              r.Experiment.throughput r.Experiment.ops)
-          results;
-        (match json with
-         | None -> `Ok ()
-         | Some path -> (
-           let contents =
-             Printf.sprintf
-               "{\n  \"schema_version\": %d,\n\
-               \  \"config\": {\"system_name\": %S, \"ds\": %S, \"epsilon\": %d, \
-                \"key_range\": %d, \"duration_ns\": %d, \"seed\": %d},\n\
-               \  \"results\": [\n    %s\n  ]\n}\n"
-               Telemetry.Json.schema_version system ds epsilon keys duration
-               seed
-               (String.concat ",\n    "
-                  (Array.to_list (Array.map json_of_result results)))
-           in
-           match write_bench_json path contents with
-           | Ok () -> `Ok ()
-           | Error m -> `Error (false, m))))
+  let max_workers = Sim.Topology.total_cores Sim.Topology.default - 1 in
+  if not (is_map ds) then fail (not_a_map ds)
+  else if threads_l = [] || pcts = [] then fail "empty sweep grid"
+  else if
+    List.exists (fun t -> t < 1 || t > max_workers) threads_l
+    || List.exists (fun p -> p < 0 || p > 100) pcts
+  then
+    fail
+      (Printf.sprintf "grid out of range (threads 1-%d, read-pct 0-100)"
+         max_workers)
+  else
+    match
+      experiment_system ~system ~ds ~epsilon ~uc_shards
+        ~workers:(List.fold_left max 1 threads_l) features
+    with
+    | Error m -> fail m
+    | Ok sys ->
+      let grid =
+        Array.of_list
+          (List.concat_map
+             (fun t -> List.map (fun p -> (t, p)) pcts)
+             threads_l)
+      in
+      let results =
+        Campaign.map ~j:jobs
+          (fun (t, p) ->
+            Experiment.run ~seed:(Int64.of_int seed) ~duration_ns:duration
+              ~warmup_ns:(duration / 5) ~system:sys
+              ~workload:
+                (Workload.map_workload ~read_pct:p ~key_range:keys
+                   ~prefill_n:(keys / 2))
+              ~workers:t ())
+          grid
+      in
+      Array.iter
+        (fun (r : Experiment.result) ->
+          Printf.printf "%s | %s | %2d threads: %.0f ops/sec (%d ops)\n"
+            r.Experiment.system r.Experiment.workload r.Experiment.workers
+            r.Experiment.throughput r.Experiment.ops)
+        results;
+      (match json with
+       | None -> `Ok ()
+       | Some path -> (
+         let contents =
+           Printf.sprintf
+             "{\n  \"schema_version\": %d,\n\
+             \  \"config\": {\"system_name\": %S, \"ds\": %S, \"epsilon\": %d, \
+              \"key_range\": %d, \"duration_ns\": %d, \"seed\": %d},\n\
+             \  \"results\": [\n    %s\n  ]\n}\n"
+             Telemetry.Json.schema_version system ds epsilon keys duration
+             seed
+             (String.concat ",\n    "
+                (Array.to_list (Array.map Experiment.json_of_result results)))
+         in
+         write_artifact path contents))
 
 let sweep_cmd =
   Cmd.v
@@ -1579,19 +1381,19 @@ let sweep_cmd =
     Term.(
       ret
         (const sweep $ system_arg $ ds_arg $ threads_list_arg $ read_pcts_arg
-       $ epsilon_arg $ keys_arg $ duration_arg $ seed_arg $ flit_arg
-       $ dist_rw_arg $ log_mirror_arg $ slot_bitmap_arg $ detect_arg
+       $ epsilon_arg $ keys_arg $ duration_arg $ seed_arg $ features_term
        $ uc_shards_arg $ jobs_arg $ sweep_json_arg))
 
 (* ---- serve-sim: open-loop arrival-process points ---- *)
 
 let arrival_arg =
   let doc = "Arrival process: poisson, bursty (MMPP-2) or diurnal." in
-  Arg.(value & opt string "poisson" & info [ "arrival" ] ~docv:"PROC" ~doc)
+  let procs = List.map (fun a -> (a, a)) [ "poisson"; "bursty"; "diurnal" ] in
+  Arg.(value & opt (enum procs) "poisson" & info [ "arrival" ] ~docv:"PROC" ~doc)
 
 let rates_arg =
   let doc = "Comma-separated mean offered loads, simulated ops/s." in
-  Arg.(value & opt string "1e6" & info [ "rates" ] ~docv:"LIST" ~doc)
+  Arg.(value & opt (list float) [ 1e6 ] & info [ "rates" ] ~docv:"LIST" ~doc)
 
 let theta_arg =
   let doc = "Zipfian key-popularity skew in (0,1); 0 means uniform keys." in
@@ -1614,21 +1416,18 @@ let period_arg =
    mean of the thinned cosine profile. *)
 let arrival_of ~arrival ~burst_ratio ~dwell ~period rate =
   match arrival with
-  | "poisson" -> Ok (Workload.Arrival.Poisson { rate })
+  | "poisson" -> Workload.Arrival.Poisson { rate }
   | "bursty" ->
     let rate_low = 2.0 *. rate /. (1.0 +. burst_ratio) in
-    Ok
-      (Workload.Arrival.Bursty
-         {
-           rate_low;
-           rate_high = burst_ratio *. rate_low;
-           dwell_ns = float_of_int dwell;
-         })
-  | "diurnal" ->
-    Ok
-      (Workload.Arrival.Diurnal
-         { rate_peak = rate /. 0.55; period_ns = float_of_int period })
-  | other -> Error (Printf.sprintf "unknown arrival process %S" other)
+    Workload.Arrival.Bursty
+      {
+        rate_low;
+        rate_high = burst_ratio *. rate_low;
+        dwell_ns = float_of_int dwell;
+      }
+  | _ (* diurnal *) ->
+    Workload.Arrival.Diurnal
+      { rate_peak = rate /. 0.55; period_ns = float_of_int period }
 
 let shed_arg =
   let doc =
@@ -1638,83 +1437,74 @@ let shed_arg =
   in
   Arg.(value & opt (some int) None & info [ "shed" ] ~docv:"DEPTH" ~doc)
 
-let serve_sim system ds threads epsilon read_pct keys duration seed flit
-    dist_rw log_mirror slot_bitmap detect uc_shards arrival rates theta
-    burst_ratio dwell period shed jobs json =
+let serve_sim system ds threads epsilon read_pct keys duration seed features
+    uc_shards arrival rates_l theta burst_ratio dwell period shed jobs json =
   let fail msg = `Error (true, msg) in
-  match (float_list_of_string rates, map_systems ds) with
-  | Error m, _ | _, Error m -> fail m
-  | Ok rates_l, Ok (module Sy) -> (
-    if rates_l = [] then fail "empty --rates list"
-    else if List.exists (fun r -> r <= 0.0) rates_l then
-      fail "--rates must be positive"
-    else if theta < 0.0 || theta >= 1.0 then
-      fail "--theta must be 0 (uniform) or in (0,1)"
-    else
-      match
-        ( select_system ~uc_shards ~system ~epsilon ~flit ~dist_rw
-            ~log_mirror ~slot_bitmap ~detect (module Sy),
-          arrival_of ~arrival ~burst_ratio ~dwell ~period 1.0 )
-      with
-      | Error m, _ | _, Error m -> fail m
-      | Ok sys, Ok _ ->
-        let workload =
-          if theta = 0.0 then
-            Workload.map_workload ~read_pct ~key_range:keys
-              ~prefill_n:(keys / 2)
-          else
-            Workload.map_workload_zipf ~theta ~read_pct ~key_range:keys
-              ~prefill_n:(keys / 2)
-        in
-        let points =
-          Campaign.map ~j:jobs
-            (fun rate ->
-              let arr =
-                match arrival_of ~arrival ~burst_ratio ~dwell ~period rate with
-                | Ok a -> a
-                | Error m -> failwith m
-              in
-              Openloop.run ~seed:(Int64.of_int seed) ~duration_ns:duration
-                ?shed ~system:sys ~workload ~arrival:arr ~workers:threads ())
-            (Array.of_list rates_l)
-          |> Array.to_list
-        in
-        List.iter
-          (fun (p : Openloop.point) ->
-            Printf.printf
-              "%s | %s | offered %.0f/s: completed %d/%d (backlog %d, qpeak \
-               %d%s)  sojourn p50 %d p95 %d p99 %d ns\n"
-              p.Openloop.ol_system p.Openloop.ol_workload
-              p.Openloop.ol_offered p.Openloop.ol_completed
-              p.Openloop.ol_arrivals p.Openloop.ol_backlogged
-              p.Openloop.ol_qmax
-              (if p.Openloop.ol_shed > 0 then
-                 Printf.sprintf ", shed %d" p.Openloop.ol_shed
-               else "")
-              p.Openloop.ol_sojourn.Telemetry.Registry.hs_p50
-              p.Openloop.ol_sojourn.Telemetry.Registry.hs_p95
-              p.Openloop.ol_sojourn.Telemetry.Registry.hs_p99)
-          points;
-        (match Openloop.knee points with
-         | Some k -> Printf.printf "saturation knee: %.0f ops/s\n" k
-         | None -> print_endline "saturation knee: not reached");
-        (match json with
-         | None -> `Ok ()
-         | Some path -> (
-           let contents =
-             Printf.sprintf
-               "{\n  \"schema_version\": %d,\n\
-               \  \"config\": {\"system_name\": %S, \"ds\": %S, \"arrival\": %S, \
-                \"read_pct\": %d, \"zipf_theta\": %.2f, \"epsilon\": %d, \
-                \"duration_ns\": %d, \"seed\": %d},\n\
-               \  \"curves\": [\n%s\n  ]\n}\n"
-               Telemetry.Json.schema_version system ds arrival read_pct theta
-               epsilon duration seed
-               (Openloop.curve_to_json ~indent:4 points)
-           in
-           match write_bench_json path contents with
-           | Ok () -> `Ok ()
-           | Error m -> `Error (false, m))))
+  if not (is_map ds) then fail (not_a_map ds)
+  else if rates_l = [] then fail "empty --rates list"
+  else if List.exists (fun r -> r <= 0.0) rates_l then
+    fail "--rates must be positive"
+  else if theta < 0.0 || theta >= 1.0 then
+    fail "--theta must be 0 (uniform) or in (0,1)"
+  else
+    match
+      experiment_system ~system ~ds ~epsilon ~uc_shards ~workers:threads
+        features
+    with
+    | Error m -> fail m
+    | Ok sys ->
+      let workload =
+        if theta = 0.0 then
+          Workload.map_workload ~read_pct ~key_range:keys
+            ~prefill_n:(keys / 2)
+        else
+          Workload.map_workload_zipf ~theta ~read_pct ~key_range:keys
+            ~prefill_n:(keys / 2)
+      in
+      let points =
+        Campaign.map ~j:jobs
+          (fun rate ->
+            Openloop.run ~seed:(Int64.of_int seed) ~duration_ns:duration
+              ?shed ~system:sys ~workload
+              ~arrival:(arrival_of ~arrival ~burst_ratio ~dwell ~period rate)
+              ~workers:threads ())
+          (Array.of_list rates_l)
+        |> Array.to_list
+      in
+      List.iter
+        (fun (p : Openloop.point) ->
+          Printf.printf
+            "%s | %s | offered %.0f/s: completed %d/%d (backlog %d, qpeak \
+             %d%s)  sojourn p50 %d p95 %d p99 %d ns\n"
+            p.Openloop.ol_system p.Openloop.ol_workload
+            p.Openloop.ol_offered p.Openloop.ol_completed
+            p.Openloop.ol_arrivals p.Openloop.ol_backlogged
+            p.Openloop.ol_qmax
+            (if p.Openloop.ol_shed > 0 then
+               Printf.sprintf ", shed %d" p.Openloop.ol_shed
+             else "")
+            p.Openloop.ol_sojourn.Telemetry.Registry.hs_p50
+            p.Openloop.ol_sojourn.Telemetry.Registry.hs_p95
+            p.Openloop.ol_sojourn.Telemetry.Registry.hs_p99)
+        points;
+      (match Openloop.knee points with
+       | Some k -> Printf.printf "saturation knee: %.0f ops/s\n" k
+       | None -> print_endline "saturation knee: not reached");
+      (match json with
+       | None -> `Ok ()
+       | Some path -> (
+         let contents =
+           Printf.sprintf
+             "{\n  \"schema_version\": %d,\n\
+             \  \"config\": {\"system_name\": %S, \"ds\": %S, \"arrival\": %S, \
+              \"read_pct\": %d, \"zipf_theta\": %.2f, \"epsilon\": %d, \
+              \"duration_ns\": %d, \"seed\": %d},\n\
+             \  \"curves\": [\n%s\n  ]\n}\n"
+             Telemetry.Json.schema_version system ds arrival read_pct theta
+             epsilon duration seed
+             (Openloop.curve_to_json ~indent:4 points)
+         in
+         write_artifact path contents))
 
 let serve_sim_cmd =
   Cmd.v
@@ -1727,306 +1517,11 @@ let serve_sim_cmd =
     Term.(
       ret
         (const serve_sim $ system_arg $ ds_arg $ threads_arg $ epsilon_arg
-       $ read_pct_arg $ keys_arg $ duration_arg $ seed_arg $ flit_arg
-       $ dist_rw_arg $ log_mirror_arg $ slot_bitmap_arg $ detect_arg
+       $ read_pct_arg $ keys_arg $ duration_arg $ seed_arg $ features_term
        $ uc_shards_arg $ arrival_arg $ rates_arg $ theta_arg
        $ burst_ratio_arg $ dwell_arg $ period_arg $ shed_arg $ jobs_arg
        $ sweep_json_arg))
 
-
-(* ---- ckptscale: checkpoint cost vs dirty set, recovery vs object size ---- *)
-
-(* One measured point of the incremental-checkpoint scaling study: prefill
-   an rbtree with [n] keys under PREP-Durable, hammer a ~[dirty_pct]% key
-   range so checkpoints see a small dirty set, read the per-checkpoint
-   simulated cost counters, then crash and time recovery up to the first
-   executed operation. [lsm] selects the backend under test; the baseline
-   is the whole-replica flush checkpoint. *)
-type ck_point = {
-  ck_system : string;
-  ck_keys : int;
-  ck_ops : int;
-  ck_duration_ns : int;
-  ck_ckpts : int;
-  ck_cost_avg : int;
-  ck_cost_last : int;
-  ck_recovery_ns : int;
-  ck_segments : int;
-  ck_compactions : int;
-  ck_stats : Nvm.Memory.stats;
-}
-
-let ckpt_episode ~lsm ~lsm_fanout ~n ~dirty_pct ~epsilon ~threads
-    ~ops_per_worker ~seed =
-  let module Uc = Prep.Prep_uc.Make (Seqds.Rbtree) in
-  let module R = Seqds.Rbtree in
-  let topology = Sim.Topology.default in
-  let sim = Sim.create ~seed:(Int64.of_int seed) topology in
-  let mem =
-    Nvm.Memory.make ~sockets:topology.Sim.Topology.sockets ~bg_period:5000 ()
-  in
-  let uc_ref = ref None in
-  let work_ns = ref 0 in
-  let done_count = ref 0 in
-  let dirty_range = max 64 (n * dirty_pct / 100) in
-  (* The crash lands after a closing phase over a small FIXED window, so
-     the log suffix recovery must replay describes the same workload at
-     every object size — isolating the recovery-vs-size measurement from
-     the dirty set (which scales with n by design). *)
-  let tail_range = 512 in
-  let tail_per_worker = max 1 (3 * epsilon / 2 / threads) in
-  ignore
-    (Sim.spawn sim ~socket:0 (fun () ->
-         let roots = Nvm.Roots.make mem in
-         let cfg =
-           (* the baseline checkpoints with the practical whole-replica
-              heap walk (O(n) lines), not the flat-cost WBINVD stall —
-              that is the curve the O(dirty) claim is measured against *)
-           Prep.Config.make ~mode:Prep.Config.Durable ~log_size:16384
-             ~epsilon ~workers:threads ~flush:Prep.Config.Flush_heap
-             ~lsm_ckpt:lsm ~lsm_fanout ()
-         in
-         let prefill = List.init n (fun k -> (R.op_insert, [| k; k |])) in
-         let uc = Uc.create ~prefill mem roots cfg in
-         uc_ref := Some uc;
-         Uc.start_persistence uc;
-         for w = 0 to threads - 1 do
-           let socket, core = Sim.Topology.place topology w in
-           Sim.spawn_here ~socket ~core (fun () ->
-               Uc.register_worker uc;
-               let rng = Sim.fiber_rng () in
-               for _ = 1 to ops_per_worker do
-                 let k = Sim.Rng.int rng dirty_range in
-                 ignore
-                   (Uc.execute uc ~op:R.op_insert
-                      ~args:[| k; 1 + Sim.Rng.int rng 1000 |])
-               done;
-               for _ = 1 to tail_per_worker do
-                 let k = Sim.Rng.int rng tail_range in
-                 ignore
-                   (Uc.execute uc ~op:R.op_insert
-                      ~args:[| k; 1 + Sim.Rng.int rng 1000 |])
-               done;
-               incr done_count)
-         done;
-         while !done_count < threads do
-           Sim.tick 50_000
-         done;
-         work_ns := Sim.now ();
-         Uc.stop uc));
-  (match Sim.run sim () with
-   | `Done -> ()
-   | `Cut _ -> failwith "ckptscale: workload wedged");
-  let uc = Option.get !uc_ref in
-  let counter name =
-    match List.assoc_opt name (Uc.counters uc) with Some v -> v | None -> 0
-  in
-  let ckpts = counter "ckpt_count" in
-  let cost_total = counter "ckpt_cost_total" in
-  let cost_last = counter "ckpt_cost_last" in
-  let segments = counter "lsm_segments_live" in
-  let compactions = counter "lsm_compactions" in
-  (* power failure, then time recovery through the first executed op *)
-  Nvm.Memory.crash mem;
-  Nvm.Context.reset ();
-  let recovery_ns = ref 0 in
-  let sim2 = Sim.create ~seed:(Int64.of_int (seed + 1)) topology in
-  ignore
-    (Sim.spawn sim2 ~socket:0 (fun () ->
-         let uc2, _report = Uc.recover uc in
-         Uc.register_worker uc2;
-         ignore (Uc.execute uc2 ~op:R.op_get ~args:[| 0 |]);
-         recovery_ns := Sim.now ()));
-  (match Sim.run sim2 () with
-   | `Done -> ()
-   | `Cut _ -> failwith "ckptscale: recovery wedged");
-  Nvm.Context.reset ();
-  {
-    ck_system = (if lsm then "PREP-Durable/lsm" else "PREP-Durable");
-    ck_keys = n;
-    ck_ops = threads * (ops_per_worker + tail_per_worker);
-    ck_duration_ns = !work_ns;
-    ck_ckpts = ckpts;
-    ck_cost_avg = (if ckpts = 0 then 0 else cost_total / ckpts);
-    ck_cost_last = cost_last;
-    ck_recovery_ns = !recovery_ns;
-    ck_segments = segments;
-    ck_compactions = compactions;
-    ck_stats = Nvm.Memory.stats mem;
-  }
-
-let json_of_ck_point p =
-  let counters =
-    [ ("keys", p.ck_keys); ("ckpts", p.ck_ckpts);
-      ("ckpt_cost_avg_ns", p.ck_cost_avg);
-      ("ckpt_cost_last_ns", p.ck_cost_last);
-      ("recovery_first_op_ns", p.ck_recovery_ns);
-      ("lsm_segments_live", p.ck_segments);
-      ("lsm_compactions", p.ck_compactions) ]
-  in
-  let st = p.ck_stats in
-  Printf.sprintf
-    {|{"system": %S, "workload": %S, "workers": 0, "ops": %d, "duration_ns": %d, "throughput": %.1f, "wbinvd": %d, "clwb": %d, "clwb_elided": %d, "clwb_coalesced": %d, "clflush": %d, "clflush_elided": %d, "sfence": %d, "sfence_elided": %d, "bg_flushes": %d, "counters": {%s}}|}
-    p.ck_system
-    (Printf.sprintf "ckptscale keys=%d" p.ck_keys)
-    p.ck_ops p.ck_duration_ns
-    (float_of_int p.ck_ops *. 1e9 /. float_of_int (max 1 p.ck_duration_ns))
-    st.Nvm.Memory.wbinvd st.Nvm.Memory.clwb st.Nvm.Memory.clwb_elided
-    st.Nvm.Memory.clwb_coalesced st.Nvm.Memory.clflush
-    st.Nvm.Memory.clflush_elided st.Nvm.Memory.sfence
-    st.Nvm.Memory.sfence_elided st.Nvm.Memory.bg_flushes
-    (String.concat ", "
-       (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) counters))
-
-let sizes_arg =
-  let doc = "Comma-separated object sizes (prefill key counts) to sweep." in
-  Arg.(value & opt string "10000,100000" & info [ "sizes" ] ~docv:"LIST" ~doc)
-
-let dirty_pct_arg =
-  let doc =
-    "Percent of the key space the workload dirties between checkpoints."
-  in
-  Arg.(value & opt int 1 & info [ "dirty-pct" ] ~docv:"PCT" ~doc)
-
-let ckpt_ratio_arg =
-  let doc =
-    "Gate: at the largest size the baseline checkpoint must cost at least \
-     $(docv) times the incremental one."
-  in
-  Arg.(value & opt float 10.0 & info [ "min-ratio" ] ~docv:"R" ~doc)
-
-let recovery_flat_arg =
-  let doc =
-    "Gate: incremental recovery-to-first-op across sizes must stay within \
-     a factor $(docv) of its minimum."
-  in
-  Arg.(value & opt float 2.0 & info [ "max-recovery-spread" ] ~docv:"R" ~doc)
-
-let no_gate_arg =
-  let doc = "Report the table without enforcing the scaling gates." in
-  Arg.(value & flag & info [ "no-gate" ] ~doc)
-
-let ckptscale sizes dirty_pct epsilon threads seed lsm_fanout min_ratio
-    max_spread no_gate json =
-  match int_list_of_string sizes with
-  | Error m -> `Error (true, m)
-  | Ok [] -> `Error (true, "empty --sizes list")
-  | Ok sizes_l ->
-    if List.exists (fun n -> n < 1000) sizes_l then
-      `Error (true, "--sizes entries must be at least 1000")
-    else if dirty_pct < 1 || dirty_pct > 100 then
-      `Error (true, "--dirty-pct must be in 1..100")
-    else if lsm_fanout < 2 then
-      `Error (true, "--lsm-fanout must be at least 2")
-    else begin
-      (* enough update traffic for several seals past the prefill *)
-      let ops_per_worker = max 1 (3 * epsilon / max 1 threads) in
-      let points =
-        List.concat_map
-          (fun n ->
-            List.map
-              (fun lsm ->
-                ckpt_episode ~lsm ~lsm_fanout ~n ~dirty_pct ~epsilon
-                  ~threads ~ops_per_worker ~seed)
-              [ false; true ])
-          sizes_l
-      in
-      Printf.printf
-        "%-18s %9s %6s %14s %16s %9s %6s\n"
-        "system" "keys" "ckpts" "ckpt-avg-ns" "recovery-ns" "segs" "cmpct";
-      List.iter
-        (fun p ->
-          Printf.printf "%-18s %9d %6d %14d %16d %9d %6d\n" p.ck_system
-            p.ck_keys p.ck_ckpts p.ck_cost_avg p.ck_recovery_ns
-            p.ck_segments p.ck_compactions)
-        points;
-      let lsm_points =
-        List.filter (fun p -> p.ck_system = "PREP-Durable/lsm") points
-      in
-      let base_points =
-        List.filter (fun p -> p.ck_system = "PREP-Durable") points
-      in
-      let n_max = List.fold_left (fun a n -> max a n) 0 sizes_l in
-      let at sys_points n = List.find (fun p -> p.ck_keys = n) sys_points in
-      let ratio =
-        let b = at base_points n_max and l = at lsm_points n_max in
-        if l.ck_cost_avg = 0 then infinity
-        else float_of_int b.ck_cost_avg /. float_of_int l.ck_cost_avg
-      in
-      let rec_min, rec_max =
-        List.fold_left
-          (fun (lo, hi) p -> (min lo p.ck_recovery_ns, max hi p.ck_recovery_ns))
-          (max_int, 0) lsm_points
-      in
-      let spread =
-        if rec_min = 0 then infinity
-        else float_of_int rec_max /. float_of_int rec_min
-      in
-      Printf.printf
-        "checkpoint cost ratio at %d keys (baseline/lsm): %.1fx (gate >= \
-         %.1fx)\n"
-        n_max ratio min_ratio;
-      Printf.printf
-        "lsm recovery-to-first-op spread across sizes: %.2fx (gate <= %.2fx)\n"
-        spread max_spread;
-      let json_status =
-        match json with
-        | None -> Ok ()
-        | Some path ->
-          let contents =
-            Printf.sprintf
-              "{\n  \"schema_version\": %d,\n\
-              \  \"config\": {\"ds\": \"rbtree\", \"dirty_pct\": %d, \"epsilon\": \
-               %d, \"threads\": %d, \"seed\": %d, \"lsm_fanout\": %d},\n\
-              \  \"results\": [\n    %s\n  ]\n}\n"
-              Telemetry.Json.schema_version dirty_pct epsilon threads seed
-              lsm_fanout
-              (String.concat ",\n    " (List.map json_of_ck_point points))
-          in
-          write_bench_json path contents
-      in
-      match json_status with
-      | Error m -> `Error (false, m)
-      | Ok () ->
-        if no_gate then `Ok ()
-        else if ratio < min_ratio then
-          `Error
-            ( false,
-              Printf.sprintf
-                "ckptscale gate FAILED: baseline/lsm checkpoint cost ratio \
-                 %.1fx < %.1fx at %d keys"
-                ratio min_ratio n_max )
-        else if List.length sizes_l > 1 && spread > max_spread then
-          `Error
-            ( false,
-              Printf.sprintf
-                "ckptscale gate FAILED: lsm recovery spread %.2fx > %.2fx"
-                spread max_spread )
-        else begin
-          print_endline "ckptscale gates: PASS";
-          `Ok ()
-        end
-    end
-
-let ckpt_threads_arg =
-  Arg.(value & opt int 4 & info [ "threads"; "t" ] ~docv:"N" ~doc:"Worker threads.")
-
-let ckpt_epsilon_arg =
-  Arg.(value & opt int 4096 & info [ "epsilon"; "e" ] ~docv:"EPS" ~doc:"Flush boundary step.")
-
-let ckptscale_cmd =
-  Cmd.v
-    (Cmd.info "ckptscale"
-       ~doc:
-         "Incremental-checkpoint scaling study: checkpoint cost vs dirty-set \
-          size and recovery-to-first-op vs object size, baseline \
-          whole-replica flush against --lsm-ckpt, with CI gates on the \
-          O(dirty) cost ratio and recovery flatness")
-    Term.(
-      ret
-        (const ckptscale $ sizes_arg $ dirty_pct_arg $ ckpt_epsilon_arg
-       $ ckpt_threads_arg $ seed_arg $ lsm_fanout_arg $ ckpt_ratio_arg
-       $ recovery_flat_arg $ no_gate_arg $ sweep_json_arg))
 
 let () =
   let info =
@@ -2038,4 +1533,4 @@ let () =
        (Cmd.group info
           [ bench_cmd; run_cmd; profile_cmd; validate_cmd; crash_cmd;
             fuzz_cmd; explore_cmd; optimize_persist_cmd; session_cmd;
-            sweep_cmd; serve_sim_cmd; ckptscale_cmd ]))
+            sweep_cmd; serve_sim_cmd ]))

@@ -207,11 +207,6 @@ let validate t ~beta =
          "Config: at most %d shards (64-slot root directory, 8 slots per \
           shard)"
          max_shards);
-  if t.shards > 1 && (t.dist_rw || t.log_mirror) then
-    invalid_arg
-      "Config: the NUMA read-path options (dist_rw, log_mirror) are not \
-       wired through the sharded experiment system, so a checked sharded \
-       configuration with them could not be run";
   if t.fault = Commit_before_prepare_persist && t.shards < 2 then
     invalid_arg
       "Config: commit-before-prepare fault only exists with --shards >= 2";
@@ -241,8 +236,8 @@ let make ?(mode = Buffered) ?(log_size = 65536) ?(epsilon = 1024)
     that failed. [shards_flag] spells the shard count ([fuzz] says
     [--shards], [explore] [--uc-shards]). Not rendered: the fields the
     checkers set from their own arguments (mode, ε, log size, workers) and
-    those the checker subcommands have no flag for ([flush],
-    [lsm_compact], [root_base], [tag]). *)
+    those the checker subcommands have no flag for ([flush], [root_base],
+    [tag]). *)
 let to_flags ~shards_flag t =
   let d = make ~workers:t.workers () in
   String.concat ""
@@ -259,6 +254,8 @@ let to_flags ~shards_flag t =
       (if t.lsm_ckpt then " --lsm-ckpt" else "");
       (if t.lsm_ckpt && t.lsm_fanout <> d.lsm_fanout then
          Printf.sprintf " --lsm-fanout %d" t.lsm_fanout
+       else "");
+      (if t.lsm_ckpt && t.lsm_compact <> d.lsm_compact then " --no-lsm-compact"
        else "");
       (match t.persist_policy with
        | Some p when not (Nvm.Persist.is_default p) ->

@@ -85,6 +85,41 @@ let counters r =
       | None -> None)
     legacy_counter_keys
 
+(** One bench-schema result object: a run of [ops] operations in
+    [duration_ns] simulated ns, its memory traffic [st] and its
+    [counters]. *)
+let json_of_run ~system ~workload ~workers ~ops ~duration_ns
+    (st : Memory.stats) counters =
+  Printf.sprintf
+    {|{"system": %S, "workload": %S, "workers": %d, "ops": %d, "duration_ns": %d, "throughput": %.1f, "wbinvd": %d, "clwb": %d, "clwb_elided": %d, "clwb_coalesced": %d, "clflush": %d, "clflush_elided": %d, "sfence": %d, "sfence_elided": %d, "bg_flushes": %d, "counters": {%s}}|}
+    system workload workers ops duration_ns
+    (float_of_int ops *. 1e9 /. float_of_int (max 1 duration_ns))
+    st.Memory.wbinvd st.clwb st.clwb_elided st.clwb_coalesced st.clflush
+    st.clflush_elided st.sfence st.sfence_elided st.bg_flushes
+    (String.concat ", "
+       (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) counters))
+
+let json_of_result r =
+  json_of_run ~system:r.system ~workload:r.workload ~workers:r.workers
+    ~ops:r.ops ~duration_ns:r.duration_ns
+    { (Memory.new_stats ()) with
+      wbinvd = r.wbinvd; clwb = r.clwb; clwb_elided = r.clwb_elided;
+      clwb_coalesced = r.clwb_coalesced; clflush = r.clflush;
+      clflush_elided = r.clflush_elided; sfence = r.sfence;
+      sfence_elided = r.sfence_elided; bg_flushes = r.bg_flushes }
+    (counters r)
+
+(** Write a bench artifact, then check the exact bytes written against the
+    bench schema, so a malformed artifact fails the command producing it
+    rather than some downstream consumer. Schema errors go to stderr. *)
+let write_bench_json path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
+  match Telemetry.Json.(validate_string validate_bench contents) with
+  | Ok () -> Ok ()
+  | Error errs ->
+    List.iter (fun e -> Printf.eprintf "%s: %s\n" path e) errs;
+    Error (Printf.sprintf "%s does not validate against the bench schema" path)
+
 (** Run one throughput experiment.
 
     [instances] (default 1) builds that many independent instances of the
@@ -255,84 +290,83 @@ module Systems (Ds : Seqds.Ds_intf.S) = struct
   module C = Prep.Cx_puc.Make (Ds)
   module Sh = Prep.Sharded_uc.Make (Ds)
 
-  let prep ?(log_size = 65536) ?(flush = Prep.Config.Wbinvd) ?(flit = false)
-      ?(dist_rw = false) ?(log_mirror = false) ?(slot_bitmap = false)
-      ?(detect = false) ?(lsm_ckpt = false) ?(lsm_fanout = 4)
-      ?(lsm_compact = true) ?persist_policy ?name ~mode ~epsilon () =
-    let name =
-      match name with
-      | Some n -> n
-      | None ->
-        let base =
-          match mode with
-          | Prep.Config.Volatile -> "PREP-V"
-          | Prep.Config.Buffered -> "PREP-Buffered"
-          | Prep.Config.Durable -> "PREP-Durable"
-        in
-        let tags =
-          List.filter_map
-            (fun (on, tag) -> if on then Some tag else None)
-            [ (flit, "flit"); (dist_rw, "dist"); (log_mirror, "mir");
-              (slot_bitmap, "bmp"); (detect, "det"); (lsm_ckpt, "lsm");
-              (persist_policy <> None, "pol") ]
-        in
-        if tags = [] then base else base ^ "/" ^ String.concat "+" tags
-    in
+  (* The name a configuration runs under: the mode plus one tag per
+     feature for a single instance; the shard count (and [+lsm]) for the
+     hash router. *)
+  let system_name ~router (cfg : Prep.Config.t) =
+    let mode = Prep.Config.mode_name cfg.Prep.Config.mode in
+    if router then
+      Printf.sprintf "%s/x%d%s" mode cfg.Prep.Config.shards
+        (if cfg.Prep.Config.lsm_ckpt then "+lsm" else "")
+    else
+      let tags =
+        List.filter_map
+          (fun (on, tag) -> if on then Some tag else None)
+          Prep.Config.
+            [ (cfg.flit, "flit"); (cfg.dist_rw, "dist");
+              (cfg.log_mirror, "mir"); (cfg.slot_bitmap, "bmp");
+              (cfg.detect, "det"); (cfg.lsm_ckpt, "lsm");
+              (cfg.persist_policy <> None, "pol") ]
+      in
+      if tags = [] then mode else mode ^ "/" ^ String.concat "+" tags
+
+  (* [router] puts the hash router ([Sharded_uc]) in front even of one
+     shard. Its [sample] adds per-shard [shard<i>/...] keys alongside the
+     summed classic counters, so a telemetry registry shows both the total
+     and the balance. *)
+  let build ?name ~router cfg =
     {
-      sys_name = name;
+      sys_name =
+        (match name with Some n -> n | None -> system_name ~router cfg);
       duration_factor = 1;
       make =
         (fun mem roots ~workers ~prefill ->
-          let cfg =
-            Prep.Config.make ~mode ~log_size ~epsilon ~flush ~flit ~dist_rw
-              ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt ~lsm_fanout
-              ~lsm_compact ?persist_policy ~workers ()
-          in
-          let uc = P.create ~prefill mem roots cfg in
-          P.start_persistence uc;
-          {
-            register = (fun () -> P.register_worker uc);
-            exec = (fun ~op ~args -> P.execute uc ~op ~args);
-            exec_batch = None;
-            teardown = (fun () -> P.stop uc);
-            sample = (fun reg -> P.sample uc reg);
-          });
+          let cfg = { cfg with Prep.Config.workers } in
+          if router then begin
+            let uc = Sh.create ~prefill mem roots cfg in
+            Sh.start_persistence uc;
+            {
+              register = (fun () -> Sh.register_worker uc);
+              exec = (fun ~op ~args -> Sh.execute uc ~op ~args);
+              exec_batch = Some (fun ops -> Sh.execute_batch uc ops);
+              teardown = (fun () -> Sh.stop uc);
+              sample = (fun reg -> Sh.sample uc reg);
+            }
+          end
+          else begin
+            let uc = P.create ~prefill mem roots cfg in
+            P.start_persistence uc;
+            {
+              register = (fun () -> P.register_worker uc);
+              exec = (fun ~op ~args -> P.execute uc ~op ~args);
+              exec_batch = None;
+              teardown = (fun () -> P.stop uc);
+              sample = (fun reg -> P.sample uc reg);
+            }
+          end);
     }
 
-  (* Hash-routed shards, durable-only. [sample] adds per-shard
-     [shard<i>/...] keys alongside the summed classic counters, so a
-     telemetry registry shows both the total and the balance. *)
-  let prep_sharded ?(log_size = 65536) ?(flush = Prep.Config.Wbinvd)
-      ?(flit = false) ?(slot_bitmap = false) ?(lsm_ckpt = false)
-      ?(lsm_fanout = 4) ?(lsm_compact = true) ?persist_policy ?name ~shards
-      ~epsilon () =
-    let name =
-      match name with
-      | Some n -> n
-      | None ->
-        Printf.sprintf "PREP-Durable/x%d%s" shards
-          (if lsm_ckpt then "+lsm" else "")
-    in
-    {
-      sys_name = name;
-      duration_factor = 1;
-      make =
-        (fun mem roots ~workers ~prefill ->
-          let cfg =
-            Prep.Config.make ~mode:Prep.Config.Durable ~log_size ~epsilon
-              ~flush ~flit ~slot_bitmap ~shards ~lsm_ckpt ~lsm_fanout
-              ~lsm_compact ?persist_policy ~workers ()
-          in
-          let uc = Sh.create ~prefill mem roots cfg in
-          Sh.start_persistence uc;
-          {
-            register = (fun () -> Sh.register_worker uc);
-            exec = (fun ~op ~args -> Sh.execute uc ~op ~args);
-            exec_batch = Some (fun ops -> Sh.execute_batch uc ops);
-            teardown = (fun () -> Sh.stop uc);
-            sample = (fun reg -> Sh.sample uc reg);
-          });
-    }
+  (** The PREP system [cfg] describes: the hash-routed [Sharded_uc] when
+      [cfg.shards > 1], one [Prep_uc] instance otherwise. [workers] is
+      filled in when the instance is made. *)
+  let of_config ?name (cfg : Prep.Config.t) =
+    build ?name ~router:(cfg.Prep.Config.shards > 1) cfg
+
+  let prep ?log_size ?flush ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect
+      ?lsm_ckpt ?lsm_fanout ?lsm_compact ?persist_policy ?name ~mode ~epsilon
+      () =
+    of_config ?name
+      (Prep.Config.make ?log_size ?flush ?flit ?dist_rw ?log_mirror
+         ?slot_bitmap ?detect ?lsm_ckpt ?lsm_fanout ?lsm_compact
+         ?persist_policy ~mode ~epsilon ~workers:1 ())
+
+  (** Hash-routed durable shards, the router kept even for [shards = 1]. *)
+  let prep_sharded ?log_size ?flush ?flit ?slot_bitmap ?lsm_ckpt ?lsm_fanout
+      ?lsm_compact ?persist_policy ?name ~shards ~epsilon () =
+    build ?name ~router:true
+      (Prep.Config.make ?log_size ?flush ?flit ?slot_bitmap ?lsm_ckpt
+         ?lsm_fanout ?lsm_compact ?persist_policy ~mode:Prep.Config.Durable
+         ~shards ~epsilon ~workers:1 ())
 
   let global_lock =
     {

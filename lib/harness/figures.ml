@@ -164,11 +164,10 @@ module Qu = Experiment.Systems (Seqds.Queue_ds)
 module Pq = Experiment.Systems (Seqds.Pqueue)
 module St = Experiment.Systems (Seqds.Stack_ds)
 
-let prep_v prep ~log_size =
-  prep ?log_size:(Some log_size) ?flush:None ?flit:None ?dist_rw:None
-    ?log_mirror:None ?slot_bitmap:None ?detect:None ?lsm_ckpt:None
-    ?lsm_fanout:None ?lsm_compact:None ?persist_policy:None ?name:None
-    ~mode:Prep.Config.Volatile ~epsilon:1 ()
+let prep_v of_config ~log_size =
+  of_config
+    (Prep.Config.make ~mode:Prep.Config.Volatile ~log_size ~epsilon:1
+       ~workers:1 ())
 
 (* ---- Table 1 ---- *)
 
@@ -185,15 +184,15 @@ let fig1 scale =
   let prefill_n = scale.key_range / 2 in
   subheading "(a) hashmap, 90% read-only, uniform keys";
   sweep_threads scale
-    ~systems:[ prep_v Hm.prep ~log_size:ls; Hm.global_lock ]
+    ~systems:[ prep_v Hm.of_config ~log_size:ls; Hm.global_lock ]
     ~workload:(Workload.map_workload ~read_pct:90 ~key_range:scale.key_range ~prefill_n);
   subheading "(b) red-black tree, 90% read-only, uniform keys";
   sweep_threads scale
-    ~systems:[ prep_v Rb.prep ~log_size:ls; Rb.global_lock ]
+    ~systems:[ prep_v Rb.of_config ~log_size:ls; Rb.global_lock ]
     ~workload:(Workload.map_workload ~read_pct:90 ~key_range:scale.key_range ~prefill_n);
   subheading "(c) queue, 100% update, enqueue/dequeue pairs";
   sweep_threads scale
-    ~systems:[ prep_v Qu.prep ~log_size:ls; Qu.global_lock ]
+    ~systems:[ prep_v Qu.of_config ~log_size:ls; Qu.global_lock ]
     ~workload:(Workload.queue_pairs ~prefill_n:(scale.key_range / 8))
 
 (* ---- Figure 2: PUCs on hashmap and red-black tree ---- *)

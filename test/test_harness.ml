@@ -137,6 +137,100 @@ let test_experiment_rejects_last_core () =
            ~workload:(Workload.map_workload ~read_pct:90 ~key_range:64 ~prefill_n:8)
            ~workers:8 ()))
 
+let test_system_names () =
+  (* the names every parent-era constructor produced, now derived once
+     from the configuration *)
+  List.iter
+    (fun (want, (sys : Experiment.system)) ->
+      Alcotest.(check string) want want sys.Experiment.sys_name)
+    [
+      ("PREP-V", Hm.prep ~mode:Prep.Config.Volatile ~epsilon:1 ());
+      ( "PREP-Durable/flit+lsm",
+        Hm.prep ~flit:true ~lsm_ckpt:true ~mode:Prep.Config.Durable
+          ~epsilon:64 () );
+      ( "PREP-Buffered/dist+mir+bmp+pol",
+        Hm.prep ~dist_rw:true ~log_mirror:true ~slot_bitmap:true
+          ~persist_policy:(Nvm.Persist.default ()) ~mode:Prep.Config.Buffered
+          ~epsilon:64 () );
+      ("PREP-Durable/det", Hm.prep ~detect:true ~mode:Prep.Config.Durable ~epsilon:64 ());
+      ("PREP-Durable/x4", Hm.prep_sharded ~flit:true ~shards:4 ~epsilon:64 ());
+      ("PREP-Durable/x4+lsm", Hm.prep_sharded ~lsm_ckpt:true ~shards:4 ~epsilon:64 ());
+      ("PREP-Durable/x1", Hm.prep_sharded ~shards:1 ~epsilon:64 ());
+      ( "PREP-Durable/x4",
+        Hm.of_config
+          (Prep.Config.make ~mode:Prep.Config.Durable ~dist_rw:true
+             ~log_mirror:true ~shards:4 ~workers:1 ()) );
+    ]
+
+(* The CLI refuses exactly what [Config.validate] refuses: every subset of
+   the boolean feature flags, with and without sharding, on every PREP
+   mode and one non-PREP system, which takes no feature flag at all. An
+   accepted run's first line names the system [Systems.of_config] names. *)
+let test_cli_refuses_what_config_refuses () =
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/prep_cli.exe"
+  in
+  let flags =
+    [| "--flit"; "--dist-rw"; "--log-mirror"; "--slot-bitmap"; "--detect";
+       "--lsm-ckpt" |]
+  in
+  let beta = Sim.Topology.default.Sim.Topology.cores_per_socket in
+  let log = Filename.temp_file "cli_config" ".out" in
+  for mask = 0 to (1 lsl Array.length flags) - 1 do
+    let on i = mask land (1 lsl i) <> 0 in
+    List.iter
+      (fun shards ->
+        List.iter
+          (fun (system, mode) ->
+            let want =
+              match mode with
+              | None -> if mask = 0 && shards = 1 then Some "GL" else None
+              | Some mode -> (
+                let cfg =
+                  Prep.Config.make ~mode ~log_size:16384 ~epsilon:1024
+                    ~flit:(on 0) ~dist_rw:(on 1) ~log_mirror:(on 2)
+                    ~slot_bitmap:(on 3) ~detect:(on 4) ~lsm_ckpt:(on 5)
+                    ~shards ~workers:2 ()
+                in
+                match Prep.Config.validate cfg ~beta with
+                | () -> Some (Hm.of_config cfg).Experiment.sys_name
+                | exception Invalid_argument _ -> None)
+            in
+            let args =
+              Printf.sprintf
+                "run --system %s --uc-shards %d --threads 2 --keys 256 \
+                 --duration 20000%s"
+                system shards
+                (String.concat ""
+                   (List.filteri (fun i _ -> on i)
+                      (List.map (fun f -> " " ^ f) (Array.to_list flags))))
+            in
+            let code =
+              Sys.command
+                (Printf.sprintf "%s %s > %s 2>/dev/null" (Filename.quote cli)
+                   args (Filename.quote log))
+            in
+            let first =
+              In_channel.with_open_text log In_channel.input_line
+              |> Option.value ~default:""
+            in
+            match want with
+            | None -> check ("usage error from " ^ args) 124 code
+            | Some name ->
+              check ("exit code of " ^ args) 0 code;
+              let prefix = name ^ " | " in
+              check_bool
+                (Printf.sprintf "%s: first line %S names %s" args first name)
+                true
+                (String.length first >= String.length prefix
+                && String.sub first 0 (String.length prefix) = prefix))
+          [ ("prep-v", Some Prep.Config.Volatile);
+            ("prep-buffered", Some Prep.Config.Buffered);
+            ("prep-durable", Some Prep.Config.Durable); ("gl", None) ])
+      [ 1; 2 ]
+  done;
+  Sys.remove log
+
 (* ---- liveness: tiny log forces wraps and cross-socket helping ---- *)
 
 module Uc = Prep.Prep_uc.Make (Seqds.Hashmap)
@@ -357,6 +451,9 @@ let () =
             test_multi_instance_real_system;
           Alcotest.test_case "rejects last core" `Quick
             test_experiment_rejects_last_core;
+          Alcotest.test_case "system names" `Quick test_system_names;
+          Alcotest.test_case "CLI refuses what Config refuses" `Slow
+            test_cli_refuses_what_config_refuses;
         ] );
       ( "liveness",
         [

@@ -14,8 +14,9 @@ module ES = Check.Explore.Make (Seqds.Hashmap)
 
 (* checker configuration of an [nshards]-way construction; the checkers
    set mode, fault, epsilon, log size and workers themselves *)
-let sharded ?flit ?lsm_ckpt ?lsm_fanout nshards =
-  Config.make ?flit ?lsm_ckpt ?lsm_fanout ~shards:nshards ~workers:1 ()
+let sharded ?flit ?dist_rw ?log_mirror ?lsm_ckpt ?lsm_fanout nshards =
+  Config.make ?flit ?dist_rw ?log_mirror ?lsm_ckpt ?lsm_fanout
+    ~shards:nshards ~workers:1 ()
 
 let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
 
@@ -182,12 +183,13 @@ let no_failures label (res : Check.Fuzz.result) =
            (List.map Check.Durable_lin.violation_to_string violations)))
     res.Check.Fuzz.failures
 
-let campaign ?flit ?lsm_ckpt ?lsm_fanout ~seed ~nshards ~multi_pct ~cross_pct
-    ~iters () =
-  FS.fuzz ~config:(sharded ?flit ?lsm_ckpt ?lsm_fanout nshards)
+let campaign ?flit ?dist_rw ?log_mirror ?lsm_ckpt ?lsm_fanout ?(ops = 100)
+    ?log ~seed ~nshards ~multi_pct ~cross_pct ~iters () =
+  FS.fuzz
+    ~config:(sharded ?flit ?dist_rw ?log_mirror ?lsm_ckpt ?lsm_fanout nshards)
     ~mode:Config.Durable ~fault:Config.No_fault
     ~gen_op:(gen_sharded ~nshards ~multi_pct ~cross_pct)
-    ~template:(template ~seed ~ops:100) ~iters ()
+    ~template:(template ~seed ~ops) ~iters ?log ()
 
 let test_fuzz_single_key () =
   let res = campaign ~seed:8100 ~nshards:4 ~multi_pct:0 ~cross_pct:0 ~iters:8 () in
@@ -228,6 +230,23 @@ let test_fuzz_lsm_cross_40 () =
   in
   no_failures "lsm, 40% multi, all cross" res;
   check_bool "crash points explored" true (res.Check.Fuzz.crashes > 0)
+
+let test_fuzz_numa_cross_40 () =
+  (* the NUMA read path (distributed reader lock, DRAM log mirror) on
+     every shard, at the CLI's default campaign: seed 42, 300 ops per
+     worker, 30 episodes *)
+  let lines = ref [] in
+  let res =
+    campaign ~dist_rw:true ~log_mirror:true ~ops:300
+      ~log:(fun l -> lines := l :: !lines)
+      ~seed:42 ~nshards:4 ~multi_pct:40 ~cross_pct:100 ~iters:30 ()
+  in
+  no_failures "dist-rw + log-mirror, 40% multi, all cross" res;
+  check_bool "calibration pinned" true
+    (List.mem "calibration: 2287 ops logged, 4928875 mem-ops, 44853382 ns"
+       !lines);
+  check "episodes" 30 res.Check.Fuzz.episodes;
+  check "crashed" 30 res.Check.Fuzz.crashes
 
 let test_lsm_negative_balance_survives () =
   (* a transfer leaves key 67 at -1, which [op_get] also answers for an
@@ -321,8 +340,9 @@ let gen_explore rng =
   | 2 -> (H.op_get, [| k |])
   | _ -> (Sharded_uc.op_transfer, [| k; k + 3; 1 |])
 
-let explore_2shard ?flit ?lsm_ckpt ?shard () =
-  ES.explore ~config:(sharded ?flit ?lsm_ckpt 2) ?shard ~mode:Config.Durable
+let explore_2shard ?flit ?dist_rw ?log_mirror ?lsm_ckpt ?shard () =
+  ES.explore ~config:(sharded ?flit ?dist_rw ?log_mirror ?lsm_ckpt 2) ?shard
+    ~mode:Config.Durable
     ~fault:Config.No_fault ~gen_op:gen_explore ~scope:explore_scope ()
 
 let explore_2shard_serial = lazy (explore_2shard ())
@@ -337,22 +357,25 @@ let no_violation (res : Check.Explore.result) =
             v.Check.Explore.v_violations))
 
 (* schedules, terminals, steps, states, dedup hits, sleep skips, crash
-   points, frontiers, recoveries of the 2-shard scope *)
-let check_2shard_stats (res : Check.Explore.result) =
+   points, frontiers, recoveries of a 2-shard scope; the default ones are
+   the classic scope's *)
+let check_2shard_stats ?(want = [ 1336; 54; 50381; 795; 1282; 581; 11; 16; 9 ])
+    (res : Check.Explore.result) =
   let s = res.Check.Explore.stats in
-  List.iter
-    (fun (label, want, got) -> check label want got)
+  List.iter2
+    (fun (label, got) want -> check label want got)
     [
-      ("schedules", 1336, s.Check.Explore.schedules);
-      ("terminals", 54, s.Check.Explore.terminals);
-      ("steps", 50381, s.Check.Explore.steps);
-      ("states", 795, s.Check.Explore.states);
-      ("dedup hits", 1282, s.Check.Explore.dedup_hits);
-      ("sleep skips", 581, s.Check.Explore.sleep_skips);
-      ("crash points", 11, s.Check.Explore.crash_points);
-      ("frontiers", 16, s.Check.Explore.frontiers);
-      ("recoveries", 9, s.Check.Explore.recoveries);
+      ("schedules", s.Check.Explore.schedules);
+      ("terminals", s.Check.Explore.terminals);
+      ("steps", s.Check.Explore.steps);
+      ("states", s.Check.Explore.states);
+      ("dedup hits", s.Check.Explore.dedup_hits);
+      ("sleep skips", s.Check.Explore.sleep_skips);
+      ("crash points", s.Check.Explore.crash_points);
+      ("frontiers", s.Check.Explore.frontiers);
+      ("recoveries", s.Check.Explore.recoveries);
     ]
+    want
 
 let test_explore_2shard_clean () =
   let res = Lazy.force explore_2shard_serial in
@@ -416,6 +439,14 @@ let test_explore_2shard_lsm_clean () =
   no_violation res;
   check_bool "exhausted" true res.Check.Explore.exhausted;
   check_2shard_stats res
+
+let test_explore_2shard_numa_clean () =
+  (* the distributed reader lock and the DRAM log mirror on both shards:
+     each crash frontier recovers from the NVM log copy alone *)
+  let res = explore_2shard ~dist_rw:true ~log_mirror:true () in
+  no_violation res;
+  check_bool "exhausted" true res.Check.Explore.exhausted;
+  check_2shard_stats ~want:[ 1735; 61; 72769; 977; 1674; 746; 11; 16; 9 ] res
 
 let test_explore_finds_planted_fault () =
   (* one worker issuing two cross-shard multi-puts (keys 0 and 1 hash to
@@ -493,6 +524,8 @@ let () =
             test_fuzz_flit_cross_40;
           Alcotest.test_case "lsm 40% cross campaign" `Slow
             test_fuzz_lsm_cross_40;
+          Alcotest.test_case "dist-rw + log-mirror 40% cross campaign" `Slow
+            test_fuzz_numa_cross_40;
           Alcotest.test_case "lsm negative balance survives" `Quick
             test_lsm_negative_balance_survives;
           Alcotest.test_case "planted fault caught + shrunk" `Slow
@@ -510,6 +543,8 @@ let () =
             test_explore_2shard_flit_clean;
           Alcotest.test_case "2-shard lsm clean exhaustion" `Slow
             test_explore_2shard_lsm_clean;
+          Alcotest.test_case "2-shard dist-rw + log-mirror clean exhaustion"
+            `Slow test_explore_2shard_numa_clean;
           Alcotest.test_case "planted fault found + replayed" `Quick
             test_explore_finds_planted_fault;
         ] );
