@@ -46,6 +46,13 @@ type violation =
           prepare sub-ops (a committed transaction applied partially), or
           has no decision yet shard [shard] rolled a prepare of it
           *forward* (an aborted transaction left effects behind) *)
+  | Recovery_raised of string
+      (** recovery itself failed: rebuilding the structure from the
+          post-crash media raised (a torn header sent the copy or the
+          allocator out of bounds) *)
+  | Wedged of { horizon_ns : int }
+      (** the run neither reached quiescence nor its crash point within
+          [horizon_ns] simulated ns of the end of construction *)
 
 let pp_violation ppf = function
   | Loss_bound_exceeded { lost; bound } ->
@@ -87,6 +94,10 @@ let pp_violation ppf = function
         "cross-shard atomicity violation: txn %d never committed but \
          shard %d applied a prepare"
         txid shard
+  | Recovery_raised msg -> Fmt.pf ppf "recovery raised: %s" msg
+  | Wedged { horizon_ns } ->
+    Fmt.pf ppf "wedged: no quiescence within %d ns of construction"
+      horizon_ns
 
 let violation_to_string v = Fmt.str "%a" pp_violation v
 

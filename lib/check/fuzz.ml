@@ -93,6 +93,15 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
   let max_threads = Sim.Topology.total_cores topology - 1
 
+  (** Simulated ns a crash-free stretch may run past the end of
+      construction before the episode counts as wedged: 200 µs per
+      requested operation, about 10x what the slowest calibration
+      episodes take (durable, WBINVD checkpoints, 20–35 µs per op), with
+      a 20 ms floor. A wedge spins every fiber at 40 ns a turn, so the
+      horizon also bounds the host time a wedged episode burns (seconds,
+      not a hang). *)
+  let horizon_ns ep = max 20_000_000 (200_000 * ep.threads * ep.ops_per_worker)
+
   (** Run one episode: workload, optional crash, recovery, checks.
       [gen_op] draws one (op, args) pair from the fiber's rng. [config]
       selects the system and its gated layers ([shards > 1] fuzzes the
@@ -120,12 +129,14 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     in
     let uc_ref = ref None in
     let setup_ops = ref 0 in
+    let set_up = ref None in
     let end_time = ref 0 in
     ignore
       (Sim.spawn sim ~socket:0 (fun () ->
            let uc = U.create mem (Roots.make mem) cfg in
            uc_ref := Some uc;
            setup_ops := Memory.op_index mem;
+           set_up := Some (Sim.now ());
            (* only now is there a recoverable checkpoint: crash points are
               relative to the end of construction *)
            (match ep.crash with
@@ -153,19 +164,19 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
            U.stop uc;
            U.sync uc;
            end_time := Sim.now ()));
-    let crashed =
+    let horizon = horizon_ns ep in
+    let run_bounded () =
+      Sim.run_horizon sim ~started:(fun () -> !set_up) ~horizon ()
+    in
+    let crashed, wedged =
       match ep.crash with
-      | No_crash -> (
-        match Sim.run sim () with
-        | `Done -> false
-        | `Cut _ -> assert false)
+      | No_crash -> (false, run_bounded () <> `Done)
       | At_time ns -> (
-        match Sim.run ~until:ns sim () with `Cut _ -> true | `Done -> false)
+        match Sim.run ~until:ns sim () with
+        | `Cut _ -> (true, false)
+        | `Done -> (false, false))
       | At_op _ -> (
-        try
-          ignore (Sim.run sim ());
-          false
-        with Crash_injected -> true)
+        try (false, run_bounded () <> `Done) with Crash_injected -> (true, false))
     in
     Memory.clear_crash_hook mem;
     match !uc_ref with
@@ -185,7 +196,18 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       let logged = U.logged uc in
       let completed = U.completed uc in
       let runtime_ops = Memory.op_index mem - !setup_ops in
-      if crashed then begin
+      if wedged then
+        {
+          crashed = false;
+          vacuous = false;
+          violations = [ Durable_lin.Wedged { horizon_ns = horizon } ];
+          logged;
+          completed;
+          applied = 0;
+          runtime_ops;
+          end_time = 0;
+        }
+      else if crashed then begin
         if mode = Prep.Config.Volatile then
           invalid_arg "Fuzz: volatile episodes cannot crash";
         Memory.crash mem;
@@ -237,10 +259,24 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       ?(log = fun _ -> ())
       ?(runner = fun tasks -> Array.map (fun task -> task ()) tasks) () =
     let run_episode = run_episode ?config ~mode ~fault ~gen_op in
-    let calib = run_episode { template with crash = No_crash } in
+    let calib_ep = { template with crash = No_crash } in
+    let calib = run_episode calib_ep in
     log
       (Fmt.str "calibration: %d ops logged, %d mem-ops, %d ns"
          calib.logged calib.runtime_ops calib.end_time);
+    (* a failed calibration (a wedge, say) sizes no crash-point space: it
+       is the campaign's one failure and no crash episodes run *)
+    let calib_failures =
+      if calib.violations = [] then []
+      else begin
+        log
+          (Fmt.str "calibration FAILED (%a): %a" pp_episode calib_ep
+             Fmt.(list ~sep:comma Durable_lin.pp_violation)
+             calib.violations);
+        [ { episode = calib_ep; violations = calib.violations } ]
+      end
+    in
+    let iters = if calib_failures = [] then iters else 0 in
     let rng =
       Sim.Rng.create (Int64.of_int ((template.workload_seed * 1_000_003) + 17))
     in
@@ -271,7 +307,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                out.violations)
         end)
       outs;
-    { episodes = iters; crashes = !crashes; failures = List.rev !failures }
+    {
+      episodes = iters + List.length calib_failures;
+      crashes = !crashes;
+      failures = calib_failures @ List.rev !failures;
+    }
 
   (** Minimize a failing episode: fewest threads first (re-probing several
       crash points, since fewer threads shift the schedule), then an

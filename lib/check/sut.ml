@@ -102,6 +102,15 @@ let in_fresh_sim ~who ~seed topo f =
    | `Cut _ -> failwith (who ^ ": recovery did not finish"));
   Option.get !out
 
+(** Run a recovery; if it raises — structure or allocator code meeting
+    torn media fails with [Invalid_argument] or [Failure] — the raise is
+    the verdict, not a checker crash. *)
+let recovering f k =
+  match f () with
+  | recovered -> k recovered
+  | exception (Invalid_argument msg | Failure msg) ->
+    { violations = [ Durable_lin.Recovery_raised msg ]; lost = 0; applied = 0 }
+
 module Single (Ds : Seqds.Ds_intf.S) : S = struct
   module Uc = Prep.Prep_uc.Make (Ds)
   module Dl = Durable_lin.Make (Ds.Model)
@@ -126,7 +135,7 @@ module Single (Ds : Seqds.Ds_intf.S) : S = struct
     let topo = Sim.topology () in
     let trace = Uc.trace uc in
     let completed = Prep.Trace.completed_indexes trace in
-    let uc', report = Uc.recover uc in
+    recovering (fun () -> Uc.recover uc) @@ fun (uc', report) ->
     let resolutions =
       if not cfg.Prep.Config.detect then []
       else
@@ -205,7 +214,7 @@ module Sharded (Ds : Seqds.Ds_intf.S) : S = struct
         List.length (Prep.Trace.completed_indexes (S.trace uc i)))
 
   let recover uc =
-    let uc', reports = S.recover uc in
+    recovering (fun () -> S.recover uc) @@ fun (uc', reports) ->
     let committed txid = S.committed uc' txid in
     let violations = ref [] in
     let lost = ref 0 in

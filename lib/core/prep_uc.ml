@@ -538,9 +538,13 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         let rb = cfg.Config.root_base in
         let p_reps, lsm, shadow_view =
           if not cfg.Config.lsm_ckpt then begin
+            (* copy from the volatile replica just built on this fiber's
+               socket, not from [master_ds]: on recovery the master is the
+               stable NVM replica homed on the persistence socket, whose
+               remote lines cost an order of magnitude more to read *)
             let make_prep () =
               Context.with_persistent (fun () ->
-                  let pds = Ds.copy master_ds in
+                  let pds = Ds.copy replicas.(0).ds in
                   let meta = Alloc.alloc pa 8 in
                   Memory.write mem meta 0;
                   Memory.write mem (meta + 1) (Ds.root_addr pds);
@@ -1095,22 +1099,29 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   let try_collect t r =
     let core = (Sim.self ()).Sim.core in
     let s = slot_addr r core in
-    if Memory.read t.mem (s + sl_ready) = 1 then begin
+    let ready () = Memory.read t.mem (s + sl_ready) = 1 in
+    let take () =
       let resp = Memory.read t.mem (s + sl_resp) in
       Memory.write t.mem (s + sl_ready) 0;
       Trace.completed t.trace (Memory.read t.mem (s + sl_ghost));
       Some resp
-    end
+    in
+    if ready () then take ()
     else if Locks.Trylock.try_acquire r.combiner then begin
-      combine t r;
-      Locks.Trylock.release r.combiner;
-      if Memory.read t.mem (s + sl_ready) = 1 then begin
-        let resp = Memory.read t.mem (s + sl_resp) in
-        Memory.write t.mem (s + sl_ready) 0;
-        Trace.completed t.trace (Memory.read t.mem (s + sl_ghost));
-        Some resp
+      (* flat combining's double check: the response may have landed
+         between the read above and the lock. Combining anyway is not just
+         wasted work — a round can block at the flush boundary on this
+         caller's own undecided cross-shard prepare (its decision waits for
+         this very response), deadlocking the shard. *)
+      if ready () then begin
+        Locks.Trylock.release r.combiner;
+        take ()
       end
-      else None
+      else begin
+        combine t r;
+        Locks.Trylock.release r.combiner;
+        if ready () then take () else None
+      end
     end
     else begin
       help_if_asked t r;

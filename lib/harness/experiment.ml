@@ -185,6 +185,7 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
   let mem = Memory.make ~bg_period ~sockets:topology.Sim.Topology.sockets () in
   let counts = Array.make workers 0 in
   let done_count = ref 0 in
+  let set_up = ref None in
   ignore
     (Sim.spawn sim ~socket:0 (fun () ->
          (* one root directory (it must be arena 0), shared by every
@@ -197,6 +198,7 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
                  ~prefill:workload.Workload.prefill)
          in
          let t0 = Sim.now () in
+         set_up := Some t0;
          let measure_start = t0 + warmup_ns in
          let deadline = measure_start + duration_ns in
          for w = 0 to workers - 1 do
@@ -257,8 +259,14 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
             values stay bit-identical for a fixed seed; [sample] adds, so
             several instances sum instead of overwriting each other *)
          Array.iter (fun inst -> inst.sample acc) insts));
-  (* The horizon is a safety net: a correct run always finishes by itself. *)
-  (match Sim.run ~until:(1_000 * (duration_ns + warmup_ns)) sim () with
+  (* The horizon is a safety net: a correct run always finishes by itself.
+     It starts when set-up ends, so a long prefill cannot eat it. *)
+  (match
+     Sim.run_horizon sim
+       ~started:(fun () -> !set_up)
+       ~horizon:(1_000 * (duration_ns + warmup_ns))
+       ()
+   with
    | `Done -> ()
    | `Cut _ -> failwith ("Experiment.run: system wedged: " ^ system.sys_name));
   let ops = Array.fold_left ( + ) 0 counts in

@@ -73,7 +73,7 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
   and qmax = ref 0
   and done_count = ref 0 in
   let gen_done = ref false in
-  let measure_start = ref 0 and deadline = ref 0 in
+  let measure_start = ref 0 and deadline = ref 0 and set_up = ref None in
   ignore
     (Sim.spawn sim ~socket:0 (fun () ->
          let roots = Roots.make mem in
@@ -82,6 +82,7 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
              ~prefill:workload.Workload.prefill
          in
          let t0 = Sim.now () in
+         set_up := Some t0;
          measure_start := t0 + warmup_ns;
          deadline := !measure_start + duration_ns;
          let in_window t = t > !measure_start && t <= !deadline in
@@ -141,7 +142,12 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
            queue;
          inst.Experiment.teardown ();
          inst.Experiment.sample reg));
-  (match Sim.run ~until:(1_000 * (duration_ns + warmup_ns)) sim () with
+  (match
+     Sim.run_horizon sim
+       ~started:(fun () -> !set_up)
+       ~horizon:(1_000 * (duration_ns + warmup_ns))
+       ()
+   with
    | `Done -> ()
    | `Cut _ ->
      failwith ("Openloop.run: system wedged: " ^ system.Experiment.sys_name));

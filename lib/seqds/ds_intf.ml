@@ -10,6 +10,7 @@
     - the UC may ask whether an op code is read-only ([is_readonly]), the
       paper's optional boolean argument to [ExecuteConcurrent];
     - the UC may deep-[copy] a structure to instantiate a replica; the copy
+      is a linear-time clone of the source's shape (see [S.copy]) that
       allocates through the *current* fiber allocator ([Nvm.Context]), so
       the same code builds volatile and persistent replicas;
     - [attach] reattaches a handle to a structure recovered from NVM media
@@ -83,7 +84,20 @@ module type S = sig
       ops classify [Keyed]; others raise [Invalid_argument]. *)
   val key_put : handle -> int -> int -> unit
 
-  (** Deep copy into the current fiber allocator. *)
+  (** Deep copy into the current fiber allocator. The contract:
+      - shape-preserving: the copy has the source's layout (tree shape and
+        colours, bucket capacity and chain order, tower heights, element
+        order), element for element, and shares no node with it;
+      - O(n) memory accesses in the number of live elements: each source
+        element is read, and each copy element allocated and written, a
+        constant number of times;
+      - never re-executes the history: the copy is cloned from the
+        source's current shape, not rebuilt by inserts that search,
+        rebalance or resize. (The queue, stack and priority queue append
+        in the source's order through their O(1) push paths; a heap in
+        array order never sifts.)
+      The UC copies a replica at set-up, at every recovery and (CX-PUC)
+      on every update, so this is on the recovery-to-first-op path. *)
   val copy : handle -> handle
 
   (** Cost-free canonical observation of the current (coherent) state, for

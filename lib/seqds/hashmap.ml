@@ -133,22 +133,31 @@ let execute t ~op ~args =
   else if op = op_size then Memory.read t.mem (t.h + 2)
   else invalid_arg "Hashmap.execute: unknown op"
 
+(* Shape-preserving clone: a table of the source's capacity, each chain
+   cloned in order through a tail pointer. No insert, no rehash, no resize.
+   [Context.alloc] zero-fills, so empty buckets and chain ends stay null. *)
 let copy src =
-  let dst = create src.mem in
-  let table = Memory.read src.mem src.h in
-  let capacity = Memory.read src.mem (src.h + 1) in
+  let mem = src.mem in
+  let src_table = Memory.read mem src.h in
+  let capacity = Memory.read mem (src.h + 1) in
+  let h = Context.alloc hdr_words in
+  let table = Context.alloc capacity in
   for b = 0 to capacity - 1 do
-    let rec walk node =
+    let rec clone node tail =
       if node <> Memory.null then begin
-        let key = Memory.read src.mem node in
-        let value = Memory.read src.mem (node + 1) in
-        ignore (insert dst key value);
-        walk (Memory.read src.mem (node + 2))
+        let c = Context.alloc node_words in
+        Memory.write mem c (Memory.read mem node);
+        Memory.write mem (c + 1) (Memory.read mem (node + 1));
+        Memory.write mem tail c;
+        clone (Memory.read mem (node + 2)) (c + 2)
       end
     in
-    walk (Memory.read src.mem (table + b))
+    clone (Memory.read mem (src_table + b)) (table + b)
   done;
-  dst
+  Memory.write mem h table;
+  Memory.write mem (h + 1) capacity;
+  Memory.write mem (h + 2) (Memory.read mem (src.h + 2));
+  { mem; h }
 
 (* Cost-free observation: [k1; v1; k2; v2; ...] sorted by key. *)
 let snapshot t =

@@ -299,16 +299,28 @@ let execute t ~op ~args =
   else if op = op_size then Memory.read t.mem (t.h + 1)
   else invalid_arg "Rbtree.execute: unknown op"
 
+(* Shape-preserving clone: a preorder walk allocates each node once, copies
+   its key, value and colour, and points its links at the clone's own nodes
+   (the source's sentinel maps to the clone's). No insert, no search, no
+   rebalancing — colours and shape are the source's. *)
 let copy src =
   let dst = create src.mem in
-  let rec walk n =
-    if n <> nil src then begin
-      walk (left src n);
-      ignore (insert dst (key src n) (value src n));
-      walk (right src n)
+  let src_nil = nil src and dst_nil = nil dst in
+  let rec clone n p =
+    if n = src_nil then dst_nil
+    else begin
+      let c = Context.alloc node_words in
+      Memory.write dst.mem c (key src n);
+      Memory.write dst.mem (c + 1) (value src n);
+      set_color dst c (color src n);
+      set_parent dst c p;
+      set_left dst c (clone (left src n) c);
+      set_right dst c (clone (right src n) c);
+      c
     end
   in
-  walk (root src);
+  set_root dst (clone (root src) dst_nil);
+  Memory.write dst.mem (dst.h + 1) (Memory.read src.mem (src.h + 1));
   dst
 
 (* Observation: [k1; v1; k2; v2; ...] in key order (cost-free). *)

@@ -135,16 +135,29 @@ let execute t ~op ~args =
   else if op = op_size then Memory.read t.mem (t.h + 1)
   else invalid_arg "Skiplist.execute: unknown op"
 
+(* Shape-preserving clone: one walk along level 0 allocates each node once
+   at its source height and appends it to every level it spans, keeping one
+   tail pointer per level. No insert, no predecessor search. [Context.alloc]
+   zero-fills, so each level's last node ends null. *)
 let copy src =
   let dst = create src.mem in
-  let head = Memory.read src.mem src.h in
-  let rec walk node =
+  let tails = Array.make max_height (Memory.read dst.mem dst.h) in
+  let rec clone node =
     if node <> Memory.null then begin
-      ignore (insert dst (Memory.read src.mem node) (Memory.read src.mem (node + 1)));
-      walk (fwd src node 0)
+      let height = Memory.read src.mem (node + 2) in
+      let c = Context.alloc (node_words height) in
+      Memory.write dst.mem c (Memory.read src.mem node);
+      Memory.write dst.mem (c + 1) (Memory.read src.mem (node + 1));
+      Memory.write dst.mem (c + 2) height;
+      for level = 0 to height - 1 do
+        set_fwd dst tails.(level) level c;
+        tails.(level) <- c
+      done;
+      clone (fwd src node 0)
     end
   in
-  walk (fwd src head 0);
+  clone (fwd src (Memory.read src.mem src.h) 0);
+  Memory.write dst.mem (dst.h + 1) (Memory.read src.mem (src.h + 1));
   dst
 
 (* Observation: [k1; v1; ...] in key order (level-0 chain is sorted). *)

@@ -183,7 +183,7 @@ let buffered_clean =
 let test_no_fault_buffered_exhausts () =
   let res = Lazy.force buffered_clean in
   exhausted_clean "buffered" res
-    ~stats:[ 7869; 105; 667765; 3715; 7764; 3413; 53; 313; 123 ];
+    ~stats:[ 8046; 105; 692429; 3779; 7941; 3472; 53; 313; 123 ];
   (* epsilon + beta - 1 = 1: crashes may lose at most one completed op,
      and some crash does lose one *)
   check "max completed-op loss at the bound" 1
@@ -194,7 +194,7 @@ let test_no_fault_buffered_exhausts () =
 let test_no_fault_flit_exhausts () =
   let res = explore ~flit:true Config.Buffered Config.No_fault in
   exhausted_clean "flit" res
-    ~stats:[ 7891; 105; 669767; 3715; 7786; 3439; 53; 313; 123 ]
+    ~stats:[ 8069; 105; 694550; 3779; 7964; 3499; 53; 313; 123 ]
 
 (* Full NUMA hot-path package (distributed reader locks, DRAM log
    mirror, slot-occupancy bitmaps) plus flush elimination, in durable
@@ -208,7 +208,7 @@ let package_clean =
 let test_no_fault_package_exhausts () =
   let res = Lazy.force package_clean in
   exhausted_clean "numa package" res
-    ~stats:[ 9139; 109; 913835; 4353; 9030; 4019; 128; 1033; 274 ];
+    ~stats:[ 9317; 109; 942826; 4417; 9208; 4079; 128; 1033; 274 ];
   check "durable: no completed op ever lost" 0
     res.Check.Explore.stats.Check.Explore.max_completed_loss
 
@@ -221,7 +221,7 @@ let test_loss_bound_tight () =
   let scope = { scope_1w with Check.Explore.ops_per_worker = 3; epsilon = 2 } in
   let res = explore ~scope Config.Buffered Config.No_fault in
   exhausted_clean "tightness" res
-    ~stats:[ 12353; 82; 1379982; 6433; 12271; 5948; 69; 623; 233 ];
+    ~stats:[ 12668; 82; 1440561; 6560; 12586; 6067; 69; 623; 233 ];
   check "worst crash loses exactly epsilon+beta-1 = 2" 2
     res.Check.Explore.stats.Check.Explore.max_completed_loss
 
@@ -231,13 +231,13 @@ let test_pruning_reduction () =
   (* The pruned explorer finishes the whole space of the one-op scope in
      S schedules; naive enumeration given the same S cannot. The full
      >=10x factor is too slow for runtest, so it lives in the CI explore
-     smoke job and EXPERIMENTS.md: naive given 10x S (38,970 schedules)
+     smoke job and EXPERIMENTS.md: naive given 10x S (39,150 schedules)
      still does not exhaust — measured at >10x on schedules and >20x on
      distinct states for both the one-op and two-op scopes. *)
   let scope = { scope_1w with Check.Explore.ops_per_worker = 1 } in
   let pruned = explore ~scope Config.Buffered Config.No_fault in
   exhausted_clean "pruned one-op scope" pruned
-    ~stats:[ 3897; 125; 242417; 1628; 3772; 1630; 31; 203; 69 ];
+    ~stats:[ 3915; 125; 246440; 1635; 3790; 1636; 31; 203; 69 ];
   let ps = pruned.Check.Explore.stats in
   check_bool "sleep sets fired" true (ps.Check.Explore.sleep_skips > 0);
   check_bool "state dedup fired" true (ps.Check.Explore.dedup_hits > 0);
@@ -273,7 +273,7 @@ let equivalent label ~stats base opt =
   check_bool (label ^ ": same terminal states") true
     (base.Check.Explore.terminal_states = opt.Check.Explore.terminal_states);
   pinned (label ^ " baseline") base
-    [ 8395; 105; 764051; 3963; 8290; 3585; 128; 999; 274 ];
+    [ 8572; 105; 790341; 4027; 8467; 3644; 128; 999; 274 ];
   pinned label opt stats
 
 let durable_base = lazy (explore Config.Durable Config.No_fault)
@@ -281,21 +281,21 @@ let durable_base = lazy (explore Config.Durable Config.No_fault)
 let test_equiv_dist_rw () =
   equivalent "dist-rw" (Lazy.force durable_base)
     (explore ~dist_rw:true Config.Durable Config.No_fault)
-    ~stats:[ 8459; 109; 781211; 4064; 8350; 3696; 128; 999; 274 ]
+    ~stats:[ 8636; 109; 807770; 4128; 8527; 3755; 128; 999; 274 ]
 
 let test_equiv_log_mirror () =
   equivalent "log-mirror" (Lazy.force durable_base)
     (explore ~log_mirror:true Config.Durable Config.No_fault)
-    ~stats:[ 8581; 105; 826318; 4090; 8476; 3703; 128; 999; 274 ]
+    ~stats:[ 8758; 105; 853685; 4154; 8653; 3762; 128; 999; 274 ]
 
 let test_equiv_slot_bitmap () =
   equivalent "slot-bitmap" (Lazy.force durable_base)
     (explore ~slot_bitmap:true Config.Durable Config.No_fault)
-    ~stats:[ 8926; 105; 844406; 4155; 8821; 3762; 128; 999; 274 ]
+    ~stats:[ 9103; 105; 872181; 4219; 8998; 3821; 128; 999; 274 ]
 
 let test_equiv_combined () =
   equivalent "combined" (Lazy.force durable_base) (Lazy.force package_clean)
-    ~stats:[ 9139; 109; 913835; 4353; 9030; 4019; 128; 1033; 274 ]
+    ~stats:[ 9317; 109; 942826; 4417; 9208; 4079; 128; 1033; 274 ]
 
 (* Two workers, three ops each (six ops total): the interleaving space
    is too large to exhaust in runtest, so each flag configuration gets
@@ -353,7 +353,7 @@ let test_equiv_two_thread_budgeted () =
 let test_detect_scope_exhausts () =
   let res = explore ~detect:true Config.Durable Config.No_fault in
   exhausted_clean "detect" res
-    ~stats:[ 9061; 105; 1057955; 4277; 8956; 3837; 297; 2901; 606 ];
+    ~stats:[ 9238; 105; 1089952; 4341; 9133; 3896; 297; 2901; 606 ];
   check "durable+detect: no completed op ever lost" 0
     res.Check.Explore.stats.Check.Explore.max_completed_loss;
   check_bool "crash frontiers ran resolve checks" true
@@ -426,7 +426,7 @@ let test_detect_response_fault_found () =
 let lsm_budget =
   (* the extra persistence-core fiber (compaction) and the seal-watermark
      stable tail roughly double the interleavings of the classic scope;
-     measured exhaustion is ~66k schedules, the budget leaves headroom
+     measured exhaustion is ~68k schedules, the budget leaves headroom
      without masking a blow-up *)
   { Check.Explore.default_budget with Check.Explore.max_schedules = 100_000 }
 
@@ -436,7 +436,7 @@ let test_lsm_scope_exhausts () =
       Config.No_fault
   in
   exhausted_clean "lsm" res
-    ~stats:[ 66440; 474; 8980896; 16498; 65270; 16286; 132; 319; 110 ];
+    ~stats:[ 67778; 474; 9223397; 16789; 66608; 16559; 132; 319; 110 ];
   check "durable: no completed op ever lost" 0
     res.Check.Explore.stats.Check.Explore.max_completed_loss
 

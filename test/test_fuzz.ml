@@ -734,6 +734,53 @@ let test_checker_rejects_state_mismatch () =
        (function Check.Durable_lin.State_mismatch _ -> true | _ -> false)
        v)
 
+(* A wedge is a failed episode, not a hung checker: over a map whose
+   update spins forever, the crash-free episode, an op-indexed crash point
+   the run never reaches, and a whole campaign (whose calibration wedges)
+   all end at the simulated-time horizon with [Wedged]. *)
+module Stuck = struct
+  include H
+
+  let execute t ~op ~args =
+    if op = op_insert then
+      while true do
+        Sim.spin ()
+      done;
+    H.execute t ~op ~args
+end
+
+module F_stuck = Check.Fuzz.Make (Stuck)
+
+let test_wedge_is_a_failure () =
+  let gen_op rng = (H.op_insert, [| Sim.Rng.int rng 64; 1 |]) in
+  let ep =
+    { (template ~seed:77 ~epsilon:4 ~ops:2) with Check.Fuzz.threads = 2 }
+  in
+  let wedged label violations =
+    check_bool (label ^ " reported as wedged") true
+      (match violations with
+       | [ Check.Durable_lin.Wedged { horizon_ns } ] ->
+         horizon_ns = F_stuck.horizon_ns ep
+       | _ -> false)
+  in
+  List.iter
+    (fun (label, crash) ->
+      let out =
+        F_stuck.run_episode ~config:(cfg ()) ~mode:Config.Durable
+          ~fault:Config.No_fault ~gen_op { ep with Check.Fuzz.crash }
+      in
+      check_bool (label ^ " did not crash") false out.Check.Fuzz.crashed;
+      wedged label out.Check.Fuzz.violations)
+    [ ("no-crash", Check.Fuzz.No_crash);
+      ("unreached crash-op", Check.Fuzz.At_op 1_000_000_000) ];
+  let res =
+    F_stuck.fuzz ~config:(cfg ()) ~mode:Config.Durable ~fault:Config.No_fault
+      ~gen_op ~template:ep ~iters:4 ()
+  in
+  match res.Check.Fuzz.failures with
+  | [ f ] -> wedged "campaign" f.Check.Fuzz.violations
+  | fs -> Alcotest.failf "campaign: %d failures, want 1" (List.length fs)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -754,6 +801,8 @@ let () =
             test_episode_deterministic;
           Alcotest.test_case "crash hook cuts at op" `Quick
             test_crash_hook_cuts_at_op;
+          Alcotest.test_case "wedge is a failure" `Quick
+            test_wedge_is_a_failure;
         ] );
       ( "fuzzing",
         [

@@ -231,6 +231,42 @@ let test_cli_refuses_what_config_refuses () =
   done;
   Sys.remove log
 
+(* The wedge horizon counts from the end of set-up: a prefill whose
+   simulated build outlasts 1,000 x (warmup + window) is not a wedge. Both
+   runs below spend longer than that in their 20k-key prefill alone; the
+   open-loop runner shares the watchdog. *)
+let test_horizon_starts_after_set_up () =
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/prep_cli.exe"
+  in
+  let out = Filename.temp_file "cli_horizon" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "%s run -s prep-durable --ds rbtree --keys 20000 --duration 20000 > \
+          %s 2>&1"
+         (Filename.quote cli) (Filename.quote out))
+  in
+  let first =
+    In_channel.with_open_text out In_channel.input_line
+    |> Option.value ~default:""
+  in
+  Sys.remove out;
+  check ("exit code; first line " ^ first) 0 code;
+  check_bool ("a result line: " ^ first) true
+    (String.starts_with ~prefix:"PREP-Durable | " first);
+  let module Rb = Experiment.Systems (Seqds.Rbtree) in
+  let p =
+    Openloop.run ~topology:small_topology ~duration_ns:20_000 ~warmup_ns:0
+      ~system:(Rb.prep ~mode:Prep.Config.Durable ~epsilon:64 ())
+      ~workload:
+        (Workload.map_workload ~read_pct:90 ~key_range:40_000
+           ~prefill_n:20_000)
+      ~arrival:(Workload.Arrival.Poisson { rate = 1e6 })
+      ~workers:2 ()
+  in
+  check_bool "open loop ran its window" true (p.Openloop.ol_duration_ns > 0)
+
 (* ---- liveness: tiny log forces wraps and cross-socket helping ---- *)
 
 module Uc = Prep.Prep_uc.Make (Seqds.Hashmap)
@@ -454,6 +490,8 @@ let () =
           Alcotest.test_case "system names" `Quick test_system_names;
           Alcotest.test_case "CLI refuses what Config refuses" `Slow
             test_cli_refuses_what_config_refuses;
+          Alcotest.test_case "wedge horizon starts after set-up" `Quick
+            test_horizon_starts_after_set_up;
         ] );
       ( "liveness",
         [

@@ -450,6 +450,48 @@ let test_infer_flit_repro_replays () =
         (violations <> []))
     repros
 
+(* Eliding the root-directory flushes leaves recovery a torn header to
+   copy from, and the clone raises on it. That raise is a checker verdict:
+   the CI derivation scope exits 124 with a VIOLATION and a replay
+   command that reproduces it, instead of dying on the exception. *)
+let test_recovery_raise_is_a_violation () =
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/prep_cli.exe"
+  in
+  let run args =
+    let log = Filename.temp_file "persist_cli" ".out" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote cli) args
+           (Filename.quote log))
+    in
+    let lines = In_channel.with_open_text log In_channel.input_lines in
+    Sys.remove log;
+    (code, lines)
+  in
+  let has_violation lines =
+    List.exists (String.starts_with ~prefix:"VIOLATION: recovery raised") lines
+  in
+  let code, lines =
+    run
+      "explore --variant durable --ds hashmap --threads 1 --ops 2 --epsilon 1 \
+       --log-size 16 --seed 6 --sockets 2 --cores 1 --persist-policy \
+       roots.set=elide"
+  in
+  let out = String.concat "\n" lines in
+  check ("explore exit code\n" ^ out) 124 code;
+  check_bool ("recovery raise reported\n" ^ out) true (has_violation lines);
+  let prefix = "  dune exec bin/prep_cli.exe -- " in
+  match List.find_opt (String.starts_with ~prefix) lines with
+  | None -> Alcotest.failf "no replay command\n%s" out
+  | Some cmd ->
+    let n = String.length prefix in
+    let code, lines = run (String.sub cmd n (String.length cmd - n)) in
+    let out = String.concat "\n" lines in
+    check ("replay exit code\n" ^ out) 124 code;
+    check_bool ("replay reproduces the raise\n" ^ out) true
+      (has_violation lines)
+
 let () =
   Alcotest.run "persist"
     [
@@ -481,6 +523,8 @@ let () =
             test_unsafe_ct_elide_rejected;
           Alcotest.test_case "completed-tail downgrade rejected" `Slow
             test_unsafe_ct_downgrade_rejected;
+          Alcotest.test_case "recovery raise is a violation" `Quick
+            test_recovery_raise_is_a_violation;
           Alcotest.test_case "publish-fence defer rejected" `Slow
             test_unsafe_publish_defer_rejected;
           Alcotest.test_case "proven set exhausts clean" `Slow

@@ -21,23 +21,32 @@ let with_ds (type h) (module Ds : Seqds.Ds_intf.S with type handle = h)
       Context.reset ();
       r)
 
-(* Drive the DS and its model with the same random ops; fail on divergence. *)
+(* Drive [ds] and [model] with the same [steps] random ops from [gen_op];
+   fail on the first divergent response, then on a divergent snapshot.
+   Returns the final model. *)
+let drive_with_model (type h m)
+    (module Ds : Seqds.Ds_intf.S with type handle = h and type Model.m = m) ds
+    model rng ~gen_op ~steps what =
+  let model = ref model in
+  for step = 1 to steps do
+    let op, args = gen_op rng in
+    let got = Ds.execute ds ~op ~args in
+    let model', expected = Ds.Model.apply !model ~op ~args in
+    model := model';
+    if got <> expected then
+      Alcotest.failf "%s %s: step %d op %d: got %d, model says %d" Ds.name
+        what step op got expected
+  done;
+  check_list (Ds.name ^ " " ^ what ^ " agrees") (Ds.Model.snapshot !model)
+    (Ds.snapshot ds);
+  !model
+
 let agree_with_model (type h)
     (module Ds : Seqds.Ds_intf.S with type handle = h) ~gen_op ~steps seed =
   with_ds (module Ds) (fun ds _m ->
-      let rng = Sim.Rng.create seed in
-      let model = ref Ds.Model.empty in
-      for step = 1 to steps do
-        let op, args = gen_op rng in
-        let got = Ds.execute ds ~op ~args in
-        let model', expected = Ds.Model.apply !model ~op ~args in
-        model := model';
-        if got <> expected then
-          Alcotest.failf "%s: step %d op %d: got %d, model says %d" Ds.name
-            step op got expected
-      done;
-      check_list (Ds.name ^ " snapshot agrees") (Ds.Model.snapshot !model)
-        (Ds.snapshot ds))
+      ignore
+        (drive_with_model (module Ds) ds Ds.Model.empty (Sim.Rng.create seed)
+           ~gen_op ~steps "snapshot"))
 
 (* op generators *)
 let map_op keyspace rng =
@@ -169,6 +178,152 @@ let test_copy_stack () = copy_preserves (module Stack_ds) ~gen_op:stack_op ()
 let test_copy_queue () = copy_preserves (module Queue_ds) ~gen_op:queue_op ()
 let test_copy_pqueue () = copy_preserves (module Pqueue) ~gen_op:pq_op ()
 let test_copy_skiplist () = copy_preserves (module Skiplist) ~gen_op:(map_op 100) ()
+
+(* ---- clone contract (Ds_intf.copy) for the keyed maps ----
+
+   A copy is a shape-preserving clone: equal contents, the source's own
+   layout (same tree shape and colours, same bucket capacity and chain
+   order, same tower heights and links), independent nodes, and a number
+   of memory operations linear in the size. The mixes below grow the
+   hashmap through several resizes and shrink every map again. *)
+
+(* cost-free structural fingerprints, straight off each layout *)
+let rbtree_shape m h =
+  let sentinel = Memory.peek m (h + 2) in
+  let rec walk acc n =
+    if n = sentinel then -1 :: acc
+    else
+      let acc = Memory.peek m n :: Memory.peek m (n + 2) :: acc in
+      walk (walk acc (Memory.peek m (n + 3))) (Memory.peek m (n + 4))
+  in
+  Memory.peek m (h + 1) :: walk [] (Memory.peek m h)
+
+let hashmap_shape m h =
+  let table = Memory.peek m h and capacity = Memory.peek m (h + 1) in
+  let rec chain acc n =
+    if n = Memory.null then -1 :: acc
+    else chain (Memory.peek m n :: acc) (Memory.peek m (n + 2))
+  in
+  capacity :: Memory.peek m (h + 2)
+  :: List.concat_map
+       (fun b -> chain [] (Memory.peek m (table + b)))
+       (List.init capacity Fun.id)
+
+let skiplist_shape m h =
+  let head = Memory.peek m h in
+  let rec chain level acc n =
+    if n = Memory.null then -1 :: acc
+    else chain level (Memory.peek m n :: acc) (Memory.peek m (n + 3 + level))
+  in
+  Memory.peek m (h + 1)
+  :: List.concat_map
+       (fun level -> chain level [] (Memory.peek m (head + 3 + level)))
+       (List.init Skiplist.max_height Fun.id)
+
+(* an insert-heavy growth phase, then a remove-heavy shrink phase *)
+let grow_and_shrink (type h m)
+    (module Ds : Seqds.Ds_intf.S with type handle = h and type Model.m = m) ds
+    rng ~keyspace ~steps =
+  let biased pct_insert rng =
+    let k = Sim.Rng.int rng keyspace in
+    if Sim.Rng.int rng 100 < pct_insert then
+      (Hashmap.op_insert, [| k; Sim.Rng.int rng 1000 |])
+    else (Hashmap.op_remove, [| k |])
+  in
+  let grown =
+    drive_with_model (module Ds) ds Ds.Model.empty rng ~gen_op:(biased 85)
+      ~steps "growth"
+  in
+  drive_with_model (module Ds) ds grown rng ~gen_op:(biased 35) ~steps "shrink"
+
+let clone_contract (type h m)
+    (module Ds : Seqds.Ds_intf.S with type handle = h and type Model.m = m)
+    ~shape ~invariants () =
+  List.iter
+    (fun seed ->
+      with_ds (module Ds) (fun src m ->
+          let rng = Sim.Rng.create seed in
+          let model =
+            grow_and_shrink (module Ds) src rng ~keyspace:600 ~steps:1200
+          in
+          let dup = Ds.copy src in
+          check_list (Ds.name ^ " copy snapshot") (Ds.snapshot src)
+            (Ds.snapshot dup);
+          check_list (Ds.name ^ " copy keeps the source's shape")
+            (shape m (Ds.root_addr src)) (shape m (Ds.root_addr dup));
+          invariants dup;
+          (* independence: each side follows its own model from here *)
+          ignore
+            (drive_with_model (module Ds) dup model (Sim.Rng.create 1L)
+               ~gen_op:(map_op 600) ~steps:400 "copy after writes");
+          ignore
+            (drive_with_model (module Ds) src model (Sim.Rng.create 2L)
+               ~gen_op:(map_op 600) ~steps:400 "source after writes");
+          invariants dup;
+          invariants src))
+    [ 31L; 32L; 33L ]
+
+(* a copy into NVM is durable once its heap is: persist_heap, power
+   failure, attach at the root recovers it intact *)
+let clone_into_nvm (type h m)
+    (module Ds : Seqds.Ds_intf.S with type handle = h and type Model.m = m)
+    ~invariants () =
+  Sim.run_one (fun () ->
+      let m = Memory.make ~bg_period:0 () in
+      let vol = Alloc.create_volatile m ~home:0 in
+      let pers = Alloc.create_persistent m ~home:0 in
+      Context.bind ~default:vol ~persistent:pers ();
+      let src = Ds.create m in
+      let model =
+        grow_and_shrink (module Ds) src (Sim.Rng.create 41L) ~keyspace:400
+          ~steps:800
+      in
+      let dup = Context.with_persistent (fun () -> Ds.copy src) in
+      Alloc.persist_heap pers;
+      let root = Ds.root_addr dup in
+      Memory.crash m;
+      Context.reset ();
+      Context.bind
+        ~default:(Alloc.create_volatile m ~home:0)
+        ~persistent:(Alloc.create_persistent m ~home:0) ();
+      let recovered = Ds.attach m root in
+      check_list (Ds.name ^ " NVM copy survives a crash")
+        (Ds.Model.snapshot model) (Ds.snapshot recovered);
+      invariants recovered;
+      ignore
+        (drive_with_model (module Ds) recovered model (Sim.Rng.create 3L)
+           ~gen_op:(map_op 400) ~steps:300 "recovered copy");
+      Context.reset ())
+
+(* Memory operations per key of one copy of an [n]-key map (keys inserted
+   in random order). A clone touches each node a constant number of times,
+   so the bound holds at 1k and 8k alike; a copy that searches per key
+   (O(n log n)) exceeds it. *)
+let copy_ops_per_key = 16
+
+let clone_linear (type h) (module Ds : Seqds.Ds_intf.S with type handle = h)
+    () =
+  List.iter
+    (fun n ->
+      with_ds (module Ds) (fun src m ->
+          let rng = Sim.Rng.create 5L in
+          let keys = Array.init n Fun.id in
+          for i = n - 1 downto 1 do
+            let j = Sim.Rng.int rng (i + 1) in
+            let x = keys.(i) in
+            keys.(i) <- keys.(j);
+            keys.(j) <- x
+          done;
+          Array.iter (fun k -> Ds.key_put src k k) keys;
+          let before = Memory.op_index m in
+          ignore (Ds.copy src);
+          let ops = Memory.op_index m - before in
+          if ops > copy_ops_per_key * n then
+            Alcotest.failf "%s: copy of %d keys took %d memory ops (> %d per key)"
+              Ds.name n ops copy_ops_per_key))
+    [ 1_000; 8_000 ]
+
+let no_invariants _ = ()
 
 (* ---- key_get: the incremental checkpoint's per-key read ----
 
@@ -444,6 +599,29 @@ let () =
           Alcotest.test_case "queue" `Quick test_copy_queue;
           Alcotest.test_case "pqueue" `Quick test_copy_pqueue;
           Alcotest.test_case "skiplist" `Quick test_copy_skiplist;
+        ] );
+      ( "clone",
+        [
+          Alcotest.test_case "hashmap shape and independence" `Quick
+            (clone_contract (module Hashmap) ~shape:hashmap_shape
+               ~invariants:no_invariants);
+          Alcotest.test_case "rbtree shape and independence" `Quick
+            (clone_contract (module Rbtree) ~shape:rbtree_shape
+               ~invariants:Rbtree.check_invariants);
+          Alcotest.test_case "skiplist shape and independence" `Quick
+            (clone_contract (module Skiplist) ~shape:skiplist_shape
+               ~invariants:Skiplist.check_invariants);
+          Alcotest.test_case "hashmap into NVM survives a crash" `Quick
+            (clone_into_nvm (module Hashmap) ~invariants:no_invariants);
+          Alcotest.test_case "rbtree into NVM survives a crash" `Quick
+            (clone_into_nvm (module Rbtree) ~invariants:Rbtree.check_invariants);
+          Alcotest.test_case "skiplist into NVM survives a crash" `Quick
+            (clone_into_nvm (module Skiplist)
+               ~invariants:Skiplist.check_invariants);
+          Alcotest.test_case "hashmap linear" `Quick (clone_linear (module Hashmap));
+          Alcotest.test_case "rbtree linear" `Quick (clone_linear (module Rbtree));
+          Alcotest.test_case "skiplist linear" `Quick
+            (clone_linear (module Skiplist));
         ] );
       ( "persistence",
         [
