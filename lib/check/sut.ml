@@ -91,8 +91,9 @@ let applied_seqno_fn trace applied =
     applied;
   fun tid -> Option.value ~default:0 (Hashtbl.find_opt tbl tid)
 
-(** Run [f] to completion as the only fiber of a fresh simulation — the
-    harness side of recovering a crashed memory. *)
+(** Run [f] on socket 0 of a fresh simulation until it and every fiber
+    it spawns have finished — the harness side of recovering a crashed
+    memory (classic recovery builds its replicas on helper fibers). *)
 let in_fresh_sim ~who ~seed topo f =
   let sim = Sim.create ~seed topo in
   let out = ref None in

@@ -440,8 +440,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
      [lsm_carry] is recovery's handoff under [Config.lsm_ckpt]: the
      pre-crash manifest/segments and the key set the replay already
      rematerialised into [master] — its presence means [master] (and every
-     copy of it) is a partial view to be hydrated lazily. *)
-  let build ?lsm_carry mem roots cfg ~prefill ~master =
+     copy of it) is a partial view to be hydrated lazily.
+     [replay] is classic recovery's handoff: [master] is then the stable
+     checkpoint, which the build only reads; every replica is a copy of
+     it with the log suffix [(op, args)] replayed into it, and
+     [reconcile i resp] sees replica 0's response to suffix entry [i]. *)
+  let build ?lsm_carry ?replay mem roots cfg ~prefill ~master =
     let topo = Sim.topology () in
     let beta = topo.Sim.Topology.cores_per_socket in
     Config.validate cfg ~beta;
@@ -485,10 +489,23 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       | Some c ->
         { resolved = Hashtbl.copy c.Lsm.c_resolved; hydrated = false }
     in
+    (* a copy of the master, with the recovery suffix replayed into it *)
+    let clone ~reconcile =
+      let ds = Ds.copy master_ds in
+      Option.iter
+        (fun (suffix, on_response) ->
+          Array.iteri
+            (fun i (op, args) ->
+              let resp = Ds.execute ds ~op ~args in
+              if reconcile then on_response i resp)
+            suffix)
+        replay;
+      ds
+    in
     let make_replica rid =
       let alloc = Alloc.create_volatile mem ~home:rid in
       Context.set_default alloc;
-      let ds = Ds.copy master_ds in
+      let ds = clone ~reconcile:(rid = 0) in
       let view = view_of_copy () in
       let lt_addr = Alloc.alloc alloc 8 in
       let combiner = Locks.Trylock.make mem (Alloc.alloc alloc 8) in
@@ -511,7 +528,52 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       { rid; socket = rid; ds; view; alloc; lt_addr; combiner; rw; slots;
         occ }
     in
-    let replicas = Array.init n_replicas make_replica in
+    let make_prep pa src =
+      Context.with_persistent (fun () ->
+          let pds = src () in
+          let meta = Alloc.alloc pa 8 in
+          Memory.write mem meta 0;
+          Memory.write mem (meta + 1) (Ds.root_addr pds);
+          { meta; pds })
+    in
+    (* Classic recovery builds all replicas at once, each from the stable
+       checkpoint on a fiber of its own socket: replica 0 here, on the
+       recovering fiber, the other volatile ones on their sockets, and the
+       two persistent ones on the persistence socket, where the checkpoint
+       is local, each persisting the heap once its copy is written. The
+       join comes before any root is written; a helper's raise is re-raised
+       here, so torn media fails recovery as it would on one fiber. *)
+    let rebuild () =
+      let pa = Alloc.create_persistent mem ~home:p_socket in
+      let vol = Array.make n_replicas None and per = Array.make 2 None in
+      let raised = ref [] in
+      let guard f () =
+        try f ()
+        with (Invalid_argument _ | Failure _) as e -> raised := e :: !raised
+      in
+      let build_prep i () =
+        Context.set_persistent pa;
+        per.(i) <- Some (make_prep pa (fun () -> clone ~reconcile:false));
+        Alloc.persist_heap pa
+      in
+      let helpers =
+        List.init (n_replicas - 1) (fun i ->
+            let rid = i + 1 in
+            (rid, 0, guard (fun () -> vol.(rid) <- Some (make_replica rid))))
+        @ [ (p_socket, 0, guard (build_prep 0));
+            (p_socket, min 1 (beta - 1), guard (build_prep 1)) ]
+      in
+      Sim.fork_join helpers
+        (guard (fun () -> vol.(0) <- Some (make_replica 0)));
+      (match List.rev !raised with e :: _ -> raise e | [] -> ());
+      ( Array.map Option.get vol,
+        Some (pa, (Option.get per.(0), Option.get per.(1))) )
+    in
+    let replicas, rebuilt =
+      match replay with
+      | None -> (Array.init n_replicas make_replica, None)
+      | Some _ -> rebuild ()
+    in
     (* persistent side *)
     let p_alloc, p_reps, ct_addr, lsm, shadow_view =
       if mode = Config.Volatile then begin
@@ -520,7 +582,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         (None, [||], ct, None, fresh_view ~hydrated:true)
       end
       else begin
-        let pa = Alloc.create_persistent mem ~home:p_socket in
+        let pa =
+          match rebuilt with
+          | Some (pa, _) -> pa
+          | None -> Alloc.create_persistent mem ~home:p_socket
+        in
         Context.set_persistent pa;
         let ct_addr =
           if mode = Config.Durable then begin
@@ -538,21 +604,18 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         let rb = cfg.Config.root_base in
         let p_reps, lsm, shadow_view =
           if not cfg.Config.lsm_ckpt then begin
-            (* copy from the volatile replica just built on this fiber's
-               socket, not from [master_ds]: on recovery the master is the
-               stable NVM replica homed on the persistence socket, whose
-               remote lines cost an order of magnitude more to read *)
-            let make_prep () =
-              Context.with_persistent (fun () ->
-                  let pds = Ds.copy replicas.(0).ds in
-                  let meta = Alloc.alloc pa 8 in
-                  Memory.write mem meta 0;
-                  Memory.write mem (meta + 1) (Ds.root_addr pds);
-                  { meta; pds })
+            let p0, p1 =
+              match rebuilt with
+              | Some (_, preps) -> preps
+              | None ->
+                let make_prep () =
+                  make_prep pa (fun () -> Ds.copy replicas.(0).ds)
+                in
+                let p0 = make_prep () and p1 = make_prep () in
+                (* checkpoint zero: both replicas durable before any op *)
+                Alloc.persist_heap pa;
+                (p0, p1)
             in
-            let p0 = make_prep () and p1 = make_prep () in
-            (* checkpoint zero: both replicas durable before any op *)
-            Alloc.persist_heap pa;
             Roots.set roots (rb + slot_active) 0;
             Roots.set roots (rb + slot_meta0) p0.meta;
             Roots.set roots (rb + slot_meta1) p1.meta;
@@ -1628,10 +1691,14 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   (* ---- recovery (paper §5.1 / §5.2) ---- *)
 
   (* Classic (whole-replica checkpoint) recovery: attach the stable NVM
-     replica and replay the durable log suffix past its tail. *)
+     replica, read the durable log suffix past its tail once, and [build]
+     every new replica as a copy of the stable one with that suffix
+     replayed into it. Until it writes its roots, recovery changes no
+     pre-crash NVM word except reconciled response slots, so a crash at
+     any point before then leaves the checkpoint and log it started from,
+     and recovering again gives the same result. *)
   let recover_classic old_t =
     let mem = old_t.mem and roots = old_t.roots and cfg = old_t.cfg in
-    Context.bind ~default:(Alloc.create_volatile mem ~home:0) ();
     let rb = cfg.Config.root_base in
     let active = Roots.get roots (rb + slot_active) in
     let stable = 1 - active in
@@ -1641,20 +1708,28 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let stable_lt = Memory.read mem stable_meta in
     let stable_root = Memory.read mem (stable_meta + 1) in
     let stable_ds = Ds.attach mem stable_root in
-    (* a fresh persistent allocator: pre-crash NVM arenas are left alone,
-       so a crash can leak recovered-heap space but never corrupt it *)
-    let p_home = (Sim.topology ()).Sim.Topology.sockets - 1 in
-    Context.set_persistent (Alloc.create_persistent mem ~home:p_home);
     (* decide which trace indexes the recovered state contains *)
     let applied_prefix = List.init stable_lt (fun i -> i) in
-    let reconciled = ref 0 in
-    let replayed =
-      if cfg.Config.mode = Config.Durable then begin
-        (* replay the recovered log from the stable replica's tail to the
-           recovered completedTail, skipping holes (unpersisted entries) *)
-        let ct_addr = Roots.get roots (rb + slot_ct) in
-        let ct = Memory.read mem ct_addr in
-        let log_base = Roots.get roots (rb + slot_log) in
+    let durable = cfg.Config.mode = Config.Durable in
+    let ct =
+      if durable then Memory.read mem (Roots.get roots (rb + slot_ct)) else 0
+    in
+    let ann =
+      if durable && cfg.Config.detect then
+        let base = Roots.get roots (rb + slot_announce) in
+        if base <> Memory.null then
+          Some
+            (Announce.attach mem ~base
+               ~threads:(Sim.Topology.total_cores (Sim.topology ())))
+        else None
+      else None
+    in
+    (* the log entries replay applies, as (index, op, args, tag), from the
+       stable replica's tail to the recovered completedTail, skipping holes
+       (unpersisted entries) *)
+    let suffix =
+      if not durable then [||]
+      else begin
         (* replay must read the NVM media truth, never the (volatile) DRAM
            mirror — the planted [Mirror_read_on_recovery] fault does
            exactly that wrong thing so the fuzzer can prove it notices *)
@@ -1664,18 +1739,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           else None
         in
         let log =
-          Log.attach mem ~base:log_base ~size:cfg.Config.log_size
-            ~durable:true ~mirror
-        in
-        let ann =
-          if cfg.Config.detect then
-            let base = Roots.get roots (rb + slot_announce) in
-            if base <> Memory.null then
-              Some
-                (Announce.attach mem ~base
-                   ~threads:(Sim.Topology.total_cores (Sim.topology ())))
-            else None
-          else None
+          Log.attach mem ~base:(Roots.get roots (rb + slot_log))
+            ~size:cfg.Config.log_size ~durable:true ~mirror
         in
         (* Under detectable execution the scan continues past the recovered
            completedTail: a combiner's responses are fenced *before* its
@@ -1690,44 +1755,46 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         let scan_to =
           if cfg.Config.detect then ct + cfg.Config.log_size else ct
         in
-        let replayed = ref [] in
-        Context.with_persistent (fun () ->
-            for idx = stable_lt to scan_to - 1 do
+        let kept = ref [] in
+        for idx = stable_lt to scan_to - 1 do
+          if Log.is_full log idx then begin
+            let tag =
+              if idx >= ct || ann <> None then Log.read_tag log idx else (0, 0)
+            in
+            if idx < ct || snd tag > 0 then begin
+              let op, args = Log.read_payload log idx in
+              (* sharded transactions: an entry whose cross-shard commit
+                 decision is absent from the post-crash media is rolled
+                 back — skipped like a log hole *)
               if
-                Log.is_full log idx
-                && (idx < ct || snd (Log.read_tag log idx) > 0)
-                && (match old_t.replay_keep with
-                    | None -> true
-                    | Some keep ->
-                      (* sharded transactions: an entry whose cross-shard
-                         commit decision is absent from the post-crash
-                         media is rolled back — skipped like a log hole *)
-                      let op, args = Log.read_payload log idx in
-                      keep ~op ~args)
-              then begin
-                let op, args = Log.read_payload log idx in
-                let resp = Ds.execute stable_ds ~op ~args in
-                replayed := idx :: !replayed;
-                (* replay reconciliation: rewrite the submitting thread's
-                   response slot with the replay-computed result so resolve
-                   reflects every op the recovered state actually contains
-                   (R2 for replayed entries). Monotone: never regress a slot
-                   that already covers a later seqno. *)
-                match ann with
-                | Some a ->
-                  let tid, seqno = Log.read_tag log idx in
-                  if seqno > 0 && Announce.response_seqno a ~tid < seqno
-                  then begin
-                    Announce.write_response a ~tid ~seqno ~result:resp;
-                    Announce.flush_response a ~tid;
-                    incr reconciled
-                  end
-                | None -> ()
-              end
-            done);
-        List.rev !replayed
+                match old_t.replay_keep with
+                | None -> true
+                | Some keep -> keep ~op ~args
+              then kept := (idx, op, args, tag) :: !kept
+            end
+          end
+        done;
+        Array.of_list (List.rev !kept)
       end
-      else []
+    in
+    (* replay reconciliation: rewrite the submitting thread's response slot
+       with the replay-computed result so resolve reflects every op the
+       recovered state actually contains (R2 for replayed entries).
+       Monotone: never regress a slot that already covers a later seqno. *)
+    let reconciled = ref 0 in
+    let reconcile i resp =
+      match ann with
+      | Some a ->
+        let _, _, _, (tid, seqno) = suffix.(i) in
+        if seqno > 0 && Announce.response_seqno a ~tid < seqno then begin
+          Announce.write_response a ~tid ~seqno ~result:resp;
+          Announce.flush_response a ~tid;
+          incr reconciled
+        end
+      | None -> ()
+    in
+    let replayed =
+      Array.to_list (Array.map (fun (idx, _, _, _) -> idx) suffix)
     in
     let applied = applied_prefix @ replayed in
     (* durability accounting against the ghost trace *)
@@ -1744,8 +1811,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           (List.filter (fun i -> i < stable_lt && not (Hashtbl.mem applied_set i)) completed)
       | _ ->
         (* holes are indexes in [stable_lt, ct) missing from [replayed] *)
-        let ct_addr = Roots.get roots (rb + slot_ct) in
-        let ct = Memory.read mem ct_addr in
         List.length
           (List.filter
              (fun i -> i >= stable_lt && i < ct && not (Hashtbl.mem applied_set i))
@@ -1758,10 +1823,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       in
       check 0 applied
     in
-    let report =
-      { applied; lost_completed; skipped_completed; contiguous_prefix;
-        reconciled = !reconciled }
-    in
     (* fold the recovered ops into the new instance's prefill so that
        checkers after a subsequent crash keep working *)
     let recovered_ops =
@@ -1772,8 +1833,15 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         applied
     in
     let prefill = old_t.prefill @ recovered_ops in
-    let t = build mem roots cfg ~prefill ~master:(Some stable_ds) in
+    let replay =
+      (Array.map (fun (_, op, args, _) -> (op, args)) suffix, reconcile)
+    in
+    let t = build ~replay mem roots cfg ~prefill ~master:(Some stable_ds) in
     t.detect_reconciled <- !reconciled;
+    let report =
+      { applied; lost_completed; skipped_completed; contiguous_prefix;
+        reconciled = !reconciled }
+    in
     (t, report)
 
   (* Incremental-checkpoint recovery ([Config.lsm_ckpt]): mount the

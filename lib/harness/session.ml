@@ -24,8 +24,8 @@
 
     Crashes are injected at calibrated memory-operation indexes, with the
     crash hook armed only *after* create/recover returns: a restart epoch
-    must never lose power mid-recovery (recovery replay is not idempotent
-    and crash-during-recovery is outside the paper's model). *)
+    never loses power mid-recovery (crash-during-recovery is outside the
+    paper's model). *)
 
 open Nvm
 

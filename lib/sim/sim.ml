@@ -59,6 +59,10 @@ type t = {
 
 type _ Effect.t += Yield : unit Effect.t
 
+(* Suspend the running fiber; the argument receives the function that
+   makes it runnable again at a given time (see [fork_join]). *)
+type _ Effect.t += Park : ((int -> unit) -> unit) -> unit Effect.t
+
 (* The ambient simulation state is domain-local, not global: a simulation
    is single-OS-thread by construction, but *independent* simulations may
    run concurrently on separate domains (Harness.Campaign). Each domain
@@ -215,6 +219,14 @@ let run_under_handler t fiber f =
                 schedule t ~fid:fiber.fid ~time:fiber.clock (fun () ->
                     (ambient ()).amb_fiber <- Some fiber;
                     continue k ()))
+          | Park register ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                register (fun time ->
+                    if time > fiber.clock then fiber.clock <- time;
+                    schedule t ~fid:fiber.fid ~time:fiber.clock (fun () ->
+                        (ambient ()).amb_fiber <- Some fiber;
+                        continue k ())))
           | _ -> None);
     }
 
@@ -403,6 +415,30 @@ let topology () = (instance ()).topology
 (** Spawn a sibling fiber from inside a running fiber. *)
 let spawn_here ~socket ?core f =
   ignore (spawn (instance ()) ~socket ?core f)
+
+(** [fork_join jobs main] runs each [(socket, core, f)] of [jobs] as a
+    child fiber starting at the caller's clock and [main ()] on the
+    calling fiber, then suspends the caller until every child has
+    returned. The caller resumes at the latest child's return time (or
+    its own clock, if later) with [main]'s result. An exception from
+    [main] propagates at once; one from a child abandons the run, like
+    any fiber's. *)
+let fork_join jobs main =
+  let t = instance () in
+  let pending = ref (List.length jobs) and last = ref 0 and wake = ref None in
+  List.iter
+    (fun (socket, core, f) ->
+      ignore
+        (spawn t ~socket ~core (fun () ->
+             f ();
+             last := max !last (self ()).clock;
+             decr pending;
+             if !pending = 0 then Option.iter (fun w -> w !last) !wake)))
+    jobs;
+  let r = main () in
+  if !pending > 0 then Effect.perform (Park (fun w -> wake := Some w))
+  else if !last > now () then sleep_until !last;
+  r
 
 (** Run [f] as a single fiber on socket 0 of a fresh default simulation and
     return its result. Convenience for tests and sequential examples. *)

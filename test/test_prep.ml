@@ -138,7 +138,7 @@ let test_log_wraps () =
    (uc', report, old trace, old prefill, epsilon, beta). *)
 let crash_and_recover ~mode ~seed ~crash_at ~workers ~epsilon ~log_size
     ?(bg_period = 2000) ?(flit = false) ?(dist_rw = false)
-    ?(log_mirror = false) ?(slot_bitmap = false) () =
+    ?(log_mirror = false) ?(slot_bitmap = false) ?(flush = Config.Wbinvd) () =
   let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 } in
   let sim = Sim.create ~seed topology in
   let mem = Memory.make ~bg_period ~sockets:2 () in
@@ -146,7 +146,7 @@ let crash_and_recover ~mode ~seed ~crash_at ~workers ~epsilon ~log_size
   ignore (Sim.spawn sim ~socket:0 (fun () ->
       let roots = Roots.make mem in
       let cfg =
-        Config.make ~mode ~log_size ~epsilon ~workers ~flit ~dist_rw
+        Config.make ~mode ~log_size ~epsilon ~workers ~flush ~flit ~dist_rw
           ~log_mirror ~slot_bitmap ()
       in
       let uc = Uc.create ~prefill:[ ins 1000 1 ] mem roots cfg in
@@ -446,6 +446,213 @@ let test_double_crash () =
   in
   check_list "second recovery state" (H.Model.snapshot expected) (Uc.snapshot uc2)
 
+(* The durable twin of [test_double_crash], under both checkpoint flush
+   strategies: zero loss across both power failures, the second cut once
+   before and once after the recovered instance's first checkpoint. *)
+let test_durable_double_crash () =
+  let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 } in
+  List.iter
+    (fun (flush, after_ckpt) ->
+      let label =
+        Printf.sprintf "%s, %s the first checkpoint"
+          (match flush with Config.Wbinvd -> "wbinvd" | Config.Flush_heap -> "flush-heap")
+          (if after_ckpt then "after" else "before")
+      in
+      let uc1, report1, _, _, _ =
+        crash_and_recover ~mode:Config.Durable ~flush ~seed:41L ~crash_at:2_000_000
+          ~workers:6 ~epsilon:32 ~log_size:128 ()
+      in
+      check (label ^ ": first recovery loses nothing") 0 report1.Prep_uc.lost_completed;
+      let sim = Sim.create ~seed:42L topology in
+      ignore (Sim.spawn sim ~socket:0 (fun () ->
+          Uc.start_persistence uc1;
+          let done_count = ref 0 in
+          spawn_workers sim uc1 ~topology ~workers:4 ~ops_per_worker:100_000
+            ~keyspace:50 ~update_pct:100 ~done_count));
+      (* resume the run in 10 us steps until the cut condition holds *)
+      let rec run_to until =
+        (match Sim.run ~until sim () with
+         | `Cut _ -> ()
+         | `Done -> Alcotest.fail "finished before the second crash");
+        let ready =
+          if after_ckpt then uc1.Uc.ckpt_count >= 1
+          else Trace.length (Uc.trace uc1) >= 16
+        in
+        if not ready then run_to (until + 10_000)
+      in
+      run_to 10_000;
+      check_bool (label ^ ": cut on its side of the checkpoint") after_ckpt
+        (uc1.Uc.ckpt_count >= 1);
+      Memory.crash uc1.Uc.mem;
+      Context.reset ();
+      let sim2 = Sim.create ~seed:43L topology in
+      let out = ref None in
+      ignore (Sim.spawn sim2 ~socket:0 (fun () -> out := Some (Uc.recover uc1)));
+      (match Sim.run sim2 () with `Done -> () | `Cut _ -> Alcotest.fail "cut");
+      let uc2, report = Option.get !out in
+      check (label ^ ": second recovery loses nothing") 0 report.Prep_uc.lost_completed;
+      check (label ^ ": no completed op skipped") 0 report.Prep_uc.skipped_completed;
+      check_bool (label ^ ": a prefix") true report.Prep_uc.contiguous_prefix;
+      let expected =
+        model_of_ops
+          (Uc.prefill_ops uc1 @ trace_ops (Uc.trace uc1) report.Prep_uc.applied)
+      in
+      check_list (label ^ ": state") (H.Model.snapshot expected) (Uc.snapshot uc2))
+    [ (Config.Wbinvd, false); (Config.Wbinvd, true);
+      (Config.Flush_heap, false); (Config.Flush_heap, true) ]
+
+(* Recovery writes no pre-crash NVM word before its first root, so a power
+   failure anywhere before that root leaves the media recovery started
+   from: the media of every pre-crash NVM arena (the stable replica's
+   among them) is bit-identical afterwards, and recovering again gives the
+   uninterrupted recovery's state and report. *)
+exception Power_failure
+
+module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
+  module U = Prep_uc.Make (Ds)
+
+  let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
+
+  let nvm_media mem ~arenas =
+    List.filter_map
+      (fun aid ->
+        if Memory.arena_kind mem aid = Memory.Nvm then
+          Some
+            (Array.init Memory.arena_words (fun offset ->
+                 Memory.peek_media mem (Memory.addr_of ~aid ~offset)))
+        else None)
+      (List.init arenas Fun.id)
+
+  let recover uc =
+    Context.reset ();
+    let sim = Sim.create ~seed:6L topology in
+    let out = ref None in
+    ignore
+      (Sim.spawn sim ~socket:0 (fun () ->
+           let uc', report = U.recover uc in
+           out := Some (U.snapshot uc', report)));
+    (match Sim.run sim () with `Done -> () | `Cut _ -> Alcotest.fail "cut");
+    Option.get !out
+
+  (* a 4-worker run of [gen] ops cut by a power failure at 1.5 ms *)
+  let crash_run ~mode ~prefill ~gen =
+    let sim = Sim.create ~seed:5L topology in
+    let mem = Memory.make ~bg_period:2000 ~sockets:2 () in
+    let uc_ref = ref None in
+    ignore
+      (Sim.spawn sim ~socket:0 (fun () ->
+           let cfg = Config.make ~mode ~log_size:128 ~epsilon:32 ~workers:4 () in
+           let uc = U.create ~prefill mem (Roots.make mem) cfg in
+           U.start_persistence uc;
+           uc_ref := Some uc;
+           for w = 0 to 3 do
+             let socket, core = Sim.Topology.place topology w in
+             Sim.spawn_here ~socket ~core (fun () ->
+                 U.register_worker uc;
+                 let rng = Sim.fiber_rng () in
+                 while true do
+                   let op, args = gen rng in
+                   ignore (U.execute uc ~op ~args)
+                 done)
+           done));
+    (match Sim.run ~until:1_500_000 sim () with
+     | `Cut _ -> ()
+     | `Done -> Alcotest.fail "finished before the crash");
+    Memory.crash mem;
+    (Option.get !uc_ref, mem)
+
+  let check_cuts ~mode ~prefill ~gen label =
+    let uc, mem = crash_run ~mode ~prefill ~gen in
+    let crashed = Memory.snapshot mem in
+    let arenas = Memory.arena_count mem in
+    let media = nvm_media mem ~arenas in
+    (* the uninterrupted recovery, and the index of its first root write *)
+    let start = Memory.op_index mem in
+    let first_root = ref max_int in
+    Memory.set_access_hook mem (fun _ addr write _ ->
+        if write && addr > 0 && addr < Roots.max_slots && !first_root = max_int
+        then first_root := Memory.op_index mem - 1);
+    let want = recover uc in
+    Memory.clear_access_hook mem;
+    check_bool (label ^ ": a root is written") true (!first_root < max_int);
+    List.iter
+      (fun k ->
+        let cut = start + ((!first_root - start) * k / 4) in
+        let at = Printf.sprintf "%s, cut at op %d of %d" label (cut - start)
+            (!first_root - start) in
+        Memory.restore mem crashed;
+        Memory.set_crash_hook mem (fun i -> if i >= cut then raise Power_failure);
+        (match recover uc with
+         | _ -> Alcotest.fail (at ^ ": recovery finished")
+         | exception Power_failure -> ());
+        Memory.clear_crash_hook mem;
+        Memory.crash mem;
+        check_bool (at ^ ": pre-crash media untouched") true
+          (nvm_media mem ~arenas = media);
+        let got = recover uc in
+        check_list (at ^ ": state") (fst want) (fst got);
+        check_bool (at ^ ": report") true (snd want = snd got))
+      [ 0; 1; 2; 3; 4 ]
+
+  let test ~prefill ~gen () =
+    check_cuts ~mode:Config.Buffered ~prefill ~gen (Ds.name ^ " buffered");
+    check_cuts ~mode:Config.Durable ~prefill ~gen (Ds.name ^ " durable")
+end
+
+(* Sharded recovery's [replay_keep] hook sees each kept payload as it is
+   read: a hook that keeps every entry costs recovery no memory operation,
+   and one that keeps none drops the replayed suffix. *)
+let test_replay_keep_reads_once () =
+  let module C = Cut_recovery (Seqds.Hashmap) in
+  let uc, mem =
+    C.crash_run ~mode:Config.Durable
+      ~prefill:(List.init 20 (fun k -> ins k k))
+      ~gen:(fun rng -> (H.op_insert, [| Sim.Rng.int rng 50; Sim.Rng.int rng 1000 |]))
+  in
+  let crashed = Memory.snapshot mem in
+  let recover keep =
+    Memory.restore mem crashed;
+    uc.C.U.replay_keep <- keep;
+    let start = Memory.op_index mem in
+    let _, report = C.recover uc in
+    (Memory.op_index mem - start, List.length report.Prep_uc.applied)
+  in
+  let ops, applied = recover None in
+  let kept_ops, kept_applied = recover (Some (fun ~op:_ ~args:_ -> true)) in
+  let _, none_applied = recover (Some (fun ~op:_ ~args:_ -> false)) in
+  check "a keep-all hook costs no memory operation" ops kept_ops;
+  check "a keep-all hook keeps the suffix" applied kept_applied;
+  check_bool "the suffix is not empty" true (none_applied < applied)
+
+let map_gen ~insert ~remove ~get rng =
+  let k = Sim.Rng.int rng 50 in
+  match Sim.Rng.int rng 3 with
+  | 0 -> (insert, [| k; Sim.Rng.int rng 1000 |])
+  | 1 -> (remove, [| k |])
+  | _ -> (get, [| k |])
+
+let test_cut_recovery_hashmap =
+  let module C = Cut_recovery (Seqds.Hashmap) in
+  C.test
+    ~prefill:(List.init 20 (fun k -> ins k k))
+    ~gen:(map_gen ~insert:H.op_insert ~remove:H.op_remove ~get:H.op_get)
+
+let test_cut_recovery_rbtree =
+  let module R = Seqds.Rbtree in
+  let module C = Cut_recovery (R) in
+  C.test
+    ~prefill:(List.init 20 (fun k -> (R.op_insert, [| k; k |])))
+    ~gen:(map_gen ~insert:R.op_insert ~remove:R.op_remove ~get:R.op_get)
+
+let test_cut_recovery_stack =
+  let module S = Seqds.Stack_ds in
+  let module C = Cut_recovery (S) in
+  C.test
+    ~prefill:(List.init 20 (fun v -> (S.op_push, [| v |])))
+    ~gen:(fun rng ->
+      if Sim.Rng.bool rng then (S.op_push, [| Sim.Rng.int rng 1000 |])
+      else (S.op_pop, [||]))
+
 (* Crash-time fuzzing: random crash points and seeds; the §5.1/§5.2
    guarantees must hold at every cut. *)
 let test_crash_fuzz_buffered () =
@@ -720,6 +927,12 @@ let () =
           Alcotest.test_case "recovered uc still works" `Quick
             test_recovered_uc_still_works;
           Alcotest.test_case "double crash" `Quick test_double_crash;
+          Alcotest.test_case "durable double crash" `Quick test_durable_double_crash;
+          Alcotest.test_case "cut recovery: hashmap" `Quick test_cut_recovery_hashmap;
+          Alcotest.test_case "cut recovery: rbtree" `Quick test_cut_recovery_rbtree;
+          Alcotest.test_case "cut recovery: stack" `Quick test_cut_recovery_stack;
+          Alcotest.test_case "replay_keep reads each payload once" `Quick
+            test_replay_keep_reads_once;
           Alcotest.test_case "buffered crash fuzz" `Slow test_crash_fuzz_buffered;
           Alcotest.test_case "durable crash fuzz" `Slow test_crash_fuzz_durable;
         ] );

@@ -115,6 +115,31 @@ let test_sleep_until () =
   in
   check "slept" 9_999 t
 
+(* The caller resumes when the last child returns, or when its own work
+   ends if that is later; children start at the caller's clock. *)
+let test_fork_join () =
+  let join ~own =
+    Sim.run_one (fun () ->
+        Sim.tick 100;
+        let starts = ref [] in
+        let child cost () =
+          starts := Sim.now () :: !starts;
+          Sim.tick cost
+        in
+        let r =
+          Sim.fork_join [ (0, 1, child 300); (1, 0, child 700) ] (fun () ->
+              Sim.tick own;
+              own)
+        in
+        (r, Sim.now (), !starts))
+  in
+  let r, t, starts = join ~own:50 in
+  check "main's result" 50 r;
+  check "resumes at the last child's return" 800 t;
+  Alcotest.(check (list int)) "children start at the caller's clock" [ 100; 100 ] starts;
+  let _, t, _ = join ~own:2_000 in
+  check "or at its own clock when later" 2_100 t
+
 let test_determinism_across_runs () =
   let run () =
     let log = ref [] in
@@ -152,6 +177,7 @@ let () =
           Alcotest.test_case "run until cuts" `Quick test_run_until_cuts;
           Alcotest.test_case "spawn inherits clock" `Quick test_spawn_inherits_clock;
           Alcotest.test_case "sleep until" `Quick test_sleep_until;
+          Alcotest.test_case "fork join" `Quick test_fork_join;
           Alcotest.test_case "determinism" `Quick test_determinism_across_runs;
         ] );
     ]
