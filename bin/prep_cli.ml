@@ -15,7 +15,7 @@
 
    Every PREP subcommand takes the same feature flags (--flit, --dist-rw,
    --log-mirror, --slot-bitmap, --detect, --lsm-ckpt, --lsm-fanout,
-   --no-lsm-compact, --persist-policy), read by one cmdliner term into a
+   --persist-policy), read by one cmdliner term into a
    [Prep.Config.t] that [Config.validate] accepts or refuses once.
 
    The harness subcommands take [-j N] to fan independent simulations
@@ -218,10 +218,6 @@ let lsm_fanout_arg =
   in
   Arg.(value & opt int 4 & info [ "lsm-fanout" ] ~docv:"K" ~doc)
 
-let no_lsm_compact_arg =
-  let doc = "With --lsm-ckpt: disable the background compaction fiber." in
-  Arg.(value & flag & info [ "no-lsm-compact" ] ~doc)
-
 let uc_shards_arg =
   let doc =
     "Run $(docv) hash-routed PREP-Durable shards behind the cross-shard \
@@ -248,7 +244,7 @@ let persist_policy_arg =
    [Config.make]'s defaults for the subcommand to set. *)
 let features_term =
   let features flit dist_rw log_mirror slot_bitmap detect lsm_ckpt lsm_fanout
-      no_lsm_compact persist_policy =
+      persist_policy =
     let policy =
       match persist_policy with
       | None -> Ok None
@@ -259,14 +255,13 @@ let features_term =
     | Ok persist_policy ->
       `Ok
         (Prep.Config.make ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-           ~lsm_ckpt ~lsm_fanout ~lsm_compact:(not no_lsm_compact)
-           ?persist_policy ~workers:1 ())
+           ~lsm_ckpt ~lsm_fanout ?persist_policy ~workers:1 ())
   in
   Term.(
     ret
       (const features $ flit_arg $ dist_rw_arg $ log_mirror_arg
      $ slot_bitmap_arg $ detect_arg $ lsm_ckpt_arg $ lsm_fanout_arg
-     $ no_lsm_compact_arg $ persist_policy_arg))
+     $ persist_policy_arg))
 
 let trace_arg =
   let doc =

@@ -46,6 +46,10 @@ type violation =
           prepare sub-ops (a committed transaction applied partially), or
           has no decision yet shard [shard] rolled a prepare of it
           *forward* (an aborted transaction left effects behind) *)
+  | Unlogged_applied of int
+      (** recovery applied log index [i], at which the ghost trace never
+          logged an op: it took a stale or never-written entry for a live
+          one *)
   | Recovery_raised of string
       (** recovery itself failed: rebuilding the structure from the
           post-crash media raised (a torn header sent the copy or the
@@ -94,6 +98,8 @@ let pp_violation ppf = function
         "cross-shard atomicity violation: txn %d never committed but \
          shard %d applied a prepare"
         txid shard
+  | Unlogged_applied i ->
+    Fmt.pf ppf "recovery applied log index %d, which was never logged" i
   | Recovery_raised msg -> Fmt.pf ppf "recovery raised: %s" msg
   | Wedged { horizon_ns } ->
     Fmt.pf ppf "wedged: no quiescence within %d ns of construction"
@@ -196,22 +202,30 @@ module Make (Model : Seqds.Ds_intf.MODEL) = struct
           in
           add (Prefix_violation { lost_index = i; applied_later = later }))
       lost;
-    (* state: recovered structure = model replay of prefill + survivors *)
-    let state =
-      List.fold_left
-        (fun m (op, args) -> fst (Model.apply m ~op ~args))
-        Model.empty prefill
+    (* state: recovered structure = model replay of prefill + survivors —
+       which has no model op to replay for a survivor never logged *)
+    let unlogged =
+      List.filter (fun i -> Prep.Trace.find trace i = None) applied
     in
-    let state =
-      List.fold_left
-        (fun m i ->
-          let e = Prep.Trace.get trace i in
-          fst (Model.apply m ~op:e.Prep.Trace.op ~args:e.Prep.Trace.args))
-        state applied
-    in
-    let expected = Model.snapshot state in
-    if expected <> recovered_snapshot then
-      add (State_mismatch { expected; recovered = recovered_snapshot });
+    if unlogged <> [] then
+      List.iter (fun i -> add (Unlogged_applied i)) unlogged
+    else begin
+      let state =
+        List.fold_left
+          (fun m (op, args) -> fst (Model.apply m ~op ~args))
+          Model.empty prefill
+      in
+      let state =
+        List.fold_left
+          (fun m i ->
+            let e = Prep.Trace.get trace i in
+            fst (Model.apply m ~op:e.Prep.Trace.op ~args:e.Prep.Trace.args))
+          state applied
+      in
+      let expected = Model.snapshot state in
+      if expected <> recovered_snapshot then
+        add (State_mismatch { expected; recovered = recovered_snapshot })
+    end;
     List.rev !violations
 
   (** Exactly-once check over a resubmission-closed cumulative history.

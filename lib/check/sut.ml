@@ -81,13 +81,14 @@ let applied_seqno_fn trace applied =
   let tbl : (int, int) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun i ->
-      let e = Prep.Trace.get trace i in
-      if e.Prep.Trace.seqno > 0 then
+      match Prep.Trace.find trace i with
+      | Some e when e.Prep.Trace.seqno > 0 ->
         let cur =
           Option.value ~default:0 (Hashtbl.find_opt tbl e.Prep.Trace.tid)
         in
         if e.Prep.Trace.seqno > cur then
-          Hashtbl.replace tbl e.Prep.Trace.tid e.Prep.Trace.seqno)
+          Hashtbl.replace tbl e.Prep.Trace.tid e.Prep.Trace.seqno
+      | Some _ | None -> ())
     applied;
   fun tid -> Option.value ~default:0 (Hashtbl.find_opt tbl tid)
 

@@ -146,10 +146,6 @@ type t = {
       (** size-tiered compaction trigger: when a level accumulates this
           many segments, the compaction fiber merges them into one segment
           at the next level *)
-  lsm_compact : bool;
-      (** run the background compaction fiber (lsm-ckpt only); off leaves
-          every sealed segment in place, which is correct but lets lookups
-          and the manifest grow with the number of seals *)
   root_base : int;
       (** first NVM root slot this instance's six persistent roots are
           registered at (shard [i] of a sharded construction uses
@@ -223,12 +219,12 @@ let validate t ~beta =
 let make ?(mode = Buffered) ?(log_size = 65536) ?(epsilon = 1024)
     ?(flush = Wbinvd) ?(flit = false) ?(dist_rw = false)
     ?(log_mirror = false) ?(slot_bitmap = false) ?(detect = false)
-    ?(shards = 1) ?(lsm_ckpt = false) ?(lsm_fanout = 4) ?(lsm_compact = true)
+    ?(shards = 1) ?(lsm_ckpt = false) ?(lsm_fanout = 4)
     ?(root_base = 0) ?(tag = "") ?persist_policy ?(fault = No_fault)
     ~workers () =
   { mode; log_size; epsilon; workers; flush; flit; dist_rw; log_mirror;
-    slot_bitmap; detect; shards; lsm_ckpt; lsm_fanout; lsm_compact;
-    root_base; tag; persist_policy; fault }
+    slot_bitmap; detect; shards; lsm_ckpt; lsm_fanout; root_base; tag;
+    persist_policy; fault }
 
 (** The checker command-line flags that rebuild [t]'s fault and feature
     set — every such field that differs from [make]'s default, in a fixed
@@ -254,8 +250,6 @@ let to_flags ~shards_flag t =
       (if t.lsm_ckpt then " --lsm-ckpt" else "");
       (if t.lsm_ckpt && t.lsm_fanout <> d.lsm_fanout then
          Printf.sprintf " --lsm-fanout %d" t.lsm_fanout
-       else "");
-      (if t.lsm_ckpt && t.lsm_compact <> d.lsm_compact then " --no-lsm-compact"
        else "");
       (match t.persist_policy with
        | Some p when not (Nvm.Persist.is_default p) ->

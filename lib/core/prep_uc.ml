@@ -194,6 +194,26 @@ module Lsm = struct
       planned;
     l.segments_built <- l.segments_built + List.length planned
 
+  (** Seal sorted records [recs] into fresh level-0 segments, mount them
+      and publish the manifest naming them with [sealed_lt] — segments
+      built before the manifest names them. [publish_first] inverts that
+      order: the planted [Manifest_before_segment_seal] fault. *)
+  let seal ?(publish_first = false) l pa recs ~sealed_lt =
+    let planned =
+      if Array.length recs = 0 then [] else plan_segments pa ~level:0 recs
+    in
+    let metas = List.map (fun (_, _, m) -> m) planned in
+    if publish_first then begin
+      l.segs <- metas @ l.segs;
+      publish l ~sealed_lt;
+      build_planned l ~level:0 planned
+    end
+    else begin
+      build_planned l ~level:0 planned;
+      l.segs <- metas @ l.segs;
+      publish l ~sealed_lt
+    end
+
   (** Fold a finished background merge into the mounted set and republish
       the manifest (persistence thread only). *)
   let apply_pending l =
@@ -259,17 +279,6 @@ module Lsm = struct
        List.iter (fun m -> h := Memory.h2 !h (m.Segment.addr lxor 0x5a5a)) replaced;
        List.iter (fun m -> h := Memory.h2 !h (m.Segment.addr lxor 0xa5a5)) merged);
     !h
-
-  (** What recovery carries from the pre-crash media into the rebuilt
-      instance: the manifest handle, the mounted (valid) segment set with
-      the recovery segments prepended, the published epoch, and the key
-      set the replay already rematerialised into the master. *)
-  type carry = {
-    c_manifest : Manifest.t;
-    c_segs : Segment.meta list;
-    c_epoch : int;
-    c_resolved : (int, unit) Hashtbl.t;
-  }
 end
 
 (* slot field offsets *)
@@ -387,11 +396,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
            the next cycle, so a checkpoint can never bake in an effect
            that recovery might have to roll back. The gate must make the
            decision it approves durable before returning [true]. *)
-    mutable replay_keep : (op:int -> args:int array -> bool) option;
-        (* Sharded-transaction hook: recovery replay applies an entry only
-           if this returns [true]. The sharded layer answers from the
-           post-crash decision-table media: committed prepares roll
-           forward, unprepared/aborted ones are skipped like log holes. *)
     tel : Phases.t option;
         (* phase spans, captured from the ambient telemetry registry at
            construction; [None] on uninstrumented runs *)
@@ -435,17 +439,19 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   let apply_ops ds ops =
     List.iter (fun (op, args) -> ignore (Ds.execute ds ~op ~args)) ops
 
+  (* a keyed map's flattened [k; v; ...] snapshot, as pairs *)
+  let rec pairs = function k :: v :: rest -> (k, v) :: pairs rest | _ -> []
+
   (* Build a full UC instance around [master]'s current contents. Runs
      inside a fiber; the caller's allocator binding is replaced.
-     [lsm_carry] is recovery's handoff under [Config.lsm_ckpt]: the
-     pre-crash manifest/segments and the key set the replay already
-     rematerialised into [master] — its presence means [master] (and every
-     copy of it) is a partial view to be hydrated lazily.
+     [lsm] is recovery's handoff under [Config.lsm_ckpt]: the mounted,
+     re-sealed store and [master]'s hydration view — [master] (and every
+     copy of it) is then a partial view to be hydrated lazily.
      [replay] is classic recovery's handoff: [master] is then the stable
      checkpoint, which the build only reads; every replica is a copy of
      it with the log suffix [(op, args)] replayed into it, and
      [reconcile i resp] sees replica 0's response to suffix entry [i]. *)
-  let build ?lsm_carry ?replay mem roots cfg ~prefill ~master =
+  let build ?lsm ?replay mem roots cfg ~prefill ~master =
     let topo = Sim.topology () in
     let beta = topo.Sim.Topology.cores_per_socket in
     Config.validate cfg ~beta;
@@ -484,10 +490,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     (* a copy of the master sees exactly the keys the master has resolved;
        each copy materialises independently from there *)
     let view_of_copy () =
-      match lsm_carry with
+      match lsm with
       | None -> fresh_view ~hydrated:true
-      | Some c ->
-        { resolved = Hashtbl.copy c.Lsm.c_resolved; hydrated = false }
+      | Some (_, v) ->
+        { resolved = Hashtbl.copy v.resolved; hydrated = v.hydrated }
     in
     (* a copy of the master, with the recovery suffix replayed into it *)
     let clone ~reconcile =
@@ -639,13 +645,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
             Memory.write mem m1 0;
             Roots.set roots (rb + slot_active) 0;
             let lsm =
-              match lsm_carry with
-              | Some c ->
-                let l =
-                  Lsm.make mem c.Lsm.c_manifest ~fanout:cfg.Config.lsm_fanout
-                    ~segs:c.Lsm.c_segs ~epoch:c.Lsm.c_epoch
-                in
-                l
+              match lsm with
+              | Some (l, _) -> l
               | None ->
                 (* checkpoint zero: seal the initial state (if any) and
                    publish epoch 1, so recovery always finds a manifest *)
@@ -655,17 +656,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                   Lsm.make mem manifest ~fanout:cfg.Config.lsm_fanout
                     ~segs:[] ~epoch:0
                 in
-                let rec pairs = function
-                  | k :: v :: rest -> (k, v) :: pairs rest
-                  | _ -> []
-                in
-                let recs = Array.of_list (pairs (Ds.snapshot master_ds)) in
-                if Array.length recs > 0 then begin
-                  let planned = Lsm.plan_segments pa ~level:0 recs in
-                  Lsm.build_planned l ~level:0 planned;
-                  l.Lsm.segs <- List.map (fun (_, _, m) -> m) planned
-                end;
-                Lsm.publish l ~sealed_lt:0;
+                Lsm.seal l pa (Array.of_list (pairs (Ds.snapshot master_ds)))
+                  ~sealed_lt:0;
                 l
             in
             let p0 = { meta = m0; pds = shadow }
@@ -728,7 +720,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       detect_responses = 0;
       detect_reconciled = 0;
       txn_gate = None;
-      replay_keep = None;
       tel = Phases.make ~tag:cfg.Config.tag ();
       lsm;
       shadow_view;
@@ -758,15 +749,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
 
   (* ---- lazy rematerialisation ([Config.lsm_ckpt]) ---- *)
 
-  let lsm_of t =
-    match t.lsm with Some l -> l | None -> assert false
-
   (** Ensure [key]'s truth is in [ds]: if [view] hasn't resolved it yet,
       look it up in the segment store and [key_put] a live hit. Charged
       reads/writes; the caller holds write access to the structure. *)
-  let materialize t view ds key =
+  let materialize l view ds key =
     if (not view.hydrated) && not (Hashtbl.mem view.resolved key) then begin
-      let l = lsm_of t in
       (match Lsm.store_find l key with
        | Some v when v <> Segment.tombstone ->
          Ds.key_put ds key v;
@@ -778,29 +765,31 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   (** Full hydration, for [Read_all] ops (aggregates like size must see
       every live key): resolve every key of every segment, newest first.
       One-time cost after a recovery; a no-op forever after. *)
-  let hydrate t view ds =
+  let hydrate l view ds =
     if not view.hydrated then begin
-      let l = lsm_of t in
       List.iter
         (fun m ->
           Array.iter
-            (fun (k, _) -> materialize t view ds k)
+            (fun (k, _) -> materialize l view ds k)
             (Segment.to_array l.Lsm.mem m))
         l.Lsm.segs;
       view.hydrated <- true
     end
 
   (** Resolve the key footprint of [op]/[args] so it may run on a possibly
-      partially-hydrated handle. *)
-  let lsm_prepare t view ds ~op ~args =
-    if t.lsm <> None && not view.hydrated then
+      partially-hydrated handle of store [l]. *)
+  let prepare l view ds ~op ~args =
+    if not view.hydrated then
       match Ds.classify ~op ~args with
       | Seqds.Ds_intf.Keyed { written; read } ->
-        Array.iter (materialize t view ds) written;
-        Array.iter (materialize t view ds) read
-      | Seqds.Ds_intf.Read_all -> hydrate t view ds
+        Array.iter (materialize l view ds) written;
+        Array.iter (materialize l view ds) read
+      | Seqds.Ds_intf.Read_all -> hydrate l view ds
       | Seqds.Ds_intf.Opaque ->
         invalid_arg "Prep_uc: --lsm-ckpt requires keyed-map operations"
+
+  let lsm_prepare t view ds ~op ~args =
+    match t.lsm with Some l -> prepare l view ds ~op ~args | None -> ()
 
   (* cost-free check: would [lsm_prepare] have any work to do? (readers use
      it to decide whether they need the write lock) *)
@@ -1288,19 +1277,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
 
   (* ---- persistence thread (Algorithm 2) ---- *)
 
-  let record_ckpt_cost t t0 =
-    t.ckpt_count <- t.ckpt_count + 1;
-    t.ckpt_cost_last <- Sim.now () - t0;
-    t.ckpt_cost_total <- t.ckpt_cost_total + t.ckpt_cost_last
-
+  (* The paper's whole-replica checkpoint: write back the persistent
+     heap, then swap active/stable and persist the switch. *)
   let flush_and_swap t =
-    Phases.in_span t.tel (fun pt -> pt.Phases.persist) @@ fun () ->
-    let t0 = Sim.now () in
-    (* injected fault: opening the next window before the checkpoint is
-       durable lets completed ops race two windows ahead of the stable
-       replica, so a crash mid-flush loses up to ~2ε ops *)
-    if t.cfg.Config.fault = Config.Early_boundary_advance then
-      write_flush_boundary t (read_flush_boundary t + t.cfg.Config.epsilon);
     (match t.cfg.Config.flush with
      | Config.Wbinvd -> Memory.wbinvd ~site:Persist.Prep_checkpoint t.mem
      | Config.Flush_heap ->
@@ -1314,10 +1293,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     (* swap active/stable and persist the switch before opening the next
        window (see module comment on ordering) *)
     let active = Roots.get t.roots (rslot t slot_active) in
-    Roots.set t.roots (rslot t slot_active) (1 - active);
-    record_ckpt_cost t t0;
-    if t.cfg.Config.fault <> Config.Early_boundary_advance then
-      write_flush_boundary t (read_flush_boundary t + t.cfg.Config.epsilon)
+    Roots.set t.roots (rslot t slot_active) (1 - active)
 
   (** The incremental checkpoint ([Config.lsm_ckpt]'s replacement for
       [flush_and_swap]): drain the memtable — exactly the keys written
@@ -1329,10 +1305,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       order, leaving a crash window where the durable manifest names torn
       segments whose effects [sealed_lt] claims are covered. *)
   let lsm_seal t l =
-    Phases.in_span t.tel (fun pt -> pt.Phases.seal) @@ fun () ->
-    let t0 = Sim.now () in
-    if t.cfg.Config.fault = Config.Early_boundary_advance then
-      write_flush_boundary t (read_flush_boundary t + t.cfg.Config.epsilon);
     let reached = Memory.read t.mem t.p_reps.(0).meta in
     let recs = Segment.Memtable.drain_sorted l.Lsm.memtable in
     if Array.length recs > 0 || reached > l.Lsm.sealed_lt then begin
@@ -1347,28 +1319,15 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       Log.persist_range t.log ~first:l.Lsm.sealed_lt
         ~n:(reached - l.Lsm.sealed_lt);
       Log.fence t.log;
-      let pa = Option.get t.p_alloc in
-      let planned =
-        if Array.length recs = 0 then []
-        else Lsm.plan_segments pa ~level:0 recs
-      in
-      let metas = List.map (fun (_, _, m) -> m) planned in
-      if t.cfg.Config.fault = Config.Manifest_before_segment_seal then begin
-        l.Lsm.segs <- metas @ l.Lsm.segs;
-        Lsm.publish l ~sealed_lt:reached;
-        Lsm.build_planned l ~level:0 planned
-      end
-      else begin
-        (* Build before the metas become visible in [l.segs]: the
-           compaction fiber shares this core and yields interleave with
-           [Segment.build]'s stores, so publishing an unbuilt segment to
-           the mounted set would let a concurrent merge read its
-           still-zero records and splice the real ones out of the store
-           (silent loss that only a post-crash recovery can see). *)
-        Lsm.build_planned l ~level:0 planned;
-        l.Lsm.segs <- metas @ l.Lsm.segs;
-        Lsm.publish l ~sealed_lt:reached
-      end;
+      (* [Lsm.seal] builds before the metas become visible in [l.segs]:
+         the compaction fiber shares this core and yields interleave with
+         [Segment.build]'s stores, so publishing an unbuilt segment to the
+         mounted set would let a concurrent merge read its still-zero
+         records and splice the real ones out of the store (silent loss
+         that only a post-crash recovery can see). *)
+      Lsm.seal l (Option.get t.p_alloc) recs ~sealed_lt:reached
+        ~publish_first:
+          (t.cfg.Config.fault = Config.Manifest_before_segment_seal);
       l.Lsm.seals <- l.Lsm.seals + 1;
       l.Lsm.keys_sealed <- l.Lsm.keys_sealed + Array.length recs;
       (* release the log window the seal just covered: the stable tail is
@@ -1376,8 +1335,25 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
          now — after the manifest publish — keeps the replayable suffix
          pinned against reuse until its effects are durable in segments *)
       Memory.write t.mem t.p_reps.(1).meta reached
-    end;
-    record_ckpt_cost t t0;
+    end
+
+  (* One checkpoint at the flush boundary, whichever the backend, then the
+     next ε window opens. Its simulated time is the checkpoint cost,
+     comparable across both backends. *)
+  let checkpoint t =
+    Phases.in_span t.tel
+      (fun pt -> if t.lsm = None then pt.Phases.persist else pt.Phases.seal)
+    @@ fun () ->
+    let t0 = Sim.now () in
+    (* injected fault: opening the next window before the checkpoint is
+       durable lets completed ops race two windows ahead of the stable
+       state, so a crash mid-checkpoint loses up to ~2ε ops *)
+    if t.cfg.Config.fault = Config.Early_boundary_advance then
+      write_flush_boundary t (read_flush_boundary t + t.cfg.Config.epsilon);
+    (match t.lsm with None -> flush_and_swap t | Some l -> lsm_seal t l);
+    t.ckpt_count <- t.ckpt_count + 1;
+    t.ckpt_cost_last <- Sim.now () - t0;
+    t.ckpt_cost_total <- t.ckpt_cost_total + t.ckpt_cost_last;
     if t.cfg.Config.fault <> Config.Early_boundary_advance then
       write_flush_boundary t (read_flush_boundary t + t.cfg.Config.epsilon)
 
@@ -1399,12 +1375,40 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
        Telemetry.Registry.span_enter pt.Phases.reg
          (Telemetry.Registry.span pt.Phases.reg span_name)
      | None -> ());
+    (* How the catch-up applies one log entry: to the NVM replica itself,
+       under the persistent allocator (classic), or to the volatile shadow
+       on the default allocator (lsm), after which the dirty tracker reads
+       the post-image of every written key off the shadow and folds it
+       into the memtable — the value a future segment will carry. *)
+    let in_heap, apply =
+      match t.lsm with
+      | None ->
+        ( Context.with_persistent,
+          fun rep ~op ~args -> ignore (Ds.execute rep.pds ~op ~args) )
+      | Some l ->
+        ( (fun f -> f ()),
+          fun rep ~op ~args ->
+            prepare l t.shadow_view rep.pds ~op ~args;
+            ignore (Ds.execute rep.pds ~op ~args);
+            match Ds.classify ~op ~args with
+            | Seqds.Ds_intf.Keyed { written; _ } ->
+              Array.iter
+                (fun k ->
+                  match Ds.key_get rep.pds k with
+                  | Some v -> Segment.Memtable.put l.Lsm.memtable k v
+                  | None -> Segment.Memtable.del l.Lsm.memtable k)
+                written
+            | Seqds.Ds_intf.Read_all -> ()
+            | Seqds.Ds_intf.Opaque ->
+              invalid_arg "Prep_uc: --lsm-ckpt requires keyed-map operations"
+        )
+    in
     while not t.stop_flag do
       let active = Roots.get t.roots (rslot t slot_active) in
       let rep = t.p_reps.(active) in
       let tail = read_ct t in
       let lt = Memory.read t.mem rep.meta in
-      if tail > lt then begin
+      if tail > lt then
         (* Bring the active persistent replica up to date. With a
            [txn_gate] installed, stop in front of the first entry whose
            cross-shard commit decision is still pending — keeping the
@@ -1412,70 +1416,30 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
            below must never contain an effect recovery could roll back. *)
         Phases.in_span t.tel (fun pt -> pt.Phases.catchup) (fun () ->
             let reached = ref lt in
-            (match t.lsm with
-             | None ->
-               Context.with_persistent (fun () ->
-                   try
-                     for idx = lt to tail - 1 do
-                       let op, args = Log.wait_and_read t.log idx in
-                       (match t.txn_gate with
-                        | Some gate when not (gate ~op ~args) -> raise Exit
-                        | _ -> ());
-                       ignore (Ds.execute rep.pds ~op ~args);
-                       reached := idx + 1
-                     done
-                   with Exit -> ())
-             | Some l ->
-               (* The shadow is volatile (default allocator), so no
-                  [with_persistent]. After each op the dirty tracker reads
-                  the post-image of every written key off the shadow and
-                  folds it into the memtable — the value a future segment
-                  will carry. *)
-               (try
+            in_heap (fun () ->
+                try
                   for idx = lt to tail - 1 do
                     let op, args = Log.wait_and_read t.log idx in
                     (match t.txn_gate with
                      | Some gate when not (gate ~op ~args) -> raise Exit
                      | _ -> ());
-                    lsm_prepare t t.shadow_view rep.pds ~op ~args;
-                    ignore (Ds.execute rep.pds ~op ~args);
-                    (match Ds.classify ~op ~args with
-                     | Seqds.Ds_intf.Keyed { written; _ } ->
-                       Array.iter
-                         (fun k ->
-                           match Ds.key_get rep.pds k with
-                           | Some v -> Segment.Memtable.put l.Lsm.memtable k v
-                           | None -> Segment.Memtable.del l.Lsm.memtable k)
-                         written
-                     | Seqds.Ds_intf.Read_all -> ()
-                     | Seqds.Ds_intf.Opaque ->
-                       invalid_arg
-                         "Prep_uc: --lsm-ckpt requires keyed-map operations");
+                    apply rep ~op ~args;
                     reached := idx + 1
                   done
-                with Exit -> ()));
-            if !reached > lt then
-              match t.lsm with
-              | None -> Memory.write t.mem rep.meta !reached
-              | Some _ ->
-                (* Only the active tail follows the shadow. The stable
-                   tail is repurposed as the seal watermark: it stays at
-                   [sealed_lt] so Algorithm 3's reuse guard keeps every
-                   unsealed entry in [sealed_lt, reached) pinned in the
-                   log — recovery replays exactly that suffix, and a
-                   writer lapping it would overwrite entries the durable
-                   state still depends on. When it pins logMin, the
-                   laggard-force path lowers the flush boundary, which
-                   triggers an early seal instead of an early swap. *)
-                Memory.write t.mem t.p_reps.(0).meta !reached)
-      end;
-      (match t.lsm with
-       | Some l -> Lsm.apply_pending l (* fold in a finished merge *)
-       | None -> ());
-      if read_flush_boundary t <= Memory.read t.mem rep.meta then (
-        match t.lsm with
-        | Some l -> lsm_seal t l
-        | None -> flush_and_swap t)
+                with Exit -> ());
+            (* Under lsm the active replica is always replica 0 (a seal
+               never swaps), and only its tail follows the shadow. The
+               stable tail is repurposed as the seal watermark: it stays
+               at [sealed_lt] so Algorithm 3's reuse guard keeps every
+               unsealed entry in [sealed_lt, reached) pinned in the log —
+               recovery replays exactly that suffix, and a writer lapping
+               it would overwrite entries the durable state still depends
+               on. When it pins logMin, the laggard-force path lowers the
+               flush boundary, which triggers an early seal instead of an
+               early swap. *)
+            if !reached > lt then Memory.write t.mem rep.meta !reached);
+      Option.iter Lsm.apply_pending t.lsm (* fold in a finished merge *);
+      if read_flush_boundary t <= Memory.read t.mem rep.meta then checkpoint t
       else Sim.spin ()
     done;
     (match t.tel with
@@ -1485,7 +1449,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
      | None -> ());
     t.p_thread_running <- false
 
-  (** Background size-tiered compaction ([Config.lsm_compact]): whenever a
+  (** Background size-tiered compaction ([Config.lsm_ckpt]): whenever a
       level accumulates [lsm_fanout] adjacent segments, merge them
       (newest-wins, tombstones dropped only when the run reaches the
       store's oldest segment) into one sealed segment at the next level.
@@ -1544,17 +1508,17 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     done
 
   (** Spawn the persistence thread on its dedicated core — plus, under
-      [--lsm-ckpt] with compaction enabled, the compaction fiber sharing
-      that core. No-op for the volatile variant. *)
+      [--lsm-ckpt], the compaction fiber sharing that core. No-op for the
+      volatile variant. *)
   let start_persistence t =
     if has_persistence t then begin
       Sim.spawn_here ~socket:t.p_socket ~core:(t.beta - 1) (fun () ->
           persistence_loop t);
-      match t.lsm with
-      | Some l when t.cfg.Config.lsm_compact ->
-        Sim.spawn_here ~socket:t.p_socket ~core:(t.beta - 1) (fun () ->
-            compaction_loop t l)
-      | _ -> ()
+      Option.iter
+        (fun l ->
+          Sim.spawn_here ~socket:t.p_socket ~core:(t.beta - 1) (fun () ->
+              compaction_loop t l))
+        t.lsm
     end
 
   let stop t = t.stop_flag <- true
@@ -1630,10 +1594,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let r = t.replicas.(0) in
     match t.lsm with
     | Some l when not r.view.hydrated ->
-      let rec pairs = function
-        | k :: v :: rest -> (k, v) :: pairs rest
-        | _ -> []
-      in
       let own = pairs (Ds.snapshot r.ds) in
       let store =
         List.filter
@@ -1690,26 +1650,163 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
 
   (* ---- recovery (paper §5.1 / §5.2) ---- *)
 
-  (* Classic (whole-replica checkpoint) recovery: attach the stable NVM
-     replica, read the durable log suffix past its tail once, and [build]
-     every new replica as a copy of the stable one with that suffix
-     replayed into it. Until it writes its roots, recovery changes no
-     pre-crash NVM word except reconciled response slots, so a crash at
-     any point before then leaves the checkpoint and log it started from,
-     and recovering again gives the same result. *)
-  let recover_classic old_t =
+  (* The stable checkpoint recovery replays into: the classic stable NVM
+     replica, or the incremental backend's store — its manifest, the
+     segment set that manifest names, and its [sealed_lt]. *)
+  type mounted = Replica of Ds.handle | Store of Lsm.t
+
+  (* Mount the stable checkpoint through the roots, writing nothing, and
+     return it with the log index it covers up to. A torn newest manifest
+     record falls back to the previous epoch inside [Manifest.load]; torn
+     segments, which only the planted fault can produce, are dropped. *)
+  let mount old_t =
     let mem = old_t.mem and roots = old_t.roots and cfg = old_t.cfg in
     let rb = cfg.Config.root_base in
-    let active = Roots.get roots (rb + slot_active) in
-    let stable = 1 - active in
-    let stable_meta =
-      Roots.get roots (rb + if stable = 0 then slot_meta0 else slot_meta1)
+    match old_t.lsm with
+    | None ->
+      let active = Roots.get roots (rb + slot_active) in
+      let stable = 1 - active in
+      let stable_meta =
+        Roots.get roots (rb + if stable = 0 then slot_meta0 else slot_meta1)
+      in
+      let stable_lt = Memory.read mem stable_meta in
+      let stable_root = Memory.read mem (stable_meta + 1) in
+      (Replica (Ds.attach mem stable_root), stable_lt)
+    | Some _ ->
+      let manifest =
+        Manifest.attach mem ~base:(Roots.get roots (lsm_manifest_slot rb))
+      in
+      let mrec =
+        match Manifest.load manifest with
+        | Some r -> r
+        | None ->
+          (* the initial publish is fenced before any op can complete *)
+          failwith "Prep_uc.recover: no valid manifest record on media"
+      in
+      let l =
+        Lsm.make mem manifest ~fanout:cfg.Config.lsm_fanout
+          ~segs:(List.filter_map (Segment.mount mem) mrec.Manifest.segs)
+          ~epoch:mrec.Manifest.epoch
+      in
+      l.Lsm.sealed_lt <- mrec.Manifest.sealed_lt;
+      (Store l, l.Lsm.sealed_lt)
+
+  (* The log entries replay applies, as (index, op, args, tag), from the
+     checkpoint's tail [from] to the recovered completedTail [ct], skipping
+     holes (unpersisted entries) and entries [keep] rejects. Each kept
+     payload is read once, and a tag only when it decides the entry or
+     [ann] needs it for reconciliation. *)
+  let scan_suffix ?keep old_t ~ann ~ct ~from =
+    let cfg = old_t.cfg in
+    (* replay must read the NVM media truth, never the (volatile) DRAM
+       mirror — the planted [Mirror_read_on_recovery] fault does exactly
+       that wrong thing so the fuzzer can prove it notices *)
+    let mirror =
+      if cfg.Config.fault = Config.Mirror_read_on_recovery then
+        Log.mirror_base old_t.log
+      else None
     in
-    let stable_lt = Memory.read mem stable_meta in
-    let stable_root = Memory.read mem (stable_meta + 1) in
-    let stable_ds = Ds.attach mem stable_root in
-    (* decide which trace indexes the recovered state contains *)
-    let applied_prefix = List.init stable_lt (fun i -> i) in
+    let log =
+      Log.attach old_t.mem
+        ~base:(Roots.get old_t.roots (cfg.Config.root_base + slot_log))
+        ~size:cfg.Config.log_size ~durable:true ~mirror
+    in
+    (* Under detectable execution the scan continues past the recovered
+       completedTail: a combiner's responses are fenced *before* its
+       completedTail CLFLUSH, so a crash in between leaves durable
+       responses whose entries sit beyond the media completedTail —
+       skipping them would break R1 (resolve would say Completed for an op
+       the recovered state lost). One log lap bounds the scan: no live
+       entry can sit further ahead, and stale-lap slots read as holes (or,
+       for never-reserved slots on odd laps, carry no seqno tag and are
+       rejected below). Holes anywhere are uncompleted ops, which durable
+       linearizability already permits dropping. *)
+    let scan_to = if cfg.Config.detect then ct + cfg.Config.log_size else ct in
+    let kept = ref [] in
+    for idx = from to scan_to - 1 do
+      if Log.is_full log idx then begin
+        let tag =
+          if idx >= ct || ann <> None then Log.read_tag log idx else (0, 0)
+        in
+        if idx < ct || snd tag > 0 then begin
+          let op, args = Log.read_payload log idx in
+          if match keep with None -> true | Some keep -> keep ~op ~args then
+            kept := (idx, op, args, tag) :: !kept
+        end
+      end
+    done;
+    Array.of_list (List.rev !kept)
+
+  (* Durability accounting against the ghost trace, for a recovered state
+     holding the checkpoint's trace indexes [0, base_lt) plus the replayed
+     [suffix]; and the rebuilt instance's prefill — the old one plus every
+     recovered op — so the checkers keep working after a later crash. *)
+  let account old_t ~base_lt ~ct suffix =
+    let replayed =
+      Array.to_list (Array.map (fun (idx, _, _, _) -> idx) suffix)
+    in
+    let applied = List.init base_lt Fun.id @ replayed in
+    let applied_set = Hashtbl.create 256 in
+    List.iter (fun i -> Hashtbl.replace applied_set i ()) applied;
+    let lost =
+      List.filter
+        (fun i -> not (Hashtbl.mem applied_set i))
+        (Trace.completed_indexes old_t.trace)
+    in
+    let skipped_completed =
+      (* holes are completed indexes in [base_lt, ct) missing from the
+         replay *)
+      if replayed = [] then 0
+      else List.length (List.filter (fun i -> i >= base_lt && i < ct) lost)
+    in
+    let rec contiguous expect = function
+      | [] -> true
+      | i :: rest -> i = expect && contiguous (expect + 1) rest
+    in
+    let report =
+      { applied; lost_completed = List.length lost; skipped_completed;
+        contiguous_prefix = contiguous 0 applied; reconciled = 0 }
+    in
+    let checkpointed =
+      List.init base_lt (fun i ->
+          let e = Trace.get old_t.trace i in
+          (e.Trace.op, e.Trace.args))
+    in
+    let replayed_ops =
+      Array.to_list (Array.map (fun (_, op, args, _) -> (op, args)) suffix)
+    in
+    (report, old_t.prefill @ checkpointed @ replayed_ops)
+
+  (** Recover after [Memory.crash]. [old_t] supplies configuration and the
+      ghost trace; all simulated-memory state is read back from NVM media
+      through the root directory. The log suffix past the checkpoint is
+      replayed only where [keep ~op ~args] holds: sharded recovery answers
+      from the post-crash decision-table media, rolling committed
+      prepares forward and skipping unprepared/aborted ones like log
+      holes. Returns the rebuilt UC and a report for the durability
+      checkers. Must run inside a fiber.
+
+      One spine serves both checkpoint backends: mount the checkpoint,
+      scan the durable suffix past its tail once, account for durability,
+      then replay. Only the replay is backend-specific:
+      - classic: [build] makes every replica a copy of the untouched
+        stable replica with the suffix replayed into it. Until it writes
+        its roots, recovery changes no pre-crash NVM word except
+        reconciled response slots, so a crash at any point before then
+        leaves the checkpoint and log it started from, and recovering
+        again gives the same result;
+      - lsm: replay into an empty volatile master, rematerialising from
+        the segments exactly the keys the replay touches — time to first
+        operation is O(suffix), independent of the object's size — then
+        seal the replay's dirty set and publish a new manifest epoch with
+        [sealed_lt] reset, because the rebuilt instance starts a fresh
+        log. *)
+  let recover ?keep old_t =
+    if not (has_persistence old_t) then
+      invalid_arg "Prep_uc.recover: volatile variant cannot recover";
+    let mem = old_t.mem and roots = old_t.roots and cfg = old_t.cfg in
+    let rb = cfg.Config.root_base in
+    let mounted, base_lt = mount old_t in
     let durable = cfg.Config.mode = Config.Durable in
     let ct =
       if durable then Memory.read mem (Roots.get roots (rb + slot_ct)) else 0
@@ -1724,58 +1821,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         else None
       else None
     in
-    (* the log entries replay applies, as (index, op, args, tag), from the
-       stable replica's tail to the recovered completedTail, skipping holes
-       (unpersisted entries) *)
     let suffix =
-      if not durable then [||]
-      else begin
-        (* replay must read the NVM media truth, never the (volatile) DRAM
-           mirror — the planted [Mirror_read_on_recovery] fault does
-           exactly that wrong thing so the fuzzer can prove it notices *)
-        let mirror =
-          if cfg.Config.fault = Config.Mirror_read_on_recovery then
-            Log.mirror_base old_t.log
-          else None
-        in
-        let log =
-          Log.attach mem ~base:(Roots.get roots (rb + slot_log))
-            ~size:cfg.Config.log_size ~durable:true ~mirror
-        in
-        (* Under detectable execution the scan continues past the recovered
-           completedTail: a combiner's responses are fenced *before* its
-           completedTail CLFLUSH, so a crash in between leaves durable
-           responses whose entries sit beyond the media completedTail —
-           skipping them would break R1 (resolve would say Completed for an
-           op the recovered state lost). One log lap bounds the scan: no
-           live entry can sit further ahead, and stale-lap slots read as
-           holes (or, for never-reserved slots on odd laps, carry no seqno
-           tag and are rejected below). Holes anywhere are uncompleted ops,
-           which durable linearizability already permits dropping. *)
-        let scan_to =
-          if cfg.Config.detect then ct + cfg.Config.log_size else ct
-        in
-        let kept = ref [] in
-        for idx = stable_lt to scan_to - 1 do
-          if Log.is_full log idx then begin
-            let tag =
-              if idx >= ct || ann <> None then Log.read_tag log idx else (0, 0)
-            in
-            if idx < ct || snd tag > 0 then begin
-              let op, args = Log.read_payload log idx in
-              (* sharded transactions: an entry whose cross-shard commit
-                 decision is absent from the post-crash media is rolled
-                 back — skipped like a log hole *)
-              if
-                match old_t.replay_keep with
-                | None -> true
-                | Some keep -> keep ~op ~args
-              then kept := (idx, op, args, tag) :: !kept
-            end
-          end
-        done;
-        Array.of_list (List.rev !kept)
-      end
+      if durable then scan_suffix ?keep old_t ~ann ~ct ~from:base_lt else [||]
     in
     (* replay reconciliation: rewrite the submitting thread's response slot
        with the replay-computed result so resolve reflects every op the
@@ -1793,266 +1840,50 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         end
       | None -> ()
     in
-    let replayed =
-      Array.to_list (Array.map (fun (idx, _, _, _) -> idx) suffix)
-    in
-    let applied = applied_prefix @ replayed in
-    (* durability accounting against the ghost trace *)
-    let applied_set = Hashtbl.create 256 in
-    List.iter (fun i -> Hashtbl.replace applied_set i ()) applied;
-    let completed = Trace.completed_indexes old_t.trace in
-    let lost_completed =
-      List.length (List.filter (fun i -> not (Hashtbl.mem applied_set i)) completed)
-    in
-    let skipped_completed =
-      match replayed with
-      | [] ->
-        List.length
-          (List.filter (fun i -> i < stable_lt && not (Hashtbl.mem applied_set i)) completed)
-      | _ ->
-        (* holes are indexes in [stable_lt, ct) missing from [replayed] *)
-        List.length
-          (List.filter
-             (fun i -> i >= stable_lt && i < ct && not (Hashtbl.mem applied_set i))
-             completed)
-    in
-    let contiguous_prefix =
-      let rec check expect = function
-        | [] -> true
-        | i :: rest -> i = expect && check (expect + 1) rest
-      in
-      check 0 applied
-    in
-    (* fold the recovered ops into the new instance's prefill so that
-       checkers after a subsequent crash keep working *)
-    let recovered_ops =
-      List.map
-        (fun i ->
-          let e = Trace.get old_t.trace i in
-          (e.Trace.op, e.Trace.args))
-        applied
-    in
-    let prefill = old_t.prefill @ recovered_ops in
-    let replay =
-      (Array.map (fun (_, op, args, _) -> (op, args)) suffix, reconcile)
-    in
-    let t = build ~replay mem roots cfg ~prefill ~master:(Some stable_ds) in
-    t.detect_reconciled <- !reconciled;
-    let report =
-      { applied; lost_completed; skipped_completed; contiguous_prefix;
-        reconciled = !reconciled }
-    in
-    (t, report)
-
-  (* Incremental-checkpoint recovery ([Config.lsm_ckpt]): mount the
-     manifest (torn newest record falls back to the previous epoch inside
-     [Manifest.load]) and the segment set it names — dropping torn
-     segments, which only the planted fault can produce — then replay just
-     the durable log suffix past [sealed_lt] against an empty volatile
-     master, rematerialising exactly the keys the replay touches. Time to
-     first operation is O(suffix), independent of the object's size. The
-     replay's dirty set is sealed into fresh segments and a new manifest
-     epoch is published with [sealed_lt] reset, because the rebuilt
-     instance starts a fresh log. *)
-  let recover_lsm old_t =
-    let mem = old_t.mem and roots = old_t.roots and cfg = old_t.cfg in
-    Context.bind ~default:(Alloc.create_volatile mem ~home:0) ();
-    let rb = cfg.Config.root_base in
-    let manifest =
-      Manifest.attach mem ~base:(Roots.get roots (lsm_manifest_slot rb))
-    in
-    let mrec =
-      match Manifest.load manifest with
-      | Some r -> r
-      | None ->
-        (* the initial publish is fenced before any op can complete *)
-        failwith "Prep_uc.recover: no valid manifest record on media"
-    in
-    let segs = List.filter_map (Segment.mount mem) mrec.Manifest.segs in
-    let sealed_lt = mrec.Manifest.sealed_lt in
-    let p_home = (Sim.topology ()).Sim.Topology.sockets - 1 in
-    let pa = Alloc.create_persistent mem ~home:p_home in
-    Context.set_persistent pa;
-    (* the recovered master: an empty volatile structure, hydrated from
-       the mounted segments only where the replay needs it *)
-    let master = Ds.create mem in
-    let resolved = Hashtbl.create 256 in
-    let dirty = Hashtbl.create 64 in
-    let touch key =
-      if not (Hashtbl.mem resolved key) then begin
-        let rec go = function
-          | [] -> ()
-          | m :: rest -> (
-            match Segment.lookup mem m key with
-            | Some v ->
-              if v <> Segment.tombstone then Ds.key_put master key v
-            | None -> go rest)
-        in
-        go segs;
-        Hashtbl.replace resolved key ()
-      end
-    in
-    let prepare_replay ~op ~args =
-      match Ds.classify ~op ~args with
-      | Seqds.Ds_intf.Keyed { written; read } ->
-        Array.iter touch written;
-        Array.iter touch read;
-        Array.iter (fun k -> Hashtbl.replace dirty k ()) written
-      | Seqds.Ds_intf.Read_all ->
-        List.iter
-          (fun m ->
-            Array.iter (fun (k, _) -> touch k) (Segment.to_array mem m))
-          segs
-      | Seqds.Ds_intf.Opaque ->
-        invalid_arg "Prep_uc: --lsm-ckpt requires keyed-map operations"
-    in
-    let applied_prefix = List.init sealed_lt (fun i -> i) in
-    let reconciled = ref 0 in
-    let replayed, ct =
-      if cfg.Config.mode = Config.Durable then begin
-        let ct = Memory.read mem (Roots.get roots (rb + slot_ct)) in
-        (* same media-truth rule (and planted mirror fault) as classic *)
-        let mirror =
-          if cfg.Config.fault = Config.Mirror_read_on_recovery then
-            Log.mirror_base old_t.log
-          else None
-        in
-        let log =
-          Log.attach mem ~base:(Roots.get roots (rb + slot_log))
-            ~size:cfg.Config.log_size ~durable:true ~mirror
-        in
-        let ann =
-          if cfg.Config.detect then
-            let base = Roots.get roots (rb + slot_announce) in
-            if base <> Memory.null then
-              Some
-                (Announce.attach mem ~base
-                   ~threads:(Sim.Topology.total_cores (Sim.topology ())))
-            else None
-          else None
-        in
-        let scan_to =
-          if cfg.Config.detect then ct + cfg.Config.log_size else ct
-        in
-        let replayed = ref [] in
-        for idx = sealed_lt to scan_to - 1 do
-          if
-            Log.is_full log idx
-            && (idx < ct || snd (Log.read_tag log idx) > 0)
-            && (match old_t.replay_keep with
-               | None -> true
-               | Some keep ->
-                 let op, args = Log.read_payload log idx in
-                 keep ~op ~args)
-          then begin
-            let op, args = Log.read_payload log idx in
-            prepare_replay ~op ~args;
-            let resp = Ds.execute master ~op ~args in
-            replayed := idx :: !replayed;
-            match ann with
-            | Some a ->
-              let tid, seqno = Log.read_tag log idx in
-              if seqno > 0 && Announce.response_seqno a ~tid < seqno
-              then begin
-                Announce.write_response a ~tid ~seqno ~result:resp;
-                Announce.flush_response a ~tid;
-                incr reconciled
-              end
-            | None -> ()
-          end
-        done;
-        (List.rev !replayed, ct)
-      end
-      else ([], sealed_lt)
-    in
-    (* seal the replay's effects: anything dirty that stayed only in the
-       volatile master would be lost by the *next* crash once [sealed_lt]
-       resets below *)
-    let new_metas =
-      let recs =
-        Hashtbl.fold
-          (fun k () acc ->
-            match Ds.key_get master k with
-            | Some v -> (k, v) :: acc
-            | None -> (k, Segment.tombstone) :: acc)
-          dirty []
-      in
-      let recs =
-        Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) recs)
-      in
-      if Array.length recs = 0 then []
-      else begin
-        let planned = Lsm.plan_segments pa ~level:0 recs in
-        List.iter
-          (fun (addr, chunk, _) ->
-            ignore (Segment.build mem ~addr ~level:0 chunk))
-          planned;
-        List.map (fun (_, _, m) -> m) planned
-      end
-    in
-    let all_segs = new_metas @ segs in
-    Manifest.publish manifest ~epoch:(mrec.Manifest.epoch + 1) ~sealed_lt:0
-      ~segs:(List.map (fun m -> m.Segment.addr) all_segs);
-    (* durability accounting against the ghost trace *)
-    let applied = applied_prefix @ replayed in
-    let applied_set = Hashtbl.create 256 in
-    List.iter (fun i -> Hashtbl.replace applied_set i ()) applied;
-    let completed = Trace.completed_indexes old_t.trace in
-    let lost_completed =
-      List.length
-        (List.filter (fun i -> not (Hashtbl.mem applied_set i)) completed)
-    in
-    let skipped_completed =
-      match replayed with
-      | [] ->
-        List.length
-          (List.filter
-             (fun i -> i < sealed_lt && not (Hashtbl.mem applied_set i))
-             completed)
-      | _ ->
-        List.length
-          (List.filter
-             (fun i ->
-               i >= sealed_lt && i < ct && not (Hashtbl.mem applied_set i))
-             completed)
-    in
-    let contiguous_prefix =
-      let rec check expect = function
-        | [] -> true
-        | i :: rest -> i = expect && check (expect + 1) rest
-      in
-      check 0 applied
-    in
-    let report =
-      { applied; lost_completed; skipped_completed; contiguous_prefix;
-        reconciled = !reconciled }
-    in
-    let recovered_ops =
-      List.map
-        (fun i ->
-          let e = Trace.get old_t.trace i in
-          (e.Trace.op, e.Trace.args))
-        applied
-    in
-    let prefill = old_t.prefill @ recovered_ops in
-    let carry =
-      { Lsm.c_manifest = manifest; c_segs = all_segs;
-        c_epoch = mrec.Manifest.epoch + 1; c_resolved = resolved }
-    in
+    let report, prefill = account old_t ~base_lt ~ct suffix in
     let t =
-      build ~lsm_carry:carry mem roots cfg ~prefill ~master:(Some master)
+      match mounted with
+      | Replica stable ->
+        let ops = Array.map (fun (_, op, args, _) -> (op, args)) suffix in
+        build ~replay:(ops, reconcile) mem roots cfg ~prefill
+          ~master:(Some stable)
+      | Store l ->
+        Context.bind ~default:(Alloc.create_volatile mem ~home:0) ();
+        let pa =
+          Alloc.create_persistent mem
+            ~home:((Sim.topology ()).Sim.Topology.sockets - 1)
+        in
+        Context.set_persistent pa;
+        let master = Ds.create mem in
+        let view = fresh_view ~hydrated:false in
+        let dirty = Hashtbl.create 64 in
+        Array.iteri
+          (fun i (_, op, args, _) ->
+            prepare l view master ~op ~args;
+            (match Ds.classify ~op ~args with
+             | Seqds.Ds_intf.Keyed { written; _ } ->
+               Array.iter (fun k -> Hashtbl.replace dirty k ()) written
+             | Seqds.Ds_intf.Read_all | Seqds.Ds_intf.Opaque -> ());
+            reconcile i (Ds.execute master ~op ~args))
+          suffix;
+        (* seal the replay's effects: anything dirty that stayed only in
+           the volatile master would be lost by the *next* crash once
+           [sealed_lt] resets *)
+        let recs =
+          Hashtbl.fold
+            (fun k () acc ->
+              match Ds.key_get master k with
+              | Some v -> (k, v) :: acc
+              | None -> (k, Segment.tombstone) :: acc)
+            dirty []
+        in
+        Lsm.seal l pa
+          (Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) recs))
+          ~sealed_lt:0;
+        build ~lsm:(l, view) mem roots cfg ~prefill ~master:(Some master)
     in
     t.detect_reconciled <- !reconciled;
-    (t, report)
-
-  (** Recover after [Memory.crash]. [old_t] supplies configuration and the
-      ghost trace; all simulated-memory state is read back from NVM media
-      through the root directory. Returns the rebuilt UC and a report for
-      the durability checkers. Must run inside a fiber. *)
-  let recover old_t =
-    if not (has_persistence old_t) then
-      invalid_arg "Prep_uc.recover: volatile variant cannot recover";
-    if old_t.lsm <> None then recover_lsm old_t else recover_classic old_t
+    (t, { report with reconciled = !reconciled })
 
   (* ---- detectability queries ---- *)
 

@@ -40,7 +40,7 @@
       checkpoint's own fence then drains that write-back, so a checkpoint
       containing the effect implies the decision is on media;
     - recovery attaches the decision table through its root slot and
-      replays every shard's log with a [Prep_uc.replay_keep] filter:
+      replays every shard's log through a [Prep_uc.recover ~keep] filter:
       prepares whose txid is absent from the post-crash decision media
       are skipped exactly like log holes (roll-back), committed ones are
       re-executed (roll-forward). Durable linearizability then holds
@@ -574,7 +574,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
 
   (** Recover every shard after [Memory.crash]: attach the decision table
       from its root, roll committed prepares forward and uncommitted ones
-      back on every shard (via [replay_keep]), and rebuild the router.
+      back on every shard (recovery's [keep] filter), and rebuild the router.
       Returns the new construction plus the per-shard recovery reports.
       Must run inside a fiber. *)
   let recover old_t =
@@ -583,8 +583,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let keep ~op ~args =
       if is_txn_op op then Decision.committed dec args.(0) else true
     in
-    Array.iter (fun s -> s.P.replay_keep <- Some keep) old_t.shards;
-    let pairs = Array.map P.recover old_t.shards in
+    let pairs = Array.map (P.recover ~keep) old_t.shards in
     let shards = Array.map fst pairs in
     let reports = Array.map snd pairs in
     let t =

@@ -50,6 +50,12 @@ let completed t idx = t.entries.(idx).completed <- true
 let length t = t.len
 let get t idx = t.entries.(idx)
 
+(** The op logged at index [idx], or [None] if no op was ever logged
+    there. *)
+let find t idx =
+  if idx < 0 || idx >= t.len || t.entries.(idx).op = -1 then None
+  else Some t.entries.(idx)
+
 (** Hash of every entry and its completion mark — the explorer's view of
     the trace in its state-dedup and crash-dedup keys. *)
 let hash t =

@@ -361,19 +361,18 @@ module Systems (Ds : Seqds.Ds_intf.S) = struct
     build ?name ~router:(cfg.Prep.Config.shards > 1) cfg
 
   let prep ?log_size ?flush ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect
-      ?lsm_ckpt ?lsm_fanout ?lsm_compact ?persist_policy ?name ~mode ~epsilon
-      () =
+      ?lsm_ckpt ?lsm_fanout ?persist_policy ?name ~mode ~epsilon () =
     of_config ?name
       (Prep.Config.make ?log_size ?flush ?flit ?dist_rw ?log_mirror
-         ?slot_bitmap ?detect ?lsm_ckpt ?lsm_fanout ?lsm_compact
-         ?persist_policy ~mode ~epsilon ~workers:1 ())
+         ?slot_bitmap ?detect ?lsm_ckpt ?lsm_fanout ?persist_policy ~mode
+         ~epsilon ~workers:1 ())
 
   (** Hash-routed durable shards, the router kept even for [shards = 1]. *)
   let prep_sharded ?log_size ?flush ?flit ?slot_bitmap ?lsm_ckpt ?lsm_fanout
-      ?lsm_compact ?persist_policy ?name ~shards ~epsilon () =
+      ?persist_policy ?name ~shards ~epsilon () =
     build ?name ~router:true
       (Prep.Config.make ?log_size ?flush ?flit ?slot_bitmap ?lsm_ckpt
-         ?lsm_fanout ?lsm_compact ?persist_policy ~mode:Prep.Config.Durable
+         ?lsm_fanout ?persist_policy ~mode:Prep.Config.Durable
          ~shards ~epsilon ~workers:1 ())
 
   let global_lock =

@@ -457,6 +457,53 @@ let test_response_before_log_persist_caught_and_shrunk () =
     (contains cmd "response-before-log-persist");
   check_bool "repro passes --detect" true (contains cmd "--detect")
 
+(* Detectable execution over the incremental checkpoint: the one recovery
+   spine reconciles responses during the lsm backend's replay too. *)
+let test_fuzz_detect_lsm_clean () =
+  let res =
+    F.fuzz ~config:(cfg ~detect:true ~lsm_ckpt:true ())
+      ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
+      ~template:(template ~seed:1 ~epsilon:16 ~ops:300)
+      ~iters:30 ()
+  in
+  no_failures "detect + lsm" res;
+  check_bool "detect + lsm crash points explored" true
+    (res.Check.Fuzz.crashes > 0)
+
+(* Under the planted fault the detect scan past the completedTail can take
+   a stale-lap entry for a live one, so recovery applies log indexes the
+   ghost trace never logged (the first episode of the seed-5 campaign, on
+   either checkpoint backend). The checker must report that as a
+   violation rather than raise from its model replay, and the shrunk
+   repro must still fail. *)
+let test_unlogged_applied_is_a_violation () =
+  let mode = Config.Durable and fault = Config.Response_before_log_persist in
+  List.iter
+    (fun lsm_ckpt ->
+      let config = cfg ~detect:true ~lsm_ckpt () in
+      let label = if lsm_ckpt then "lsm" else "classic" in
+      let res =
+        F.fuzz ~config ~mode ~fault ~gen_op
+          ~template:(template ~seed:5 ~epsilon:16 ~ops:300)
+          ~iters:1 ()
+      in
+      let first =
+        match res.Check.Fuzz.failures with
+        | f :: _ -> f
+        | [] -> Alcotest.failf "%s: planted fault not caught" label
+      in
+      check_bool (label ^ ": an unlogged index applied") true
+        (List.exists
+           (function Check.Durable_lin.Unlogged_applied _ -> true | _ -> false)
+           first.Check.Fuzz.violations);
+      let small =
+        F.shrink ~config ~mode ~fault ~gen_op first.Check.Fuzz.episode
+      in
+      let out = F.run_episode ~config ~mode ~fault ~gen_op small in
+      check_bool (label ^ ": shrunk repro still fails") true
+        (out.Check.Fuzz.violations <> []))
+    [ false; true ]
+
 let test_response_fault_requires_detect () =
   (* without the detectability layer there are no response records to
      persist early: the config layer rejects the combination outright, so
@@ -858,5 +905,9 @@ let () =
             `Slow test_response_before_log_persist_caught_and_shrunk;
           Alcotest.test_case "response fault requires detect" `Quick
             test_response_fault_requires_detect;
+          Alcotest.test_case "detect + lsm clean" `Slow
+            test_fuzz_detect_lsm_clean;
+          Alcotest.test_case "unlogged applied index is a violation" `Slow
+            test_unlogged_applied_is_a_violation;
         ] );
     ]

@@ -523,25 +523,27 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
         else None)
       (List.init arenas Fun.id)
 
-  let recover uc =
+  let recover ?keep uc =
     Context.reset ();
     let sim = Sim.create ~seed:6L topology in
     let out = ref None in
     ignore
       (Sim.spawn sim ~socket:0 (fun () ->
-           let uc', report = U.recover uc in
+           let uc', report = U.recover ?keep uc in
            out := Some (U.snapshot uc', report)));
     (match Sim.run sim () with `Done -> () | `Cut _ -> Alcotest.fail "cut");
     Option.get !out
 
   (* a 4-worker run of [gen] ops cut by a power failure at 1.5 ms *)
-  let crash_run ~mode ~prefill ~gen =
+  let crash_run ?(lsm_ckpt = false) ~mode ~prefill ~gen () =
     let sim = Sim.create ~seed:5L topology in
     let mem = Memory.make ~bg_period:2000 ~sockets:2 () in
     let uc_ref = ref None in
     ignore
       (Sim.spawn sim ~socket:0 (fun () ->
-           let cfg = Config.make ~mode ~log_size:128 ~epsilon:32 ~workers:4 () in
+           let cfg =
+             Config.make ~mode ~lsm_ckpt ~log_size:128 ~epsilon:32 ~workers:4 ()
+           in
            let uc = U.create ~prefill mem (Roots.make mem) cfg in
            U.start_persistence uc;
            uc_ref := Some uc;
@@ -562,7 +564,7 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
     (Option.get !uc_ref, mem)
 
   let check_cuts ~mode ~prefill ~gen label =
-    let uc, mem = crash_run ~mode ~prefill ~gen in
+    let uc, mem = crash_run ~mode ~prefill ~gen () in
     let crashed = Memory.snapshot mem in
     let arenas = Memory.arena_count mem in
     let media = nvm_media mem ~arenas in
@@ -599,30 +601,40 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
     check_cuts ~mode:Config.Durable ~prefill ~gen (Ds.name ^ " durable")
 end
 
-(* Sharded recovery's [replay_keep] hook sees each kept payload as it is
-   read: a hook that keeps every entry costs recovery no memory operation,
-   and one that keeps none drops the replayed suffix. *)
+(* Sharded recovery's [keep] filter sees each kept payload as it is read,
+   under either checkpoint backend: a filter that keeps every entry costs
+   recovery no memory operation, and one that keeps none drops the
+   replayed suffix. *)
 let test_replay_keep_reads_once () =
   let module C = Cut_recovery (Seqds.Hashmap) in
-  let uc, mem =
-    C.crash_run ~mode:Config.Durable
-      ~prefill:(List.init 20 (fun k -> ins k k))
-      ~gen:(fun rng -> (H.op_insert, [| Sim.Rng.int rng 50; Sim.Rng.int rng 1000 |]))
-  in
-  let crashed = Memory.snapshot mem in
-  let recover keep =
-    Memory.restore mem crashed;
-    uc.C.U.replay_keep <- keep;
-    let start = Memory.op_index mem in
-    let _, report = C.recover uc in
-    (Memory.op_index mem - start, List.length report.Prep_uc.applied)
-  in
-  let ops, applied = recover None in
-  let kept_ops, kept_applied = recover (Some (fun ~op:_ ~args:_ -> true)) in
-  let _, none_applied = recover (Some (fun ~op:_ ~args:_ -> false)) in
-  check "a keep-all hook costs no memory operation" ops kept_ops;
-  check "a keep-all hook keeps the suffix" applied kept_applied;
-  check_bool "the suffix is not empty" true (none_applied < applied)
+  List.iter
+    (fun lsm_ckpt ->
+      let label = if lsm_ckpt then "lsm: " else "classic: " in
+      let uc, mem =
+        C.crash_run ~lsm_ckpt ~mode:Config.Durable
+          ~prefill:(List.init 20 (fun k -> ins k k))
+          ~gen:(fun rng ->
+            (H.op_insert, [| Sim.Rng.int rng 50; Sim.Rng.int rng 1000 |]))
+          ()
+      in
+      let crashed = Memory.snapshot mem in
+      let recover ?keep () =
+        Memory.restore mem crashed;
+        let start = Memory.op_index mem in
+        let _, report = C.recover ?keep uc in
+        (Memory.op_index mem - start, List.length report.Prep_uc.applied)
+      in
+      let ops, applied = recover () in
+      let kept_ops, kept_applied =
+        recover ~keep:(fun ~op:_ ~args:_ -> true) ()
+      in
+      let _, none_applied = recover ~keep:(fun ~op:_ ~args:_ -> false) () in
+      check (label ^ "a keep-all filter costs no memory operation") ops
+        kept_ops;
+      check (label ^ "a keep-all filter keeps the suffix") applied kept_applied;
+      check_bool (label ^ "the suffix is not empty") true
+        (none_applied < applied))
+    [ false; true ]
 
 let map_gen ~insert ~remove ~get rng =
   let k = Sim.Rng.int rng 50 in
