@@ -601,20 +601,20 @@ let variant_arg =
 
 let fault_arg =
   let doc =
-    "Injected protocol fault: none, early-boundary, elide-ct-flush, \
-     mirror-read-recovery, response-before-log-persist (requires --detect), \
-     commit-before-prepare (requires sharding: the cross-shard commit \
-     decision is flushed before any prepare is durably logged) or \
-     manifest-before-seal (requires --lsm-ckpt: the checkpoint manifest is \
-     published before the segment bodies it points at are fenced)."
+    "Injected protocol fault: none, early-boundary, mirror-read-recovery, \
+     response-before-log-persist (requires --detect), commit-before-prepare \
+     (requires sharding: the cross-shard commit decision is flushed before \
+     any prepare is durably logged) or manifest-before-seal (requires \
+     --lsm-ckpt: the checkpoint manifest is published before the segment \
+     bodies it points at are fenced)."
   in
   let faults =
     List.map
       (fun f -> (Prep.Config.fault_name f, f))
       Prep.Config.
-        [ No_fault; Early_boundary_advance; Elide_ct_flush;
-          Mirror_read_on_recovery; Response_before_log_persist;
-          Commit_before_prepare_persist; Manifest_before_segment_seal ]
+        [ No_fault; Early_boundary_advance; Mirror_read_on_recovery;
+          Response_before_log_persist; Commit_before_prepare_persist;
+          Manifest_before_segment_seal ]
   in
   Arg.(
     value

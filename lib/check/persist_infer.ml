@@ -23,8 +23,10 @@
 
     Rejected candidates are kept in the report with a replayable repro
     command: each one is a machine-found planted fault, and CI replays the
-    canonical rejection (the completedTail elision, the same bug as
-    [Config.Elide_ct_flush]) to prove the oracles keep their teeth.
+    canonical rejection (the completedTail elision,
+    [--persist-policy "prep.completed_tail=elide"], also the planted fault
+    the explorer and fuzzer suites run) to prove the oracles keep their
+    teeth.
 
     The search is greedy and monotone: admitted weakenings stay in the
     policy while later candidates are tried on top, so the final policy as

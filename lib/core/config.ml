@@ -35,12 +35,6 @@ type fault =
           replicas — the exact ordering bug the module comment of
           [Prep_uc] warns about, which widens the crash-loss window to
           about 2ε and breaks the ε+β−1 bound *)
-  | Elide_ct_flush
-      (** skip the completedTail CLFLUSH entirely in durable mode — a
-          plausibly-wrong version of this repo's flush-elimination layer
-          (eliding the flush without checking the line is persisted), which
-          leaves the durable completedTail stale on media and breaks the
-          zero-loss guarantee of §5.2 *)
   | Mirror_read_on_recovery
       (** serve recovery's log replay from the DRAM log mirror instead of
           the NVM copy — the obvious wrong version of this repo's
@@ -82,7 +76,6 @@ type fault =
 let fault_name = function
   | No_fault -> "none"
   | Early_boundary_advance -> "early-boundary"
-  | Elide_ct_flush -> "elide-ct-flush"
   | Mirror_read_on_recovery -> "mirror-read-recovery"
   | Response_before_log_persist -> "response-before-log-persist"
   | Commit_before_prepare_persist -> "commit-before-prepare"

@@ -942,8 +942,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       completedTail that is only coherently — not durably — advanced would
       lose those completions on a crash. With FliT tracking the extra flush
       is elided whenever the completedTail line is in fact already
-      persisted, which is the common case. [Elide_ct_flush] deliberately
-      skips the flush altogether so the fuzzer can prove it notices. *)
+      persisted, which is the common case. The persistency policy
+      [prep.completed_tail=elide] removes the flush altogether: the
+      planted fault the explorer and fuzzer must catch. *)
   let advance_completed_tail t target =
     let rec loop () =
       let ct = read_ct t in
@@ -952,7 +953,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       else loop ()
     in
     loop ();
-    if durable t && t.cfg.Config.fault <> Config.Elide_ct_flush then
+    if durable t then
       Phases.in_span t.tel (fun pt -> pt.Phases.persist) (fun () ->
           Memory.clflush ~site:Persist.Prep_completed_tail t.mem t.ct_addr)
 
@@ -1605,20 +1606,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         (List.sort compare (own @ store))
     | _ -> Ds.snapshot r.ds
 
-  (** Cost-free snapshot of the stable persistent state: the stable
-      replica's current (coherent) view, or — under [--lsm-ckpt] — the
-      live merge of the sealed segment set (what a crash right now is
-      guaranteed to recover without any log replay). *)
-  let stable_snapshot t =
-    match t.lsm with
-    | Some l ->
-      List.concat_map (fun (k, v) -> [ k; v ]) (Lsm.peek_live l)
-    | None ->
-      let active =
-        Memory.peek t.mem (Roots.addr t.roots (rslot t slot_active))
-      in
-      Ds.snapshot t.p_reps.(1 - active).pds
-
   (** Order-independent hash of every bit of volatile [--lsm-ckpt] state
       the memory fingerprints cannot see — memtable, mounted segment set,
       pending merges, per-replica hydration — for the explorer's state
@@ -1891,12 +1878,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     match t.ann with
     | Some a -> a
     | None -> invalid_arg "Prep_uc: detectable execution is not enabled"
-
-  (** Raw view of thread [tid]'s announce and response records. Charged
-      simulated reads; coherent view (equals media right after a crash). *)
-  let detect_state t ~tid =
-    let a = require_ann t in
-    (Announce.announced a ~tid, Announce.response a ~tid)
 
   (** The recovery-side detectability query (run it on the *recovered*
       instance, after [recover] has reconciled response slots from the

@@ -79,14 +79,3 @@ let completed_indexes t =
     if t.entries.(i).completed then acc := i :: !acc
   done;
   !acc
-
-(** Fold a pure model over the first [n] trace entries. *)
-let replay_model (type m) (module Model : Seqds.Ds_intf.MODEL with type m = m)
-    t n =
-  let state = ref Model.empty in
-  for i = 0 to n - 1 do
-    let e = t.entries.(i) in
-    let state', _ = Model.apply !state ~op:e.op ~args:e.args in
-    state := state'
-  done;
-  !state

@@ -20,10 +20,6 @@
 
 type 'r outcome = Pending | Done of 'r | Failed of exn
 
-(** What [Domain.recommended_domain_count] says this machine can usefully
-    run; the CLI maps [-j 0] to this. *)
-let default_jobs () = Domain.recommended_domain_count ()
-
 (** [run ~j tasks] evaluates every task and returns their results in task
     order. [j <= 1] (or a single task) runs inline with zero overhead —
     the serial path is the parallel path with the work queue degenerated,

@@ -70,17 +70,17 @@ let publish t ~epoch ~sealed_lt ~segs =
   done;
   Memory.sfence ~site:Persist.Manifest_publish t.mem
 
-let read_slot read t i =
+let read_slot t i =
   let s = slot_addr t i in
-  let epoch = read t.mem s in
+  let epoch = Memory.read t.mem s in
   if epoch <= 0 then None
   else
-    let sealed_lt = read t.mem (s + 1) in
-    let nseg = read t.mem (s + 2) in
+    let sealed_lt = Memory.read t.mem (s + 1) in
+    let nseg = Memory.read t.mem (s + 2) in
     if nseg < 0 || nseg > max_segments then None
     else
-      let segs = List.init nseg (fun i -> read t.mem (s + 3 + i)) in
-      if read t.mem (s + ck_off) <> checksum ~epoch ~sealed_lt ~nseg segs
+      let segs = List.init nseg (fun i -> Memory.read t.mem (s + 3 + i)) in
+      if Memory.read t.mem (s + ck_off) <> checksum ~epoch ~sealed_lt ~nseg segs
       then None
       else Some { epoch; sealed_lt; segs }
 
@@ -92,7 +92,4 @@ let best a b =
 (** Read back the newest valid record (charged reads); [None] only if no
     publish ever completed. A record torn by a crash mid-publish fails its
     checksum and the previous epoch wins — the torn-manifest fallback. *)
-let load t = best (read_slot Memory.read t 0) (read_slot Memory.read t 1)
-
-(** Cost-free [load] (checkers only). *)
-let peek_load t = best (read_slot Memory.peek t 0) (read_slot Memory.peek t 1)
+let load t = best (read_slot t 0) (read_slot t 1)

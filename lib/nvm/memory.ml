@@ -9,6 +9,15 @@
     flush* — the cache-coherence-induced write-backs the paper warns about
     (§2.2, §4.1). [crash] discards everything except media.
 
+    The write-pending queue (WPQ) holds at most one capture per line: a
+    [clwb] captures the line's current contents, replacing any earlier
+    capture of it, and [sfence] writes every capture to media and empties
+    the queue. Any other commit of a line to media ([clflush], [wbinvd],
+    [flush_arena], a background flush) drops the line's capture, so a fence
+    never writes back contents older than media already holds. FliT
+    ([set_flit]) changes what a flush costs and which flushes are elided,
+    never what reaches media.
+
     Addresses are plain ints: [addr = arena_id * arena_words + offset].
     Address 0 is reserved and plays the role of the null pointer. *)
 
@@ -36,7 +45,7 @@ type stats = {
   mutable cas_ops : int;
   mutable clwb : int;          (** CLWBs that queued a real media write-back *)
   mutable clflush : int;       (** CLFLUSHes that performed a real media write *)
-  mutable sfence : int;        (** SFENCEs that drained a non-empty WPQ *)
+  mutable sfence : int;        (** SFENCEs that paid the drain cost *)
   mutable wbinvd : int;
   mutable wbinvd_lines : int;
   mutable bg_flushes : int;
@@ -57,8 +66,6 @@ let new_stats () =
     clwb_elided = 0; clwb_coalesced = 0; clflush_elided = 0; sfence_elided = 0;
     policy_elided = 0; policy_downgraded = 0; policy_deferred = 0 }
 
-type pending = { p_arena : int; p_line : int; p_words : int array }
-
 let dirty_key aid line = (aid * lines_per_arena) + line
 
 (* ---- incremental state hashing (model-checking support) ----
@@ -68,9 +75,8 @@ let dirty_key aid line = (aid * lines_per_arena) + line
    Recomputing those over every arena at every scheduling point would be
    quadratic, so each component is maintained *incrementally*: the value and
    media hashes are XORs of a per-word hash (zero words contribute nothing,
-   so a fresh arena costs nothing), the dirty hash an XOR of per-line
-   contributions, and the WPQ hash either a fold over the ordered list
-   (non-flit: drain order matters) or an XOR over the keyed table (flit). *)
+   so a fresh arena costs nothing), and the dirty and WPQ hashes XORs of
+   per-line contributions. *)
 
 let mix x =
   let x = x lxor (x lsr 30) in
@@ -92,10 +98,9 @@ type t = {
   mutable m_arenas : arena array;
   mutable m_count : int;
   m_dirty_by_socket : (int, unit) Hashtbl.t array;
-  mutable m_pending : pending list;
   mutable m_flit : bool;
-  m_pending_tbl : (int, int array) Hashtbl.t;
-      (* flit-mode WPQ: dirty_key -> captured line words (newest capture wins) *)
+  m_wpq : (int, int array) Hashtbl.t;
+      (* dirty_key -> captured line words, one capture per line *)
   m_rng : Sim.Rng.t;
   m_bg_period : int;
   mutable m_countdown : int;
@@ -128,9 +133,8 @@ let make ?(seed = 42L) ?(sockets = 2) ?(bg_period = 50_000) ?(flit = false) () =
       m_arenas = Array.make 64 dummy_arena;
       m_count = 0;
       m_dirty_by_socket = Array.init sockets (fun _ -> Hashtbl.create 4096);
-      m_pending = [];
       m_flit = flit;
-      m_pending_tbl = Hashtbl.create 256;
+      m_wpq = Hashtbl.create 256;
       m_rng = Sim.Rng.create seed;
       m_bg_period = bg_period;
       m_countdown = (if bg_period = 0 then max_int else bg_period);
@@ -191,9 +195,6 @@ let tel_instant m name =
 
 let stats m = m.m_stats
 
-(** Whether FliT-style flush elimination is active. *)
-let flit_enabled m = m.m_flit
-
 (** The installed per-site persistency policy (all-[Emit] by default). *)
 let policy m = m.m_policy
 
@@ -207,40 +208,12 @@ let set_policy m p = m.m_policy <- p
 
 let policy_action m site = Persist.get m.m_policy site
 
-(** Enable/disable FliT-style flush tracking. In flit mode the write-pending
-    queue is keyed by cache line, so a CLWB on a line that is already queued
-    coalesces into the existing WPQ entry, a CLWB/CLFLUSH on a clean line
-    whose media is current is a counted no-op, and an SFENCE with an empty
-    WPQ charges no drain cost. Any in-flight pending write-backs survive the
-    switch in either direction. *)
-let wpq_hash_of_list pending =
-  (* ordered: drain order decides which capture of a line reaches media last *)
-  List.fold_right
-    (fun p acc -> h2 (pending_entry_h (dirty_key p.p_arena p.p_line) p.p_words) acc)
-    pending 0
-
-let wpq_hash_of_tbl tbl =
-  Hashtbl.fold (fun key words acc -> acc lxor pending_entry_h key words) tbl 0
-
-let set_flit m on =
-  if on && not m.m_flit then begin
-    (* list -> table, oldest first so the newest capture of a line wins *)
-    List.iter
-      (fun p -> Hashtbl.replace m.m_pending_tbl (dirty_key p.p_arena p.p_line) p.p_words)
-      (List.rev m.m_pending);
-    m.m_pending <- [];
-    m.m_wpq_hash <- wpq_hash_of_tbl m.m_pending_tbl
-  end
-  else if (not on) && m.m_flit then begin
-    Hashtbl.iter
-      (fun key words ->
-        let aid = key / lines_per_arena and line = key mod lines_per_arena in
-        m.m_pending <- { p_arena = aid; p_line = line; p_words = words } :: m.m_pending)
-      m.m_pending_tbl;
-    Hashtbl.reset m.m_pending_tbl;
-    m.m_wpq_hash <- wpq_hash_of_list m.m_pending
-  end;
-  m.m_flit <- on
+(** Enable/disable FliT-style flush tracking (Wei et al.). It changes costs
+    and elisions only: a CLWB on a clean line and a CLFLUSH on a clean line
+    with nothing queued are counted tag checks, a CLWB on a line already
+    queued pays the coalesce charge, and an SFENCE with an empty WPQ
+    retires for free. What reaches media is the same in both modes. *)
+let set_flit m on = m.m_flit <- on
 
 (* ---- crash-hook API (fuzzing instrumentation) ---- *)
 
@@ -398,23 +371,21 @@ let mark_dirty m arena line socket =
     Hashtbl.replace m.m_dirty_by_socket.(socket) key ()
   end
 
-(* In flit mode a committed line's WPQ entry is dropped: its capture is now
-   stale-or-equal, and replaying it at the next fence could regress media
-   behind a newer write-back (the stale-WPQ artifact FliT tracking avoids). *)
-let flit_prune m arena line =
-  if m.m_flit then begin
-    let key = dirty_key arena.aid line in
-    match Hashtbl.find_opt m.m_pending_tbl key with
-    | None -> ()
-    | Some words ->
-      m.m_wpq_hash <- m.m_wpq_hash lxor pending_entry_h key words;
-      Hashtbl.remove m.m_pending_tbl key
-  end
+(* A line committed to media drops its WPQ capture: the capture is now
+   stale-or-equal, and writing it back at the next fence could regress
+   media behind the newer commit. *)
+let wpq_prune m arena line =
+  let key = dirty_key arena.aid line in
+  match Hashtbl.find_opt m.m_wpq key with
+  | None -> ()
+  | Some words ->
+    m.m_wpq_hash <- m.m_wpq_hash lxor pending_entry_h key words;
+    Hashtbl.remove m.m_wpq key
 
 let background_flush m arena line =
   m.m_stats.bg_flushes <- m.m_stats.bg_flushes + 1;
   commit_line_to_media m arena line;
-  flit_prune m arena line;
+  wpq_prune m arena line;
   clear_dirty m arena line
 
 let maybe_background_flush m arena line =
@@ -561,55 +532,40 @@ let clwb ~site m addr =
   let line = line_of_offset (offset_of_addr addr) in
   let base = line * line_words in
   let key = dirty_key arena.aid line in
-  if not m.m_flit then begin
-    Sim.tick (Sim.costs ()).Sim.Costs.clwb_line;
-    tel_op m "clwb" (Sim.costs ()).Sim.Costs.clwb_line;
-    tel_emit m "clwb" site (Sim.costs ()).Sim.Costs.clwb_line;
-    m.m_stats.clwb <- m.m_stats.clwb + 1;
-    let words = Array.sub arena.values base line_words in
-    m.m_pending <- { p_arena = arena.aid; p_line = line; p_words = words } :: m.m_pending;
-    m.m_wpq_hash <- h2 (pending_entry_h key words) m.m_wpq_hash;
-    clear_dirty m arena line;
-    access_point m key ~addr:(-1) ~write:true 0
+  let c = Sim.costs () in
+  if m.m_flit && Bytes.get_uint8 arena.dirty line = 0 then begin
+    (* clean line: media or the WPQ already holds the current contents —
+       the flush tag says there is nothing to write back *)
+    Sim.tick c.Sim.Costs.flush_tag_check;
+    tel_op m "clwb_elided" c.Sim.Costs.flush_tag_check;
+    tel_site_count m "clwb_flit_elided" site;
+    m.m_stats.clwb_elided <- m.m_stats.clwb_elided + 1;
+    access_point m key ~addr:(-1) ~write:false 0
   end
   else begin
-    let c = Sim.costs () in
-    if Bytes.get_uint8 arena.dirty line = 0 then begin
-      (* clean line: media or the WPQ already holds the current contents —
-         the flush tag says there is nothing to write back *)
-      Sim.tick c.Sim.Costs.flush_tag_check;
-      tel_op m "clwb_elided" c.Sim.Costs.flush_tag_check;
-      tel_site_count m "clwb_flit_elided" site;
-      m.m_stats.clwb_elided <- m.m_stats.clwb_elided + 1;
-      access_point m key ~addr:(-1) ~write:false 0
+    if m.m_flit && Hashtbl.mem m.m_wpq key then begin
+      (* same line already queued: update the WPQ entry in place *)
+      Sim.tick c.Sim.Costs.clwb_merge;
+      tel_op m "clwb_coalesced" c.Sim.Costs.clwb_merge;
+      tel_emit m "clwb" site c.Sim.Costs.clwb_merge;
+      m.m_stats.clwb_coalesced <- m.m_stats.clwb_coalesced + 1
     end
     else begin
-      if Hashtbl.mem m.m_pending_tbl key then begin
-        (* same line already queued: update the WPQ entry in place *)
-        Sim.tick c.Sim.Costs.clwb_merge;
-        tel_op m "clwb_coalesced" c.Sim.Costs.clwb_merge;
-        tel_emit m "clwb" site c.Sim.Costs.clwb_merge;
-        m.m_stats.clwb_coalesced <- m.m_stats.clwb_coalesced + 1
-      end
-      else begin
-        Sim.tick c.Sim.Costs.clwb_line;
-        tel_op m "clwb" c.Sim.Costs.clwb_line;
-        tel_emit m "clwb" site c.Sim.Costs.clwb_line;
-        m.m_stats.clwb <- m.m_stats.clwb + 1
-      end;
-      (* capture after the tick (a yield point): a concurrent fence may have
-         drained and pruned the looked-up entry meanwhile, so always
-         (re-)queue the line's current contents rather than mutating a
-         possibly-orphaned capture *)
-      (match Hashtbl.find_opt m.m_pending_tbl key with
-       | Some old -> m.m_wpq_hash <- m.m_wpq_hash lxor pending_entry_h key old
-       | None -> ());
-      let words = Array.sub arena.values base line_words in
-      Hashtbl.replace m.m_pending_tbl key words;
-      m.m_wpq_hash <- m.m_wpq_hash lxor pending_entry_h key words;
-      clear_dirty m arena line;
-      access_point m key ~addr:(-1) ~write:true 0
-    end
+      Sim.tick c.Sim.Costs.clwb_line;
+      tel_op m "clwb" c.Sim.Costs.clwb_line;
+      tel_emit m "clwb" site c.Sim.Costs.clwb_line;
+      m.m_stats.clwb <- m.m_stats.clwb + 1
+    end;
+    (* capture after the tick (a yield point): a concurrent fence may have
+       drained and pruned the looked-up entry meanwhile, so always
+       (re-)queue the line's current contents rather than mutating a
+       possibly-orphaned capture *)
+    wpq_prune m arena line;
+    let words = Array.sub arena.values base line_words in
+    Hashtbl.replace m.m_wpq key words;
+    m.m_wpq_hash <- m.m_wpq_hash lxor pending_entry_h key words;
+    clear_dirty m arena line;
+    access_point m key ~addr:(-1) ~write:true 0
   end
 
 (** Blocking flush: the line is persisted before the call returns.
@@ -635,7 +591,7 @@ let clflush ~site m addr =
   let line = line_of_offset (offset_of_addr addr) in
   if m.m_flit
      && Bytes.get_uint8 arena.dirty line = 0
-     && not (Hashtbl.mem m.m_pending_tbl (dirty_key arena.aid line))
+     && not (Hashtbl.mem m.m_wpq (dirty_key arena.aid line))
   then begin
     (* clean and nothing queued: media already holds the line *)
     Sim.tick (Sim.costs ()).Sim.Costs.flush_tag_check;
@@ -650,21 +606,20 @@ let clflush ~site m addr =
     tel_emit m "clflush" site (Sim.costs ()).Sim.Costs.clflush_line;
     m.m_stats.clflush <- m.m_stats.clflush + 1;
     commit_line_to_media m arena line;
-    flit_prune m arena line;
+    wpq_prune m arena line;
     clear_dirty m arena line;
     access_point m (dirty_key arena.aid line) ~addr:(-1) ~write:true 0
   end
 
-(** Persistent fence: drains every pending [clwb]. *)
-let drain_pending_words m aid line words =
-  let arena = m.m_arenas.(aid) in
-  if arena.kind = Nvm then begin
-    let base = line * line_words in
-    for i = 0 to line_words - 1 do
-      set_media_word m arena (base + i) words.(i)
-    done
-  end
+(* Write one WPQ capture (always of an NVM line) back to media. *)
+let drain_capture m key words =
+  let arena = m.m_arenas.(key / lines_per_arena) in
+  let base = (key mod lines_per_arena) * line_words in
+  for i = 0 to line_words - 1 do
+    set_media_word m arena (base + i) words.(i)
+  done
 
+(** Persistent fence: drains every queued [clwb] capture to media. *)
 let sfence ~site m =
   match policy_action m site with
   | Persist.Elide ->
@@ -678,29 +633,12 @@ let sfence ~site m =
     tel_site_count m "sfence_deferred" site
   | Persist.Emit | Persist.Downgrade_to_clwb ->
   op_point m;
-  if m.m_flit then begin
-    if Hashtbl.length m.m_pending_tbl = 0 then begin
-      (* empty WPQ: the fence retires immediately, no drain cost *)
-      tel_op m "sfence_elided" 0;
-      tel_site_count m "sfence_flit_elided" site;
-      m.m_stats.sfence_elided <- m.m_stats.sfence_elided + 1;
-      access_point m (-1) ~addr:(-1) ~write:false 0
-    end
-    else begin
-      Sim.tick (Sim.costs ()).Sim.Costs.sfence;
-      tel_op m "sfence" (Sim.costs ()).Sim.Costs.sfence;
-      tel_emit m "sfence" site (Sim.costs ()).Sim.Costs.sfence;
-      tel_instant m "sfence";
-      m.m_stats.sfence <- m.m_stats.sfence + 1;
-      Hashtbl.iter
-        (fun key words ->
-          drain_pending_words m (key / lines_per_arena) (key mod lines_per_arena)
-            words)
-        m.m_pending_tbl;
-      Hashtbl.reset m.m_pending_tbl;
-      m.m_wpq_hash <- 0;
-      access_point m (-1) ~addr:(-1) ~write:true 0
-    end
+  if m.m_flit && Hashtbl.length m.m_wpq = 0 then begin
+    (* empty WPQ: the fence retires immediately, no drain cost *)
+    tel_op m "sfence_elided" 0;
+    tel_site_count m "sfence_flit_elided" site;
+    m.m_stats.sfence_elided <- m.m_stats.sfence_elided + 1;
+    access_point m (-1) ~addr:(-1) ~write:false 0
   end
   else begin
     Sim.tick (Sim.costs ()).Sim.Costs.sfence;
@@ -708,10 +646,8 @@ let sfence ~site m =
     tel_emit m "sfence" site (Sim.costs ()).Sim.Costs.sfence;
     tel_instant m "sfence";
     m.m_stats.sfence <- m.m_stats.sfence + 1;
-    List.iter
-      (fun p -> drain_pending_words m p.p_arena p.p_line p.p_words)
-      (List.rev m.m_pending);
-    m.m_pending <- [];
+    Hashtbl.iter (drain_capture m) m.m_wpq;
+    Hashtbl.reset m.m_wpq;
     m.m_wpq_hash <- 0;
     access_point m (-1) ~addr:(-1) ~write:true 0
   end
@@ -744,7 +680,7 @@ let wbinvd ~site m =
       let aid = key / lines_per_arena and line = key mod lines_per_arena in
       let arena = m.m_arenas.(aid) in
       commit_line_to_media m arena line;
-      flit_prune m arena line;
+      wpq_prune m arena line;
       clear_dirty m arena line)
     keys;
   access_point m (-1) ~addr:(-1) ~write:true 0
@@ -775,7 +711,7 @@ let flush_arena ~site m aid =
       total := !total + c.Sim.Costs.clwb_line;
       m.m_stats.clwb <- m.m_stats.clwb + 1;
       commit_line_to_media m arena line;
-      flit_prune m arena line;
+      wpq_prune m arena line;
       clear_dirty m arena line
     end
   done;
@@ -798,8 +734,7 @@ let crash m =
     Bytes.fill arena.dirty 0 (Bytes.length arena.dirty) '\000'
   done;
   Array.iter Hashtbl.reset m.m_dirty_by_socket;
-  m.m_pending <- [];
-  Hashtbl.reset m.m_pending_tbl;
+  Hashtbl.reset m.m_wpq;
   (* post-crash the coherent view of NVM equals media and DRAM is all
      zeroes, so the value fingerprint collapses to the media fingerprint
      and the dirty/WPQ fingerprints to empty — no rescan needed *)
@@ -817,25 +752,8 @@ let peek_media m addr =
   | Nvm -> arena.media.(offset_of_addr addr)
   | Dram -> 0
 
-(** Write a word without charging simulated time (test setup helper). *)
-let poke m addr v = set_value m (arena_of_addr m addr) (offset_of_addr addr) v
-
 let arena_kind m aid = m.m_arenas.(aid).kind
 let arena_count m = m.m_count
-
-(** Number of write-backs currently queued in the write-pending queue. *)
-let pending_write_backs m =
-  if m.m_flit then Hashtbl.length m.m_pending_tbl else List.length m.m_pending
-
-(** Count of currently dirty (unpersisted) lines across all NVM arenas. *)
-let dirty_nvm_lines m =
-  let n = ref 0 in
-  Array.iter
-    (fun tbl -> Hashtbl.iter (fun key () ->
-         let aid = key / lines_per_arena in
-         if m.m_arenas.(aid).kind = Nvm then incr n) tbl)
-    m.m_dirty_by_socket;
-  !n
 
 (* ---- enumerable crash-set API (model checking) ----
 
@@ -894,8 +812,7 @@ type snap = {
   s_media : int array array;
   s_dirty : Bytes.t array;
   s_dirty_tbls : (int, unit) Hashtbl.t array;
-  s_pending : pending list;
-  s_pending_tbl : (int, int array) Hashtbl.t;
+  s_wpq : (int, int array) Hashtbl.t;
   s_flit : bool;
   s_value_hash : int;
   s_media_hash : int;
@@ -914,8 +831,7 @@ let snapshot m =
     s_media = Array.init m.m_count (fun i -> Array.copy m.m_arenas.(i).media);
     s_dirty = Array.init m.m_count (fun i -> Bytes.copy m.m_arenas.(i).dirty);
     s_dirty_tbls = Array.map Hashtbl.copy m.m_dirty_by_socket;
-    s_pending = m.m_pending;
-    s_pending_tbl = Hashtbl.copy m.m_pending_tbl;
+    s_wpq = Hashtbl.copy m.m_wpq;
     s_flit = m.m_flit;
     s_value_hash = m.m_value_hash;
     s_media_hash = m.m_media_hash;
@@ -944,9 +860,8 @@ let restore m s =
       Hashtbl.reset dst;
       Hashtbl.iter (fun k () -> Hashtbl.replace dst k ()) tbl)
     s.s_dirty_tbls;
-  m.m_pending <- s.s_pending;
-  Hashtbl.reset m.m_pending_tbl;
-  Hashtbl.iter (fun k v -> Hashtbl.replace m.m_pending_tbl k v) s.s_pending_tbl;
+  Hashtbl.reset m.m_wpq;
+  Hashtbl.iter (fun k v -> Hashtbl.replace m.m_wpq k v) s.s_wpq;
   m.m_flit <- s.s_flit;
   m.m_value_hash <- s.s_value_hash;
   m.m_media_hash <- s.s_media_hash;

@@ -80,18 +80,6 @@ module Bloom = struct
         else probe (i + 1)
     in
     probe 0
-
-  (** Cost-free probe (checkers and snapshots only). *)
-  let mem_peek mem ~base ~nbits key =
-    let rec probe i =
-      if i >= probes then true
-      else
-        let p = position key ~nbits i in
-        let w = p / bits_per_word and b = p mod bits_per_word in
-        if Memory.peek mem (base + w) land (1 lsl b) = 0 then false
-        else probe (i + 1)
-    in
-    probe 0
 end
 
 (** Volatile mount record of one sealed segment. Rebuilt from the header
@@ -255,24 +243,6 @@ let peek_array mem m =
   let rb = rec_base m in
   Array.init m.count (fun i ->
       (Memory.peek mem (rb + (2 * i)), Memory.peek mem (rb + (2 * i) + 1)))
-
-(** Cost-free single-key probe through bloom + binary search. *)
-let peek_find mem m key =
-  if not (range_hit m key) then None
-  else if not (Bloom.mem_peek mem ~base:(bloom_base m) ~nbits:(nbits m) key)
-  then None
-  else
-    let rb = rec_base m in
-    let rec go lo hi =
-      if lo > hi then None
-      else
-        let mid = (lo + hi) / 2 in
-        let k = Memory.peek mem (rb + (2 * mid)) in
-        if k = key then Some (Memory.peek mem (rb + (2 * mid) + 1))
-        else if k < key then go (mid + 1) hi
-        else go lo (mid - 1)
-    in
-    go 0 (m.count - 1)
 
 module Memtable = struct
   (** The volatile accumulation buffer between seals: latest effect per

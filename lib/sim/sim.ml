@@ -409,7 +409,6 @@ let sleep_until time =
 
 let fiber_rng () = (self ()).frng
 let socket () = (self ()).socket
-let sim_rng () = (instance ()).rng
 let topology () = (instance ()).topology
 
 (** Spawn a sibling fiber from inside a running fiber. *)

@@ -121,7 +121,6 @@ let create ?(enabled = true) ?(tracing = false) ?(sample_events = 1)
 
 let enabled t = t.enabled
 let tracing t = t.tracing && t.enabled
-let set_enabled t on = t.enabled <- on
 
 (* ---- the ambient registry ---- *)
 
@@ -329,10 +328,6 @@ let with_span t sp f =
       raise e
   end
 
-(** Drop any open span frames (e.g. fibers abandoned by a simulated power
-    failure mid-span). Call between runs that share a registry. *)
-let reset_stacks t = Hashtbl.reset t.stacks
-
 (* ---- snapshots ---- *)
 
 type hist_stats = {
@@ -432,35 +427,6 @@ let snapshot t =
 
 let find_counter snap name =
   match List.assoc_opt name snap.sn_counters with Some v -> v | None -> 0
-
-(* ---- cross-registry merge ---- *)
-
-let merge_hist dst src =
-  dst.h_n <- dst.h_n + src.h_n;
-  dst.h_sum <- dst.h_sum + src.h_sum;
-  if src.h_n > 0 && src.h_min < dst.h_min then dst.h_min <- src.h_min;
-  if src.h_max > dst.h_max then dst.h_max <- src.h_max;
-  Array.iteri
-    (fun i c -> dst.h_counts.(i) <- dst.h_counts.(i) + c)
-    src.h_counts
-
-(** Merge every metric of [src] into [into] (Harness.Campaign's
-    order-independent result merge): counters and histogram buckets sum,
-    gauges take [src]'s last-written value, spans merge their histograms
-    and add their self-time totals. All of it is commutative except
-    gauges, so absorbing per-task registries in task order yields the same
-    registry regardless of which domain ran which task. Track extents and
-    trace events are single-run artifacts and are not merged. *)
-let absorb ~into src =
-  Hashtbl.iter (fun name c -> add (counter into name) c.c_value) src.counters;
-  Hashtbl.iter (fun name g -> set (gauge into name) g.g_value) src.gauges;
-  Hashtbl.iter (fun name h -> merge_hist (histogram into name) h) src.histograms;
-  Hashtbl.iter
-    (fun name s ->
-      let d = span into name in
-      merge_hist d.sp_hist s.sp_hist;
-      d.sp_self <- d.sp_self + s.sp_self)
-    src.spans
 
 (* ---- event access (trace export) ---- *)
 

@@ -47,17 +47,23 @@ let budget =
 (* checker configuration with the given feature flags; the explorer sets
    mode, fault, epsilon, log size and workers itself *)
 let cfg ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt ?lsm_fanout
-    () =
+    ?persist_policy () =
   Config.make ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
-    ?lsm_fanout ~workers:1 ()
+    ?lsm_fanout ?persist_policy ~workers:1 ()
 
 let explore ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
-    ?lsm_fanout ?(budget = budget) ?(scope = scope_1w) mode fault =
+    ?lsm_fanout ?persist_policy ?(budget = budget) ?(scope = scope_1w) mode
+    fault =
   E.explore
     ~config:
       (cfg ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
-         ?lsm_fanout ())
+         ?lsm_fanout ?persist_policy ())
     ~budget ~mode ~fault ~gen_op ~scope ()
+
+(* The planted instruction-removal fault: a policy that elides the
+   completedTail CLFLUSH durable mode's zero-loss promise rests on. *)
+let elide_ct_flush =
+  Result.get_ok (Nvm.Persist.of_spec "prep.completed_tail=elide")
 
 (* The exact DFS statistics of an exhausted scope, in the order schedules,
    terminals, steps, states, dedup hits, sleep skips, crash points,
@@ -93,7 +99,7 @@ let exhausted_clean label ~stats (res : Check.Explore.result) =
    round-trip through the textual run-length encoding included, because
    that is what the CLI repro command ships. *)
 let replay_reproduces ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect
-    ?lsm_ckpt ?lsm_fanout label mode fault scope
+    ?lsm_ckpt ?lsm_fanout ?persist_policy label mode fault scope
     (v : Check.Explore.violation) =
   let decisions =
     Check.Explore.decisions_of_string
@@ -103,7 +109,7 @@ let replay_reproduces ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect
     E.replay
       ~config:
         (cfg ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
-           ?lsm_fanout ())
+           ?lsm_fanout ?persist_policy ())
       ~mode ~fault ~gen_op ~scope ~decisions
       ?crash:v.Check.Explore.v_crash ()
   in
@@ -138,14 +144,16 @@ let test_early_boundary_found () =
 let test_elide_ct_flush_found () =
   (* durable mode promises zero loss; eliding the completedTail flush
      loses the tail on crash and recovery drops a completed op *)
-  let res = explore Config.Durable Config.Elide_ct_flush in
+  let res =
+    explore ~persist_policy:elide_ct_flush Config.Durable Config.No_fault
+  in
   match res.Check.Explore.violation with
   | None -> Alcotest.fail "elide-ct-flush fault not found within budget"
   | Some v ->
     check_bool "found as loss-bound violation" true
       (List.exists is_loss_bound v.Check.Explore.v_violations);
-    replay_reproduces "elide-ct-flush" Config.Durable Config.Elide_ct_flush
-      scope_1w v
+    replay_reproduces ~persist_policy:elide_ct_flush "elide-ct-flush"
+      Config.Durable Config.No_fault scope_1w v
 
 let test_mirror_read_found () =
   (* recovery served from the DRAM log mirror, which the crash zeroed:
@@ -162,7 +170,9 @@ let test_mirror_read_found () =
 (* ---- determinism: same scope, same budget => identical outcome ---- *)
 
 let test_exploration_deterministic () =
-  let run () = explore Config.Durable Config.Elide_ct_flush in
+  let run () =
+    explore ~persist_policy:elide_ct_flush Config.Durable Config.No_fault
+  in
   let a = run () and b = run () in
   match (a.Check.Explore.violation, b.Check.Explore.violation) with
   | Some va, Some vb ->

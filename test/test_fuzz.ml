@@ -18,6 +18,11 @@ let cfg = Config.make ~workers:1
 
 module H = Seqds.Hashmap
 
+(* The planted instruction-removal fault: a policy that elides the
+   completedTail CLFLUSH durable mode's zero-loss promise rests on. *)
+let elide_ct_flush =
+  Result.get_ok (Nvm.Persist.of_spec "prep.completed_tail=elide")
+
 (* Same mix as the CLI fuzz workload: 60% updates over a small key range. *)
 let gen_op rng =
   let k = Sim.Rng.int rng 64 in
@@ -210,10 +215,10 @@ let test_flit_elide_ct_flush_caught_and_shrunk () =
      combiner otherwise relies on the flush-tracking layer to elide
      safely; the fuzzer must catch the resulting post-crash loss of
      completed operations and shrink it to a small replayable repro *)
-  let mode = Config.Durable and fault = Config.Elide_ct_flush in
+  let mode = Config.Durable and fault = Config.No_fault in
+  let config = cfg ~flit:true ~persist_policy:elide_ct_flush () in
   let tpl = template ~seed:9100 ~epsilon:16 ~ops:120 in
-  let res = F.fuzz ~config:(cfg ~flit:true ())
-    ~mode ~fault ~gen_op ~template:tpl ~iters:8 () in
+  let res = F.fuzz ~config ~mode ~fault ~gen_op ~template:tpl ~iters:8 () in
   check_bool "planted fault caught" true (res.Check.Fuzz.failures <> []);
   let first = List.hd res.Check.Fuzz.failures in
   check_bool "caught as durable loss" true
@@ -223,24 +228,22 @@ let test_flit_elide_ct_flush_caught_and_shrunk () =
          | Check.Durable_lin.Prefix_violation _ -> true
          | _ -> false)
        first.Check.Fuzz.violations);
-  let small = F.shrink ~config:(cfg ~flit:true ())
-    ~mode ~fault ~gen_op first.Check.Fuzz.episode in
+  let small = F.shrink ~config ~mode ~fault ~gen_op first.Check.Fuzz.episode in
   check_bool
     (Fmt.str "shrunk to <= 4 threads (%a)" Check.Fuzz.pp_episode small)
     true
     (small.Check.Fuzz.threads <= 4);
-  let out = F.run_episode ~config:(cfg ~flit:true ())
-    ~mode ~fault ~gen_op small in
+  let out = F.run_episode ~config ~mode ~fault ~gen_op small in
   check_bool "shrunk repro still fails" true (out.Check.Fuzz.violations <> []);
-  (* the printed repro must carry both the fault and the flit flag *)
-  let cmd = Check.Fuzz.repro_command ~config:(cfg ~flit:true ())
-    ~mode ~fault ~ds:"hashmap" small in
+  (* the printed repro must carry both the policy and the flit flag *)
+  let cmd = Check.Fuzz.repro_command ~config ~mode ~fault ~ds:"hashmap" small in
   let contains s sub =
     let n = String.length sub in
     let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
     go 0
   in
-  check_bool "repro names the fault" true (contains cmd "elide-ct-flush");
+  check_bool "repro names the policy" true
+    (contains cmd "--persist-policy \"prep.completed_tail=elide\"");
   check_bool "repro passes --flit" true (contains cmd "--flit")
 
 let test_flit_fault_needs_flit_combiner () =
@@ -251,7 +254,8 @@ let test_flit_fault_needs_flit_combiner () =
      the fault elides a flush the durable guarantee depends on in both
      combiners. Running it pins the fault's blast radius. *)
   let res =
-    F.fuzz ~mode:Config.Durable ~fault:Config.Elide_ct_flush ~gen_op
+    F.fuzz ~config:(cfg ~persist_policy:elide_ct_flush ())
+      ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
       ~template:(template ~seed:9100 ~epsilon:16 ~ops:120)
       ~iters:8 ()
   in

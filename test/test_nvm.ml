@@ -313,6 +313,32 @@ let test_cas_mutual_exclusion_in_sim_time () =
   no_overlap sorted;
   check "all critical sections recorded" 240 (List.length sorted)
 
+(* One WPQ model for both flush modes: a capture queued by clwb is dropped
+   once a later write of the same line reaches media another way, so the
+   next fence cannot write the older contents back over it. *)
+let test_fence_keeps_later_commit () =
+  List.iter
+    (fun (flit, name, commit) ->
+      in_sim (fun () ->
+          let m = Memory.make ~bg_period:0 ~flit () in
+          let aid = Memory.new_arena m ~kind:Memory.Nvm ~home:0 in
+          let a = Memory.addr_of ~aid ~offset:8 in
+          Memory.write m a 1;
+          Memory.clwb ~site:Persist.Test m a;
+          Memory.write m a 2;
+          commit m a;
+          Memory.sfence ~site:Persist.Test m;
+          let label = Printf.sprintf "%s, flit=%b" name flit in
+          check (label ^ ": media holds the later commit") 2
+            (Memory.peek_media m a);
+          check_bool (label ^ ": line clean") true
+            (Memory.dirty_nvm_line_keys m = [])))
+    (List.concat_map
+       (fun flit ->
+         [ (flit, "clflush", fun m a -> Memory.clflush ~site:Persist.Test m a);
+           (flit, "wbinvd", fun m _ -> Memory.wbinvd ~site:Persist.Test m) ])
+       [ false; true ])
+
 (* ---- FliT flush elimination ---- *)
 
 let fresh_flit ?(bg_period = 0) () = Memory.make ~bg_period ~flit:true ()
@@ -388,8 +414,8 @@ let test_flit_clflush_elided_when_persisted () =
 
 let test_flit_no_stale_writeback_regression () =
   (* clwb captures v1; the line is then rewritten and clflushed (v2 on
-     media). The stale queued capture must NOT be replayed by the fence —
-     flit prunes a line's WPQ entry when the line is committed. *)
+     media). The stale queued capture must NOT be replayed by the fence:
+     committing a line drops its WPQ capture. *)
   in_sim (fun () ->
       let m = fresh_flit () in
       let aid = Memory.new_arena m ~kind:Memory.Nvm ~home:0 in
@@ -525,6 +551,8 @@ let () =
           Alcotest.test_case "crash resets to media" `Quick
             test_crash_resets_coherent_view_to_media;
           Alcotest.test_case "flush arena" `Quick test_flush_arena;
+          Alcotest.test_case "fence keeps later commit, both modes" `Quick
+            test_fence_keeps_later_commit;
         ] );
       ( "alloc",
         [
