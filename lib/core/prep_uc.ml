@@ -56,6 +56,36 @@ let slot_words = 16 (* flat-combining slot: 2 cache lines per core *)
    [root_base] is [i * 8]. *)
 let lsm_manifest_slot root_base = 56 + (root_base / 8)
 
+(* One volatile replica per socket that hosts a worker; the last core is
+   the persistence thread's. *)
+let replica_count cfg topo =
+  let beta = topo.Sim.Topology.cores_per_socket in
+  let workers = min cfg.Config.workers (Sim.Topology.total_cores topo - 1) in
+  min topo.Sim.Topology.sockets ((workers + beta - 1) / beta)
+
+(* The sockets of the fibers one recovery runs at once, the recovering
+   fiber's first. Classic recovery adds the suffix scan, on socket 0 where
+   the log lives, one copy per other volatile replica on its socket, and
+   the two persistent copies on the persistence socket; lsm recovery runs
+   on the recovering fiber alone. *)
+let recovery_sockets cfg =
+  let topo = Sim.topology () in
+  let p = topo.Sim.Topology.sockets - 1 in
+  if cfg.Config.lsm_ckpt then [ Sim.socket () ]
+  else
+    (Sim.socket () :: 0 :: List.init (replica_count cfg topo - 1) succ)
+    @ [ p; p ]
+
+(** The most cores of one socket that a recovery of an instance with
+    [cfg], started from the calling fiber, keeps busy at once. Its fibers
+    take consecutive cores from the caller's up, so recoveries started
+    this many cores apart never share a core. *)
+let recovery_width cfg =
+  let socks = recovery_sockets cfg in
+  List.fold_left
+    (fun w s -> max w (List.length (List.filter (( = ) s) socks)))
+    0 socks
+
 (** Shared (ds-independent) state of the incremental log-structured
     checkpoint backend ([Config.lsm_ckpt]). The durable truth is the
     manifest plus the sealed segments; everything in here is a volatile
@@ -447,10 +477,13 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
      [lsm] is recovery's handoff under [Config.lsm_ckpt]: the mounted,
      re-sealed store and [master]'s hydration view — [master] (and every
      copy of it) is then a partial view to be hydrated lazily.
-     [replay] is classic recovery's handoff: [master] is then the stable
-     checkpoint, which the build only reads; every replica is a copy of
-     it with the log suffix [(op, args)] replayed into it, and
-     [reconcile i resp] sees replica 0's response to suffix entry [i]. *)
+     [replay] is classic recovery's handoff [(scan, suffix, on_response)]:
+     [master] is then the stable checkpoint, which the build only reads;
+     [scan ()] reads the log suffix into [suffix]; every replica is a copy
+     of the checkpoint with that suffix replayed into it, and
+     [on_response e resp] sees replica 0's response to suffix entry [e].
+     Returns the instance and its [install] step: recovery defers every
+     root write to it, creation writes its roots as it goes. *)
   let build ?lsm ?replay mem roots cfg ~prefill ~master =
     let topo = Sim.topology () in
     let beta = topo.Sim.Topology.cores_per_socket in
@@ -459,10 +492,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     (match cfg.Config.persist_policy with
      | Some p -> Memory.set_policy mem p
      | None -> ());
-    let workers = min cfg.Config.workers (Sim.Topology.total_cores topo - 1) in
-    let n_replicas =
-      min topo.Sim.Topology.sockets ((workers + beta - 1) / beta)
-    in
+    let n_replicas = replica_count cfg topo in
     let p_socket = topo.Sim.Topology.sockets - 1 in
     let ctrl_aid = Memory.new_arena mem ~kind:Memory.Dram ~home:0 in
     let ctrl = Memory.addr_of ~aid:ctrl_aid ~offset:0 in
@@ -499,12 +529,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let clone ~reconcile =
       let ds = Ds.copy master_ds in
       Option.iter
-        (fun (suffix, on_response) ->
-          Array.iteri
-            (fun i (op, args) ->
+        (fun (_, suffix, on_response) ->
+          Array.iter
+            (fun ((_, op, args, _) as e) ->
               let resp = Ds.execute ds ~op ~args in
-              if reconcile then on_response i resp)
-            suffix)
+              if reconcile then on_response e resp)
+            (Sim.Once.get suffix))
         replay;
       ds
     in
@@ -542,43 +572,77 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           Memory.write mem (meta + 1) (Ds.root_addr pds);
           { meta; pds })
     in
-    (* Classic recovery builds all replicas at once, each from the stable
-       checkpoint on a fiber of its own socket: replica 0 here, on the
-       recovering fiber, the other volatile ones on their sockets, and the
-       two persistent ones on the persistence socket, where the checkpoint
-       is local, each persisting the heap once its copy is written. The
-       join comes before any root is written; a helper's raise is re-raised
-       here, so torn media fails recovery as it would on one fiber. *)
-    let rebuild () =
+    (* Classic recovery builds all replicas at once, each a copy of the
+       stable checkpoint on a fiber of its own socket: replica 0 here, on
+       the recovering fiber, the other volatile ones on their sockets, and
+       the two persistent ones on the persistence socket, where the
+       checkpoint is local, each persisting the heap once its copy is
+       written. The log suffix is scanned meanwhile on socket 0, where the
+       log lives; a copy waits for the scan only before it replays. Each
+       fiber takes a core of its own ([recovery_width]). The join comes
+       before any root is written; a helper's raise is re-raised here, the
+       scan's first, so torn media fails recovery as it would on one
+       fiber. *)
+    let rebuild (scan, suffix, _) =
       let pa = Alloc.create_persistent mem ~home:p_socket in
       let vol = Array.make n_replicas None and per = Array.make 2 None in
-      let raised = ref [] in
+      let raised = ref [] and scan_raised = ref None in
       let guard f () =
         try f ()
         with (Invalid_argument _ | Failure _) as e -> raised := e :: !raised
+      in
+      let scan_job () =
+        match scan () with
+        | s -> Sim.Once.fill suffix s
+        | exception ((Invalid_argument _ | Failure _) as e) ->
+          scan_raised := Some e;
+          Sim.Once.fill suffix [||]
       in
       let build_prep i () =
         Context.set_persistent pa;
         per.(i) <- Some (make_prep pa (fun () -> clone ~reconcile:false));
         Alloc.persist_heap pa
       in
-      let helpers =
+      (* [at]: this fiber, the scan, the volatile copies, the persistent
+         ones *)
+      let base = (Sim.self ()).Sim.core in
+      let taken = Array.make topo.Sim.Topology.sockets 0 in
+      let at =
+        Array.of_list
+          (List.map
+             (fun socket ->
+               taken.(socket) <- taken.(socket) + 1;
+               (socket, (base + taken.(socket) - 1) mod beta))
+             (recovery_sockets cfg))
+      in
+      let job k f = (fst at.(k), snd at.(k), f) in
+      let jobs =
         List.init (n_replicas - 1) (fun i ->
             let rid = i + 1 in
-            (rid, 0, guard (fun () -> vol.(rid) <- Some (make_replica rid))))
-        @ [ (p_socket, 0, guard (build_prep 0));
-            (p_socket, min 1 (beta - 1), guard (build_prep 1)) ]
+            job (1 + rid) (guard (fun () -> vol.(rid) <- Some (make_replica rid))))
+        @ [ job (n_replicas + 1) (guard (build_prep 0));
+            job (n_replicas + 2) (guard (build_prep 1));
+            job 1 scan_job ]
       in
-      Sim.fork_join helpers
-        (guard (fun () -> vol.(0) <- Some (make_replica 0)));
-      (match List.rev !raised with e :: _ -> raise e | [] -> ());
+      Sim.fork_join jobs (guard (fun () -> vol.(0) <- Some (make_replica 0)));
+      (match (!scan_raised, List.rev !raised) with
+       | Some e, _ | None, e :: _ -> raise e
+       | None, [] -> ());
       ( Array.map Option.get vol,
         Some (pa, (Option.get per.(0), Option.get per.(1))) )
     in
     let replicas, rebuilt =
       match replay with
       | None -> (Array.init n_replicas make_replica, None)
-      | Some _ -> rebuild ()
+      | Some r -> rebuild r
+    in
+    (* Recovery defers its root writes to [install], creation makes them
+       at once. *)
+    let deferred = ref [] in
+    let set_root slot v =
+      if Option.is_some replay || Option.is_some lsm then
+        deferred := (slot, v) :: !deferred
+      else Roots.set roots slot v
     in
     (* persistent side *)
     let p_alloc, p_reps, ct_addr, lsm, shadow_view =
@@ -622,9 +686,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                 Alloc.persist_heap pa;
                 (p0, p1)
             in
-            Roots.set roots (rb + slot_active) 0;
-            Roots.set roots (rb + slot_meta0) p0.meta;
-            Roots.set roots (rb + slot_meta1) p1.meta;
+            set_root (rb + slot_active) 0;
+            set_root (rb + slot_meta0) p0.meta;
+            set_root (rb + slot_meta1) p1.meta;
             ([| p0; p1 |], None, fresh_view ~hydrated:true)
           end
           else begin
@@ -643,7 +707,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
             let m0 = ctrl + 48 and m1 = ctrl + 56 in
             Memory.write mem m0 0;
             Memory.write mem m1 0;
-            Roots.set roots (rb + slot_active) 0;
+            set_root (rb + slot_active) 0;
             let lsm =
               match lsm with
               | Some (l, _) -> l
@@ -651,7 +715,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                 (* checkpoint zero: seal the initial state (if any) and
                    publish epoch 1, so recovery always finds a manifest *)
                 let manifest = Manifest.create pa in
-                Roots.set roots (lsm_manifest_slot rb) (Manifest.base manifest);
+                set_root (lsm_manifest_slot rb) (Manifest.base manifest);
                 let l =
                   Lsm.make mem manifest ~fanout:cfg.Config.lsm_fanout
                     ~segs:[] ~epoch:0
@@ -666,8 +730,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           end
         in
         if mode = Config.Durable then begin
-          Roots.set roots (rb + slot_ct) ct_addr;
-          Roots.set roots (rb + slot_log) log.Log.base
+          set_root (rb + slot_ct) ct_addr;
+          set_root (rb + slot_log) log.Log.base
         end;
         (Some pa, p_reps, ct_addr, lsm, shadow_view)
       end
@@ -685,7 +749,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           Some (Announce.attach mem ~base:existing ~threads:n_threads)
         else begin
           let a = Announce.create (Option.get p_alloc) ~threads:n_threads in
-          Roots.set roots (rb + slot_announce) (Announce.base a);
+          set_root (rb + slot_announce) (Announce.base a);
           Some a
         end
       end
@@ -695,45 +759,51 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       | None -> [||]
       | Some a -> Array.init n_threads (Announce.peek_seqno a)
     in
-    {
-      mem;
-      roots;
-      cfg;
-      beta;
-      n_replicas;
-      replicas;
-      log;
-      ctrl;
-      ct_addr;
-      p_alloc;
-      p_reps;
-      p_socket;
-      trace = Trace.create ();
-      prefill;
-      ann;
-      next_seq;
-      stop_flag = false;
-      p_thread_running = false;
-      bmp_empty_exits = 0;
-      bmp_slots_skipped = 0;
-      detect_announces = 0;
-      detect_responses = 0;
-      detect_reconciled = 0;
-      txn_gate = None;
-      tel = Phases.make ~tag:cfg.Config.tag ();
-      lsm;
-      shadow_view;
-      ckpt_count = 0;
-      ckpt_cost_total = 0;
-      ckpt_cost_last = 0;
-    }
+    let t =
+      {
+        mem;
+        roots;
+        cfg;
+        beta;
+        n_replicas;
+        replicas;
+        log;
+        ctrl;
+        ct_addr;
+        p_alloc;
+        p_reps;
+        p_socket;
+        trace = Trace.create ();
+        prefill;
+        ann;
+        next_seq;
+        stop_flag = false;
+        p_thread_running = false;
+        bmp_empty_exits = 0;
+        bmp_slots_skipped = 0;
+        detect_announces = 0;
+        detect_responses = 0;
+        detect_reconciled = 0;
+        txn_gate = None;
+        tel = Phases.make ~tag:cfg.Config.tag ();
+        lsm;
+        shadow_view;
+        ckpt_count = 0;
+        ckpt_cost_total = 0;
+        ckpt_cost_last = 0;
+      }
+    in
+    let install () =
+      List.iter (fun (slot, v) -> Roots.set roots slot v) (List.rev !deferred)
+    in
+    (t, install)
 
   (** Create a UC whose initial object state is [prefill] applied to an
       empty object. Must be called from inside a fiber. *)
   let create ?(prefill = []) mem roots cfg =
     (* give the creating fiber a binding so Context.alloc works *)
     Context.bind ~default:(Alloc.create_volatile mem ~home:0) ();
-    build mem roots cfg ~prefill ~master:None
+    fst (build mem roots cfg ~prefill ~master:None)
 
   (* ---- worker-side machinery ---- *)
 
@@ -1764,31 +1834,35 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     in
     (report, old_t.prefill @ checkpointed @ replayed_ops)
 
-  (** Recover after [Memory.crash]. [old_t] supplies configuration and the
-      ghost trace; all simulated-memory state is read back from NVM media
-      through the root directory. The log suffix past the checkpoint is
-      replayed only where [keep ~op ~args] holds: sharded recovery answers
-      from the post-crash decision-table media, rolling committed
-      prepares forward and skipping unprepared/aborted ones like log
-      holes. Returns the rebuilt UC and a report for the durability
-      checkers. Must run inside a fiber.
+  (** Rebuild after [Memory.crash], writing no root. [old_t] supplies
+      configuration and the ghost trace; all simulated-memory state is
+      read back from NVM media through the root directory. The log suffix
+      past the checkpoint is replayed only where [keep ~op ~args] holds:
+      sharded recovery answers from the post-crash decision-table media,
+      rolling committed prepares forward and skipping unprepared/aborted
+      ones like log holes. Returns the rebuilt UC, a report for the
+      durability checkers, and [install], which writes the rebuilt UC's
+      roots; the UC is not recoverable until it has run. Must run inside
+      a fiber.
 
       One spine serves both checkpoint backends: mount the checkpoint,
-      scan the durable suffix past its tail once, account for durability,
-      then replay. Only the replay is backend-specific:
+      scan the durable suffix past its tail once, replay, then account
+      for durability (which charges nothing). Only the replay is
+      backend-specific:
       - classic: [build] makes every replica a copy of the untouched
-        stable replica with the suffix replayed into it. Until it writes
-        its roots, recovery changes no pre-crash NVM word except
-        reconciled response slots, so a crash at any point before then
-        leaves the checkpoint and log it started from, and recovering
-        again gives the same result;
-      - lsm: replay into an empty volatile master, rematerialising from
-        the segments exactly the keys the replay touches — time to first
-        operation is O(suffix), independent of the object's size — then
-        seal the replay's dirty set and publish a new manifest epoch with
-        [sealed_lt] reset, because the rebuilt instance starts a fresh
-        log. *)
-  let recover ?keep old_t =
+        stable replica with the suffix replayed into it, the scan running
+        on a fiber of its own while the copies are made. Until [install]
+        runs, recovery changes no pre-crash NVM word except reconciled
+        response slots, so a crash at any point before then leaves the
+        checkpoint and log it started from, and recovering again gives
+        the same result;
+      - lsm: scan, then replay into an empty volatile master,
+        rematerialising from the segments exactly the keys the replay
+        touches — time to first operation is O(suffix), independent of
+        the object's size — then seal the replay's dirty set and publish
+        a new manifest epoch with [sealed_lt] reset, because the rebuilt
+        instance starts a fresh log. *)
+  let rebuild ?keep old_t =
     if not (has_persistence old_t) then
       invalid_arg "Prep_uc.recover: volatile variant cannot recover";
     let mem = old_t.mem and roots = old_t.roots and cfg = old_t.cfg in
@@ -1808,18 +1882,18 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         else None
       else None
     in
-    let suffix =
+    let scan () =
       if durable then scan_suffix ?keep old_t ~ann ~ct ~from:base_lt else [||]
     in
+    let suffix = Sim.Once.create () in
     (* replay reconciliation: rewrite the submitting thread's response slot
        with the replay-computed result so resolve reflects every op the
        recovered state actually contains (R2 for replayed entries).
        Monotone: never regress a slot that already covers a later seqno. *)
     let reconciled = ref 0 in
-    let reconcile i resp =
+    let reconcile (_, _, _, (tid, seqno)) resp =
       match ann with
       | Some a ->
-        let _, _, _, (tid, seqno) = suffix.(i) in
         if seqno > 0 && Announce.response_seqno a ~tid < seqno then begin
           Announce.write_response a ~tid ~seqno ~result:resp;
           Announce.flush_response a ~tid;
@@ -1827,14 +1901,13 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         end
       | None -> ()
     in
-    let report, prefill = account old_t ~base_lt ~ct suffix in
-    let t =
+    let t, install =
       match mounted with
       | Replica stable ->
-        let ops = Array.map (fun (_, op, args, _) -> (op, args)) suffix in
-        build ~replay:(ops, reconcile) mem roots cfg ~prefill
+        build ~replay:(scan, suffix, reconcile) mem roots cfg ~prefill:[]
           ~master:(Some stable)
       | Store l ->
+        Sim.Once.fill suffix (scan ());
         Context.bind ~default:(Alloc.create_volatile mem ~home:0) ();
         let pa =
           Alloc.create_persistent mem
@@ -1844,15 +1917,15 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         let master = Ds.create mem in
         let view = fresh_view ~hydrated:false in
         let dirty = Hashtbl.create 64 in
-        Array.iteri
-          (fun i (_, op, args, _) ->
+        Array.iter
+          (fun ((_, op, args, _) as e) ->
             prepare l view master ~op ~args;
             (match Ds.classify ~op ~args with
              | Seqds.Ds_intf.Keyed { written; _ } ->
                Array.iter (fun k -> Hashtbl.replace dirty k ()) written
              | Seqds.Ds_intf.Read_all | Seqds.Ds_intf.Opaque -> ());
-            reconcile i (Ds.execute master ~op ~args))
-          suffix;
+            reconcile e (Ds.execute master ~op ~args))
+          (Sim.Once.get suffix);
         (* seal the replay's effects: anything dirty that stayed only in
            the volatile master would be lost by the *next* crash once
            [sealed_lt] resets *)
@@ -1867,10 +1940,19 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         Lsm.seal l pa
           (Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) recs))
           ~sealed_lt:0;
-        build ~lsm:(l, view) mem roots cfg ~prefill ~master:(Some master)
+        build ~lsm:(l, view) mem roots cfg ~prefill:[] ~master:(Some master)
     in
-    t.detect_reconciled <- !reconciled;
-    (t, { report with reconciled = !reconciled })
+    let report, prefill = account old_t ~base_lt ~ct (Sim.Once.get suffix) in
+    ( { t with prefill; detect_reconciled = !reconciled },
+      { report with reconciled = !reconciled },
+      install )
+
+  (** Recover after [Memory.crash]: [rebuild], then [install]. Must run
+      inside a fiber. *)
+  let recover ?keep old_t =
+    let t, report, install = rebuild ?keep old_t in
+    install ();
+    (t, report)
 
   (* ---- detectability queries ---- *)
 

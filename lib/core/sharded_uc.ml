@@ -40,7 +40,7 @@
       checkpoint's own fence then drains that write-back, so a checkpoint
       containing the effect implies the decision is on media;
     - recovery attaches the decision table through its root slot and
-      replays every shard's log through a [Prep_uc.recover ~keep] filter:
+      replays every shard's log through a [Prep_uc.rebuild ~keep] filter:
       prepares whose txid is absent from the post-crash decision media
       are skipped exactly like log holes (roll-back), committed ones are
       re-executed (roll-forward). Durable linearizability then holds
@@ -92,9 +92,10 @@ let is_multi_op op = op = op_multi_put || op = op_transfer
 let op_insert = 0
 let op_get = 2
 
-(** The router's key hash — the same multiplicative (Fibonacci) hash
-    [Soft_hash] buckets with, so a shard count equal to the bucket count
-    would align shard and bucket boundaries. *)
+(** The router's key hash, the same multiplication [Soft_hash] buckets
+    with. It is not a Fibonacci hash: 0x9E3779B1 is 1 modulo 16, so for
+    2, 4, 8 or 16 shards this is [key mod nshards], and keys with a
+    common stride land on a subset of the shards. *)
 let route_key ~nshards key = key * 0x9E3779B1 land max_int mod nshards
 
 (* Absolute root-directory slot of the decision-table directory block.
@@ -575,26 +576,58 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   (** Recover every shard after [Memory.crash]: attach the decision table
       from its root, roll committed prepares forward and uncommitted ones
       back on every shard (recovery's [keep] filter), and rebuild the router.
-      Returns the new construction plus the per-shard recovery reports.
-      Must run inside a fiber. *)
+      The shards rebuild at once, one fiber per shard, and only after one
+      join does any shard write its roots, so a crash inside recovery
+      leaves every shard's pre-crash checkpoint and log as it found them.
+      Each shard's fibers take [Prep_uc.recovery_width] cores of their
+      own; when a socket has too few cores for every shard, a fiber rebuilds
+      several shards in turn. Returns the new construction plus the
+      per-shard recovery reports. Must run inside a fiber. *)
   let recover old_t =
-    let mem = old_t.mem and roots = old_t.roots in
+    let mem = old_t.mem and roots = old_t.roots and n = old_t.nshards in
     let dec = Decision.attach mem roots in
     let keep ~op ~args =
       if is_txn_op op then Decision.committed dec args.(0) else true
     in
-    let pairs = Array.map (P.recover ~keep) old_t.shards in
-    let shards = Array.map fst pairs in
-    let reports = Array.map snd pairs in
+    let width = Prep_uc.recovery_width old_t.cfg in
+    let beta = (Sim.topology ()).Sim.Topology.cores_per_socket in
+    let lanes = max 1 (min n (beta / width)) in
+    let rebuilt = Array.make n None in
+    (* shards [lane], [lane + lanes], ... in turn; a raise is re-raised
+       after the join, the lowest shard's first, as one fiber would *)
+    let lane l () =
+      let i = ref l in
+      while !i < n do
+        rebuilt.(!i) <-
+          Some
+            (try Ok (P.rebuild ~keep old_t.shards.(!i))
+             with (Invalid_argument _ | Failure _) as e -> Error e);
+        i := !i + lanes
+      done
+    in
+    let socket = Sim.socket () and core = (Sim.self ()).Sim.core in
+    Sim.fork_join
+      (List.init (lanes - 1) (fun l ->
+           (socket, (core + ((l + 1) * width)) mod beta, lane (l + 1))))
+      (lane 0);
+    let rebuilt =
+      Array.map
+        (function
+          | Some (Ok r) -> r
+          | Some (Error e) -> raise e
+          | None -> assert false)
+        rebuilt
+    in
+    Array.iter (fun (_, _, install) -> install ()) rebuilt;
     let t =
       {
         old_t with
-        shards;
+        shards = Array.map (fun (s, _, _) -> s) rebuilt;
         dec;
         (* ghost state carries over: txids stay unique, intents keep
            naming every transaction the checkers must audit *)
       }
     in
     install_gates t;
-    (t, reports)
+    (t, Array.map (fun (_, r, _) -> r) rebuilt)
 end

@@ -439,6 +439,33 @@ let fork_join jobs main =
   else if !last > now () then sleep_until !last;
   r
 
+(** A write-once cell: one fiber [fill]s it, any number [get] it. A read
+    before the fill parks the reader until the fill, and it resumes at
+    the filler's clock or at its own, if that is later. A read after the
+    fill neither parks nor costs anything. *)
+module Once = struct
+  type 'a t = {
+    mutable value : 'a option;
+    mutable waiters : (int -> unit) list;  (** parked readers' wakes *)
+  }
+
+  let create () = { value = None; waiters = [] }
+
+  let fill c v =
+    if Option.is_some c.value then invalid_arg "Sim.Once.fill: already filled";
+    c.value <- Some v;
+    let at = now () and waiters = List.rev c.waiters in
+    c.waiters <- [];
+    List.iter (fun wake -> wake at) waiters
+
+  let rec get c =
+    match c.value with
+    | Some v -> v
+    | None ->
+      Effect.perform (Park (fun wake -> c.waiters <- wake :: c.waiters));
+      get c
+end
+
 (** Run [f] as a single fiber on socket 0 of a fresh default simulation and
     return its result. Convenience for tests and sequential examples. *)
 let run_one ?(seed = 1L) ?(topology = Topology.default) f =

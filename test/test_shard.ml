@@ -508,6 +508,201 @@ let test_explore_finds_planted_fault () =
 
 (* ---- config gates ---- *)
 
+(* ---- parallel recovery ---- *)
+
+exception Power_failure
+
+(* [Replays] is the hashmap with [execute] noting the memory-op index of
+   each call while [replays_in] names a memory: during recovery, that is
+   the index of the latest replayed entry. *)
+let replays_in = ref None
+let last_replay = ref 0
+
+module Replays = struct
+  include Seqds.Hashmap
+
+  let execute h ~op ~args =
+    let r = Seqds.Hashmap.execute h ~op ~args in
+    Option.iter (fun mem -> last_replay := Nvm.Memory.op_index mem) !replays_in;
+    r
+end
+
+module SR = Sharded_uc.Make (Replays)
+
+(* a 3-worker, 4-shard durable run with cross-shard transactions, cut by
+   a power failure at 1.5 ms; three workers leave room for two shards'
+   recoveries at once on the 2x4 topology, so recovery runs in waves *)
+let crash_sharded ?(lsm_ckpt = false) () =
+  let sim = Sim.create ~seed:5L topology in
+  let mem = Nvm.Memory.make ~bg_period:2000 ~sockets:2 () in
+  let uc_ref = ref None in
+  ignore
+    (Sim.spawn sim ~socket:0 (fun () ->
+         let cfg =
+           Config.make ~mode:Config.Durable ~lsm_ckpt ~log_size:128
+             ~epsilon:32 ~shards:4 ~workers:3 ()
+         in
+         let uc =
+           SR.create
+             ~prefill:(List.init 40 (fun k -> (H.op_insert, [| k; k |])))
+             mem (Nvm.Roots.make mem) cfg
+         in
+         SR.start_persistence uc;
+         uc_ref := Some uc;
+         for w = 0 to 2 do
+           let socket, core = Sim.Topology.place topology w in
+           Sim.spawn_here ~socket ~core (fun () ->
+               SR.register_worker uc;
+               let rng = Sim.fiber_rng () in
+               while true do
+                 let k = Sim.Rng.int rng 64 and k2 = Sim.Rng.int rng 64 in
+                 let op, args =
+                   match Sim.Rng.int rng 4 with
+                   | 0 ->
+                     (Sharded_uc.op_multi_put, [| k; k2; Sim.Rng.int rng 1000 |])
+                   | 1 -> (Sharded_uc.op_transfer, [| k; k2; 3 |])
+                   | 2 -> (H.op_insert, [| k; Sim.Rng.int rng 1000 |])
+                   | _ -> (H.op_get, [| k |])
+                 in
+                 ignore (SR.execute uc ~op ~args)
+               done)
+         done));
+  (match Sim.run ~until:1_500_000 sim () with
+   | `Cut _ -> ()
+   | `Done -> Alcotest.fail "finished before the crash");
+  Nvm.Memory.crash mem;
+  (Option.get !uc_ref, mem)
+
+(* [f] on socket 0 of a fresh simulation, run to the end *)
+let in_recovery_sim f =
+  Nvm.Context.reset ();
+  let sim = Sim.create ~seed:6L topology in
+  let out = ref None in
+  ignore (Sim.spawn sim ~socket:0 (fun () -> out := Some (f ())));
+  (match Sim.run sim () with `Done -> () | `Cut _ -> Alcotest.fail "cut");
+  Option.get !out
+
+let recover_sharded uc =
+  in_recovery_sim (fun () ->
+      let uc', reports = SR.recover uc in
+      (SR.snapshot uc', reports))
+
+(* the sequential recovery parallel recovery replaced: every shard's
+   [recover ~keep] in turn, against the same decision table *)
+let recover_in_turn (uc : SR.t) =
+  in_recovery_sim (fun () ->
+      let dec = Sharded_uc.Decision.attach uc.SR.mem uc.SR.roots in
+      let keep ~op ~args =
+        (not (Sharded_uc.is_txn_op op))
+        || Sharded_uc.Decision.committed dec args.(0)
+      in
+      let pairs = Array.map (SR.P.recover ~keep) uc.SR.shards in
+      (SR.snapshot { uc with SR.shards = Array.map fst pairs }, Array.map snd pairs))
+
+let nvm_media mem ~arenas =
+  List.filter_map
+    (fun aid ->
+      if Nvm.Memory.arena_kind mem aid = Nvm.Memory.Nvm then
+        Some
+          (Array.init Nvm.Memory.arena_words (fun offset ->
+               Nvm.Memory.peek_media mem (Nvm.Memory.addr_of ~aid ~offset)))
+      else None)
+    (List.init arenas Fun.id)
+
+(* Recovery writes no root before every shard has replayed, and a power
+   failure anywhere before its first root write leaves every pre-crash
+   NVM word as it was: recovering again gives the same state and the
+   same per-shard reports. *)
+let test_recovery_crash_window () =
+  let uc, mem = crash_sharded () in
+  let crashed = Nvm.Memory.snapshot mem in
+  let arenas = Nvm.Memory.arena_count mem in
+  let media = nvm_media mem ~arenas in
+  let start = Nvm.Memory.op_index mem in
+  let first_root = ref max_int in
+  Nvm.Memory.set_access_hook mem (fun _ addr write _ ->
+      if write && addr > 0 && addr < Nvm.Roots.max_slots
+         && !first_root = max_int
+      then first_root := Nvm.Memory.op_index mem - 1);
+  replays_in := Some mem;
+  last_replay := start;
+  let want = recover_sharded uc in
+  replays_in := None;
+  Nvm.Memory.clear_access_hook mem;
+  check_bool "a root is written" true (!first_root < max_int);
+  check_bool "an entry is replayed" true (!last_replay > start);
+  check_bool "the first root write follows every shard's last replay" true
+    (!last_replay < !first_root);
+  List.iter
+    (fun k ->
+      let cut = start + ((!first_root - start) * k / 4) in
+      let at =
+        Printf.sprintf "cut at op %d of %d" (cut - start) (!first_root - start)
+      in
+      Nvm.Memory.restore mem crashed;
+      Nvm.Memory.set_crash_hook mem (fun i ->
+          if i >= cut then raise Power_failure);
+      (match recover_sharded uc with
+       | _ -> Alcotest.fail (at ^ ": recovery finished")
+       | exception Power_failure -> ());
+      Nvm.Memory.clear_crash_hook mem;
+      Nvm.Memory.crash mem;
+      check_bool (at ^ ": pre-crash media untouched") true
+        (nvm_media mem ~arenas = media);
+      let got = recover_sharded uc in
+      Alcotest.(check (list int)) (at ^ ": state") (fst want) (fst got);
+      check_bool (at ^ ": reports") true (snd want = snd got))
+    [ 0; 1; 2; 3; 4 ]
+
+(* No two recovery fibers that run at the same time share a core, which
+   the simulator would not charge for; the 2x4 topology fits two shards'
+   recoveries at once, so the four shards recover in two waves. *)
+let test_recovery_cores () =
+  let uc, mem = crash_sharded () in
+  (* fid -> socket, core, and the clocks of its first and last access *)
+  let spans = Hashtbl.create 16 in
+  Nvm.Memory.set_access_hook mem (fun _ _ _ _ ->
+      let f = Sim.self () and now = Sim.now () in
+      let first =
+        match Hashtbl.find_opt spans f.Sim.fid with
+        | Some (_, _, first, _) -> first
+        | None -> now
+      in
+      Hashtbl.replace spans f.Sim.fid (f.Sim.socket, f.Sim.core, first, now));
+  ignore (recover_sharded uc);
+  Nvm.Memory.clear_access_hook mem;
+  let spans = Hashtbl.fold (fun fid span l -> (fid, span) :: l) spans [] in
+  let overlapping = ref 0 in
+  List.iter
+    (fun (a, (s, c, a0, a1)) ->
+      List.iter
+        (fun (b, (s', c', b0, b1)) ->
+          if a < b && a0 < b1 && b0 < a1 then begin
+            incr overlapping;
+            if s = s' && c = c' then
+              Alcotest.failf "fibers %d and %d share core %d.%d" a b s c
+          end)
+        spans)
+    spans;
+  check_bool "fibers run at once" true (!overlapping > 0)
+
+(* Parallel recovery gives what recovering the shards in turn gives, under
+   either checkpoint backend. *)
+let test_recovery_equals_in_turn () =
+  List.iter
+    (fun lsm_ckpt ->
+      let label = if lsm_ckpt then "lsm" else "classic" in
+      let uc, mem = crash_sharded ~lsm_ckpt () in
+      let crashed = Nvm.Memory.snapshot mem in
+      let par_state, par_reports = recover_sharded uc in
+      Nvm.Memory.restore mem crashed;
+      let seq_state, seq_reports = recover_in_turn uc in
+      check_bool (label ^ ": state non-trivial") true
+        (List.length par_state > 20);
+      Alcotest.(check (list int)) (label ^ ": state") seq_state par_state;
+      check_bool (label ^ ": reports") true (seq_reports = par_reports))
+    [ false; true ]
+
 let test_config_gates () =
   Alcotest.check_raises "sharding requires durable"
     (Invalid_argument
@@ -575,6 +770,13 @@ let () =
             `Slow test_explore_2shard_numa_clean;
           Alcotest.test_case "planted fault found + replayed" `Quick
             test_explore_finds_planted_fault;
+        ] );
+      ( "recovery",
+        [
+          Alcotest.test_case "crash window" `Quick test_recovery_crash_window;
+          Alcotest.test_case "one core per fiber" `Quick test_recovery_cores;
+          Alcotest.test_case "equals shards in turn" `Quick
+            test_recovery_equals_in_turn;
         ] );
       ( "config",
         [ Alcotest.test_case "gates" `Quick test_config_gates ] );

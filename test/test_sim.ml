@@ -140,6 +140,67 @@ let test_fork_join () =
   let _, t, _ = join ~own:2_000 in
   check "or at its own clock when later" 2_100 t
 
+(* A read before the fill parks until it, resuming at the filler's clock
+   or at the reader's own when later; a read after the fill is free; a
+   cell fills once. *)
+let test_once () =
+  let parked ~reader ~filler =
+    Sim.run_one (fun () ->
+        let c = Sim.Once.create () in
+        let seen = ref (0, 0) in
+        let read () =
+          Sim.tick reader;
+          let v = Sim.Once.get c in
+          seen := (v, Sim.now ())
+        in
+        let fill () =
+          Sim.tick filler;
+          Sim.Once.fill c 42
+        in
+        Sim.fork_join [ (0, 1, read); (1, 0, fill) ] (fun () -> ());
+        !seen)
+  in
+  Alcotest.(check (pair int int)) "resumes at the filler's clock" (42, 500)
+    (parked ~reader:100 ~filler:500);
+  (* timed dispatch runs the filler first when the reader is later, so
+     park a later reader under a scheduler that picks it first *)
+  let sim = Sim.create Sim.Topology.default in
+  Sim.set_chooser sim (fun fids -> fids.(Array.length fids - 1));
+  let c = Sim.Once.create () and filled = ref false in
+  let parked = ref false and seen = ref 0 in
+  ignore
+    (Sim.spawn sim ~socket:0 (fun () ->
+         Sim.tick 500;
+         filled := true;
+         Sim.Once.fill c 42));
+  ignore
+    (Sim.spawn sim ~socket:0 ~core:1 (fun () ->
+         Sim.tick 900;
+         parked := not !filled;
+         ignore (Sim.Once.get c);
+         seen := Sim.now ()));
+  ignore (Sim.run sim ());
+  check_bool "the later reader parked" true !parked;
+  check "and resumes at its own clock" 900 !seen;
+  let after, cost, refill =
+    Sim.run_one (fun () ->
+        let c = Sim.Once.create () in
+        Sim.Once.fill c 7;
+        Sim.tick 250;
+        let t0 = Sim.now () in
+        let v = Sim.Once.get c in
+        let cost = Sim.now () - t0 in
+        let refill =
+          match Sim.Once.fill c 8 with
+          | () -> false
+          | exception Invalid_argument _ -> true
+        in
+        (v, cost, refill))
+  in
+  check "a read after the fill sees the value" 7 after;
+  check "and costs nothing" 0 cost;
+  check_bool "a second fill raises" true refill
+
 let test_determinism_across_runs () =
   let run () =
     let log = ref [] in
@@ -178,6 +239,7 @@ let () =
           Alcotest.test_case "spawn inherits clock" `Quick test_spawn_inherits_clock;
           Alcotest.test_case "sleep until" `Quick test_sleep_until;
           Alcotest.test_case "fork join" `Quick test_fork_join;
+          Alcotest.test_case "write-once cell" `Quick test_once;
           Alcotest.test_case "determinism" `Quick test_determinism_across_runs;
         ] );
     ]
