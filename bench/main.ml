@@ -170,8 +170,8 @@ let run_smoke path =
   let flit = run_variant true in
   let speedup = flit.Experiment.throughput /. base.Experiment.throughput in
   (* second guard: the NUMA hot-path package (distributed reader lock +
-     DRAM log mirror + slot bitmap) must not regress a 90%-read point at
-     the top quick-scale thread count, on top of flit *)
+     DRAM log mirror) must not regress a 90%-read point at the top
+     quick-scale thread count, on top of flit *)
   let threads90 = 23 in
   let workload90 =
     Workload.map_workload ~read_pct:90 ~key_range:scale.Figures.key_range
@@ -183,7 +183,7 @@ let run_smoke path =
       ~warmup_ns:scale.Figures.warmup_ns
       ~system:
         (Hm.prep ~log_size:scale.Figures.log_size ~flit:true ~dist_rw:opt
-           ~log_mirror:opt ~slot_bitmap:opt ~mode:Prep.Config.Durable
+           ~log_mirror:opt ~mode:Prep.Config.Durable
            ~epsilon:scale.Figures.eps_large ())
       ~workload:workload90 ~workers:threads90 ()
   in
@@ -215,7 +215,7 @@ let run_smoke path =
     path;
   Printf.printf
     "bench smoke (90%% read, %d threads): flit %.0f ops/s, \
-     flit+dist+mir+bmp %.0f ops/s (%.1f%% %s)\n%!"
+     flit+dist+mir %.0f ops/s (%.1f%% %s)\n%!"
     threads90 base90.Experiment.throughput numa90.Experiment.throughput
     (abs_float (speedup90 -. 1.0) *. 100.)
     (if speedup90 >= 1.0 then "faster" else "SLOWER");
@@ -232,8 +232,8 @@ let run_smoke path =
   end;
   if numa90.Experiment.throughput < base90.Experiment.throughput then begin
     prerr_endline
-      "bench smoke FAILED: dist-rw+log-mirror+slot-bitmap slower than flit \
-       alone at the 90%-read point";
+      "bench smoke FAILED: dist-rw+log-mirror slower than flit alone at the \
+       90%-read point";
     exit 1
   end
 
@@ -376,73 +376,6 @@ let run_persistgain path policy_arg =
     exit 1
   end
 
-(* ---- bench readscale: read-ratio sweep, flags off vs on ----
-
-   Sweeps read ratio {0, 50, 90, 99}% x the quick-scale thread counts on
-   the PREP-Durable hashmap, comparing `--flit` alone against
-   `--flit --dist-rw --log-mirror --slot-bitmap`, and writes every point
-   (with the lock/mirror/bitmap counters) in the same JSON schema as
-   `smoke`. *)
-
-let run_readscale path =
-  let scale = Figures.quick in
-  let workload read_pct =
-    Workload.map_workload ~read_pct ~key_range:scale.Figures.key_range
-      ~prefill_n:(scale.Figures.key_range / 2)
-  in
-  let system opt =
-    Hm.prep ~log_size:scale.Figures.log_size ~flit:true ~dist_rw:opt
-      ~log_mirror:opt ~slot_bitmap:opt ~mode:Prep.Config.Durable
-      ~epsilon:scale.Figures.eps_large ()
-  in
-  let points = ref [] in
-  Printf.printf "%8s %8s %14s %14s %9s\n%!" "read%" "threads" "flit"
-    "flit+numa" "speedup";
-  List.iter
-    (fun read_pct ->
-      List.iter
-        (fun threads ->
-          let run opt =
-            try
-              Some
-                (Experiment.run ~topology:scale.Figures.topology
-                   ~duration_ns:scale.Figures.duration_ns
-                   ~warmup_ns:scale.Figures.warmup_ns ~system:(system opt)
-                   ~workload:(workload read_pct) ~workers:threads ())
-            with Failure msg ->
-              Printf.eprintf "[point failed: %s]\n%!" msg;
-              None
-          in
-          match (run false, run true) with
-          | Some base, Some numa ->
-            let speedup =
-              numa.Experiment.throughput /. base.Experiment.throughput
-            in
-            Printf.printf "%8d %8d %14.0f %14.0f %8.2fx\n%!" read_pct threads
-              base.Experiment.throughput numa.Experiment.throughput speedup;
-            points :=
-              Printf.sprintf
-                "    {\"read_pct\": %d, \"threads\": %d,\n\
-                \     \"baseline\": %s,\n     \"numa\": %s,\n\
-                \     \"speedup\": %.4f}"
-                read_pct threads (Experiment.json_of_result base)
-                (Experiment.json_of_result numa)
-                speedup
-              :: !points
-          | _ -> ())
-        scale.Figures.threads)
-    [ 0; 50; 90; 99 ];
-  write_validated path
-    (Printf.sprintf
-       "{\n  \"schema_version\": %d,\n\
-       \  \"config\": {\"key_range\": %d, \"log_size\": %d, \"epsilon\": %d, \
-        \"duration_ns\": %d},\n  \"points\": [\n%s\n  ]\n}\n"
-       Telemetry.Json.schema_version scale.Figures.key_range
-       scale.Figures.log_size scale.Figures.eps_large
-       scale.Figures.duration_ns
-       (String.concat ",\n" (List.rev !points)));
-  Printf.printf "artifact: %s\n%!" path
-
 (* ---- bench loadcurve: open-loop latency-vs-offered-load sweep ----
 
    For each system variant (PREP-Durable baseline, --flit, the full NUMA
@@ -470,7 +403,7 @@ let run_loadcurve path =
       Hm.prep ~log_size:ls ~mode:Prep.Config.Durable ~epsilon:eps ();
       Hm.prep ~log_size:ls ~flit:true ~mode:Prep.Config.Durable ~epsilon:eps ();
       Hm.prep ~log_size:ls ~flit:true ~dist_rw:true ~log_mirror:true
-        ~slot_bitmap:true ~mode:Prep.Config.Durable ~epsilon:eps ();
+        ~mode:Prep.Config.Durable ~epsilon:eps ();
       Hm.prep ~log_size:ls ~detect:true ~mode:Prep.Config.Durable ~epsilon:eps
         ();
     ]
@@ -579,8 +512,8 @@ let run_shardscale path =
       ~duration_ns:scale.Figures.duration_ns
       ~warmup_ns:scale.Figures.warmup_ns ~op_batch:shardscale_op_batch
       ~system:
-        (Hm.prep_sharded ~log_size:scale.Figures.log_size ~slot_bitmap:true
-           ~shards ~epsilon:scale.Figures.eps_large ())
+        (Hm.prep_sharded ~log_size:scale.Figures.log_size ~shards
+           ~epsilon:scale.Figures.eps_large ())
       ~workload:(workload ~nshards:shards ~multi_pct ~cross_pct)
       ~workers ()
   in
@@ -988,9 +921,6 @@ let () =
     run_persistgain
       (if Array.length Sys.argv > 2 then Sys.argv.(2) else "bench-persistgain.json")
       (if Array.length Sys.argv > 3 then Some Sys.argv.(3) else None)
-  | "readscale" ->
-    run_readscale
-      (if Array.length Sys.argv > 2 then Sys.argv.(2) else "bench-readscale.json")
   | "loadcurve" ->
     run_loadcurve
       (if Array.length Sys.argv > 2 then Sys.argv.(2) else "bench-loadcurve.json")
@@ -1005,6 +935,6 @@ let () =
   | other ->
     Printf.eprintf
       "unknown command %S (expected \
-       all|table1|fig1..fig6|ablation|flushstats|micro|smoke|persistgain|readscale|loadcurve|shardscale|ckptscale)\n"
+       all|table1|fig1..fig6|ablation|flushstats|micro|smoke|persistgain|loadcurve|shardscale|ckptscale)\n"
       other;
     exit 1

@@ -14,9 +14,9 @@
      optimize-persist  derive a proven per-site persistency policy
 
    Every PREP subcommand takes the same feature flags (--flit, --dist-rw,
-   --log-mirror, --slot-bitmap, --detect, --lsm-ckpt, --lsm-fanout,
-   --persist-policy), read by one cmdliner term into a
-   [Prep.Config.t] that [Config.validate] accepts or refuses once.
+   --log-mirror, --detect, --lsm-ckpt, --lsm-fanout, --persist-policy),
+   read by one cmdliner term into a [Prep.Config.t] that [Config.validate]
+   accepts or refuses once.
 
    The harness subcommands take [-j N] to fan independent simulations
    across N domains (Harness.Campaign); results are deterministic — byte
@@ -184,13 +184,6 @@ let log_mirror_arg =
   in
   Arg.(value & flag & info [ "log-mirror" ] ~doc)
 
-let slot_bitmap_arg =
-  let doc =
-    "Maintain a per-replica slot-occupancy bitmap so the combiner scans \
-     only occupied flat-combining slots (PREP systems only)."
-  in
-  Arg.(value & flag & info [ "slot-bitmap" ] ~doc)
-
 let detect_arg =
   let doc =
     "Enable detectable execution (PREP-Durable only): per-thread persistent \
@@ -243,7 +236,7 @@ let persist_policy_arg =
    subcommand. Mode, epsilon, log size, shards, workers and fault stay at
    [Config.make]'s defaults for the subcommand to set. *)
 let features_term =
-  let features flit dist_rw log_mirror slot_bitmap detect lsm_ckpt lsm_fanout
+  let features flit dist_rw log_mirror detect lsm_ckpt lsm_fanout
       persist_policy =
     let policy =
       match persist_policy with
@@ -254,14 +247,13 @@ let features_term =
     | Error e -> `Error (true, e)
     | Ok persist_policy ->
       `Ok
-        (Prep.Config.make ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-           ~lsm_ckpt ~lsm_fanout ?persist_policy ~workers:1 ())
+        (Prep.Config.make ~flit ~dist_rw ~log_mirror ~detect ~lsm_ckpt
+           ~lsm_fanout ?persist_policy ~workers:1 ())
   in
   Term.(
     ret
-      (const features $ flit_arg $ dist_rw_arg $ log_mirror_arg
-     $ slot_bitmap_arg $ detect_arg $ lsm_ckpt_arg $ lsm_fanout_arg
-     $ persist_policy_arg))
+      (const features $ flit_arg $ dist_rw_arg $ log_mirror_arg $ detect_arg
+     $ lsm_ckpt_arg $ lsm_fanout_arg $ persist_policy_arg))
 
 let trace_arg =
   let doc =

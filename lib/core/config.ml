@@ -85,8 +85,11 @@ type t = {
   mode : mode;
   log_size : int; (** LOG_SIZE: entries in the circular shared log *)
   epsilon : int; (** flush-boundary advance per persistence cycle *)
-  workers : int; (** worker threads; replicas are created only for the
-                     sockets these occupy, as in the paper's pinning *)
+  workers : int;
+      (** worker threads; replicas are created only for the sockets these
+          occupy, as in the paper's pinning, and a replica whose socket
+          hosts exactly one worker has its combiner collect only the
+          caller's own slot instead of sweeping all β *)
   flush : flush_strategy;
   flit : bool;
       (** enable the FliT-style flush-elimination layer: per-line flush
@@ -103,10 +106,6 @@ type t = {
           serve replica catch-up / persistence-thread reads from it at DRAM
           cost. CLWB and recovery keep using the NVM copy as the sole
           durability source. No effect outside [Durable] mode. *)
-  slot_bitmap : bool;
-      (** per-replica slot-occupancy summary word: [execute_update] sets
-          its core's bit when publishing a slot and the combiner collects
-          only set bits, turning the O(β) slot sweep into O(occupied). *)
   detect : bool;
       (** detectable execution (durable mode only): every update is
           announced to a per-thread persistent record (op descriptor +
@@ -173,8 +172,6 @@ let validate t ~beta =
   if t.mode <> Volatile && t.epsilon < 1 then
     invalid_arg "Config: epsilon must be positive";
   if t.workers < 1 then invalid_arg "Config: need at least one worker";
-  if t.slot_bitmap && beta > 62 then
-    invalid_arg "Config: slot bitmap supports at most 62 slots per replica";
   if t.detect && t.mode <> Durable then
     invalid_arg
       "Config: detectable execution requires durable mode (a buffered \
@@ -211,13 +208,12 @@ let validate t ~beta =
 
 let make ?(mode = Buffered) ?(log_size = 65536) ?(epsilon = 1024)
     ?(flush = Wbinvd) ?(flit = false) ?(dist_rw = false)
-    ?(log_mirror = false) ?(slot_bitmap = false) ?(detect = false)
-    ?(shards = 1) ?(lsm_ckpt = false) ?(lsm_fanout = 4)
-    ?(root_base = 0) ?(tag = "") ?persist_policy ?(fault = No_fault)
-    ~workers () =
+    ?(log_mirror = false) ?(detect = false) ?(shards = 1) ?(lsm_ckpt = false)
+    ?(lsm_fanout = 4) ?(root_base = 0) ?(tag = "") ?persist_policy
+    ?(fault = No_fault) ~workers () =
   { mode; log_size; epsilon; workers; flush; flit; dist_rw; log_mirror;
-    slot_bitmap; detect; shards; lsm_ckpt; lsm_fanout; root_base; tag;
-    persist_policy; fault }
+    detect; shards; lsm_ckpt; lsm_fanout; root_base; tag; persist_policy;
+    fault }
 
 (** The checker command-line flags that rebuild [t]'s fault and feature
     set — every such field that differs from [make]'s default, in a fixed
@@ -235,7 +231,6 @@ let to_flags ~shards_flag t =
       (if t.flit then " --flit" else "");
       (if t.dist_rw then " --dist-rw" else "");
       (if t.log_mirror then " --log-mirror" else "");
-      (if t.slot_bitmap then " --slot-bitmap" else "");
       (if t.detect then " --detect" else "");
       (if t.shards <> d.shards then
          Printf.sprintf " %s %d" shards_flag t.shards

@@ -56,12 +56,17 @@ let slot_words = 16 (* flat-combining slot: 2 cache lines per core *)
    [root_base] is [i * 8]. *)
 let lsm_manifest_slot root_base = 56 + (root_base / 8)
 
-(* One volatile replica per socket that hosts a worker; the last core is
-   the persistence thread's. *)
+(* How many workers each socket hosts; the last core is the persistence
+   thread's. *)
+let socket_workers cfg topo =
+  Sim.Topology.workers_per_socket topo
+    (min cfg.Config.workers (Sim.Topology.total_cores topo - 1))
+
+(* One volatile replica per socket that hosts a worker. *)
 let replica_count cfg topo =
-  let beta = topo.Sim.Topology.cores_per_socket in
-  let workers = min cfg.Config.workers (Sim.Topology.total_cores topo - 1) in
-  min topo.Sim.Topology.sockets ((workers + beta - 1) / beta)
+  Array.fold_left
+    (fun n w -> if w > 0 then n + 1 else n)
+    0 (socket_workers cfg topo)
 
 (* The sockets of the fibers one recovery runs at once, the recovering
    fiber's first. Classic recovery adds the suffix scan, on socket 0 where
@@ -375,10 +380,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     combiner : Locks.Trylock.t;
     rw : Locks.Rw.t;
     slots : int; (* base address of beta slots *)
-    occ : int;
-        (* slot-occupancy summary word ([Config.slot_bitmap]): bit [core]
-           is raised after the core's slot is published, so the combiner
-           collects only set bits instead of sweeping all beta slots *)
+    solo : bool;
+        (* the socket hosts exactly one worker: its combiner collects only
+           the caller's own slot instead of sweeping all beta *)
   }
 
   type preplica = {
@@ -410,9 +414,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
            sequence; empty unless detect *)
     mutable stop_flag : bool;
     mutable p_thread_running : bool;
-    (* harness-side optimisation counters (no simulated cost) *)
-    mutable bmp_empty_exits : int;
-    mutable bmp_slots_skipped : int;
     (* detectability counters (no simulated cost) *)
     mutable detect_announces : int;
     mutable detect_responses : int;
@@ -492,6 +493,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     (match cfg.Config.persist_policy with
      | Some p -> Memory.set_policy mem p
      | None -> ());
+    let workers = socket_workers cfg topo in
     let n_replicas = replica_count cfg topo in
     let p_socket = topo.Sim.Topology.sockets - 1 in
     let ctrl_aid = Memory.new_arena mem ~kind:Memory.Dram ~home:0 in
@@ -557,12 +559,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       in
       let rw = Locks.Rw.make ~dist ~ncores:beta mem rw_base in
       let slots = Alloc.alloc alloc (beta * slot_words) in
-      let occ = Alloc.alloc alloc 8 in
-      Memory.write mem occ 0;
       Memory.write mem lt_addr 0;
       Memory.write mem (ctrl + off_update_now + rid) 0;
       { rid; socket = rid; ds; view; alloc; lt_addr; combiner; rw; slots;
-        occ }
+        solo = workers.(rid) = 1 }
     in
     let make_prep pa src =
       Context.with_persistent (fun () ->
@@ -779,8 +779,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         next_seq;
         stop_flag = false;
         p_thread_running = false;
-        bmp_empty_exits = 0;
-        bmp_slots_skipped = 0;
         detect_announces = 0;
         detect_responses = 0;
         detect_reconciled = 0;
@@ -1046,27 +1044,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
      replica up to date, and apply + answer the batch (paper §3). *)
   let combine t r =
     Phases.in_span t.tel (fun pt -> pt.Phases.combine) @@ fun () ->
-    (* collect and claim full slots *)
+    (* collect and claim full slots. A lone worker's replica collects only
+       the caller's slot: safe whatever the real placement, since every
+       publisher spins in [try_collect] and combines for itself, so a
+       slot no sweep visits only waits for its own publisher's round. *)
     let batch = ref [] in
-    if t.cfg.Config.slot_bitmap then begin
-      (* claim the currently-raised bits with one atomic subtraction, then
-         visit only those slots. Claiming before collecting is safe: a bit
-         is raised strictly after its slot's [sl_full] store, so every
-         claimed bit has a full slot, and the subtraction cannot erase a
-         concurrently-raised bit of another core. A publisher whose bit
-         lands just after the read is picked up by the next combine round
-         (its worker is still spinning, and spinners retry the combiner
-         lock). *)
-      let bits = Memory.read t.mem r.occ in
-      if bits = 0 then t.bmp_empty_exits <- t.bmp_empty_exits + 1
-      else begin
-        ignore (Memory.faa t.mem r.occ (-bits));
-        for core = t.beta - 1 downto 0 do
-          if bits land (1 lsl core) <> 0 then collect_slot t r core batch
-          else t.bmp_slots_skipped <- t.bmp_slots_skipped + 1
-        done
-      end
-    end
+    if r.solo then collect_slot t r (Sim.self ()).Sim.core batch
     else
       for core = t.beta - 1 downto 0 do
         collect_slot t r core batch
@@ -1209,10 +1192,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     Array.iteri (fun i v -> Memory.write t.mem (s + sl_args + i) v) args;
     if t.cfg.Config.detect then Memory.write t.mem (s + sl_seq) seq;
     Memory.write t.mem (s + sl_ready) 0;
-    Memory.write t.mem (s + sl_full) 1;
-    (* raise the occupancy bit strictly after [sl_full]: the combiner
-       claims bits first and then expects every claimed slot to be full *)
-    if t.cfg.Config.slot_bitmap then ignore (Memory.faa t.mem r.occ (1 lsl core))
+    Memory.write t.mem (s + sl_full) 1
 
   (** One non-blocking attempt to collect the outstanding update: the
       slot's response if it is ready, otherwise — after lending a hand as
@@ -1616,8 +1596,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       ("log_primary_reads", t.log.Log.primary_reads);
       ("log_mirror_reads", t.log.Log.mirror_reads);
       ("log_mirror_stores", t.log.Log.mirror_stores);
-      ("bitmap_empty_exits", t.bmp_empty_exits);
-      ("bitmap_slots_skipped", t.bmp_slots_skipped);
       ("detect_announces", t.detect_announces);
       ("detect_responses", t.detect_responses);
       ("detect_reconciled", t.detect_reconciled);

@@ -55,7 +55,7 @@ type result = {
   telemetry : Telemetry.Registry.snapshot;
       (** typed snapshot of the run's registry: system-specific counters
           (distributed-lock acquisitions, log mirror reads/stores,
-          slot-bitmap scans, ...) summed across instances, plus — when the
+          checkpoint counts, ...) summed across instances, plus — when the
           run was given a live registry — phase spans, histograms and
           per-primitive NVM accounting *)
 }
@@ -67,9 +67,8 @@ type result = {
    refactor. *)
 let legacy_counter_keys =
   [ "rw_read_acquires"; "rw_writer_sweeps"; "log_primary_reads";
-    "log_mirror_reads"; "log_mirror_stores"; "bitmap_empty_exits";
-    "bitmap_slots_skipped"; "detect_announces"; "detect_responses";
-    "detect_reconciled"; "ckpt_count"; "ckpt_cost_total"; "ckpt_cost_last";
+    "log_mirror_reads"; "log_mirror_stores"; "detect_announces";
+    "detect_responses"; "detect_reconciled"; "ckpt_count"; "ckpt_cost_total"; "ckpt_cost_last";
     "lsm_seals"; "lsm_segments_built"; "lsm_keys_sealed"; "lsm_compactions";
     "lsm_segments_live"; "lsm_bloom_skips"; "lsm_range_skips";
     "lsm_seg_finds"; "lsm_materialized" ]
@@ -312,7 +311,7 @@ module Systems (Ds : Seqds.Ds_intf.S) = struct
           (fun (on, tag) -> if on then Some tag else None)
           Prep.Config.
             [ (cfg.flit, "flit"); (cfg.dist_rw, "dist");
-              (cfg.log_mirror, "mir"); (cfg.slot_bitmap, "bmp");
+              (cfg.log_mirror, "mir");
               (cfg.detect, "det"); (cfg.lsm_ckpt, "lsm");
               (cfg.persist_policy <> None, "pol") ]
       in
@@ -360,20 +359,19 @@ module Systems (Ds : Seqds.Ds_intf.S) = struct
   let of_config ?name (cfg : Prep.Config.t) =
     build ?name ~router:(cfg.Prep.Config.shards > 1) cfg
 
-  let prep ?log_size ?flush ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect
-      ?lsm_ckpt ?lsm_fanout ?persist_policy ?name ~mode ~epsilon () =
+  let prep ?log_size ?flush ?flit ?dist_rw ?log_mirror ?detect ?lsm_ckpt
+      ?lsm_fanout ?persist_policy ?name ~mode ~epsilon () =
     of_config ?name
-      (Prep.Config.make ?log_size ?flush ?flit ?dist_rw ?log_mirror
-         ?slot_bitmap ?detect ?lsm_ckpt ?lsm_fanout ?persist_policy ~mode
-         ~epsilon ~workers:1 ())
+      (Prep.Config.make ?log_size ?flush ?flit ?dist_rw ?log_mirror ?detect
+         ?lsm_ckpt ?lsm_fanout ?persist_policy ~mode ~epsilon ~workers:1 ())
 
   (** Hash-routed durable shards, the router kept even for [shards = 1]. *)
-  let prep_sharded ?log_size ?flush ?flit ?slot_bitmap ?lsm_ckpt ?lsm_fanout
+  let prep_sharded ?log_size ?flush ?flit ?lsm_ckpt ?lsm_fanout
       ?persist_policy ?name ~shards ~epsilon () =
     build ?name ~router:true
-      (Prep.Config.make ?log_size ?flush ?flit ?slot_bitmap ?lsm_ckpt
-         ?lsm_fanout ?persist_policy ~mode:Prep.Config.Durable
-         ~shards ~epsilon ~workers:1 ())
+      (Prep.Config.make ?log_size ?flush ?flit ?lsm_ckpt ?lsm_fanout
+         ?persist_policy ~mode:Prep.Config.Durable ~shards ~epsilon
+         ~workers:1 ())
 
   let global_lock =
     {

@@ -23,5 +23,15 @@ let place t worker =
     invalid_arg "Topology.place: worker index out of range";
   (worker / t.cores_per_socket, worker mod t.cores_per_socket)
 
+(** How many of workers [0 .. workers-1] [place] puts on each socket;
+    workers past the last core are not counted. *)
+let workers_per_socket t workers =
+  let n = Array.make t.sockets 0 in
+  for w = 0 to min workers (total_cores t) - 1 do
+    let socket, _ = place t w in
+    n.(socket) <- n.(socket) + 1
+  done;
+  n
+
 let pp ppf t =
   Fmt.pf ppf "%d socket(s) x %d core(s)" t.sockets t.cores_per_socket

@@ -1,7 +1,7 @@
 (** A tiny JSON parser and two artifact validators.
 
     The repo emits two kinds of machine-readable artifacts — bench result
-    JSON ([bench smoke]/[bench readscale]) and Chrome trace-event JSON
+    JSON ([bench smoke], [bench shardscale], ...) and Chrome trace-event JSON
     ([--trace]). CI gates on both being well-formed, so the writers
     self-validate before exiting and the [validate] CLI subcommand lets
     the workflow re-check the files on disk. No external JSON dependency
@@ -265,8 +265,8 @@ let curve_point_keys =
     "shed_rate"; "queue_peak"; "throughput_ops_per_s"; "sojourn_p50_ns";
     "sojourn_p95_ns"; "sojourn_p99_ns"; "sojourn_mean_ns" ]
 
-(** Bench JSON as written by [bench smoke]/[bench readscale]: a top-level
-    object with [schema_version]; every nested object that has a
+(** Bench JSON as written by the bench modes: a top-level object with
+    [schema_version]; every nested object that has a
     ["system"] key is an experiment result and must carry the full result
     key set plus a [counters] object. Objects with a ["curve_system"] key
     are open-loop load curves: a non-empty [points] array whose entries

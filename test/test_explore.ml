@@ -46,18 +46,17 @@ let budget =
 
 (* checker configuration with the given feature flags; the explorer sets
    mode, fault, epsilon, log size and workers itself *)
-let cfg ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt ?lsm_fanout
+let cfg ?flit ?dist_rw ?log_mirror ?detect ?lsm_ckpt ?lsm_fanout
     ?persist_policy () =
-  Config.make ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
-    ?lsm_fanout ?persist_policy ~workers:1 ()
+  Config.make ?flit ?dist_rw ?log_mirror ?detect ?lsm_ckpt ?lsm_fanout
+    ?persist_policy ~workers:1 ()
 
-let explore ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
-    ?lsm_fanout ?persist_policy ?(budget = budget) ?(scope = scope_1w) mode
-    fault =
+let explore ?flit ?dist_rw ?log_mirror ?detect ?lsm_ckpt ?lsm_fanout
+    ?persist_policy ?(budget = budget) ?(scope = scope_1w) mode fault =
   E.explore
     ~config:
-      (cfg ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
-         ?lsm_fanout ?persist_policy ())
+      (cfg ?flit ?dist_rw ?log_mirror ?detect ?lsm_ckpt ?lsm_fanout
+         ?persist_policy ())
     ~budget ~mode ~fault ~gen_op ~scope ()
 
 (* The planted instruction-removal fault: a policy that elides the
@@ -98,8 +97,8 @@ let exhausted_clean label ~stats (res : Check.Explore.result) =
 (* A violation's decision trace must replay to the same violation — the
    round-trip through the textual run-length encoding included, because
    that is what the CLI repro command ships. *)
-let replay_reproduces ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect
-    ?lsm_ckpt ?lsm_fanout ?persist_policy label mode fault scope
+let replay_reproduces ?flit ?dist_rw ?log_mirror ?detect ?lsm_ckpt
+    ?lsm_fanout ?persist_policy label mode fault scope
     (v : Check.Explore.violation) =
   let decisions =
     Check.Explore.decisions_of_string
@@ -108,8 +107,8 @@ let replay_reproduces ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect
   let violations, crashed, logged, completed, applied =
     E.replay
       ~config:
-        (cfg ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
-           ?lsm_fanout ?persist_policy ())
+        (cfg ?flit ?dist_rw ?log_mirror ?detect ?lsm_ckpt ?lsm_fanout
+           ?persist_policy ())
       ~mode ~fault ~gen_op ~scope ~decisions
       ?crash:v.Check.Explore.v_crash ()
   in
@@ -207,18 +206,17 @@ let test_no_fault_flit_exhausts () =
     ~stats:[ 8069; 105; 694550; 3779; 7964; 3499; 53; 313; 123 ]
 
 (* Full NUMA hot-path package (distributed reader locks, DRAM log
-   mirror, slot-occupancy bitmaps) plus flush elimination, in durable
-   mode — shared between the exhaustion test and the combined
-   flag-equivalence test below. *)
+   mirror) plus flush elimination, in durable mode — shared between the
+   exhaustion test and the combined flag-equivalence test below. *)
 let package_clean =
   lazy
-    (explore ~flit:true ~dist_rw:true ~log_mirror:true ~slot_bitmap:true
-       Config.Durable Config.No_fault)
+    (explore ~flit:true ~dist_rw:true ~log_mirror:true Config.Durable
+       Config.No_fault)
 
 let test_no_fault_package_exhausts () =
   let res = Lazy.force package_clean in
   exhausted_clean "numa package" res
-    ~stats:[ 9317; 109; 942826; 4417; 9208; 4079; 128; 1033; 274 ];
+    ~stats:[ 8785; 109; 857536; 4225; 8676; 3901; 128; 1033; 274 ];
   check "durable: no completed op ever lost" 0
     res.Check.Explore.stats.Check.Explore.max_completed_loss
 
@@ -298,14 +296,9 @@ let test_equiv_log_mirror () =
     (explore ~log_mirror:true Config.Durable Config.No_fault)
     ~stats:[ 8758; 105; 853685; 4154; 8653; 3762; 128; 999; 274 ]
 
-let test_equiv_slot_bitmap () =
-  equivalent "slot-bitmap" (Lazy.force durable_base)
-    (explore ~slot_bitmap:true Config.Durable Config.No_fault)
-    ~stats:[ 9103; 105; 872181; 4219; 8998; 3821; 128; 999; 274 ]
-
 let test_equiv_combined () =
   equivalent "combined" (Lazy.force durable_base) (Lazy.force package_clean)
-    ~stats:[ 9317; 109; 942826; 4417; 9208; 4079; 128; 1033; 274 ]
+    ~stats:[ 8785; 109; 857536; 4225; 8676; 3901; 128; 1033; 274 ]
 
 (* Two workers, three ops each (six ops total): the interleaving space
    is too large to exhaust in runtest, so each flag configuration gets
@@ -331,9 +324,9 @@ let test_equiv_two_thread_budgeted () =
     { Check.Explore.default_budget with Check.Explore.max_schedules = 1_500 }
   in
   List.iter
-    (fun (label, dist_rw, log_mirror, slot_bitmap) ->
+    (fun (label, dist_rw, log_mirror) ->
       let res =
-        explore ~dist_rw ~log_mirror ~slot_bitmap ~budget ~scope Config.Durable
+        explore ~dist_rw ~log_mirror ~budget ~scope Config.Durable
           Config.No_fault
       in
       check_bool (label ^ ": no violation in budget") true
@@ -343,11 +336,10 @@ let test_equiv_two_thread_budgeted () =
       check_bool (label ^ ": crash frontiers were checked") true
         (res.Check.Explore.stats.Check.Explore.recoveries > 0))
     [
-      ("baseline", false, false, false);
-      ("dist-rw", true, false, false);
-      ("log-mirror", false, true, false);
-      ("slot-bitmap", false, false, true);
-      ("combined", true, true, true);
+      ("baseline", false, false);
+      ("dist-rw", true, false);
+      ("log-mirror", false, true);
+      ("combined", true, true);
     ]
 
 (* ---- detectability layer ----
@@ -522,8 +514,6 @@ let () =
           Alcotest.test_case "dist-rw terminal states" `Slow test_equiv_dist_rw;
           Alcotest.test_case "log-mirror terminal states" `Slow
             test_equiv_log_mirror;
-          Alcotest.test_case "slot-bitmap terminal states" `Slow
-            test_equiv_slot_bitmap;
           Alcotest.test_case "full package terminal states" `Slow
             test_equiv_combined;
           Alcotest.test_case "two threads, six ops, budgeted sweep" `Slow

@@ -336,7 +336,7 @@ let test_fuzz_package_differential () =
       let res =
         F.fuzz
           ~config:
-            (cfg ~flit:true ~dist_rw:true ~log_mirror:true ~slot_bitmap:true ())
+            (cfg ~flit:true ~dist_rw:true ~log_mirror:true ())
           ~mode ~fault:Config.No_fault ~gen_op ~template:tpl ~iters:10 ()
       in
       no_failures "package" res;
@@ -345,7 +345,7 @@ let test_fuzz_package_differential () =
   calibrate "calibration" tpl
     (F.run_episode
        ~config:
-         (cfg ~flit:true ~dist_rw:true ~log_mirror:true ~slot_bitmap:true ())
+         (cfg ~flit:true ~dist_rw:true ~log_mirror:true ())
       ~mode:Config.Durable ~fault:Config.No_fault ~gen_op)
 
 let test_mirror_read_recovery_caught_and_shrunk () =
@@ -476,10 +476,10 @@ let test_fuzz_detect_lsm_clean () =
 
 (* Under the planted fault the detect scan past the completedTail can take
    a stale-lap entry for a live one, so recovery applies log indexes the
-   ghost trace never logged (the first episode of the seed-5 campaign, on
-   either checkpoint backend). The checker must report that as a
-   violation rather than raise from its model replay, and the shrunk
-   repro must still fail. *)
+   ghost trace never logged (the first failing episode of the seed-5
+   campaign: episode 1 on the classic backend, episode 2 under lsm). The
+   checker must report that as a violation rather than raise from its
+   model replay, and the shrunk repro must still fail. *)
 let test_unlogged_applied_is_a_violation () =
   let mode = Config.Durable and fault = Config.Response_before_log_persist in
   List.iter
@@ -489,7 +489,7 @@ let test_unlogged_applied_is_a_violation () =
       let res =
         F.fuzz ~config ~mode ~fault ~gen_op
           ~template:(template ~seed:5 ~epsilon:16 ~ops:300)
-          ~iters:1 ()
+          ~iters:2 ()
       in
       let first =
         match res.Check.Fuzz.failures with

@@ -117,7 +117,7 @@ let test_multi_instance_real_system () =
       ~warmup_ns:50_000 ~instances:2
       ~system:
         (Hm.prep ~log_size:4096 ~dist_rw:true ~log_mirror:true
-           ~slot_bitmap:true ~mode:Prep.Config.Durable ~epsilon:256 ())
+           ~mode:Prep.Config.Durable ~epsilon:256 ())
       ~workload:(Workload.map_workload ~read_pct:90 ~key_range:512 ~prefill_n:64)
       ~workers:4 ()
   in
@@ -148,8 +148,8 @@ let test_system_names () =
       ( "PREP-Durable/flit+lsm",
         Hm.prep ~flit:true ~lsm_ckpt:true ~mode:Prep.Config.Durable
           ~epsilon:64 () );
-      ( "PREP-Buffered/dist+mir+bmp+pol",
-        Hm.prep ~dist_rw:true ~log_mirror:true ~slot_bitmap:true
+      ( "PREP-Buffered/dist+mir+pol",
+        Hm.prep ~dist_rw:true ~log_mirror:true
           ~persist_policy:(Nvm.Persist.default ()) ~mode:Prep.Config.Buffered
           ~epsilon:64 () );
       ("PREP-Durable/det", Hm.prep ~detect:true ~mode:Prep.Config.Durable ~epsilon:64 ());
@@ -171,8 +171,7 @@ let test_cli_refuses_what_config_refuses () =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/prep_cli.exe"
   in
   let flags =
-    [| "--flit"; "--dist-rw"; "--log-mirror"; "--slot-bitmap"; "--detect";
-       "--lsm-ckpt" |]
+    [| "--flit"; "--dist-rw"; "--log-mirror"; "--detect"; "--lsm-ckpt" |]
   in
   let beta = Sim.Topology.default.Sim.Topology.cores_per_socket in
   let log = Filename.temp_file "cli_config" ".out" in
@@ -189,8 +188,7 @@ let test_cli_refuses_what_config_refuses () =
                 let cfg =
                   Prep.Config.make ~mode ~log_size:16384 ~epsilon:1024
                     ~flit:(on 0) ~dist_rw:(on 1) ~log_mirror:(on 2)
-                    ~slot_bitmap:(on 3) ~detect:(on 4) ~lsm_ckpt:(on 5)
-                    ~shards ~workers:2 ()
+                    ~detect:(on 3) ~lsm_ckpt:(on 4) ~shards ~workers:2 ()
                 in
                 match Prep.Config.validate cfg ~beta with
                 | () -> Some (Hm.of_config cfg).Experiment.sys_name

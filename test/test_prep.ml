@@ -138,7 +138,7 @@ let test_log_wraps () =
    (uc', report, old trace, old prefill, epsilon, beta). *)
 let crash_and_recover ~mode ~seed ~crash_at ~workers ~epsilon ~log_size
     ?(bg_period = 2000) ?(flit = false) ?(dist_rw = false)
-    ?(log_mirror = false) ?(slot_bitmap = false) ?(flush = Config.Wbinvd) () =
+    ?(log_mirror = false) ?(flush = Config.Wbinvd) () =
   let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 } in
   let sim = Sim.create ~seed topology in
   let mem = Memory.make ~bg_period ~sockets:2 () in
@@ -147,7 +147,7 @@ let crash_and_recover ~mode ~seed ~crash_at ~workers ~epsilon ~log_size
       let roots = Roots.make mem in
       let cfg =
         Config.make ~mode ~log_size ~epsilon ~workers ~flush ~flit ~dist_rw
-          ~log_mirror ~slot_bitmap ()
+          ~log_mirror ()
       in
       let uc = Uc.create ~prefill:[ ins 1000 1 ] mem roots cfg in
       Uc.start_persistence uc;
@@ -195,12 +195,15 @@ let test_buffered_crash_prefix_and_bound () =
         (Uc.snapshot uc'))
     [ 11L; 12L; 13L; 14L ]
 
+(* The 5-worker runs leave socket 1's replica one worker, so its
+   combiner collects only its caller's slot while socket 0's sweeps all
+   beta. *)
 let test_durable_crash_no_completed_loss () =
   List.iter
-    (fun seed ->
+    (fun (seed, workers) ->
       let uc', report, trace, prefill, _ =
         crash_and_recover ~mode:Config.Durable ~seed ~crash_at:3_000_000
-          ~workers:6 ~epsilon:32 ~log_size:128 ()
+          ~workers ~epsilon:32 ~log_size:128 ()
       in
       check "no completed op lost" 0 report.Prep_uc.lost_completed;
       check "no completed op skipped as hole" 0 report.Prep_uc.skipped_completed;
@@ -209,7 +212,7 @@ let test_durable_crash_no_completed_loss () =
       in
       check_list "recovered state = applied replay" (H.Model.snapshot expected)
         (Uc.snapshot uc'))
-    [ 21L; 22L; 23L; 24L ]
+    [ (21L, 6); (22L, 6); (23L, 6); (24L, 6); (29L, 5) ]
 
 (* ---- FliT flush-elimination equivalence ---- *)
 
@@ -223,12 +226,11 @@ let test_durable_crash_no_completed_loss () =
 module Flit_equiv (D : Seqds.Ds_intf.S) = struct
   module U = Prep_uc.Make (D)
 
-  let run ?(dist_rw = false) ?(log_mirror = false) ?(slot_bitmap = false)
-      ~flit () =
+  let run ?(dist_rw = false) ?(log_mirror = false) ~flit () =
     with_world ~seed:17L ~bg_period:2000 (fun _sim mem roots ->
         let cfg =
           Config.make ~mode:Config.Durable ~log_size:128 ~epsilon:32
-            ~workers:1 ~flit ~dist_rw ~log_mirror ~slot_bitmap ()
+            ~workers:1 ~flit ~dist_rw ~log_mirror ()
         in
         let uc = U.create mem roots cfg in
         U.start_persistence uc;
@@ -276,11 +278,10 @@ let test_flit_equiv_skiplist () = Eq_sl.test ()
 
 (* ---- NUMA hot-path package equivalence ----
 
-   The distributed reader lock, the DRAM log mirror and the slot bitmap
-   must each be as semantically invisible as flit: same seed, same
-   linearization, responses and final state whether the flag is on or
-   off. The last case turns everything on at once (the shipping
-   configuration). *)
+   The distributed reader lock and the DRAM log mirror must each be as
+   semantically invisible as flit: same seed, same linearization,
+   responses and final state whether the flag is on or off. The last
+   case turns everything on at once (the shipping configuration). *)
 
 let test_dist_rw_equiv_hashmap () =
   Eq_hm.equal_runs (Eq_hm.run ~flit:false ())
@@ -290,19 +291,15 @@ let test_log_mirror_equiv_hashmap () =
   Eq_hm.equal_runs (Eq_hm.run ~flit:false ())
     (Eq_hm.run ~log_mirror:true ~flit:false ())
 
-let test_slot_bitmap_equiv_hashmap () =
-  Eq_hm.equal_runs (Eq_hm.run ~flit:false ())
-    (Eq_hm.run ~slot_bitmap:true ~flit:false ())
-
 let test_numa_package_equiv_hashmap () =
   Eq_hm.equal_runs
     (Eq_hm.run ~flit:false ())
-    (Eq_hm.run ~dist_rw:true ~log_mirror:true ~slot_bitmap:true ~flit:true ())
+    (Eq_hm.run ~dist_rw:true ~log_mirror:true ~flit:true ())
 
 let test_numa_package_equiv_rbtree () =
   Eq_rb.equal_runs
     (Eq_rb.run ~flit:false ())
-    (Eq_rb.run ~dist_rw:true ~log_mirror:true ~slot_bitmap:true ~flit:true ())
+    (Eq_rb.run ~dist_rw:true ~log_mirror:true ~flit:true ())
 
 let test_durable_flit_crash_no_completed_loss () =
   (* durable guarantees are mode properties, not flush-layer properties:
@@ -325,13 +322,13 @@ let test_durable_flit_crash_no_completed_loss () =
 let test_durable_numa_crash_no_completed_loss () =
   (* durable guarantees must survive the whole hot-path package: the DRAM
      mirror is never consulted by recovery, the distributed lock protects
-     the same sections, the bitmap drops no slot *)
+     the same sections *)
   List.iter
-    (fun seed ->
+    (fun (seed, workers) ->
       let uc', report, trace, prefill, _ =
         crash_and_recover ~mode:Config.Durable ~flit:true ~dist_rw:true
-          ~log_mirror:true ~slot_bitmap:true ~seed ~crash_at:3_000_000
-          ~workers:6 ~epsilon:32 ~log_size:128 ()
+          ~log_mirror:true ~seed ~crash_at:3_000_000 ~workers ~epsilon:32
+          ~log_size:128 ()
       in
       check "no completed op lost" 0 report.Prep_uc.lost_completed;
       check "no completed op skipped as hole" 0 report.Prep_uc.skipped_completed;
@@ -340,7 +337,67 @@ let test_durable_numa_crash_no_completed_loss () =
       in
       check_list "recovered state = applied replay" (H.Model.snapshot expected)
         (Uc.snapshot uc'))
-    [ 25L; 26L; 27L; 28L ]
+    [ (25L, 6); (26L, 6); (27L, 6); (28L, 6); (30L, 5) ]
+
+(* ---- the one-worker slot sweep ----
+
+   A replica whose socket hosts one worker collects only its caller's
+   slot. That must stay safe when the count is wrong: an instance built
+   for one worker but driven by two fibers on socket 0 still completes
+   every operation, because each publisher combines for itself. *)
+module Lin = Check.Linearizability.Make (H.Model)
+
+let test_solo_sweep_miscounted () =
+  let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 } in
+  let sim = Sim.create ~seed:41L topology in
+  let mem = Memory.make ~bg_period:2000 ~sockets:2 () in
+  let history = Check.History.create () in
+  let prefill = [ ins 0 1 ] in
+  let fibers = 2 and ops_each = 25 in
+  let done_count = ref 0 and out = ref None in
+  ignore (Sim.spawn sim ~socket:0 (fun () ->
+      let cfg =
+        Config.make ~mode:Config.Durable ~log_size:64 ~epsilon:16 ~workers:1 ()
+      in
+      let uc = Uc.create ~prefill mem (Roots.make mem) cfg in
+      Uc.start_persistence uc;
+      for w = 0 to fibers - 1 do
+        Sim.spawn_here ~socket:0 ~core:w (fun () ->
+            Uc.register_worker uc;
+            let rng = Sim.fiber_rng () in
+            for _ = 1 to ops_each do
+              let k = Sim.Rng.int rng 3 in
+              let op, args =
+                match Sim.Rng.int rng 3 with
+                | 0 -> (H.op_insert, [| k; Sim.Rng.int rng 100 |])
+                | 1 -> (H.op_remove, [| k |])
+                | _ -> (H.op_get, [| k |])
+              in
+              ignore
+                (Check.History.wrap history ~thread:w (Uc.execute uc) ~op ~args)
+            done;
+            incr done_count)
+      done;
+      while !done_count < fibers do
+        Sim.tick 10_000
+      done;
+      Uc.stop uc;
+      Uc.sync uc;
+      out := Some uc));
+  (match Sim.run ~until:50_000_000 sim () with
+   | `Done -> ()
+   | `Cut _ -> Alcotest.fail "wedged: a publisher's slot was never collected");
+  let uc = Option.get !out in
+  check "every operation completed" (fibers * ops_each)
+    (Check.History.length history);
+  check_bool "history linearizes" true
+    (Lin.check_with_prefill ~prefill (Check.History.events history)
+     = Lin.Linearizable);
+  let trace = Uc.trace uc in
+  let all = List.init (Trace.length trace) Fun.id in
+  check_list "final state = sequential replay"
+    (H.Model.snapshot (model_of_ops (prefill @ trace_ops trace all)))
+    (Uc.snapshot uc)
 
 (* ---- readers must help (Algorithm 3) ----
 
@@ -964,8 +1021,6 @@ let () =
             test_dist_rw_equiv_hashmap;
           Alcotest.test_case "log-mirror equivalence" `Quick
             test_log_mirror_equiv_hashmap;
-          Alcotest.test_case "slot-bitmap equivalence" `Quick
-            test_slot_bitmap_equiv_hashmap;
           Alcotest.test_case "all-flags equivalence (hashmap)" `Quick
             test_numa_package_equiv_hashmap;
           Alcotest.test_case "all-flags equivalence (rbtree)" `Quick
@@ -974,6 +1029,11 @@ let () =
             `Quick test_durable_numa_crash_no_completed_loss;
           Alcotest.test_case "readonly spin path helps" `Quick
             test_readonly_spin_helps;
+        ] );
+      ( "slot-sweep",
+        [
+          Alcotest.test_case "one-worker sweep, two publishers" `Quick
+            test_solo_sweep_miscounted;
         ] );
       ( "trace",
         [

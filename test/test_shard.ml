@@ -243,10 +243,10 @@ let test_fuzz_numa_cross_40 () =
   in
   no_failures "dist-rw + log-mirror, 40% multi, all cross" res;
   check_bool "calibration pinned" true
-    (List.mem "calibration: 2319 ops logged, 5422158 mem-ops, 48659662 ns"
+    (List.mem "calibration: 2287 ops logged, 4855428 mem-ops, 43466575 ns"
        !lines);
   check "episodes" 30 res.Check.Fuzz.episodes;
-  check "crashed" 27 res.Check.Fuzz.crashes
+  check "crashed" 30 res.Check.Fuzz.crashes
 
 (* Combiner self-deadlock: a worker whose cross-shard prepare was logged
    but not yet decided saw its slot empty, then won the combiner lock

@@ -42,7 +42,15 @@ let test_topology_place () =
   Alcotest.(check (pair int int)) "worker 7" (1, 3) (Sim.Topology.place topo 7);
   Alcotest.check_raises "out of range" (Invalid_argument
     "Topology.place: worker index out of range")
-    (fun () -> ignore (Sim.Topology.place topo 8))
+    (fun () -> ignore (Sim.Topology.place topo 8));
+  List.iter
+    (fun (workers, want) ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "%d workers per socket" workers)
+        want
+        (Sim.Topology.workers_per_socket topo workers))
+    [ (0, [| 0; 0 |]); (1, [| 1; 0 |]); (5, [| 4; 1 |]); (8, [| 4; 4 |]);
+      (9, [| 4; 4 |]) ]
 
 (* ---- scheduler ---- *)
 

@@ -276,7 +276,7 @@ let run_point ?telemetry () =
     ~duration_ns:400_000 ~warmup_ns:50_000
     ~system:
       (Hm.prep ~log_size:4096 ~flit:true ~dist_rw:true ~log_mirror:true
-         ~slot_bitmap:true ~mode:Prep.Config.Durable ~epsilon:256 ())
+         ~mode:Prep.Config.Durable ~epsilon:256 ())
     ~workload:(Workload.map_workload ~read_pct:50 ~key_range:512 ~prefill_n:128)
     ~workers:5 ()
 
