@@ -2,124 +2,19 @@
 
    Default mode regenerates every table and figure of the paper's
    evaluation (printed as text tables; see EXPERIMENTS.md for the
-   paper-vs-measured comparison). `micro` runs one Bechamel Test.make per
-   table/figure: each test executes a small representative point of that
-   experiment, so Bechamel measures the real-time cost of regenerating a
-   data point.
+   paper-vs-measured comparison); the other modes are the gated studies
+   CI runs, each writing a bench-schema JSON artifact.
 
      dune exec bench/main.exe             # all figures, quick scale
      FULL=1 dune exec bench/main.exe      # paper-scale parameters
      dune exec bench/main.exe fig2        # a single figure
-     dune exec bench/main.exe micro       # Bechamel micro-benchmarks
+     dune exec bench/main.exe -- smoke bench-smoke.json
      dune exec bench/main.exe -- ckptscale --sizes 10000,100000 \
        --json ckpt.json                   # O(dirty) + flat-recovery gates *)
 
-open Bechamel
 open Harness
 
-(* A reduced scale so each Bechamel sample stays ~tens of milliseconds. *)
-let micro_scale =
-  {
-    Figures.quick with
-    Figures.label = "micro";
-    threads = [ 4 ];
-    key_range = 1024;
-    log_size = 4096;
-    eps_small = 64;
-    eps_large = 1024;
-    duration_ns = 300_000;
-    warmup_ns = 60_000;
-  }
-
-let micro_point ~system ~workload =
-  ignore (Figures.point micro_scale ~system ~workload ~threads:4)
-
-let map_workload read_pct =
-  Workload.map_workload ~read_pct ~key_range:micro_scale.Figures.key_range
-    ~prefill_n:(micro_scale.Figures.key_range / 2)
-
 module Hm = Experiment.Systems (Seqds.Hashmap)
-module Pq = Experiment.Systems (Seqds.Pqueue)
-module St = Experiment.Systems (Seqds.Stack_ds)
-
-let prep of_config mode epsilon =
-  of_config
-    (Prep.Config.make ~log_size:micro_scale.Figures.log_size ~mode ~epsilon
-       ~workers:1 ())
-
-(* One Bechamel test per table/figure of the paper. *)
-let bechamel_tests =
-  [
-    Test.make ~name:"table1.log-indexes"
-      (Staged.stage (fun () ->
-           (* the index machinery Table 1 summarises: reserve, write,
-              publish and consume one log entry *)
-           Sim.run_one (fun () ->
-               let mem = Nvm.Memory.make ~bg_period:0 () in
-               let log = Prep.Log.create mem ~size:64 ~durable:false in
-               for i = 0 to 63 do
-                 Prep.Log.write_payload log i ~op:0 ~args:[| i |];
-                 Prep.Log.publish log i
-               done;
-               for i = 0 to 63 do
-                 ignore (Prep.Log.wait_and_read log i)
-               done)));
-    Test.make ~name:"fig1.volatile-ucs"
-      (Staged.stage (fun () ->
-           micro_point
-             ~system:(prep Hm.of_config Prep.Config.Volatile 1)
-             ~workload:(map_workload 90)));
-    Test.make ~name:"fig2.pucs-hashmap"
-      (Staged.stage (fun () ->
-           micro_point
-             ~system:(prep Hm.of_config Prep.Config.Buffered 1024)
-             ~workload:(map_workload 90)));
-    Test.make ~name:"fig3.epsilon-effect"
-      (Staged.stage (fun () ->
-           micro_point
-             ~system:(prep Hm.of_config Prep.Config.Durable 64)
-             ~workload:(map_workload 90)));
-    Test.make ~name:"fig4.pqueue"
-      (Staged.stage (fun () ->
-           micro_point
-             ~system:(prep Pq.of_config Prep.Config.Buffered 1024)
-             ~workload:(Workload.pqueue_pairs ~prefill_n:1000)));
-    Test.make ~name:"fig5.stack"
-      (Staged.stage (fun () ->
-           micro_point
-             ~system:(prep St.of_config Prep.Config.Buffered 1024)
-             ~workload:(Workload.stack_pairs ~prefill_n:500)));
-    Test.make ~name:"fig6.soft-hashtable"
-      (Staged.stage (fun () ->
-           micro_point
-             ~system:(Experiment.soft ~nbuckets:1000)
-             ~workload:(map_workload 90)));
-  ]
-
-let run_micro () =
-  print_endline "Bechamel micro-benchmarks: real-time cost per figure point";
-  let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 2.0) ~kde:None
-      ~stabilize:false ()
-  in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg Toolkit.Instance.[ monotonic_clock ] elt in
-          let est = Analyze.one ols Toolkit.Instance.monotonic_clock raw in
-          let nanos =
-            match Analyze.OLS.estimates est with
-            | Some (e :: _) -> e
-            | _ -> nan
-          in
-          Printf.printf "%-28s %12.3f ms/run\n%!" (Test.Elt.name elt)
-            (nanos /. 1e6))
-        (Test.elements test))
-    bechamel_tests
 
 (* ---- bench smoke: baseline vs FliT PREP-Durable, JSON artifact ----
 
@@ -913,8 +808,6 @@ let () =
   | "fig5" -> Figures.fig5 scale
   | "fig6" -> Figures.fig6 scale
   | "ablation" -> Figures.ablation scale
-  | "flushstats" -> Figures.flushstats scale
-  | "micro" -> run_micro ()
   | "smoke" ->
     run_smoke (if Array.length Sys.argv > 2 then Sys.argv.(2) else "bench-smoke.json")
   | "persistgain" ->
@@ -935,6 +828,6 @@ let () =
   | other ->
     Printf.eprintf
       "unknown command %S (expected \
-       all|table1|fig1..fig6|ablation|flushstats|micro|smoke|persistgain|loadcurve|shardscale|ckptscale)\n"
+       all|table1|fig1|fig2|fig3|fig4|fig5|fig6|ablation|smoke|persistgain|loadcurve|shardscale|ckptscale)\n"
       other;
     exit 1

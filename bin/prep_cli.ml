@@ -1,11 +1,9 @@
 (* prep-cli: drive the PREP-UC reproduction from the command line.
 
    Subcommands:
-     bench     run one figure (or all) of the paper's evaluation
      run       run a single throughput point with explicit parameters
      profile   run one point with telemetry and print the phase breakdown
      validate  check a bench-JSON or trace-JSON artifact against its schema
-     crash     run a crash/recovery episode and print the loss accounting
      fuzz      crash-point fuzzing with durable-linearizability checking
      explore   bounded exhaustive schedule-and-crash exploration
      session   crash-restart-continue client sessions (exactly-once check)
@@ -22,8 +20,11 @@
    across N domains (Harness.Campaign); results are deterministic — byte
    identical at any -j.
 
+   The paper's tables and figures come from bench/main.exe (one mode per
+   figure); examples/crash_recovery.exe prints one crash's loss accounting
+   against epsilon+beta-1 for both modes.
+
    Examples:
-     dune exec bin/prep_cli.exe -- bench --figure fig3
      dune exec bin/prep_cli.exe -- run --system prep-buffered --threads 8 \
        --epsilon 1024 --read-pct 90
      dune exec bin/prep_cli.exe -- run --system prep-durable --uc-shards 4 \
@@ -33,7 +34,8 @@
      dune exec bin/prep_cli.exe -- profile --system prep-durable \
        --uc-shards 4 --threads 8        # shard<i>/ counters, per-shard spans
      dune exec bin/prep_cli.exe -- validate --kind trace trace.json
-     dune exec bin/prep_cli.exe -- crash --mode buffered --epsilon 128
+     dune exec bin/prep_cli.exe -- fuzz --variant buffered --seed 43 \
+       --crash-at 900000                 # replay one checked crash
      dune exec bin/prep_cli.exe -- fuzz --iters 200 --variant buffered -j 4
      dune exec bin/prep_cli.exe -- fuzz --variant durable --ds rbtree \
        --seed 57 --crash-op 81000        # replay one exact episode
@@ -44,6 +46,9 @@
        --no-persistence --ops 1          # exhaustive cross-shard crashes
      dune exec bin/prep_cli.exe -- sweep --threads-list 2,8,16 \
        --read-pcts 50,90 -j 4 --json sweep.json
+     dune exec bin/prep_cli.exe -- sweep --system prep-durable --flit \
+       --threads-list 1,11,23 --read-pcts 50 --epsilon 4096 \
+       --json flit.json                  # flush traffic (drop --flit: baseline)
      dune exec bin/prep_cli.exe -- serve-sim --arrival bursty \
        --rates 5e5,1e6,2e6 --theta 0.99 --shed 64 --json curve.json
      dune exec bin/prep_cli.exe -- run --system prep-durable --lsm-ckpt \
@@ -51,36 +56,6 @@
 
 open Cmdliner
 open Harness
-
-(* ---- bench ---- *)
-
-let figure_arg =
-  let doc = "Figure to regenerate: all, table1, fig1..fig6, flushstats." in
-  Arg.(value & opt string "all" & info [ "figure"; "f" ] ~docv:"FIG" ~doc)
-
-let full_arg =
-  let doc = "Use paper-scale parameters (much slower)." in
-  Arg.(value & flag & info [ "full" ] ~doc)
-
-let bench figure full =
-  let scale = if full then Figures.full else Figures.quick in
-  match figure with
-  | "all" -> `Ok (Figures.all scale)
-  | "table1" -> `Ok (Figures.table1 ())
-  | "fig1" -> `Ok (Figures.fig1 scale)
-  | "fig2" -> `Ok (Figures.fig2 scale)
-  | "fig3" -> `Ok (Figures.fig3 scale)
-  | "fig4" -> `Ok (Figures.fig4 scale)
-  | "fig5" -> `Ok (Figures.fig5 scale)
-  | "fig6" -> `Ok (Figures.fig6 scale)
-  | "ablation" -> `Ok (Figures.ablation scale)
-  | "flushstats" -> `Ok (Figures.flushstats scale)
-  | other -> `Error (true, Printf.sprintf "unknown figure %S" other)
-
-let bench_cmd =
-  Cmd.v
-    (Cmd.info "bench" ~doc:"Regenerate the paper's tables and figures")
-    Term.(ret (const bench $ figure_arg $ full_arg))
 
 (* ---- run ---- *)
 
@@ -500,80 +475,6 @@ let validate_cmd =
           trace JSON) against its schema; exits nonzero when malformed")
     Term.(ret (const validate $ validate_kind_arg $ validate_file_arg))
 
-(* ---- crash ---- *)
-
-let mode_arg =
-  let doc = "PREP mode: buffered or durable." in
-  let modes =
-    [ ("buffered", Prep.Config.Buffered); ("durable", Prep.Config.Durable) ]
-  in
-  Arg.(
-    value
-    & opt (enum modes) Prep.Config.Buffered
-    & info [ "mode"; "m" ] ~docv:"MODE" ~doc)
-
-let crash_at_arg =
-  Arg.(value & opt int 2_000_000 & info [ "crash-at" ] ~docv:"NS" ~doc:"Crash time, simulated ns.")
-
-let crash mode epsilon threads crash_at seed =
-  let module Uc = Prep.Prep_uc.Make (Seqds.Hashmap) in
-  let module H = Seqds.Hashmap in
-  let topology = Sim.Topology.default in
-  let beta = topology.Sim.Topology.cores_per_socket in
-  let sim = Sim.create ~seed:(Int64.of_int seed) topology in
-  let mem = Nvm.Memory.make ~sockets:topology.Sim.Topology.sockets ~bg_period:5000 () in
-  let uc_ref = ref None in
-  ignore
-    (Sim.spawn sim ~socket:0 (fun () ->
-         let roots = Nvm.Roots.make mem in
-         let cfg =
-           Prep.Config.make ~mode ~log_size:16384 ~epsilon
-             ~workers:threads ()
-         in
-         let uc = Uc.create mem roots cfg in
-         uc_ref := Some uc;
-         Uc.start_persistence uc;
-         for w = 0 to threads - 1 do
-           let socket, core = Sim.Topology.place topology w in
-           Sim.spawn_here ~socket ~core (fun () ->
-               Uc.register_worker uc;
-               let rng = Sim.fiber_rng () in
-               while true do
-                 let k = Sim.Rng.int rng 256 in
-                 ignore (Uc.execute uc ~op:H.op_insert ~args:[| k; Sim.Rng.int rng 1000 |])
-               done)
-         done));
-  (match Sim.run ~until:crash_at sim () with
-   | `Cut t -> Printf.printf "power failure at %d ns\n" t
-   | `Done -> ());
-  Nvm.Memory.crash mem;
-  Nvm.Context.reset ();
-  let uc = Option.get !uc_ref in
-  let completed =
-    List.length (Prep.Trace.completed_indexes (Uc.trace uc))
-  in
-  let sim2 = Sim.create ~seed:(Int64.of_int (seed + 1)) topology in
-  ignore
-    (Sim.spawn sim2 ~socket:0 (fun () ->
-         let _, report = Uc.recover uc in
-         Printf.printf
-           "completed before crash: %d\nrecovered: %d ops\nlost completed: %d (bound epsilon+beta-1 = %d)\ncontiguous prefix: %b\nskipped completed (must be 0): %d\n"
-           completed
-           (List.length report.Prep.Prep_uc.applied)
-           report.Prep.Prep_uc.lost_completed
-           (epsilon + beta - 1)
-           report.Prep.Prep_uc.contiguous_prefix
-           report.Prep.Prep_uc.skipped_completed));
-  (match Sim.run sim2 () with
-   | `Done -> `Ok ()
-   | `Cut _ -> `Error (false, "recovery did not finish"))
-
-let crash_cmd =
-  Cmd.v
-    (Cmd.info "crash" ~doc:"Run a crash/recovery episode and print loss accounting")
-    Term.(
-      ret (const crash $ mode_arg $ epsilon_arg $ threads_arg $ crash_at_arg $ seed_arg))
-
 (* ---- fuzz ---- *)
 
 let iters_arg =
@@ -852,7 +753,7 @@ let crash_step_arg =
 
 let frontier_arg =
   let doc =
-    "With --crash-step: frontier mask — bit $(i) commits the $(i)-th dirty \
+    "With --crash-step: frontier mask — bit $(i,k) commits the $(i,k)-th dirty \
      NVM line (sorted) to media before the crash."
   in
   Arg.(value & opt int 0 & info [ "frontier" ] ~docv:"MASK" ~doc)
@@ -1518,6 +1419,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ bench_cmd; run_cmd; profile_cmd; validate_cmd; crash_cmd;
-            fuzz_cmd; explore_cmd; optimize_persist_cmd; session_cmd;
-            sweep_cmd; serve_sim_cmd ]))
+          [ run_cmd; profile_cmd; validate_cmd; fuzz_cmd; explore_cmd;
+            optimize_persist_cmd; session_cmd; sweep_cmd; serve_sim_cmd ]))

@@ -56,7 +56,8 @@ type violation =
           allocator out of bounds) *)
   | Wedged of { horizon_ns : int }
       (** the run neither reached quiescence nor its crash point within
-          [horizon_ns] simulated ns of the end of construction *)
+          [horizon_ns] simulated ns of the end of construction (or, in a
+          session's restart epoch, of recovery) *)
 
 let pp_violation ppf = function
   | Loss_bound_exceeded { lost; bound } ->
@@ -102,7 +103,7 @@ let pp_violation ppf = function
     Fmt.pf ppf "recovery applied log index %d, which was never logged" i
   | Recovery_raised msg -> Fmt.pf ppf "recovery raised: %s" msg
   | Wedged { horizon_ns } ->
-    Fmt.pf ppf "wedged: no quiescence within %d ns of construction"
+    Fmt.pf ppf "wedged: no quiescence within %d ns of construction/recovery"
       horizon_ns
 
 let violation_to_string v = Fmt.str "%a" pp_violation v

@@ -84,6 +84,15 @@ let pp_episode ppf ep =
   Fmt.pf ppf "seed=%d threads=%d epsilon=%d ops=%d %s" ep.workload_seed
     ep.threads ep.epsilon ep.ops_per_worker (crash_flag ep.crash)
 
+(** Simulated ns a crash-free stretch of [ops] requested operations may
+    run past the end of construction or recovery before the run counts as
+    wedged: 200 µs per operation, about 10x what the slowest calibration
+    episodes take (durable, WBINVD checkpoints, 20–35 µs per op), with a
+    20 ms floor. A wedge spins every fiber at 40 ns a turn, so the horizon
+    also bounds the host time a wedged run burns (seconds, not a hang).
+    The fuzzer's episodes and [Harness.Session]'s epochs both use it. *)
+let wedge_horizon_ns ~ops = max 20_000_000 (200_000 * ops)
+
 module Make (Ds : Seqds.Ds_intf.S) = struct
   module Systems = Sut.Make (Ds)
   open Nvm
@@ -93,14 +102,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
   let max_threads = Sim.Topology.total_cores topology - 1
 
-  (** Simulated ns a crash-free stretch may run past the end of
-      construction before the episode counts as wedged: 200 µs per
-      requested operation, about 10x what the slowest calibration
-      episodes take (durable, WBINVD checkpoints, 20–35 µs per op), with
-      a 20 ms floor. A wedge spins every fiber at 40 ns a turn, so the
-      horizon also bounds the host time a wedged episode burns (seconds,
-      not a hang). *)
-  let horizon_ns ep = max 20_000_000 (200_000 * ep.threads * ep.ops_per_worker)
+  let horizon_ns ep = wedge_horizon_ns ~ops:(ep.threads * ep.ops_per_worker)
 
   (** Run one episode: workload, optional crash, recovery, checks.
       [gen_op] draws one (op, args) pair from the fiber's rng. [config]

@@ -92,10 +92,14 @@ type t = {
           caller's own slot instead of sweeping all β *)
   flush : flush_strategy;
   flit : bool;
-      (** enable the FliT-style flush-elimination layer: per-line flush
-          tracking in [Nvm.Memory] plus the batched single-fence log
-          persistence path in [Prep_uc]. Off by default so the baseline
-          variant stays byte-for-byte the paper's protocol. *)
+      (** enable FliT-style flush elimination, in two parts. The memory
+          layer ([Nvm.Memory.set_flit]) tracks lines and changes only what
+          a flush costs and which flushes are elided, never what reaches
+          media. The combiner's batched log persist in [Prep_uc] drops the
+          payload fence: one fence per batch instead of two, the weakening
+          [optimize-persist] admits as
+          [log.fence_payload=defer-to-next-fence]. Off by default so the
+          baseline variant stays byte-for-byte the paper's protocol. *)
   dist_rw : bool;
       (** protect each replica with the distributed per-core reader-writer
           lock ([Locks.Dist_rwlock]) instead of the single-word lock:

@@ -558,19 +558,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         ("shard.gate_stalls", t.gate_stalls);
       ]
 
-  let counters t =
-    let acc = Hashtbl.create 32 in
-    Array.iter
-      (fun s ->
-        List.iter
-          (fun (k, v) ->
-            Hashtbl.replace acc k
-              (v + Option.value ~default:0 (Hashtbl.find_opt acc k)))
-          (P.counters s))
-      t.shards;
-    Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
-    |> List.sort compare
-
   (* ---- recovery ---- *)
 
   (** Recover every shard after [Memory.crash]: attach the decision table

@@ -134,10 +134,10 @@ let print_row threads cells =
   flush stdout
 
 (* Run one (system, workload, threads) point, tolerating failures. *)
-let point ?seed scale ~system ~workload ~threads =
+let point scale ~system ~workload ~threads =
   try
     let r =
-      Experiment.run ?seed ~topology:scale.topology
+      Experiment.run ~topology:scale.topology
         ~duration_ns:scale.duration_ns ~warmup_ns:scale.warmup_ns ~system
         ~workload ~workers:threads ()
     in
@@ -372,55 +372,6 @@ let ablation scale =
       (Workload.map_workload ~read_pct:50 ~key_range:scale.key_range
          ~prefill_n:(scale.key_range / 2))
 
-(* ---- Flush traffic: PREP-Durable baseline vs FliT elimination ---- *)
-
-(* Like [point] but keeping the whole result, for the counter columns. *)
-let point_result ?seed scale ~system ~workload ~threads =
-  try
-    Some
-      (Experiment.run ?seed ~topology:scale.topology
-         ~duration_ns:scale.duration_ns ~warmup_ns:scale.warmup_ns ~system
-         ~workload ~workers:threads ())
-  with Failure msg ->
-    Printf.eprintf "[point failed: %s]\n%!" msg;
-    None
-
-let flushstats scale =
-  heading
-    "Flush traffic: PREP-Durable, baseline vs FliT flush elimination \
-     (50% read hashmap)";
-  let workload =
-    Workload.map_workload ~read_pct:50 ~key_range:scale.key_range
-      ~prefill_n:(scale.key_range / 2)
-  in
-  let tmax = List.fold_left max 1 scale.threads in
-  let threads_list = List.sort_uniq compare [ 1; tmax / 2; tmax ] in
-  Printf.printf "%-18s %7s %12s %9s %9s %9s %9s %9s %8s %8s\n%!" "system"
-    "threads" "ops/sec" "clwb" "coalesce" "wb-elide" "clflush" "cf-elide"
-    "sfence" "sf-elide";
-  List.iter
-    (fun threads ->
-      List.iter
-        (fun flit ->
-          let system =
-            Hm.prep ~log_size:scale.log_size ~flit ~mode:Prep.Config.Durable
-              ~epsilon:scale.eps_large ()
-          in
-          match point_result scale ~system ~workload ~threads with
-          | Some r ->
-            Printf.printf "%-18s %7d %12.0f %9d %9d %9d %9d %9d %8d %8d\n%!"
-              r.Experiment.system threads r.Experiment.throughput
-              r.Experiment.clwb r.Experiment.clwb_coalesced
-              r.Experiment.clwb_elided r.Experiment.clflush
-              r.Experiment.clflush_elided r.Experiment.sfence
-              r.Experiment.sfence_elided
-          | None ->
-            Printf.printf "%-18s %7d %12s\n%!"
-              (if flit then "PREP-Durable/flit" else "PREP-Durable")
-              threads "-")
-        [ false; true ])
-    threads_list
-
 let all scale =
   Printf.printf "PREP-UC reproduction benchmarks — scale: %s\n" scale.label;
   Printf.printf "topology: %s; key range %d; log %d entries\n%!"
@@ -433,5 +384,4 @@ let all scale =
   fig4 scale;
   fig5 scale;
   fig6 scale;
-  ablation scale;
-  flushstats scale
+  ablation scale

@@ -25,7 +25,13 @@
     Crashes are injected at calibrated memory-operation indexes, with the
     crash hook armed only *after* create/recover returns: a restart epoch
     never loses power mid-recovery (crash-during-recovery is outside the
-    paper's model). *)
+    paper's model).
+
+    A wedged system fails the session instead of hanging it: every epoch
+    runs under the fuzzer's simulated-time horizon
+    ([Check.Fuzz.wedge_horizon_ns]), counted from the end of
+    create/recover (and bounding create/recover itself), and an epoch
+    still running there ends the session with [Durable_lin.Wedged]. *)
 
 open Nvm
 
@@ -103,6 +109,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let calib =
       if cfg.crashes = 0 then None else Some (run { cfg with crashes = 0 } ~gen_op)
     in
+    let horizon =
+      Check.Fuzz.wedge_horizon_ns ~ops:(cfg.threads * cfg.ops_per_client)
+    in
     let crash_rng =
       Sim.Rng.create (Int64.of_int ((cfg.seed * 1_000_003) + 41))
     in
@@ -167,6 +176,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           ~preempt_prob:cfg.preempt_prob topology
       in
       let setup_ops = ref 0 in
+      let set_up = ref None in
       let end_time = ref 0 in
       let done_count = ref 0 in
       ignore
@@ -228,6 +238,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
              in
              uc_ref := Some uc;
              setup_ops := Memory.op_index mem;
+             set_up := Some (Sim.now ());
              (* arm the crash strictly after construction/recovery *)
              (match plan with
               | Some n ->
@@ -261,48 +272,52 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
              Uc.stop uc;
              Uc.sync uc;
              end_time := Sim.now ()));
-      let crashed =
-        match plan with
-        | None -> (
-          match Sim.run sim () with `Done -> false | `Cut _ -> assert false)
-        | Some _ -> (
-          try
-            ignore (Sim.run sim ());
-            false
-          with Check.Fuzz.Crash_injected -> true)
+      (* The horizon counts from the end of create/recover; until then
+         from the epoch's start, so a recovery whose replay wedges fails
+         too (a session has no prefill: set-up is short). *)
+      let started () = Some (Option.value !set_up ~default:0) in
+      let ended =
+        match Sim.run_horizon sim ~started ~horizon () with
+        | `Done -> `Quiescent
+        | `Cut _ -> `Wedged
+        | exception Check.Fuzz.Crash_injected -> `Crashed
       in
       Memory.clear_crash_hook mem;
       runtime_ops := !runtime_ops + (Memory.op_index mem - !setup_ops);
-      if not crashed then duration := !duration + !end_time;
+      if ended = `Quiescent then duration := !duration + !end_time;
       epoch_infos :=
-        { epoch; crashed; resubmitted = !resub_here } :: !epoch_infos;
-      crashed
+        { epoch; crashed = ended = `Crashed; resubmitted = !resub_here }
+        :: !epoch_infos;
+      ended
     in
 
-    let continue_ = ref true in
-    while !continue_ do
+    let rec epochs () =
       let plan =
         if !crashes_done < cfg.crashes then
           match pick_crash () with Check.Fuzz.At_op n -> Some n | _ -> None
         else None
       in
-      if run_epoch ~plan then begin
+      match run_epoch ~plan with
+      | `Crashed ->
         incr crashes_done;
         Memory.crash mem;
-        Context.reset ()
-      end
-      else continue_ := false
-    done;
+        Context.reset ();
+        epochs ()
+      | (`Quiescent | `Wedged) as ended -> ended
+    in
+    let ended = epochs () in
 
-    (* final epoch ran to quiescence: its whole trace applied *)
     let uc = Option.get !uc_ref in
-    let trace = Uc.trace uc in
-    for i = 0 to Prep.Trace.length trace - 1 do
-      let e = Prep.Trace.get trace i in
-      history :=
-        (e.Prep.Trace.tid, e.Prep.Trace.seqno, e.Prep.Trace.op, e.Prep.Trace.args)
-        :: !history
-    done;
+    if ended = `Quiescent then begin
+      (* final epoch ran to quiescence: its whole trace applied *)
+      let trace = Uc.trace uc in
+      for i = 0 to Prep.Trace.length trace - 1 do
+        let e = Prep.Trace.get trace i in
+        history :=
+          (e.Prep.Trace.tid, e.Prep.Trace.seqno, e.Prep.Trace.op, e.Prep.Trace.args)
+          :: !history
+      done
+    end;
     let history = List.rev !history in
     let scripted =
       if not cfg.detect then []
@@ -313,8 +328,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     in
     violations :=
       !violations
-      @ Dl.check_exactly_once ~history ~scripted
-          ~recovered_snapshot:(Uc.snapshot uc) ();
+      @ (if ended = `Wedged then
+           (* no final state to judge: the wedge is the session's failure *)
+           [ Check.Durable_lin.Wedged { horizon_ns = horizon } ]
+         else
+           Dl.check_exactly_once ~history ~scripted
+             ~recovered_snapshot:(Uc.snapshot uc) ());
     (* lost/duplicated accounting: exact per-(tid, seqno) under [detect];
        per-thread totals otherwise (seqno tags are only written under
        [detect]) — sound because without resubmission each scripted op is

@@ -832,6 +832,31 @@ let test_wedge_is_a_failure () =
   | [ f ] -> wedged "campaign" f.Check.Fuzz.violations
   | fs -> Alcotest.failf "campaign: %d failures, want 1" (List.length fs)
 
+(* The same wedge through the crash-restart-continue session harness: a
+   crash-free session wedges in its clients' run, and a one-crash session
+   crashes before the wedge and then wedges in recovery, whose replay
+   runs the spinning insert; both end at the fuzzer's horizon with
+   [Wedged] instead of hanging. *)
+module S_stuck = Harness.Session.Make (Stuck)
+
+let test_session_wedge_is_a_failure () =
+  let gen_op rng = (H.op_insert, [| Sim.Rng.int rng 64; 1 |]) in
+  let cfg =
+    { Harness.Session.default_config with
+      Harness.Session.threads = 2; ops_per_client = 2 }
+  in
+  let horizon_ns = Check.Fuzz.wedge_horizon_ns ~ops:4 in
+  List.iter
+    (fun crashes ->
+      let o = S_stuck.run { cfg with Harness.Session.crashes } ~gen_op in
+      check "crashes injected" crashes o.Harness.Session.crashes_injected;
+      check_bool
+        (Printf.sprintf "crashes = %d reported as wedged" crashes)
+        true
+        (o.Harness.Session.violations
+         = [ Check.Durable_lin.Wedged { horizon_ns } ]))
+    [ 0; 1 ]
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -854,6 +879,8 @@ let () =
             test_crash_hook_cuts_at_op;
           Alcotest.test_case "wedge is a failure" `Quick
             test_wedge_is_a_failure;
+          Alcotest.test_case "session wedge is a failure" `Quick
+            test_session_wedge_is_a_failure;
         ] );
       ( "fuzzing",
         [
