@@ -506,8 +506,10 @@ module Run (U : Sut.S) = struct
     let saved_ctx = Context.save () in
     Context.reset ();
     let v =
-      Sut.in_fresh_sim ~who:"Explore" ~seed:97L (topology scope) (fun () ->
-          U.recover uc)
+      Sut.in_fresh_sim ~seed:97L (topology scope)
+        ~horizon_ns:
+          (Fuzz.wedge_horizon_ns ~ops:(scope.threads * scope.ops_per_worker))
+        (fun () -> U.recover uc)
     in
     Context.restore saved_ctx;
     v

@@ -90,7 +90,8 @@ let pp_episode ppf ep =
     episodes take (durable, WBINVD checkpoints, 20–35 µs per op), with a
     20 ms floor. A wedge spins every fiber at 40 ns a turn, so the horizon
     also bounds the host time a wedged run burns (seconds, not a hang).
-    The fuzzer's episodes and [Harness.Session]'s epochs both use it. *)
+    The fuzzer's episodes and recoveries, the explorer's recoveries and
+    [Harness.Session]'s epochs all use it. *)
 let wedge_horizon_ns ~ops = max 20_000_000 (200_000 * ops)
 
 module Make (Ds : Seqds.Ds_intf.S) = struct
@@ -215,7 +216,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         Memory.crash mem;
         Context.reset ();
         let v =
-          Sut.in_fresh_sim ~who:"Fuzz"
+          Sut.in_fresh_sim ~horizon_ns:horizon
             ~seed:(Int64.of_int (ep.workload_seed + 1))
             topology
             (fun () -> U.recover uc)

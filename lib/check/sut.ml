@@ -92,17 +92,20 @@ let applied_seqno_fn trace applied =
     applied;
   fun tid -> Option.value ~default:0 (Hashtbl.find_opt tbl tid)
 
-(** Run [f] on socket 0 of a fresh simulation until it and every fiber
-    it spawns have finished — the harness side of recovering a crashed
-    memory (classic recovery builds its replicas on helper fibers). *)
-let in_fresh_sim ~who ~seed topo f =
+(** Run recovery [f] on socket 0 of a fresh simulation until it and
+    every fiber it spawns have finished — the harness side of recovering
+    a crashed memory (classic recovery builds its replicas on helper
+    fibers). A recovery still running [horizon_ns] of simulated time in
+    (say, a replay that spins forever) is judged [Durable_lin.Wedged]
+    instead of being waited for. *)
+let in_fresh_sim ~seed ~horizon_ns topo f =
   let sim = Sim.create ~seed topo in
   let out = ref None in
   ignore (Sim.spawn sim ~socket:0 (fun () -> out := Some (f ())));
-  (match Sim.run sim () with
-   | `Done -> ()
-   | `Cut _ -> failwith (who ^ ": recovery did not finish"));
-  Option.get !out
+  match Sim.run_horizon sim ~started:(fun () -> Some 0) ~horizon:horizon_ns () with
+  | `Done -> Option.get !out
+  | `Cut _ ->
+    { violations = [ Durable_lin.Wedged { horizon_ns } ]; lost = 0; applied = 0 }
 
 (** Run a recovery; if it raises — structure or allocator code meeting
     torn media fails with [Invalid_argument] or [Failure] — the raise is

@@ -81,10 +81,12 @@ let recovery_sockets cfg =
     (Sim.socket () :: 0 :: List.init (replica_count cfg topo - 1) succ)
     @ [ p; p ]
 
-(** The most cores of one socket that a recovery of an instance with
-    [cfg], started from the calling fiber, keeps busy at once. Its fibers
-    take consecutive cores from the caller's up, so recoveries started
-    this many cores apart never share a core. *)
+(** The fewest cores of one socket that a recovery of an instance with
+    [cfg], started from the calling fiber, needs: one per fiber in
+    [recovery_sockets] on its busiest socket. Its fibers take consecutive
+    cores from the caller's up; the rest of its core budget (see
+    [rebuild]'s [cores]) goes to the copies as helpers, so recoveries
+    whose budgets start that many cores apart never share a core. *)
 let recovery_width cfg =
   let socks = recovery_sockets cfg in
   List.fold_left
@@ -482,10 +484,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
      [master] is then the stable checkpoint, which the build only reads;
      [scan ()] reads the log suffix into [suffix]; every replica is a copy
      of the checkpoint with that suffix replayed into it, and
-     [on_response e resp] sees replica 0's response to suffix entry [e].
+     [on_response e resp] sees replica 0's response to suffix entry [e];
+     [cores] is that recovery's core budget (see [rebuild]).
      Returns the instance and its [install] step: recovery defers every
      root write to it, creation writes its roots as it goes. *)
-  let build ?lsm ?replay mem roots cfg ~prefill ~master =
+  let build ?lsm ?replay ?(cores = max_int) mem roots cfg ~prefill ~master =
     let topo = Sim.topology () in
     let beta = topo.Sim.Topology.cores_per_socket in
     Config.validate cfg ~beta;
@@ -527,9 +530,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       | Some (_, v) ->
         { resolved = Hashtbl.copy v.resolved; hydrated = v.hydrated }
     in
-    (* a copy of the master, with the recovery suffix replayed into it *)
-    let clone ~reconcile =
-      let ds = Ds.copy master_ds in
+    (* a copy of the master, split across [helpers], with the recovery
+       suffix replayed into it *)
+    let clone ?(helpers = []) ~reconcile () =
+      let ds = Context.with_helpers helpers (fun () -> Ds.copy master_ds) in
       Option.iter
         (fun (_, suffix, on_response) ->
           Array.iter
@@ -540,10 +544,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         replay;
       ds
     in
-    let make_replica rid =
+    let make_replica ?helpers rid =
       let alloc = Alloc.create_volatile mem ~home:rid in
       Context.set_default alloc;
-      let ds = clone ~reconcile:(rid = 0) in
+      let ds = clone ?helpers ~reconcile:(rid = 0) () in
       let view = view_of_copy () in
       let lt_addr = Alloc.alloc alloc 8 in
       let combiner = Locks.Trylock.make mem (Alloc.alloc alloc 8) in
@@ -576,13 +580,17 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
        stable checkpoint on a fiber of its own socket: replica 0 here, on
        the recovering fiber, the other volatile ones on their sockets, and
        the two persistent ones on the persistence socket, where the
-       checkpoint is local, each persisting the heap once its copy is
-       written. The log suffix is scanned meanwhile on socket 0, where the
-       log lives; a copy waits for the scan only before it replays. Each
-       fiber takes a core of its own ([recovery_width]). The join comes
-       before any root is written; a helper's raise is re-raised here, the
-       scan's first, so torn media fails recovery as it would on one
-       fiber. *)
+       checkpoint is local. The log suffix is scanned meanwhile on socket
+       0, where the log lives; a copy waits for the scan only before it
+       replays. Each fiber takes a core of its own ([recovery_width]),
+       and a socket's other cores of the [cores] budget are dealt evenly
+       to the copies on it as helpers ([Context.with_helpers]), which a
+       large copy splits across. A persistent copy allocates from a
+       sub-heap of its own, persists only that once its replay is done,
+       its helpers splitting the write-back, and hands it to the one
+       persistent allocator after the join. The join comes before any
+       root is written; a helper's raise is re-raised here, the scan's
+       first, so torn media fails recovery as it would on one fiber. *)
     let rebuild (scan, suffix, _) =
       let pa = Alloc.create_persistent mem ~home:p_socket in
       let vol = Array.make n_replicas None and per = Array.make 2 None in
@@ -598,13 +606,16 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           scan_raised := Some e;
           Sim.Once.fill suffix [||]
       in
-      let build_prep i () =
-        Context.set_persistent pa;
-        per.(i) <- Some (make_prep pa (fun () -> clone ~reconcile:false));
-        Alloc.persist_heap pa
+      let build_prep helpers i () =
+        let sub = Alloc.sub pa in
+        Context.set_persistent sub;
+        let prep = make_prep sub (clone ~helpers ~reconcile:false) in
+        Context.with_helpers helpers (fun () ->
+            Alloc.persist_heap ~split:Context.spread sub);
+        per.(i) <- Some (prep, sub)
       in
       (* [at]: this fiber, the scan, the volatile copies, the persistent
-         ones *)
+         ones; every one but the scan is a copy *)
       let base = (Sim.self ()).Sim.core in
       let taken = Array.make topo.Sim.Topology.sockets 0 in
       let at =
@@ -615,21 +626,50 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                (socket, (base + taken.(socket) - 1) mod beta))
              (recovery_sockets cfg))
       in
+      let budget = min beta (max cores (recovery_width cfg)) in
+      let helpers = Array.make (Array.length at) [] in
+      Array.iteri
+        (fun s used ->
+          let copies =
+            List.filter
+              (fun k -> k <> 1 && fst at.(k) = s)
+              (List.init (Array.length at) Fun.id)
+          in
+          let n = List.length copies and spare = budget - used in
+          if n > 0 && spare > 0 then
+            (* copy [j] of [n] takes [spare / n] consecutive cores, one
+               more while [j < spare mod n] *)
+            ignore
+              (List.fold_left
+                 (fun (j, next) k ->
+                   let mine = (spare / n) + if j < spare mod n then 1 else 0 in
+                   helpers.(k) <-
+                     List.init mine (fun c -> (s, (base + next + c) mod beta));
+                   (j + 1, next + mine))
+                 (0, used) copies))
+        taken;
       let job k f = (fst at.(k), snd at.(k), f) in
       let jobs =
         List.init (n_replicas - 1) (fun i ->
             let rid = i + 1 in
-            job (1 + rid) (guard (fun () -> vol.(rid) <- Some (make_replica rid))))
-        @ [ job (n_replicas + 1) (guard (build_prep 0));
-            job (n_replicas + 2) (guard (build_prep 1));
+            job (1 + rid)
+              (guard (fun () ->
+                   vol.(rid) <- Some (make_replica ~helpers:helpers.(1 + rid) rid))))
+        @ [ job (n_replicas + 1)
+              (guard (build_prep helpers.(n_replicas + 1) 0));
+            job (n_replicas + 2)
+              (guard (build_prep helpers.(n_replicas + 2) 1));
             job 1 scan_job ]
       in
-      Sim.fork_join jobs (guard (fun () -> vol.(0) <- Some (make_replica 0)));
+      Sim.fork_join jobs
+        (guard (fun () -> vol.(0) <- Some (make_replica ~helpers:helpers.(0) 0)));
       (match (!scan_raised, List.rev !raised) with
        | Some e, _ | None, e :: _ -> raise e
        | None, [] -> ());
+      let per = Array.map Option.get per in
+      Array.iter (fun (_, sub) -> Alloc.adopt pa sub) per;
       ( Array.map Option.get vol,
-        Some (pa, (Option.get per.(0), Option.get per.(1))) )
+        Some (pa, (fst per.(0), fst per.(1))) )
     in
     let replicas, rebuilt =
       match replay with
@@ -1820,8 +1860,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       rolling committed prepares forward and skipping unprepared/aborted
       ones like log holes. Returns the rebuilt UC, a report for the
       durability checkers, and [install], which writes the rebuilt UC's
-      roots; the UC is not recoverable until it has run. Must run inside
-      a fiber.
+      roots; the UC is not recoverable until it has run. [cores] is the
+      recovery's budget of consecutive cores on every socket, from the
+      calling fiber's up (default: the whole socket; never fewer than
+      [recovery_width]); the cores its own fibers leave idle become the
+      copies' helpers. Must run inside a fiber.
 
       One spine serves both checkpoint backends: mount the checkpoint,
       scan the durable suffix past its tail once, replay, then account
@@ -1829,7 +1872,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       backend-specific:
       - classic: [build] makes every replica a copy of the untouched
         stable replica with the suffix replayed into it, the scan running
-        on a fiber of its own while the copies are made. Until [install]
+        on a fiber of its own while the copies are made, and a large
+        copy split across its helper cores. Until [install]
         runs, recovery changes no pre-crash NVM word except reconciled
         response slots, so a crash at any point before then leaves the
         checkpoint and log it started from, and recovering again gives
@@ -1840,7 +1884,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         the object's size — then seal the replay's dirty set and publish
         a new manifest epoch with [sealed_lt] reset, because the rebuilt
         instance starts a fresh log. *)
-  let rebuild ?keep old_t =
+  let rebuild ?keep ?cores old_t =
     if not (has_persistence old_t) then
       invalid_arg "Prep_uc.recover: volatile variant cannot recover";
     let mem = old_t.mem and roots = old_t.roots and cfg = old_t.cfg in
@@ -1882,7 +1926,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let t, install =
       match mounted with
       | Replica stable ->
-        build ~replay:(scan, suffix, reconcile) mem roots cfg ~prefill:[]
+        build ~replay:(scan, suffix, reconcile) ?cores mem roots cfg ~prefill:[]
           ~master:(Some stable)
       | Store l ->
         Sim.Once.fill suffix (scan ());
@@ -1927,8 +1971,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
 
   (** Recover after [Memory.crash]: [rebuild], then [install]. Must run
       inside a fiber. *)
-  let recover ?keep old_t =
-    let t, report, install = rebuild ?keep old_t in
+  let recover ?keep ?cores old_t =
+    let t, report, install = rebuild ?keep ?cores old_t in
     install ();
     (t, report)
 

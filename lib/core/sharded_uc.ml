@@ -566,10 +566,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       The shards rebuild at once, one fiber per shard, and only after one
       join does any shard write its roots, so a crash inside recovery
       leaves every shard's pre-crash checkpoint and log as it found them.
-      Each shard's fibers take [Prep_uc.recovery_width] cores of their
-      own; when a socket has too few cores for every shard, a fiber rebuilds
-      several shards in turn. Returns the new construction plus the
-      per-shard recovery reports. Must run inside a fiber. *)
+      Each lane of shards gets a budget of [beta / lanes] consecutive
+      cores on every socket, at least [Prep_uc.recovery_width], so no two
+      shards' fibers ever share a core; when a socket has too few cores
+      for every shard, a lane rebuilds several shards in turn. Returns the
+      new construction plus the per-shard recovery reports. Must run
+      inside a fiber. *)
   let recover old_t =
     let mem = old_t.mem and roots = old_t.roots and n = old_t.nshards in
     let dec = Decision.attach mem roots in
@@ -579,6 +581,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let width = Prep_uc.recovery_width old_t.cfg in
     let beta = (Sim.topology ()).Sim.Topology.cores_per_socket in
     let lanes = max 1 (min n (beta / width)) in
+    let budget = beta / lanes in
     let rebuilt = Array.make n None in
     (* shards [lane], [lane + lanes], ... in turn; a raise is re-raised
        after the join, the lowest shard's first, as one fiber would *)
@@ -587,7 +590,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       while !i < n do
         rebuilt.(!i) <-
           Some
-            (try Ok (P.rebuild ~keep old_t.shards.(!i))
+            (try Ok (P.rebuild ~keep ~cores:budget old_t.shards.(!i))
              with (Invalid_argument _ | Failure _) as e -> Error e);
         i := !i + lanes
       done
@@ -595,7 +598,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let socket = Sim.socket () and core = (Sim.self ()).Sim.core in
     Sim.fork_join
       (List.init (lanes - 1) (fun l ->
-           (socket, (core + ((l + 1) * width)) mod beta, lane (l + 1))))
+           (socket, (core + ((l + 1) * budget)) mod beta, lane (l + 1))))
       (lane 0);
     let rebuilt =
       Array.map

@@ -50,6 +50,20 @@ let mem t = t.mem
 let arenas t = t.arenas
 let live_words t = t.live_words
 
+(** A sub-heap of [t]: same memory, kind and home, arenas of its own, so
+    a second fiber can allocate beside [t]'s owner without sharing a bump
+    pointer. Hand it back with [adopt]. *)
+let sub t = create t.mem ~kind:t.kind ~home:t.home
+
+(** Take over [s]'s arenas and live words: everything [s] handed out now
+    belongs to [t] (its [arenas], its [persist_heap]). [t] keeps bumping
+    in its own current arena, and blocks freed into [s] stay unused (a
+    leak, never a reuse); [s] must not be used afterwards. *)
+let adopt t s =
+  if s.mem != t.mem || s.kind <> t.kind then invalid_arg "Alloc.adopt: foreign heap";
+  t.arenas <- s.arenas @ t.arenas;
+  t.live_words <- t.live_words + s.live_words
+
 (** Allocate [size] words, zero-initialised. *)
 let alloc t size =
   if size <= 0 || size > Memory.arena_words / 2 then
@@ -95,10 +109,14 @@ let free t addr size =
 
 (** Persist the allocator's entire heap (every owned arena). This is the
     CX-PUC persistence strategy: write back whatever is dirty in the
-    replica's address range, then fence. *)
-let persist_heap t =
+    replica's address range, then fence. [split] runs the per-arena
+    write-backs, by default in order on this fiber (recovery deals them
+    over idle cores, [Context.spread]); the one fence follows them all. *)
+let persist_heap ?(split = fun jobs -> List.iter (fun f -> f ()) jobs) t =
   if t.kind <> Memory.Nvm then invalid_arg "Alloc.persist_heap: volatile heap";
-  List.iter
-    (fun aid -> Memory.flush_arena ~site:Persist.Alloc_persist_heap t.mem aid)
-    t.arenas;
+  split
+    (List.map
+       (fun aid () ->
+         Memory.flush_arena ~site:Persist.Alloc_persist_heap t.mem aid)
+       t.arenas);
   Memory.sfence ~site:Persist.Alloc_persist_heap t.mem

@@ -15,6 +15,8 @@
 type binding = {
   mutable default : Alloc.t; (* the "system allocator" for this fiber *)
   mutable persistent : Alloc.t option;
+  mutable helpers : (int * int) list;
+      (* idle (socket, core)s this fiber may [fork] onto; see [fanout] *)
 }
 
 (* Domain-local: the fid -> binding table belongs to the simulation running
@@ -29,7 +31,7 @@ let table () = Domain.DLS.get table_key
     sequential-object code must be bound first. *)
 let bind ~default ?persistent () =
   let fid = (Sim.self ()).Sim.fid in
-  Hashtbl.replace (table ()) fid { default; persistent }
+  Hashtbl.replace (table ()) fid { default; persistent; helpers = [] }
 
 (** Rebind only the default (volatile) allocator of the current fiber;
     combiners do this when applying a batch to their local replica. *)
@@ -37,14 +39,17 @@ let set_default alloc =
   let fid = (Sim.self ()).Sim.fid in
   match Hashtbl.find_opt (table ()) fid with
   | Some b -> b.default <- alloc
-  | None -> Hashtbl.replace (table ()) fid { default = alloc; persistent = None }
+  | None ->
+    Hashtbl.replace (table ()) fid
+      { default = alloc; persistent = None; helpers = [] }
 
 let set_persistent alloc =
   let fid = (Sim.self ()).Sim.fid in
   match Hashtbl.find_opt (table ()) fid with
   | Some b -> b.persistent <- Some alloc
   | None ->
-    Hashtbl.replace (table ()) fid { default = alloc; persistent = Some alloc }
+    Hashtbl.replace (table ()) fid
+      { default = alloc; persistent = Some alloc; helpers = [] }
 
 let binding () =
   let fid = (Sim.self ()).Sim.fid in
@@ -82,6 +87,81 @@ let with_allocator alloc f =
 
 let alloc size = Alloc.alloc (current ()) size
 let free addr size = Alloc.free (current ()) addr size
+
+(* ---- fan-out: idle cores lent to one fiber ----
+
+   Like the allocator swap, a per-fiber binding the sequential code reads
+   without knowing who set it: a recovery lends each copying fiber the
+   idle cores of its socket, and a structure whose copy is large splits
+   the copy across them through [fork]. *)
+
+(** How many fibers [fork] may run at once: the calling fiber plus its
+    helper cores; 1 when the fiber has no binding. *)
+let fanout () =
+  match Hashtbl.find_opt (table ()) (Sim.self ()).Sim.fid with
+  | Some b -> 1 + List.length b.helpers
+  | None -> 1
+
+(** Run [f] with [cores] as the fiber's helper cores, restoring the
+    previous set afterwards. No other fiber may run on them meanwhile. *)
+let with_helpers cores f =
+  let b = binding () in
+  let saved = b.helpers in
+  b.helpers <- cores;
+  Fun.protect ~finally:(fun () -> b.helpers <- saved) f
+
+(* The first job on the caller, job [i] on helper core [i - 1], joined
+   through [Sim.fork_join]. With [heaps], each helper allocates from a
+   sub-heap of the caller's current allocator, which adopts it after the
+   join; without, a helper has no allocator at all. A helper's
+   [Invalid_argument] or [Failure] (torn media) is re-raised after the
+   join, the lowest job's first. *)
+let fork_on ~heaps jobs =
+  match jobs with
+  | [] -> ()
+  | [ f ] -> f ()
+  | first :: rest ->
+    let b = binding () in
+    if List.length rest > List.length b.helpers then
+      invalid_arg "Context.fork: more jobs than fan-out";
+    let mine = current () in
+    let subs =
+      List.map (fun _ -> if heaps then Some (Alloc.sub mine) else None) rest
+    in
+    let raised = Array.make (List.length rest) None in
+    let helper i sub f () =
+      let fid = (Sim.self ()).Sim.fid in
+      Option.iter
+        (fun a ->
+          Hashtbl.replace (table ()) fid
+            { default = a; persistent = None; helpers = [] })
+        sub;
+      (try f ()
+       with (Invalid_argument _ | Failure _) as e -> raised.(i) <- Some e);
+      Hashtbl.remove (table ()) fid
+    in
+    Sim.fork_join
+      (List.mapi
+         (fun i (sub, f) ->
+           let socket, core = List.nth b.helpers i in
+           (socket, core, helper i sub f))
+         (List.combine subs rest))
+      first;
+    List.iter (Option.iter (Alloc.adopt mine)) subs;
+    Array.iter (Option.iter raise) raised
+
+(** Run [jobs] at once, at most [fanout ()] of them, each helper in
+    arenas of its own (see [fork_on]): the caller's current allocator
+    owns every word any job allocated once [fork] returns. *)
+let fork jobs = fork_on ~heaps:true jobs
+
+(** Run [jobs], none of which allocates, dealt round-robin over
+    [min (fanout ()) (List.length jobs)] fibers. *)
+let spread jobs =
+  let parts = min (fanout ()) (List.length jobs) in
+  fork_on ~heaps:false
+    (List.init parts (fun p () ->
+         List.iteri (fun i f -> if i mod parts = p then f ()) jobs))
 
 (** Drop all bindings (between experiment runs / after a crash). *)
 let reset () = Hashtbl.reset (table ())

@@ -302,25 +302,76 @@ let execute t ~op ~args =
 (* Shape-preserving clone: a preorder walk allocates each node once, copies
    its key, value and colour, and points its links at the clone's own nodes
    (the source's sentinel maps to the clone's). No insert, no search, no
-   rebalancing — colours and shape are the source's. *)
+   rebalancing — colours and shape are the source's.
+
+   A tree of two or more arenas is split across the fiber's fan-out
+   ([Context.fork]): the caller clones the top levels breadth-first until
+   at least 8 subtrees per job hang below them, then the jobs clone those
+   subtrees, dealt round-robin in key order, each linking its subtree
+   roots into the top. Eight per job evens out the subtrees' unequal
+   sizes. *)
 let copy src =
   let dst = create src.mem in
   let src_nil = nil src and dst_nil = nil dst in
+  let size = Memory.read src.mem (src.h + 1) in
+  let clone_node n p =
+    let c = Context.alloc node_words in
+    Memory.write dst.mem c (key src n);
+    Memory.write dst.mem (c + 1) (value src n);
+    set_color dst c (color src n);
+    set_parent dst c p;
+    c
+  in
   let rec clone n p =
     if n = src_nil then dst_nil
     else begin
-      let c = Context.alloc node_words in
-      Memory.write dst.mem c (key src n);
-      Memory.write dst.mem (c + 1) (value src n);
-      set_color dst c (color src n);
-      set_parent dst c p;
+      let c = clone_node n p in
       set_left dst c (clone (left src n) c);
       set_right dst c (clone (right src n) c);
       c
     end
   in
-  set_root dst (clone (root src) dst_nil);
-  Memory.write dst.mem (dst.h + 1) (Memory.read src.mem (src.h + 1));
+  let parts =
+    min (Context.fanout ()) (size * node_words / Memory.arena_words)
+  in
+  if parts <= 1 then set_root dst (clone (root src) dst_nil)
+  else begin
+    (* a hanging subtree: source node, the clone's parent, and the link
+       that will point at its clone *)
+    let link (_, p, left_side) c =
+      if left_side then set_left dst p c else set_right dst p c
+    in
+    let children (n, c) =
+      List.filter_map
+        (fun (m, left_side) ->
+          let h = (m, c, left_side) in
+          if m = src_nil then (link h dst_nil; None) else Some h)
+        [ (left src n, true); (right src n, false) ]
+    in
+    let rec top level =
+      let hanging = List.concat_map children level in
+      if hanging = [] || List.length hanging >= 8 * parts then hanging
+      else
+        top
+          (List.map
+             (fun ((n, p, _) as h) ->
+               let c = clone_node n p in
+               link h c;
+               (n, c))
+             hanging)
+    in
+    let r = root src in
+    let c = clone_node r dst_nil in
+    set_root dst c;
+    let hanging = Array.of_list (top [ (r, c) ]) in
+    Context.fork
+      (List.init parts (fun j () ->
+           Array.iteri
+             (fun i ((n, p, _) as h) ->
+               if i mod parts = j then link h (clone n p))
+             hanging))
+  end;
+  Memory.write dst.mem (dst.h + 1) size;
   dst
 
 (* Observation: [k1; v1; k2; v2; ...] in key order (cost-free). *)

@@ -832,6 +832,28 @@ let test_wedge_is_a_failure () =
   | [ f ] -> wedged "campaign" f.Check.Fuzz.violations
   | fs -> Alcotest.failf "campaign: %d failures, want 1" (List.length fs)
 
+(* A crash that lands after a spinning insert was logged wedges the
+   recovery, whose replay runs that insert: the episode crashes and then
+   ends at the fuzzer's horizon with [Wedged] instead of hanging. *)
+let test_wedged_recovery_is_a_failure () =
+  let gen_op rng = (H.op_insert, [| Sim.Rng.int rng 64; 1 |]) in
+  let ep =
+    { (template ~seed:77 ~epsilon:4 ~ops:2) with Check.Fuzz.threads = 2 }
+  in
+  List.iter
+    (fun n ->
+      let label = Printf.sprintf "crash at op %d" n in
+      let out =
+        F_stuck.run_episode ~config:(cfg ()) ~mode:Config.Durable
+          ~fault:Config.No_fault ~gen_op
+          { ep with Check.Fuzz.crash = Check.Fuzz.At_op n }
+      in
+      check_bool (label ^ " crashed") true out.Check.Fuzz.crashed;
+      check_bool (label ^ ": recovery reported as wedged") true
+        (out.Check.Fuzz.violations
+         = [ Check.Durable_lin.Wedged { horizon_ns = F_stuck.horizon_ns ep } ]))
+    [ 200; 400 ]
+
 (* The same wedge through the crash-restart-continue session harness: a
    crash-free session wedges in its clients' run, and a one-crash session
    crashes before the wedge and then wedges in recovery, whose replay
@@ -879,6 +901,8 @@ let () =
             test_crash_hook_cuts_at_op;
           Alcotest.test_case "wedge is a failure" `Quick
             test_wedge_is_a_failure;
+          Alcotest.test_case "wedged recovery is a failure" `Quick
+            test_wedged_recovery_is_a_failure;
           Alcotest.test_case "session wedge is a failure" `Quick
             test_session_wedge_is_a_failure;
         ] );

@@ -580,13 +580,13 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
         else None)
       (List.init arenas Fun.id)
 
-  let recover ?keep uc =
+  let recover ?keep ?cores uc =
     Context.reset ();
     let sim = Sim.create ~seed:6L topology in
     let out = ref None in
     ignore
       (Sim.spawn sim ~socket:0 (fun () ->
-           let uc', report = U.recover ?keep uc in
+           let uc', report = U.recover ?keep ?cores uc in
            out := Some (U.snapshot uc', report)));
     (match Sim.run sim () with `Done -> () | `Cut _ -> Alcotest.fail "cut");
     Option.get !out
@@ -620,7 +620,9 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
     Memory.crash mem;
     (Option.get !uc_ref, mem)
 
-  let check_cuts ~mode ~prefill ~gen label =
+  (* [one_fiber]: also check that the uninterrupted recovery equals one
+     whose copies get no helper cores ([~cores:1]) *)
+  let check_cuts ?(one_fiber = false) ~mode ~prefill ~gen label =
     let uc, mem = crash_run ~mode ~prefill ~gen () in
     let crashed = Memory.snapshot mem in
     let arenas = Memory.arena_count mem in
@@ -634,6 +636,12 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
     let want = recover uc in
     Memory.clear_access_hook mem;
     check_bool (label ^ ": a root is written") true (!first_root < max_int);
+    if one_fiber then begin
+      Memory.restore mem crashed;
+      let got = recover ~cores:1 uc in
+      check_list (label ^ ": one-fiber state") (fst want) (fst got);
+      check_bool (label ^ ": one-fiber report") true (snd want = snd got)
+    end;
     List.iter
       (fun k ->
         let cut = start + ((!first_root - start) * k / 4) in
@@ -712,6 +720,55 @@ let test_cut_recovery_rbtree =
   C.test
     ~prefill:(List.init 20 (fun k -> (R.op_insert, [| k; k |])))
     ~gen:(map_gen ~insert:R.op_insert ~remove:R.op_remove ~get:R.op_get)
+
+(* A tree of two arenas and more: every copy splits across its helper
+   cores, and recovery still writes no pre-crash word before its first
+   root and equals the one-fiber recovery. *)
+let split_tree_keys = (2 * Memory.arena_words / Seqds.Rbtree.node_words) + 64
+
+let test_cut_recovery_split () =
+  let module R = Seqds.Rbtree in
+  let module C = Cut_recovery (R) in
+  C.check_cuts ~one_fiber:true ~mode:Config.Durable
+    ~prefill:(List.init split_tree_keys (fun k -> (R.op_insert, [| k; k |])))
+    ~gen:(map_gen ~insert:R.op_insert ~remove:R.op_remove ~get:R.op_get)
+    "rbtree, 2 arenas"
+
+(* No two recovery fibers that run at once share a (socket, core) — the
+   simulator would not charge for the second — while the copies of a
+   two-arena tree run on helper cores too. A fiber's span runs from its
+   first memory access to its last. *)
+let test_recovery_cores () =
+  let module R = Seqds.Rbtree in
+  let module C = Cut_recovery (R) in
+  let uc, mem =
+    C.crash_run ~mode:Config.Durable
+      ~prefill:(List.init split_tree_keys (fun k -> (R.op_insert, [| k; k |])))
+      ~gen:(map_gen ~insert:R.op_insert ~remove:R.op_remove ~get:R.op_get)
+      ()
+  in
+  let spans = Hashtbl.create 16 in
+  Memory.set_access_hook mem (fun _ _ _ _ ->
+      let f = Sim.self () and now = Sim.now () in
+      let first =
+        match Hashtbl.find_opt spans f.Sim.fid with
+        | Some (_, _, first, _) -> first
+        | None -> now
+      in
+      Hashtbl.replace spans f.Sim.fid (f.Sim.socket, f.Sim.core, first, now));
+  ignore (C.recover uc);
+  Memory.clear_access_hook mem;
+  let spans = Hashtbl.fold (fun fid span l -> (fid, span) :: l) spans [] in
+  (* this fiber, the scan, two persistent copies, and their helpers *)
+  check_bool "helpers ran" true (List.length spans > 4);
+  List.iter
+    (fun (a, (s, c, a0, a1)) ->
+      List.iter
+        (fun (b, (s', c', b0, b1)) ->
+          if a < b && a0 < b1 && b0 < a1 && s = s' && c = c' then
+            Alcotest.failf "fibers %d and %d share core %d.%d" a b s c)
+        spans)
+    spans
 
 let test_cut_recovery_stack =
   let module S = Seqds.Stack_ds in
@@ -1000,6 +1057,10 @@ let () =
           Alcotest.test_case "cut recovery: hashmap" `Quick test_cut_recovery_hashmap;
           Alcotest.test_case "cut recovery: rbtree" `Quick test_cut_recovery_rbtree;
           Alcotest.test_case "cut recovery: stack" `Quick test_cut_recovery_stack;
+          Alcotest.test_case "cut recovery: split copies" `Quick
+            test_cut_recovery_split;
+          Alcotest.test_case "recovery fibers never share a core" `Quick
+            test_recovery_cores;
           Alcotest.test_case "replay_keep reads each payload once" `Quick
             test_replay_keep_reads_once;
           Alcotest.test_case "buffered crash fuzz" `Slow test_crash_fuzz_buffered;

@@ -295,6 +295,99 @@ let clone_into_nvm (type h m)
            ~gen_op:(map_op 400) ~steps:300 "recovered copy");
       Context.reset ())
 
+(* ---- split copies ([Context.fork]) ----
+
+   A red-black tree of two or more arenas copies across the fiber's
+   helper cores. Under 1 to 8 helpers, on trees of 2 to 5 arenas, the
+   split copy must be the one-fiber copy again: the same snapshot and
+   shape (colours, child and parent links), the red-black invariants, no
+   node shared with the source, and every node in an arena the caller's
+   allocator owns once the copy returns. *)
+
+(* every node of the tree at [h], sentinel excluded, cost-free *)
+let rbtree_nodes m h =
+  let sentinel = Memory.peek m (h + 2) in
+  let rec walk acc n =
+    if n = sentinel then acc
+    else walk (walk (n :: acc) (Memory.peek m (n + 3))) (Memory.peek m (n + 4))
+  in
+  walk [] (Memory.peek m h)
+
+let check_parent_links label m h =
+  let sentinel = Memory.peek m (h + 2) in
+  let root = Memory.peek m h in
+  if root <> sentinel && Memory.peek m (root + 5) <> sentinel then
+    Alcotest.failf "%s: root's parent is not the sentinel" label;
+  List.iter
+    (fun n ->
+      List.iter
+        (fun c ->
+          if c <> sentinel && Memory.peek m (c + 5) <> n then
+            Alcotest.failf "%s: node %d's parent link is wrong" label c)
+        [ Memory.peek m (n + 3); Memory.peek m (n + 4) ])
+    (rbtree_nodes m h)
+
+let test_rbtree_split_copy () =
+  Sim.run_one (fun () ->
+      let m = Memory.make ~bg_period:0 () in
+      let src_alloc = Alloc.create_volatile m ~home:0 in
+      Context.bind ~default:src_alloc ();
+      let src = Rbtree.create m in
+      let rng = Sim.Rng.create 77L in
+      List.iter
+        (fun arenas ->
+          (* grow the source just past [arenas] arenas of nodes *)
+          let want = (arenas * Memory.arena_words / Rbtree.node_words) + 1 in
+          while Rbtree.execute src ~op:Rbtree.op_size ~args:[||] < want do
+            ignore
+              (Rbtree.execute src ~op:Rbtree.op_insert
+                 ~args:[| Sim.Rng.int rng 1_000_000_000; Sim.Rng.int rng 1000 |])
+          done;
+          let h = Rbtree.root_addr src in
+          let src_nodes = rbtree_nodes m h in
+          let copy_with k =
+            let alloc = Alloc.create_volatile m ~home:0 in
+            Context.set_default alloc;
+            let dup =
+              Context.with_helpers
+                (List.init k (fun i -> (0, i + 1)))
+                (fun () -> Rbtree.copy src)
+            in
+            Context.set_default src_alloc;
+            (alloc, Rbtree.root_addr dup)
+          in
+          let _, one = copy_with 0 in
+          let one_shape = rbtree_shape m one in
+          check_list "one-fiber copy keeps the source's shape"
+            (rbtree_shape m h) one_shape;
+          for k = 1 to 8 do
+            let label = Printf.sprintf "%d arenas, %d helpers" arenas k in
+            let alloc, dup = copy_with k in
+            let dup_t = Rbtree.attach m dup in
+            check_list (label ^ ": snapshot") (Rbtree.snapshot src)
+              (Rbtree.snapshot dup_t);
+            check_list (label ^ ": shape") one_shape (rbtree_shape m dup);
+            check_parent_links label m dup;
+            Rbtree.check_invariants dup_t;
+            let nodes =
+              dup :: Memory.peek m (dup + 2) :: rbtree_nodes m dup
+            in
+            let src_set = Hashtbl.create 4096 in
+            List.iter (fun n -> Hashtbl.replace src_set n ())
+              (h :: Memory.peek m (h + 2) :: src_nodes);
+            let owned = Alloc.arenas alloc in
+            List.iter
+              (fun n ->
+                if Hashtbl.mem src_set n then
+                  Alcotest.failf "%s: node %d shared with the source" label n;
+                if not (List.mem (n / Memory.arena_words) owned) then
+                  Alcotest.failf "%s: node %d in an arena the allocator \
+                                  does not own" label n)
+              nodes
+          done)
+        [ 2; 3; 4; 5 ];
+      Context.reset ())
+
 (* Memory operations per key of one copy of an [n]-key map (keys inserted
    in random order). A clone touches each node a constant number of times,
    so the bound holds at 1k and 8k alike; a copy that searches per key
@@ -620,6 +713,8 @@ let () =
                ~invariants:Skiplist.check_invariants);
           Alcotest.test_case "hashmap linear" `Quick (clone_linear (module Hashmap));
           Alcotest.test_case "rbtree linear" `Quick (clone_linear (module Rbtree));
+          Alcotest.test_case "rbtree split across helpers" `Quick
+            test_rbtree_split_copy;
           Alcotest.test_case "skiplist linear" `Quick
             (clone_linear (module Skiplist));
         ] );
