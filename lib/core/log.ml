@@ -129,11 +129,6 @@ let write_tag t idx ~tid ~seqno =
   Memory.write t.mem (a + 7) seqno;
   mirror_store t idx ~word:7 seqno
 
-(** Read entry [idx]'s (tid, seqno) tag; (0, 0) when untagged. *)
-let read_tag t idx =
-  let a = read_addr t idx in
-  (Memory.read t.mem (a + 6), Memory.read t.mem (a + 7))
-
 (** Queue the entry's line for write-back (durable mode only). *)
 let persist_entry t idx =
   if t.durable then
@@ -188,6 +183,15 @@ let read_payload t idx =
   let argc = Memory.read t.mem (a + 2) in
   let args = Array.init argc (fun i -> Memory.read t.mem (a + 3 + i)) in
   (op, args)
+
+(** Read entry [idx] with one line load: [Some (op, args, (tid, seqno))]
+    when it is published on [idx]'s lap (the tag is (0, 0) when untagged),
+    [None] otherwise. Recovery's suffix scan reads the log this way; the
+    live consumers poll the emptyBit word by word ([wait_and_read]). *)
+let read_entry t idx =
+  let w = Memory.read_words t.mem (read_addr t idx) entry_words in
+  if w.(0) <> full_parity t idx then None
+  else Some (w.(1), Array.sub w 3 w.(2), (w.(6), w.(7)))
 
 (** Spin until index [idx] is published, then read it. Entries below the
     completedTail are always published, so consumers cannot hang here. *)

@@ -1768,10 +1768,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
 
   (* The log entries replay applies, as (index, op, args, tag), from the
      checkpoint's tail [from] to the recovered completedTail [ct], skipping
-     holes (unpersisted entries) and entries [keep] rejects. Each kept
-     payload is read once, and a tag only when it decides the entry or
-     [ann] needs it for reconciliation. *)
-  let scan_suffix ?keep old_t ~ann ~ct ~from =
+     holes (unpersisted entries) and entries [keep] rejects. An entry is
+     one cache line, read with one line load. *)
+  let scan_suffix ?keep old_t ~ct ~from =
     let cfg = old_t.cfg in
     (* replay must read the NVM media truth, never the (volatile) DRAM
        mirror — the planted [Mirror_read_on_recovery] fault does exactly
@@ -1799,16 +1798,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let scan_to = if cfg.Config.detect then ct + cfg.Config.log_size else ct in
     let kept = ref [] in
     for idx = from to scan_to - 1 do
-      if Log.is_full log idx then begin
-        let tag =
-          if idx >= ct || ann <> None then Log.read_tag log idx else (0, 0)
-        in
-        if idx < ct || snd tag > 0 then begin
-          let op, args = Log.read_payload log idx in
-          if match keep with None -> true | Some keep -> keep ~op ~args then
-            kept := (idx, op, args, tag) :: !kept
-        end
-      end
+      match Log.read_entry log idx with
+      | Some (op, args, tag)
+        when (idx < ct || snd tag > 0)
+             && (match keep with None -> true | Some keep -> keep ~op ~args) ->
+        kept := (idx, op, args, tag) :: !kept
+      | Some _ | None -> ()
     done;
     Array.of_list (List.rev !kept)
 
@@ -1905,7 +1900,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       else None
     in
     let scan () =
-      if durable then scan_suffix ?keep old_t ~ann ~ct ~from:base_lt else [||]
+      if durable then scan_suffix ?keep old_t ~ct ~from:base_lt else [||]
     in
     let suffix = Sim.Once.create () in
     (* replay reconciliation: rewrite the submitting thread's response slot

@@ -218,9 +218,9 @@ let set_flit m on = m.m_flit <- on
 (* ---- crash-hook API (fuzzing instrumentation) ---- *)
 
 (** Number of fiber-facing memory operations issued so far. Every load,
-    store, CAS, FAA, scrub, flush and fence counts as one operation, so an
-    operation index names one precise point in the global (simulated-time-
-    ordered) sequence of memory events. *)
+    block load, store, CAS, FAA, scrub, flush and fence counts as one
+    operation, so an operation index names one precise point in the
+    global (simulated-time-ordered) sequence of memory events. *)
 let op_index m = m.m_op_index
 
 (** Install [hook], called with the operation index at the *start* of every
@@ -412,6 +412,51 @@ let read m addr =
   let v = arena.values.(off) in
   access_point m (dirty_key arena.aid line) ~addr ~write:false v;
   v
+
+(** Load the [n] words from [addr] as a memcpy's source side would: one
+    operation whose charge is, per cache line spanned, exactly what [read]
+    charges for that line (a hit when dirty, else DRAM or NVM plus the
+    remote penalty); the line's other words ride along for free. Reading
+    the same words one [read] at a time still pays per word. The access
+    hook sees one line-granular load per line ([~addr:(-1)]) whose value
+    folds in all of the line's words, so a change to any word of a line
+    the block touches changes the hashed access. The block must lie in one
+    arena. *)
+let read_words m addr n =
+  let off = offset_of_addr addr in
+  if n <= 0 || off + n > arena_words then invalid_arg "Memory.read_words: bad span";
+  op_point m;
+  let arena = arena_of_addr m addr in
+  let first_line = line_of_offset off and last_line = line_of_offset (off + n - 1) in
+  let cost = ref 0 in
+  for line = first_line to last_line do
+    cost :=
+      !cost + access_cost m arena ~line_dirty:(Bytes.get_uint8 arena.dirty line <> 0)
+  done;
+  Sim.tick !cost;
+  tel_op m "read_words" !cost;
+  m.m_stats.reads <- m.m_stats.reads + (last_line - first_line + 1);
+  (match m.m_access_hook with
+   | None -> ()
+   | Some _ ->
+     for line = first_line to last_line do
+       let key = dirty_key arena.aid line in
+       let words = Array.sub arena.values (line * line_words) line_words in
+       access_point m key ~addr:(-1) ~write:false (words_h key words)
+     done);
+  Array.sub arena.values off n
+
+(** Load the [n] words from [addr] one cache line at a time, one
+    [read_words] per line, and call [f i v] on word [addr + i], in order:
+    the source side of a memcpy longer than a line. *)
+let iter_lines m addr n f =
+  let i = ref 0 in
+  while !i < n do
+    let a = addr + !i in
+    let w = read_words m a (min (line_words - (a mod line_words)) (n - !i)) in
+    Array.iteri (fun j v -> f (!i + j) v) w;
+    i := !i + Array.length w
+  done
 
 let write m addr v =
   op_point m;

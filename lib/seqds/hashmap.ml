@@ -135,25 +135,26 @@ let execute t ~op ~args =
 
 (* Shape-preserving clone: a table of the source's capacity, each chain
    cloned in order through a tail pointer. No insert, no rehash, no resize.
-   [Context.alloc] zero-fills, so empty buckets and chain ends stay null. *)
+   [Context.alloc] zero-fills, so empty buckets and chain ends stay null.
+   The source table is loaded a cache line at a time and each node as one
+   block, as a memcpy would. *)
 let copy src =
   let mem = src.mem in
   let src_table = Memory.read mem src.h in
   let capacity = Memory.read mem (src.h + 1) in
   let h = Context.alloc hdr_words in
   let table = Context.alloc capacity in
-  for b = 0 to capacity - 1 do
-    let rec clone node tail =
-      if node <> Memory.null then begin
-        let c = Context.alloc node_words in
-        Memory.write mem c (Memory.read mem node);
-        Memory.write mem (c + 1) (Memory.read mem (node + 1));
-        Memory.write mem tail c;
-        clone (Memory.read mem (node + 2)) (c + 2)
-      end
-    in
-    clone (Memory.read mem (src_table + b)) (table + b)
-  done;
+  let rec clone node tail =
+    if node <> Memory.null then begin
+      let n = Memory.read_words mem node node_words in
+      let c = Context.alloc node_words in
+      Memory.write mem c n.(0);
+      Memory.write mem (c + 1) n.(1);
+      Memory.write mem tail c;
+      clone n.(2) (c + 2)
+    end
+  in
+  Memory.iter_lines mem src_table capacity (fun b head -> clone head (table + b));
   Memory.write mem h table;
   Memory.write mem (h + 1) capacity;
   Memory.write mem (h + 2) (Memory.read mem (src.h + 2));

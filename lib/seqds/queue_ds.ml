@@ -71,8 +71,9 @@ let copy src =
   let dst = create src.mem in
   let rec walk node =
     if node <> Memory.null then begin
-      ignore (enqueue dst (Memory.read src.mem node));
-      walk (Memory.read src.mem (node + 1))
+      let n = Memory.read_words src.mem node node_words in
+      ignore (enqueue dst n.(0));
+      walk n.(1)
     end
   in
   walk (Memory.read src.mem src.h);

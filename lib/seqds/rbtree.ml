@@ -299,10 +299,11 @@ let execute t ~op ~args =
   else if op = op_size then Memory.read t.mem (t.h + 1)
   else invalid_arg "Rbtree.execute: unknown op"
 
-(* Shape-preserving clone: a preorder walk allocates each node once, copies
-   its key, value and colour, and points its links at the clone's own nodes
-   (the source's sentinel maps to the clone's). No insert, no search, no
-   rebalancing — colours and shape are the source's.
+(* Shape-preserving clone: a preorder walk loads each source node as one
+   block, allocates its clone once, copies its key, value and colour, and
+   points its links at the clone's own nodes (the source's sentinel maps to
+   the clone's). No insert, no search, no rebalancing — colours and shape
+   are the source's.
 
    A tree of two or more arenas is split across the fiber's fan-out
    ([Context.fork]): the caller clones the top levels breadth-first until
@@ -314,20 +315,23 @@ let copy src =
   let dst = create src.mem in
   let src_nil = nil src and dst_nil = nil dst in
   let size = Memory.read src.mem (src.h + 1) in
+  (* one block load of source node [n]; returns the clone and the block,
+     whose [3] and [4] are [n]'s children *)
   let clone_node n p =
+    let b = Memory.read_words src.mem n node_words in
     let c = Context.alloc node_words in
-    Memory.write dst.mem c (key src n);
-    Memory.write dst.mem (c + 1) (value src n);
-    set_color dst c (color src n);
+    Memory.write dst.mem c b.(0);
+    Memory.write dst.mem (c + 1) b.(1);
+    set_color dst c b.(2);
     set_parent dst c p;
-    c
+    (c, b)
   in
   let rec clone n p =
     if n = src_nil then dst_nil
     else begin
-      let c = clone_node n p in
-      set_left dst c (clone (left src n) c);
-      set_right dst c (clone (right src n) c);
+      let c, b = clone_node n p in
+      set_left dst c (clone b.(3) c);
+      set_right dst c (clone b.(4) c);
       c
     end
   in
@@ -341,12 +345,12 @@ let copy src =
     let link (_, p, left_side) c =
       if left_side then set_left dst p c else set_right dst p c
     in
-    let children (n, c) =
+    let children (c, b) =
       List.filter_map
         (fun (m, left_side) ->
           let h = (m, c, left_side) in
           if m = src_nil then (link h dst_nil; None) else Some h)
-        [ (left src n, true); (right src n, false) ]
+        [ (b.(3), true); (b.(4), false) ]
     in
     let rec top level =
       let hanging = List.concat_map children level in
@@ -355,15 +359,14 @@ let copy src =
         top
           (List.map
              (fun ((n, p, _) as h) ->
-               let c = clone_node n p in
+               let (c, _) as cb = clone_node n p in
                link h c;
-               (n, c))
+               cb)
              hanging)
     in
-    let r = root src in
-    let c = clone_node r dst_nil in
+    let ((c, _) as cb) = clone_node (root src) dst_nil in
     set_root dst c;
-    let hanging = Array.of_list (top [ (r, c) ]) in
+    let hanging = Array.of_list (top [ cb ]) in
     Context.fork
       (List.init parts (fun j () ->
            Array.iteri

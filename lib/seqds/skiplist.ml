@@ -138,22 +138,25 @@ let execute t ~op ~args =
 (* Shape-preserving clone: one walk along level 0 allocates each node once
    at its source height and appends it to every level it spans, keeping one
    tail pointer per level. No insert, no predecessor search. [Context.alloc]
-   zero-fills, so each level's last node ends null. *)
+   zero-fills, so each level's last node ends null. The walk needs only a
+   node's key, value, height and level-0 link, its first four words, which
+   it loads as one block. *)
 let copy src =
   let dst = create src.mem in
   let tails = Array.make max_height (Memory.read dst.mem dst.h) in
   let rec clone node =
     if node <> Memory.null then begin
-      let height = Memory.read src.mem (node + 2) in
+      let b = Memory.read_words src.mem node (node_words 1) in
+      let height = b.(2) in
       let c = Context.alloc (node_words height) in
-      Memory.write dst.mem c (Memory.read src.mem node);
-      Memory.write dst.mem (c + 1) (Memory.read src.mem (node + 1));
+      Memory.write dst.mem c b.(0);
+      Memory.write dst.mem (c + 1) b.(1);
       Memory.write dst.mem (c + 2) height;
       for level = 0 to height - 1 do
         set_fwd dst tails.(level) level c;
         tails.(level) <- c
       done;
-      clone (fwd src node 0)
+      clone b.(3)
     end
   in
   clone (fwd src (Memory.read src.mem src.h) 0);

@@ -66,7 +66,9 @@ let copy src =
   (* collect then push in reverse so the copy has the same order *)
   let rec collect acc node =
     if node = Memory.null then acc
-    else collect (Memory.read src.mem node :: acc) (Memory.read src.mem (node + 1))
+    else
+      let n = Memory.read_words src.mem node node_words in
+      collect (n.(0) :: acc) n.(1)
   in
   let bottom_first = collect [] (Memory.read src.mem src.h) in
   List.iter (fun v -> ignore (push dst v)) bottom_first;

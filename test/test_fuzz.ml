@@ -477,18 +477,20 @@ let test_fuzz_detect_lsm_clean () =
 (* Under the planted fault the detect scan past the completedTail can take
    a stale-lap entry for a live one, so recovery applies log indexes the
    ghost trace never logged (the first failing episode of the seed-5
-   campaign: episode 1 on the classic backend, episode 2 under lsm). The
-   checker must report that as a violation rather than raise from its
-   model replay, and the shrunk repro must still fail. *)
+   campaign on the classic backend and of the seed-6 campaign under lsm;
+   the seed-5 lsm campaign's first failure loses completed ops but
+   applies no unlogged index). The checker must report that as a
+   violation rather than raise from its model replay, and the shrunk
+   repro must still fail. *)
 let test_unlogged_applied_is_a_violation () =
   let mode = Config.Durable and fault = Config.Response_before_log_persist in
   List.iter
-    (fun lsm_ckpt ->
+    (fun (lsm_ckpt, seed) ->
       let config = cfg ~detect:true ~lsm_ckpt () in
       let label = if lsm_ckpt then "lsm" else "classic" in
       let res =
         F.fuzz ~config ~mode ~fault ~gen_op
-          ~template:(template ~seed:5 ~epsilon:16 ~ops:300)
+          ~template:(template ~seed ~epsilon:16 ~ops:300)
           ~iters:2 ()
       in
       let first =
@@ -506,7 +508,7 @@ let test_unlogged_applied_is_a_violation () =
       let out = F.run_episode ~config ~mode ~fault ~gen_op small in
       check_bool (label ^ ": shrunk repro still fails") true
         (out.Check.Fuzz.violations <> []))
-    [ false; true ]
+    [ (false, 5); (true, 6) ]
 
 let test_response_fault_requires_detect () =
   (* without the detectability layer there are no response records to

@@ -54,6 +54,46 @@ let test_stale_entry_reads_empty_after_wrap () =
       (* and from lap 2's perspective that slot is empty again *)
       check_bool "lap-2 view is empty" false (Log.is_full log 9))
 
+(* [read_entry]'s one line load answers what [is_full], [read_payload] and
+   the tag words answer, on every slot of two laps: published, written but
+   unpublished, never written (which reads full on odd laps), tagged *)
+let test_read_entry_agrees () =
+  with_log ~size:4 (fun mem log ->
+      let entry idx =
+        if Log.is_full log idx then
+          let op, args = Log.read_payload log idx in
+          let a = Log.entry_addr log idx in
+          Some (op, args, (Memory.peek mem (a + 6), Memory.peek mem (a + 7)))
+        else None
+      in
+      let agree label =
+        for idx = 0 to 11 do
+          let i0 = Memory.op_index mem in
+          let got = Log.read_entry log idx in
+          check (label ^ ": one load") (i0 + 1) (Memory.op_index mem);
+          check_bool (Printf.sprintf "%s: idx %d" label idx) true (got = entry idx)
+        done
+      in
+      Log.write_payload log 0 ~op:7 ~args:[| 10; 20 |];
+      Log.publish log 0;
+      Log.write_payload log 1 ~op:8 ~args:[| 1 |];
+      Log.write_payload log 2 ~op:9 ~args:[| 4; 5; 6 |];
+      Log.write_tag log 2 ~tid:3 ~seqno:11;
+      Log.publish log 2;
+      agree "lap 0";
+      check_bool "tagged entry" true
+        (Log.read_entry log 2 = Some (9, [| 4; 5; 6 |], (3, 11)));
+      (* lap 1: slot 0 republished with a tag, slot 1 published *)
+      Log.write_payload log 4 ~op:12 ~args:[||];
+      Log.write_tag log 4 ~tid:1 ~seqno:2;
+      Log.publish log 4;
+      Log.write_payload log 5 ~op:13 ~args:[| 7; 8 |];
+      Log.publish log 5;
+      agree "lap 1";
+      check_bool "odd-lap entry" true
+        (Log.read_entry log 5 = Some (13, [| 7; 8 |], (0, 0)));
+      check_bool "lap-0 entry is empty on lap 1" true (Log.read_entry log 6 = None))
+
 let test_entry_addresses_wrap () =
   with_log ~size:4 (fun _mem log ->
       check "idx 0 and 4 share a slot" (Log.entry_addr log 0) (Log.entry_addr log 4);
@@ -126,6 +166,7 @@ let () =
           Alcotest.test_case "stale entry reads empty" `Quick
             test_stale_entry_reads_empty_after_wrap;
           Alcotest.test_case "entry addresses wrap" `Quick test_entry_addresses_wrap;
+          Alcotest.test_case "read_entry agrees" `Quick test_read_entry_agrees;
           Alcotest.test_case "max args enforced" `Quick test_max_args_enforced;
           Alcotest.test_case "spans arenas" `Quick test_large_log_spans_arenas;
         ] );

@@ -42,6 +42,116 @@ let test_faa () =
       check "faa returns old 2" 3 (Memory.faa m a 4);
       check "value" 7 (Memory.read m a))
 
+(* ---- block loads ---- *)
+
+(* Four arenas, DRAM and NVM homed on each socket, every word non-zero and
+   every line cleaned by WBINVD, then every third line dirtied again: a
+   span over any of them mixes local and remote, DRAM and NVM, dirty and
+   clean lines. Runs on socket 0. *)
+let block_arenas m =
+  let arenas =
+    List.map
+      (fun (kind, home) -> Memory.new_arena m ~kind ~home)
+      [ (Memory.Dram, 0); (Memory.Nvm, 0); (Memory.Dram, 1); (Memory.Nvm, 1) ]
+  in
+  let words = 8 * Memory.line_words in
+  List.iter
+    (fun aid ->
+      for off = 0 to words - 1 do
+        Memory.write m (Memory.addr_of ~aid ~offset:off) (1 + (aid * 1000) + off)
+      done)
+    arenas;
+  Memory.wbinvd ~site:Persist.Test m;
+  List.iter
+    (fun aid ->
+      for line = 0 to 7 do
+        if line mod 3 = 0 then begin
+          let a = Memory.addr_of ~aid ~offset:(line * Memory.line_words) in
+          Memory.write m a (Memory.peek m a)
+        end
+      done)
+    arenas;
+  arenas
+
+(* every (start, length) of 1 to 17 words from the first two lines: spans
+   of one, two and three lines *)
+let block_spans aid =
+  List.concat_map
+    (fun off ->
+      List.init 17 (fun i -> (Memory.addr_of ~aid ~offset:(off + 8), i + 1)))
+    (List.init 16 Fun.id)
+
+let lines_of addr n =
+  let lw = Memory.line_words in
+  List.init (((addr + n - 1) / lw) - (addr / lw) + 1) (fun i -> ((addr / lw) + i) * lw)
+
+let test_read_words_values_and_charge () =
+  in_sim (fun () ->
+      let m = fresh () in
+      List.iter
+        (fun aid ->
+          List.iter
+            (fun (addr, n) ->
+              let i0 = Memory.op_index m and t0 = Sim.now () in
+              let got = Memory.read_words m addr n in
+              let charged = Sim.now () - t0 in
+              check "one op point" (i0 + 1) (Memory.op_index m);
+              Alcotest.(check (array int)) "what peek sees"
+                (Array.init n (fun i -> Memory.peek m (addr + i)))
+                got;
+              (* one word load per spanned line, each charged by [read] *)
+              let t1 = Sim.now () in
+              List.iter (fun l -> ignore (Memory.read m l)) (lines_of addr n);
+              check "charge = one read per line" (Sim.now () - t1) charged)
+            (block_spans aid))
+        (block_arenas m))
+
+let test_read_words_hook () =
+  in_sim (fun () ->
+      let m = fresh () in
+      let arenas = block_arenas m in
+      let calls = ref [] in
+      Memory.set_access_hook m (fun key addr write v ->
+          calls := (key, addr, write, v) :: !calls);
+      let load addr n =
+        calls := [];
+        ignore (Memory.read_words m addr n);
+        List.rev !calls
+      in
+      List.iter
+        (fun aid ->
+          List.iter
+            (fun (addr, n) ->
+              let before = load addr n in
+              let lines = lines_of addr n in
+              check "one call per line" (List.length lines) (List.length before);
+              List.iter2
+                (fun l (key, a, write, _) ->
+                  let off = Memory.offset_of_addr l in
+                  check "the line's key"
+                    (Memory.dirty_key aid (Memory.line_of_offset off)) key;
+                  check "line-granular" (-1) a;
+                  check_bool "a load" false write)
+                lines before;
+              (* changing any one word of a spanned line, even one outside
+                 the span, changes that line's hashed value *)
+              List.iteri
+                (fun j l ->
+                  for w = 0 to Memory.line_words - 1 do
+                    let a = l + w in
+                    let old = Memory.peek m a in
+                    Memory.write m a (old + 1);
+                    let key, _, _, v = List.nth (load addr n) j in
+                    let key0, _, _, v0 = List.nth before j in
+                    check "same line" key0 key;
+                    check_bool "value sees the word" true (v <> v0);
+                    Memory.write m a old
+                  done)
+                lines)
+            (block_spans aid))
+        arenas;
+      Memory.clear_access_hook m)
+
 (* ---- persistence semantics ---- *)
 
 let test_unflushed_write_lost_on_crash () =
@@ -529,6 +639,10 @@ let () =
           Alcotest.test_case "read/write" `Quick test_read_write;
           Alcotest.test_case "cas" `Quick test_cas_semantics;
           Alcotest.test_case "faa" `Quick test_faa;
+          Alcotest.test_case "read_words values and charge" `Quick
+            test_read_words_values_and_charge;
+          Alcotest.test_case "read_words hook per line" `Quick
+            test_read_words_hook;
         ] );
       ( "persistence",
         [
