@@ -39,7 +39,7 @@
      dune exec bin/prep_cli.exe -- fuzz --iters 200 --variant buffered -j 4
      dune exec bin/prep_cli.exe -- fuzz --variant durable --ds rbtree \
        --seed 57 --crash-op 81000        # replay one exact episode
-     dune exec bin/prep_cli.exe -- fuzz --variant durable --shards 4 \
+     dune exec bin/prep_cli.exe -- fuzz --variant durable --uc-shards 4 \
        --multi-pct 40 --cross-pct 100 -j 4   # cross-shard 2PC atomicity
      dune exec bin/prep_cli.exe -- explore --threads 2 --ops 2 --shards 8 -j 4
      dune exec bin/prep_cli.exe -- explore --variant durable --uc-shards 2 \
@@ -118,23 +118,17 @@ let ds_arg =
   let names = Arg.enum (List.map (fun (n, _) -> (n, n)) data_structures) in
   Arg.(value & opt names "hashmap" & info [ "ds" ] ~docv:"DS" ~doc)
 
-let threads_arg =
-  Arg.(value & opt int 8 & info [ "threads"; "t" ] ~docv:"N" ~doc:"Worker threads.")
+(* An integer option [names] defaulting to [default]; the subcommands
+   share names like --threads, --epsilon and --seed but not defaults. *)
+let int_arg ?(docv = "N") names default doc =
+  Arg.(value & opt int default & info names ~docv ~doc)
 
-let epsilon_arg =
-  Arg.(value & opt int 1024 & info [ "epsilon"; "e" ] ~docv:"EPS" ~doc:"Flush boundary step.")
-
-let read_pct_arg =
-  Arg.(value & opt int 90 & info [ "read-pct" ] ~docv:"PCT" ~doc:"Read-only percentage (maps only).")
-
-let keys_arg =
-  Arg.(value & opt int 4096 & info [ "keys" ] ~docv:"N" ~doc:"Key range (maps) or prefill size (pairs).")
-
-let duration_arg =
-  Arg.(value & opt int 2_000_000 & info [ "duration" ] ~docv:"NS" ~doc:"Measured simulated time, ns.")
-
-let seed_arg =
-  Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
+let threads_arg = int_arg [ "threads"; "t" ] 8 "Worker threads."
+let epsilon_arg = int_arg ~docv:"EPS" [ "epsilon"; "e" ] 1024 "Flush boundary step."
+let read_pct_arg = int_arg ~docv:"PCT" [ "read-pct" ] 90 "Read-only percentage (maps only)."
+let keys_arg = int_arg [ "keys" ] 4096 "Key range (maps) or prefill size (pairs)."
+let duration_arg = int_arg ~docv:"NS" [ "duration" ] 2_000_000 "Measured simulated time, ns."
+let seed_arg = int_arg ~docv:"SEED" [ "seed" ] 7 "Simulation seed."
 
 let log_size = 16384
 
@@ -192,7 +186,8 @@ let uc_shards_arg =
      router (prep-durable maps only): each shard is an independent log + \
      replica set + combiner, single-key ops route by key hash. Telemetry \
      is reported per shard (shard<i>/ counters, per-shard phase spans and \
-     persistence tracks)."
+     persistence tracks). Under fuzz, cross-shard transactions join the \
+     mix (--multi-pct, --cross-pct)."
   in
   Arg.(value & opt int 1 & info [ "uc-shards" ] ~docv:"N" ~doc)
 
@@ -477,8 +472,7 @@ let validate_cmd =
 
 (* ---- fuzz ---- *)
 
-let iters_arg =
-  Arg.(value & opt int 100 & info [ "iters"; "n" ] ~docv:"N" ~doc:"Fuzzing episodes.")
+let iters_arg = int_arg [ "iters"; "n" ] 100 "Fuzzing episodes."
 
 let variant_arg =
   let doc = "Variant under test: volatile, buffered or durable." in
@@ -514,20 +508,11 @@ let fault_arg =
     & opt (enum faults) Prep.Config.No_fault
     & info [ "fault" ] ~docv:"FAULT" ~doc)
 
-let fuzz_threads_arg =
-  Arg.(value & opt int 6 & info [ "threads"; "t" ] ~docv:"N" ~doc:"Worker threads (1-7).")
-
-let fuzz_epsilon_arg =
-  Arg.(value & opt int 16 & info [ "epsilon"; "e" ] ~docv:"EPS" ~doc:"Flush boundary step.")
-
-let fuzz_log_size_arg =
-  Arg.(value & opt int 256 & info [ "log-size" ] ~docv:"N" ~doc:"Shared log entries.")
-
-let fuzz_ops_arg =
-  Arg.(value & opt int 300 & info [ "ops" ] ~docv:"N" ~doc:"Operations per worker.")
-
-let fuzz_seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Base seed.")
+let fuzz_threads_arg = int_arg [ "threads"; "t" ] 6 "Worker threads (1-7)."
+let fuzz_epsilon_arg = int_arg ~docv:"EPS" [ "epsilon"; "e" ] 16 "Flush boundary step."
+let fuzz_log_size_arg = int_arg [ "log-size" ] 256 "Shared log entries."
+let fuzz_ops_arg = int_arg [ "ops" ] 300 "Operations per worker."
+let fuzz_seed_arg = int_arg ~docv:"SEED" [ "seed" ] 42 "Base seed."
 
 let crash_op_arg =
   let doc = "Replay one episode crashing before the Nth memory operation." in
@@ -542,24 +527,15 @@ let no_crash_arg =
   Arg.(value & flag & info [ "no-crash" ] ~doc)
 
 let bg_period_arg =
-  Arg.(value & opt int 2000 & info [ "bg-period" ] ~docv:"N"
-         ~doc:"Mean memory ops between background cache write-backs.")
-
-let fuzz_shards_arg =
-  let doc =
-    "Fuzz the sharded construction with $(docv) PREP-Durable shards and \
-     cross-shard transactions in the mix (map structures and --variant \
-     durable only)."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
+  int_arg [ "bg-period" ] 2000 "Mean memory ops between background cache write-backs."
 
 let multi_pct_arg =
-  let doc = "With --shards: percent of ops that are multi-key transactions." in
+  let doc = "With --uc-shards: percent of ops that are multi-key transactions." in
   Arg.(value & opt int 25 & info [ "multi-pct" ] ~docv:"PCT" ~doc)
 
 let cross_pct_arg =
   let doc =
-    "With --shards: percent of multi-key transactions whose keys land on \
+    "With --uc-shards: percent of multi-key transactions whose keys land on \
      different shards (the rest collapse to single-shard commits)."
   in
   Arg.(value & opt int 75 & info [ "cross-pct" ] ~docv:"PCT" ~doc)
@@ -678,32 +654,18 @@ let fuzz_cmd =
         (const fuzz $ iters_arg $ variant_arg $ ds_arg $ fuzz_threads_arg
        $ fuzz_epsilon_arg $ fuzz_log_size_arg $ fuzz_ops_arg $ fuzz_seed_arg
        $ fault_arg $ crash_op_arg $ crash_time_arg $ no_crash_arg
-       $ bg_period_arg $ features_term $ fuzz_shards_arg $ multi_pct_arg
+       $ bg_period_arg $ features_term $ uc_shards_arg $ multi_pct_arg
        $ cross_pct_arg $ jobs_arg))
 
 (* ---- explore ---- *)
 
-let exp_threads_arg =
-  Arg.(value & opt int 2 & info [ "threads"; "t" ] ~docv:"N"
-         ~doc:"Worker threads (small scope: 2-3).")
-
-let exp_ops_arg =
-  Arg.(value & opt int 3 & info [ "ops" ] ~docv:"N" ~doc:"Operations per worker.")
-
-let exp_epsilon_arg =
-  Arg.(value & opt int 2 & info [ "epsilon"; "e" ] ~docv:"EPS" ~doc:"Flush boundary step.")
-
-let exp_log_size_arg =
-  Arg.(value & opt int 16 & info [ "log-size" ] ~docv:"N" ~doc:"Shared log entries.")
-
-let exp_seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.")
-
-let exp_sockets_arg =
-  Arg.(value & opt int 2 & info [ "sockets" ] ~docv:"N" ~doc:"NUMA sockets.")
-
-let exp_cores_arg =
-  Arg.(value & opt int 2 & info [ "cores" ] ~docv:"N" ~doc:"Cores per socket (= beta).")
+let exp_threads_arg = int_arg [ "threads"; "t" ] 2 "Worker threads (small scope: 2-3)."
+let exp_ops_arg = int_arg [ "ops" ] 3 "Operations per worker."
+let exp_epsilon_arg = int_arg ~docv:"EPS" [ "epsilon"; "e" ] 2 "Flush boundary step."
+let exp_log_size_arg = int_arg [ "log-size" ] 16 "Shared log entries."
+let exp_seed_arg = int_arg ~docv:"SEED" [ "seed" ] 1 "Workload seed."
+let exp_sockets_arg = int_arg [ "sockets" ] 2 "NUMA sockets."
+let exp_cores_arg = int_arg [ "cores" ] 2 "Cores per socket (= beta)."
 
 let max_schedules_arg =
   Arg.(value & opt int Check.Explore.default_budget.Check.Explore.max_schedules
@@ -1023,32 +985,13 @@ let write_artifact path contents =
 
 (* ---- session ---- *)
 
-let session_threads_arg =
-  Arg.(value & opt int 4 & info [ "threads"; "t" ] ~docv:"N"
-         ~doc:"Client threads (1-7).")
-
-let session_ops_arg =
-  Arg.(value & opt int 40 & info [ "ops" ] ~docv:"N"
-         ~doc:"Scripted update operations per client.")
-
-let session_epsilon_arg =
-  Arg.(value & opt int 8 & info [ "epsilon"; "e" ] ~docv:"EPS"
-         ~doc:"Flush boundary step.")
-
-let session_log_size_arg =
-  Arg.(value & opt int 1024 & info [ "log-size" ] ~docv:"N"
-         ~doc:"Shared log entries.")
-
-let session_crashes_arg =
-  Arg.(value & opt int 3 & info [ "crashes" ] ~docv:"N"
-         ~doc:"Power failures to inject per session.")
-
-let session_seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Base seed.")
-
-let sessions_arg =
-  Arg.(value & opt int 1 & info [ "sessions" ] ~docv:"N"
-         ~doc:"Independent sessions on consecutive seeds.")
+let session_threads_arg = int_arg [ "threads"; "t" ] 4 "Client threads (1-7)."
+let session_ops_arg = int_arg [ "ops" ] 40 "Scripted update operations per client."
+let session_epsilon_arg = int_arg ~docv:"EPS" [ "epsilon"; "e" ] 8 "Flush boundary step."
+let session_log_size_arg = int_arg [ "log-size" ] 1024 "Shared log entries."
+let session_crashes_arg = int_arg [ "crashes" ] 3 "Power failures to inject per session."
+let session_seed_arg = int_arg ~docv:"SEED" [ "seed" ] 1 "Base seed."
+let sessions_arg = int_arg [ "sessions" ] 1 "Independent sessions on consecutive seeds."
 
 let session_json_arg =
   let doc = "Write a bench-schema JSON artifact of the campaign to $(docv)." in

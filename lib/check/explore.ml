@@ -336,7 +336,7 @@ let repro_command ?(config = Sut.default_config) ~mode ~fault ~ds ~scope
     ds scope.threads scope.ops_per_worker scope.epsilon scope.log_size
     scope.seed scope.sockets scope.cores_per_socket
     (if scope.persistence then "" else " --no-persistence")
-    (Prep.Config.to_flags ~shards_flag:"--uc-shards"
+    (Prep.Config.to_flags
        { config with Prep.Config.mode; fault })
     (decisions_to_string decisions)
     (match crash with

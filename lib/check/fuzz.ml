@@ -76,7 +76,7 @@ let repro_command ?(config = Sut.default_config) ~mode ~fault ~ds ep =
      --epsilon %d --log-size %d --ops %d --seed %d%s %s"
     (Prep.Config.variant_name mode)
     ds ep.threads ep.epsilon ep.log_size ep.ops_per_worker ep.workload_seed
-    (Prep.Config.to_flags ~shards_flag:"--shards"
+    (Prep.Config.to_flags
        { config with Prep.Config.mode; fault })
     (crash_flag ep.crash)
 

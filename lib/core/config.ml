@@ -199,7 +199,7 @@ let validate t ~beta =
          max_shards);
   if t.fault = Commit_before_prepare_persist && t.shards < 2 then
     invalid_arg
-      "Config: commit-before-prepare fault only exists with --shards >= 2";
+      "Config: commit-before-prepare fault only exists with --uc-shards >= 2";
   if t.lsm_ckpt && t.mode = Volatile then
     invalid_arg "Config: --lsm-ckpt is a checkpoint strategy; the volatile \
                  variant has no checkpoints";
@@ -222,12 +222,10 @@ let make ?(mode = Buffered) ?(log_size = 65536) ?(epsilon = 1024)
 (** The checker command-line flags that rebuild [t]'s fault and feature
     set — every such field that differs from [make]'s default, in a fixed
     order — so a printed repro command replays exactly the configuration
-    that failed. [shards_flag] spells the shard count ([fuzz] says
-    [--shards], [explore] [--uc-shards]). Not rendered: the fields the
-    checkers set from their own arguments (mode, ε, log size, workers) and
-    those the checker subcommands have no flag for ([flush], [root_base],
-    [tag]). *)
-let to_flags ~shards_flag t =
+    that failed. Not rendered: the fields the checkers set from their own
+    arguments (mode, ε, log size, workers) and those the checker
+    subcommands have no flag for ([flush], [root_base], [tag]). *)
+let to_flags t =
   let d = make ~workers:t.workers () in
   String.concat ""
     [
@@ -237,7 +235,7 @@ let to_flags ~shards_flag t =
       (if t.log_mirror then " --log-mirror" else "");
       (if t.detect then " --detect" else "");
       (if t.shards <> d.shards then
-         Printf.sprintf " %s %d" shards_flag t.shards
+         Printf.sprintf " --uc-shards %d" t.shards
        else "");
       (if t.lsm_ckpt then " --lsm-ckpt" else "");
       (if t.lsm_ckpt && t.lsm_fanout <> d.lsm_fanout then

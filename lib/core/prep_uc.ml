@@ -93,231 +93,6 @@ let recovery_width cfg =
     (fun w s -> max w (List.length (List.filter (( = ) s) socks)))
     0 socks
 
-(** Shared (ds-independent) state of the incremental log-structured
-    checkpoint backend ([Config.lsm_ckpt]). The durable truth is the
-    manifest plus the sealed segments; everything in here is a volatile
-    mount of it plus the memtable, reproducible from NVM media and the
-    log suffix past [sealed_lt]. *)
-module Lsm = struct
-  type pending_merge = {
-    replaced : Segment.meta list;
-        (* a contiguous same-level run of [segs], newest first *)
-    merged : Segment.meta list;
-        (* already built and sealed by the compaction fiber *)
-  }
-
-  type t = {
-    mem : Memory.t;
-    manifest : Manifest.t;
-    fanout : int;
-    memtable : Segment.Memtable.t;
-        (* latest value per key written since the last seal *)
-    mutable segs : Segment.meta list; (* mounted segment set, newest first *)
-    mutable epoch : int; (* last published manifest epoch *)
-    mutable sealed_lt : int;
-        (* log entries [0, sealed_lt) of the current log epoch are covered
-           by the sealed segments *)
-    mutable pending : pending_merge option;
-        (* handoff from the compaction fiber to the manifest's single
-           writer (the persistence thread) *)
-    (* harness-side counters (no simulated cost) *)
-    mutable seals : int;
-    mutable segments_built : int;
-    mutable keys_sealed : int;
-    mutable compactions : int;
-    mutable bloom_skips : int;
-    mutable range_skips : int;
-    mutable seg_finds : int;
-    mutable materialized : int;
-  }
-
-  let make mem manifest ~fanout ~segs ~epoch =
-    {
-      mem;
-      manifest;
-      fanout;
-      memtable = Segment.Memtable.create ();
-      segs;
-      epoch;
-      sealed_lt = 0;
-      pending = None;
-      seals = 0;
-      segments_built = 0;
-      keys_sealed = 0;
-      compactions = 0;
-      bloom_skips = 0;
-      range_skips = 0;
-      seg_finds = 0;
-      materialized = 0;
-    }
-
-  (** Newest-first store lookup (charged reads). [Some v] may carry the
-      tombstone; [None] means no segment knows the key. *)
-  let store_find l key =
-    let rec go = function
-      | [] -> None
-      | m :: rest ->
-        if not (Segment.range_hit m key) then begin
-          l.range_skips <- l.range_skips + 1;
-          go rest
-        end
-        else if not (Segment.bloom_hit l.mem m key) then begin
-          l.bloom_skips <- l.bloom_skips + 1;
-          go rest
-        end
-        else (
-          match Segment.find l.mem m key with
-          | Some v ->
-            l.seg_finds <- l.seg_finds + 1;
-            Some v
-          | None -> go rest)
-    in
-    go l.segs
-
-  (** Cost-free live view of the whole store (checkers/snapshots):
-      newest-first shadowing, tombstones dropped. *)
-  let peek_live l =
-    let seen = Hashtbl.create 64 and acc = ref [] in
-    List.iter
-      (fun m ->
-        Array.iter
-          (fun (k, v) ->
-            if not (Hashtbl.mem seen k) then begin
-              Hashtbl.replace seen k ();
-              if v <> Segment.tombstone then acc := (k, v) :: !acc
-            end)
-          (Segment.peek_array l.mem m))
-      l.segs;
-    List.sort (fun (a, _) (b, _) -> compare a b) !acc
-
-  (** Publish the current segment list under a fresh epoch (persistence
-      thread only — the manifest has a single writer). *)
-  let publish l ~sealed_lt =
-    l.epoch <- l.epoch + 1;
-    Manifest.publish l.manifest ~epoch:l.epoch ~sealed_lt
-      ~segs:(List.map (fun m -> m.Segment.addr) l.segs);
-    l.sealed_lt <- sealed_lt
-
-  (** Split sorted records into segment-sized chunks and allocate NVM for
-      each; returns [(addr, chunk, meta)] newest-position-first metas. *)
-  let plan_segments pa ~level recs =
-    let n = Array.length recs in
-    let rec chunks i =
-      if i >= n then []
-      else
-        let len = min Segment.max_records (n - i) in
-        Array.sub recs i len :: chunks (i + len)
-    in
-    List.map
-      (fun chunk ->
-        let count = Array.length chunk in
-        let addr = Alloc.alloc_lines pa (Segment.lines_needed ~count) in
-        let meta =
-          {
-            Segment.addr;
-            count;
-            level;
-            min_key = fst chunk.(0);
-            max_key = fst chunk.(count - 1);
-            bloom_words = Segment.Bloom.words_for ~count;
-          }
-        in
-        (addr, chunk, meta))
-      (chunks 0)
-
-  let build_planned l ~level planned =
-    List.iter
-      (fun (addr, chunk, _) -> ignore (Segment.build l.mem ~addr ~level chunk))
-      planned;
-    l.segments_built <- l.segments_built + List.length planned
-
-  (** Seal sorted records [recs] into fresh level-0 segments, mount them
-      and publish the manifest naming them with [sealed_lt] — segments
-      built before the manifest names them. [publish_first] inverts that
-      order: the planted [Manifest_before_segment_seal] fault. *)
-  let seal ?(publish_first = false) l pa recs ~sealed_lt =
-    let planned =
-      if Array.length recs = 0 then [] else plan_segments pa ~level:0 recs
-    in
-    let metas = List.map (fun (_, _, m) -> m) planned in
-    if publish_first then begin
-      l.segs <- metas @ l.segs;
-      publish l ~sealed_lt;
-      build_planned l ~level:0 planned
-    end
-    else begin
-      build_planned l ~level:0 planned;
-      l.segs <- metas @ l.segs;
-      publish l ~sealed_lt
-    end
-
-  (** Fold a finished background merge into the mounted set and republish
-      the manifest (persistence thread only). *)
-  let apply_pending l =
-    match l.pending with
-    | None -> ()
-    | Some { replaced; merged } ->
-      let rec splice = function
-        | [] -> failwith "Lsm.apply_pending: replaced run not found"
-        | m :: rest when m == List.hd replaced ->
-          let rest' =
-            List.fold_left (fun acc _ -> List.tl acc) (m :: rest) replaced
-          in
-          merged @ rest'
-        | m :: rest -> m :: splice rest
-      in
-      l.segs <- splice l.segs;
-      l.compactions <- l.compactions + 1;
-      publish l ~sealed_lt:l.sealed_lt;
-      l.pending <- None
-
-  (** Pick the oldest contiguous run of [fanout] same-level segments, if
-      any (compaction fiber; only when no merge is outstanding). *)
-  let pick_merge l =
-    if l.pending <> None then None
-    else
-      let rec runs acc cur = function
-        | [] -> if List.length cur >= l.fanout then cur :: acc else acc
-        | m :: rest -> (
-          match cur with
-          | c :: _ when c.Segment.level = m.Segment.level ->
-            runs acc (m :: cur) rest
-          | _ ->
-            runs (if List.length cur >= l.fanout then cur :: acc else acc)
-              [ m ] rest)
-      in
-      (* [runs] walks newest→oldest accumulating reversed runs, so each
-         completed run is oldest-first; the first completed run pushed
-         last is the newest — take the head of [acc] as the oldest. *)
-      match runs [] [] l.segs with
-      | [] -> None
-      | run :: _ ->
-        (* restore newest-first order and trim to exactly [fanout] oldest *)
-        let run = List.rev run in
-        let len = List.length run in
-        let run =
-          if len > l.fanout then
-            List.filteri (fun i _ -> i >= len - l.fanout) run
-          else run
-        in
-        Some run
-
-  (** Order-independent hash of every volatile bit of lsm state the
-      memory fingerprints cannot see (explorer state dedup). *)
-  let ghost l =
-    let h = ref (Memory.h2 l.epoch l.sealed_lt) in
-    h := Memory.h2 !h (Segment.Memtable.hash l.memtable);
-    List.iter
-      (fun m -> h := Memory.h2 !h (Memory.h2 m.Segment.addr m.Segment.level))
-      l.segs;
-    (match l.pending with
-     | None -> ()
-     | Some { replaced; merged } ->
-       List.iter (fun m -> h := Memory.h2 !h (m.Segment.addr lxor 0x5a5a)) replaced;
-       List.iter (fun m -> h := Memory.h2 !h (m.Segment.addr lxor 0xa5a5)) merged);
-    !h
-end
-
 (* slot field offsets *)
 let sl_full = 0
 let sl_op = 1
@@ -356,27 +131,12 @@ type resolution =
           which is the same thing: nothing can have taken effect) *)
 
 module Make (Ds : Seqds.Ds_intf.S) = struct
-  (** Per-handle hydration state under [Config.lsm_ckpt]. A handle rebuilt
-      after a crash starts as the replayed suffix only; keys below the
-      sealed horizon are rematerialised from the segment store on first
-      touch. Invariant: every key present in the ds is in [resolved] (so a
-      resolved key's ds binding — or absence — is the truth, and an
-      unresolved key's truth lives in the segments). [hydrated] means
-      every live store key has been resolved, after which all checks
-      short-circuit — the steady state, and the only state outside
-      recovery. *)
-  type view = {
-    resolved : (int, unit) Hashtbl.t;
-    mutable hydrated : bool;
-  }
-
-  let fresh_view ~hydrated = { resolved = Hashtbl.create 16; hydrated }
+  module L = Lsm_ckpt.Make (Ds)
 
   type replica = {
     rid : int;
     socket : int;
     ds : Ds.handle;
-    view : view;
     alloc : Alloc.t;
     lt_addr : int; (* localTail *)
     combiner : Locks.Trylock.t;
@@ -432,14 +192,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     tel : Phases.t option;
         (* phase spans, captured from the ambient telemetry registry at
            construction; [None] on uninstrumented runs *)
-    lsm : Lsm.t option;
-        (* incremental-checkpoint backend ([Config.lsm_ckpt]); [None] runs
-           the paper's whole-replica checkpoint *)
-    shadow_view : view;
-        (* hydration state of the persistence thread's shadow replica
-           (trivially hydrated when lsm is off) *)
-    (* checkpoint cost accounting, comparable across both strategies
-       (simulated time inside flush_and_swap / lsm_seal) *)
+    ckpt : Ds.handle Checkpoint.backend;
+        (* the paper's replica pair ([classic]) or, under
+           [Config.lsm_ckpt], the incremental store ([Lsm_ckpt]) *)
+    (* checkpoint cost accounting, comparable across both backends
+       (simulated time inside [ckpt.checkpoint]) *)
     mutable ckpt_count : int;
     mutable ckpt_cost_total : int;
     mutable ckpt_cost_last : int;
@@ -472,12 +229,45 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   let apply_ops ds ops =
     List.iter (fun (op, args) -> ignore (Ds.execute ds ~op ~args)) ops
 
-  (* a keyed map's flattened [k; v; ...] snapshot, as pairs *)
-  let rec pairs = function k :: v :: rest -> (k, v) :: pairs rest | _ -> []
+  (* The paper's checkpoint backend (Algorithm 2): two persistent replicas,
+     the active one caught up inside the persistent heap [pa]; a
+     checkpoint writes back the heap, then swaps active/stable and
+     persists the switch. *)
+  let classic mem roots cfg pa : Ds.handle Checkpoint.backend =
+    let active = cfg.Config.root_base + slot_active in
+    {
+      prepare = (fun _ _ ~op:_ ~args:_ -> ());
+      needs_write = (fun _ ~op:_ ~args:_ -> false);
+      catch_up =
+        (fun pds ~op ~args ->
+          Context.with_persistent (fun () -> ignore (Ds.execute pds ~op ~args)));
+      poll = ignore;
+      checkpoint =
+        (fun () ->
+          (match cfg.Config.flush with
+           | Config.Wbinvd -> Memory.wbinvd ~site:Persist.Prep_checkpoint mem
+           | Config.Flush_heap ->
+             (* walk the persistent heap and write back whatever is dirty;
+                pays per line instead of the WBINVD stall — the
+                small-structure alternative of §6 *)
+             List.iter
+               (fun aid ->
+                 Memory.flush_arena ~site:Persist.Prep_checkpoint mem aid)
+               (Alloc.arenas (Option.get pa)));
+          Memory.sfence ~site:Persist.Prep_checkpoint mem;
+          (* swap active/stable and persist the switch before opening the
+             next window (see module comment on ordering) *)
+          Roots.set roots active (1 - Roots.get roots active));
+      span = (fun pt -> pt.Phases.persist);
+      background = None;
+      counters = (fun () -> Lsm_ckpt.idle_counters);
+      ghost = (fun () -> 0);
+      snapshot = Ds.snapshot;
+    }
 
   (* Build a full UC instance around [master]'s current contents. Runs
      inside a fiber; the caller's allocator binding is replaced.
-     [lsm] is recovery's handoff under [Config.lsm_ckpt]: the mounted,
+     [store] is recovery's handoff under [Config.lsm_ckpt]: the mounted,
      re-sealed store and [master]'s hydration view — [master] (and every
      copy of it) is then a partial view to be hydrated lazily.
      [replay] is classic recovery's handoff [(scan, suffix, on_response)]:
@@ -488,7 +278,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
      [cores] is that recovery's core budget (see [rebuild]).
      Returns the instance and its [install] step: recovery defers every
      root write to it, creation writes its roots as it goes. *)
-  let build ?lsm ?replay ?(cores = max_int) mem roots cfg ~prefill ~master =
+  let build ?store ?replay ?(cores = max_int) mem roots cfg ~prefill ~master =
     let topo = Sim.topology () in
     let beta = topo.Sim.Topology.cores_per_socket in
     Config.validate cfg ~beta;
@@ -522,14 +312,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         apply_ops ds prefill;
         ds
     in
-    (* a copy of the master sees exactly the keys the master has resolved;
-       each copy materialises independently from there *)
-    let view_of_copy () =
-      match lsm with
-      | None -> fresh_view ~hydrated:true
-      | Some (_, v) ->
-        { resolved = Hashtbl.copy v.resolved; hydrated = v.hydrated }
-    in
     (* a copy of the master, split across [helpers], with the recovery
        suffix replayed into it *)
     let clone ?(helpers = []) ~reconcile () =
@@ -548,7 +330,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       let alloc = Alloc.create_volatile mem ~home:rid in
       Context.set_default alloc;
       let ds = clone ?helpers ~reconcile:(rid = 0) () in
-      let view = view_of_copy () in
       let lt_addr = Alloc.alloc alloc 8 in
       let combiner = Locks.Trylock.make mem (Alloc.alloc alloc 8) in
       let dist = cfg.Config.dist_rw in
@@ -565,7 +346,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       let slots = Alloc.alloc alloc (beta * slot_words) in
       Memory.write mem lt_addr 0;
       Memory.write mem (ctrl + off_update_now + rid) 0;
-      { rid; socket = rid; ds; view; alloc; lt_addr; combiner; rw; slots;
+      { rid; socket = rid; ds; alloc; lt_addr; combiner; rw; slots;
         solo = workers.(rid) = 1 }
     in
     let make_prep pa src =
@@ -680,16 +461,17 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
        at once. *)
     let deferred = ref [] in
     let set_root slot v =
-      if Option.is_some replay || Option.is_some lsm then
+      if Option.is_some replay || Option.is_some store then
         deferred := (slot, v) :: !deferred
       else Roots.set roots slot v
     in
+    let tel = Phases.make ~tag:cfg.Config.tag () in
     (* persistent side *)
-    let p_alloc, p_reps, ct_addr, lsm, shadow_view =
+    let p_alloc, p_reps, ct_addr, ckpt =
       if mode = Config.Volatile then begin
         let ct = ctrl + 40 in
         Memory.write mem ct 0;
-        (None, [||], ct, None, fresh_view ~hydrated:true)
+        (None, [||], ct, classic mem roots cfg None)
       end
       else begin
         let pa =
@@ -712,7 +494,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           end
         in
         let rb = cfg.Config.root_base in
-        let p_reps, lsm, shadow_view =
+        let p_reps, ckpt =
           if not cfg.Config.lsm_ckpt then begin
             let p0, p1 =
               match rebuilt with
@@ -729,16 +511,13 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
             set_root (rb + slot_active) 0;
             set_root (rb + slot_meta0) p0.meta;
             set_root (rb + slot_meta1) p1.meta;
-            ([| p0; p1 |], None, fresh_view ~hydrated:true)
+            ([| p0; p1 |], classic mem roots cfg (Some pa))
           end
           else begin
-            (* Incremental backend: no NVM replica copies. The persistence
-               thread runs one volatile *shadow* of the object (its
-               catch-up feeds the memtable with post-image values); the
-               durable truth is the manifest + sealed segments. Both
-               p-replica metadata slots are DRAM words pointing at the one
-               shadow — they advance together, which keeps the laggard
-               machinery of Algorithm 3 working unchanged. *)
+            (* No NVM replica: the persistence thread runs one volatile
+               shadow, and both p-replica tails are DRAM words, the
+               shadow's tail and the seal watermark, which keeps Algorithm
+               3's laggard machinery working unchanged. *)
             let shadow =
               Context.with_allocator
                 (Alloc.create_volatile mem ~home:p_socket)
@@ -748,32 +527,21 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
             Memory.write mem m0 0;
             Memory.write mem m1 0;
             set_root (rb + slot_active) 0;
-            let lsm =
-              match lsm with
-              | Some (l, _) -> l
-              | None ->
-                (* checkpoint zero: seal the initial state (if any) and
-                   publish epoch 1, so recovery always finds a manifest *)
-                let manifest = Manifest.create pa in
-                set_root (lsm_manifest_slot rb) (Manifest.base manifest);
-                let l =
-                  Lsm.make mem manifest ~fanout:cfg.Config.lsm_fanout
-                    ~segs:[] ~epoch:0
-                in
-                Lsm.seal l pa (Array.of_list (pairs (Ds.snapshot master_ds)))
-                  ~sealed_lt:0;
-                l
+            let ckpt =
+              L.backend ?recovered:store mem ~pa ~p_socket ~log ~tails:(m0, m1)
+                ~replicas:n_replicas ~fanout:cfg.Config.lsm_fanout
+                ~publish_first:
+                  (cfg.Config.fault = Config.Manifest_before_segment_seal)
+                ~tel ~register:(set_root (lsm_manifest_slot rb)) master_ds
             in
-            let p0 = { meta = m0; pds = shadow }
-            and p1 = { meta = m1; pds = shadow } in
-            ([| p0; p1 |], Some lsm, view_of_copy ())
+            ([| { meta = m0; pds = shadow }; { meta = m1; pds = shadow } |], ckpt)
           end
         in
         if mode = Config.Durable then begin
           set_root (rb + slot_ct) ct_addr;
           set_root (rb + slot_log) log.Log.base
         end;
-        (Some pa, p_reps, ct_addr, lsm, shadow_view)
+        (Some pa, p_reps, ct_addr, ckpt)
       end
     in
     (* announce/response table: reattach the pre-crash one through its root
@@ -823,9 +591,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         detect_responses = 0;
         detect_reconciled = 0;
         txn_gate = None;
-        tel = Phases.make ~tag:cfg.Config.tag ();
-        lsm;
-        shadow_view;
+        tel;
+        ckpt;
         ckpt_count = 0;
         ckpt_cost_total = 0;
         ckpt_cost_last = 0;
@@ -855,61 +622,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
 
   let my_replica t = t.replicas.(Sim.socket ())
 
-  (* ---- lazy rematerialisation ([Config.lsm_ckpt]) ---- *)
-
-  (** Ensure [key]'s truth is in [ds]: if [view] hasn't resolved it yet,
-      look it up in the segment store and [key_put] a live hit. Charged
-      reads/writes; the caller holds write access to the structure. *)
-  let materialize l view ds key =
-    if (not view.hydrated) && not (Hashtbl.mem view.resolved key) then begin
-      (match Lsm.store_find l key with
-       | Some v when v <> Segment.tombstone ->
-         Ds.key_put ds key v;
-         l.Lsm.materialized <- l.Lsm.materialized + 1
-       | Some _ (* tombstone *) | None -> ());
-      Hashtbl.replace view.resolved key ()
-    end
-
-  (** Full hydration, for [Read_all] ops (aggregates like size must see
-      every live key): resolve every key of every segment, newest first.
-      One-time cost after a recovery; a no-op forever after. *)
-  let hydrate l view ds =
-    if not view.hydrated then begin
-      List.iter
-        (fun m ->
-          Array.iter
-            (fun (k, _) -> materialize l view ds k)
-            (Segment.to_array l.Lsm.mem m))
-        l.Lsm.segs;
-      view.hydrated <- true
-    end
-
-  (** Resolve the key footprint of [op]/[args] so it may run on a possibly
-      partially-hydrated handle of store [l]. *)
-  let prepare l view ds ~op ~args =
-    if not view.hydrated then
-      match Ds.classify ~op ~args with
-      | Seqds.Ds_intf.Keyed { written; read } ->
-        Array.iter (materialize l view ds) written;
-        Array.iter (materialize l view ds) read
-      | Seqds.Ds_intf.Read_all -> hydrate l view ds
-      | Seqds.Ds_intf.Opaque ->
-        invalid_arg "Prep_uc: --lsm-ckpt requires keyed-map operations"
-
-  let lsm_prepare t view ds ~op ~args =
-    match t.lsm with Some l -> prepare l view ds ~op ~args | None -> ()
-
-  (* cost-free check: would [lsm_prepare] have any work to do? (readers use
-     it to decide whether they need the write lock) *)
-  let lsm_needs t view ~op ~args =
-    t.lsm <> None
-    && (not view.hydrated)
-    && (match Ds.classify ~op ~args with
-       | Seqds.Ds_intf.Keyed { written; read } ->
-         let unresolved k = not (Hashtbl.mem view.resolved k) in
-         Array.exists unresolved written || Array.exists unresolved read
-       | Seqds.Ds_intf.Read_all | Seqds.Ds_intf.Opaque -> true)
-
   (** Apply published log entries [localTail, upto) to replica [r]. Caller
       holds the replica's write lock and has the right allocator bound. *)
   let update_from_log t r ~upto =
@@ -918,7 +630,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       Phases.in_span t.tel (fun pt -> pt.Phases.catchup) (fun () ->
           for idx = lt to upto - 1 do
             let op, args = Log.wait_and_read t.log idx in
-            lsm_prepare t r.view r.ds ~op ~args;
+            t.ckpt.prepare r.rid r.ds ~op ~args;
             ignore (Ds.execute r.ds ~op ~args)
           done;
           Memory.write t.mem r.lt_addr upto)
@@ -1169,7 +881,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         (* apply own batch from the collected copies and answer *)
         List.iteri
           (fun i (core, op, args, _) ->
-            lsm_prepare t r.view r.ds ~op ~args;
+            t.ckpt.prepare r.rid r.ds ~op ~args;
             let resp = Ds.execute r.ds ~op ~args in
             let s = slot_addr r core in
             Memory.write t.mem (s + sl_resp) resp;
@@ -1188,7 +900,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         let resps =
           List.map
             (fun (core, op, args, seq) ->
-              lsm_prepare t r.view r.ds ~op ~args;
+              t.ckpt.prepare r.rid r.ds ~op ~args;
               let resp = Ds.execute r.ds ~op ~args in
               (match t.ann with
                | Some ann ->
@@ -1289,12 +1001,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let rec loop () =
       let ct = read_ct t in
       if read_local_tail t r >= ct then
-        if lsm_needs t r.view ~op ~args then begin
+        if t.ckpt.needs_write r.rid ~op ~args then begin
           (* rematerialisation mutates the replica, so a reader that still
              has unresolved keys in its footprint runs under the write
              lock for this one operation *)
           Locks.Rw.write_acquire r.rw;
-          lsm_prepare t r.view r.ds ~op ~args;
+          t.ckpt.prepare r.rid r.ds ~op ~args;
           let resp = Ds.execute r.ds ~op ~args in
           Locks.Rw.write_release r.rw;
           resp
@@ -1368,80 +1080,18 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
 
   (* ---- persistence thread (Algorithm 2) ---- *)
 
-  (* The paper's whole-replica checkpoint: write back the persistent
-     heap, then swap active/stable and persist the switch. *)
-  let flush_and_swap t =
-    (match t.cfg.Config.flush with
-     | Config.Wbinvd -> Memory.wbinvd ~site:Persist.Prep_checkpoint t.mem
-     | Config.Flush_heap ->
-       (* walk the persistent heap and write back whatever is dirty; pays
-          per line instead of the WBINVD stall — the small-structure
-          alternative of §6 *)
-       List.iter
-         (fun aid -> Memory.flush_arena ~site:Persist.Prep_checkpoint t.mem aid)
-         (Alloc.arenas (Option.get t.p_alloc)));
-    Memory.sfence ~site:Persist.Prep_checkpoint t.mem;
-    (* swap active/stable and persist the switch before opening the next
-       window (see module comment on ordering) *)
-    let active = Roots.get t.roots (rslot t slot_active) in
-    Roots.set t.roots (rslot t slot_active) (1 - active)
-
-  (** The incremental checkpoint ([Config.lsm_ckpt]'s replacement for
-      [flush_and_swap]): drain the memtable — exactly the keys written
-      since the last seal — into fresh level-0 segments, then publish a
-      manifest naming them with [sealed_lt] advanced to the shadow's
-      tail. O(dirty) instead of O(replica); there is no active/stable
-      swap — the manifest epoch *is* the swap. The planted
-      [Manifest_before_segment_seal] fault inverts the publish/build
-      order, leaving a crash window where the durable manifest names torn
-      segments whose effects [sealed_lt] claims are covered. *)
-  let lsm_seal t l =
-    let reached = Memory.read t.mem t.p_reps.(0).meta in
-    let recs = Segment.Memtable.drain_sorted l.Lsm.memtable in
-    if Array.length recs > 0 || reached > l.Lsm.sealed_lt then begin
-      (* Advancing [sealed_lt] to [reached] asserts that recovery may skip
-         replaying entries below it — so every entry the segments cover
-         must be durable in the log *before* the manifest naming them is.
-         The classic checkpoint gets this for free (WBINVD/heap walk
-         flushes the log arenas too); the incremental one must sweep the
-         sealed window explicitly or a crash could keep a sealed effect
-         whose log entry never reached media. No-op in buffered mode
-         (DRAM log), whose recovery never replays. *)
-      Log.persist_range t.log ~first:l.Lsm.sealed_lt
-        ~n:(reached - l.Lsm.sealed_lt);
-      Log.fence t.log;
-      (* [Lsm.seal] builds before the metas become visible in [l.segs]:
-         the compaction fiber shares this core and yields interleave with
-         [Segment.build]'s stores, so publishing an unbuilt segment to the
-         mounted set would let a concurrent merge read its still-zero
-         records and splice the real ones out of the store (silent loss
-         that only a post-crash recovery can see). *)
-      Lsm.seal l (Option.get t.p_alloc) recs ~sealed_lt:reached
-        ~publish_first:
-          (t.cfg.Config.fault = Config.Manifest_before_segment_seal);
-      l.Lsm.seals <- l.Lsm.seals + 1;
-      l.Lsm.keys_sealed <- l.Lsm.keys_sealed + Array.length recs;
-      (* release the log window the seal just covered: the stable tail is
-         the seal watermark (see the catch-up path), and advancing it only
-         now — after the manifest publish — keeps the replayable suffix
-         pinned against reuse until its effects are durable in segments *)
-      Memory.write t.mem t.p_reps.(1).meta reached
-    end
-
   (* One checkpoint at the flush boundary, whichever the backend, then the
      next ε window opens. Its simulated time is the checkpoint cost,
      comparable across both backends. *)
   let checkpoint t =
-    Phases.in_span t.tel
-      (fun pt -> if t.lsm = None then pt.Phases.persist else pt.Phases.seal)
-    @@ fun () ->
+    Phases.in_span t.tel t.ckpt.span @@ fun () ->
     let t0 = Sim.now () in
     (* injected fault: opening the next window before the checkpoint is
        durable lets completed ops race two windows ahead of the stable
        state, so a crash mid-checkpoint loses up to ~2ε ops *)
     if t.cfg.Config.fault = Config.Early_boundary_advance then
       write_flush_boundary t (read_flush_boundary t + t.cfg.Config.epsilon);
-    (match t.lsm with None -> flush_and_swap t | Some l -> lsm_seal t l);
+    t.ckpt.checkpoint ();
     t.ckpt_count <- t.ckpt_count + 1;
     t.ckpt_cost_last <- Sim.now () - t0;
     t.ckpt_cost_total <- t.ckpt_cost_total + t.ckpt_cost_last;
@@ -1466,34 +1116,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
        Telemetry.Registry.span_enter pt.Phases.reg
          (Telemetry.Registry.span pt.Phases.reg span_name)
      | None -> ());
-    (* How the catch-up applies one log entry: to the NVM replica itself,
-       under the persistent allocator (classic), or to the volatile shadow
-       on the default allocator (lsm), after which the dirty tracker reads
-       the post-image of every written key off the shadow and folds it
-       into the memtable — the value a future segment will carry. *)
-    let in_heap, apply =
-      match t.lsm with
-      | None ->
-        ( Context.with_persistent,
-          fun rep ~op ~args -> ignore (Ds.execute rep.pds ~op ~args) )
-      | Some l ->
-        ( (fun f -> f ()),
-          fun rep ~op ~args ->
-            prepare l t.shadow_view rep.pds ~op ~args;
-            ignore (Ds.execute rep.pds ~op ~args);
-            match Ds.classify ~op ~args with
-            | Seqds.Ds_intf.Keyed { written; _ } ->
-              Array.iter
-                (fun k ->
-                  match Ds.key_get rep.pds k with
-                  | Some v -> Segment.Memtable.put l.Lsm.memtable k v
-                  | None -> Segment.Memtable.del l.Lsm.memtable k)
-                written
-            | Seqds.Ds_intf.Read_all -> ()
-            | Seqds.Ds_intf.Opaque ->
-              invalid_arg "Prep_uc: --lsm-ckpt requires keyed-map operations"
-        )
-    in
     while not t.stop_flag do
       let active = Roots.get t.roots (rslot t slot_active) in
       let rep = t.p_reps.(active) in
@@ -1507,29 +1129,21 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
            below must never contain an effect recovery could roll back. *)
         Phases.in_span t.tel (fun pt -> pt.Phases.catchup) (fun () ->
             let reached = ref lt in
-            in_heap (fun () ->
-                try
-                  for idx = lt to tail - 1 do
-                    let op, args = Log.wait_and_read t.log idx in
-                    (match t.txn_gate with
-                     | Some gate when not (gate ~op ~args) -> raise Exit
-                     | _ -> ());
-                    apply rep ~op ~args;
-                    reached := idx + 1
-                  done
-                with Exit -> ());
-            (* Under lsm the active replica is always replica 0 (a seal
-               never swaps), and only its tail follows the shadow. The
-               stable tail is repurposed as the seal watermark: it stays
-               at [sealed_lt] so Algorithm 3's reuse guard keeps every
-               unsealed entry in [sealed_lt, reached) pinned in the log —
-               recovery replays exactly that suffix, and a writer lapping
-               it would overwrite entries the durable state still depends
-               on. When it pins logMin, the laggard-force path lowers the
-               flush boundary, which triggers an early seal instead of an
-               early swap. *)
+            (try
+               for idx = lt to tail - 1 do
+                 let op, args = Log.wait_and_read t.log idx in
+                 (match t.txn_gate with
+                  | Some gate when not (gate ~op ~args) -> raise Exit
+                  | _ -> ());
+                 t.ckpt.catch_up rep.pds ~op ~args;
+                 reached := idx + 1
+               done
+             with Exit -> ());
+            (* under lsm the active replica is always 0 (a seal never
+               swaps): its tail follows the shadow, and the stable one is
+               the seal watermark ([Lsm_ckpt.Make.backend]) *)
             if !reached > lt then Memory.write t.mem rep.meta !reached);
-      Option.iter Lsm.apply_pending t.lsm (* fold in a finished merge *);
+      t.ckpt.poll ();
       if read_flush_boundary t <= Memory.read t.mem rep.meta then checkpoint t
       else Sim.spin ()
     done;
@@ -1540,76 +1154,18 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
      | None -> ());
     t.p_thread_running <- false
 
-  (** Background size-tiered compaction ([Config.lsm_ckpt]): whenever a
-      level accumulates [lsm_fanout] adjacent segments, merge them
-      (newest-wins, tombstones dropped only when the run reaches the
-      store's oldest segment) into one sealed segment at the next level.
-      The fiber builds and seals the merged segments itself but never
-      touches the manifest: the finished merge is handed to the
-      persistence thread through [l.pending], keeping the manifest
-      single-writer. Runs on the persistence core (fibers share cores). *)
-  let compaction_loop t l =
-    Context.bind
-      ~default:(Alloc.create_volatile t.mem ~home:t.p_socket)
-      ?persistent:t.p_alloc ();
-    while not t.stop_flag do
-      match Lsm.pick_merge l with
-      | None -> Sim.spin ()
-      | Some run ->
-        Phases.in_span t.tel (fun pt -> pt.Phases.compact) (fun () ->
-            (* a tombstone may only be dropped when nothing older could
-               still hold the key it shadows *)
-            let oldest_included =
-              match List.rev l.Lsm.segs with
-              | [] -> false
-              | oldest :: _ -> List.memq oldest run
-            in
-            let seen = Hashtbl.create 256 and acc = ref [] in
-            List.iter
-              (fun m ->
-                Array.iter
-                  (fun (k, v) ->
-                    if not (Hashtbl.mem seen k) then begin
-                      Hashtbl.replace seen k ();
-                      if not (oldest_included && v = Segment.tombstone) then
-                        acc := (k, v) :: !acc
-                    end)
-                  (Segment.to_array t.mem m))
-              run;
-            let recs =
-              Array.of_list
-                (List.sort (fun (a, _) (b, _) -> compare a b) !acc)
-            in
-            let level = (List.hd run).Segment.level + 1 in
-            let merged =
-              if Array.length recs = 0 then []
-              else begin
-                let pa = Option.get t.p_alloc in
-                let planned = Lsm.plan_segments pa ~level recs in
-                Lsm.build_planned l ~level planned;
-                List.map (fun (_, _, m) -> m) planned
-              end
-            in
-            l.Lsm.pending <- Some { Lsm.replaced = run; merged });
-        (* wait for the persistence thread to fold the merge into the
-           manifest before scanning for the next one *)
-        while l.Lsm.pending <> None && not t.stop_flag do
-          Sim.spin ()
-        done
-    done
-
-  (** Spawn the persistence thread on its dedicated core — plus, under
-      [--lsm-ckpt], the compaction fiber sharing that core. No-op for the
+  (** Spawn the persistence thread on its dedicated core — plus the
+      backend's background fiber, if any, sharing that core. No-op for the
       volatile variant. *)
   let start_persistence t =
     if has_persistence t then begin
       Sim.spawn_here ~socket:t.p_socket ~core:(t.beta - 1) (fun () ->
           persistence_loop t);
       Option.iter
-        (fun l ->
+        (fun f ->
           Sim.spawn_here ~socket:t.p_socket ~core:(t.beta - 1) (fun () ->
-              compaction_loop t l))
-        t.lsm
+              f ~stopped:(fun () -> t.stop_flag)))
+        t.ckpt.background
     end
 
   let stop t = t.stop_flag <- true
@@ -1621,8 +1177,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
 
   (** Harness-side counters for the gated hot-path optimisations (all zero
       when the corresponding flag is off), keyed for the bench JSON. *)
-  let lsm_counter t f = match t.lsm with Some l -> f l | None -> 0
-
   let counters t =
     let read_acquires = ref 0 and writer_sweeps = ref 0 in
     Array.iter
@@ -1642,16 +1196,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       ("ckpt_count", t.ckpt_count);
       ("ckpt_cost_total", t.ckpt_cost_total);
       ("ckpt_cost_last", t.ckpt_cost_last);
-      ("lsm_seals", lsm_counter t (fun l -> l.Lsm.seals));
-      ("lsm_segments_built", lsm_counter t (fun l -> l.Lsm.segments_built));
-      ("lsm_keys_sealed", lsm_counter t (fun l -> l.Lsm.keys_sealed));
-      ("lsm_compactions", lsm_counter t (fun l -> l.Lsm.compactions));
-      ("lsm_segments_live", lsm_counter t (fun l -> List.length l.Lsm.segs));
-      ("lsm_bloom_skips", lsm_counter t (fun l -> l.Lsm.bloom_skips));
-      ("lsm_range_skips", lsm_counter t (fun l -> l.Lsm.range_skips));
-      ("lsm_seg_finds", lsm_counter t (fun l -> l.Lsm.seg_finds));
-      ("lsm_materialized", lsm_counter t (fun l -> l.Lsm.materialized));
     ]
+    @ t.ckpt.counters ()
 
   (** Port the instance's counters onto registry [reg], *adding* to any
       values already there — so sampling several instances into one
@@ -1674,44 +1220,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         Locks.Rw.write_release r.rw)
       t.replicas
 
-  (** Cost-free snapshot of the abstract state (replica 0's view). Under
-      [--lsm-ckpt] a partially-hydrated replica's snapshot is the merge of
-      its ds (truth for every resolved key) over the segment store's live
-      view (truth for the rest) — the flattened sorted-pair convention of
-      the keyed maps. *)
-  let snapshot t =
-    let r = t.replicas.(0) in
-    match t.lsm with
-    | Some l when not r.view.hydrated ->
-      let own = pairs (Ds.snapshot r.ds) in
-      let store =
-        List.filter
-          (fun (k, _) -> not (Hashtbl.mem r.view.resolved k))
-          (Lsm.peek_live l)
-      in
-      List.concat_map
-        (fun (k, v) -> [ k; v ])
-        (List.sort compare (own @ store))
-    | _ -> Ds.snapshot r.ds
-
-  (** Order-independent hash of every bit of volatile [--lsm-ckpt] state
-      the memory fingerprints cannot see — memtable, mounted segment set,
-      pending merges, per-replica hydration — for the explorer's state
-      dedup. Zero when the backend is off. *)
-  let lsm_ghost t =
-    match t.lsm with
-    | None -> 0
-    | Some l ->
-      let view_hash v =
-        Hashtbl.fold
-          (fun k () acc -> acc lxor Memory.mix k)
-          v.resolved
-          (if v.hydrated then 1 else 2)
-      in
-      let h = ref (Lsm.ghost l) in
-      Array.iter (fun r -> h := Memory.h2 !h (view_hash r.view)) t.replicas;
-      h := Memory.h2 !h (view_hash t.shadow_view);
-      !h
+  (** Cost-free snapshot of the abstract state (replica 0's view). *)
+  let snapshot t = t.ckpt.snapshot t.replicas.(0).ds
 
   (** Hash of the instance's ghost (OCaml-heap) progress the memory
       fingerprints cannot see — stop flag, trace, [--lsm-ckpt] state,
@@ -1721,24 +1231,31 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     Memory.h2
       (if t.stop_flag then 1 else 0)
       (Memory.h2 (Trace.hash t.trace)
-         (Memory.h2 (lsm_ghost t) (Array.fold_left Memory.h2 0 t.next_seq)))
+         (Memory.h2 (t.ckpt.ghost ()) (Array.fold_left Memory.h2 0 t.next_seq)))
 
   (* ---- recovery (paper §5.1 / §5.2) ---- *)
 
-  (* The stable checkpoint recovery replays into: the classic stable NVM
-     replica, or the incremental backend's store — its manifest, the
-     segment set that manifest names, and its [sealed_lt]. *)
-  type mounted = Replica of Ds.handle | Store of Lsm.t
-
-  (* Mount the stable checkpoint through the roots, writing nothing, and
-     return it with the log index it covers up to. A torn newest manifest
-     record falls back to the previous epoch inside [Manifest.load]; torn
-     segments, which only the planted fault can produce, are dropped. *)
+  (* Mount the stable checkpoint through the roots, writing nothing — the
+     backend is chosen here — and return the log index it covers up to
+     with its replay, which builds the recovered instance: classic, from
+     the stable replica ([build]'s [replay]); lsm, from the manifest's
+     segments and [sealed_lt] ([Lsm_ckpt.Make.replay]). *)
   let mount old_t =
     let mem = old_t.mem and roots = old_t.roots and cfg = old_t.cfg in
     let rb = cfg.Config.root_base in
-    match old_t.lsm with
-    | None ->
+    if cfg.Config.lsm_ckpt then begin
+      let l =
+        Lsm_ckpt.mount mem
+          ~base:(Roots.get roots (lsm_manifest_slot rb))
+          ~fanout:cfg.Config.lsm_fanout
+      in
+      ( l.Lsm_ckpt.sealed_lt,
+        fun ~scan ~suffix ~reconcile ~cores:_ ->
+          Sim.Once.fill suffix (scan ());
+          let master, view = L.replay l (Sim.Once.get suffix) ~reconcile in
+          build ~store:(l, view) mem roots cfg ~prefill:[] ~master:(Some master) )
+    end
+    else begin
       let active = Roots.get roots (rb + slot_active) in
       let stable = 1 - active in
       let stable_meta =
@@ -1746,25 +1263,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       in
       let stable_lt = Memory.read mem stable_meta in
       let stable_root = Memory.read mem (stable_meta + 1) in
-      (Replica (Ds.attach mem stable_root), stable_lt)
-    | Some _ ->
-      let manifest =
-        Manifest.attach mem ~base:(Roots.get roots (lsm_manifest_slot rb))
-      in
-      let mrec =
-        match Manifest.load manifest with
-        | Some r -> r
-        | None ->
-          (* the initial publish is fenced before any op can complete *)
-          failwith "Prep_uc.recover: no valid manifest record on media"
-      in
-      let l =
-        Lsm.make mem manifest ~fanout:cfg.Config.lsm_fanout
-          ~segs:(List.filter_map (Segment.mount mem) mrec.Manifest.segs)
-          ~epoch:mrec.Manifest.epoch
-      in
-      l.Lsm.sealed_lt <- mrec.Manifest.sealed_lt;
-      (Store l, l.Lsm.sealed_lt)
+      let stable_ds = Ds.attach mem stable_root in
+      ( stable_lt,
+        fun ~scan ~suffix ~reconcile ~cores ->
+          build ~replay:(scan, suffix, reconcile) ?cores mem roots cfg
+            ~prefill:[] ~master:(Some stable_ds) )
+    end
 
   (* The log entries replay applies, as (index, op, args, tag), from the
      checkpoint's tail [from] to the recovered completedTail [ct], skipping
@@ -1861,30 +1365,21 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       [recovery_width]); the cores its own fibers leave idle become the
       copies' helpers. Must run inside a fiber.
 
-      One spine serves both checkpoint backends: mount the checkpoint,
+      One spine serves both checkpoint backends: [mount] the checkpoint,
       scan the durable suffix past its tail once, replay, then account
       for durability (which charges nothing). Only the replay is
-      backend-specific:
-      - classic: [build] makes every replica a copy of the untouched
-        stable replica with the suffix replayed into it, the scan running
-        on a fiber of its own while the copies are made, and a large
-        copy split across its helper cores. Until [install]
-        runs, recovery changes no pre-crash NVM word except reconciled
-        response slots, so a crash at any point before then leaves the
-        checkpoint and log it started from, and recovering again gives
-        the same result;
-      - lsm: scan, then replay into an empty volatile master,
-        rematerialising from the segments exactly the keys the replay
-        touches — time to first operation is O(suffix), independent of
-        the object's size — then seal the replay's dirty set and publish
-        a new manifest epoch with [sealed_lt] reset, because the rebuilt
-        instance starts a fresh log. *)
+      backend-specific ([mount]; classic's and lsm's recovery are
+      contrasted in DESIGN.md's "Checkpoint backends"). Under classic,
+      until [install] runs, recovery changes no pre-crash NVM word except
+      reconciled response slots, so a crash at any point before then
+      leaves the checkpoint and log it started from, and recovering again
+      gives the same result. *)
   let rebuild ?keep ?cores old_t =
     if not (has_persistence old_t) then
       invalid_arg "Prep_uc.recover: volatile variant cannot recover";
     let mem = old_t.mem and roots = old_t.roots and cfg = old_t.cfg in
     let rb = cfg.Config.root_base in
-    let mounted, base_lt = mount old_t in
+    let base_lt, replay = mount old_t in
     let durable = cfg.Config.mode = Config.Durable in
     let ct =
       if durable then Memory.read mem (Roots.get roots (rb + slot_ct)) else 0
@@ -1918,47 +1413,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         end
       | None -> ()
     in
-    let t, install =
-      match mounted with
-      | Replica stable ->
-        build ~replay:(scan, suffix, reconcile) ?cores mem roots cfg ~prefill:[]
-          ~master:(Some stable)
-      | Store l ->
-        Sim.Once.fill suffix (scan ());
-        Context.bind ~default:(Alloc.create_volatile mem ~home:0) ();
-        let pa =
-          Alloc.create_persistent mem
-            ~home:((Sim.topology ()).Sim.Topology.sockets - 1)
-        in
-        Context.set_persistent pa;
-        let master = Ds.create mem in
-        let view = fresh_view ~hydrated:false in
-        let dirty = Hashtbl.create 64 in
-        Array.iter
-          (fun ((_, op, args, _) as e) ->
-            prepare l view master ~op ~args;
-            (match Ds.classify ~op ~args with
-             | Seqds.Ds_intf.Keyed { written; _ } ->
-               Array.iter (fun k -> Hashtbl.replace dirty k ()) written
-             | Seqds.Ds_intf.Read_all | Seqds.Ds_intf.Opaque -> ());
-            reconcile e (Ds.execute master ~op ~args))
-          (Sim.Once.get suffix);
-        (* seal the replay's effects: anything dirty that stayed only in
-           the volatile master would be lost by the *next* crash once
-           [sealed_lt] resets *)
-        let recs =
-          Hashtbl.fold
-            (fun k () acc ->
-              match Ds.key_get master k with
-              | Some v -> (k, v) :: acc
-              | None -> (k, Segment.tombstone) :: acc)
-            dirty []
-        in
-        Lsm.seal l pa
-          (Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) recs))
-          ~sealed_lt:0;
-        build ~lsm:(l, view) mem roots cfg ~prefill:[] ~master:(Some master)
-    in
+    let t, install = replay ~scan ~suffix ~reconcile ~cores in
     let report, prefill = account old_t ~base_lt ~ct (Sim.Once.get suffix) in
     ( { t with prefill; detect_reconciled = !reconciled },
       { report with reconciled = !reconciled },

@@ -68,10 +68,8 @@ type result = {
 let legacy_counter_keys =
   [ "rw_read_acquires"; "rw_writer_sweeps"; "log_primary_reads";
     "log_mirror_reads"; "log_mirror_stores"; "detect_announces";
-    "detect_responses"; "detect_reconciled"; "ckpt_count"; "ckpt_cost_total"; "ckpt_cost_last";
-    "lsm_seals"; "lsm_segments_built"; "lsm_keys_sealed"; "lsm_compactions";
-    "lsm_segments_live"; "lsm_bloom_skips"; "lsm_range_skips";
-    "lsm_seg_finds"; "lsm_materialized" ]
+    "detect_responses"; "detect_reconciled"; "ckpt_count"; "ckpt_cost_total"; "ckpt_cost_last" ]
+  @ Prep.Lsm_ckpt.counter_names
 
 (** The system-specific counters of [r], in the pre-telemetry key order.
     Keys a system never sampled (GL, CX, SOFT) are absent, exactly as

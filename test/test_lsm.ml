@@ -8,6 +8,7 @@
    partially-flushed segment body under a durable header. *)
 
 open Nvm
+open Prep
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -239,15 +240,17 @@ let test_torn_manifest_falls_back () =
 
 (* ---- random write/seal/compact/crash scripts ----
 
-   A miniature of the engine's storage lifecycle, driven against a pure
-   reference: puts and deletes accumulate in a memtable (reference map
-   [all]); SEAL drains it into a sealed level-0 segment and publishes the
-   manifest (promoting the drained effects into the durable reference
-   [sealed]); COMPACT merges the oldest same-level run into one
-   next-level segment, newest shadow winning, and republishes; CRASH
-   wipes coherent state, remounts from the manifest, and the remounted
-   live view must equal [sealed] exactly — nothing sealed may be lost,
-   nothing unsealed may survive. *)
+   The store's lifecycle, driven through [Lsm_ckpt] itself against a pure
+   reference: puts and deletes accumulate in the store's memtable; SEAL
+   drains it with [Lsm_ckpt.seal] into sealed level-0 segments and
+   publishes the manifest, promoting the drained effects into the durable
+   reference [sealed]; COMPACT runs one production merge ([pick_merge],
+   [merge], [apply_pending]): the oldest contiguous run of [fanout]
+   same-level segments, newest shadow winning, tombstones dropped only when
+   the run reaches the oldest segment; CRASH wipes coherent state and
+   remounts with [Lsm_ckpt.mount], and the remounted live view must equal
+   [sealed] exactly — nothing sealed may be lost, nothing unsealed may
+   survive. *)
 
 type script_op =
   | Put of int * int
@@ -269,142 +272,92 @@ let script_gen =
            | _ -> Crash)
          (triple (int_bound 6) (int_bound 40) (int_bound 1000))))
 
-let live_view mem segs =
-  let seen = Hashtbl.create 64 and acc = ref [] in
-  List.iter
-    (fun m ->
-      Array.iter
-        (fun (k, v) ->
-          if not (Hashtbl.mem seen k) then begin
-            Hashtbl.replace seen k ();
-            if v <> Segment.tombstone then acc := (k, v) :: !acc
-          end)
-        (Segment.peek_array mem m))
-    segs;
-  List.sort compare !acc
-
 let sorted_of_tbl tbl =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let fanout = 3
 
+(* Runs [script] and returns the number of merges it applied. *)
 let run_script script =
   with_store (fun mem pa0 ->
       let pa = ref pa0 in
-      let man = Manifest.create !pa in
-      let mt = Segment.Memtable.create () in
-      let segs = ref [] (* newest first *) and epoch = ref 0 in
-      let all = Hashtbl.create 64 (* coherent reference *) in
+      let l = ref (Lsm_ckpt.create mem !pa ~fanout) in
+      let base = Manifest.base !l.Lsm_ckpt.manifest in
       let sealed = Hashtbl.create 64 (* durable reference *) in
-      let publish () =
-        incr epoch;
-        Manifest.publish man ~epoch:!epoch ~sealed_lt:0
-          ~segs:(List.map (fun m -> m.Segment.addr) !segs)
-      in
-      publish ();
+      let merges = ref 0 in
       let seal () =
-        let recs = Segment.Memtable.drain_sorted mt in
-        if Array.length recs > 0 then begin
-          segs := build_seg mem !pa ~level:0 recs :: !segs;
-          publish ();
-          Array.iter
-            (fun (k, v) ->
-              if v = Segment.tombstone then Hashtbl.remove sealed k
-              else Hashtbl.replace sealed k v)
-            recs
-        end
+        let recs = Segment.Memtable.drain_sorted !l.Lsm_ckpt.memtable in
+        Lsm_ckpt.seal !l !pa recs ~sealed_lt:0;
+        Array.iter
+          (fun (k, v) ->
+            if v = Segment.tombstone then Hashtbl.remove sealed k
+            else Hashtbl.replace sealed k v)
+          recs
       in
+      (* checkpoint zero: recovery always finds a manifest *)
+      seal ();
       let compact () =
-        (* merge the oldest [fanout] segments when they sit on one level:
-           the tail of the list, so tombstones can be dropped *)
-        let n = List.length !segs in
-        if n >= fanout then begin
-          let keep, run =
-            List.filteri (fun i _ -> i < n - fanout) !segs,
-            List.filteri (fun i _ -> i >= n - fanout) !segs
-          in
-          let lv = (List.hd run).Segment.level in
-          if List.for_all (fun m -> m.Segment.level = lv) run then begin
-            let seen = Hashtbl.create 64 and acc = ref [] in
-            List.iter
-              (fun m ->
-                Array.iter
-                  (fun (k, v) ->
-                    if not (Hashtbl.mem seen k) then begin
-                      Hashtbl.replace seen k ();
-                      if v <> Segment.tombstone then acc := (k, v) :: !acc
-                    end)
-                  (Segment.to_array mem m))
-              run;
-            let recs =
-              Array.of_list (List.sort compare !acc)
-            in
-            let merged =
-              if Array.length recs = 0 then []
-              else [ build_seg mem !pa ~level:(lv + 1) recs ]
-            in
-            segs := keep @ merged;
-            publish ()
-          end
-        end
+        match Lsm_ckpt.pick_merge !l with
+        | None -> ()
+        | Some run ->
+          Lsm_ckpt.merge !l !pa run;
+          Lsm_ckpt.apply_pending !l;
+          incr merges
       in
       let crash () =
+        let epoch = !l.Lsm_ckpt.epoch in
         Memory.crash mem;
         (* allocator bookkeeping is volatile: recovered heaps never reuse
            pre-crash addresses *)
         pa := Alloc.create_persistent mem ~home:0;
-        let r =
-          match Manifest.load man with
-          | Some r -> r
+        let published =
+          match Manifest.load (Manifest.attach mem ~base) with
+          | Some r -> r.Manifest.segs
           | None -> Alcotest.fail "manifest lost by crash"
         in
-        check "no published epoch lost" !epoch r.Manifest.epoch;
-        let mounted = List.filter_map (Segment.mount mem) r.Manifest.segs in
-        check "every published segment mounts"
-          (List.length r.Manifest.segs)
-          (List.length mounted);
+        (* the memtable is volatile: the remount starts without it *)
+        l := Lsm_ckpt.mount mem ~base ~fanout;
+        check "no published epoch lost" epoch !l.Lsm_ckpt.epoch;
+        check "every published segment mounts" (List.length published)
+          (List.length !l.Lsm_ckpt.segs);
         List.iter
           (fun m ->
             check_bool "mounted segment passes audit" true
               (Segment.verify mem m))
-          mounted;
-        if live_view mem mounted <> sorted_of_tbl sealed then
-          Alcotest.fail "recovered live view diverged from sealed reference";
-        segs := mounted;
-        (* the memtable is volatile: its contents die with the crash *)
-        ignore (Segment.Memtable.drain_sorted mt);
-        Hashtbl.reset all;
-        Hashtbl.iter (Hashtbl.replace all) sealed
+          !l.Lsm_ckpt.segs;
+        if Lsm_ckpt.peek_live !l <> sorted_of_tbl sealed then
+          Alcotest.fail "recovered live view diverged from sealed reference"
       in
       List.iter
         (function
-          | Put (k, v) ->
-            Segment.Memtable.put mt k v;
-            Hashtbl.replace all k v
-          | Del k ->
-            Segment.Memtable.del mt k;
-            Hashtbl.remove all k
+          | Put (k, v) -> Segment.Memtable.put !l.Lsm_ckpt.memtable k v
+          | Del k -> Segment.Memtable.del !l.Lsm_ckpt.memtable k
           | Seal -> seal ()
           | Compact -> compact ()
           | Crash -> crash ())
         script;
       (* closing crash: whatever was sealed must be exactly recoverable *)
       crash ();
-      true)
+      !merges)
 
 let prop_scripts_recover_sealed_state =
   QCheck.Test.make ~count:150
     ~name:"random write/seal/compact/crash scripts recover the sealed state"
-    script_gen run_script
+    script_gen
+    (fun script -> run_script script >= 0)
 
 (* a fixed script that provably exercises every arm, so a regression
-   cannot hide behind generator luck *)
+   cannot hide behind generator luck: the first merge reaches the oldest
+   segment and drops key 1's tombstone; the second merges three level-0
+   segments above a level-1 one, so key 2's tombstone must survive it or
+   the older 21 resurfaces *)
 let test_scripted_lifecycle () =
   let script =
     [ Put (1, 10); Put (2, 20); Seal; Put (2, 21); Del 1; Seal;
-      Put (3, 30); Seal; Compact; Crash; Put (4, 40); Seal; Crash ]
+      Put (3, 30); Seal; Compact; Crash; Put (4, 40); Seal; Del 2; Seal;
+      Put (5, 50); Seal; Compact; Crash ]
   in
-  check_bool "lifecycle script passes" true (run_script script)
+  check "both merges ran" 2 (run_script script)
 
 let () =
   Alcotest.run "lsm"

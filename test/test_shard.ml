@@ -254,7 +254,7 @@ let test_fuzz_numa_cross_40 () =
    the flush boundary on that very prepare. These crash-free episodes of
    the benchmark's sharded mix (FliT, 40% multi-key, all cross-shard) at
    epsilon 8 wedged that way; the double check in [try_collect] ends them
-   clean. Each is [fuzz --variant durable --shards 4 --multi-pct 40
+   clean. Each is [fuzz --variant durable --uc-shards 4 --multi-pct 40
    --cross-pct 100 --epsilon 8 --no-crash --flit --seed N]. *)
 let test_combiner_no_self_deadlock seed () =
   let nshards = 4 in
@@ -716,7 +716,7 @@ let test_config_gates () =
         ~beta:4);
   Alcotest.check_raises "fault needs shards"
     (Invalid_argument
-       "Config: commit-before-prepare fault only exists with --shards >= 2")
+       "Config: commit-before-prepare fault only exists with --uc-shards >= 2")
     (fun () ->
       Config.validate
         (Config.make ~mode:Config.Durable
