@@ -145,11 +145,11 @@ let run_smoke path =
    The point of comparison is FliT: FliT elides flushes and fences
    *dynamically* (per-access clean-line tracking), the policy elides them
    *statically* (sites the explorer proved removable). Every site the
-   policy can drop, FliT's tracking also drops at runtime — the batched
-   log path skips the payload fence and clean-tracking skips the
-   post-checkpoint fence — so FliT+policy is expected to equal FliT on
-   traffic; the policy's win over FliT is reaching the same fence floor
-   with zero per-access bookkeeping. Gates, all on per-op traffic so
+   policy can drop, FliT also drops — it installs the same payload-fence
+   deferral, and clean-tracking skips the post-checkpoint fence at
+   runtime — so FliT+policy is expected to equal FliT on traffic (for the
+   payload fence by construction); the policy's win over FliT is reaching
+   the same fence floor with zero per-access bookkeeping. Gates, all on per-op traffic so
    faster variants aren't penalized for completing more ops:
 
    - the policy alone must cut fence traffic AND combined flush+fence
@@ -176,8 +176,8 @@ let run_persistgain path policy_arg =
   let scale = smoke_scale in
   let threads = 12 in
   (* a short persistence cycle keeps the checkpoint path hot, so the
-     deferred checkpoint fence is visible even under FliT (whose batched
-     log path already skips the payload fence the policy drops) *)
+     deferred checkpoint fence is visible even under FliT (which already
+     defers the payload fence the policy drops) *)
   let epsilon = 64 in
   let workload =
     Workload.map_workload ~read_pct:50 ~key_range:scale.Figures.key_range

@@ -135,7 +135,9 @@ let log_size = 16384
 let flit_arg =
   let doc =
     "Enable the FliT flush-elimination layer (PREP systems only): per-line \
-     flush tracking plus batched single-fence log persistence."
+     flush tracking plus a deferred combiner payload fence \
+     (log.fence_payload=defer-to-next-fence unless --persist-policy sets \
+     that site)."
   in
   Arg.(value & flag & info [ "flit" ] ~doc)
 

@@ -6,7 +6,8 @@
     Most weakenings are unsound — the whole point of the seed's protocol is
     that every one of those instructions is load-bearing. But a few are
     provably not: the combiner's phase-1 payload fence is subsumed by the
-    phase-2 fence (the same argument that justifies the FliT batched path),
+    phase-2 fence (a log entry is one cache line, so its payload and
+    emptyBit reach media together; [--flit] installs the same deferral),
     and the build-time zero-initialisation flushes write values the media
     already holds. This module *derives* that set instead of trusting a
     human: it measures which sites are hot, proposes one-site weakenings

@@ -95,11 +95,12 @@ type t = {
       (** enable FliT-style flush elimination, in two parts. The memory
           layer ([Nvm.Memory.set_flit]) tracks lines and changes only what
           a flush costs and which flushes are elided, never what reaches
-          media. The combiner's batched log persist in [Prep_uc] drops the
-          payload fence: one fence per batch instead of two, the weakening
-          [optimize-persist] admits as
-          [log.fence_payload=defer-to-next-fence]. Off by default so the
-          baseline variant stays byte-for-byte the paper's protocol. *)
+          media. [Prep_uc.build] also installs
+          [log.fence_payload=defer-to-next-fence] on the memory's policy,
+          the weakening [optimize-persist] admits, unless [persist_policy]
+          already sets that site: one log fence per combine round instead
+          of two. Off by default so the baseline variant stays
+          byte-for-byte the paper's protocol. *)
   dist_rw : bool;
       (** protect each replica with the distributed per-core reader-writer
           lock ([Locks.Dist_rwlock]) instead of the single-word lock:

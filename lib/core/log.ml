@@ -135,10 +135,10 @@ let persist_entry t idx =
     Memory.clwb ~site:Persist.Log_persist_entry t.mem (entry_addr t idx)
 
 (** Line-coalesced CLWB sweep over entries [first, first + n): one CLWB per
-    distinct cache line covered by the batch, not one per entry (durable
-    mode only; with FliT tracking enabled, re-sweeping the same range after
-    publishing coalesces into the queued write-backs instead of re-issuing
-    them). A wrapping batch is swept as its two contiguous halves. *)
+    distinct cache line covered by the range (durable mode only). The LSM
+    seal persists its replay window with it; the combiner persists its
+    batch entry by entry ([persist_entry]). A wrapping range is swept as
+    its two contiguous halves. *)
 let persist_range t ~first ~n =
   if t.durable && n > 0 then begin
     let sweep first n =
@@ -162,9 +162,9 @@ let persist_range t ~first ~n =
 
 (** Persistent fence (durable mode only). The combiner's two-phase persist
     passes its own [site] ([Log_fence_payload] / [Log_fence_publish]) so
-    the two fences are separately addressable by the persistency policy —
-    the payload fence is exactly the one the FliT batched path proved
-    droppable, and [optimize-persist] re-derives that as a policy. *)
+    the two fences are separately addressable by the persistency policy:
+    [optimize-persist] proves the payload fence deferrable, and [--flit]
+    installs that deferral ([Prep_uc.build]). *)
 let fence ?(site = Persist.Log_fence) t =
   if t.durable then Memory.sfence ~site t.mem
 

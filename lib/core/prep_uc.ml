@@ -282,10 +282,22 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let topo = Sim.topology () in
     let beta = topo.Sim.Topology.cores_per_socket in
     Config.validate cfg ~beta;
-    if cfg.Config.flit then Memory.set_flit mem true;
     (match cfg.Config.persist_policy with
      | Some p -> Memory.set_policy mem p
      | None -> ());
+    if cfg.Config.flit then begin
+      Memory.set_flit mem true;
+      (* FliT also defers the combiner's payload fence, as [optimize-persist]
+         admits, unless the configured policy sets that site. An entry is
+         one cache line, so a write-back carries payload and emptyBit to
+         media together: an unfenced publish-then-crash leaves only holes,
+         which recovery skips as uncompleted operations (§5.2). *)
+      let p = Persist.copy (Memory.policy mem) in
+      if Persist.get p Persist.Log_fence_payload = Persist.Emit then begin
+        Persist.set p Persist.Log_fence_payload Persist.Defer_to_next_fence;
+        Memory.set_policy mem p
+      end
+    end;
     let workers = socket_workers cfg topo in
     let n_replicas = replica_count cfg topo in
     let p_socket = topo.Sim.Topology.sockets - 1 in
@@ -820,59 +832,30 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       let new_tail = tail + n in
       let publish_span f = Phases.in_span t.tel (fun pt -> pt.Phases.publish) f
       and persist_span f = Phases.in_span t.tel (fun pt -> pt.Phases.persist) f in
-      let log_fence site =
+      let each f =
+        for i = tail to new_tail - 1 do
+          f i
+        done
+      in
+      let persist_batch site =
+        persist_span (fun () -> each (Log.persist_entry t.log));
         if not hoist_fences then
           persist_span (fun () -> Log.fence ~site t.log)
       in
-      if not t.cfg.Config.flit then begin
-        (* phase 1: payloads (arguments then op), write-backs, one fence *)
-        List.iteri
-          (fun i (core, op, args, seq) ->
-            publish_span (fun () ->
-                Log.write_payload t.log (tail + i) ~op ~args;
-                if detect then
-                  Log.write_tag t.log (tail + i) ~tid:(tid_of core) ~seqno:seq);
-            persist_span (fun () -> Log.persist_entry t.log (tail + i));
-            Trace.logged ~tid:(tid_of core) ~seqno:seq t.trace (tail + i) ~op
-              ~args)
-          batch;
-        log_fence Persist.Log_fence_payload;
-        (* phase 2: publish emptyBits, write-backs, one fence *)
-        List.iteri
-          (fun i _ ->
-            publish_span (fun () -> Log.publish t.log (tail + i));
-            persist_span (fun () -> Log.persist_entry t.log (tail + i)))
-          batch;
-        log_fence Persist.Log_fence_publish
-      end
-      else begin
-        (* Batched persistence: write every payload, sweep the batch's lines
-           once, publish every emptyBit, re-sweep (each CLWB coalesces into
-           the write-back queued by the first sweep), then a single fence.
-           Dropping the intermediate fence is safe in this model because an
-           entry is exactly one cache line: a write-back reaching media
-           carries payload and emptyBit together, so media can never hold a
-           published emptyBit with a torn payload — the invariant the
-           two-fence protocol exists to protect. Unfenced publish-then-crash
-           only produces holes, which recovery already skips as uncompleted
-           operations (§5.2). *)
-        publish_span (fun () ->
-            List.iteri
-              (fun i (core, op, args, seq) ->
-                Log.write_payload t.log (tail + i) ~op ~args;
-                if detect then
-                  Log.write_tag t.log (tail + i) ~tid:(tid_of core) ~seqno:seq;
-                Trace.logged ~tid:(tid_of core) ~seqno:seq t.trace (tail + i)
-                  ~op ~args)
-              batch);
-        persist_span (fun () -> Log.persist_range t.log ~first:tail ~n);
-        publish_span (fun () ->
-            List.iteri (fun i _ -> Log.publish t.log (tail + i)) batch);
-        persist_span (fun () ->
-            Log.persist_range t.log ~first:tail ~n;
-            if not hoist_fences then
-              Log.fence ~site:Persist.Log_fence_publish t.log)
-      end;
+      (* phase 1: payloads (arguments then op), write-backs, one fence *)
+      publish_span (fun () ->
+          List.iteri
+            (fun i (core, op, args, seq) ->
+              Log.write_payload t.log (tail + i) ~op ~args;
+              if detect then
+                Log.write_tag t.log (tail + i) ~tid:(tid_of core) ~seqno:seq;
+              Trace.logged ~tid:(tid_of core) ~seqno:seq t.trace (tail + i)
+                ~op ~args)
+            batch);
+      persist_batch Persist.Log_fence_payload;
+      (* phase 2: publish emptyBits, write-backs, one fence *)
+      publish_span (fun () -> each (Log.publish t.log));
+      persist_batch Persist.Log_fence_publish;
       Locks.Rw.write_acquire r.rw;
       update_from_log t r ~upto:tail;
       Memory.write t.mem r.lt_addr new_tail;

@@ -29,7 +29,7 @@
 type site =
   (* shared circular log (lib/core/log.ml) *)
   | Log_persist_entry  (** per-entry CLWB of a just-written log line *)
-  | Log_persist_range  (** batched line sweep of a reserved window *)
+  | Log_persist_range  (** line sweep of the lsm seal's replay window *)
   | Log_fence_payload  (** combine phase 1: fence after payload write-backs *)
   | Log_fence_publish  (** combine phase 2: fence after emptyBit write-backs *)
   | Log_fence  (** other log fences (lsm seal sweep, tests) *)

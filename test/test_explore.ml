@@ -281,7 +281,7 @@ let equivalent label ~stats base opt =
   check_bool (label ^ ": same terminal states") true
     (base.Check.Explore.terminal_states = opt.Check.Explore.terminal_states);
   pinned (label ^ " baseline") base
-    [ 8572; 105; 790341; 4027; 8467; 3644; 128; 999; 274 ];
+    [ 8572; 105; 790341; 4027; 8467; 3644; 129; 1001; 257 ];
   pinned label opt stats
 
 let durable_base = lazy (explore Config.Durable Config.No_fault)
@@ -289,12 +289,12 @@ let durable_base = lazy (explore Config.Durable Config.No_fault)
 let test_equiv_dist_rw () =
   equivalent "dist-rw" (Lazy.force durable_base)
     (explore ~dist_rw:true Config.Durable Config.No_fault)
-    ~stats:[ 8636; 109; 807770; 4128; 8527; 3755; 128; 999; 274 ]
+    ~stats:[ 8636; 109; 807770; 4128; 8527; 3755; 129; 1001; 257 ]
 
 let test_equiv_log_mirror () =
   equivalent "log-mirror" (Lazy.force durable_base)
     (explore ~log_mirror:true Config.Durable Config.No_fault)
-    ~stats:[ 8758; 105; 853685; 4154; 8653; 3762; 128; 999; 274 ]
+    ~stats:[ 8758; 105; 853685; 4154; 8653; 3762; 135; 1067; 274 ]
 
 let test_equiv_combined () =
   equivalent "combined" (Lazy.force durable_base) (Lazy.force package_clean)
@@ -355,7 +355,7 @@ let test_equiv_two_thread_budgeted () =
 let test_detect_scope_exhausts () =
   let res = explore ~detect:true Config.Durable Config.No_fault in
   exhausted_clean "detect" res
-    ~stats:[ 9238; 105; 1089952; 4341; 9133; 3896; 297; 2901; 606 ];
+    ~stats:[ 9238; 105; 1089952; 4341; 9133; 3896; 297; 2901; 588 ];
   check "durable+detect: no completed op ever lost" 0
     res.Check.Explore.stats.Check.Explore.max_completed_loss;
   check_bool "crash frontiers ran resolve checks" true
@@ -438,7 +438,7 @@ let test_lsm_scope_exhausts () =
       Config.No_fault
   in
   exhausted_clean "lsm" res
-    ~stats:[ 67778; 474; 9223397; 16789; 66608; 16559; 132; 319; 110 ];
+    ~stats:[ 67778; 474; 9223397; 16789; 66608; 16559; 133; 321; 109 ];
   check "durable: no completed op ever lost" 0
     res.Check.Explore.stats.Check.Explore.max_completed_loss
 

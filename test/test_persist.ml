@@ -343,6 +343,50 @@ let test_differential_crash_free () =
   check "same completed" a.Check.Fuzz.completed b.Check.Fuzz.completed;
   check "same applied" a.Check.Fuzz.applied b.Check.Fuzz.applied
 
+(* ---- FliT's dropped payload fence is the policy's deferral ---- *)
+
+(* Per-site NVM counters ("sfence_deferred@log.fence_payload", ...) of one
+   crash-free durable hashmap episode under [config]. *)
+let site_counts config =
+  let reg = Telemetry.Registry.create () in
+  let out =
+    Telemetry.Registry.with_current reg (fun () ->
+        F.run_episode ~config ~mode:Prep.Config.Durable
+          ~fault:Prep.Config.No_fault ~gen_op (template ~seed:7500))
+  in
+  check_bool "episode clean" true (out.Check.Fuzz.violations = []);
+  let counters =
+    (Telemetry.Registry.snapshot reg).Telemetry.Registry.sn_counters
+  in
+  fun name -> Option.value ~default:0 (List.assoc_opt ("nvm." ^ name) counters)
+
+let test_flit_defers_payload_fence () =
+  let flit = Prep.Config.make ~flit:true ~workers:1 () in
+  let n = site_counts flit in
+  check_bool "flit defers the payload fence" true
+    (n "sfence_deferred@log.fence_payload" > 0);
+  check "flit emits no payload fence" 0 (n "sfence@log.fence_payload");
+  check "one deferral per combine round"
+    (n "sfence@log.fence_publish" + n "sfence_flit_elided@log.fence_publish")
+    (n "sfence_deferred@log.fence_payload");
+  check_str "the installed deferral stays out of repro flags" " --flit"
+    (Prep.Config.to_flags flit);
+  (* a configured action at the site wins over FliT's deferral *)
+  let n =
+    site_counts
+      (Prep.Config.make ~flit:true ~workers:1
+         ~persist_policy:(policy_of_spec "log.fence_payload=elide") ())
+  in
+  check_bool "configured elide stands" true
+    (n "sfence_policy_elided@log.fence_payload" > 0);
+  check "nothing deferred" 0 (n "sfence_deferred@log.fence_payload");
+  (* without FliT both fences are emitted, once per non-empty round *)
+  let n = site_counts (policy_config None) in
+  check_bool "baseline combines" true (n "sfence@log.fence_publish" > 0);
+  check "baseline payload fence once per round"
+    (n "sfence@log.fence_publish") (n "sfence@log.fence_payload");
+  check "baseline defers nothing" 0 (n "sfence_deferred@log.fence_payload")
+
 (* ---- the inference loop end-to-end on the smallest scope ---- *)
 
 module PI = Check.Persist_infer.Make (H)
@@ -390,12 +434,11 @@ let test_infer_end_to_end () =
   check_bool "completed_tail never weakened" false
     (List.mem_assoc Persist.Prep_completed_tail ws)
 
-(* A repro command names the configuration that failed. Under FliT the
-   explorer rejects at least one candidate that the baseline admits
-   (e.g. log.persist_range=elide: the FliT combiner persists the log
-   through that sweep), so a repro that drops --flit replays clean. The
-   printed command itself — policy, decision trace, crash point — must
-   replay to a violation under FliT. *)
+(* A repro command names the configuration that failed. FliT changes the
+   protocol under test (clean-line elision, and the payload-fence deferral
+   it installs unless the candidate sets that site), so a FliT repro must
+   pass --flit, and the printed command itself — policy, decision trace,
+   crash point — must replay to a violation under FliT. *)
 let test_infer_flit_repro_replays () =
   let config = Prep.Config.make ~flit:true ~workers:1 () in
   let report =
@@ -537,6 +580,8 @@ let () =
           Alcotest.test_case "skiplist fuzz clean" `Slow test_fuzz_skiplist;
           Alcotest.test_case "crash-free runs identical" `Quick
             test_differential_crash_free;
+          Alcotest.test_case "flit payload fence is the policy's deferral"
+            `Quick test_flit_defers_payload_fence;
         ] );
       ( "inference",
         [

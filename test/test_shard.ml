@@ -243,7 +243,7 @@ let test_fuzz_numa_cross_40 () =
   in
   no_failures "dist-rw + log-mirror, 40% multi, all cross" res;
   check_bool "calibration pinned" true
-    (List.mem "calibration: 2327 ops logged, 5186253 mem-ops, 46861667 ns"
+    (List.mem "calibration: 2327 ops logged, 5051875 mem-ops, 44448398 ns"
        !lines);
   check "episodes" 30 res.Check.Fuzz.episodes;
   check "crashed" 30 res.Check.Fuzz.crashes
@@ -385,7 +385,7 @@ let no_violation (res : Check.Explore.result) =
 (* schedules, terminals, steps, states, dedup hits, sleep skips, crash
    points, frontiers, recoveries of a 2-shard scope; the default ones are
    the classic scope's *)
-let check_2shard_stats ?(want = [ 1360; 54; 51921; 805; 1306; 591; 11; 16; 9 ])
+let check_2shard_stats ?(want = [ 1360; 54; 51921; 805; 1306; 591; 12; 18; 9 ])
     (res : Check.Explore.result) =
   let s = res.Check.Explore.stats in
   List.iter2
@@ -472,7 +472,7 @@ let test_explore_2shard_numa_clean () =
   let res = explore_2shard ~dist_rw:true ~log_mirror:true () in
   no_violation res;
   check_bool "exhausted" true res.Check.Explore.exhausted;
-  check_2shard_stats ~want:[ 1762; 61; 74746; 988; 1701; 757; 11; 16; 9 ] res
+  check_2shard_stats ~want:[ 1762; 61; 74746; 988; 1701; 757; 12; 18; 9 ] res
 
 let test_explore_finds_planted_fault () =
   (* one worker issuing two cross-shard multi-puts (keys 0 and 1 hash to
