@@ -593,17 +593,16 @@ let ckpt_episode ~lsm ~lsm_fanout ~n ~dirty_pct ~epsilon ~threads
   (* power failure, then time recovery through the first executed op *)
   Nvm.Memory.crash mem;
   Nvm.Context.reset ();
-  let recovery_ns = ref 0 in
-  let sim2 = Sim.create ~seed:(Int64.of_int (seed + 1)) topology in
-  ignore
-    (Sim.spawn sim2 ~socket:0 (fun () ->
-         let uc2, _report = Uc.recover uc in
-         Uc.register_worker uc2;
-         ignore (Uc.execute uc2 ~op:R.op_get ~args:[| 0 |]);
-         recovery_ns := Sim.now ()));
-  (match Sim.run sim2 () with
-   | `Done -> ()
-   | `Cut _ -> failwith "ckptscale: recovery wedged");
+  let recovery =
+    (* the fuzzer's wedge budget, one operation per key to rebuild *)
+    Check.Epoch.run ~topology ~seed:(Int64.of_int (seed + 1)) ~preempt_prob:0.0
+      ~mem ~horizon:(Check.Fuzz.wedge_horizon_ns ~ops:n) ~crash:No_crash
+      ~set_up:(fun () -> fst (Uc.recover uc))
+      ~body:(fun uc2 ->
+        Uc.register_worker uc2;
+        ignore (Uc.execute uc2 ~op:R.op_get ~args:[| 0 |]))
+  in
+  if recovery.ended <> Quiescent then failwith "ckptscale: recovery wedged";
   Nvm.Context.reset ();
   {
     ck_system = (if lsm then "PREP-Durable/lsm" else "PREP-Durable");
@@ -613,7 +612,7 @@ let ckpt_episode ~lsm ~lsm_fanout ~n ~dirty_pct ~epsilon ~threads
     ck_ckpts = ckpts;
     ck_cost_avg = (if ckpts = 0 then 0 else cost_total / ckpts);
     ck_cost_last = cost_last;
-    ck_recovery_ns = !recovery_ns;
+    ck_recovery_ns = recovery.end_ns;
     ck_segments = segments;
     ck_compactions = compactions;
     ck_stats = Nvm.Memory.stats mem;

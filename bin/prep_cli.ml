@@ -560,7 +560,7 @@ let fuzz iters mode ds threads epsilon log_size ops seed fault crash_op
   let module F = Check.Fuzz.Make (Ds) in
   let config =
     validated_config ~ds
-      ~beta:F.topology.Sim.Topology.cores_per_socket
+      ~beta:Check.Fuzz.topology.Sim.Topology.cores_per_socket
       { features with
         Prep.Config.mode; log_size; epsilon; shards; fault;
         workers = threads }
@@ -568,11 +568,11 @@ let fuzz iters mode ds threads epsilon log_size ops seed fault crash_op
   match config with
   | Error m -> `Error (true, m)
   | Ok config ->
-  if threads < 1 || threads > F.max_threads then
+  if threads < 1 || threads > Check.Fuzz.max_threads then
     `Error
       ( true,
         Printf.sprintf "--threads must be between 1 and %d (got %d)"
-          F.max_threads threads )
+          Check.Fuzz.max_threads threads )
   else if
     mode = Prep.Config.Volatile && (crash_op <> None || crash_time <> None)
   then
@@ -1015,11 +1015,11 @@ let session ds threads ops epsilon log_size crashes seed sessions bg_period
     detect jobs json =
   let (module Ds), gen_op = fuzz_ds ds in
   let module S = Session.Make (Ds) in
-  if threads < 1 || threads > S.max_threads then
+  if threads < 1 || threads > Check.Fuzz.max_threads then
     `Error
       ( true,
         Printf.sprintf "--threads must be between 1 and %d (got %d)"
-          S.max_threads threads )
+          Check.Fuzz.max_threads threads )
   else begin
     let cfg =
       {

@@ -499,17 +499,22 @@ module Run (U : Sut.S) = struct
            U.sync uc));
     x
 
-  (* Recover and judge [uc] on the memory's *current* (post-crash) state in
-     a fresh nested timed simulation, preserving and restoring the global
-     allocator-context table around it. *)
-  let recover ~scope uc =
+  (* Recover and judge [uc] on the memory's *current* (post-crash) state as
+     the set-up of a fresh timed epoch nested in the controlled run,
+     preserving and restoring the global allocator-context table around
+     it. *)
+  let recover ~scope x uc =
     let saved_ctx = Context.save () in
     Context.reset ();
+    let horizon =
+      Fuzz.wedge_horizon_ns ~ops:(scope.threads * scope.ops_per_worker)
+    in
     let v =
-      Sut.in_fresh_sim ~seed:97L (topology scope)
-        ~horizon_ns:
-          (Fuzz.wedge_horizon_ns ~ops:(scope.threads * scope.ops_per_worker))
-        (fun () -> U.recover uc)
+      Sut.of_epoch ~horizon_ns:horizon
+        (Epoch.run ~topology:(topology scope) ~seed:97L ~preempt_prob:0.0
+           ~mem:x.mem ~horizon ~crash:No_crash
+           ~set_up:(fun () -> U.recover uc)
+           ~body:ignore)
     in
     Context.restore saved_ctx;
     v
@@ -580,7 +585,7 @@ module Run (U : Sut.S) = struct
         Memory.clear_access_hook x.mem;
         commit_frontier x.mem lines mask;
         Memory.crash x.mem;
-        let v = recover ~scope uc in
+        let v = recover ~scope x uc in
         if v.Sut.lost > stats.max_completed_loss then
           stats.max_completed_loss <- v.Sut.lost;
         Memory.restore x.mem snap;
@@ -898,7 +903,7 @@ module Run (U : Sut.S) = struct
     if crashed then begin
       Memory.clear_access_hook x.mem;
       Memory.crash x.mem;
-      let v = recover ~scope uc in
+      let v = recover ~scope x uc in
       (v.Sut.violations, true, logged, completed, v.Sut.applied)
     end
     else (U.quiescent uc, false, logged, completed, logged)

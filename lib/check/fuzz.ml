@@ -5,14 +5,14 @@
     persisting a mid-update replica, §2.2/§4.1) can strike at *any* memory
     operation. This driver explores that space systematically:
 
-    - run a seeded workload in the simulator with randomized preemption
-      ([Sim.create ~preempt_prob]);
+    - run a seeded workload in the simulator with randomized preemption,
+      as one [Epoch.run] whose set-up builds the system;
     - inject a full-system power failure at a randomly chosen point —
-      either a simulated time ([Sim.run ~until]) or an exact memory-
-      operation index (the crash hook of [Nvm.Memory]);
-    - recover, and judge the recovered state with [Durable_lin]: loss
-      bound (ε+β−1 buffered, 0 durable), prefix consistency, application
-      order, and state-vs-model replay;
+      either a simulated time or an exact memory-operation index after
+      construction (the crash plan of [Epoch.run]);
+    - recover in a second epoch, and judge the recovered state with
+      [Durable_lin]: loss bound (ε+β−1 buffered, 0 durable), prefix
+      consistency, application order, and state-vs-model replay;
     - on failure, [shrink] minimizes (threads, crash point, work) to the
       smallest episode that still reproduces, and [repro_command] prints a
       replayable CLI invocation.
@@ -26,14 +26,10 @@
     CI budget of episodes explores fresh crash points per seed without
     flakiness, and every failure is replayable from its printed command. *)
 
-exception Crash_injected
-
-type crash_point =
+type crash_point = Epoch.crash_point =
   | At_op of int
-      (** power failure immediately before the [n]-th memory operation
-          issued after construction finished *)
-  | At_time of int  (** power failure at this simulated time, ns *)
-  | No_crash  (** run to quiescence; check the final state instead *)
+  | At_time of int
+  | No_crash
 
 type episode = {
   workload_seed : int;  (** seeds the scheduler, workload and bg flushes *)
@@ -55,7 +51,7 @@ type outcome = {
   completed : int;
   applied : int;  (** ops present in the recovered (or final) state *)
   runtime_ops : int;  (** memory operations issued after construction *)
-  end_time : int;  (** simulated ns at quiescence (0 if crashed) *)
+  end_time : int;  (** simulated ns at which the workload finished (or 0) *)
 }
 
 type failure = { episode : episode; violations : Durable_lin.violation list }
@@ -86,22 +82,24 @@ let pp_episode ppf ep =
 
 (** Simulated ns a crash-free stretch of [ops] requested operations may
     run past the end of construction or recovery before the run counts as
-    wedged: 200 µs per operation, about 10x what the slowest calibration
-    episodes take (durable, WBINVD checkpoints, 20–35 µs per op), with a
-    20 ms floor. A wedge spins every fiber at 40 ns a turn, so the horizon
-    also bounds the host time a wedged run burns (seconds, not a hang).
-    The fuzzer's episodes and recoveries, the explorer's recoveries and
-    [Harness.Session]'s epochs all use it. *)
+    wedged ([Epoch.run]'s horizon): 200 µs per operation, about 10x what
+    the slowest calibration episodes take (durable, WBINVD checkpoints,
+    20–35 µs per op), with a 20 ms floor. A wedge spins every fiber at
+    40 ns a turn, so the horizon also bounds the host time a wedged run
+    burns (seconds, not a hang).
+    The fuzzer's episodes and recoveries, the explorer's recoveries,
+    [Harness.Session]'s epochs and bench ckptscale's recovery use it. *)
 let wedge_horizon_ns ~ops = max 20_000_000 (200_000 * ops)
+
+(* Small fixed machine: plenty of cross-socket traffic, fast episodes.
+   Worker count is capped at total cores − 1 (persistence thread). The
+   fuzzer and [Harness.Session] both run on it. *)
+let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
+let max_threads = Sim.Topology.total_cores topology - 1
 
 module Make (Ds : Seqds.Ds_intf.S) = struct
   module Systems = Sut.Make (Ds)
   open Nvm
-
-  (* Small fixed machine: plenty of cross-socket traffic, fast episodes.
-     Worker count is capped at total cores − 1 (persistence thread). *)
-  let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
-  let max_threads = Sim.Topology.total_cores topology - 1
 
   let horizon_ns ep = wedge_horizon_ns ~ops:(ep.threads * ep.ops_per_worker)
 
@@ -120,131 +118,73 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         ~log_size:ep.log_size ~workers:ep.threads ()
     in
     let module U = (val Systems.select cfg : Sut.S) in
-    let sim =
-      Sim.create
-        ~seed:(Int64.of_int ep.workload_seed)
-        ~preempt_prob:ep.preempt_prob topology
-    in
     let mem =
       Memory.make
         ~seed:(Int64.of_int (ep.workload_seed + 7919))
         ~sockets:topology.Sim.Topology.sockets ~bg_period:ep.bg_period ()
     in
-    let uc_ref = ref None in
-    let setup_ops = ref 0 in
-    let set_up = ref None in
-    let end_time = ref 0 in
-    ignore
-      (Sim.spawn sim ~socket:0 (fun () ->
-           let uc = U.create mem (Roots.make mem) cfg in
-           uc_ref := Some uc;
-           setup_ops := Memory.op_index mem;
-           set_up := Some (Sim.now ());
-           (* only now is there a recoverable checkpoint: crash points are
-              relative to the end of construction *)
-           (match ep.crash with
-            | At_op n ->
-              let base = !setup_ops in
-              Memory.set_crash_hook mem (fun i ->
-                  if i - base >= n then raise Crash_injected)
-            | At_time _ | No_crash -> ());
-           U.start_persistence uc;
-           let done_count = ref 0 in
-           for w = 0 to ep.threads - 1 do
-             let socket, core = Sim.Topology.place topology w in
-             Sim.spawn_here ~socket ~core (fun () ->
-                 U.register_worker uc;
-                 let rng = Sim.fiber_rng () in
-                 for _ = 1 to ep.ops_per_worker do
-                   let op, args = gen_op rng in
-                   U.execute uc ~op ~args
-                 done;
-                 incr done_count)
-           done;
-           while !done_count < ep.threads do
-             Sim.tick 10_000
-           done;
-           U.stop uc;
-           U.sync uc;
-           end_time := Sim.now ()));
     let horizon = horizon_ns ep in
-    let run_bounded () =
-      Sim.run_horizon sim ~started:(fun () -> !set_up) ~horizon ()
+    let run =
+      Epoch.run ~topology
+        ~seed:(Int64.of_int ep.workload_seed)
+        ~preempt_prob:ep.preempt_prob ~mem ~horizon ~crash:ep.crash
+        ~set_up:(fun () -> U.create mem (Roots.make mem) cfg)
+        ~body:(fun uc ->
+          Epoch.run_workers ~threads:ep.threads
+            ~start:(fun () -> U.start_persistence uc)
+            ~finish:(fun () ->
+              U.stop uc;
+              U.sync uc)
+            (fun _ ->
+              U.register_worker uc;
+              let rng = Sim.fiber_rng () in
+              for _ = 1 to ep.ops_per_worker do
+                let op, args = gen_op rng in
+                U.execute uc ~op ~args
+              done))
     in
-    let crashed, wedged =
-      match ep.crash with
-      | No_crash -> (false, run_bounded () <> `Done)
-      | At_time ns -> (
-        match Sim.run ~until:ns sim () with
-        | `Cut _ -> (true, false)
-        | `Done -> (false, false))
-      | At_op _ -> (
-        try (false, run_bounded () <> `Done) with Crash_injected -> (true, false))
+    let logged, completed =
+      match run.set_up with
+      | Some uc -> (U.logged uc, U.completed uc)
+      | None -> (0, 0)
     in
-    Memory.clear_crash_hook mem;
-    match !uc_ref with
-    | None ->
-      (* power failed during construction: no checkpoint existed yet *)
+    let crashed = run.ended = Epoch.Crashed in
+    let outcome ~applied violations =
       {
         crashed;
-        vacuous = true;
-        violations = [];
-        logged = 0;
-        completed = 0;
-        applied = 0;
-        runtime_ops = 0;
-        end_time = 0;
+        vacuous = crashed && Option.is_none run.set_up;
+        violations;
+        logged;
+        completed;
+        applied;
+        runtime_ops = run.runtime_ops;
+        end_time = run.end_ns;
       }
-    | Some uc ->
-      let logged = U.logged uc in
-      let completed = U.completed uc in
-      let runtime_ops = Memory.op_index mem - !setup_ops in
-      if wedged then
-        {
-          crashed = false;
-          vacuous = false;
-          violations = [ Durable_lin.Wedged { horizon_ns = horizon } ];
-          logged;
-          completed;
-          applied = 0;
-          runtime_ops;
-          end_time = 0;
-        }
-      else if crashed then begin
-        if mode = Prep.Config.Volatile then
-          invalid_arg "Fuzz: volatile episodes cannot crash";
-        Memory.crash mem;
-        Context.reset ();
-        let v =
-          Sut.in_fresh_sim ~horizon_ns:horizon
-            ~seed:(Int64.of_int (ep.workload_seed + 1))
-            topology
-            (fun () -> U.recover uc)
-        in
-        {
-          crashed = true;
-          vacuous = false;
-          violations = v.Sut.violations;
-          logged;
-          completed;
-          applied = v.Sut.applied;
-          runtime_ops;
-          end_time = 0;
-        }
-      end
-      else
-        (* quiescent run: every logged op completed and the final state
-           must equal the full-trace replay *)
-        {
-          crashed = false;
-          vacuous = false;
-          violations = U.quiescent uc;
-          logged;
-          completed;
-          applied = logged;
-          runtime_ops;
-          end_time = !end_time;
-        }
+    in
+    match (run.ended, run.set_up) with
+    | Wedged, _ ->
+      outcome ~applied:0 [ Durable_lin.Wedged { horizon_ns = horizon } ]
+    | Crashed, None ->
+      (* power failed during construction: no checkpoint existed yet *)
+      outcome ~applied:0 []
+    | Crashed, Some uc ->
+      if mode = Prep.Config.Volatile then
+        invalid_arg "Fuzz: volatile episodes cannot crash";
+      Memory.crash mem;
+      Context.reset ();
+      let v =
+        Sut.of_epoch ~horizon_ns:horizon
+          (Epoch.run ~topology
+             ~seed:(Int64.of_int (ep.workload_seed + 1))
+             ~preempt_prob:0.0 ~mem ~horizon ~crash:No_crash
+             ~set_up:(fun () -> U.recover uc)
+             ~body:ignore)
+      in
+      outcome ~applied:v.Sut.applied v.Sut.violations
+    | Quiescent, uc ->
+      (* quiescent run: every logged op completed and the final state
+         must equal the full-trace replay *)
+      outcome ~applied:logged (U.quiescent (Option.get uc))
 
   (** Fuzz [iters] episodes derived from [template] (whose [crash] field is
       ignored): one calibration run sizes the crash-point space, then each

@@ -92,19 +92,13 @@ let applied_seqno_fn trace applied =
     applied;
   fun tid -> Option.value ~default:0 (Hashtbl.find_opt tbl tid)
 
-(** Run recovery [f] on socket 0 of a fresh simulation until it and
-    every fiber it spawns have finished — the harness side of recovering
-    a crashed memory (classic recovery builds its replicas on helper
-    fibers). A recovery still running [horizon_ns] of simulated time in
-    (say, a replay that spins forever) is judged [Durable_lin.Wedged]
-    instead of being waited for. *)
-let in_fresh_sim ~seed ~horizon_ns topo f =
-  let sim = Sim.create ~seed topo in
-  let out = ref None in
-  ignore (Sim.spawn sim ~socket:0 (fun () -> out := Some (f ())));
-  match Sim.run_horizon sim ~started:(fun () -> Some 0) ~horizon:horizon_ns () with
-  | `Done -> Option.get !out
-  | `Cut _ ->
+(** The verdict of an epoch whose set-up recovered and judged: set-up's
+    own, or [Wedged] when the epoch was still running [horizon_ns] of
+    simulated time in (say, a replay that spins forever). *)
+let of_epoch ~horizon_ns (e : verdict Epoch.t) =
+  match e with
+  | { ended = Quiescent; set_up = Some v; _ } -> v
+  | _ ->
     { violations = [ Durable_lin.Wedged { horizon_ns } ]; lost = 0; applied = 0 }
 
 (** Run a recovery; if it raises — structure or allocator code meeting
@@ -145,8 +139,7 @@ module Single (Ds : Seqds.Ds_intf.S) : S = struct
       if not cfg.Prep.Config.detect then []
       else
         List.init cfg.Prep.Config.workers (fun w ->
-            let socket, core = Sim.Topology.place topo w in
-            let tid = (socket * topo.Sim.Topology.cores_per_socket) + core in
+            let tid = Sim.Topology.tid topo w in
             (tid, Uc.resolve uc' ~tid))
     in
     let applied = report.Prep.Prep_uc.applied in

@@ -141,15 +141,10 @@ let persist_entry t idx =
     its two contiguous halves. *)
 let persist_range t ~first ~n =
   if t.durable && n > 0 then begin
+    (* up to the line holding the last entry's first word *)
     let sweep first n =
-      let lo = entry_addr t first in
-      let hi = lo + ((n - 1) * entry_words) in
-      let step = Memory.line_words in
-      let l = ref (lo - (lo mod step)) in
-      while !l <= hi do
-        Memory.clwb ~site:Persist.Log_persist_range t.mem !l;
-        l := !l + step
-      done
+      Memory.clwb_range ~site:Persist.Log_persist_range t.mem
+        ~base:(entry_addr t first) ~words:(((n - 1) * entry_words) + 1)
     in
     let idx = first mod t.size in
     if idx + n <= t.size then sweep first n

@@ -22,10 +22,11 @@
     [Durable_lin.check_resolutions] against the cumulative tagged history.
     The final state is judged by [Durable_lin.check_exactly_once].
 
-    Crashes are injected at calibrated memory-operation indexes, with the
-    crash hook armed only *after* create/recover returns: a restart epoch
-    never loses power mid-recovery (crash-during-recovery is outside the
-    paper's model).
+    Every epoch runs through the checkers' crash-epoch driver
+    ([Check.Epoch.run]), with create/recover as its set-up. Crashes are
+    injected at calibrated memory-operation indexes counted from the end
+    of set-up: a restart epoch never loses power mid-recovery
+    (crash-during-recovery is outside the paper's model).
 
     A wedged system fails the session instead of hanging it: every epoch
     runs under the fuzzer's simulated-time horizon
@@ -86,22 +87,15 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   module Uc = Prep.Prep_uc.Make (Ds)
   module Dl = Check.Durable_lin.Make (Ds.Model)
 
-  (* Same fixed machine as the fuzzer: 2 sockets × 4 cores, last core
-     reserved for the persistence thread. *)
-  let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
-  let beta = topology.Sim.Topology.cores_per_socket
-  let max_threads = Sim.Topology.total_cores topology - 1
-
-  let tid_of w =
-    let socket, core = Sim.Topology.place topology w in
-    (socket * beta) + core
+  (* sessions run on the fuzzer's machine *)
+  let tid = Sim.Topology.tid Check.Fuzz.topology
 
   (** Run one session. [gen_op] draws candidate ops; read-only draws are
       re-drawn (scripts are updates — only updates are announced, and the
       exactly-once contract is about effects). The session is a
       deterministic function of [cfg]. *)
   let rec run (cfg : config) ~gen_op =
-    if cfg.threads < 1 || cfg.threads > max_threads then
+    if cfg.threads < 1 || cfg.threads > Check.Fuzz.max_threads then
       invalid_arg "Session: thread count out of range";
     if cfg.crashes < 0 then invalid_arg "Session: negative crash count";
     (* calibration: the same session without crashes sizes the
@@ -142,7 +136,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let mem =
       Memory.make
         ~seed:(Int64.of_int (cfg.seed + 7919))
-        ~sockets:topology.Sim.Topology.sockets ~bg_period:cfg.bg_period ()
+        ~sockets:Check.Fuzz.topology.Sim.Topology.sockets
+        ~bg_period:cfg.bg_period ()
     in
     let uc_cfg =
       Prep.Config.make ~mode:Prep.Config.Durable ~log_size:cfg.log_size
@@ -167,155 +162,122 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         0 !history
     in
 
-    let run_epoch ~plan =
+    (* append entry [i] of [trace] to the cumulative history *)
+    let survived trace i =
+      let e = Prep.Trace.get trace i in
+      history :=
+        ( e.Prep.Trace.tid,
+          e.Prep.Trace.seqno,
+          e.Prep.Trace.op,
+          e.Prep.Trace.args )
+        :: !history
+    in
+
+    (* restart epoch's set-up: recover, judge the crash, append the
+       survivors to the cumulative history, resume clients *)
+    let restart old_uc =
+      let old_trace = Uc.trace old_uc in
+      let uc', report = Uc.recover old_uc in
+      let completed = Prep.Trace.completed_indexes old_trace in
+      violations :=
+        !violations
+        @ Dl.check ~trace:old_trace ~prefill:(Uc.prefill_ops old_uc)
+            ~applied:report.Prep.Prep_uc.applied ~completed
+            ~recovered_snapshot:(Uc.snapshot uc') ~loss_bound:0 ();
+      List.iter (survived old_trace) report.Prep.Prep_uc.applied;
+      if cfg.detect then begin
+        let resolutions =
+          List.init cfg.threads (fun w -> (tid w, Uc.resolve uc' ~tid:(tid w)))
+        in
+        violations :=
+          !violations
+          @ Check.Durable_lin.check_resolutions ~resolutions
+              ~applied_seqno:applied_seqno_cum;
+        List.iteri
+          (fun w (_, r) ->
+            let resume =
+              match (r : Prep.Prep_uc.resolution) with
+              | Prep.Prep_uc.Completed { seqno; _ } -> seqno + 1
+              | Prep.Prep_uc.Lost { seqno } -> seqno
+              | Prep.Prep_uc.Unannounced -> 1
+            in
+            next.(w) <- min resume (cfg.ops_per_client + 1))
+          resolutions
+      end
+      else
+        (* no detectability: skip past the uncertain in-flight op rather
+           than risk a duplicate *)
+        Array.iteri (fun w s -> next.(w) <- max next.(w) (s + 1)) submitted;
+      uc'
+    in
+
+    (* one epoch: create or recover, then the clients run their scripts
+       from [next] *)
+    let run_epoch crash =
       let epoch = List.length !epoch_infos in
       let resub_here = ref 0 in
-      let sim =
-        Sim.create
+      let run =
+        Check.Epoch.run ~topology:Check.Fuzz.topology
           ~seed:(Int64.of_int (cfg.seed + (31 * epoch)))
-          ~preempt_prob:cfg.preempt_prob topology
+          ~preempt_prob:cfg.preempt_prob ~mem ~horizon ~crash
+          ~set_up:(fun () ->
+            match !uc_ref with
+            | None -> Uc.create mem (Roots.make mem) uc_cfg
+            | Some old_uc -> restart old_uc)
+          ~body:(fun uc ->
+            Check.Epoch.run_workers ~threads:cfg.threads
+              ~start:(fun () -> Uc.start_persistence uc)
+              ~finish:(fun () ->
+                Uc.stop uc;
+                Uc.sync uc)
+              (fun w ->
+                Uc.register_worker uc;
+                while next.(w) <= cfg.ops_per_client do
+                  let s = next.(w) in
+                  let op, args = scripts.(w).(s - 1) in
+                  if s <= submitted.(w) then begin
+                    incr resubmit_total;
+                    incr resub_here;
+                    Telemetry.Registry.cur_add "detect.resubmit" 1
+                  end;
+                  if s > submitted.(w) then submitted.(w) <- s;
+                  incr submit_total;
+                  ignore (Uc.execute uc ~seqno:s ~op ~args);
+                  next.(w) <- s + 1
+                done))
       in
-      let setup_ops = ref 0 in
-      let set_up = ref None in
-      let end_time = ref 0 in
-      let done_count = ref 0 in
-      ignore
-        (Sim.spawn sim ~socket:0 (fun () ->
-             let uc =
-               match !uc_ref with
-               | None ->
-                 let roots = Roots.make mem in
-                 Uc.create mem roots uc_cfg
-               | Some old_uc ->
-                 (* restart epoch: recover, judge the crash, append the
-                    survivors to the cumulative history, resume clients *)
-                 let old_trace = Uc.trace old_uc in
-                 let uc', report = Uc.recover old_uc in
-                 let completed = Prep.Trace.completed_indexes old_trace in
-                 violations :=
-                   !violations
-                   @ Dl.check ~trace:old_trace
-                       ~prefill:(Uc.prefill_ops old_uc)
-                       ~applied:report.Prep.Prep_uc.applied ~completed
-                       ~recovered_snapshot:(Uc.snapshot uc') ~loss_bound:0 ();
-                 List.iter
-                   (fun i ->
-                     let e = Prep.Trace.get old_trace i in
-                     history :=
-                       ( e.Prep.Trace.tid,
-                         e.Prep.Trace.seqno,
-                         e.Prep.Trace.op,
-                         e.Prep.Trace.args )
-                       :: !history)
-                   report.Prep.Prep_uc.applied;
-                 if cfg.detect then begin
-                   let resolutions =
-                     List.init cfg.threads (fun w ->
-                         (tid_of w, Uc.resolve uc' ~tid:(tid_of w)))
-                   in
-                   violations :=
-                     !violations
-                     @ Check.Durable_lin.check_resolutions ~resolutions
-                         ~applied_seqno:applied_seqno_cum;
-                   List.iteri
-                     (fun w (_, r) ->
-                       let resume =
-                         match (r : Prep.Prep_uc.resolution) with
-                         | Prep.Prep_uc.Completed { seqno; _ } -> seqno + 1
-                         | Prep.Prep_uc.Lost { seqno } -> seqno
-                         | Prep.Prep_uc.Unannounced -> 1
-                       in
-                       next.(w) <- min resume (cfg.ops_per_client + 1))
-                     resolutions
-                 end
-                 else
-                   (* no detectability: skip past the uncertain in-flight
-                      op rather than risk a duplicate *)
-                   Array.iteri
-                     (fun w s -> next.(w) <- max next.(w) (s + 1))
-                     submitted;
-                 uc'
-             in
-             uc_ref := Some uc;
-             setup_ops := Memory.op_index mem;
-             set_up := Some (Sim.now ());
-             (* arm the crash strictly after construction/recovery *)
-             (match plan with
-              | Some n ->
-                let base = !setup_ops in
-                Memory.set_crash_hook mem (fun i ->
-                    if i - base >= n then raise Check.Fuzz.Crash_injected)
-              | None -> ());
-             Uc.start_persistence uc;
-             for w = 0 to cfg.threads - 1 do
-               let socket, core = Sim.Topology.place topology w in
-               Sim.spawn_here ~socket ~core (fun () ->
-                   Uc.register_worker uc;
-                   while next.(w) <= cfg.ops_per_client do
-                     let s = next.(w) in
-                     let op, args = scripts.(w).(s - 1) in
-                     if s <= submitted.(w) then begin
-                       incr resubmit_total;
-                       incr resub_here;
-                       Telemetry.Registry.cur_add "detect.resubmit" 1
-                     end;
-                     if s > submitted.(w) then submitted.(w) <- s;
-                     incr submit_total;
-                     ignore (Uc.execute uc ~seqno:s ~op ~args);
-                     next.(w) <- s + 1
-                   done;
-                   incr done_count)
-             done;
-             while !done_count < cfg.threads do
-               Sim.tick 10_000
-             done;
-             Uc.stop uc;
-             Uc.sync uc;
-             end_time := Sim.now ()));
-      (* The horizon counts from the end of create/recover; until then
-         from the epoch's start, so a recovery whose replay wedges fails
-         too (a session has no prefill: set-up is short). *)
-      let started () = Some (Option.value !set_up ~default:0) in
-      let ended =
-        match Sim.run_horizon sim ~started ~horizon () with
-        | `Done -> `Quiescent
-        | `Cut _ -> `Wedged
-        | exception Check.Fuzz.Crash_injected -> `Crashed
-      in
-      Memory.clear_crash_hook mem;
-      runtime_ops := !runtime_ops + (Memory.op_index mem - !setup_ops);
-      if ended = `Quiescent then duration := !duration + !end_time;
+      Option.iter (fun uc -> uc_ref := Some uc) run.set_up;
+      runtime_ops := !runtime_ops + run.runtime_ops;
+      let ended = run.ended in
+      if ended = Quiescent then
+        duration := !duration + run.end_ns;
       epoch_infos :=
-        { epoch; crashed = ended = `Crashed; resubmitted = !resub_here }
+        { epoch; crashed = ended = Crashed; resubmitted = !resub_here }
         :: !epoch_infos;
       ended
     in
 
     let rec epochs () =
-      let plan =
-        if !crashes_done < cfg.crashes then
-          match pick_crash () with Check.Fuzz.At_op n -> Some n | _ -> None
-        else None
+      let crash =
+        if !crashes_done < cfg.crashes then pick_crash ()
+        else Check.Fuzz.No_crash
       in
-      match run_epoch ~plan with
-      | `Crashed ->
+      match run_epoch crash with
+      | Crashed ->
         incr crashes_done;
         Memory.crash mem;
         Context.reset ();
         epochs ()
-      | (`Quiescent | `Wedged) as ended -> ended
+      | (Quiescent | Wedged) as ended -> ended
     in
     let ended = epochs () in
 
     let uc = Option.get !uc_ref in
-    if ended = `Quiescent then begin
+    if ended = Quiescent then begin
       (* final epoch ran to quiescence: its whole trace applied *)
       let trace = Uc.trace uc in
       for i = 0 to Prep.Trace.length trace - 1 do
-        let e = Prep.Trace.get trace i in
-        history :=
-          (e.Prep.Trace.tid, e.Prep.Trace.seqno, e.Prep.Trace.op, e.Prep.Trace.args)
-          :: !history
+        survived trace i
       done
     end;
     let history = List.rev !history in
@@ -324,11 +286,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       else
         List.concat
           (List.init cfg.threads (fun w ->
-               List.init cfg.ops_per_client (fun i -> (tid_of w, i + 1))))
+               List.init cfg.ops_per_client (fun i -> (tid w, i + 1))))
     in
     violations :=
       !violations
-      @ (if ended = `Wedged then
+      @ (if ended = Wedged then
            (* no final state to judge: the wedge is the session's failure *)
            [ Check.Durable_lin.Wedged { horizon_ns = horizon } ]
          else
@@ -351,7 +313,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         let lost = ref 0 and dup = ref 0 in
         for w = 0 to cfg.threads - 1 do
           for s = 1 to cfg.ops_per_client do
-            match Hashtbl.find_opt counts (tid_of w, s) with
+            match Hashtbl.find_opt counts (tid w, s) with
             | None -> incr lost
             | Some 1 -> ()
             | Some _ -> incr dup
@@ -368,7 +330,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           history;
         let lost = ref 0 in
         for w = 0 to cfg.threads - 1 do
-          let n = Option.value ~default:0 (Hashtbl.find_opt per_tid (tid_of w)) in
+          let n = Option.value ~default:0 (Hashtbl.find_opt per_tid (tid w)) in
           lost := !lost + max 0 (cfg.ops_per_client - n)
         done;
         (!lost, 0)

@@ -63,11 +63,8 @@ let publish t ~epoch ~sealed_lt ~segs =
   Memory.write t.mem (s + 2) nseg;
   List.iteri (fun i a -> Memory.write t.mem (s + 3 + i) a) segs;
   Memory.write t.mem (s + ck_off) (checksum ~epoch ~sealed_lt ~nseg segs);
-  let lw = Memory.line_words in
-  let first = s / lw and last = (s + ck_off) / lw in
-  for line = first to last do
-    Memory.clwb ~site:Persist.Manifest_publish t.mem (line * lw)
-  done;
+  Memory.clwb_range ~site:Persist.Manifest_publish t.mem ~base:s
+    ~words:(ck_off + 1);
   Memory.sfence ~site:Persist.Manifest_publish t.mem
 
 let read_slot t i =

@@ -613,6 +613,13 @@ let clwb ~site m addr =
     access_point m key ~addr:(-1) ~write:true 0
   end
 
+(** [clwb] once per cache line covered by words [base, base + words), in
+    ascending line order. *)
+let clwb_range ~site m ~base ~words =
+  for line = base / line_words to (base + words - 1) / line_words do
+    clwb ~site m (line * line_words)
+  done
+
 (** Blocking flush: the line is persisted before the call returns.
     Policy: [Elide] removes the instruction; [Downgrade_to_clwb] (and
     [Defer_to_next_fence], which means the same thing for a blocking

@@ -121,13 +121,6 @@ let checksum ~count ~level ~min_key ~max_key ~bloom_words body =
   List.iter (fun w -> h := Memory.h2 !h w) body;
   if !h = 0 then 1 else !h
 
-let clwb_range ~site mem ~base ~words =
-  let lw = Memory.line_words in
-  let first = base / lw and last = (base + words - 1) / lw in
-  for line = first to last do
-    Memory.clwb ~site mem (line * lw)
-  done
-
 (** Write and seal a segment at [addr] (from [Alloc.alloc_lines
     (lines_needed ~count)]). [recs] is sorted ascending by key, values may
     be [tombstone]. Performs the full two-fence discipline: body words +
@@ -152,7 +145,7 @@ let build mem ~addr ~level recs =
       Memory.write mem (rb + (2 * i)) k;
       Memory.write mem (rb + (2 * i) + 1) v)
     recs;
-  clwb_range ~site:Persist.Segment_body mem ~base:(addr + header_words)
+  Memory.clwb_range ~site:Persist.Segment_body mem ~base:(addr + header_words)
     ~words:(bloom_words + (2 * count));
   Memory.sfence ~site:Persist.Segment_body mem;
   (* seal: the header goes durable only after the body fence above *)

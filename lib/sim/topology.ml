@@ -23,6 +23,12 @@ let place t worker =
     invalid_arg "Topology.place: worker index out of range";
   (worker / t.cores_per_socket, worker mod t.cores_per_socket)
 
+(** The thread id PREP tags worker [worker]'s announcements and log
+    entries with: [socket * cores_per_socket + core] of [place]. *)
+let tid t worker =
+  let socket, core = place t worker in
+  (socket * t.cores_per_socket) + core
+
 (** How many of workers [0 .. workers-1] [place] puts on each socket;
     workers past the last core are not counted. *)
 let workers_per_socket t workers =

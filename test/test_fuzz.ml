@@ -880,6 +880,103 @@ let test_session_wedge_is_a_failure () =
          = [ Check.Durable_lin.Wedged { horizon_ns } ]))
     [ 0; 1 ]
 
+(* ---- the crash-epoch driver's contract ---- *)
+
+module Uc = Prep_uc.Make (H)
+
+let epoch_horizon = 20_000_000
+
+let epoch ~mem ~crash ~set_up ~body =
+  Check.Epoch.run ~topology:Check.Fuzz.topology ~seed:1L ~preempt_prob:0.0
+    ~mem ~horizon:epoch_horizon ~crash ~set_up ~body
+
+let spin_until ns =
+  while Sim.now () < ns do
+    Sim.spin ()
+  done
+
+(* An [At_op n] plan counts memory operations from the end of set-up,
+   whatever set-up issued: a body writing 1, 2, 3, ... to one word loses
+   power with exactly [n] of its writes in effect, after a create set-up
+   and after a recover set-up alike. *)
+let test_epoch_at_op_counts_from_set_up () =
+  let n = 37 in
+  let mem = Nvm.Memory.make ~bg_period:0 () in
+  let fires label set_up =
+    let cell = ref 0 in
+    let e =
+      epoch ~mem ~crash:(Check.Epoch.At_op n) ~set_up ~body:(fun _ ->
+          let aid = Nvm.Memory.new_arena mem ~kind:Nvm.Memory.Dram ~home:0 in
+          cell := Nvm.Memory.addr_of ~aid ~offset:0;
+          for i = 1 to 1_000 do
+            Nvm.Memory.write mem !cell i
+          done)
+    in
+    check_bool (label ^ ": crashed") true (e.Check.Epoch.ended = Crashed);
+    check (label ^ ": writes in effect") n (Nvm.Memory.peek mem !cell);
+    check (label ^ ": runtime ops, the cut one included") (n + 1)
+      e.Check.Epoch.runtime_ops;
+    Option.get e.Check.Epoch.set_up
+  in
+  let cfg =
+    Config.make ~mode:Config.Durable ~epsilon:4 ~log_size:64 ~workers:1 ()
+  in
+  let uc = fires "create" (fun () -> Uc.create mem (Nvm.Roots.make mem) cfg) in
+  Nvm.Memory.crash mem;
+  Nvm.Context.reset ();
+  ignore (fires "recover" (fun () -> fst (Uc.recover uc)))
+
+(* The horizon bounds set-up too: a set-up that never returns ends
+   [Wedged] with no set-up value. *)
+let test_epoch_set_up_wedge () =
+  let e =
+    epoch ~mem:(Nvm.Memory.make ()) ~crash:Check.Epoch.No_crash
+      ~set_up:(fun () -> spin_until max_int)
+      ~body:ignore
+  in
+  check_bool "wedged" true (e.Check.Epoch.ended = Wedged);
+  check_bool "no set-up value" true (e.Check.Epoch.set_up = None);
+  check "no runtime ops" 0 e.Check.Epoch.runtime_ops
+
+(* Past set-up, the horizon counts from set-up's end: a body that spins
+   forever after a 5 ms set-up is last dispatched within one spin of
+   5 ms + horizon, not of the horizon alone. *)
+let test_epoch_body_wedge_at_horizon () =
+  let last = ref 0 in
+  let e =
+    epoch ~mem:(Nvm.Memory.make ()) ~crash:Check.Epoch.No_crash
+      ~set_up:(fun () ->
+        spin_until 5_000_000;
+        Sim.now ())
+      ~body:(fun _ ->
+        while true do
+          last := Sim.now ();
+          Sim.spin ()
+        done)
+  in
+  check_bool "wedged" true (e.Check.Epoch.ended = Wedged);
+  let limit = Option.get e.Check.Epoch.set_up + epoch_horizon in
+  check_bool "last dispatch within one spin of the horizon" true
+    (!last <= limit && limit - !last < Sim.Costs.default.Sim.Costs.spin)
+
+(* An [At_time] plan that lands inside set-up is a crash with no set-up
+   value: the fuzzer's vacuous episode. *)
+let test_epoch_crash_inside_set_up () =
+  let e =
+    epoch ~mem:(Nvm.Memory.make ()) ~crash:(Check.Epoch.At_time 500_000)
+      ~set_up:(fun () -> spin_until 1_000_000)
+      ~body:ignore
+  in
+  check_bool "crashed" true (e.Check.Epoch.ended = Crashed);
+  check_bool "no set-up value" true (e.Check.Epoch.set_up = None);
+  let out =
+    F.run_episode ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
+      { (template ~seed:3 ~epsilon:16 ~ops:10) with
+        Check.Fuzz.crash = Check.Fuzz.At_time 1 }
+  in
+  check_bool "fuzz episode crashed" true out.Check.Fuzz.crashed;
+  check_bool "fuzz episode vacuous" true out.Check.Fuzz.vacuous
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -906,6 +1003,16 @@ let () =
             test_wedged_recovery_is_a_failure;
           Alcotest.test_case "session wedge is a failure" `Quick
             test_session_wedge_is_a_failure;
+        ] );
+      ( "epoch",
+        [
+          Alcotest.test_case "at-op counts from set-up" `Quick
+            test_epoch_at_op_counts_from_set_up;
+          Alcotest.test_case "set-up wedge" `Quick test_epoch_set_up_wedge;
+          Alcotest.test_case "body wedge at horizon" `Quick
+            test_epoch_body_wedge_at_horizon;
+          Alcotest.test_case "crash inside set-up" `Quick
+            test_epoch_crash_inside_set_up;
         ] );
       ( "fuzzing",
         [
