@@ -377,13 +377,16 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
        0, where the log lives; a copy waits for the scan only before it
        replays. Each fiber takes a core of its own ([recovery_width]),
        and a socket's other cores of the [cores] budget are dealt evenly
-       to the copies on it as helpers ([Context.with_helpers]), which a
-       large copy splits across. A persistent copy allocates from a
-       sub-heap of its own, persists only that once its replay is done,
-       its helpers splitting the write-back, and hands it to the one
-       persistent allocator after the join. The join comes before any
-       root is written; a helper's raise is re-raised here, the scan's
-       first, so torn media fails recovery as it would on one fiber. *)
+       to the copies on it as helpers ([Context.with_helpers]). A copy of
+       one arena or more splits into one part per half arena of nodes, up
+       to its fan-out ([Rbtree.copy]): a large copy uses every core it is
+       lent, and a part under one arena fills one arena of its sub-heap.
+       A persistent copy allocates from a sub-heap of its own, persists
+       only that once its replay is done, its helpers splitting the
+       write-back one arena each, and hands it to the one persistent
+       allocator after the join. The join comes before any root is
+       written; a helper's raise is re-raised here, the scan's first, so
+       torn media fails recovery as it would on one fiber. *)
     let rebuild (scan, suffix, _) =
       let pa = Alloc.create_persistent mem ~home:p_socket in
       let vol = Array.make n_replicas None and per = Array.make 2 None in

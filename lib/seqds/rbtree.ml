@@ -305,12 +305,14 @@ let execute t ~op ~args =
    the clone's). No insert, no search, no rebalancing — colours and shape
    are the source's.
 
-   A tree of two or more arenas is split across the fiber's fan-out
-   ([Context.fork]): the caller clones the top levels breadth-first until
-   at least 8 subtrees per job hang below them, then the jobs clone those
-   subtrees, dealt round-robin in key order, each linking its subtree
-   roots into the top. Eight per job evens out the subtrees' unequal
-   sizes. *)
+   A tree of one arena or more is split across the fiber's fan-out
+   ([Context.fork]), one part per half arena of nodes: a large copy uses
+   every core it is lent, and each part, under one arena, fills the one
+   arena of its job's sub-heap without spilling into a second. The caller
+   clones the top levels breadth-first until at least 8 subtrees per job
+   hang below them, then the jobs clone those subtrees, dealt round-robin
+   in key order, each linking its subtree roots into the top. Eight per
+   job evens out the subtrees' unequal sizes. *)
 let copy src =
   let dst = create src.mem in
   let src_nil = nil src and dst_nil = nil dst in
@@ -336,7 +338,7 @@ let copy src =
     end
   in
   let parts =
-    min (Context.fanout ()) (size * node_words / Memory.arena_words)
+    min (Context.fanout ()) (2 * size * node_words / Memory.arena_words)
   in
   if parts <= 1 then set_root dst (clone (root src) dst_nil)
   else begin

@@ -580,16 +580,20 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
         else None)
       (List.init arenas Fun.id)
 
-  let recover ?keep ?cores uc =
+  (* [f] of the recovered instance and its report *)
+  let recover_with ?keep ?cores f uc =
     Context.reset ();
     let sim = Sim.create ~seed:6L topology in
     let out = ref None in
     ignore
       (Sim.spawn sim ~socket:0 (fun () ->
            let uc', report = U.recover ?keep ?cores uc in
-           out := Some (U.snapshot uc', report)));
+           out := Some (f uc' report)));
     (match Sim.run sim () with `Done -> () | `Cut _ -> Alcotest.fail "cut");
     Option.get !out
+
+  let recover ?keep ?cores uc =
+    recover_with ?keep ?cores (fun uc' report -> (U.snapshot uc', report)) uc
 
   (* a 4-worker run of [gen] ops cut by a power failure at 1.5 ms *)
   let crash_run ?(lsm_ckpt = false) ~mode ~prefill ~gen () =
@@ -769,6 +773,27 @@ let test_recovery_cores () =
             Alcotest.failf "fibers %d and %d share core %d.%d" a b s c)
         spans)
     spans
+
+(* The arena count of the rebuilt persistent allocator must not grow.
+   On the two-arena tree at this topology socket 1's one spare core goes
+   to replica 1's copy, so each persistent copy clones its just over two
+   arenas of nodes alone, into 3 arenas of its sub-heap: 7 with the
+   allocator's own. *)
+let test_recovery_arenas () =
+  let module R = Seqds.Rbtree in
+  let module C = Cut_recovery (R) in
+  let uc, _ =
+    C.crash_run ~mode:Config.Durable
+      ~prefill:(List.init split_tree_keys (fun k -> (R.op_insert, [| k; k |])))
+      ~gen:(map_gen ~insert:R.op_insert ~remove:R.op_remove ~get:R.op_get)
+      ()
+  in
+  let arenas =
+    C.recover_with
+      (fun uc' _ -> List.length (Alloc.arenas (Option.get uc'.C.U.p_alloc)))
+      uc
+  in
+  check_bool (Printf.sprintf "%d arenas, at most 7" arenas) true (arenas <= 7)
 
 let test_cut_recovery_stack =
   let module S = Seqds.Stack_ds in
@@ -1061,6 +1086,8 @@ let () =
             test_cut_recovery_split;
           Alcotest.test_case "recovery fibers never share a core" `Quick
             test_recovery_cores;
+          Alcotest.test_case "rebuilt heap's arena count" `Quick
+            test_recovery_arenas;
           Alcotest.test_case "replay_keep reads each payload once" `Quick
             test_replay_keep_reads_once;
           Alcotest.test_case "buffered crash fuzz" `Slow test_crash_fuzz_buffered;

@@ -297,12 +297,17 @@ let clone_into_nvm (type h m)
 
 (* ---- split copies ([Context.fork]) ----
 
-   A red-black tree of two or more arenas copies across the fiber's
-   helper cores. Under 1 to 8 helpers, on trees of 2 to 5 arenas, the
-   split copy must be the one-fiber copy again: the same snapshot and
-   shape (colours, child and parent links), the red-black invariants, no
-   node shared with the source, and every node in an arena the caller's
-   allocator owns once the copy returns. *)
+   A red-black tree of one arena or more copies across the fiber's
+   helper cores. Under 1 to 8 helpers, on trees of 1 to 5 arenas, and
+   under 10 helpers on a 4.4-arena tree (8 parts, each over half an
+   arena), the split copy must run on one fiber per half arena of nodes,
+   up to its fan-out, and be the one-fiber copy again: the same snapshot
+   and shape (colours, child and parent links), the red-black
+   invariants, no node shared with the source, and every node in an
+   arena the caller's allocator owns once the copy returns. A part whose
+   share of the nodes is under one arena fills its sub-heap's one arena
+   and spills into no second, so the copy owns exactly one arena per
+   part. *)
 
 (* every node of the tree at [h], sentinel excluded, cost-free *)
 let rbtree_nodes m h =
@@ -335,9 +340,11 @@ let test_rbtree_split_copy () =
       let src = Rbtree.create m in
       let rng = Sim.Rng.create 77L in
       List.iter
-        (fun arenas ->
-          (* grow the source just past [arenas] arenas of nodes *)
-          let want = (arenas * Memory.arena_words / Rbtree.node_words) + 1 in
+        (fun (tenths, helpers) ->
+          (* grow the source just past [tenths / 10] arenas of nodes *)
+          let want =
+            (tenths * Memory.arena_words / 10 / Rbtree.node_words) + 1
+          in
           while Rbtree.execute src ~op:Rbtree.op_size ~args:[||] < want do
             ignore
               (Rbtree.execute src ~op:Rbtree.op_insert
@@ -345,24 +352,32 @@ let test_rbtree_split_copy () =
           done;
           let h = Rbtree.root_addr src in
           let src_nodes = rbtree_nodes m h in
+          (* the copy's allocator, its root, and how many fibers it ran on *)
           let copy_with k =
             let alloc = Alloc.create_volatile m ~home:0 in
             Context.set_default alloc;
+            let fibers = Hashtbl.create 16 in
+            Memory.set_access_hook m (fun _ _ _ _ ->
+                Hashtbl.replace fibers (Sim.self ()).Sim.fid ());
             let dup =
               Context.with_helpers
                 (List.init k (fun i -> (0, i + 1)))
                 (fun () -> Rbtree.copy src)
             in
+            Memory.clear_access_hook m;
             Context.set_default src_alloc;
-            (alloc, Rbtree.root_addr dup)
+            (alloc, Rbtree.root_addr dup, Hashtbl.length fibers)
           in
-          let _, one = copy_with 0 in
+          let _, one, _ = copy_with 0 in
           let one_shape = rbtree_shape m one in
           check_list "one-fiber copy keeps the source's shape"
             (rbtree_shape m h) one_shape;
-          for k = 1 to 8 do
-            let label = Printf.sprintf "%d arenas, %d helpers" arenas k in
-            let alloc, dup = copy_with k in
+          List.iter (fun k ->
+            let label =
+              Printf.sprintf "%d.%d arenas, %d helpers" (tenths / 10)
+                (tenths mod 10) k
+            in
+            let alloc, dup, fibers = copy_with k in
             let dup_t = Rbtree.attach m dup in
             check_list (label ^ ": snapshot") (Rbtree.snapshot src)
               (Rbtree.snapshot dup_t);
@@ -383,9 +398,17 @@ let test_rbtree_split_copy () =
                 if not (List.mem (n / Memory.arena_words) owned) then
                   Alcotest.failf "%s: node %d in an arena the allocator \
                                   does not own" label n)
-              nodes
-          done)
-        [ 2; 3; 4; 5 ];
+              nodes;
+            let words = want * Rbtree.node_words in
+            let parts = min (k + 1) (2 * words / Memory.arena_words) in
+            check (label ^ ": one fiber per half arena") parts fibers;
+            if words / parts < Memory.arena_words then
+              check (label ^ ": one arena per part") parts
+                (List.length owned))
+            helpers)
+        (let eight = List.init 8 succ in
+         [ (10, eight); (20, eight); (30, eight); (40, eight); (44, [ 10 ]);
+           (50, eight) ]);
       Context.reset ())
 
 (* Memory operations per key of one copy of an [n]-key map (keys inserted
