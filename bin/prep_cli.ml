@@ -495,7 +495,9 @@ let fault_arg =
      (requires sharding: the cross-shard commit decision is flushed before \
      any prepare is durably logged) or manifest-before-seal (requires \
      --lsm-ckpt: the checkpoint manifest is published before the segment \
-     bodies it points at are fenced)."
+     bodies it points at are fenced) or commit-before-copies-persist \
+     (classic checkpoints: a recovery commits its background checkpoint \
+     copies before writing their heaps back)."
   in
   let faults =
     List.map
@@ -503,7 +505,7 @@ let fault_arg =
       Prep.Config.
         [ No_fault; Early_boundary_advance; Mirror_read_on_recovery;
           Response_before_log_persist; Commit_before_prepare_persist;
-          Manifest_before_segment_seal ]
+          Manifest_before_segment_seal; Commit_before_copies_persist ]
   in
   Arg.(
     value
@@ -1012,7 +1014,7 @@ let json_of_outcome ~ds ~threads (o : Session.outcome) =
       ("violations", List.length o.Session.violations) ]
 
 let session ds threads ops epsilon log_size crashes seed sessions bg_period
-    detect jobs json =
+    detect fault jobs json =
   let (module Ds), gen_op = fuzz_ds ds in
   let module S = Session.Make (Ds) in
   if threads < 1 || threads > Check.Fuzz.max_threads then
@@ -1032,6 +1034,7 @@ let session ds threads ops epsilon log_size crashes seed sessions bg_period
         crashes;
         detect;
         bg_period;
+        fault;
       }
     in
     let outcomes = S.campaign ~j:jobs cfg ~gen_op ~sessions in
@@ -1123,7 +1126,7 @@ let session_cmd =
         (const session $ ds_arg $ session_threads_arg $ session_ops_arg
        $ session_epsilon_arg $ session_log_size_arg $ session_crashes_arg
        $ session_seed_arg $ sessions_arg $ bg_period_arg $ detect_arg
-       $ jobs_arg $ session_json_arg))
+       $ fault_arg $ jobs_arg $ session_json_arg))
 
 (* ---- sweep: closed-loop threads x read-pct grid, campaign-parallel ---- *)
 

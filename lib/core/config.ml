@@ -72,6 +72,14 @@ type fault =
           manifest, drops the unsealed segments, and silently loses every
           effect the advanced [sealed_lt] claims is covered — completed
           operations disappear below the replay horizon *)
+  | Commit_before_copies_persist
+      (** classic checkpoints only: a recovery whose persistent copies
+          finish in the background commits them (clears its gap record)
+          without writing their heaps back — the "the copies are done, so
+          they are durable" bug. Until the recovered instance's first
+          checkpoint writes everything back, a crash recovers from a
+          committed checkpoint whose replicas never reached media, in
+          place of the old checkpoint and logs the gap record named *)
 
 let fault_name = function
   | No_fault -> "none"
@@ -80,6 +88,7 @@ let fault_name = function
   | Response_before_log_persist -> "response-before-log-persist"
   | Commit_before_prepare_persist -> "commit-before-prepare"
   | Manifest_before_segment_seal -> "manifest-before-seal"
+  | Commit_before_copies_persist -> "commit-before-copies-persist"
 
 type t = {
   mode : mode;
@@ -161,9 +170,9 @@ type t = {
   fault : fault;
 }
 
-(** Shard [i] owns root-directory slots [i*8 .. i*8+6]; slot 7 of the last
-    stride holds the cross-shard decision table, so the 64-slot directory
-    caps the shard count. *)
+(** Shard [i] owns root-directory slots [i*8 + 1 .. i*8 + 7]; slots 56..62
+    hold the shards' LSM manifests and slot 63 the cross-shard decision
+    table, so the 64-slot directory caps the shard count. *)
 let max_shards = (Nvm.Roots.max_slots - 7) / 8
 
 (** Validate against the constraint of §5.1: the persistence-cycle length
@@ -209,6 +218,11 @@ let validate t ~beta =
   if t.fault = Manifest_before_segment_seal && not t.lsm_ckpt then
     invalid_arg
       "Config: manifest-before-seal fault only exists under --lsm-ckpt";
+  if t.fault = Commit_before_copies_persist && (t.lsm_ckpt || t.mode = Volatile)
+  then
+    invalid_arg
+      "Config: commit-before-copies-persist fault only exists with classic \
+       checkpoints";
   if t.root_base < 0 then invalid_arg "Config: root_base must be >= 0"
 
 let make ?(mode = Buffered) ?(log_size = 65536) ?(epsilon = 1024)

@@ -40,6 +40,7 @@ let slot_meta1 = 3 (* address of persistent replica 1's metadata block *)
 let slot_ct = 4 (* address of d_completedTail (durable only) *)
 let slot_log = 5 (* log base address (durable only) *)
 let slot_announce = 6 (* announce/response table base (detect only) *)
+let slot_pending = 7 (* gap record of a recovery not yet committed *)
 
 (* Control-arena word offsets (one cache line apart). *)
 let off_log_tail = 8
@@ -50,10 +51,10 @@ let off_update_now = 32 (* one word per volatile replica *)
 let slot_words = 16 (* flat-combining slot: 2 cache lines per core *)
 
 (* The incremental-checkpoint manifest registers one absolute root slot
-   per instance, above every shard stride and the decision table: shard
-   strides are [i*8 + 1 .. i*8 + 6] for i <= 6 plus absolute slot 7, so
-   slots 56..63 are free — slot [56 + i] belongs to the instance whose
-   [root_base] is [i * 8]. *)
+   per instance, above every shard stride: shard strides are
+   [i*8 + 1 .. i*8 + 7] for i <= 6, so slots 56..62 are free — slot
+   [56 + i] belongs to the instance whose [root_base] is [i * 8] — and
+   slot 63 holds the sharded decision table. *)
 let lsm_manifest_slot root_base = 56 + (root_base / 8)
 
 (* How many workers each socket hosts; the last core is the persistence
@@ -195,6 +196,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     ckpt : Ds.handle Checkpoint.backend;
         (* the paper's replica pair ([classic]) or, under
            [Config.lsm_ckpt], the incremental store ([Lsm_ckpt]) *)
+    committed : unit Sim.Once.t;
+        (* filled once [p_reps] are durable and named by the roots: at
+           once on creation and when recovery joins its persistent copies,
+           by the background commit otherwise ([build]); the persistence
+           thread starts on it *)
     (* checkpoint cost accounting, comparable across both backends
        (simulated time inside [ckpt.checkpoint]) *)
     mutable ckpt_count : int;
@@ -225,6 +231,23 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   let read_p_local_tail t p = Memory.read t.mem t.p_reps.(p).meta
 
   (* ---- construction ---- *)
+
+  (* A replayed log entry: (index, op, args, (tid, seqno) tag). *)
+  type entry = int * int * int array * (int * int)
+
+  (* What a classic recovery hands [build]: [scan ()] reads the log suffix
+     into [suffix]; [on_response e resp] sees replica 0's response to
+     suffix entry [e]; [prior] is the committed generation it recovered
+     from, [(stable meta, log base, completedTail address)], or [None]
+     when it recovered from a gap record; [background] lets the
+     persistent copies finish after [build] returns. *)
+  type replay = {
+    scan : unit -> entry array;
+    suffix : entry array Sim.Once.t;
+    on_response : entry -> int -> unit;
+    prior : (int * int * int) option;
+    background : bool;
+  }
 
   let apply_ops ds ops =
     List.iter (fun (op, args) -> ignore (Ds.execute ds ~op ~args)) ops
@@ -270,14 +293,23 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
      [store] is recovery's handoff under [Config.lsm_ckpt]: the mounted,
      re-sealed store and [master]'s hydration view — [master] (and every
      copy of it) is then a partial view to be hydrated lazily.
-     [replay] is classic recovery's handoff [(scan, suffix, on_response)]:
-     [master] is then the stable checkpoint, which the build only reads;
-     [scan ()] reads the log suffix into [suffix]; every replica is a copy
-     of the checkpoint with that suffix replayed into it, and
-     [on_response e resp] sees replica 0's response to suffix entry [e];
-     [cores] is that recovery's core budget (see [rebuild]).
+     [replay] is classic recovery's handoff ([replay]): [master] is then
+     the stable checkpoint, which the build only reads, and every replica
+     is a copy of it with the scanned suffix replayed into it; [cores] is
+     that recovery's core budget (see [rebuild]).
      Returns the instance and its [install] step: recovery defers every
-     root write to it, creation writes its roots as it goes. *)
+     root write to it, creation writes its roots as it goes. A classic
+     recovery's [install] commits with one root word, [slot_pending]: it
+     publishes a gap record there, one flushed line naming the generation
+     recovered from ([prior]: stable meta, log base, completedTail) and
+     this one (log base, completedTail), before pointing [slot_ct] and
+     [slot_log] at the new log; while it is set, recovery reads the
+     record and ignores every other root of the instance. The rebuilt
+     checkpoint is committed by clearing it: by [install] once the
+     persistent copies are joined, by the background commit when they
+     run on past [install]. A recovery from a gap record ([prior = None])
+     keeps the record and joins its copies, so a gap is never more than
+     one generation deep. *)
   let build ?store ?replay ?(cores = max_int) mem roots cfg ~prefill ~master =
     let topo = Sim.topology () in
     let beta = topo.Sim.Topology.cores_per_socket in
@@ -329,12 +361,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let clone ?(helpers = []) ~reconcile () =
       let ds = Context.with_helpers helpers (fun () -> Ds.copy master_ds) in
       Option.iter
-        (fun (_, suffix, on_response) ->
+        (fun r ->
           Array.iter
             (fun ((_, op, args, _) as e) ->
               let resp = Ds.execute ds ~op ~args in
-              if reconcile then on_response e resp)
-            (Sim.Once.get suffix))
+              if reconcile then r.on_response e resp)
+            (Sim.Once.get r.suffix))
         replay;
       ds
     in
@@ -369,6 +401,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           Memory.write mem (meta + 1) (Ds.root_addr pds);
           { meta; pds })
     in
+    (* the built instance, once [install] has run: the background commit
+       waits on it *)
+    let installed = Sim.Once.create () in
     (* Classic recovery builds all replicas at once, each a copy of the
        stable checkpoint on a fiber of its own socket: replica 0 here, on
        the recovering fiber, the other volatile ones on their sockets, and
@@ -381,13 +416,25 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
        one arena or more splits into one part per half arena of nodes, up
        to its fan-out ([Rbtree.copy]): a large copy uses every core it is
        lent, and a part under one arena fills one arena of its sub-heap.
-       A persistent copy allocates from a sub-heap of its own, persists
+       A persistent copy allocates from a sub-heap of its own and persists
        only that once its replay is done, its helpers splitting the
-       write-back one arena each, and hands it to the one persistent
-       allocator after the join. The join comes before any root is
-       written; a helper's raise is re-raised here, the scan's first, so
-       torn media fails recovery as it would on one fiber. *)
-    let rebuild (scan, suffix, _) =
+       write-back one arena each. The volatile copies and the scan are
+       joined before [rebuild] returns; a helper's raise is re-raised
+       here, the scan's first, so torn media fails recovery as it would
+       on one fiber.
+       No op reads a persistent copy, so with [background] the two run on
+       after [rebuild] returns, on the persistence socket's cores of the
+       budget that no worker of the recovered instance is placed on
+       ([Sim.Topology.place]) — the persistence core among them, whose
+       thread waits for their commit — and keep those cores until they
+       end: a copy on each of the first two, the rest dealt to them as
+       helpers, or both in turn on a lone core. Once both are durable and
+       [install] has run, they commit: adopt their sub-heaps, name them
+       in [slot_meta0], [slot_meta1] and [slot_active], clear
+       [slot_pending], and fill [committed]. Without [background], or
+       with no such core, they are joined with the rest and [install]
+       commits. *)
+    let rebuild r =
       let pa = Alloc.create_persistent mem ~home:p_socket in
       let vol = Array.make n_replicas None and per = Array.make 2 None in
       let raised = ref [] and scan_raised = ref None in
@@ -396,18 +443,19 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         with (Invalid_argument _ | Failure _) as e -> raised := e :: !raised
       in
       let scan_job () =
-        match scan () with
-        | s -> Sim.Once.fill suffix s
+        match r.scan () with
+        | s -> Sim.Once.fill r.suffix s
         | exception ((Invalid_argument _ | Failure _) as e) ->
           scan_raised := Some e;
-          Sim.Once.fill suffix [||]
+          Sim.Once.fill r.suffix [||]
       in
-      let build_prep helpers i () =
+      let build_prep ?(persist = true) helpers i () =
         let sub = Alloc.sub pa in
         Context.set_persistent sub;
         let prep = make_prep sub (clone ~helpers ~reconcile:false) in
-        Context.with_helpers helpers (fun () ->
-            Alloc.persist_heap ~split:Context.spread sub);
+        if persist then
+          Context.with_helpers helpers (fun () ->
+              Alloc.persist_heap ~split:Context.spread sub);
         per.(i) <- Some (prep, sub)
       in
       (* [at]: this fiber, the scan, the volatile copies, the persistent
@@ -423,27 +471,56 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
              (recovery_sockets cfg))
       in
       let budget = min beta (max cores (recovery_width cfg)) in
-      let helpers = Array.make (Array.length at) [] in
-      Array.iteri
-        (fun s used ->
-          let copies =
-            List.filter
-              (fun k -> k <> 1 && fst at.(k) = s)
-              (List.init (Array.length at) Fun.id)
+      (* socket [s]'s cores of the budget past its first [from] *)
+      let spare s from =
+        List.init (max 0 (budget - from)) (fun c -> (s, (base + from + c) mod beta))
+      in
+      (* how many of the first [n] fibers of [at] are on socket [s] *)
+      let on s n =
+        List.length (List.filter (fun k -> fst at.(k) = s) (List.init n Fun.id))
+      in
+      let sync = Array.length at - 2 in
+      let bg_cores =
+        if not r.background then []
+        else begin
+          let worker_cores =
+            List.init
+              (min cfg.Config.workers (Sim.Topology.total_cores topo - 1))
+              (Sim.Topology.place topo)
           in
-          let n = List.length copies and spare = budget - used in
-          if n > 0 && spare > 0 then
-            (* copy [j] of [n] takes [spare / n] consecutive cores, one
-               more while [j < spare mod n] *)
-            ignore
-              (List.fold_left
-                 (fun (j, next) k ->
-                   let mine = (spare / n) + if j < spare mod n then 1 else 0 in
-                   helpers.(k) <-
-                     List.init mine (fun c -> (s, (base + next + c) mod beta));
-                   (j + 1, next + mine))
-                 (0, used) copies))
-        taken;
+          List.filter
+            (fun c -> not (List.mem c worker_cores))
+            (spare p_socket (on p_socket sync))
+        end
+      in
+      let background = bg_cores <> [] in
+      let placed = if background then sync else Array.length at in
+      (* [n] consecutive runs of [cores]: run [j] takes [len / n] cores,
+         one more while [j < len mod n] *)
+      let deal n cores =
+        let len = List.length cores and rest = ref cores in
+        Array.init n (fun j ->
+            let mine = (len / n) + if j < len mod n then 1 else 0 in
+            let run = List.filteri (fun c _ -> c < mine) !rest in
+            rest := List.filteri (fun c _ -> c >= mine) !rest;
+            run)
+      in
+      let helpers = Array.make (Array.length at) [] in
+      for s = 0 to topo.Sim.Topology.sockets - 1 do
+        let copies =
+          List.filter
+            (fun k -> k <> 1 && fst at.(k) = s)
+            (List.init placed Fun.id)
+        in
+        let spare =
+          List.filter
+            (fun c -> not (List.mem c bg_cores))
+            (spare s (on s placed))
+        in
+        if copies <> [] then
+          let runs = deal (List.length copies) spare in
+          List.iteri (fun j k -> helpers.(k) <- runs.(j)) copies
+      done;
       let job k f = (fst at.(k), snd at.(k), f) in
       let jobs =
         List.init (n_replicas - 1) (fun i ->
@@ -451,27 +528,74 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
             job (1 + rid)
               (guard (fun () ->
                    vol.(rid) <- Some (make_replica ~helpers:helpers.(1 + rid) rid))))
-        @ [ job (n_replicas + 1)
-              (guard (build_prep helpers.(n_replicas + 1) 0));
-            job (n_replicas + 2)
-              (guard (build_prep helpers.(n_replicas + 2) 1));
-            job 1 scan_job ]
+        @ (if background then []
+           else
+             [ job (n_replicas + 1)
+                 (guard (build_prep helpers.(n_replicas + 1) 0));
+               job (n_replicas + 2)
+                 (guard (build_prep helpers.(n_replicas + 2) 1)) ])
+        @ [ job 1 scan_job ]
       in
+      if background then begin
+        (* A raise here is torn media, which replica 0's copy of the same
+           checkpoint raises in the recovery itself: the gap stays open. *)
+        let torn = ref false in
+        let copy ?persist h i () =
+          try build_prep ?persist h i ()
+          with Invalid_argument _ | Failure _ -> torn := true
+        in
+        let persist = cfg.Config.fault <> Config.Commit_before_copies_persist in
+        let commit () =
+          let t = Sim.Once.get installed in
+          let (p0, s0), (p1, s1) = (Option.get per.(0), Option.get per.(1)) in
+          Alloc.adopt pa s0;
+          Alloc.adopt pa s1;
+          let rb = cfg.Config.root_base in
+          Roots.set roots (rb + slot_meta0) p0.meta;
+          Roots.set roots (rb + slot_meta1) p1.meta;
+          Roots.set roots (rb + slot_active) 0;
+          Roots.set roots (rb + slot_pending) Memory.null;
+          t.p_reps.(0) <- p0;
+          t.p_reps.(1) <- p1;
+          Sim.Once.fill t.committed ()
+        in
+        let lead = snd (List.hd bg_cores) in
+        Sim.spawn_here ~socket:p_socket ~core:lead (fun () ->
+            (match bg_cores with
+             | [ _ ] ->
+               copy ~persist [] 0 ();
+               copy ~persist [] 1 ()
+             | _ :: (_, second) :: rest ->
+               let h = deal 2 rest in
+               Sim.fork_join
+                 [ (p_socket, second, copy ~persist h.(1) 1) ]
+                 (copy ~persist h.(0) 0)
+             | [] -> assert false);
+            if not !torn then commit ())
+      end;
       Sim.fork_join jobs
         (guard (fun () -> vol.(0) <- Some (make_replica ~helpers:helpers.(0) 0)));
       (match (!scan_raised, List.rev !raised) with
        | Some e, _ | None, e :: _ -> raise e
        | None, [] -> ());
-      let per = Array.map Option.get per in
-      Array.iter (fun (_, sub) -> Alloc.adopt pa sub) per;
-      ( Array.map Option.get vol,
-        Some (pa, (fst per.(0), fst per.(1))) )
+      let preps =
+        if background then None
+        else begin
+          let per = Array.map Option.get per in
+          Array.iter (fun (_, sub) -> Alloc.adopt pa sub) per;
+          Some (fst per.(0), fst per.(1))
+        end
+      in
+      (Array.map Option.get vol, pa, preps)
     in
     let replicas, rebuilt =
       match replay with
       | None -> (Array.init n_replicas make_replica, None)
-      | Some r -> rebuild r
+      | Some r ->
+        let vols, pa, preps = rebuild r in
+        (vols, Some (pa, preps))
     in
+    let background = match rebuilt with Some (_, None) -> true | _ -> false in
     (* Recovery defers its root writes to [install], creation makes them
        at once. *)
     let deferred = ref [] in
@@ -513,7 +637,16 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           if not cfg.Config.lsm_ckpt then begin
             let p0, p1 =
               match rebuilt with
-              | Some (_, preps) -> preps
+              | Some (_, Some preps) -> preps
+              | Some (_, None) ->
+                (* stand-ins until the background commit puts the copies
+                   in: DRAM tails reading 0, as the copies' own do until
+                   the persistence thread, which starts on the commit,
+                   advances them; their handle is never read *)
+                let m0 = ctrl + 48 and m1 = ctrl + 56 in
+                Memory.write mem m0 0;
+                Memory.write mem m1 0;
+                ({ meta = m0; pds = master_ds }, { meta = m1; pds = master_ds })
               | None ->
                 let make_prep () =
                   make_prep pa (fun () -> Ds.copy replicas.(0).ds)
@@ -523,9 +656,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                 Alloc.persist_heap pa;
                 (p0, p1)
             in
-            set_root (rb + slot_active) 0;
-            set_root (rb + slot_meta0) p0.meta;
-            set_root (rb + slot_meta1) p1.meta;
+            if not background then begin
+              set_root (rb + slot_active) 0;
+              set_root (rb + slot_meta0) p0.meta;
+              set_root (rb + slot_meta1) p1.meta
+            end;
             ([| p0; p1 |], classic mem roots cfg (Some pa))
           end
           else begin
@@ -559,6 +694,14 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         (Some pa, p_reps, ct_addr, ckpt)
       end
     in
+    let gap =
+      match replay with
+      | Some { prior = Some prior; _ } ->
+        Some (Alloc.alloc (Option.get p_alloc) Memory.line_words, prior)
+      | Some { prior = None; _ } | None -> None
+    in
+    let committed = Sim.Once.create () in
+    if not background then Sim.Once.fill committed ();
     (* announce/response table: reattach the pre-crash one through its root
        (recovery must keep the records a crash left behind), create and
        register a fresh one on first build *)
@@ -608,13 +751,25 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         txn_gate = None;
         tel;
         ckpt;
+        committed;
         ckpt_count = 0;
         ckpt_cost_total = 0;
         ckpt_cost_last = 0;
       }
     in
+    let pending = cfg.Config.root_base + slot_pending in
     let install () =
-      List.iter (fun (slot, v) -> Roots.set roots slot v) (List.rev !deferred)
+      Option.iter
+        (fun (a, (meta, log_base, ct)) ->
+          List.iteri
+            (fun i v -> Memory.write mem (a + i) v)
+            [ meta; log_base; ct; log.Log.base; ct_addr ];
+          Memory.clflush ~site:Persist.Roots_set mem a;
+          Roots.set roots pending a)
+        gap;
+      List.iter (fun (slot, v) -> Roots.set roots slot v) (List.rev !deferred);
+      if background then Sim.Once.fill installed t
+      else if Option.is_some replay then Roots.set roots pending Memory.null
     in
     (t, install)
 
@@ -1085,6 +1240,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       write_flush_boundary t (read_flush_boundary t + t.cfg.Config.epsilon)
 
   let persistence_loop t =
+    (* a recovered instance's persistent replicas may still be in the
+       background: catching up needs them *)
+    Sim.Once.get t.committed;
     Context.bind
       ~default:(Alloc.create_volatile t.mem ~home:t.p_socket)
       ?persistent:t.p_alloc ();
@@ -1222,13 +1380,22 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   (* ---- recovery (paper §5.1 / §5.2) ---- *)
 
   (* Mount the stable checkpoint through the roots, writing nothing — the
-     backend is chosen here — and return the log index it covers up to
-     with its replay, which builds the recovered instance: classic, from
-     the stable replica ([build]'s [replay]); lsm, from the manifest's
-     segments and [sealed_lt] ([Lsm_ckpt.Make.replay]). *)
+     backend is chosen here — and return the log index it covers up to,
+     the logs whose durable prefixes replay on top of it, and the replay,
+     which builds the recovered instance: classic, from the stable replica
+     ([build]'s [replay]); lsm, from the manifest's segments and
+     [sealed_lt] ([Lsm_ckpt.Make.replay]). A log is
+     [(base, completedTail address, mine)], oldest first, [mine] when it
+     is [old_t]'s own: one, the committed generation's, which is
+     [old_t]'s; or, while a classic gap record is pending, the generation
+     a recovery started from and the one it built, each replayed from its
+     own durable prefix (see [build]). *)
   let mount old_t =
     let mem = old_t.mem and roots = old_t.roots and cfg = old_t.cfg in
     let rb = cfg.Config.root_base in
+    let committed () =
+      [ (Roots.get roots (rb + slot_log), Roots.get roots (rb + slot_ct), true) ]
+    in
     if cfg.Config.lsm_ckpt then begin
       let l =
         Lsm_ckpt.mount mem
@@ -1236,44 +1403,61 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           ~fanout:cfg.Config.lsm_fanout
       in
       ( l.Lsm_ckpt.sealed_lt,
-        fun ~scan ~suffix ~reconcile ~cores:_ ->
+        committed (),
+        fun ~scan ~suffix ~reconcile ~cores:_ ~background:_ ->
           Sim.Once.fill suffix (scan ());
           let master, view = L.replay l (Sim.Once.get suffix) ~reconcile in
           build ~store:(l, view) mem roots cfg ~prefill:[] ~master:(Some master) )
     end
     else begin
-      let active = Roots.get roots (rb + slot_active) in
-      let stable = 1 - active in
-      let stable_meta =
-        Roots.get roots (rb + if stable = 0 then slot_meta0 else slot_meta1)
+      let gap = Roots.get roots (rb + slot_pending) in
+      let stable_meta, logs, prior =
+        if gap = Memory.null then begin
+          let active = Roots.get roots (rb + slot_active) in
+          let meta =
+            Roots.get roots
+              (rb + if active = 1 then slot_meta0 else slot_meta1)
+          in
+          (meta, committed (), Some (meta, old_t.log.Log.base, old_t.ct_addr))
+        end
+        else begin
+          let w = Memory.read_words mem gap 5 in
+          ( w.(0),
+            [ (w.(1), w.(2), w.(2) = old_t.ct_addr);
+              (w.(3), w.(4), w.(4) = old_t.ct_addr) ],
+            None )
+        end
       in
       let stable_lt = Memory.read mem stable_meta in
       let stable_root = Memory.read mem (stable_meta + 1) in
       let stable_ds = Ds.attach mem stable_root in
       ( stable_lt,
-        fun ~scan ~suffix ~reconcile ~cores ->
-          build ~replay:(scan, suffix, reconcile) ?cores mem roots cfg
-            ~prefill:[] ~master:(Some stable_ds) )
+        logs,
+        fun ~scan ~suffix ~reconcile ~cores ~background ->
+          build
+            ~replay:
+              { scan; suffix; on_response = reconcile; prior;
+                background = background && Option.is_some prior }
+            ?cores mem roots cfg ~prefill:[] ~master:(Some stable_ds) )
     end
 
-  (* The log entries replay applies, as (index, op, args, tag), from the
-     checkpoint's tail [from] to the recovered completedTail [ct], skipping
+  (* The entries of the log at [base] that replay applies, as (index, op,
+     args, tag), from [from] to the recovered completedTail [ct], skipping
      holes (unpersisted entries) and entries [keep] rejects. An entry is
      one cache line, read with one line load. *)
-  let scan_suffix ?keep old_t ~ct ~from =
+  let scan_suffix ?keep old_t ~base ~ct ~from =
     let cfg = old_t.cfg in
     (* replay must read the NVM media truth, never the (volatile) DRAM
        mirror — the planted [Mirror_read_on_recovery] fault does exactly
        that wrong thing so the fuzzer can prove it notices *)
     let mirror =
-      if cfg.Config.fault = Config.Mirror_read_on_recovery then
-        Log.mirror_base old_t.log
+      if cfg.Config.fault = Config.Mirror_read_on_recovery
+         && base = old_t.log.Log.base
+      then Log.mirror_base old_t.log
       else None
     in
     let log =
-      Log.attach old_t.mem
-        ~base:(Roots.get old_t.roots (cfg.Config.root_base + slot_log))
-        ~size:cfg.Config.log_size ~durable:true ~mirror
+      Log.attach old_t.mem ~base ~size:cfg.Config.log_size ~durable:true ~mirror
     in
     (* Under detectable execution the scan continues past the recovered
        completedTail: a combiner's responses are fenced *before* its
@@ -1337,19 +1521,31 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     in
     (report, old_t.prefill @ checkpointed @ replayed_ops)
 
-  (** Rebuild after [Memory.crash], writing no root. [old_t] supplies
-      configuration and the ghost trace; all simulated-memory state is
-      read back from NVM media through the root directory. The log suffix
-      past the checkpoint is replayed only where [keep ~op ~args] holds:
-      sharded recovery answers from the post-crash decision-table media,
-      rolling committed prepares forward and skipping unprepared/aborted
-      ones like log holes. Returns the rebuilt UC, a report for the
-      durability checkers, and [install], which writes the rebuilt UC's
-      roots; the UC is not recoverable until it has run. [cores] is the
-      recovery's budget of consecutive cores on every socket, from the
-      calling fiber's up (default: the whole socket; never fewer than
+  (** Rebuild after [Memory.crash]. [old_t] supplies configuration and
+      the ghost trace; all simulated-memory state is read back from NVM
+      media through the root directory. The log suffix past the
+      checkpoint is replayed only where [keep ~op ~args] holds: sharded
+      recovery answers from the post-crash decision-table media, rolling
+      committed prepares forward and skipping unprepared/aborted ones like
+      log holes. Returns the rebuilt UC, a report for the durability
+      checkers, and [install], which writes the rebuilt UC's roots. [cores]
+      is the recovery's budget of consecutive cores on every socket, from
+      the calling fiber's up (default: the whole socket; never fewer than
       [recovery_width]); the cores its own fibers leave idle become the
       copies' helpers. Must run inside a fiber.
+
+      Under classic checkpoints the UC becomes recoverable in two steps.
+      [install] makes it recoverable from the checkpoint recovery started
+      from, through a gap record ([build]): a crash from then on recovers
+      that checkpoint, its log suffix and the new log's durable prefix,
+      which [account] reads as the rebuilt UC's prefill plus its own
+      suffix. With [background] (the default) the two persistent copies
+      are still being built when [rebuild] returns, and commit the new
+      checkpoint themselves once they are durable and [install] has run;
+      until then [slot_pending] is set. A sharded lane that rebuilds
+      another shard after this one passes [false], so it hands the next
+      shard no core a copy still holds. A recovery that starts from a gap
+      record joins its copies, and its [install] commits.
 
       One spine serves both checkpoint backends: [mount] the checkpoint,
       scan the durable suffix past its tail once, replay, then account
@@ -1360,15 +1556,21 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       reconciled response slots, so a crash at any point before then
       leaves the checkpoint and log it started from, and recovering again
       gives the same result. *)
-  let rebuild ?keep ?cores old_t =
+  let rebuild ?keep ?cores ?(background = true) old_t =
     if not (has_persistence old_t) then
       invalid_arg "Prep_uc.recover: volatile variant cannot recover";
     let mem = old_t.mem and roots = old_t.roots and cfg = old_t.cfg in
     let rb = cfg.Config.root_base in
-    let base_lt, replay = mount old_t in
+    let base_lt, logs, replay = mount old_t in
     let durable = cfg.Config.mode = Config.Durable in
-    let ct =
-      if durable then Memory.read mem (Roots.get roots (rb + slot_ct)) else 0
+    let logs =
+      List.mapi
+        (fun i (base, ct_addr, mine) ->
+          ( base,
+            (if durable then Memory.read mem ct_addr else 0),
+            (if i = 0 then base_lt else 0),
+            mine ))
+        logs
     in
     let ann =
       if durable && cfg.Config.detect then
@@ -1380,8 +1582,14 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         else None
       else None
     in
+    let scanned = ref [] in
     let scan () =
-      if durable then scan_suffix ?keep old_t ~ct ~from:base_lt else [||]
+      if durable then
+        scanned :=
+          List.map
+            (fun (base, ct, from, _) -> scan_suffix ?keep old_t ~base ~ct ~from)
+            logs;
+      Array.concat !scanned
     in
     let suffix = Sim.Once.create () in
     (* replay reconciliation: rewrite the submitting thread's response slot
@@ -1399,14 +1607,25 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         end
       | None -> ()
     in
-    let t, install = replay ~scan ~suffix ~reconcile ~cores in
-    let report, prefill = account old_t ~base_lt ~ct (Sim.Once.get suffix) in
+    let t, install = replay ~scan ~suffix ~reconcile ~cores ~background in
+    (* [old_t]'s trace covers its own log: the logs before it are in its
+       prefill, and no later one holds an op of it *)
+    let report, prefill =
+      match List.find_index (fun (_, _, _, mine) -> mine) logs with
+      | Some i ->
+        let _, ct, from, _ = List.nth logs i in
+        account old_t ~base_lt:from ~ct
+          (if durable then List.nth !scanned i else [||])
+      | None -> account old_t ~base_lt:0 ~ct:0 [||]
+    in
     ( { t with prefill; detect_reconciled = !reconciled },
       { report with reconciled = !reconciled },
       install )
 
-  (** Recover after [Memory.crash]: [rebuild], then [install]. Must run
-      inside a fiber. *)
+  (** Recover after [Memory.crash]: [rebuild], then [install]. The UC it
+      returns is recoverable at once, through its gap record while its
+      persistent copies still finish (see [rebuild]). Must run inside a
+      fiber. *)
   let recover ?keep ?cores old_t =
     let t, report, install = rebuild ?keep ?cores old_t in
     install ();

@@ -99,8 +99,9 @@ let op_get = 2
 let route_key ~nshards key = key * 0x9E3779B1 land max_int mod nshards
 
 (* Absolute root-directory slot of the decision-table directory block.
-   Shard [i] occupies slots [i*8 + 1 .. i*8 + 6]; slot 7 is free. *)
-let slot_decision = 7
+   Shard [i] occupies slots [i*8 + 1 .. i*8 + 7] and slots 56..62 hold
+   the shards' LSM manifests; slot 63 is free. *)
+let slot_decision = 63
 
 (* ---- the persistent commit decision table ---- *)
 
@@ -569,9 +570,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       Each lane of shards gets a budget of [beta / lanes] consecutive
       cores on every socket, at least [Prep_uc.recovery_width], so no two
       shards' fibers ever share a core; when a socket has too few cores
-      for every shard, a lane rebuilds several shards in turn. Returns the
-      new construction plus the per-shard recovery reports. Must run
-      inside a fiber. *)
+      for every shard, a lane rebuilds several shards in turn. A shard's
+      persistent copies run on past its rebuild ([Prep_uc.rebuild]'s
+      [background]) only if it is its lane's last, so a lane never hands
+      the next shard a core a copy still holds. Returns the new
+      construction plus the per-shard recovery reports. Must run inside a
+      fiber. *)
   let recover old_t =
     let mem = old_t.mem and roots = old_t.roots and n = old_t.nshards in
     let dec = Decision.attach mem roots in
@@ -590,7 +594,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       while !i < n do
         rebuilt.(!i) <-
           Some
-            (try Ok (P.rebuild ~keep ~cores:budget old_t.shards.(!i))
+            (try
+               Ok
+                 (P.rebuild ~keep ~cores:budget
+                    ~background:(!i + lanes >= n)
+                    old_t.shards.(!i))
              with (Invalid_argument _ | Failure _) as e -> Error e);
         i := !i + lanes
       done

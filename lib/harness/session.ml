@@ -47,6 +47,7 @@ type config = {
   detect : bool;  (** detectable execution: resume via [resolve] *)
   bg_period : int;  (** mean ops between background cache write-backs *)
   preempt_prob : float;
+  fault : Prep.Config.fault;  (** planted protocol fault, for the checks' teeth *)
 }
 
 let default_config =
@@ -60,6 +61,7 @@ let default_config =
     detect = true;
     bg_period = 2_000;
     preempt_prob = 0.02;
+    fault = Prep.Config.No_fault;
   }
 
 type epoch_info = {
@@ -141,7 +143,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     in
     let uc_cfg =
       Prep.Config.make ~mode:Prep.Config.Durable ~log_size:cfg.log_size
-        ~epsilon:cfg.epsilon ~detect:cfg.detect ~workers:cfg.threads ()
+        ~epsilon:cfg.epsilon ~detect:cfg.detect ~fault:cfg.fault
+        ~workers:cfg.threads ()
     in
     (* client ghost state; [next] is rebuilt from [resolve] on restart when
        detectability is on, so it is client knowledge, not an oracle *)

@@ -596,19 +596,21 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
     recover_with ?keep ?cores (fun uc' report -> (U.snapshot uc', report)) uc
 
   (* a 4-worker run of [gen] ops cut by a power failure at 1.5 ms *)
-  let crash_run ?(lsm_ckpt = false) ~mode ~prefill ~gen () =
+  let crash_run ?(lsm_ckpt = false) ?(fault = Config.No_fault) ?(workers = 4)
+      ~mode ~prefill ~gen () =
     let sim = Sim.create ~seed:5L topology in
     let mem = Memory.make ~bg_period:2000 ~sockets:2 () in
     let uc_ref = ref None in
     ignore
       (Sim.spawn sim ~socket:0 (fun () ->
            let cfg =
-             Config.make ~mode ~lsm_ckpt ~log_size:128 ~epsilon:32 ~workers:4 ()
+             Config.make ~mode ~lsm_ckpt ~fault ~log_size:128 ~epsilon:32
+               ~workers ()
            in
            let uc = U.create ~prefill mem (Roots.make mem) cfg in
            U.start_persistence uc;
            uc_ref := Some uc;
-           for w = 0 to 3 do
+           for w = 0 to workers - 1 do
              let socket, core = Sim.Topology.place topology w in
              Sim.spawn_here ~socket ~core (fun () ->
                  U.register_worker uc;
@@ -668,6 +670,184 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
   let test ~prefill ~gen () =
     check_cuts ~mode:Config.Buffered ~prefill ~gen (Ds.name ^ " buffered");
     check_cuts ~mode:Config.Durable ~prefill ~gen (Ds.name ^ " durable")
+
+  (* ---- the gap: from a recovery's install to its background commit ---- *)
+
+  (* One recovery of [old] from the memory's current media in a fresh
+     simulation: [rebuild], [install], then [after t] on the recovering
+     fiber, run to the end or to a power failure as memory op [cut]
+     starts; with a [cut], the power fails at the end if the run gets
+     there first. Returns the rebuilt instance, once [rebuild] has
+     returned, its state and report, once [install] has, and whether any
+     fiber wrote an NVM arena of the media it started from other than the
+     root directory: none may, without [--detect], until the commit
+     leaves them behind. [on_root] sees every root write with its op
+     index. *)
+  let gap_run ?(cut = max_int) ?(after = ignore) ?(on_root = fun _ _ _ -> ())
+      mem old =
+    Context.reset ();
+    let frozen = Memory.arena_count mem and touched = ref false in
+    let sim = Sim.create ~seed:6L topology in
+    let built = ref None and out = ref None in
+    ignore
+      (Sim.spawn sim ~socket:0 (fun () ->
+           let t, report, install = U.rebuild old in
+           built := Some t;
+           install ();
+           out := Some (U.snapshot t, report);
+           after t));
+    Memory.set_access_hook mem (fun _ addr write v ->
+        let aid = addr lsr Memory.arena_shift in
+        if write && addr > 0 then
+          if addr < Roots.max_slots then on_root (Memory.op_index mem - 1) addr v
+          else if aid > 0 && aid < frozen && Memory.arena_kind mem aid = Memory.Nvm
+          then touched := true);
+    Memory.set_crash_hook mem (fun i -> if i >= cut then raise Power_failure);
+    let crashed =
+      match Sim.run sim () with
+      | `Done -> false
+      | `Cut _ -> Alcotest.fail "cut"
+      | exception Power_failure -> true
+    in
+    Memory.clear_crash_hook mem;
+    Memory.clear_access_hook mem;
+    if crashed || cut < max_int then Memory.crash mem;
+    (Option.get !built, !out, !touched)
+
+  (* The root writes of one uninterrupted recovery of [old] from
+     [image], as (op index, slot, value). *)
+  let root_writes mem image old =
+    Memory.restore mem image;
+    let writes = ref [] in
+    ignore (gap_run ~on_root:(fun i a v -> writes := (i, a, v) :: !writes) mem old);
+    List.rev !writes
+
+  (* What is wrong with recovering [old] from the memory's current media:
+     the state must be [old]'s prefill plus the trace entries the report
+     applies, a contiguous prefix losing no completed op (durable) or at
+     most ε+β−1 (buffered), and a second recovery of the same media must
+     give the same state, report and media. Returns the recovered state
+     and report with the failures. *)
+  let judge ~mode label mem old =
+    let image = Memory.snapshot mem in
+    let once () =
+      Memory.restore mem image;
+      match gap_run mem old with
+      | _, Some out, _ -> Ok (out, nvm_media mem ~arenas:(Memory.arena_count mem))
+      | _, None, _ -> Error "recovery did not return"
+      | exception (Invalid_argument m | Failure m) -> Error ("recovery raised " ^ m)
+    in
+    match (once (), once ()) with
+    | Error e, _ | _, Error e -> (None, [ label ^ ": " ^ e ])
+    | Ok (((state, report) as got), media), Ok ((state', report'), media') ->
+      let model =
+        List.fold_left
+          (fun m (op, args) -> fst (Ds.Model.apply m ~op ~args))
+          Ds.Model.empty
+          (U.prefill_ops old
+          @ List.map
+              (fun i ->
+                let e = Trace.get (U.trace old) i in
+                (e.Trace.op, e.Trace.args))
+              report.Prep_uc.applied)
+      in
+      let bound = if mode = Config.Durable then 0 else 32 + 4 - 1 in
+      let fail cond what = if cond then [] else [ label ^ ": " ^ what ] in
+      ( Some got,
+        fail (Ds.Model.snapshot model = state) "state is not the applied prefix"
+        @ fail report.Prep_uc.contiguous_prefix "not a contiguous prefix"
+        @ fail
+            (report.Prep_uc.lost_completed <= bound)
+            (Printf.sprintf "%d completed ops lost" report.Prep_uc.lost_completed)
+        @ fail (state = state' && report = report') "second recovery differs"
+        @ fail (media = media') "second recovery's media differ" )
+
+  (* Cut the gap of one recovery of [old], from [image], at op [cut] and
+     judge the crash image with the instance the gap ran in. *)
+  let cut_gap ?after ~mode label mem image old ~cut =
+    Memory.restore mem image;
+    let t, _, touched = gap_run ?after ~cut mem old in
+    let _, fs = judge ~mode label mem t in
+    (t, if touched then (label ^ ": wrote the media it started from") :: fs else fs)
+
+  (* Crash a recovery in its gap, and judge every crash image:
+     - right after each of its root writes: the gap record's, the new
+       log's, and each of the background commit's;
+     - after [k] updates that completed in the gap (durably, in durable
+       mode), each one returning before the persistent copies are
+       committed: the first op after recovery need not wait for them,
+       and the persistence thread, started at once, touches nothing
+       before the commit;
+     - in the gap of the recovery from that first gap record, after each
+       of its root writes.
+     Returns the failures. *)
+  let gap_failures ?(fault = Config.No_fault) ~mode ~prefill ~gen label =
+    let uc, mem = crash_run ~fault ~mode ~prefill ~gen () in
+    let image = Memory.snapshot mem in
+    let writes = root_writes mem image uc in
+    (* the gap record, the new log's roots, then the commit: the copies'
+       meta blocks, the active one, and the gap record cleared *)
+    let pending = Prep_uc.slot_pending in
+    let expected =
+      (pending :: (if mode = Config.Durable then [ 4; 5 ] else []))
+      @ [ 2; 3; 1; pending ]
+    in
+    let failures = ref [] in
+    let note fs = failures := !failures @ fs in
+    if List.map (fun (_, a, _) -> a) writes <> expected then
+      note [ label ^ ": unexpected root writes" ];
+    let after_write (i, _, _) = i + 2 in
+    let first = List.hd writes in
+    (* right after each root write, the gap record's first *)
+    List.iteri
+      (fun j w ->
+        let l = Printf.sprintf "%s, after root write %d" label (j + 1) in
+        note (snd (cut_gap ~mode l mem image uc ~cut:(after_write w))))
+      writes;
+    (* [k] updates in the gap *)
+    List.iter
+      (fun k ->
+        let in_gap = ref true in
+        let after t =
+          U.start_persistence t;
+          U.register_worker t;
+          let rng = Sim.fiber_rng () in
+          for _ = 1 to k do
+            let rec update () =
+              let op, args = gen rng in
+              if Ds.is_readonly ~op then update () else (op, args)
+            in
+            let op, args = update () in
+            ignore (U.execute t ~op ~args);
+            if Memory.peek mem Prep_uc.slot_pending = Memory.null then
+              in_gap := false
+          done;
+          raise Power_failure
+        in
+        let l = Printf.sprintf "%s, %d updates in the gap" label k in
+        let _, fs = cut_gap ~after ~mode l mem image uc ~cut:max_int in
+        note fs;
+        if not !in_gap then note [ l ^ ": an update waited for the commit" ])
+      [ 1; 8 ];
+    (* in the gap of the recovery from the first gap record *)
+    Memory.restore mem image;
+    let gap_t, _, _ = gap_run ~cut:(after_write first) mem uc in
+    let gap_image = Memory.snapshot mem in
+    let nested = root_writes mem gap_image gap_t in
+    List.iteri
+      (fun j w ->
+        let l = Printf.sprintf "%s, nested recovery write %d" label (j + 1) in
+        note (snd (cut_gap ~mode l mem gap_image gap_t ~cut:(after_write w))))
+      nested;
+    !failures
+
+  let test_gap ~prefill ~gen () =
+    List.iter
+      (fun (mode, name) ->
+        match gap_failures ~mode ~prefill ~gen (Ds.name ^ " " ^ name) with
+        | [] -> ()
+        | f :: _ -> Alcotest.fail f)
+      [ (Config.Durable, "durable"); (Config.Buffered, "buffered") ]
 end
 
 (* Sharded recovery's [keep] filter sees each kept payload as it is read,
@@ -741,44 +921,85 @@ let test_cut_recovery_split () =
 (* No two recovery fibers that run at once share a (socket, core) — the
    simulator would not charge for the second — while the copies of a
    two-arena tree run on helper cores too. A fiber's span runs from its
-   first memory access to its last. *)
+   first memory access to its last. The recovered instance's workers
+   start updating as soon as recovery returns, while the persistent
+   copies still run: those keep their cores to the end, and every one of
+   them is the persistence core or a core no worker is placed on. Four
+   workers leave socket 1 to the copies; six take two of its cores. *)
 let test_recovery_cores () =
   let module R = Seqds.Rbtree in
   let module C = Cut_recovery (R) in
-  let uc, mem =
-    C.crash_run ~mode:Config.Durable
-      ~prefill:(List.init split_tree_keys (fun k -> (R.op_insert, [| k; k |])))
-      ~gen:(map_gen ~insert:R.op_insert ~remove:R.op_remove ~get:R.op_get)
-      ()
-  in
-  let spans = Hashtbl.create 16 in
-  Memory.set_access_hook mem (fun _ _ _ _ ->
-      let f = Sim.self () and now = Sim.now () in
-      let first =
-        match Hashtbl.find_opt spans f.Sim.fid with
-        | Some (_, _, first, _) -> first
-        | None -> now
-      in
-      Hashtbl.replace spans f.Sim.fid (f.Sim.socket, f.Sim.core, first, now));
-  ignore (C.recover uc);
-  Memory.clear_access_hook mem;
-  let spans = Hashtbl.fold (fun fid span l -> (fid, span) :: l) spans [] in
-  (* this fiber, the scan, two persistent copies, and their helpers *)
-  check_bool "helpers ran" true (List.length spans > 4);
+  let topology = C.topology in
   List.iter
-    (fun (a, (s, c, a0, a1)) ->
+    (fun workers ->
+      let label = Printf.sprintf "%d workers: " workers in
+      let uc, mem =
+        C.crash_run ~workers ~mode:Config.Durable
+          ~prefill:(List.init split_tree_keys (fun k -> (R.op_insert, [| k; k |])))
+          ~gen:(map_gen ~insert:R.op_insert ~remove:R.op_remove ~get:R.op_get)
+          ()
+      in
+      let spans = Hashtbl.create 16 in
+      Memory.set_access_hook mem (fun _ _ _ _ ->
+          let f = Sim.self () and now = Sim.now () in
+          let first =
+            match Hashtbl.find_opt spans f.Sim.fid with
+            | Some (_, _, first, _) -> first
+            | None -> now
+          in
+          Hashtbl.replace spans f.Sim.fid (f.Sim.socket, f.Sim.core, first, now));
+      Context.reset ();
+      let sim = Sim.create ~seed:6L topology in
+      let returned = ref 0 and fids = ref [] and committed_late = ref false in
+      ignore
+        (Sim.spawn sim ~socket:0 (fun () ->
+             let t, _ = C.U.recover uc in
+             returned := Sim.now ();
+             committed_late := Memory.peek mem Prep_uc.slot_pending <> Memory.null;
+             for w = 0 to workers - 1 do
+               let socket, core = Sim.Topology.place topology w in
+               Sim.spawn_here ~socket ~core (fun () ->
+                   fids := (Sim.self ()).Sim.fid :: !fids;
+                   C.U.register_worker t;
+                   for k = 1 to 4 do
+                     ignore (C.U.execute t ~op:R.op_insert ~args:[| k; w |])
+                   done)
+             done));
+      (match Sim.run sim () with `Done -> () | `Cut _ -> Alcotest.fail "cut");
+      Memory.clear_access_hook mem;
+      let spans = Hashtbl.fold (fun fid span l -> (fid, span) :: l) spans [] in
+      (* this fiber, the scan, two persistent copies, and their helpers *)
+      check_bool (label ^ "helpers ran") true (List.length spans > 4);
+      check_bool (label ^ "the copies commit after recovery returns") true
+        !committed_late;
       List.iter
-        (fun (b, (s', c', b0, b1)) ->
-          if a < b && a0 < b1 && b0 < a1 && s = s' && c = c' then
-            Alcotest.failf "fibers %d and %d share core %d.%d" a b s c)
-        spans)
-    spans
+        (fun (a, (s, c, a0, a1)) ->
+          List.iter
+            (fun (b, (s', c', b0, b1)) ->
+              if a < b && a0 < b1 && b0 < a1 && s = s' && c = c' then
+                Alcotest.failf "%sfibers %d and %d share core %d.%d" label a b s c)
+            spans)
+        spans;
+      let worker_cores = List.init workers (Sim.Topology.place topology) in
+      let background =
+        List.filter
+          (fun (fid, (_, _, _, last)) -> last > !returned && not (List.mem fid !fids))
+          spans
+      in
+      check_bool (label ^ "copies run past recovery") true (background <> []);
+      List.iter
+        (fun (fid, (s, c, _, _)) ->
+          if List.mem (s, c) worker_cores then
+            Alcotest.failf "%sbackground fiber %d on worker core %d.%d" label fid s c)
+        background)
+    [ 4; 6 ]
 
-(* The arena count of the rebuilt persistent allocator must not grow.
-   On the two-arena tree at this topology socket 1's one spare core goes
-   to replica 1's copy, so each persistent copy clones its just over two
-   arenas of nodes alone, into 3 arenas of its sub-heap: 7 with the
-   allocator's own. *)
+(* The arena count of the rebuilt persistent allocator, read once the
+   background commit has adopted the copies' sub-heaps, must not grow.
+   On the two-arena tree at this topology the four workers leave socket
+   1's four cores to the persistent copies, a copy and a helper each,
+   and each copy clones its just over two arenas of nodes into 3 arenas
+   of its sub-heaps: 7 with the allocator's own. *)
 let test_recovery_arenas () =
   let module R = Seqds.Rbtree in
   let module C = Cut_recovery (R) in
@@ -788,12 +1009,40 @@ let test_recovery_arenas () =
       ~gen:(map_gen ~insert:R.op_insert ~remove:R.op_remove ~get:R.op_get)
       ()
   in
-  let arenas =
-    C.recover_with
-      (fun uc' _ -> List.length (Alloc.arenas (Option.get uc'.C.U.p_alloc)))
-      uc
-  in
+  (* [recover_with] runs its simulation to the end, past the commit *)
+  let uc' = C.recover_with (fun uc' _ -> uc') uc in
+  let arenas = List.length (Alloc.arenas (Option.get uc'.C.U.p_alloc)) in
   check_bool (Printf.sprintf "%d arenas, at most 7" arenas) true (arenas <= 7)
+
+(* A crash anywhere in a recovery's gap — between its install and the
+   background commit of its persistent copies — or in the recovery from
+   that gap loses nothing the checkers allow, for either variant. *)
+let test_gap_hashmap =
+  let module C = Cut_recovery (Seqds.Hashmap) in
+  C.test_gap
+    ~prefill:(List.init 20 (fun k -> ins k k))
+    ~gen:(map_gen ~insert:H.op_insert ~remove:H.op_remove ~get:H.op_get)
+
+let test_gap_rbtree =
+  let module R = Seqds.Rbtree in
+  let module C = Cut_recovery (R) in
+  C.test_gap
+    ~prefill:(List.init 20 (fun k -> (R.op_insert, [| k; k |])))
+    ~gen:(map_gen ~insert:R.op_insert ~remove:R.op_remove ~get:R.op_get)
+
+(* The planted [commit-before-copies-persist] fault commits copies whose
+   heaps never reached media: a crash right after the commit recovers a
+   checkpoint that is not there, which the gap checks catch. *)
+let test_gap_fault_caught () =
+  let module C = Cut_recovery (Seqds.Hashmap) in
+  let failures =
+    C.gap_failures ~fault:Config.Commit_before_copies_persist
+      ~mode:Config.Durable
+      ~prefill:(List.init 20 (fun k -> ins k k))
+      ~gen:(map_gen ~insert:H.op_insert ~remove:H.op_remove ~get:H.op_get)
+      "planted fault"
+  in
+  check_bool "the fault is caught" true (failures <> [])
 
 let test_cut_recovery_stack =
   let module S = Seqds.Stack_ds in
@@ -1084,6 +1333,12 @@ let () =
           Alcotest.test_case "cut recovery: stack" `Quick test_cut_recovery_stack;
           Alcotest.test_case "cut recovery: split copies" `Quick
             test_cut_recovery_split;
+          Alcotest.test_case "cut recovery: the gap, hashmap" `Quick
+            test_gap_hashmap;
+          Alcotest.test_case "cut recovery: the gap, rbtree" `Quick
+            test_gap_rbtree;
+          Alcotest.test_case "commit-before-copies-persist is caught" `Quick
+            test_gap_fault_caught;
           Alcotest.test_case "recovery fibers never share a core" `Quick
             test_recovery_cores;
           Alcotest.test_case "rebuilt heap's arena count" `Quick

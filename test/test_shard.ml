@@ -658,7 +658,11 @@ let test_recovery_crash_window () =
 
 (* No two recovery fibers that run at the same time share a core, which
    the simulator would not charge for; the 2x4 topology fits two shards'
-   recoveries at once, so the four shards recover in two waves. *)
+   recoveries at once, so the four shards recover in two waves. A lane's
+   last shard's persistent copies run on past recovery, while the
+   recovered construction's workers already update: they keep their
+   cores to the end, each the persistence core or a core no worker is
+   placed on, and no shard rebuilt later in their lane gets one of them. *)
 let test_recovery_cores () =
   let uc, mem = crash_sharded () in
   (* fid -> socket, core, and the clocks of its first and last access *)
@@ -671,7 +675,19 @@ let test_recovery_cores () =
         | None -> now
       in
       Hashtbl.replace spans f.Sim.fid (f.Sim.socket, f.Sim.core, first, now));
-  ignore (recover_sharded uc);
+  let returned = ref 0 and workers = ref [] in
+  in_recovery_sim (fun () ->
+      let t, _ = SR.recover uc in
+      returned := Sim.now ();
+      for w = 0 to 2 do
+        let socket, core = Sim.Topology.place topology w in
+        Sim.spawn_here ~socket ~core (fun () ->
+            workers := (Sim.self ()).Sim.fid :: !workers;
+            SR.register_worker t;
+            for k = 1 to 5 do
+              ignore (SR.execute t ~op:H.op_insert ~args:[| (8 * k) + w; k |])
+            done)
+      done);
   Nvm.Memory.clear_access_hook mem;
   let spans = Hashtbl.fold (fun fid span l -> (fid, span) :: l) spans [] in
   let overlapping = ref 0 in
@@ -686,7 +702,19 @@ let test_recovery_cores () =
           end)
         spans)
     spans;
-  check_bool "fibers run at once" true (!overlapping > 0)
+  check_bool "fibers run at once" true (!overlapping > 0);
+  let worker_cores = List.init 3 (Sim.Topology.place topology) in
+  let background =
+    List.filter
+      (fun (fid, (_, _, _, last)) -> last > !returned && not (List.mem fid !workers))
+      spans
+  in
+  check_bool "copies run past recovery" true (background <> []);
+  List.iter
+    (fun (fid, (s, c, _, _)) ->
+      if List.mem (s, c) worker_cores then
+        Alcotest.failf "background fiber %d on worker core %d.%d" fid s c)
+    background
 
 (* Parallel recovery gives what recovering the shards in turn gives, under
    either checkpoint backend. *)
