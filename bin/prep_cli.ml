@@ -325,7 +325,7 @@ let run_point ~profile system ds threads epsilon read_pct keys duration seed
       + r.Experiment.clflush_elided + r.Experiment.sfence_elided > 0
     then
       Printf.printf
-        "flit:   %d clwb elided, %d clwb coalesced, %d clflush elided, %d \
+        "saved:  %d clwb elided, %d clwb coalesced, %d clflush elided, %d \
          fences elided\n"
         r.Experiment.clwb_elided r.Experiment.clwb_coalesced
         r.Experiment.clflush_elided r.Experiment.sfence_elided;

@@ -412,10 +412,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
        0, where the log lives; a copy waits for the scan only before it
        replays. Each fiber takes a core of its own ([recovery_width]),
        and a socket's other cores of the [cores] budget are dealt evenly
-       to the copies on it as helpers ([Context.with_helpers]). A copy of
-       one arena or more splits into one part per half arena of nodes, up
-       to its fan-out ([Rbtree.copy]): a large copy uses every core it is
-       lent, and a part under one arena fills one arena of its sub-heap.
+       to the copies on it as helpers ([Context.with_helpers]). A large
+       copy splits into parts up to its fan-out ([Context.parts]): it uses
+       every core it is lent, its helpers allocating from chunks of the
+       copy's own arenas ([Alloc.child]).
        A persistent copy allocates from a sub-heap of its own and persists
        only that once its replay is done, its helpers splitting the
        write-back one arena each. The volatile copies and the scan are
@@ -1430,6 +1430,15 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       in
       let stable_lt = Memory.read mem stable_meta in
       let stable_root = Memory.read mem (stable_meta + 1) in
+      (* a meta block that never reached media names no replica: fail
+         recovery here, as torn media does, rather than attach garbage
+         ([is_nvm] raises [Invalid_argument] past the last arena) *)
+      if stable_root = Memory.null || not (Memory.is_nvm mem stable_root)
+      then
+        failwith
+          (Printf.sprintf
+             "Prep_uc.mount: stable meta block %d names no NVM replica (%d)"
+             stable_meta stable_root);
       let stable_ds = Ds.attach mem stable_root in
       ( stable_lt,
         logs,

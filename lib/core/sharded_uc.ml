@@ -93,14 +93,17 @@ let op_insert = 0
 let op_get = 2
 
 (** The router's key hash, the same multiplication [Soft_hash] buckets
-    with. It is not a Fibonacci hash: 0x9E3779B1 is 1 modulo 16, so for
-    2, 4, 8 or 16 shards this is [key mod nshards], and keys with a
-    common stride land on a subset of the shards. *)
+    with. It is not a Fibonacci hash: 0x9E3779B1 is 1 modulo 2 to 6, so
+    for any shard count up to 6 this is [key mod nshards] (for keys below
+    2{^31}), and at 7 ([Config.max_shards]) it is [5 * key mod 7], a fixed
+    permutation of [key mod 7]. For every allowed shard count, then, keys
+    with a common stride land on a subset of the shards. *)
 let route_key ~nshards key = key * 0x9E3779B1 land max_int mod nshards
 
 (* Absolute root-directory slot of the decision-table directory block.
-   Shard [i] occupies slots [i*8 + 1 .. i*8 + 7] and slots 56..62 hold
-   the shards' LSM manifests; slot 63 is free. *)
+   Shard [i] occupies slots [i*8 + 1 .. i*8 + 7], slots 56..62 hold the
+   shards' LSM manifests, and this last slot, 63, is the 2PC decision
+   table's: the directory is full at [Config.max_shards] shards. *)
 let slot_decision = 63
 
 (* ---- the persistent commit decision table ---- *)

@@ -32,7 +32,9 @@
     runs under the fuzzer's simulated-time horizon
     ([Check.Fuzz.wedge_horizon_ns]), counted from the end of
     create/recover (and bounding create/recover itself), and an epoch
-    still running there ends the session with [Durable_lin.Wedged]. *)
+    still running there ends the session with [Durable_lin.Wedged]. A
+    recovery that raises (torn media, or a checkpoint that never reached
+    it) ends the session with [Durable_lin.Recovery_raised]. *)
 
 open Nvm
 
@@ -156,6 +158,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let violations = ref [] in
     let epoch_infos = ref [] in
     let uc_ref = ref None in
+    let recovery_raised = ref false in
     let crashes_done = ref 0 in
     let duration = ref 0 in
     let runtime_ops = ref 0 in
@@ -177,10 +180,16 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     in
 
     (* restart epoch's set-up: recover, judge the crash, append the
-       survivors to the cumulative history, resume clients *)
+       survivors to the cumulative history, resume clients; [None] when
+       the recovery raised, which is the verdict *)
     let restart old_uc =
       let old_trace = Uc.trace old_uc in
-      let uc', report = Uc.recover old_uc in
+      match Uc.recover old_uc with
+      | exception (Invalid_argument msg | Failure msg) ->
+        violations := !violations @ [ Check.Durable_lin.Recovery_raised msg ];
+        recovery_raised := true;
+        None
+      | uc', report ->
       let completed = Prep.Trace.completed_indexes old_trace in
       violations :=
         !violations
@@ -211,7 +220,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         (* no detectability: skip past the uncertain in-flight op rather
            than risk a duplicate *)
         Array.iteri (fun w s -> next.(w) <- max next.(w) (s + 1)) submitted;
-      uc'
+      Some uc'
     in
 
     (* one epoch: create or recover, then the clients run their scripts
@@ -225,9 +234,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           ~preempt_prob:cfg.preempt_prob ~mem ~horizon ~crash
           ~set_up:(fun () ->
             match !uc_ref with
-            | None -> Uc.create mem (Roots.make mem) uc_cfg
+            | None -> Some (Uc.create mem (Roots.make mem) uc_cfg)
             | Some old_uc -> restart old_uc)
-          ~body:(fun uc ->
+          ~body:(Option.iter @@ fun uc ->
             Check.Epoch.run_workers ~threads:cfg.threads
               ~start:(fun () -> Uc.start_persistence uc)
               ~finish:(fun () ->
@@ -249,7 +258,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                   next.(w) <- s + 1
                 done))
       in
-      Option.iter (fun uc -> uc_ref := Some uc) run.set_up;
+      Option.iter (Option.iter (fun uc -> uc_ref := Some uc)) run.set_up;
       runtime_ops := !runtime_ops + run.runtime_ops;
       let ended = run.ended in
       if ended = Quiescent then
@@ -266,6 +275,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         else Check.Fuzz.No_crash
       in
       match run_epoch crash with
+      | ended when !recovery_raised -> ended
       | Crashed ->
         incr crashes_done;
         Memory.crash mem;
@@ -276,7 +286,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let ended = epochs () in
 
     let uc = Option.get !uc_ref in
-    if ended = Quiescent then begin
+    if ended = Quiescent && not !recovery_raised then begin
       (* final epoch ran to quiescence: its whole trace applied *)
       let trace = Uc.trace uc in
       for i = 0 to Prep.Trace.length trace - 1 do
@@ -293,8 +303,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     in
     violations :=
       !violations
-      @ (if ended = Wedged then
-           (* no final state to judge: the wedge is the session's failure *)
+      @ (if !recovery_raised then
+           (* no final state to judge: the raise is the session's failure *)
+           []
+         else if ended = Wedged then
+           (* nor after a wedge, the session's failure *)
            [ Check.Durable_lin.Wedged { horizon_ns = horizon } ]
          else
            Dl.check_exactly_once ~history ~scripted

@@ -13,15 +13,21 @@
     *rebuilt fresh* on recovery — a recovered heap never reuses pre-crash
     addresses, so a crash can leak but can never corrupt a live object
     (requirement 1). Within a run, freed blocks are recycled through
-    per-size free lists. *)
+    per-size free lists.
+
+    A heap is a root, which owns arenas, or a child ([child]), which owns
+    none and bump-allocates from chunks carved from its parent's bump
+    run: every word a child hands out lies in an arena its root owns. *)
 
 type t = {
   mem : Memory.t;
   kind : Memory.kind;
   home : int;
+  parent : t option; (* a child's chunks come from here *)
   mutable arenas : int list; (* aids owned by this allocator, newest first *)
   mutable bump_aid : int;
   mutable bump_off : int;
+  mutable bump_end : int; (* end of the bump run: the arena's, or the chunk's *)
   free_lists : (int, int list ref) Hashtbl.t; (* size -> reusable addrs *)
   mutable live_words : int;
 }
@@ -34,11 +40,13 @@ let create mem ~kind ~home =
     mem;
     kind;
     home;
+    parent = None;
     arenas = [ aid ];
     bump_aid = aid;
     (* never hand out offset 0 of any arena: address 0 is the null pointer
        and keeping offset 0 reserved everywhere makes bugs loud *)
     bump_off = Memory.line_words;
+    bump_end = Memory.arena_words;
     free_lists = Hashtbl.create 16;
     live_words = 0;
   }
@@ -55,14 +63,69 @@ let live_words t = t.live_words
     pointer. Hand it back with [adopt]. *)
 let sub t = create t.mem ~kind:t.kind ~home:t.home
 
+(* The size of a child's chunk: big enough that a child refills rarely,
+   small enough that the unused ends of a fork's chunks stay under one
+   arena for any fan-out a socket lends. *)
+let chunk_words = Memory.arena_words / 16
+
+(** A child heap of [t]: same memory, kind and home, owning no arena. It
+    bump-allocates from chunks carved from [t]'s bump run as it needs
+    them, so a second fiber can allocate beside [t]'s owner without
+    sharing a bump pointer, and [t] (or, for a child of a child, its
+    root) owns every arena the child's words lie in. Hand it back with
+    [adopt]. *)
+let child t =
+  {
+    mem = t.mem;
+    kind = t.kind;
+    home = t.home;
+    parent = Some t;
+    arenas = [];
+    bump_aid = 0;
+    bump_off = 0;
+    bump_end = 0;
+    free_lists = Hashtbl.create 16;
+    live_words = 0;
+  }
+
 (** Take over [s]'s arenas and live words: everything [s] handed out now
-    belongs to [t] (its [arenas], its [persist_heap]). [t] keeps bumping
-    in its own current arena, and blocks freed into [s] stay unused (a
-    leak, never a reuse); [s] must not be used afterwards. *)
+    belongs to [t] (its [arenas], its [persist_heap]). For a child of
+    [t] that is its live words alone. [t] keeps bumping in its own run,
+    and blocks freed into [s] stay unused (a leak, never a reuse); [s]
+    must not be used afterwards. *)
 let adopt t s =
   if s.mem != t.mem || s.kind <> t.kind then invalid_arg "Alloc.adopt: foreign heap";
+  (match s.parent with
+   | Some p when p != t -> invalid_arg "Alloc.adopt: another heap's child"
+   | Some _ | None -> ());
   t.arenas <- s.arenas @ t.arenas;
   t.live_words <- t.live_words + s.live_words
+
+(* [n] fresh words from [t]'s bump run, refilled first if too short: a
+   root opens a new arena, a child carves a chunk of its parent's run —
+   [max chunk_words n] words, or the rest of the parent's run when that
+   is shorter but fits [n], so no arena's tail is left unused for a
+   chunk. *)
+let rec bump t n =
+  if t.bump_off + n > t.bump_end then begin
+    match t.parent with
+    | None ->
+      let aid = Memory.new_arena t.mem ~kind:t.kind ~home:t.home in
+      t.arenas <- aid :: t.arenas;
+      t.bump_aid <- aid;
+      t.bump_off <- Memory.line_words;
+      t.bump_end <- Memory.arena_words
+    | Some p ->
+      let want = max chunk_words n and left = p.bump_end - p.bump_off in
+      let len = if left >= n && left < want then left else want in
+      let addr = bump p len in
+      t.bump_aid <- addr / Memory.arena_words;
+      t.bump_off <- Memory.offset_of_addr addr;
+      t.bump_end <- t.bump_off + len
+  end;
+  let addr = Memory.addr_of ~aid:t.bump_aid ~offset:t.bump_off in
+  t.bump_off <- t.bump_off + n;
+  addr
 
 (** Allocate [size] words, zero-initialised. *)
 let alloc t size =
@@ -77,16 +140,7 @@ let alloc t size =
        the scrub dirties the lines so the zeros are re-persistable *)
     Memory.scrub t.mem addr size;
     addr
-  | Some _ | None ->
-    if t.bump_off + size > Memory.arena_words then begin
-      let aid = Memory.new_arena t.mem ~kind:t.kind ~home:t.home in
-      t.arenas <- aid :: t.arenas;
-      t.bump_aid <- aid;
-      t.bump_off <- Memory.line_words
-    end;
-    let addr = Memory.addr_of ~aid:t.bump_aid ~offset:t.bump_off in
-    t.bump_off <- t.bump_off + size;
-    addr
+  | Some _ | None -> bump t size
 
 (** Allocate [lines] whole cache lines, zero-initialised and line-aligned.
     Over-allocates by one line and rounds the returned address up to a line

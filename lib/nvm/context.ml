@@ -102,6 +102,14 @@ let fanout () =
   | Some b -> 1 + List.length b.helpers
   | None -> 1
 
+(** How many parts a copy of [n] units splits into: one per [min_part]
+    units, at most [fanout ()], at least 1. Each structure states [n] and
+    [min_part] in its own unit (tree nodes, table buckets) and reads [n]
+    from a word its one-fiber copy loads first anyway, so a copy that
+    does not split issues exactly the one-fiber copy's memory operations,
+    and [min_part] keeps the checkers' small scopes on one fiber. *)
+let parts ~min_part n = max 1 (min (fanout ()) (n / min_part))
+
 (** Run [f] with [cores] as the fiber's helper cores, restoring the
     previous set afterwards. No other fiber may run on them meanwhile. *)
 let with_helpers cores f =
@@ -112,8 +120,9 @@ let with_helpers cores f =
 
 (* The first job on the caller, job [i] on helper core [i - 1], joined
    through [Sim.fork_join]. With [heaps], each helper allocates from a
-   sub-heap of the caller's current allocator, which adopts it after the
-   join; without, a helper has no allocator at all. A helper's
+   child heap of the caller's current allocator ([Alloc.child]: chunks of
+   the caller's own arenas), which adopts its live words after the join;
+   without, a helper has no allocator at all. A helper's
    [Invalid_argument] or [Failure] (torn media) is re-raised after the
    join, the lowest job's first. *)
 let fork_on ~heaps jobs =
@@ -126,7 +135,7 @@ let fork_on ~heaps jobs =
       invalid_arg "Context.fork: more jobs than fan-out";
     let mine = current () in
     let subs =
-      List.map (fun _ -> if heaps then Some (Alloc.sub mine) else None) rest
+      List.map (fun _ -> if heaps then Some (Alloc.child mine) else None) rest
     in
     let raised = Array.make (List.length rest) None in
     let helper i sub f () =
@@ -150,9 +159,10 @@ let fork_on ~heaps jobs =
     List.iter (Option.iter (Alloc.adopt mine)) subs;
     Array.iter (Option.iter raise) raised
 
-(** Run [jobs] at once, at most [fanout ()] of them, each helper in
-    arenas of its own (see [fork_on]): the caller's current allocator
-    owns every word any job allocated once [fork] returns. *)
+(** Run [jobs] at once, at most [fanout ()] of them, each helper in a
+    child heap of the caller's current allocator (see [fork_on]): that
+    allocator owns every arena any job allocated in, and every word any
+    job allocated once [fork] returns. *)
 let fork jobs = fork_on ~heaps:true jobs
 
 (** Run [jobs], none of which allocates, dealt round-robin over

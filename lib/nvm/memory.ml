@@ -16,7 +16,11 @@
     [flush_arena], a background flush) drops the line's capture, so a fence
     never writes back contents older than media already holds. FliT
     ([set_flit]) changes what a flush costs and which flushes are elided,
-    never what reaches media.
+    never what reaches media. The queue's own discount, a [clwb] of a
+    line it already holds merging into that entry, is the hardware's
+    and applies under both flush models; FliT adds only what its
+    tracking knows (see [Sim.Costs]): a flush of a line with no pending
+    store and a fence with nothing to drain.
 
     Addresses are plain ints: [addr = arena_id * arena_words + offset].
     Address 0 is reserved and plays the role of the null pointer. *)
@@ -49,7 +53,8 @@ type stats = {
   mutable wbinvd : int;
   mutable wbinvd_lines : int;
   mutable bg_flushes : int;
-  (* FliT flush-elimination accounting (all 0 unless [set_flit m true]): *)
+  (* flush-elimination accounting: FliT's elisions (0 unless
+     [set_flit m true]) and the WPQ's merges (either flush model) *)
   mutable clwb_elided : int;    (** CLWB on a clean, already-persisted line *)
   mutable clwb_coalesced : int; (** CLWB merged into an existing WPQ entry *)
   mutable clflush_elided : int; (** CLFLUSH on a clean line with current media *)
@@ -588,8 +593,9 @@ let clwb ~site m addr =
     access_point m key ~addr:(-1) ~write:false 0
   end
   else begin
-    if m.m_flit && Hashtbl.mem m.m_wpq key then begin
-      (* same line already queued: update the WPQ entry in place *)
+    if Hashtbl.mem m.m_wpq key then begin
+      (* same line already queued: the WPQ updates its entry in place,
+         under either flush model *)
       Sim.tick c.Sim.Costs.clwb_merge;
       tel_op m "clwb_coalesced" c.Sim.Costs.clwb_merge;
       tel_emit m "clwb" site c.Sim.Costs.clwb_merge;
@@ -686,7 +692,8 @@ let sfence ~site m =
   | Persist.Emit | Persist.Downgrade_to_clwb ->
   op_point m;
   if m.m_flit && Hashtbl.length m.m_wpq = 0 then begin
-    (* empty WPQ: the fence retires immediately, no drain cost *)
+    (* empty WPQ: FliT's tracking knows nothing is pending and skips
+       the fence, no drain cost *)
     tel_op m "sfence_elided" 0;
     tel_site_count m "sfence_flit_elided" site;
     m.m_stats.sfence_elided <- m.m_stats.sfence_elided + 1;

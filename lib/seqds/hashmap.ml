@@ -137,7 +137,15 @@ let execute t ~op ~args =
    cloned in order through a tail pointer. No insert, no rehash, no resize.
    [Context.alloc] zero-fills, so empty buckets and chain ends stay null.
    The source table is loaded a cache line at a time and each node as one
-   block, as a memcpy would. *)
+   block, as a memcpy would.
+
+   A large table is split across the fiber's fan-out ([Context.fork]),
+   one part per [min_part_buckets] buckets up to the fan-out
+   ([Context.parts]): the caller allocates the one table, and each job
+   clones the chains of one run of whole source-table lines into it, a
+   helper allocating from chunks of the caller's own arenas. *)
+let min_part_buckets = 512
+
 let copy src =
   let mem = src.mem in
   let src_table = Memory.read mem src.h in
@@ -154,7 +162,24 @@ let copy src =
       clone n.(2) (c + 2)
     end
   in
-  Memory.iter_lines mem src_table capacity (fun b head -> clone head (table + b));
+  (* the chains of buckets [lo, hi) *)
+  let clone_range lo hi =
+    Memory.iter_lines mem (src_table + lo) (hi - lo) (fun b head ->
+        clone head (table + lo + b))
+  in
+  let parts = Context.parts ~min_part:min_part_buckets capacity in
+  if parts <= 1 then clone_range 0 capacity
+  else begin
+    (* part [j] starts at the [j * lines / parts]-th line the table spans *)
+    let lw = Memory.line_words in
+    let first = src_table / lw in
+    let lines = ((src_table + capacity - 1) / lw) - first + 1 in
+    let cut j =
+      max 0 (min capacity (((first + (j * lines / parts)) * lw) - src_table))
+    in
+    Context.fork
+      (List.init parts (fun j () -> clone_range (cut j) (cut (j + 1))))
+  end;
   Memory.write mem h table;
   Memory.write mem (h + 1) capacity;
   Memory.write mem (h + 2) (Memory.read mem (src.h + 2));

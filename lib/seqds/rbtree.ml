@@ -305,14 +305,16 @@ let execute t ~op ~args =
    the clone's). No insert, no search, no rebalancing — colours and shape
    are the source's.
 
-   A tree of one arena or more is split across the fiber's fan-out
-   ([Context.fork]), one part per half arena of nodes: a large copy uses
-   every core it is lent, and each part, under one arena, fills the one
-   arena of its job's sub-heap without spilling into a second. The caller
+   A large tree is split across the fiber's fan-out ([Context.fork]),
+   one part per [min_part_nodes] nodes up to the fan-out
+   ([Context.parts]): a large copy uses every core it is lent, and each
+   helper allocates from chunks of the caller's own arenas. The caller
    clones the top levels breadth-first until at least 8 subtrees per job
    hang below them, then the jobs clone those subtrees, dealt round-robin
    in key order, each linking its subtree roots into the top. Eight per
    job evens out the subtrees' unequal sizes. *)
+let min_part_nodes = 256
+
 let copy src =
   let dst = create src.mem in
   let src_nil = nil src and dst_nil = nil dst in
@@ -337,9 +339,7 @@ let copy src =
       c
     end
   in
-  let parts =
-    min (Context.fanout ()) (2 * size * node_words / Memory.arena_words)
-  in
+  let parts = Context.parts ~min_part:min_part_nodes size in
   if parts <= 1 then set_root dst (clone (root src) dst_nil)
   else begin
     (* a hanging subtree: source node, the clone's parent, and the link

@@ -4,7 +4,15 @@
     measurements. Absolute numbers do not matter for the reproduction; the
     *asymmetries* do: NVM media writes are much slower than DRAM, remote
     socket accesses are slower than local ones, and WBINVD is vastly more
-    expensive than flushing a single line. *)
+    expensive than flushing a single line.
+
+    Who owns each flush discount: [clwb_merge] is the write-pending
+    queue's, charged under both flush models whenever the line is
+    already queued. [flush_tag_check] is FliT's: its per-line tag finds a
+    CLWB or CLFLUSH redundant (no store pending since the line's last
+    write-back). An SFENCE with an empty queue is free only under FliT,
+    whose tracking knows nothing is pending and skips the fence; the
+    baseline issues it and pays [sfence]. *)
 
 type t = {
   cache_access : int;     (** load/store hitting the local cache *)
@@ -23,7 +31,8 @@ type t = {
                               counter read, so priced like a cache hit *)
   clwb_merge : int;       (** a CLWB whose line already sits in the write-pending
                               queue: the WPQ entry is updated in place instead of
-                              a new media write-back being queued *)
+                              a new media write-back being queued (either flush
+                              model) *)
   mirror_write : int;     (** duplicating a log-entry store into the DRAM log
                               mirror: a second store to a line the writer just
                               touched, so it is priced like a cache hit *)

@@ -880,6 +880,33 @@ let test_session_wedge_is_a_failure () =
          = [ Check.Durable_lin.Wedged { horizon_ns } ]))
     [ 0; 1 ]
 
+(* A session whose recovery raises ends on that raise, not a wedge: the
+   planted [commit-before-copies-persist] fault commits background
+   checkpoint copies that never reached media, and the recovery after
+   the next crash finds a meta block naming no replica (the CLI's
+   [session --ds rbtree --crashes 6 --detect --fault
+   commit-before-copies-persist]). *)
+module S_rbtree = Harness.Session.Make (Seqds.Rbtree)
+
+let test_session_recovery_raise_is_a_failure () =
+  let gen_op rng =
+    let k = Sim.Rng.int rng 64 in
+    if Sim.Rng.bool rng then (Seqds.Rbtree.op_insert, [| k; Sim.Rng.int rng 1000 |])
+    else (Seqds.Rbtree.op_remove, [| k |])
+  in
+  let o =
+    S_rbtree.run
+      { Harness.Session.default_config with
+        Harness.Session.crashes = 6;
+        fault = Config.Commit_before_copies_persist }
+      ~gen_op
+  in
+  match o.Harness.Session.violations with
+  | [ Check.Durable_lin.Recovery_raised _ ] -> ()
+  | vs ->
+    Alcotest.failf "expected one recovery raise, got %d other violations"
+      (List.length vs)
+
 (* ---- the crash-epoch driver's contract ---- *)
 
 module Uc = Prep_uc.Make (H)
@@ -1003,6 +1030,8 @@ let () =
             test_wedged_recovery_is_a_failure;
           Alcotest.test_case "session wedge is a failure" `Quick
             test_session_wedge_is_a_failure;
+          Alcotest.test_case "session recovery raise is a failure" `Quick
+            test_session_recovery_raise_is_a_failure;
         ] );
       ( "epoch",
         [

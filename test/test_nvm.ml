@@ -333,6 +333,63 @@ let test_alloc_grows_arenas () =
       done;
       check_bool "new arenas created" true (Memory.arena_count m > before))
 
+(* Child heaps ([Alloc.child]) own no arena: they bump-allocate from
+   chunks of their parent's run, a child of a child from its parent's
+   chunks, so the root owns every arena any of them allocated in. Their
+   blocks are disjoint from each other and from the root's, the root's
+   arena tail goes to a chunk rather than to waste, [adopt] adds a
+   child's live words only, and only the parent adopts its child. *)
+let test_alloc_child_heaps () =
+  in_sim (fun () ->
+      let m = fresh () in
+      let root = Alloc.create_persistent m ~home:0 in
+      let c = Alloc.child root in
+      let g = Alloc.child c in
+      let blocks = ref [] in
+      let take al n =
+        let a = Alloc.alloc al n in
+        blocks := (a, n) :: !blocks
+      in
+      (* interleaved, past one chunk each and past the root's first
+         arena *)
+      for i = 1 to 8_000 do
+        take root 7;
+        take c (1 + (i mod 5));
+        if i mod 2 = 0 then take g 9
+      done;
+      let owned = Alloc.arenas root in
+      check "child owns no arena" 0 (List.length (Alloc.arenas c));
+      check "grandchild owns no arena" 0 (List.length (Alloc.arenas g));
+      check_bool "the root grew" true (List.length owned > 1);
+      let sorted = List.sort compare !blocks in
+      List.iter
+        (fun (a, n) ->
+          if not (List.mem (a / Memory.arena_words) owned) then
+            Alcotest.failf "block %d in an arena the root does not own" a;
+          if a / Memory.arena_words <> (a + n - 1) / Memory.arena_words then
+            Alcotest.failf "block %d straddles an arena" a)
+        sorted;
+      ignore
+        (List.fold_left
+           (fun last_end (a, n) ->
+             if a < last_end then Alcotest.failf "block %d overlaps" a;
+             a + n)
+           0 sorted);
+      let used = List.fold_left (fun acc (_, n) -> acc + n) 0 !blocks in
+      check_bool "no arena but the newest left unfilled" true
+        ((List.length owned - 1) * Memory.arena_words <= used);
+      let live al = Alloc.live_words al in
+      let root_own = live root and c_own = live c and g_own = live g in
+      Alcotest.check_raises "only the parent adopts"
+        (Invalid_argument "Alloc.adopt: another heap's child") (fun () ->
+          Alloc.adopt root g);
+      Alloc.adopt c g;
+      Alloc.adopt root c;
+      check "adopt adds live words" (root_own + c_own + g_own) (live root);
+      check "adopt adds no arena" (List.length owned)
+        (List.length (Alloc.arenas root));
+      check "every word accounted" used (live root))
+
 let test_persistent_alloc_addresses_survive () =
   in_sim (fun () ->
       let m = fresh () in
@@ -538,12 +595,36 @@ let test_flit_no_stale_writeback_regression () =
       Memory.crash m;
       check "media not regressed to stale capture" 2 (Memory.peek m a))
 
+(* A CLWB of a line already in the write-pending queue merges into its
+   entry under the baseline flush model too: the discount is the
+   queue's, not FliT's. *)
+let test_baseline_clwb_coalesces () =
+  in_sim (fun () ->
+      let m = Memory.make ~bg_period:0 () in
+      let aid = Memory.new_arena m ~kind:Memory.Nvm ~home:0 in
+      let a = Memory.addr_of ~aid ~offset:8 in
+      Memory.write m a 1;
+      Memory.clwb ~site:Persist.Test m a;
+      Memory.write m a 2;
+      let t0 = Sim.now () in
+      Memory.clwb ~site:Persist.Test m a;
+      let s = Memory.stats m in
+      check "one real write-back" 1 s.Memory.clwb;
+      check "second coalesced into WPQ entry" 1 s.Memory.clwb_coalesced;
+      check "charged the merge" (Sim.costs ()).Sim.Costs.clwb_merge
+        (Sim.now () - t0);
+      Memory.sfence ~site:Persist.Test m;
+      Memory.crash m;
+      check "newest capture wins" 2 (Memory.peek m a))
+
 (* Differential property: the same write/flush/fence sequence on a flit
    memory and a baseline memory must persist identical media, and every
    flush instruction must be accounted exactly once (issued, elided or
-   coalesced). Rounds write a few words, write back touched lines (with
-   duplicates, exercising elision) and fence only sometimes (leaving
-   pending write-backs for the next round's clwb to coalesce with). *)
+   coalesced). Both models coalesce into the write-pending queue; only
+   FliT elides, so it issues no more real write-backs than the baseline.
+   Rounds write a few words, write back touched lines (with duplicates,
+   exercising elision) and fence only sometimes (leaving pending
+   write-backs for the next round's clwb to coalesce with). *)
 let prop_flit_media_matches_baseline =
   QCheck.Test.make ~count:100
     ~name:"flit: media and accounting match baseline across random rounds"
@@ -578,10 +659,10 @@ let prop_flit_media_matches_baseline =
           let media_f, sf = run true in
           media_b = media_f
           && sf.Memory.clwb + sf.Memory.clwb_elided + sf.Memory.clwb_coalesced
-             = sb.Memory.clwb
+             = sb.Memory.clwb + sb.Memory.clwb_coalesced
+          && sf.Memory.clwb <= sb.Memory.clwb
           && sf.Memory.sfence + sf.Memory.sfence_elided = sb.Memory.sfence
           && sb.Memory.clwb_elided = 0
-          && sb.Memory.clwb_coalesced = 0
           && sb.Memory.sfence_elided = 0))
 
 (* ---- property tests ---- *)
@@ -675,6 +756,8 @@ let () =
           Alcotest.test_case "free/reuse scrubbed" `Quick
             test_alloc_free_reuse_scrubbed;
           Alcotest.test_case "grows arenas" `Quick test_alloc_grows_arenas;
+          Alcotest.test_case "child heaps carve the root's arenas" `Quick
+            test_alloc_child_heaps;
           Alcotest.test_case "persistent addresses survive" `Quick
             test_persistent_alloc_addresses_survive;
         ] );
@@ -695,6 +778,8 @@ let () =
             test_flit_clean_clwb_elided;
           Alcotest.test_case "clwb coalesces into pending entry" `Quick
             test_flit_clwb_coalesces;
+          Alcotest.test_case "baseline clwb coalesces too" `Quick
+            test_baseline_clwb_coalesces;
           Alcotest.test_case "empty sfence free" `Quick
             test_flit_empty_sfence_free;
           Alcotest.test_case "clflush elided when persisted" `Quick

@@ -998,8 +998,9 @@ let test_recovery_cores () =
    background commit has adopted the copies' sub-heaps, must not grow.
    On the two-arena tree at this topology the four workers leave socket
    1's four cores to the persistent copies, a copy and a helper each,
-   and each copy clones its just over two arenas of nodes into 3 arenas
-   of its sub-heaps: 7 with the allocator's own. *)
+   and each copy clones its just over two arenas of nodes into the 3
+   arenas of its sub-heap, its helper carving chunks of them: 7 with the
+   allocator's own, the fewest whole arenas those words fit. *)
 let test_recovery_arenas () =
   let module R = Seqds.Rbtree in
   let module C = Cut_recovery (R) in

@@ -297,17 +297,16 @@ let clone_into_nvm (type h m)
 
 (* ---- split copies ([Context.fork]) ----
 
-   A red-black tree of one arena or more copies across the fiber's
-   helper cores. Under 1 to 8 helpers, on trees of 1 to 5 arenas, and
-   under 10 helpers on a 4.4-arena tree (8 parts, each over half an
-   arena), the split copy must run on one fiber per half arena of nodes,
-   up to its fan-out, and be the one-fiber copy again: the same snapshot
-   and shape (colours, child and parent links), the red-black
-   invariants, no node shared with the source, and every node in an
-   arena the caller's allocator owns once the copy returns. A part whose
-   share of the nodes is under one arena fills its sub-heap's one arena
-   and spills into no second, so the copy owns exactly one arena per
-   part. *)
+   A large red-black tree or hashmap copies across the fiber's helper
+   cores: one part per [Rbtree.min_part_nodes] nodes or
+   [Hashmap.min_part_buckets] table buckets, up to the fan-out. Under 1
+   to 10 helpers the split copy must run on that many fibers and be the
+   one-fiber copy again: the same snapshot and shape (tree colours, child
+   and parent links; bucket capacity and per-bucket chain order), no node
+   shared with the source, and every node in an arena the caller's
+   allocator owns once the copy returns. Helpers allocate from chunks of
+   the caller's arenas, so a split copy owns at most one arena more than
+   the one-fiber copy. *)
 
 (* every node of the tree at [h], sentinel excluded, cost-free *)
 let rbtree_nodes m h =
@@ -317,6 +316,17 @@ let rbtree_nodes m h =
     else walk (walk (n :: acc) (Memory.peek m (n + 3))) (Memory.peek m (n + 4))
   in
   walk [] (Memory.peek m h)
+
+(* the header, table and every chain node of the hashmap at [h] *)
+let hashmap_blocks m h =
+  let table = Memory.peek m h and capacity = Memory.peek m (h + 1) in
+  let rec chain acc n =
+    if n = Memory.null then acc else chain (n :: acc) (Memory.peek m (n + 2))
+  in
+  h :: table
+  :: List.concat_map
+       (fun b -> chain [] (Memory.peek m (table + b)))
+       (List.init capacity Fun.id)
 
 let check_parent_links label m h =
   let sentinel = Memory.peek m (h + 2) in
@@ -332,6 +342,43 @@ let check_parent_links label m h =
         [ Memory.peek m (n + 3); Memory.peek m (n + 4) ])
     (rbtree_nodes m h)
 
+(* Copy [src] into a fresh allocator under [k] helper cores; the
+   allocator, the copy's root, and how many fibers issued its memory
+   operations. *)
+let copy_with (type h) (module Ds : Seqds.Ds_intf.S with type handle = h) m
+    ~src_alloc src k =
+  let alloc = Alloc.create_volatile m ~home:0 in
+  Context.set_default alloc;
+  let fibers = Hashtbl.create 16 in
+  Memory.set_access_hook m (fun _ _ _ _ ->
+      Hashtbl.replace fibers (Sim.self ()).Sim.fid ());
+  let dup =
+    Context.with_helpers (List.init k (fun i -> (0, i + 1))) (fun () ->
+        Ds.copy src)
+  in
+  Memory.clear_access_hook m;
+  Context.set_default src_alloc;
+  (alloc, Ds.root_addr dup, Hashtbl.length fibers)
+
+(* [blocks] of a split copy: none shared with [src_blocks], each in an
+   arena [alloc] owns, and [alloc] at most one arena over [one_arenas] *)
+let check_split_heap label ~src_blocks ~one_arenas alloc blocks =
+  let src_set = Hashtbl.create 4096 in
+  List.iter (fun n -> Hashtbl.replace src_set n ()) src_blocks;
+  let owned = Alloc.arenas alloc in
+  List.iter
+    (fun n ->
+      if Hashtbl.mem src_set n then
+        Alcotest.failf "%s: block %d shared with the source" label n;
+      if not (List.mem (n / Memory.arena_words) owned) then
+        Alcotest.failf "%s: block %d in an arena the allocator does not own"
+          label n)
+    blocks;
+  let arenas = List.length owned in
+  if arenas > one_arenas + 1 then
+    Alcotest.failf "%s: %d arenas, the one-fiber copy %d" label arenas
+      one_arenas
+
 let test_rbtree_split_copy () =
   Sim.run_one (fun () ->
       let m = Memory.make ~bg_period:0 () in
@@ -340,76 +387,118 @@ let test_rbtree_split_copy () =
       let src = Rbtree.create m in
       let rng = Sim.Rng.create 77L in
       List.iter
-        (fun (tenths, helpers) ->
-          (* grow the source just past [tenths / 10] arenas of nodes *)
-          let want =
-            (tenths * Memory.arena_words / 10 / Rbtree.node_words) + 1
-          in
+        (fun (want, helpers) ->
           while Rbtree.execute src ~op:Rbtree.op_size ~args:[||] < want do
             ignore
               (Rbtree.execute src ~op:Rbtree.op_insert
                  ~args:[| Sim.Rng.int rng 1_000_000_000; Sim.Rng.int rng 1000 |])
           done;
           let h = Rbtree.root_addr src in
-          let src_nodes = rbtree_nodes m h in
-          (* the copy's allocator, its root, and how many fibers it ran on *)
-          let copy_with k =
-            let alloc = Alloc.create_volatile m ~home:0 in
-            Context.set_default alloc;
-            let fibers = Hashtbl.create 16 in
-            Memory.set_access_hook m (fun _ _ _ _ ->
-                Hashtbl.replace fibers (Sim.self ()).Sim.fid ());
-            let dup =
-              Context.with_helpers
-                (List.init k (fun i -> (0, i + 1)))
-                (fun () -> Rbtree.copy src)
-            in
-            Memory.clear_access_hook m;
-            Context.set_default src_alloc;
-            (alloc, Rbtree.root_addr dup, Hashtbl.length fibers)
-          in
-          let _, one, _ = copy_with 0 in
+          let src_blocks = h :: Memory.peek m (h + 2) :: rbtree_nodes m h in
+          let copy = copy_with (module Rbtree) m ~src_alloc src in
+          let one_alloc, one, _ = copy 0 in
           let one_shape = rbtree_shape m one in
           check_list "one-fiber copy keeps the source's shape"
             (rbtree_shape m h) one_shape;
-          List.iter (fun k ->
-            let label =
-              Printf.sprintf "%d.%d arenas, %d helpers" (tenths / 10)
-                (tenths mod 10) k
-            in
-            let alloc, dup, fibers = copy_with k in
-            let dup_t = Rbtree.attach m dup in
-            check_list (label ^ ": snapshot") (Rbtree.snapshot src)
-              (Rbtree.snapshot dup_t);
-            check_list (label ^ ": shape") one_shape (rbtree_shape m dup);
-            check_parent_links label m dup;
-            Rbtree.check_invariants dup_t;
-            let nodes =
-              dup :: Memory.peek m (dup + 2) :: rbtree_nodes m dup
-            in
-            let src_set = Hashtbl.create 4096 in
-            List.iter (fun n -> Hashtbl.replace src_set n ())
-              (h :: Memory.peek m (h + 2) :: src_nodes);
-            let owned = Alloc.arenas alloc in
-            List.iter
-              (fun n ->
-                if Hashtbl.mem src_set n then
-                  Alcotest.failf "%s: node %d shared with the source" label n;
-                if not (List.mem (n / Memory.arena_words) owned) then
-                  Alcotest.failf "%s: node %d in an arena the allocator \
-                                  does not own" label n)
-              nodes;
-            let words = want * Rbtree.node_words in
-            let parts = min (k + 1) (2 * words / Memory.arena_words) in
-            check (label ^ ": one fiber per half arena") parts fibers;
-            if words / parts < Memory.arena_words then
-              check (label ^ ": one arena per part") parts
-                (List.length owned))
+          let one_arenas = List.length (Alloc.arenas one_alloc) in
+          List.iter
+            (fun k ->
+              let label = Printf.sprintf "%d nodes, %d helpers" want k in
+              let alloc, dup, fibers = copy k in
+              let dup_t = Rbtree.attach m dup in
+              check_list (label ^ ": snapshot") (Rbtree.snapshot src)
+                (Rbtree.snapshot dup_t);
+              check_list (label ^ ": shape") one_shape (rbtree_shape m dup);
+              check_parent_links label m dup;
+              Rbtree.check_invariants dup_t;
+              check_split_heap label ~src_blocks ~one_arenas alloc
+                (dup :: Memory.peek m (dup + 2) :: rbtree_nodes m dup);
+              check (label ^ ": fibers")
+                (min (k + 1) (want / Rbtree.min_part_nodes))
+                fibers)
             helpers)
-        (let eight = List.init 8 succ in
-         [ (10, eight); (20, eight); (30, eight); (40, eight); (44, [ 10 ]);
-           (50, eight) ]);
+        (let ten = List.init 10 succ in
+         (* below two parts, 2 to 5 parts, and past the fan-out at one
+            arena and at 4.4 arenas *)
+         [ (Rbtree.min_part_nodes, ten); (5 * Rbtree.min_part_nodes, ten);
+           (11_000, ten); (48_500, [ 10 ]) ]);
       Context.reset ())
+
+let test_hashmap_split_copy () =
+  Sim.run_one (fun () ->
+      let m = Memory.make ~bg_period:0 () in
+      let src_alloc = Alloc.create_volatile m ~home:0 in
+      Context.bind ~default:src_alloc ();
+      let src = Hashmap.create m in
+      let rng = Sim.Rng.create 78L in
+      List.iter
+        (fun (want, helpers) ->
+          while Hashmap.execute src ~op:Hashmap.op_size ~args:[||] < want do
+            ignore
+              (Hashmap.execute src ~op:Hashmap.op_insert
+                 ~args:[| Sim.Rng.int rng 1_000_000_000; Sim.Rng.int rng 1000 |])
+          done;
+          let h = Hashmap.root_addr src in
+          let capacity = Memory.peek m (h + 1) in
+          let src_blocks = hashmap_blocks m h in
+          let copy = copy_with (module Hashmap) m ~src_alloc src in
+          let one_alloc, one, _ = copy 0 in
+          let one_shape = hashmap_shape m one in
+          check_list "one-fiber copy keeps the source's shape"
+            (hashmap_shape m h) one_shape;
+          let one_arenas = List.length (Alloc.arenas one_alloc) in
+          List.iter
+            (fun k ->
+              let label =
+                Printf.sprintf "%d keys in %d buckets, %d helpers" want
+                  capacity k
+              in
+              let alloc, dup, fibers = copy k in
+              check_list (label ^ ": snapshot") (Hashmap.snapshot src)
+                (Hashmap.snapshot (Hashmap.attach m dup));
+              check_list (label ^ ": chain order") one_shape
+                (hashmap_shape m dup);
+              check_split_heap label ~src_blocks ~one_arenas alloc
+                (hashmap_blocks m dup);
+              check (label ^ ": fibers")
+                (min (k + 1) (capacity / Hashmap.min_part_buckets))
+                fibers)
+            helpers)
+        (let ten = List.init 10 succ in
+         (* 512 buckets (one part), 2,048 (four) and 8,192 (past the
+            fan-out), half and three quarters full *)
+         [ (300, ten); (1_500, ten); (4_000, ten); (6_000, ten) ]);
+      Context.reset ())
+
+(* Below two parts' worth, a copy lent 8 helpers stays on one fiber and
+   issues exactly the memory operations, at the same simulated cost, of
+   the copy before splits were possible (pinned: 380 keys in 512 buckets,
+   a 511-node tree). *)
+let test_unsplit_copy_unchanged () =
+  let measure (type h) (module Ds : Seqds.Ds_intf.S with type handle = h) n =
+    Sim.run_one (fun () ->
+        let m = Memory.make ~bg_period:0 () in
+        let al = Alloc.create_volatile m ~home:0 in
+        Context.bind ~default:al ();
+        let src = Ds.create m in
+        let rng = Sim.Rng.create 11L in
+        for _ = 1 to n do
+          Ds.key_put src (Sim.Rng.int rng 1_000_000_000) 1
+        done;
+        Context.set_default (Alloc.create_volatile m ~home:0);
+        let before = Memory.op_index m and t0 = Sim.now () in
+        ignore
+          (Context.with_helpers (List.init 8 (fun i -> (0, i + 1))) (fun () ->
+               Ds.copy src));
+        let r = (Memory.op_index m - before, Sim.now () - t0) in
+        Context.reset ();
+        r)
+  in
+  let pair = Alcotest.(check (pair int int)) in
+  pair "hashmap, 380 keys: ops and ns" (1591, 59670)
+    (measure (module Hashmap) 380);
+  pair "rbtree, 511 keys: ops and ns" (3587, 105720)
+    (measure (module Rbtree) 511)
 
 (* Memory operations per key of one copy of an [n]-key map (keys inserted
    in random order). A clone touches each node a constant number of times,
@@ -738,6 +827,10 @@ let () =
           Alcotest.test_case "rbtree linear" `Quick (clone_linear (module Rbtree));
           Alcotest.test_case "rbtree split across helpers" `Quick
             test_rbtree_split_copy;
+          Alcotest.test_case "hashmap split across helpers" `Quick
+            test_hashmap_split_copy;
+          Alcotest.test_case "below-threshold copy unchanged" `Quick
+            test_unsplit_copy_unchanged;
           Alcotest.test_case "skiplist linear" `Quick
             (clone_linear (module Skiplist));
         ] );

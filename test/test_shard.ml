@@ -243,7 +243,7 @@ let test_fuzz_numa_cross_40 () =
   in
   no_failures "dist-rw + log-mirror, 40% multi, all cross" res;
   check_bool "calibration pinned" true
-    (List.mem "calibration: 2327 ops logged, 5051875 mem-ops, 44448398 ns"
+    (List.mem "calibration: 2327 ops logged, 4651210 mem-ops, 43313897 ns"
        !lines);
   check "episodes" 30 res.Check.Fuzz.episodes;
   check "crashed" 30 res.Check.Fuzz.crashes
