@@ -1014,7 +1014,7 @@ let json_of_outcome ~ds ~threads (o : Session.outcome) =
       ("violations", List.length o.Session.violations) ]
 
 let session ds threads ops epsilon log_size crashes seed sessions bg_period
-    detect fault jobs json =
+    detect lsm_ckpt fault jobs json =
   let (module Ds), gen_op = fuzz_ds ds in
   let module S = Session.Make (Ds) in
   if threads < 1 || threads > Check.Fuzz.max_threads then
@@ -1033,6 +1033,7 @@ let session ds threads ops epsilon log_size crashes seed sessions bg_period
         log_size;
         crashes;
         detect;
+        lsm_ckpt;
         bg_period;
         fault;
       }
@@ -1045,7 +1046,7 @@ let session ds threads ops epsilon log_size crashes seed sessions bg_period
           (fun (e : Session.epoch_info) ->
             Printf.printf
               "  epoch %d: %s, %d re-submitted\n" e.Session.epoch
-              (if e.Session.crashed then "crashed" else "quiescent")
+              (Session.status_to_string e.Session.status)
               e.Session.resubmitted)
           o.Session.epochs;
         Printf.printf
@@ -1126,7 +1127,7 @@ let session_cmd =
         (const session $ ds_arg $ session_threads_arg $ session_ops_arg
        $ session_epsilon_arg $ session_log_size_arg $ session_crashes_arg
        $ session_seed_arg $ sessions_arg $ bg_period_arg $ detect_arg
-       $ fault_arg $ jobs_arg $ session_json_arg))
+       $ lsm_ckpt_arg $ fault_arg $ jobs_arg $ session_json_arg))
 
 (* ---- sweep: closed-loop threads x read-pct grid, campaign-parallel ---- *)
 

@@ -78,15 +78,29 @@ let make mem manifest ~fanout r =
 (** An empty store over a fresh manifest in [pa]. *)
 let create mem pa ~fanout = make mem (Manifest.create pa) ~fanout None
 
-(** Mount the store whose manifest lives at [base], writing nothing. A
-    torn newest manifest record falls back to the previous epoch inside
+(* The instance's manifest root: above every shard's eight slots
+   ([Config.root_base] = i * 8 for i <= 6, slots i*8 + 1 .. i*8 + 7), so
+   slots 56..62 are free — slot [56 + i] belongs to the instance whose
+   [root_base] is [i * 8] — and slot 63 holds the sharded decision
+   table. *)
+let manifest_slot root_base = 56 + (root_base / 8)
+
+(** Mount the store whose manifest lives at [base], writing nothing: at
+    [epoch], which a gap record names, or at the newest valid record — a
+    torn newest record falls back to the previous epoch inside
     [Manifest.load]. *)
-let mount mem ~base ~fanout =
+let mount mem ~base ~fanout ~epoch =
   let manifest = Manifest.attach mem ~base in
-  match Manifest.load manifest with
+  let r =
+    match epoch with
+    | None -> Manifest.load manifest
+    | Some e -> Manifest.load_epoch manifest e
+  in
+  match r with
   | Some r -> make mem manifest ~fanout (Some r)
   | None ->
-    (* the initial publish is fenced before any op can complete *)
+    (* the initial publish is fenced before any op can complete, and
+       only the commit publishes while a gap record names an epoch *)
     failwith "Prep_uc.recover: no valid manifest record on media"
 
 (** Newest-first store lookup (charged reads). [Some v] may carry the
@@ -319,8 +333,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     mutable hydrated : bool;
   }
 
-  let copy_view v = { resolved = Hashtbl.copy v.resolved; hydrated = v.hydrated }
-
   (* [op]'s key footprint as [Some (written, read)]; [None] reads every
      key. Only keyed maps can run on this backend. *)
   let footprint ~op ~args =
@@ -387,41 +399,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         | None -> Segment.Memtable.del l.memtable k)
       keys
 
-  (** Recovery's replay: run the durable log [suffix] into an empty
-      master, rematerialising from [l]'s segments exactly the keys it
-      touches — time to first operation is O(suffix), independent of the
-      object's size — with [reconcile e resp] seeing each entry's
-      response. Then seal the post-images of every key the replay wrote
-      and publish a new manifest epoch with [sealed_lt] reset, because
-      the rebuilt instance starts a fresh log; anything dirty that stayed
-      only in the volatile master would be lost by the next crash. This
-      seal and publish happen before the rebuilt instance is installed, so
-      a crash inside recovery finds a changed store. Returns the master
-      and its view. *)
-  let replay l suffix ~reconcile =
-    let mem = l.mem in
-    Context.bind ~default:(Alloc.create_volatile mem ~home:0) ();
-    let pa =
-      Alloc.create_persistent mem
-        ~home:((Sim.topology ()).Sim.Topology.sockets - 1)
-    in
-    Context.set_persistent pa;
-    let master = Ds.create mem in
-    let view = { resolved = Hashtbl.create 16; hydrated = false } in
-    (* the memtable collects the written keys (each marked deleted until
-       its post-image is folded in below) *)
-    Array.iter
-      (fun ((_, op, args, _) as e) ->
-        prepare l view master ~op ~args;
-        Option.iter
-          (fun (written, _) -> Array.iter (Segment.Memtable.del l.memtable) written)
-          (footprint ~op ~args);
-        reconcile e (Ds.execute master ~op ~args))
-      suffix;
-    fold_post_images l master (Segment.Memtable.keys l.memtable);
-    seal l pa (Segment.Memtable.drain_sorted l.memtable) ~sealed_lt:0;
-    (master, view)
-
   (* Cost-free snapshot through a replica's handle [ds] and [view]: a
      partially-hydrated replica's is the merge of its ds (truth for every
      resolved key) over the store's live view (truth for the rest) — the
@@ -443,28 +420,22 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       v.resolved
       (if v.hydrated then 1 else 2)
 
-  (** The backend [Prep_uc.build] runs under [Config.lsm_ckpt], once the
-      persistence thread's shadow (a copy of [master]) and its two zeroed
-      p-replica tail words exist: [shadow_tail], the shadow's catch-up
-      tail, and [watermark], the stable tail, which is the seal watermark.
-      Its store is the [recovered] one, with the master's view, or —
-      checkpoint zero — a fresh one with [master]'s contents sealed as
-      epoch 1, so recovery always finds a manifest ([register] records
-      the manifest's address in the roots). Every volatile replica and
-      the shadow start with a copy of the master's view. *)
-  let backend ?recovered mem ~pa ~p_socket ~log ~tails:(shadow_tail, watermark)
-      ~replicas ~fanout ~publish_first ~tel ~register master =
-    let l, master_view =
-      match recovered with
-      | Some r -> r
-      | None ->
-        let l = create mem pa ~fanout in
-        register (Manifest.base l.manifest);
-        seal l pa (Array.of_list (pairs (Ds.snapshot master))) ~sealed_lt:0;
-        (l, { resolved = Hashtbl.create 16; hydrated = true })
+  (* The backend of an instance over store [l]. Every volatile replica
+     and the persistence thread's shadow start [hydrated] (checkpoint
+     zero, a copy of the whole object) or with nothing resolved (a
+     recovery's, copies of an empty object with the suffix replayed).
+     [shadow_tail] is the shadow's catch-up tail and [watermark] the
+     stable tail, which is the seal watermark. *)
+  let backend env l ~hydrated =
+    let open Checkpoint in
+    let mem = env.mem and pa = Option.get env.pa and log = env.log in
+    let shadow_tail, watermark = env.tails in
+    let publish_first =
+      env.cfg.Config.fault = Config.Manifest_before_segment_seal
     in
-    let views = Array.init replicas (fun _ -> copy_view master_view)
-    and shadow_view = copy_view master_view in
+    let view () = { resolved = Hashtbl.create 16; hydrated } in
+    let views = Array.init env.replicas (fun _ -> view ())
+    and shadow_view = view () in
     (* The incremental checkpoint: drain the memtable — exactly the keys
        written since the last seal — into fresh level-0 segments, then
        publish a manifest naming them with [sealed_lt] advanced to the
@@ -513,13 +484,13 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
        ([poll]), keeping the manifest single-writer. *)
     let compaction_loop ~stopped =
       Context.bind
-        ~default:(Alloc.create_volatile mem ~home:p_socket)
+        ~default:(Alloc.create_volatile mem ~home:env.p_socket)
         ~persistent:pa ();
       while not (stopped ()) do
         match pick_merge l with
         | None -> Sim.spin ()
         | Some run ->
-          Phases.in_span tel (fun pt -> pt.Phases.compact) (fun () ->
+          Phases.in_span env.tel (fun pt -> pt.Phases.compact) (fun () ->
               merge l pa run);
           (* wait for the persistence thread to fold the merge into the
              manifest before scanning for the next one *)
@@ -529,7 +500,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       done
     in
     {
-      Checkpoint.prepare = (fun rid -> prepare l views.(rid));
+      prepare = (fun rid -> prepare l views.(rid));
       needs_write = (fun rid -> needs views.(rid));
       catch_up =
         (fun ds ~op ~args ->
@@ -552,4 +523,72 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
             (view_hash shadow_view));
       snapshot = snapshot l views.(0);
     }
+
+  (* The persistence thread's replicas: the shadow, with the two tails. *)
+  let replicas env shadow =
+    let m0, m1 = env.Checkpoint.tails in
+    [| { Checkpoint.meta = m0; pds = shadow }; { meta = m1; pds = shadow } |]
+
+  (* Checkpoint zero: the shadow a copy of [master], a fresh store with
+     [master]'s contents sealed as epoch 1, so recovery always finds a
+     manifest, and the manifest's root. *)
+  let create env ~master ~first:_ =
+    let open Checkpoint in
+    let mem = env.mem and pa = Option.get env.pa in
+    let rb = env.cfg.Config.root_base in
+    (* no NVM replica: both tails are DRAM words, which keeps Algorithm
+       3's laggard machinery working unchanged *)
+    let shadow =
+      Context.with_allocator
+        (Alloc.create_volatile mem ~home:env.p_socket)
+        (fun () -> Ds.copy master)
+    in
+    let m0, m1 = env.tails in
+    Memory.write mem m0 0;
+    Memory.write mem m1 0;
+    Roots.set env.roots (rb + slot_active) 0;
+    let l = create mem pa ~fanout:env.cfg.Config.lsm_fanout in
+    Roots.set env.roots (manifest_slot rb) (Manifest.base l.manifest);
+    seal l pa (Array.of_list (pairs (Ds.snapshot master))) ~sealed_lt:0;
+    (replicas env shadow, backend env l ~hydrated:true)
+
+  (* Recovery's persistence side. The replay builds the shadow, whose
+     catch-up folds the post-image of every key the suffix writes into
+     the memtable; the commit seals them into level-0 segments and
+     publishes a new manifest epoch with [sealed_lt] reset, because the
+     rebuilt instance starts a fresh log. Both the seal's segments and
+     the publish come after the gap record, which names the mounted
+     epoch: the publish writes the manifest slot that epoch does not
+     occupy. *)
+  let recover l env =
+    let copied = ref None in
+    let copy ~background:_ ~helpers:_ _ clone =
+      Context.set_default
+        (Alloc.create_volatile env.Checkpoint.mem ~home:env.p_socket);
+      copied := Some (clone ())
+    in
+    let commit ~background:_ ~defer =
+      defer (fun () ->
+          seal l (Option.get env.pa)
+            (Segment.Memtable.drain_sorted l.memtable)
+            ~sealed_lt:0);
+      replicas env (Option.get !copied)
+    in
+    (backend env l ~hydrated:false, { Checkpoint.copy; commit })
+
+  (* The store at the manifest epoch [stamp] names, or the newest one;
+     every replica is a copy of an empty object that rematerialises the
+     keys it touches from the segments, so time to first operation is
+     O(suffix), independent of the object's size. *)
+  let mount mem roots cfg ~stamp =
+    let l =
+      mount mem
+        ~base:(Roots.get roots (manifest_slot cfg.Config.root_base))
+        ~fanout:cfg.Config.lsm_fanout ~epoch:stamp
+    in
+    { Checkpoint.covered = l.sealed_lt; stamp = l.epoch; master = None;
+      recover = recover l }
+
+  (* a recovery's persistence side is the one shadow *)
+  let kit = { Checkpoint.copies = 1; mount; create }
 end

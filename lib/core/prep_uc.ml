@@ -33,10 +33,9 @@ open Nvm
 (* Root directory slots, relative to the instance's [Config.root_base]
    (shard [i] of a sharded construction registers its roots at [i * 8], so
    several instances share one root directory; the classic layout is
-   base 0). *)
-let slot_active = 1 (* p_activePReplica *)
-let slot_meta0 = 2 (* address of persistent replica 0's metadata block *)
-let slot_meta1 = 3 (* address of persistent replica 1's metadata block *)
+   base 0). Slot 1 is [Checkpoint.slot_active]; the checkpoint backends
+   own the rest of the directory they use ([Classic_ckpt]'s meta blocks,
+   [Lsm_ckpt]'s manifest). *)
 let slot_ct = 4 (* address of d_completedTail (durable only) *)
 let slot_log = 5 (* log base address (durable only) *)
 let slot_announce = 6 (* announce/response table base (detect only) *)
@@ -50,13 +49,6 @@ let off_update_now = 32 (* one word per volatile replica *)
 
 let slot_words = 16 (* flat-combining slot: 2 cache lines per core *)
 
-(* The incremental-checkpoint manifest registers one absolute root slot
-   per instance, above every shard stride: shard strides are
-   [i*8 + 1 .. i*8 + 7] for i <= 6, so slots 56..62 are free — slot
-   [56 + i] belongs to the instance whose [root_base] is [i * 8] — and
-   slot 63 holds the sharded decision table. *)
-let lsm_manifest_slot root_base = 56 + (root_base / 8)
-
 (* How many workers each socket hosts; the last core is the persistence
    thread's. *)
 let socket_workers cfg topo =
@@ -68,31 +60,6 @@ let replica_count cfg topo =
   Array.fold_left
     (fun n w -> if w > 0 then n + 1 else n)
     0 (socket_workers cfg topo)
-
-(* The sockets of the fibers one recovery runs at once, the recovering
-   fiber's first. Classic recovery adds the suffix scan, on socket 0 where
-   the log lives, one copy per other volatile replica on its socket, and
-   the two persistent copies on the persistence socket; lsm recovery runs
-   on the recovering fiber alone. *)
-let recovery_sockets cfg =
-  let topo = Sim.topology () in
-  let p = topo.Sim.Topology.sockets - 1 in
-  if cfg.Config.lsm_ckpt then [ Sim.socket () ]
-  else
-    (Sim.socket () :: 0 :: List.init (replica_count cfg topo - 1) succ)
-    @ [ p; p ]
-
-(** The fewest cores of one socket that a recovery of an instance with
-    [cfg], started from the calling fiber, needs: one per fiber in
-    [recovery_sockets] on its busiest socket. Its fibers take consecutive
-    cores from the caller's up; the rest of its core budget (see
-    [rebuild]'s [cores]) goes to the copies as helpers, so recoveries
-    whose budgets start that many cores apart never share a core. *)
-let recovery_width cfg =
-  let socks = recovery_sockets cfg in
-  List.fold_left
-    (fun w s -> max w (List.length (List.filter (( = ) s) socks)))
-    0 socks
 
 (* slot field offsets *)
 let sl_full = 0
@@ -132,7 +99,33 @@ type resolution =
           which is the same thing: nothing can have taken effect) *)
 
 module Make (Ds : Seqds.Ds_intf.S) = struct
+  module C = Classic_ckpt.Make (Ds)
   module L = Lsm_ckpt.Make (Ds)
+
+  (* The checkpoint backend [cfg] names. *)
+  let kit cfg = if cfg.Config.lsm_ckpt then L.kit else C.kit
+
+  (* The sockets of the fibers one recovery runs at once, the recovering
+     fiber's first: the suffix scan, on socket 0 where the log lives, one
+     copy per other volatile replica on its socket, and the backend's
+     copies on the persistence socket. *)
+  let recovery_sockets cfg =
+    let topo = Sim.topology () in
+    let p = topo.Sim.Topology.sockets - 1 in
+    (Sim.socket () :: 0 :: List.init (replica_count cfg topo - 1) succ)
+    @ List.init (kit cfg).Checkpoint.copies (fun _ -> p)
+
+  (** The fewest cores of one socket that a recovery of an instance with
+      [cfg], started from the calling fiber, needs: one per fiber in
+      [recovery_sockets] on its busiest socket. Its fibers take consecutive
+      cores from the caller's up; the rest of its core budget (see
+      [rebuild]'s [cores]) goes to the copies as helpers, so recoveries
+      whose budgets start that many cores apart never share a core. *)
+  let recovery_width cfg =
+    let socks = recovery_sockets cfg in
+    List.fold_left
+      (fun w s -> max w (List.length (List.filter (( = ) s) socks)))
+      0 socks
 
   type replica = {
     rid : int;
@@ -148,11 +141,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
            the caller's own slot instead of sweeping all beta *)
   }
 
-  type preplica = {
-    meta : int; (* NVM block: [0] localTail, [1] ds root address *)
-    mutable pds : Ds.handle;
-  }
-
   type t = {
     mem : Memory.t;
     roots : Roots.t;
@@ -164,7 +152,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     ctrl : int; (* control arena base address *)
     ct_addr : int; (* completedTail (NVM in durable mode) *)
     p_alloc : Alloc.t option;
-    p_reps : preplica array; (* 2 entries, or empty when volatile *)
+    p_reps : Ds.handle Checkpoint.replica array;
+        (* 2 entries, or empty when volatile *)
     p_socket : int;
     trace : Trace.t;
     prefill : (int * int array) list;
@@ -194,13 +183,13 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         (* phase spans, captured from the ambient telemetry registry at
            construction; [None] on uninstrumented runs *)
     ckpt : Ds.handle Checkpoint.backend;
-        (* the paper's replica pair ([classic]) or, under
+        (* the paper's replica pair ([Classic_ckpt]) or, under
            [Config.lsm_ckpt], the incremental store ([Lsm_ckpt]) *)
     committed : unit Sim.Once.t;
-        (* filled once [p_reps] are durable and named by the roots: at
-           once on creation and when recovery joins its persistent copies,
-           by the background commit otherwise ([build]); the persistence
-           thread starts on it *)
+        (* filled once the checkpoint [p_reps] catch up is committed: at
+           once on creation and when recovery joins its copies, by the
+           background commit otherwise ([build]); the persistence thread
+           starts on it *)
     (* checkpoint cost accounting, comparable across both backends
        (simulated time inside [ckpt.checkpoint]) *)
     mutable ckpt_count : int;
@@ -228,22 +217,23 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   let read_ct t = Memory.read t.mem t.ct_addr
   let read_local_tail t r = Memory.read t.mem r.lt_addr
 
-  let read_p_local_tail t p = Memory.read t.mem t.p_reps.(p).meta
+  let read_p_local_tail t p = Memory.read t.mem t.p_reps.(p).Checkpoint.meta
 
   (* ---- construction ---- *)
 
   (* A replayed log entry: (index, op, args, (tid, seqno) tag). *)
   type entry = int * int * int array * (int * int)
 
-  (* What a classic recovery hands [build]: [scan ()] reads the log suffix
-     into [suffix]; [on_response e resp] sees replica 0's response to
-     suffix entry [e]; [prior] is the committed generation it recovered
-     from, [(stable meta, log base, completedTail address)], or [None]
-     when it recovered from a gap record; [background] lets the
-     persistent copies finish after [build] returns. *)
-  type replay = {
+  (* What a recovery hands [build]: the checkpoint [mount] read;
+     [scan ()] reads the log suffix; [on_response e resp]
+     sees replica 0's response to suffix entry [e]; [prior] is the
+     committed generation it recovered from, [(checkpoint stamp, log
+     base, completedTail address)], or [None] when it recovered from a
+     gap record; [background] lets the persistence side's copies finish
+     after [build] returns. *)
+  type recovery = {
+    stable : Ds.handle Checkpoint.stable;
     scan : unit -> entry array;
-    suffix : entry array Sim.Once.t;
     on_response : entry -> int -> unit;
     prior : (int * int * int) option;
     background : bool;
@@ -252,65 +242,26 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   let apply_ops ds ops =
     List.iter (fun (op, args) -> ignore (Ds.execute ds ~op ~args)) ops
 
-  (* The paper's checkpoint backend (Algorithm 2): two persistent replicas,
-     the active one caught up inside the persistent heap [pa]; a
-     checkpoint writes back the heap, then swaps active/stable and
-     persists the switch. *)
-  let classic mem roots cfg pa : Ds.handle Checkpoint.backend =
-    let active = cfg.Config.root_base + slot_active in
-    {
-      prepare = (fun _ _ ~op:_ ~args:_ -> ());
-      needs_write = (fun _ ~op:_ ~args:_ -> false);
-      catch_up =
-        (fun pds ~op ~args ->
-          Context.with_persistent (fun () -> ignore (Ds.execute pds ~op ~args)));
-      poll = ignore;
-      checkpoint =
-        (fun () ->
-          (match cfg.Config.flush with
-           | Config.Wbinvd -> Memory.wbinvd ~site:Persist.Prep_checkpoint mem
-           | Config.Flush_heap ->
-             (* walk the persistent heap and write back whatever is dirty;
-                pays per line instead of the WBINVD stall — the
-                small-structure alternative of §6 *)
-             List.iter
-               (fun aid ->
-                 Memory.flush_arena ~site:Persist.Prep_checkpoint mem aid)
-               (Alloc.arenas (Option.get pa)));
-          Memory.sfence ~site:Persist.Prep_checkpoint mem;
-          (* swap active/stable and persist the switch before opening the
-             next window (see module comment on ordering) *)
-          Roots.set roots active (1 - Roots.get roots active));
-      span = (fun pt -> pt.Phases.persist);
-      background = None;
-      counters = (fun () -> Lsm_ckpt.idle_counters);
-      ghost = (fun () -> 0);
-      snapshot = Ds.snapshot;
-    }
-
-  (* Build a full UC instance around [master]'s current contents. Runs
-     inside a fiber; the caller's allocator binding is replaced.
-     [store] is recovery's handoff under [Config.lsm_ckpt]: the mounted,
-     re-sealed store and [master]'s hydration view — [master] (and every
-     copy of it) is then a partial view to be hydrated lazily.
-     [replay] is classic recovery's handoff ([replay]): [master] is then
-     the stable checkpoint, which the build only reads, and every replica
-     is a copy of it with the scanned suffix replayed into it; [cores] is
-     that recovery's core budget (see [rebuild]).
+  (* Build a full UC instance. Runs inside a fiber; the caller's
+     allocator binding is replaced. Without [recovery] the object is
+     [prefill] applied to an empty one, and the backend's checkpoint zero
+     is a copy of it. With [recovery], every replica is a copy of the
+     mounted checkpoint's master with the scanned suffix replayed into it,
+     and [cores] is that recovery's core budget (see [rebuild]).
      Returns the instance and its [install] step: recovery defers every
-     root write to it, creation writes its roots as it goes. A classic
-     recovery's [install] commits with one root word, [slot_pending]: it
-     publishes a gap record there, one flushed line naming the generation
-     recovered from ([prior]: stable meta, log base, completedTail) and
+     root write to it, creation writes its roots as it goes. A recovery's
+     [install] commits with one root word, [slot_pending]: it publishes a
+     gap record there, one flushed line naming the generation recovered
+     from ([prior]: the checkpoint's stamp, log base, completedTail) and
      this one (log base, completedTail), before pointing [slot_ct] and
      [slot_log] at the new log; while it is set, recovery reads the
      record and ignores every other root of the instance. The rebuilt
-     checkpoint is committed by clearing it: by [install] once the
-     persistent copies are joined, by the background commit when they
-     run on past [install]. A recovery from a gap record ([prior = None])
-     keeps the record and joins its copies, so a gap is never more than
-     one generation deep. *)
-  let build ?store ?replay ?(cores = max_int) mem roots cfg ~prefill ~master =
+     checkpoint is committed by the backend's commit, then by clearing
+     the record: in [install] once the persistence side's copies are
+     joined, in the background commit when they run on past [install]. A
+     recovery from a gap record ([prior = None]) keeps the record and
+     joins its copies, so a gap is never more than one generation deep. *)
+  let build ?recovery ?(cores = max_int) mem roots cfg ~prefill =
     let topo = Sim.topology () in
     let beta = topo.Sim.Topology.cores_per_socket in
     Config.validate cfg ~beta;
@@ -330,6 +281,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         Memory.set_policy mem p
       end
     end;
+    let kit = kit cfg in
     let workers = socket_workers cfg topo in
     let n_replicas = replica_count cfg topo in
     let p_socket = topo.Sim.Topology.sockets - 1 in
@@ -346,7 +298,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       (if mode = Config.Volatile then max_int / 2 else cfg.Config.epsilon);
     (* volatile replicas, one per occupied socket *)
     let master_ds =
-      match master with
+      match Option.bind recovery (fun r -> r.stable.Checkpoint.master) with
       | Some ds -> ds
       | None ->
         (* an empty master, built in a scratch volatile heap *)
@@ -356,24 +308,33 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         apply_ops ds prefill;
         ds
     in
+    let tel = Phases.make ~tag:cfg.Config.tag () in
+    (* two DRAM words the persistence thread's replicas may use as tails *)
+    let m0 = ctrl + 48 and m1 = ctrl + 56 in
+    let env pa =
+      { Checkpoint.mem; roots; cfg; pa; p_socket; log; tails = (m0, m1);
+        replicas = n_replicas; tel }
+    in
     (* a copy of the master, split across [helpers], with the recovery
-       suffix replayed into it *)
-    let clone ?(helpers = []) ~reconcile () =
+       suffix (scanned into [suffix]) replayed into it through [apply] *)
+    let suffix = Sim.Once.create () in
+    let clone ?(helpers = []) apply =
       let ds = Context.with_helpers helpers (fun () -> Ds.copy master_ds) in
       Option.iter
-        (fun r ->
-          Array.iter
-            (fun ((_, op, args, _) as e) ->
-              let resp = Ds.execute ds ~op ~args in
-              if reconcile then r.on_response e resp)
-            (Sim.Once.get r.suffix))
-        replay;
+        (fun _ -> Array.iter (apply ds) (Sim.Once.get suffix))
+        recovery;
       ds
     in
-    let make_replica ?helpers rid =
+    let make_replica ?helpers prepare rid =
       let alloc = Alloc.create_volatile mem ~home:rid in
       Context.set_default alloc;
-      let ds = clone ?helpers ~reconcile:(rid = 0) () in
+      let ds =
+        clone ?helpers (fun ds ((_, op, args, _) as e) ->
+            prepare rid ds ~op ~args;
+            let resp = Ds.execute ds ~op ~args in
+            if rid = 0 then
+              Option.iter (fun r -> r.on_response e resp) recovery)
+      in
       let lt_addr = Alloc.alloc alloc 8 in
       let combiner = Locks.Trylock.make mem (Alloc.alloc alloc 8) in
       let dist = cfg.Config.dist_rw in
@@ -393,50 +354,49 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       { rid; socket = rid; ds; alloc; lt_addr; combiner; rw; slots;
         solo = workers.(rid) = 1 }
     in
-    let make_prep pa src =
-      Context.with_persistent (fun () ->
-          let pds = src () in
-          let meta = Alloc.alloc pa 8 in
-          Memory.write mem meta 0;
-          Memory.write mem (meta + 1) (Ds.root_addr pds);
-          { meta; pds })
-    in
     (* the built instance, once [install] has run: the background commit
        waits on it *)
     let installed = Sim.Once.create () in
-    (* Classic recovery builds all replicas at once, each a copy of the
-       stable checkpoint on a fiber of its own socket: replica 0 here, on
-       the recovering fiber, the other volatile ones on their sockets, and
-       the two persistent ones on the persistence socket, where the
-       checkpoint is local. The log suffix is scanned meanwhile on socket
-       0, where the log lives; a copy waits for the scan only before it
-       replays. Each fiber takes a core of its own ([recovery_width]),
-       and a socket's other cores of the [cores] budget are dealt evenly
-       to the copies on it as helpers ([Context.with_helpers]). A large
-       copy splits into parts up to its fan-out ([Context.parts]): it uses
-       every core it is lent, its helpers allocating from chunks of the
-       copy's own arenas ([Alloc.child]).
-       A persistent copy allocates from a sub-heap of its own and persists
-       only that once its replay is done, its helpers splitting the
-       write-back one arena each. The volatile copies and the scan are
-       joined before [rebuild] returns; a helper's raise is re-raised
-       here, the scan's first, so torn media fails recovery as it would
-       on one fiber.
-       No op reads a persistent copy, so with [background] the two run on
-       after [rebuild] returns, on the persistence socket's cores of the
-       budget that no worker of the recovered instance is placed on
-       ([Sim.Topology.place]) — the persistence core among them, whose
-       thread waits for their commit — and keep those cores until they
-       end: a copy on each of the first two, the rest dealt to them as
-       helpers, or both in turn on a lone core. Once both are durable and
-       [install] has run, they commit: adopt their sub-heaps, name them
-       in [slot_meta0], [slot_meta1] and [slot_active], clear
-       [slot_pending], and fill [committed]. Without [background], or
+    (* Recovery defers its root writes, and the backend's commit writes
+       when joined, to [install]; creation makes them at once. *)
+    let deferred = ref [] in
+    let defer f = deferred := f :: !deferred in
+    let set_root slot v =
+      if Option.is_some recovery then defer (fun () -> Roots.set roots slot v)
+      else Roots.set roots slot v
+    in
+    let rb = cfg.Config.root_base in
+    (* A recovery builds all replicas at once, each a copy of the master
+       on a fiber of its own socket: replica 0 here, on the recovering
+       fiber, the other volatile ones on their sockets, and the backend's
+       copies (classic: the persistent pair; lsm: the shadow) on the
+       persistence socket, where the checkpoint is local. The log suffix
+       is scanned meanwhile on socket 0, where the log lives; a copy waits
+       for the scan only before it replays. Each fiber takes a core of its
+       own ([recovery_width]), and a socket's other cores of the [cores]
+       budget are dealt evenly to the copies on it as helpers
+       ([Context.with_helpers]). A large copy splits into parts up to its
+       fan-out ([Context.parts]): it uses every core it is lent, its
+       helpers allocating from chunks of the copy's own arenas
+       ([Alloc.child]). The volatile copies and the scan are joined before
+       [rebuild] returns; a helper's raise is re-raised here, the scan's
+       first, so torn media fails recovery as it would on one fiber.
+       No op reads the persistence side's copies, so with [background]
+       they run on after [rebuild] returns, on the persistence socket's
+       cores of the budget that no worker of the recovered instance is
+       placed on ([Sim.Topology.place]) — the persistence core among
+       them, whose thread waits for their commit — and keep those cores
+       until they end: a copy on each of the first cores, the rest dealt
+       to them as helpers, or all in turn on a lone core. Once every copy
+       is built and [install] has run, the backend commits them, clears
+       [slot_pending], and fills [committed]. Without [background], or
        with no such core, they are joined with the rest and [install]
        commits. *)
     let rebuild r =
       let pa = Alloc.create_persistent mem ~home:p_socket in
-      let vol = Array.make n_replicas None and per = Array.make 2 None in
+      let ckpt, side = r.stable.Checkpoint.recover (env (Some pa)) in
+      let n_copies = kit.Checkpoint.copies in
+      let vol = Array.make n_replicas None in
       let raised = ref [] and scan_raised = ref None in
       let guard f () =
         try f ()
@@ -444,22 +404,18 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       in
       let scan_job () =
         match r.scan () with
-        | s -> Sim.Once.fill r.suffix s
+        | s -> Sim.Once.fill suffix s
         | exception ((Invalid_argument _ | Failure _) as e) ->
           scan_raised := Some e;
-          Sim.Once.fill r.suffix [||]
+          Sim.Once.fill suffix [||]
       in
-      let build_prep ?(persist = true) helpers i () =
-        let sub = Alloc.sub pa in
-        Context.set_persistent sub;
-        let prep = make_prep sub (clone ~helpers ~reconcile:false) in
-        if persist then
-          Context.with_helpers helpers (fun () ->
-              Alloc.persist_heap ~split:Context.spread sub);
-        per.(i) <- Some (prep, sub)
+      let copy ~background helpers i () =
+        side.copy ~background ~helpers i (fun () ->
+            clone ~helpers (fun ds (_, op, args, _) ->
+                ckpt.Checkpoint.catch_up ds ~op ~args))
       in
-      (* [at]: this fiber, the scan, the volatile copies, the persistent
-         ones; every one but the scan is a copy *)
+      (* [at]: this fiber, the scan, the volatile copies, the persistence
+         side's; every one but the scan is a copy *)
       let base = (Sim.self ()).Sim.core in
       let taken = Array.make topo.Sim.Topology.sockets 0 in
       let at =
@@ -479,7 +435,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       let on s n =
         List.length (List.filter (fun k -> fst at.(k) = s) (List.init n Fun.id))
       in
-      let sync = Array.length at - 2 in
+      let sync = Array.length at - n_copies in
       let bg_cores =
         if not r.background then []
         else begin
@@ -527,175 +483,104 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
             let rid = i + 1 in
             job (1 + rid)
               (guard (fun () ->
-                   vol.(rid) <- Some (make_replica ~helpers:helpers.(1 + rid) rid))))
+                   vol.(rid) <-
+                     Some
+                       (make_replica ~helpers:helpers.(1 + rid)
+                          ckpt.Checkpoint.prepare rid))))
         @ (if background then []
            else
-             [ job (n_replicas + 1)
-                 (guard (build_prep helpers.(n_replicas + 1) 0));
-               job (n_replicas + 2)
-                 (guard (build_prep helpers.(n_replicas + 2) 1)) ])
+             List.init n_copies (fun i ->
+                 let k = n_replicas + 1 + i in
+                 job k (guard (copy ~background:false helpers.(k) i))))
         @ [ job 1 scan_job ]
       in
       if background then begin
         (* A raise here is torn media, which replica 0's copy of the same
            checkpoint raises in the recovery itself: the gap stays open. *)
         let torn = ref false in
-        let copy ?persist h i () =
-          try build_prep ?persist h i ()
+        let copy h i () =
+          try copy ~background:true h i ()
           with Invalid_argument _ | Failure _ -> torn := true
         in
-        let persist = cfg.Config.fault <> Config.Commit_before_copies_persist in
-        let commit () =
-          let t = Sim.Once.get installed in
-          let (p0, s0), (p1, s1) = (Option.get per.(0), Option.get per.(1)) in
-          Alloc.adopt pa s0;
-          Alloc.adopt pa s1;
-          let rb = cfg.Config.root_base in
-          Roots.set roots (rb + slot_meta0) p0.meta;
-          Roots.set roots (rb + slot_meta1) p1.meta;
-          Roots.set roots (rb + slot_active) 0;
-          Roots.set roots (rb + slot_pending) Memory.null;
-          t.p_reps.(0) <- p0;
-          t.p_reps.(1) <- p1;
-          Sim.Once.fill t.committed ()
-        in
-        let lead = snd (List.hd bg_cores) in
-        Sim.spawn_here ~socket:p_socket ~core:lead (fun () ->
-            (match bg_cores with
-             | [ _ ] ->
-               copy ~persist [] 0 ();
-               copy ~persist [] 1 ()
-             | _ :: (_, second) :: rest ->
-               let h = deal 2 rest in
+        Sim.spawn_here ~socket:p_socket ~core:(snd (List.hd bg_cores)) (fun () ->
+            (if List.length bg_cores < n_copies then
+               List.iter (fun i -> copy [] i ()) (List.init n_copies Fun.id)
+             else
+               let h = deal n_copies (List.filteri (fun j _ -> j >= n_copies) bg_cores) in
                Sim.fork_join
-                 [ (p_socket, second, copy ~persist h.(1) 1) ]
-                 (copy ~persist h.(0) 0)
-             | [] -> assert false);
-            if not !torn then commit ())
+                 (List.init (n_copies - 1) (fun j ->
+                      (p_socket, snd (List.nth bg_cores (j + 1)), copy h.(j + 1) (j + 1))))
+                 (copy h.(0) 0));
+            if not !torn then begin
+              let t = Sim.Once.get installed in
+              let reps = side.commit ~background:true ~defer:(fun f -> f ()) in
+              Roots.set roots (rb + slot_pending) Memory.null;
+              Array.blit reps 0 t.p_reps 0 (Array.length reps);
+              Sim.Once.fill t.committed ()
+            end)
       end;
       Sim.fork_join jobs
-        (guard (fun () -> vol.(0) <- Some (make_replica ~helpers:helpers.(0) 0)));
+        (guard (fun () ->
+             vol.(0) <-
+               Some (make_replica ~helpers:helpers.(0) ckpt.Checkpoint.prepare 0)));
       (match (!scan_raised, List.rev !raised) with
        | Some e, _ | None, e :: _ -> raise e
        | None, [] -> ());
-      let preps =
+      let reps =
         if background then None
-        else begin
-          let per = Array.map Option.get per in
-          Array.iter (fun (_, sub) -> Alloc.adopt pa sub) per;
-          Some (fst per.(0), fst per.(1))
-        end
+        else Some (side.commit ~background:false ~defer)
       in
-      (Array.map Option.get vol, pa, preps)
+      (Array.map Option.get vol, (pa, ckpt, reps))
     in
     let replicas, rebuilt =
-      match replay with
-      | None -> (Array.init n_replicas make_replica, None)
+      match recovery with
+      | None -> (Array.init n_replicas (make_replica (fun _ _ ~op:_ ~args:_ -> ())), None)
       | Some r ->
-        let vols, pa, preps = rebuild r in
-        (vols, Some (pa, preps))
+        let vols, rebuilt = rebuild r in
+        (vols, Some rebuilt)
     in
-    let background = match rebuilt with Some (_, None) -> true | _ -> false in
-    (* Recovery defers its root writes to [install], creation makes them
-       at once. *)
-    let deferred = ref [] in
-    let set_root slot v =
-      if Option.is_some replay || Option.is_some store then
-        deferred := (slot, v) :: !deferred
-      else Roots.set roots slot v
-    in
-    let tel = Phases.make ~tag:cfg.Config.tag () in
+    let background = match rebuilt with Some (_, _, None) -> true | _ -> false in
     (* persistent side *)
-    let p_alloc, p_reps, ct_addr, ckpt =
-      if mode = Config.Volatile then begin
-        let ct = ctrl + 40 in
-        Memory.write mem ct 0;
-        (None, [||], ct, classic mem roots cfg None)
+    let p_alloc =
+      match rebuilt with
+      | Some (pa, _, _) -> Some pa
+      | None when mode = Config.Volatile -> None
+      | None -> Some (Alloc.create_persistent mem ~home:p_socket)
+    in
+    Option.iter Context.set_persistent p_alloc;
+    let ct_addr =
+      if mode = Config.Durable then begin
+        let a = Alloc.alloc (Option.get p_alloc) 8 in
+        Memory.write mem a 0;
+        Memory.clflush ~site:Persist.Prep_init mem a;
+        a
       end
       else begin
-        let pa =
-          match rebuilt with
-          | Some (pa, _) -> pa
-          | None -> Alloc.create_persistent mem ~home:p_socket
-        in
-        Context.set_persistent pa;
-        let ct_addr =
-          if mode = Config.Durable then begin
-            let a = Alloc.alloc pa 8 in
-            Memory.write mem a 0;
-            Memory.clflush ~site:Persist.Prep_init mem a;
-            a
-          end
-          else begin
-            let ct = ctrl + 40 in
-            Memory.write mem ct 0;
-            ct
-          end
-        in
-        let rb = cfg.Config.root_base in
-        let p_reps, ckpt =
-          if not cfg.Config.lsm_ckpt then begin
-            let p0, p1 =
-              match rebuilt with
-              | Some (_, Some preps) -> preps
-              | Some (_, None) ->
-                (* stand-ins until the background commit puts the copies
-                   in: DRAM tails reading 0, as the copies' own do until
-                   the persistence thread, which starts on the commit,
-                   advances them; their handle is never read *)
-                let m0 = ctrl + 48 and m1 = ctrl + 56 in
-                Memory.write mem m0 0;
-                Memory.write mem m1 0;
-                ({ meta = m0; pds = master_ds }, { meta = m1; pds = master_ds })
-              | None ->
-                let make_prep () =
-                  make_prep pa (fun () -> Ds.copy replicas.(0).ds)
-                in
-                let p0 = make_prep () and p1 = make_prep () in
-                (* checkpoint zero: both replicas durable before any op *)
-                Alloc.persist_heap pa;
-                (p0, p1)
-            in
-            if not background then begin
-              set_root (rb + slot_active) 0;
-              set_root (rb + slot_meta0) p0.meta;
-              set_root (rb + slot_meta1) p1.meta
-            end;
-            ([| p0; p1 |], classic mem roots cfg (Some pa))
-          end
-          else begin
-            (* No NVM replica: the persistence thread runs one volatile
-               shadow, and both p-replica tails are DRAM words, the
-               shadow's tail and the seal watermark, which keeps Algorithm
-               3's laggard machinery working unchanged. *)
-            let shadow =
-              Context.with_allocator
-                (Alloc.create_volatile mem ~home:p_socket)
-                (fun () -> Ds.copy master_ds)
-            in
-            let m0 = ctrl + 48 and m1 = ctrl + 56 in
-            Memory.write mem m0 0;
-            Memory.write mem m1 0;
-            set_root (rb + slot_active) 0;
-            let ckpt =
-              L.backend ?recovered:store mem ~pa ~p_socket ~log ~tails:(m0, m1)
-                ~replicas:n_replicas ~fanout:cfg.Config.lsm_fanout
-                ~publish_first:
-                  (cfg.Config.fault = Config.Manifest_before_segment_seal)
-                ~tel ~register:(set_root (lsm_manifest_slot rb)) master_ds
-            in
-            ([| { meta = m0; pds = shadow }; { meta = m1; pds = shadow } |], ckpt)
-          end
-        in
-        if mode = Config.Durable then begin
-          set_root (rb + slot_ct) ct_addr;
-          set_root (rb + slot_log) log.Log.base
-        end;
-        (Some pa, p_reps, ct_addr, ckpt)
+        let ct = ctrl + 40 in
+        Memory.write mem ct 0;
+        ct
       end
     in
+    let p_reps, ckpt =
+      match rebuilt with
+      | None -> kit.Checkpoint.create (env p_alloc) ~master:master_ds ~first:replicas.(0).ds
+      | Some (_, ckpt, Some reps) -> (reps, ckpt)
+      | Some (_, ckpt, None) ->
+        (* stand-ins until the background commit puts the copies in: DRAM
+           tails reading 0, as the copies' own do until the persistence
+           thread, which starts on the commit, advances them; their handle
+           is never read *)
+        Memory.write mem m0 0;
+        Memory.write mem m1 0;
+        ( [| { Checkpoint.meta = m0; pds = master_ds }; { meta = m1; pds = master_ds } |],
+          ckpt )
+    in
+    if mode = Config.Durable then begin
+      set_root (rb + slot_ct) ct_addr;
+      set_root (rb + slot_log) log.Log.base
+    end;
     let gap =
-      match replay with
+      match recovery with
       | Some { prior = Some prior; _ } ->
         Some (Alloc.alloc (Option.get p_alloc) Memory.line_words, prior)
       | Some { prior = None; _ } | None -> None
@@ -709,7 +594,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let ann =
       if not cfg.Config.detect then None
       else begin
-        let rb = cfg.Config.root_base in
         let existing = Roots.get roots (rb + slot_announce) in
         if existing <> Memory.null then
           Some (Announce.attach mem ~base:existing ~threads:n_threads)
@@ -757,19 +641,19 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         ckpt_cost_last = 0;
       }
     in
-    let pending = cfg.Config.root_base + slot_pending in
+    let pending = rb + slot_pending in
     let install () =
       Option.iter
-        (fun (a, (meta, log_base, ct)) ->
+        (fun (a, (stamp, log_base, ct)) ->
           List.iteri
             (fun i v -> Memory.write mem (a + i) v)
-            [ meta; log_base; ct; log.Log.base; ct_addr ];
+            [ stamp; log_base; ct; log.Log.base; ct_addr ];
           Memory.clflush ~site:Persist.Roots_set mem a;
           Roots.set roots pending a)
         gap;
-      List.iter (fun (slot, v) -> Roots.set roots slot v) (List.rev !deferred);
+      List.iter (fun f -> f ()) (List.rev !deferred);
       if background then Sim.Once.fill installed t
-      else if Option.is_some replay then Roots.set roots pending Memory.null
+      else if Option.is_some recovery then Roots.set roots pending Memory.null
     in
     (t, install)
 
@@ -778,7 +662,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   let create ?(prefill = []) mem roots cfg =
     (* give the creating fiber a binding so Context.alloc works *)
     Context.bind ~default:(Alloc.create_volatile mem ~home:0) ();
-    fst (build mem roots cfg ~prefill ~master:None)
+    fst (build mem roots cfg ~prefill)
 
   (* ---- worker-side machinery ---- *)
 
@@ -846,7 +730,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           (* logMin is pinned by a laggard: ask it to catch up *)
           if !low_rid >= t.n_replicas then begin
             let p = !low_rid - t.n_replicas in
-            let active = Roots.get t.roots (rslot t slot_active) in
+            let active = Roots.get t.roots (rslot t Checkpoint.slot_active) in
             if active <> p && read_flush_boundary t >= !lm then
               (* the stable persistent replica is the laggard: force the
                  persistence thread to checkpoint and swap early *)
@@ -1261,10 +1145,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
          (Telemetry.Registry.span pt.Phases.reg span_name)
      | None -> ());
     while not t.stop_flag do
-      let active = Roots.get t.roots (rslot t slot_active) in
+      let active = Roots.get t.roots (rslot t Checkpoint.slot_active) in
       let rep = t.p_reps.(active) in
       let tail = read_ct t in
-      let lt = Memory.read t.mem rep.meta in
+      let lt = Memory.read t.mem rep.Checkpoint.meta in
       if tail > lt then
         (* Bring the active persistent replica up to date. With a
            [txn_gate] installed, stop in front of the first entry whose
@@ -1379,77 +1263,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
 
   (* ---- recovery (paper §5.1 / §5.2) ---- *)
 
-  (* Mount the stable checkpoint through the roots, writing nothing — the
-     backend is chosen here — and return the log index it covers up to,
-     the logs whose durable prefixes replay on top of it, and the replay,
-     which builds the recovered instance: classic, from the stable replica
-     ([build]'s [replay]); lsm, from the manifest's segments and
-     [sealed_lt] ([Lsm_ckpt.Make.replay]). A log is
-     [(base, completedTail address, mine)], oldest first, [mine] when it
-     is [old_t]'s own: one, the committed generation's, which is
-     [old_t]'s; or, while a classic gap record is pending, the generation
-     a recovery started from and the one it built, each replayed from its
-     own durable prefix (see [build]). *)
-  let mount old_t =
-    let mem = old_t.mem and roots = old_t.roots and cfg = old_t.cfg in
-    let rb = cfg.Config.root_base in
-    let committed () =
-      [ (Roots.get roots (rb + slot_log), Roots.get roots (rb + slot_ct), true) ]
-    in
-    if cfg.Config.lsm_ckpt then begin
-      let l =
-        Lsm_ckpt.mount mem
-          ~base:(Roots.get roots (lsm_manifest_slot rb))
-          ~fanout:cfg.Config.lsm_fanout
-      in
-      ( l.Lsm_ckpt.sealed_lt,
-        committed (),
-        fun ~scan ~suffix ~reconcile ~cores:_ ~background:_ ->
-          Sim.Once.fill suffix (scan ());
-          let master, view = L.replay l (Sim.Once.get suffix) ~reconcile in
-          build ~store:(l, view) mem roots cfg ~prefill:[] ~master:(Some master) )
-    end
-    else begin
-      let gap = Roots.get roots (rb + slot_pending) in
-      let stable_meta, logs, prior =
-        if gap = Memory.null then begin
-          let active = Roots.get roots (rb + slot_active) in
-          let meta =
-            Roots.get roots
-              (rb + if active = 1 then slot_meta0 else slot_meta1)
-          in
-          (meta, committed (), Some (meta, old_t.log.Log.base, old_t.ct_addr))
-        end
-        else begin
-          let w = Memory.read_words mem gap 5 in
-          ( w.(0),
-            [ (w.(1), w.(2), w.(2) = old_t.ct_addr);
-              (w.(3), w.(4), w.(4) = old_t.ct_addr) ],
-            None )
-        end
-      in
-      let stable_lt = Memory.read mem stable_meta in
-      let stable_root = Memory.read mem (stable_meta + 1) in
-      (* a meta block that never reached media names no replica: fail
-         recovery here, as torn media does, rather than attach garbage
-         ([is_nvm] raises [Invalid_argument] past the last arena) *)
-      if stable_root = Memory.null || not (Memory.is_nvm mem stable_root)
-      then
-        failwith
-          (Printf.sprintf
-             "Prep_uc.mount: stable meta block %d names no NVM replica (%d)"
-             stable_meta stable_root);
-      let stable_ds = Ds.attach mem stable_root in
-      ( stable_lt,
-        logs,
-        fun ~scan ~suffix ~reconcile ~cores ~background ->
-          build
-            ~replay:
-              { scan; suffix; on_response = reconcile; prior;
-                background = background && Option.is_some prior }
-            ?cores mem roots cfg ~prefill:[] ~master:(Some stable_ds) )
-    end
-
   (* The entries of the log at [base] that replay applies, as (index, op,
      args, tag), from [from] to the recovered completedTail [ct], skipping
      holes (unpersisted entries) and entries [keep] rejects. An entry is
@@ -1543,34 +1356,53 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       [recovery_width]); the cores its own fibers leave idle become the
       copies' helpers. Must run inside a fiber.
 
-      Under classic checkpoints the UC becomes recoverable in two steps.
-      [install] makes it recoverable from the checkpoint recovery started
-      from, through a gap record ([build]): a crash from then on recovers
-      that checkpoint, its log suffix and the new log's durable prefix,
-      which [account] reads as the rebuilt UC's prefill plus its own
-      suffix. With [background] (the default) the two persistent copies
-      are still being built when [rebuild] returns, and commit the new
-      checkpoint themselves once they are durable and [install] has run;
-      until then [slot_pending] is set. A sharded lane that rebuilds
-      another shard after this one passes [false], so it hands the next
-      shard no core a copy still holds. A recovery that starts from a gap
-      record joins its copies, and its [install] commits.
-
-      One spine serves both checkpoint backends: [mount] the checkpoint,
-      scan the durable suffix past its tail once, replay, then account
-      for durability (which charges nothing). Only the replay is
-      backend-specific ([mount]; classic's and lsm's recovery are
-      contrasted in DESIGN.md's "Checkpoint backends"). Under classic,
-      until [install] runs, recovery changes no pre-crash NVM word except
-      reconciled response slots, so a crash at any point before then
-      leaves the checkpoint and log it started from, and recovering again
-      gives the same result. *)
+      Both checkpoint backends recover by one protocol
+      ([Checkpoint]): the backend's mount reads the stable checkpoint —
+      the one a gap record names while [slot_pending] is set — writing
+      nothing; the durable suffix past its tail is scanned once; [build]
+      replays it into every copy, writing nothing durable but reconciled
+      response slots, so a crash before [install] leaves the checkpoint
+      and log recovery started from, and recovering again gives the same
+      result. [install] makes the UC recoverable from that checkpoint
+      through a gap record ([build]): a crash from then on recovers it,
+      its log suffix and the new log's durable prefix, which [account]
+      reads as the rebuilt UC's prefill plus its own suffix. With
+      [background] (the default) the persistence side's copies are still
+      being built when [rebuild] returns, and the backend commits them
+      once they are and [install] has run; until then [slot_pending] is
+      set. A sharded lane that rebuilds another shard after this one
+      passes [false], so it hands the next shard no core a copy still
+      holds. A recovery that starts from a gap record joins its copies,
+      and its [install] commits. [account] charges nothing. A log is [(base,
+      completedTail address, mine)], oldest first, [mine] when it is
+      [old_t]'s own: the committed generation's, which is [old_t]'s; or,
+      while a gap record is pending, the generation a recovery started
+      from and the one it built, each replayed from its own durable
+      prefix. *)
   let rebuild ?keep ?cores ?(background = true) old_t =
     if not (has_persistence old_t) then
       invalid_arg "Prep_uc.recover: volatile variant cannot recover";
     let mem = old_t.mem and roots = old_t.roots and cfg = old_t.cfg in
     let rb = cfg.Config.root_base in
-    let base_lt, logs, replay = mount old_t in
+    let gap = Roots.get roots (rb + slot_pending) in
+    let record =
+      if gap = Memory.null then None else Some (Memory.read_words mem gap 5)
+    in
+    let stable =
+      (kit cfg).Checkpoint.mount mem roots cfg
+        ~stamp:(Option.map (fun w -> w.(0)) record)
+    in
+    let logs, prior =
+      match record with
+      | None ->
+        ( [ (Roots.get roots (rb + slot_log), Roots.get roots (rb + slot_ct), true) ],
+          Some (stable.Checkpoint.stamp, old_t.log.Log.base, old_t.ct_addr) )
+      | Some w ->
+        ( [ (w.(1), w.(2), w.(2) = old_t.ct_addr);
+            (w.(3), w.(4), w.(4) = old_t.ct_addr) ],
+          None )
+    in
+    let base_lt = stable.Checkpoint.covered in
     let durable = cfg.Config.mode = Config.Durable in
     let logs =
       List.mapi
@@ -1600,7 +1432,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
             logs;
       Array.concat !scanned
     in
-    let suffix = Sim.Once.create () in
     (* replay reconciliation: rewrite the submitting thread's response slot
        with the replay-computed result so resolve reflects every op the
        recovered state actually contains (R2 for replayed entries).
@@ -1616,7 +1447,13 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         end
       | None -> ()
     in
-    let t, install = replay ~scan ~suffix ~reconcile ~cores ~background in
+    let t, install =
+      build
+        ~recovery:
+          { stable; scan; on_response = reconcile; prior;
+            background = background && Option.is_some prior }
+        ?cores mem roots cfg ~prefill:[]
+    in
     (* [old_t]'s trace covers its own log: the logs before it are in its
        prefill, and no later one holds an op of it *)
     let report, prefill =

@@ -571,7 +571,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       join does any shard write its roots, so a crash inside recovery
       leaves every shard's pre-crash checkpoint and log as it found them.
       Each lane of shards gets a budget of [beta / lanes] consecutive
-      cores on every socket, at least [Prep_uc.recovery_width], so no two
+      cores on every socket, at least [Prep_uc.Make.recovery_width], so no two
       shards' fibers ever share a core; when a socket has too few cores
       for every shard, a lane rebuilds several shards in turn. A shard's
       persistent copies run on past its rebuild ([Prep_uc.rebuild]'s
@@ -585,7 +585,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let keep ~op ~args =
       if is_txn_op op then Decision.committed dec args.(0) else true
     in
-    let width = Prep_uc.recovery_width old_t.cfg in
+    let width = P.recovery_width old_t.cfg in
     let beta = (Sim.topology ()).Sim.Topology.cores_per_socket in
     let lanes = max 1 (min n (beta / width)) in
     let budget = beta / lanes in

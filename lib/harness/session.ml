@@ -47,6 +47,7 @@ type config = {
   crashes : int;  (** crash epochs to inject (best effort: a session that
                       finishes early injects fewer) *)
   detect : bool;  (** detectable execution: resume via [resolve] *)
+  lsm_ckpt : bool;  (** the incremental checkpoint backend *)
   bg_period : int;  (** mean ops between background cache write-backs *)
   preempt_prob : float;
   fault : Prep.Config.fault;  (** planted protocol fault, for the checks' teeth *)
@@ -61,14 +62,28 @@ let default_config =
     log_size = 1024;
     crashes = 3;
     detect = true;
+    lsm_ckpt = false;
     bg_period = 2_000;
     preempt_prob = 0.02;
     fault = Prep.Config.No_fault;
   }
 
+(** How a session epoch ended. *)
+type status =
+  | Ended of Check.Epoch.ended
+      (** its set-up returned, then its clients ran to quiescence, were
+          cut by a power failure, or wedged *)
+  | Recovery_raised  (** its recovery raised: no client ran *)
+
+let status_to_string = function
+  | Ended Check.Epoch.Quiescent -> "quiescent"
+  | Ended Check.Epoch.Crashed -> "crashed"
+  | Ended Check.Epoch.Wedged -> "wedged"
+  | Recovery_raised -> "recovery raised"
+
 type epoch_info = {
   epoch : int;
-  crashed : bool;  (** this epoch ended in a power failure *)
+  status : status;
   resubmitted : int;  (** ops re-submitted during this epoch (post-restart) *)
 }
 
@@ -145,7 +160,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     in
     let uc_cfg =
       Prep.Config.make ~mode:Prep.Config.Durable ~log_size:cfg.log_size
-        ~epsilon:cfg.epsilon ~detect:cfg.detect ~fault:cfg.fault
+        ~epsilon:cfg.epsilon ~detect:cfg.detect ~lsm_ckpt:cfg.lsm_ckpt
+        ~fault:cfg.fault
         ~workers:cfg.threads ()
     in
     (* client ghost state; [next] is rebuilt from [resolve] on restart when
@@ -264,7 +280,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       if ended = Quiescent then
         duration := !duration + run.end_ns;
       epoch_infos :=
-        { epoch; crashed = ended = Crashed; resubmitted = !resub_here }
+        { epoch;
+          status = (if !recovery_raised then Recovery_raised else Ended ended);
+          resubmitted = !resub_here }
         :: !epoch_infos;
       ended
     in

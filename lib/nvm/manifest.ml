@@ -90,3 +90,10 @@ let best a b =
     publish ever completed. A record torn by a crash mid-publish fails its
     checksum and the previous epoch wins — the torn-manifest fallback. *)
 let load t = best (read_slot t 0) (read_slot t 1)
+
+(** Read back the record of [epoch] (charged reads), if its slot still
+    holds it intact: the one publish after it wrote the other slot. *)
+let load_epoch t epoch =
+  match read_slot t (epoch land 1) with
+  | Some r when r.epoch = epoch -> Some r
+  | Some _ | None -> None

@@ -254,9 +254,6 @@ module Memtable = struct
 
   let del (t : t) key = Hashtbl.replace t key tombstone
 
-  (** The keys, in the table's iteration order. *)
-  let keys (t : t) = Array.of_seq (Hashtbl.to_seq_keys t)
-
   (** Drain to a sorted record array and clear. *)
   let drain_sorted (t : t) =
     let n = Hashtbl.length t in

@@ -901,11 +901,14 @@ let test_session_recovery_raise_is_a_failure () =
         fault = Config.Commit_before_copies_persist }
       ~gen_op
   in
-  match o.Harness.Session.violations with
-  | [ Check.Durable_lin.Recovery_raised _ ] -> ()
-  | vs ->
-    Alcotest.failf "expected one recovery raise, got %d other violations"
-      (List.length vs)
+  (match o.Harness.Session.violations with
+   | [ Check.Durable_lin.Recovery_raised _ ] -> ()
+   | vs ->
+     Alcotest.failf "expected one recovery raise, got %d other violations"
+       (List.length vs));
+  let last = List.nth o.Harness.Session.epochs (List.length o.Harness.Session.epochs - 1) in
+  check_bool "the last epoch is listed as recovery raised" true
+    (last.Harness.Session.status = Harness.Session.Recovery_raised)
 
 (* ---- the crash-epoch driver's contract ---- *)
 

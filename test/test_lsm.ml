@@ -316,7 +316,7 @@ let run_script script =
           | None -> Alcotest.fail "manifest lost by crash"
         in
         (* the memtable is volatile: the remount starts without it *)
-        l := Lsm_ckpt.mount mem ~base ~fanout;
+        l := Lsm_ckpt.mount mem ~base ~fanout ~epoch:None;
         check "no published epoch lost" epoch !l.Lsm_ckpt.epoch;
         check "every published segment mounts" (List.length published)
           (List.length !l.Lsm_ckpt.segs);

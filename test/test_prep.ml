@@ -628,8 +628,8 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
 
   (* [one_fiber]: also check that the uninterrupted recovery equals one
      whose copies get no helper cores ([~cores:1]) *)
-  let check_cuts ?(one_fiber = false) ~mode ~prefill ~gen label =
-    let uc, mem = crash_run ~mode ~prefill ~gen () in
+  let check_cuts ?(one_fiber = false) ?lsm_ckpt ~mode ~prefill ~gen label =
+    let uc, mem = crash_run ?lsm_ckpt ~mode ~prefill ~gen () in
     let crashed = Memory.snapshot mem in
     let arenas = Memory.arena_count mem in
     let media = nvm_media mem ~arenas in
@@ -667,9 +667,9 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
         check_bool (at ^ ": report") true (snd want = snd got))
       [ 0; 1; 2; 3; 4 ]
 
-  let test ~prefill ~gen () =
-    check_cuts ~mode:Config.Buffered ~prefill ~gen (Ds.name ^ " buffered");
-    check_cuts ~mode:Config.Durable ~prefill ~gen (Ds.name ^ " durable")
+  let test ?lsm_ckpt ~prefill ~gen () =
+    check_cuts ?lsm_ckpt ~mode:Config.Buffered ~prefill ~gen (Ds.name ^ " buffered");
+    check_cuts ?lsm_ckpt ~mode:Config.Durable ~prefill ~gen (Ds.name ^ " durable")
 
   (* ---- the gap: from a recovery's install to its background commit ---- *)
 
@@ -681,12 +681,22 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
      returned, its state and report, once [install] has, and whether any
      fiber wrote an NVM arena of the media it started from other than the
      root directory: none may, without [--detect], until the commit
-     leaves them behind. [on_root] sees every root write with its op
-     index. *)
+     leaves them behind — but lsm's manifest publishes, the commit's
+     and the checkpoints' after it, once a gap record is set. [on_root]
+     sees every root write with its op index. *)
   let gap_run ?(cut = max_int) ?(after = ignore) ?(on_root = fun _ _ _ -> ())
       mem old =
     Context.reset ();
     let frozen = Memory.arena_count mem and touched = ref false in
+    let manifest =
+      let base = Memory.peek mem (Lsm_ckpt.manifest_slot 0) in
+      if old.U.cfg.Config.lsm_ckpt then
+        (base, base + (Manifest.region_lines * Memory.line_words))
+      else (0, 0)
+    in
+    (* a gap record has been set: by this run, or by the one it recovers *)
+    let recorded = ref (Memory.peek mem Prep_uc.slot_pending <> Memory.null) in
+    let publish addr = !recorded && addr >= fst manifest && addr < snd manifest in
     let sim = Sim.create ~seed:6L topology in
     let built = ref None and out = ref None in
     ignore
@@ -699,8 +709,12 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
     Memory.set_access_hook mem (fun _ addr write v ->
         let aid = addr lsr Memory.arena_shift in
         if write && addr > 0 then
-          if addr < Roots.max_slots then on_root (Memory.op_index mem - 1) addr v
+          if addr < Roots.max_slots then begin
+            if addr = Prep_uc.slot_pending && v <> Memory.null then recorded := true;
+            on_root (Memory.op_index mem - 1) addr v
+          end
           else if aid > 0 && aid < frozen && Memory.arena_kind mem aid = Memory.Nvm
+                  && not (publish addr)
           then touched := true);
     Memory.set_crash_hook mem (fun i -> if i >= cut then raise Power_failure);
     let crashed =
@@ -781,16 +795,19 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
      - in the gap of the recovery from that first gap record, after each
        of its root writes.
      Returns the failures. *)
-  let gap_failures ?(fault = Config.No_fault) ~mode ~prefill ~gen label =
-    let uc, mem = crash_run ~fault ~mode ~prefill ~gen () in
+  let gap_failures ?(fault = Config.No_fault) ?(lsm_ckpt = false) ~mode ~prefill
+      ~gen label =
+    let uc, mem = crash_run ~fault ~lsm_ckpt ~mode ~prefill ~gen () in
     let image = Memory.snapshot mem in
     let writes = root_writes mem image uc in
-    (* the gap record, the new log's roots, then the commit: the copies'
-       meta blocks, the active one, and the gap record cleared *)
+    (* the gap record, the new log's roots, then the commit: classic's
+       copies' meta blocks and the active one (lsm's commit publishes the
+       manifest, whose root stays), and the gap record cleared *)
     let pending = Prep_uc.slot_pending in
     let expected =
       (pending :: (if mode = Config.Durable then [ 4; 5 ] else []))
-      @ [ 2; 3; 1; pending ]
+      @ (if lsm_ckpt then [] else [ 2; 3; 1 ])
+      @ [ pending ]
     in
     let failures = ref [] in
     let note fs = failures := !failures @ fs in
@@ -807,7 +824,7 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
     (* [k] updates in the gap *)
     List.iter
       (fun k ->
-        let in_gap = ref true in
+        let in_gap = ref 0 in
         let after t =
           U.start_persistence t;
           U.register_worker t;
@@ -819,15 +836,18 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
             in
             let op, args = update () in
             ignore (U.execute t ~op ~args);
-            if Memory.peek mem Prep_uc.slot_pending = Memory.null then
-              in_gap := false
+            if Memory.peek mem Prep_uc.slot_pending <> Memory.null then
+              incr in_gap
           done;
           raise Power_failure
         in
         let l = Printf.sprintf "%s, %d updates in the gap" label k in
         let _, fs = cut_gap ~after ~mode l mem image uc ~cut:max_int in
         note fs;
-        if not !in_gap then note [ l ^ ": an update waited for the commit" ])
+        (* lsm's commit seals only the suffix's keys, so it may land
+           among the updates; the first still returns before it *)
+        if !in_gap < (if lsm_ckpt then 1 else k) then
+          note [ l ^ ": an update waited for the commit" ])
       [ 1; 8 ];
     (* in the gap of the recovery from the first gap record *)
     Memory.restore mem image;
@@ -841,12 +861,12 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
       nested;
     !failures
 
-  let test_gap ~prefill ~gen () =
+  let test_gap ?lsm_ckpt ~prefill ~gen () =
     List.iter
       (fun (mode, name) ->
-        match gap_failures ~mode ~prefill ~gen (Ds.name ^ " " ^ name) with
+        match gap_failures ?lsm_ckpt ~mode ~prefill ~gen (Ds.name ^ " " ^ name) with
         | [] -> ()
-        | f :: _ -> Alcotest.fail f)
+        | fs -> Alcotest.fail (String.concat "\n" fs))
       [ (Config.Durable, "durable"); (Config.Buffered, "buffered") ]
 end
 
@@ -895,6 +915,12 @@ let map_gen ~insert ~remove ~get rng =
 let test_cut_recovery_hashmap =
   let module C = Cut_recovery (Seqds.Hashmap) in
   C.test
+    ~prefill:(List.init 20 (fun k -> ins k k))
+    ~gen:(map_gen ~insert:H.op_insert ~remove:H.op_remove ~get:H.op_get)
+
+let test_cut_recovery_hashmap_lsm =
+  let module C = Cut_recovery (Seqds.Hashmap) in
+  C.test ~lsm_ckpt:true
     ~prefill:(List.init 20 (fun k -> ins k k))
     ~gen:(map_gen ~insert:H.op_insert ~remove:H.op_remove ~get:H.op_get)
 
@@ -1023,6 +1049,21 @@ let test_gap_hashmap =
   C.test_gap
     ~prefill:(List.init 20 (fun k -> ins k k))
     ~gen:(map_gen ~insert:H.op_insert ~remove:H.op_remove ~get:H.op_get)
+
+let test_gap_hashmap_lsm =
+  let module C = Cut_recovery (Seqds.Hashmap) in
+  C.test_gap ~lsm_ckpt:true
+    ~prefill:(List.init 20 (fun k -> ins k k))
+    ~gen:(map_gen ~insert:H.op_insert ~remove:H.op_remove ~get:H.op_get)
+
+(* the tree's updates reach a checkpoint after the commit, whose manifest
+   publish writes the media recovery started from *)
+let test_gap_rbtree_lsm =
+  let module R = Seqds.Rbtree in
+  let module C = Cut_recovery (R) in
+  C.test_gap ~lsm_ckpt:true
+    ~prefill:(List.init 20 (fun k -> (R.op_insert, [| k; k |])))
+    ~gen:(map_gen ~insert:R.op_insert ~remove:R.op_remove ~get:R.op_get)
 
 let test_gap_rbtree =
   let module R = Seqds.Rbtree in
@@ -1330,14 +1371,20 @@ let () =
           Alcotest.test_case "double crash" `Quick test_double_crash;
           Alcotest.test_case "durable double crash" `Quick test_durable_double_crash;
           Alcotest.test_case "cut recovery: hashmap" `Quick test_cut_recovery_hashmap;
+          Alcotest.test_case "cut recovery: hashmap, lsm" `Quick
+            test_cut_recovery_hashmap_lsm;
           Alcotest.test_case "cut recovery: rbtree" `Quick test_cut_recovery_rbtree;
           Alcotest.test_case "cut recovery: stack" `Quick test_cut_recovery_stack;
           Alcotest.test_case "cut recovery: split copies" `Quick
             test_cut_recovery_split;
           Alcotest.test_case "cut recovery: the gap, hashmap" `Quick
             test_gap_hashmap;
+          Alcotest.test_case "cut recovery: the gap, hashmap, lsm" `Quick
+            test_gap_hashmap_lsm;
           Alcotest.test_case "cut recovery: the gap, rbtree" `Quick
             test_gap_rbtree;
+          Alcotest.test_case "cut recovery: the gap, rbtree, lsm" `Quick
+            test_gap_rbtree_lsm;
           Alcotest.test_case "commit-before-copies-persist is caught" `Quick
             test_gap_fault_caught;
           Alcotest.test_case "recovery fibers never share a core" `Quick
