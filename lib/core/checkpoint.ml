@@ -76,9 +76,9 @@ type 'h rebuild = {
           suffix replayed through [catch_up], split across [helpers];
           [background] when it runs on past the first op. Raises on torn
           media. *)
-  commit : background:bool -> defer:((unit -> unit) -> unit) -> 'h replica array;
+  commit : defer:((unit -> unit) -> unit) -> 'h replica array;
       (** Commit every built copy, each durable write through [defer]
-          (after [install]: at once when [background], else queued for
+          (after [install]: at once in the background, else queued for
           [install] behind the gap record), and return the persistence
           thread's replicas. *)
 }

@@ -55,12 +55,6 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         Memory.write mem (meta + 1) (Ds.root_addr pds);
         { meta; pds })
 
-  (* Name [p0] active and both meta blocks through [set] (relative slots). *)
-  let name set p0 p1 =
-    set slot_active 0;
-    set slot_meta0 p0.meta;
-    set slot_meta1 p1.meta
-
   (* Checkpoint zero: two copies of volatile replica 0, written back. *)
   let create env ~master:_ ~first =
     match env.pa with
@@ -70,7 +64,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       let p0 = make_prep () and p1 = make_prep () in
       (* checkpoint zero: both replicas durable before any op *)
       Alloc.persist_heap pa;
-      name (fun s v -> Roots.set env.roots (env.cfg.Config.root_base + s) v) p0 p1;
+      let set s v = Roots.set env.roots (env.cfg.Config.root_base + s) v in
+      set slot_active 0;
+      set slot_meta0 p0.meta;
+      set slot_meta1 p1.meta;
       ([| p0; p1 |], backend env)
 
   (* Recovery's persistence side: each copy allocates from a sub-heap of
@@ -93,19 +90,18 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
             Alloc.persist_heap ~split:Context.spread sub);
       per.(i) <- Some (prep, sub)
     in
-    let commit ~background ~defer =
+    let commit ~defer =
       let (p0, s0), (p1, s1) = (Option.get per.(0), Option.get per.(1)) in
       Alloc.adopt pa s0;
       Alloc.adopt pa s1;
       let set s v =
         defer (fun () -> Roots.set env.roots (cfg.Config.root_base + s) v)
       in
-      if background then begin
-        set slot_meta0 p0.meta;
-        set slot_meta1 p1.meta;
-        set slot_active 0
-      end
-      else name set p0 p1;
+      (* both meta blocks, then [p0] active: the gap record is set
+         meanwhile, so recovery reads none of the three *)
+      set slot_meta0 p0.meta;
+      set slot_meta1 p1.meta;
+      set slot_active 0;
       [| p0; p1 |]
     in
     (backend env, { copy; commit })

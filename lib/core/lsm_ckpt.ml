@@ -567,7 +567,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         (Alloc.create_volatile env.Checkpoint.mem ~home:env.p_socket);
       copied := Some (clone ())
     in
-    let commit ~background:_ ~defer =
+    let commit ~defer =
       defer (fun () ->
           seal l (Option.get env.pa)
             (Segment.Memtable.drain_sorted l.memtable)

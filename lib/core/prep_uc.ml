@@ -224,8 +224,20 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   (* A replayed log entry: (index, op, args, (tid, seqno) tag). *)
   type entry = int * int * int array * (int * int)
 
+  (* The log suffix as recovery's scan publishes it: a chain of
+     write-once cells, each a chunk of entries in log order and the cell
+     after it, ending in [Ended]. *)
+  type feed = Chunk of entry array * feed Sim.Once.t | Ended
+
+  (* Entries per [Chunk]. The scan reads an entry (one line load) faster
+     than a copy replays one, so the size only sets how soon the first
+     replay can start; a shorter suffix is published whole as the scan
+     ends, so the checkers' small scopes replay it after the scan. *)
+  let chunk_entries = 64
+
   (* What a recovery hands [build]: the checkpoint [mount] read;
-     [scan ()] reads the log suffix; [on_response e resp]
+     [scan ~emit] reads the log suffix, passing each entry to [emit] in
+     log order; [on_response e resp]
      sees replica 0's response to suffix entry [e]; [prior] is the
      committed generation it recovered from, [(checkpoint stamp, log
      base, completedTail address)], or [None] when it recovered from a
@@ -233,7 +245,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
      after [build] returns. *)
   type recovery = {
     stable : Ds.handle Checkpoint.stable;
-    scan : unit -> entry array;
+    scan : emit:(entry -> unit) -> unit;
     on_response : entry -> int -> unit;
     prior : (int * int * int) option;
     background : bool;
@@ -246,8 +258,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
      allocator binding is replaced. Without [recovery] the object is
      [prefill] applied to an empty one, and the backend's checkpoint zero
      is a copy of it. With [recovery], every replica is a copy of the
-     mounted checkpoint's master with the scanned suffix replayed into it,
-     and [cores] is that recovery's core budget (see [rebuild]).
+     mounted checkpoint's master with the suffix replayed into it as the
+     scan reads it, and [cores] is that recovery's core budget (see
+     [rebuild]).
      Returns the instance and its [install] step: recovery defers every
      root write to it, creation writes its roots as it goes. A recovery's
      [install] commits with one root word, [slot_pending]: it publishes a
@@ -315,26 +328,49 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       { Checkpoint.mem; roots; cfg; pa; p_socket; log; tails = (m0, m1);
         replicas = n_replicas; tel }
     in
-    (* a copy of the master, split across [helpers], with the recovery
-       suffix (scanned into [suffix]) replayed into it through [apply] *)
-    let suffix = Sim.Once.create () in
+    (* the recovery suffix, streamed by [rebuild]'s scan; [scan_clean]
+       is set once the scan has read all of it without raising *)
+    let feed = Sim.Once.create () and scan_clean = ref false in
+    (* a copy of the master, split across [helpers], with each chunk of
+       the recovery suffix replayed into it through [apply] as soon as
+       the scan publishes it *)
     let clone ?(helpers = []) apply =
       let ds = Context.with_helpers helpers (fun () -> Ds.copy master_ds) in
-      Option.iter
-        (fun _ -> Array.iter (apply ds) (Sim.Once.get suffix))
-        recovery;
+      let rec replay cell =
+        match Sim.Once.get cell with
+        | Chunk (es, next) ->
+          Array.iter (apply ds) es;
+          replay next
+        | Ended -> ()
+      in
+      if Option.is_some recovery then replay feed;
       ds
     in
     let make_replica ?helpers prepare rid =
       let alloc = Alloc.create_volatile mem ~home:rid in
       Context.set_default alloc;
+      (* replica 0's responses to the suffix, held until the scan has
+         ended cleanly: a torn suffix fails recovery, which reconciles
+         nothing *)
+      let held = ref [] in
+      let settle () =
+        if !scan_clean then begin
+          Option.iter
+            (fun r -> List.iter (fun (e, resp) -> r.on_response e resp) (List.rev !held))
+            recovery;
+          held := []
+        end
+      in
       let ds =
         clone ?helpers (fun ds ((_, op, args, _) as e) ->
             prepare rid ds ~op ~args;
             let resp = Ds.execute ds ~op ~args in
-            if rid = 0 then
-              Option.iter (fun r -> r.on_response e resp) recovery)
+            if rid = 0 then begin
+              held := (e, resp) :: !held;
+              settle ()
+            end)
       in
+      settle ();
       let lt_addr = Alloc.alloc alloc 8 in
       let combiner = Locks.Trylock.make mem (Alloc.alloc alloc 8) in
       let dist = cfg.Config.dist_rw in
@@ -371,8 +407,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
        fiber, the other volatile ones on their sockets, and the backend's
        copies (classic: the persistent pair; lsm: the shadow) on the
        persistence socket, where the checkpoint is local. The log suffix
-       is scanned meanwhile on socket 0, where the log lives; a copy waits
-       for the scan only before it replays. Each fiber takes a core of its
+       is scanned meanwhile on socket 0, where the log lives, and streamed
+       to the copies in chunks ([feed]): a copy replays each chunk once
+       its own copy is done and the scan has published it, so the replay
+       overlaps the scan. Each fiber takes a core of its
        own ([recovery_width]), and a socket's other cores of the [cores]
        budget are dealt evenly to the copies on it as helpers
        ([Context.with_helpers]). A large copy splits into parts up to its
@@ -402,12 +440,30 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         try f ()
         with (Invalid_argument _ | Failure _) as e -> raised := e :: !raised
       in
+      (* publish the suffix into [feed] a chunk at a time, and end it
+         (early, on a raise) *)
       let scan_job () =
-        match r.scan () with
-        | s -> Sim.Once.fill suffix s
-        | exception ((Invalid_argument _ | Failure _) as e) ->
-          scan_raised := Some e;
-          Sim.Once.fill suffix [||]
+        let cell = ref feed and chunk = ref [] and n = ref 0 in
+        let publish () =
+          if !n > 0 then begin
+            let next = Sim.Once.create () in
+            Sim.Once.fill !cell (Chunk (Array.of_list (List.rev !chunk), next));
+            cell := next;
+            chunk := [];
+            n := 0
+          end
+        in
+        let emit e =
+          chunk := e :: !chunk;
+          incr n;
+          if !n = chunk_entries then publish ()
+        in
+        (match r.scan ~emit with
+         | () ->
+           scan_clean := true;
+           publish ()
+         | exception ((Invalid_argument _ | Failure _) as e) -> scan_raised := Some e);
+        Sim.Once.fill !cell Ended
       in
       let copy ~background helpers i () =
         side.copy ~background ~helpers i (fun () ->
@@ -513,7 +569,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                  (copy h.(0) 0));
             if not !torn then begin
               let t = Sim.Once.get installed in
-              let reps = side.commit ~background:true ~defer:(fun f -> f ()) in
+              let reps = side.commit ~defer:(fun f -> f ()) in
               Roots.set roots (rb + slot_pending) Memory.null;
               Array.blit reps 0 t.p_reps 0 (Array.length reps);
               Sim.Once.fill t.committed ()
@@ -528,7 +584,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
        | None, [] -> ());
       let reps =
         if background then None
-        else Some (side.commit ~background:false ~defer)
+        else Some (side.commit ~defer)
       in
       (Array.map Option.get vol, (pa, ckpt, reps))
     in
@@ -1265,9 +1321,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
 
   (* The entries of the log at [base] that replay applies, as (index, op,
      args, tag), from [from] to the recovered completedTail [ct], skipping
-     holes (unpersisted entries) and entries [keep] rejects. An entry is
-     one cache line, read with one line load. *)
-  let scan_suffix ?keep old_t ~base ~ct ~from =
+     holes (unpersisted entries) and entries [keep] rejects: each passed
+     to [emit] as it is read, and all of them returned. An entry is one
+     cache line, read with one line load. *)
+  let scan_suffix ?keep ~emit old_t ~base ~ct ~from =
     let cfg = old_t.cfg in
     (* replay must read the NVM media truth, never the (volatile) DRAM
        mirror — the planted [Mirror_read_on_recovery] fault does exactly
@@ -1298,7 +1355,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       | Some (op, args, tag)
         when (idx < ct || snd tag > 0)
              && (match keep with None -> true | Some keep -> keep ~op ~args) ->
-        kept := (idx, op, args, tag) :: !kept
+        let e = (idx, op, args, tag) in
+        emit e;
+        kept := e :: !kept
       | Some _ | None -> ()
     done;
     Array.of_list (List.rev !kept)
@@ -1359,9 +1418,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       Both checkpoint backends recover by one protocol
       ([Checkpoint]): the backend's mount reads the stable checkpoint —
       the one a gap record names while [slot_pending] is set — writing
-      nothing; the durable suffix past its tail is scanned once; [build]
-      replays it into every copy, writing nothing durable but reconciled
-      response slots, so a crash before [install] leaves the checkpoint
+      nothing; the durable suffix past its tail is scanned once and
+      streamed to every copy, which replays it as the scan reaches it
+      ([build]), writing nothing durable but reconciled response slots,
+      and those only once the scan has read the whole suffix without
+      raising, so a crash before [install] leaves the checkpoint
       and log recovery started from, and recovering again gives the same
       result. [install] makes the UC recoverable from that checkpoint
       through a gap record ([build]): a crash from then on recovers it,
@@ -1424,13 +1485,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       else None
     in
     let scanned = ref [] in
-    let scan () =
+    let scan ~emit =
       if durable then
-        scanned :=
-          List.map
-            (fun (base, ct, from, _) -> scan_suffix ?keep old_t ~base ~ct ~from)
-            logs;
-      Array.concat !scanned
+        List.iter
+          (fun (base, ct, from, _) ->
+            scanned := !scanned @ [ scan_suffix ?keep ~emit old_t ~base ~ct ~from ])
+          logs
     in
     (* replay reconciliation: rewrite the submitting thread's response slot
        with the replay-computed result so resolve reflects every op the

@@ -595,8 +595,9 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
   let recover ?keep ?cores uc =
     recover_with ?keep ?cores (fun uc' report -> (U.snapshot uc', report)) uc
 
-  (* a 4-worker run of [gen] ops cut by a power failure at 1.5 ms *)
+  (* a 4-worker run of [gen] ops cut by a power failure at [until] (1.5 ms) *)
   let crash_run ?(lsm_ckpt = false) ?(fault = Config.No_fault) ?(workers = 4)
+      ?(detect = false) ?(log_size = 128) ?(epsilon = 32) ?(until = 1_500_000)
       ~mode ~prefill ~gen () =
     let sim = Sim.create ~seed:5L topology in
     let mem = Memory.make ~bg_period:2000 ~sockets:2 () in
@@ -604,7 +605,7 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
     ignore
       (Sim.spawn sim ~socket:0 (fun () ->
            let cfg =
-             Config.make ~mode ~lsm_ckpt ~fault ~log_size:128 ~epsilon:32
+             Config.make ~mode ~lsm_ckpt ~fault ~detect ~log_size ~epsilon
                ~workers ()
            in
            let uc = U.create ~prefill mem (Roots.make mem) cfg in
@@ -620,7 +621,7 @@ module Cut_recovery (Ds : Seqds.Ds_intf.S) = struct
                    ignore (U.execute uc ~op ~args)
                  done)
            done));
-    (match Sim.run ~until:1_500_000 sim () with
+    (match Sim.run ~until sim () with
      | `Cut _ -> ()
      | `Done -> Alcotest.fail "finished before the crash");
     Memory.crash mem;
@@ -904,6 +905,95 @@ let test_replay_keep_reads_once () =
       check_bool (label ^ "the suffix is not empty") true
         (none_applied < applied))
     [ false; true ]
+
+(* Keys and values from [fresh_key] up, which no master below holds and
+   no address reaches: a recovery's write of one is a replay's. *)
+let fresh_key = 1 lsl 40
+
+let fresh_gen rng =
+  let k = fresh_key + Sim.Rng.int rng 50 in
+  if Sim.Rng.int rng 3 = 0 then (H.op_remove, [| k |])
+  else (H.op_insert, [| k; fresh_key + Sim.Rng.int rng 1000 |])
+
+(* A 20-key master (no checkpoint past checkpoint zero: ε exceeds the
+   run's updates) and a suffix of thousands of updates to fresh keys. *)
+let long_suffix_run ?detect () =
+  let module C = Cut_recovery (H) in
+  C.crash_run ?detect ~mode:Config.Durable ~log_size:8192 ~epsilon:8000 ~until:6_000_000
+    ~prefill:(List.init 20 (fun k -> ins k k))
+    ~gen:fresh_gen ()
+
+(* Recovery's copies replay the log suffix as the scan reads it: a copy
+   writes a replayed key into its replica before the scan's last load of
+   a log line, not after it. Recovering the same image twice gives the
+   same state, report and media. *)
+let test_replay_overlaps_scan () =
+  let module C = Cut_recovery (H) in
+  let uc, mem = long_suffix_run () in
+  let image = Memory.snapshot mem in
+  let log_aid = uc.C.U.log.Log.base lsr Memory.arena_shift in
+  let scan_loads = ref 0 and last_scan = ref (-1) and first_replay = ref max_int in
+  Memory.set_access_hook mem (fun key _ write v ->
+      let i = Memory.op_index mem - 1 in
+      if (not write) && key >= 0 && key / Memory.lines_per_arena = log_aid then begin
+        incr scan_loads;
+        last_scan := i
+      end
+      else if write && v >= fresh_key && !first_replay = max_int then
+        first_replay := i);
+  let _ = C.recover uc in
+  Memory.clear_access_hook mem;
+  check_bool (Printf.sprintf "%d log lines scanned" !scan_loads) true
+    (!scan_loads >= 2000);
+  check_bool
+    (Printf.sprintf "first replayed write at op %d, last scan load at op %d"
+       !first_replay !last_scan)
+    true
+    (!first_replay < !last_scan);
+  Memory.restore mem image;
+  match C.judge ~mode:Config.Durable "streamed replay" mem uc with
+  | _, [] -> ()
+  | _, fs -> Alcotest.fail (String.concat "\n" fs)
+
+(* A torn entry in the middle of the suffix (an argc past its line) fails
+   recovery with a raise [Session] records as [Recovery_raised], and the
+   failed recovery has written no root word and no announce or response
+   slot. Under [--detect], with every response slot cleared on the crash
+   image: a recovery that reconciled replica 0's responses as its replay
+   went would rewrite them before its scan reached the torn entry. *)
+let test_torn_suffix_writes_nothing () =
+  let module C = Cut_recovery (H) in
+  let uc, mem = long_suffix_run ~detect:true () in
+  let ct = Memory.peek mem (Memory.peek mem Prep_uc.slot_ct) in
+  let ann = Memory.peek mem Prep_uc.slot_announce in
+  let threads = Sim.Topology.total_cores C.topology in
+  let table = threads * Announce.words_per_thread in
+  Sim.run_one (fun () ->
+      let put a v =
+        Memory.write mem a v;
+        Memory.clflush ~site:Persist.Roots_set mem a
+      in
+      put (Log.entry_addr uc.C.U.log (ct / 2) + 2) Log.entry_words;
+      for tid = 0 to threads - 1 do
+        let r = ann + (tid * Announce.words_per_thread) + Announce.words_per_record in
+        for w = 0 to Announce.words_per_record - 1 do
+          put (r + w) 0
+        done
+      done);
+  Memory.crash mem;
+  let words () =
+    List.concat_map
+      (fun (base, n) ->
+        List.init n (fun i ->
+            (Memory.peek mem (base + i), Memory.peek_media mem (base + i))))
+      [ (1, Roots.max_slots - 1); (ann, table) ]
+  in
+  let before = words () in
+  check_bool (Printf.sprintf "a suffix of %d entries" ct) true (ct >= 2000);
+  (match C.recover uc with
+   | _ -> Alcotest.fail "recovery finished"
+   | exception (Invalid_argument _ | Failure _) -> ());
+  check_bool "no root or announce word written" true (words () = before)
 
 let map_gen ~insert ~remove ~get rng =
   let k = Sim.Rng.int rng 50 in
@@ -1393,6 +1483,10 @@ let () =
             test_recovery_arenas;
           Alcotest.test_case "replay_keep reads each payload once" `Quick
             test_replay_keep_reads_once;
+          Alcotest.test_case "replay overlaps the suffix scan" `Quick
+            test_replay_overlaps_scan;
+          Alcotest.test_case "a torn suffix writes nothing" `Quick
+            test_torn_suffix_writes_nothing;
           Alcotest.test_case "buffered crash fuzz" `Slow test_crash_fuzz_buffered;
           Alcotest.test_case "durable crash fuzz" `Slow test_crash_fuzz_durable;
         ] );
