@@ -137,10 +137,9 @@ let run_smoke path =
    Runs the same update-heavy durable hashmap point four ways — baseline,
    the optimize-persist proven policy alone, FliT alone, and FliT stacked
    with the policy — and writes all four (with full flush-traffic
-   counters) as JSON. The policy defaults to the canonical proven set
-   (payload-fence defer, checkpoint-fence defer, init-flush elide; CI's
-   persist-smoke job re-derives and re-proves exactly this set) and can be
-   overridden with a spec/file argument.
+   counters) as JSON. The policy is the canonical proven set (payload-fence
+   defer, checkpoint-fence defer, init-flush elide; CI's persist-smoke job
+   re-derives and re-proves exactly this set).
 
    The point of comparison is FliT: FliT elides flushes and fences
    *dynamically* (per-access clean-line tracking), the policy elides them
@@ -164,15 +163,8 @@ let proven_policy_spec =
   "log.fence_payload=defer-to-next-fence,\
    prep.checkpoint=defer-to-next-fence,prep.init=elide"
 
-let run_persistgain path policy_arg =
-  let policy =
-    let arg = Option.value policy_arg ~default:proven_policy_spec in
-    match Nvm.Persist.load arg with
-    | Ok p -> p
-    | Error e ->
-      Printf.eprintf "persistgain: bad policy %S: %s\n" arg e;
-      exit 1
-  in
+let run_persistgain path =
+  let policy = Result.get_ok (Nvm.Persist.of_spec proven_policy_spec) in
   let scale = smoke_scale in
   let threads = 12 in
   (* a short persistence cycle keeps the checkpoint path hot, so the
@@ -500,9 +492,22 @@ let run_shardscale path =
 
 (* ---- ckptscale: checkpoint cost vs dirty set, recovery vs object size ---- *)
 
+let ck_dirty_pct = 1
+let ck_epsilon = 4096
+let ck_threads = 4
+let ck_seed = 7
+let ck_lsm_fanout = 4
+
+(* The gates: at the largest size the baseline checkpoint must cost at
+   least [ck_min_ratio] times the incremental one, and incremental
+   recovery-to-first-op across sizes must stay within a factor
+   [ck_max_spread] of its minimum. *)
+let ck_min_ratio = 10.0
+let ck_max_spread = 2.0
+
 (* One measured point of the incremental-checkpoint scaling study: prefill
-   an rbtree with [n] keys under PREP-Durable, hammer a ~[dirty_pct]% key
-   range so checkpoints see a small dirty set, read the per-checkpoint
+   an rbtree with [n] keys under PREP-Durable, hammer a ~[ck_dirty_pct]%
+   key range so checkpoints see a small dirty set, read the per-checkpoint
    simulated cost counters, then crash and time recovery up to the first
    executed operation. [lsm] selects the backend under test; the baseline
    is the whole-replica flush checkpoint. *)
@@ -520,8 +525,8 @@ type ck_point = {
   ck_stats : Nvm.Memory.stats;
 }
 
-let ckpt_episode ~lsm ~lsm_fanout ~n ~dirty_pct ~epsilon ~threads
-    ~ops_per_worker ~seed =
+let ckpt_episode ~lsm ~n ~ops_per_worker =
+  let epsilon = ck_epsilon and threads = ck_threads and seed = ck_seed in
   let module Uc = Prep.Prep_uc.Make (Seqds.Rbtree) in
   let module R = Seqds.Rbtree in
   let topology = Sim.Topology.default in
@@ -532,7 +537,7 @@ let ckpt_episode ~lsm ~lsm_fanout ~n ~dirty_pct ~epsilon ~threads
   let uc_ref = ref None in
   let work_ns = ref 0 in
   let done_count = ref 0 in
-  let dirty_range = max 64 (n * dirty_pct / 100) in
+  let dirty_range = max 64 (n * ck_dirty_pct / 100) in
   (* The crash lands after a closing phase over a small FIXED window, so
      the log suffix recovery must replay describes the same workload at
      every object size — isolating the recovery-vs-size measurement from
@@ -548,7 +553,7 @@ let ckpt_episode ~lsm ~lsm_fanout ~n ~dirty_pct ~epsilon ~threads
               that is the curve the O(dirty) claim is measured against *)
            Prep.Config.make ~mode:Prep.Config.Durable ~log_size:16384
              ~epsilon ~workers:threads ~flush:Prep.Config.Flush_heap
-             ~lsm_ckpt:lsm ~lsm_fanout ()
+             ~lsm_ckpt:lsm ~lsm_fanout:ck_lsm_fanout ()
          in
          let prefill = List.init n (fun k -> (R.op_insert, [| k; k |])) in
          let uc = Uc.create ~prefill mem roots cfg in
@@ -636,51 +641,20 @@ let sizes_arg =
   Arg.(
     value & opt (list int) [ 10000; 100000 ] & info [ "sizes" ] ~docv:"LIST" ~doc)
 
-let dirty_pct_arg =
-  let doc =
-    "Percent of the key space the workload dirties between checkpoints."
-  in
-  Arg.(value & opt int 1 & info [ "dirty-pct" ] ~docv:"PCT" ~doc)
-
-let ckpt_ratio_arg =
-  let doc =
-    "Gate: at the largest size the baseline checkpoint must cost at least \
-     $(docv) times the incremental one."
-  in
-  Arg.(value & opt float 10.0 & info [ "min-ratio" ] ~docv:"R" ~doc)
-
-let recovery_flat_arg =
-  let doc =
-    "Gate: incremental recovery-to-first-op across sizes must stay within \
-     a factor $(docv) of its minimum."
-  in
-  Arg.(value & opt float 2.0 & info [ "max-recovery-spread" ] ~docv:"R" ~doc)
-
-let no_gate_arg =
-  let doc = "Report the table without enforcing the scaling gates." in
-  Arg.(value & flag & info [ "no-gate" ] ~doc)
-
-let ckptscale sizes dirty_pct epsilon threads seed lsm_fanout min_ratio
-    max_spread no_gate json =
+let ckptscale sizes json =
   match sizes with
   | [] -> `Error (true, "empty --sizes list")
   | sizes_l ->
     if List.exists (fun n -> n < 1000) sizes_l then
       `Error (true, "--sizes entries must be at least 1000")
-    else if dirty_pct < 1 || dirty_pct > 100 then
-      `Error (true, "--dirty-pct must be in 1..100")
-    else if lsm_fanout < 2 then
-      `Error (true, "--lsm-fanout must be at least 2")
     else begin
       (* enough update traffic for several seals past the prefill *)
-      let ops_per_worker = max 1 (3 * epsilon / max 1 threads) in
+      let ops_per_worker = 3 * ck_epsilon / ck_threads in
       let points =
         List.concat_map
           (fun n ->
             List.map
-              (fun lsm ->
-                ckpt_episode ~lsm ~lsm_fanout ~n ~dirty_pct ~epsilon
-                  ~threads ~ops_per_worker ~seed)
+              (fun lsm -> ckpt_episode ~lsm ~n ~ops_per_worker)
               [ false; true ])
           sizes_l
       in
@@ -718,10 +692,10 @@ let ckptscale sizes dirty_pct epsilon threads seed lsm_fanout min_ratio
       Printf.printf
         "checkpoint cost ratio at %d keys (baseline/lsm): %.1fx (gate >= \
          %.1fx)\n"
-        n_max ratio min_ratio;
+        n_max ratio ck_min_ratio;
       Printf.printf
         "lsm recovery-to-first-op spread across sizes: %.2fx (gate <= %.2fx)\n"
-        spread max_spread;
+        spread ck_max_spread;
       let json_status =
         match json with
         | None -> Ok ()
@@ -732,8 +706,8 @@ let ckptscale sizes dirty_pct epsilon threads seed lsm_fanout min_ratio
               \  \"config\": {\"ds\": \"rbtree\", \"dirty_pct\": %d, \"epsilon\": \
                %d, \"threads\": %d, \"seed\": %d, \"lsm_fanout\": %d},\n\
               \  \"results\": [\n    %s\n  ]\n}\n"
-              Telemetry.Json.schema_version dirty_pct epsilon threads seed
-              lsm_fanout
+              Telemetry.Json.schema_version ck_dirty_pct ck_epsilon ck_threads
+              ck_seed ck_lsm_fanout
               (String.concat ",\n    " (List.map json_of_ck_point points))
           in
           Experiment.write_bench_json path contents
@@ -742,44 +716,28 @@ let ckptscale sizes dirty_pct epsilon threads seed lsm_fanout min_ratio
       match json_status with
       | Error m -> `Error (false, m)
       | Ok () ->
-        if no_gate then `Ok ()
-        else if ratio < min_ratio then
+        if ratio < ck_min_ratio then
           `Error
             ( false,
               Printf.sprintf
                 "ckptscale gate FAILED: baseline/lsm checkpoint cost ratio \
                  %.1fx < %.1fx at %d keys"
-                ratio min_ratio n_max )
-        else if List.length sizes_l > 1 && spread > max_spread then
+                ratio ck_min_ratio n_max )
+        else if List.length sizes_l > 1 && spread > ck_max_spread then
           `Error
             ( false,
               Printf.sprintf
                 "ckptscale gate FAILED: lsm recovery spread %.2fx > %.2fx"
-                spread max_spread )
+                spread ck_max_spread )
         else begin
           print_endline "ckptscale gates: PASS";
           `Ok ()
         end
     end
 
-let ckpt_seed_arg =
-  Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
-
-let ckpt_fanout_arg =
-  let doc =
-    "Size-tiered compaction fanout of the --lsm-ckpt backend under test."
-  in
-  Arg.(value & opt int 4 & info [ "lsm-fanout" ] ~docv:"K" ~doc)
-
 let ckpt_json_arg =
   let doc = "Write a bench-schema JSON artifact of the study to $(docv)." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-
-let ckpt_threads_arg =
-  Arg.(value & opt int 4 & info [ "threads"; "t" ] ~docv:"N" ~doc:"Worker threads.")
-
-let ckpt_epsilon_arg =
-  Arg.(value & opt int 4096 & info [ "epsilon"; "e" ] ~docv:"EPS" ~doc:"Flush boundary step.")
 
 let ckptscale_cmd =
   Cmd.v
@@ -791,9 +749,7 @@ let ckptscale_cmd =
           O(dirty) cost ratio and recovery flatness")
     Term.(
       ret
-        (const ckptscale $ sizes_arg $ dirty_pct_arg $ ckpt_epsilon_arg
-       $ ckpt_threads_arg $ ckpt_seed_arg $ ckpt_fanout_arg $ ckpt_ratio_arg
-       $ recovery_flat_arg $ no_gate_arg $ ckpt_json_arg))
+        (const ckptscale $ sizes_arg $ ckpt_json_arg))
 
 let () =
   let scale = Figures.scale_of_env () in
@@ -812,7 +768,6 @@ let () =
   | "persistgain" ->
     run_persistgain
       (if Array.length Sys.argv > 2 then Sys.argv.(2) else "bench-persistgain.json")
-      (if Array.length Sys.argv > 3 then Some Sys.argv.(3) else None)
   | "loadcurve" ->
     run_loadcurve
       (if Array.length Sys.argv > 2 then Sys.argv.(2) else "bench-loadcurve.json")

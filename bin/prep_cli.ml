@@ -283,7 +283,7 @@ let experiment_system ~system ~ds ~epsilon ~uc_shards ~workers features =
   | "prep-buffered" -> prep Prep.Config.Buffered
   | "prep-durable" -> prep Prep.Config.Durable
   | "gl" -> baseline Sy.global_lock
-  | "cx" -> baseline (Sy.cx ())
+  | "cx" -> baseline Sy.cx
   | "soft-1k" -> baseline (Experiment.soft ~nbuckets:1000)
   | "soft-10k" -> baseline (Experiment.soft ~nbuckets:10_000)
   | other -> Error (Printf.sprintf "unknown system %S" other)
@@ -530,9 +530,6 @@ let no_crash_arg =
   let doc = "Replay one crash-free episode (quiescent-state check only)." in
   Arg.(value & flag & info [ "no-crash" ] ~doc)
 
-let bg_period_arg =
-  int_arg [ "bg-period" ] 2000 "Mean memory ops between background cache write-backs."
-
 let multi_pct_arg =
   let doc = "With --uc-shards: percent of ops that are multi-key transactions." in
   Arg.(value & opt int 25 & info [ "multi-pct" ] ~docv:"PCT" ~doc)
@@ -557,7 +554,7 @@ let verdict violations =
   else `Error (false, "durable-linearizability violations found")
 
 let fuzz iters mode ds threads epsilon log_size ops seed fault crash_op
-    crash_time no_crash bg_period features shards multi_pct cross_pct jobs =
+    crash_time no_crash features shards multi_pct cross_pct jobs =
   let (module Ds), gen_op = fuzz_ds ds in
   let module F = Check.Fuzz.Make (Ds) in
   let config =
@@ -603,8 +600,8 @@ let fuzz iters mode ds threads epsilon log_size ops seed fault crash_op
       epsilon;
       log_size;
       ops_per_worker = ops;
-      bg_period;
-      preempt_prob = 0.02;
+      bg_period = Check.Fuzz.bg_period;
+      preempt_prob = Check.Fuzz.preempt_prob;
       crash = Check.Fuzz.No_crash;
     }
   in
@@ -658,8 +655,8 @@ let fuzz_cmd =
         (const fuzz $ iters_arg $ variant_arg $ ds_arg $ fuzz_threads_arg
        $ fuzz_epsilon_arg $ fuzz_log_size_arg $ fuzz_ops_arg $ fuzz_seed_arg
        $ fault_arg $ crash_op_arg $ crash_time_arg $ no_crash_arg
-       $ bg_period_arg $ features_term $ uc_shards_arg $ multi_pct_arg
-       $ cross_pct_arg $ jobs_arg))
+       $ features_term $ uc_shards_arg $ multi_pct_arg $ cross_pct_arg
+       $ jobs_arg))
 
 (* ---- explore ---- *)
 
@@ -674,20 +671,6 @@ let exp_cores_arg = int_arg [ "cores" ] 2 "Cores per socket (= beta)."
 let max_schedules_arg =
   Arg.(value & opt int Check.Explore.default_budget.Check.Explore.max_schedules
        & info [ "max-schedules" ] ~docv:"N" ~doc:"Schedule budget.")
-
-let max_states_arg =
-  Arg.(value & opt int Check.Explore.default_budget.Check.Explore.max_states
-       & info [ "max-states" ] ~docv:"N" ~doc:"Distinct-state budget.")
-
-let max_steps_arg =
-  Arg.(value & opt int Check.Explore.default_budget.Check.Explore.max_steps
-       & info [ "max-steps" ] ~docv:"N" ~doc:"Scheduler steps per schedule (depth).")
-
-let frontier_lines_arg =
-  Arg.(value
-       & opt int Check.Explore.default_budget.Check.Explore.max_frontier_lines
-       & info [ "frontier-lines" ] ~docv:"K"
-           ~doc:"Dirty-line cap per crash point (2^K subsets).")
 
 let no_prune_arg =
   let doc =
@@ -757,12 +740,10 @@ let scope_term =
     $ no_persistence_arg)
 
 let budget_term =
-  let budget max_schedules max_states max_steps max_frontier_lines =
-    { Check.Explore.max_schedules; max_states; max_steps; max_frontier_lines }
+  let budget max_schedules =
+    { Check.Explore.default_budget with Check.Explore.max_schedules }
   in
-  Term.(
-    const budget $ max_schedules_arg $ max_states_arg $ max_steps_arg
-    $ frontier_lines_arg)
+  Term.(const budget $ max_schedules_arg)
 
 let report_explore_result ~repro_command res =
   let s = res.Check.Explore.stats in
@@ -886,23 +867,13 @@ let op_report_arg =
            ~doc:"Also write the full decision report JSON (admitted and \
                  rejected candidates, measurements, repro commands).")
 
-let op_fuzz_threads_arg =
-  Arg.(value & opt int 4
-       & info [ "fuzz-threads" ] ~docv:"N"
-           ~doc:"Worker threads in the measurement run and fuzz soak.")
-
-let op_fuzz_ops_arg =
-  Arg.(value & opt int 150
-       & info [ "fuzz-ops" ] ~docv:"N"
-           ~doc:"Ops per worker in the measurement run and fuzz soak.")
-
 let op_fuzz_iters_arg =
   Arg.(value & opt int 30
        & info [ "fuzz-iters" ] ~docv:"N"
            ~doc:"Crash episodes in the per-candidate differential fuzz soak.")
 
-let optimize_persist mode ds scope features budget fuzz_threads fuzz_ops
-    fuzz_iters bg_period out report_file =
+let optimize_persist mode ds scope features budget fuzz_iters out
+    report_file =
   let { Check.Explore.threads; epsilon; log_size; seed; _ } = scope in
   match (mode, fuzz_ds ds) with
   | Prep.Config.Volatile, _ ->
@@ -918,15 +889,16 @@ let optimize_persist mode ds scope features budget fuzz_threads fuzz_ops
     | Error m -> `Error (true, m)
     | Ok config ->
       let module PI = Check.Persist_infer.Make (Ds) in
+      (* the measurement run and the differential fuzz soak *)
       let template =
         {
           Check.Fuzz.workload_seed = seed;
-          threads = fuzz_threads;
+          threads = 4;
           epsilon = 16;
           log_size = 256;
-          ops_per_worker = fuzz_ops;
-          bg_period;
-          preempt_prob = 0.02;
+          ops_per_worker = 150;
+          bg_period = Check.Fuzz.bg_period;
+          preempt_prob = Check.Fuzz.preempt_prob;
           crash = Check.Fuzz.No_crash;
         }
       in
@@ -975,8 +947,8 @@ let optimize_persist_cmd =
     Term.(
       ret
         (const optimize_persist $ variant_arg $ ds_arg $ scope_term
-       $ features_term $ budget_term $ op_fuzz_threads_arg $ op_fuzz_ops_arg
-       $ op_fuzz_iters_arg $ bg_period_arg $ op_out_arg $ op_report_arg))
+       $ features_term $ budget_term $ op_fuzz_iters_arg $ op_out_arg
+       $ op_report_arg))
 
 (* Write a bench-schema artifact; one that fails the schema fails the
    subcommand. *)
@@ -1001,11 +973,11 @@ let session_json_arg =
   let doc = "Write a bench-schema JSON artifact of the campaign to $(docv)." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-let json_of_outcome ~ds ~threads (o : Session.outcome) =
-  Experiment.json_of_run ~system:"PREP-Durable/det" ~workload:("session " ^ ds)
+let json_of_outcome ~system ~ds ~threads ~seed (o : Session.outcome) =
+  Experiment.json_of_run ~system ~workload:("session " ^ ds)
     ~workers:threads ~ops:o.Session.history_len
     ~duration_ns:o.Session.duration_ns o.Session.mem_stats
-    [ ("seed", 0); ("epochs", List.length o.Session.epochs);
+    [ ("seed", seed); ("epochs", List.length o.Session.epochs);
       ("crashes", o.Session.crashes_injected);
       ("submitted", o.Session.submitted);
       ("resubmitted", o.Session.resubmitted);
@@ -1013,8 +985,8 @@ let json_of_outcome ~ds ~threads (o : Session.outcome) =
       ("duplicated", o.Session.duplicated);
       ("violations", List.length o.Session.violations) ]
 
-let session ds threads ops epsilon log_size crashes seed sessions bg_period
-    detect lsm_ckpt fault jobs json =
+let session ds threads ops epsilon log_size crashes seed sessions detect
+    lsm_ckpt fault jobs json =
   let (module Ds), gen_op = fuzz_ds ds in
   let module S = Session.Make (Ds) in
   if threads < 1 || threads > Check.Fuzz.max_threads then
@@ -1025,7 +997,6 @@ let session ds threads ops epsilon log_size crashes seed sessions bg_period
   else begin
     let cfg =
       {
-        Session.default_config with
         Session.seed;
         threads;
         ops_per_client = ops;
@@ -1034,7 +1005,6 @@ let session ds threads ops epsilon log_size crashes seed sessions bg_period
         crashes;
         detect;
         lsm_ckpt;
-        bg_period;
         fault;
       }
     in
@@ -1071,17 +1041,25 @@ let session ds threads ops epsilon log_size crashes seed sessions bg_period
       match json with
       | None -> `Ok ()
       | Some path ->
+        let module Sy = Experiment.Systems (Ds) in
+        let system =
+          Sy.system_name ~router:false
+            (Prep.Config.make ~mode:Prep.Config.Durable ~detect ~lsm_ckpt
+               ~workers:threads ())
+        in
         write_artifact path
           (Printf.sprintf
              "{\n  \"schema_version\": %d,\n\
              \  \"config\": {\"ds\": %S, \"threads\": %d, \"ops\": %d, \
               \"epsilon\": %d, \"log_size\": %d, \"crashes\": %d, \"seed\": \
-              %d, \"detect\": %b},\n\
+              %d, \"detect\": %b, \"lsm_ckpt\": %b, \"fault\": %S},\n\
              \  \"sessions\": [\n    %s\n  ]\n}\n"
              Telemetry.Json.schema_version ds threads ops epsilon log_size
-             crashes seed detect
+             crashes seed detect lsm_ckpt (Prep.Config.fault_name fault)
              (String.concat ",\n    "
-                (List.map (json_of_outcome ~ds ~threads) outcomes)))
+                (List.mapi
+                   (fun i -> json_of_outcome ~system ~ds ~threads ~seed:(seed + i))
+                   outcomes)))
     in
     match artifact with
     | `Error _ as failed -> failed
@@ -1126,7 +1104,7 @@ let session_cmd =
       ret
         (const session $ ds_arg $ session_threads_arg $ session_ops_arg
        $ session_epsilon_arg $ session_log_size_arg $ session_crashes_arg
-       $ session_seed_arg $ sessions_arg $ bg_period_arg $ detect_arg
+       $ session_seed_arg $ sessions_arg $ detect_arg
        $ lsm_ckpt_arg $ fault_arg $ jobs_arg $ session_json_arg))
 
 (* ---- sweep: closed-loop threads x read-pct grid, campaign-parallel ---- *)

@@ -91,6 +91,14 @@ let pp_episode ppf ep =
     [Harness.Session]'s epochs and bench ckptscale's recovery use it. *)
 let wedge_horizon_ns ~ops = max 20_000_000 (200_000 * ops)
 
+(** The background write-back period (mean memory operations between
+    write-backs) and the forced-preemption chance per tick of every CLI
+    fuzz campaign, [optimize-persist]'s soak and [Harness.Session]'s
+    epochs. [repro_command] prints neither, so a printed replay runs the
+    episode that failed. *)
+let bg_period = 2000
+let preempt_prob = 0.02
+
 (* Small fixed machine: plenty of cross-socket traffic, fast episodes.
    Worker count is capped at total cores − 1 (persistence thread). The
    fuzzer and [Harness.Session] both run on it. *)

@@ -222,17 +222,15 @@ let validate t ~beta =
   then
     invalid_arg
       "Config: commit-before-copies-persist fault only exists with classic \
-       checkpoints";
-  if t.root_base < 0 then invalid_arg "Config: root_base must be >= 0"
+       checkpoints"
 
 let make ?(mode = Buffered) ?(log_size = 65536) ?(epsilon = 1024)
     ?(flush = Wbinvd) ?(flit = false) ?(dist_rw = false)
     ?(log_mirror = false) ?(detect = false) ?(shards = 1) ?(lsm_ckpt = false)
-    ?(lsm_fanout = 4) ?(root_base = 0) ?(tag = "") ?persist_policy
-    ?(fault = No_fault) ~workers () =
+    ?(lsm_fanout = 4) ?persist_policy ?(fault = No_fault) ~workers () =
   { mode; log_size; epsilon; workers; flush; flit; dist_rw; log_mirror;
-    detect; shards; lsm_ckpt; lsm_fanout; root_base; tag; persist_policy;
-    fault }
+    detect; shards; lsm_ckpt; lsm_fanout; root_base = 0; tag = "";
+    persist_policy; fault }
 
 (** The checker command-line flags that rebuild [t]'s fault and feature
     set — every such field that differs from [make]'s default, in a fixed

@@ -25,6 +25,9 @@ let slot_cur = 6
 
 let slot_dir = 7 (* root slot: NVM directory of replica ds roots *)
 
+(* entries in the global op queue, which is never reclaimed *)
+let queue_capacity = 1 lsl 18
+
 let pack ~count ~rid = (count * 64) + rid
 let unpack v = (v / 64, v land 63)
 
@@ -49,13 +52,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     reps : rep array; (* 2n *)
     dir : int; (* NVM array: ds root per replica *)
     ctrl_alloc : Alloc.t;
-    queue_capacity : int;
     tel : Phases.t option;
   }
 
   let read_qtail t = Memory.read t.mem t.qtail_addr
 
-  let create ?(prefill = []) ?(queue_capacity = 1 lsl 18) mem roots ~workers =
+  let create ?(prefill = []) mem roots ~workers =
     let ctrl_alloc = Alloc.create_volatile mem ~home:0 in
     Context.bind ~default:ctrl_alloc ();
     let topo = Sim.topology () in
@@ -94,7 +96,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     Memory.clflush ~site:Persist.Cx_dir_init mem dir;
     Roots.set roots slot_cur (pack ~count:0 ~rid:0);
     Roots.set roots slot_dir dir;
-    { mem; roots; queue; qtail_addr; reps; dir; ctrl_alloc; queue_capacity;
+    { mem; roots; queue; qtail_addr; reps; dir; ctrl_alloc;
       tel = Phases.make () }
 
   let register_worker t = Context.bind ~default:t.ctrl_alloc ()
@@ -153,8 +155,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     (* append to the global queue *)
     let rec reserve () =
       let tail = read_qtail t in
-      if tail >= t.queue_capacity then
-        failwith "Cx_puc: op queue exhausted (increase queue_capacity)";
+      if tail >= queue_capacity then failwith "Cx_puc: op queue exhausted";
       if Memory.cas t.mem t.qtail_addr ~expected:tail ~desired:(tail + 1) then tail
       else reserve ()
     in
@@ -211,9 +212,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     in
     loop ()
 
-  let execute ?readonly t ~op ~args =
-    let ro = match readonly with Some b -> b | None -> Ds.is_readonly ~op in
-    if ro then execute_readonly t ~op ~args else execute_update t ~op ~args
+  let execute t ~op ~args =
+    if Ds.is_readonly ~op then execute_readonly t ~op ~args
+    else execute_update t ~op ~args
 
   (** Recover after a crash: among the replicas whose persisted dirty flag
       is clear (i.e. that were not mid-update), pick the one with the

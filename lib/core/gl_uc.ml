@@ -22,8 +22,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
 
   let register_worker t = Context.bind ~default:t.alloc ()
 
-  let execute ?readonly t ~op ~args =
-    ignore readonly;
+  let execute t ~op ~args =
     while not (Locks.Trylock.try_acquire t.lock) do
       Sim.spin ()
     done;

@@ -1128,8 +1128,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     (f.Sim.socket * t.beta) + f.Sim.core
 
   (** ExecuteConcurrent (paper §3/§4.1): run [op] with [args] on the
-      concurrent object and return its response. [readonly] defaults to
-      the sequential object's own classification.
+      concurrent object and return its response. The sequential object's
+      own classification ([Ds.is_readonly]) picks the read-only path.
 
       Under detectable execution every update is first announced: the op
       descriptor and a client seqno are written to the calling thread's
@@ -1138,10 +1138,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       act on it. [seqno] must be strictly increasing per thread; when
       omitted, an internal per-thread counter (seeded from the announce
       table itself on recovery) assigns the next one. *)
-  let execute ?readonly ?seqno t ~op ~args =
+  let execute ?seqno t ~op ~args =
     let r = my_replica t in
-    let ro = match readonly with Some b -> b | None -> Ds.is_readonly ~op in
-    if ro then execute_readonly t r ~op ~args
+    if Ds.is_readonly ~op then execute_readonly t r ~op ~args
     else
       match t.ann with
       | None -> execute_update t r ~seq:0 ~op ~args

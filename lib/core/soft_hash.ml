@@ -136,8 +136,7 @@ let get t key =
   unlock t b;
   result
 
-let execute ?readonly t ~op ~args =
-  ignore readonly;
+let execute t ~op ~args =
   if op = op_insert then insert t args.(0) args.(1)
   else if op = op_remove then remove t args.(0)
   else if op = op_get then get t args.(0)

@@ -20,8 +20,7 @@ type instance = {
   teardown : unit -> unit; (* stop helper threads so the run can drain *)
   sample : Telemetry.Registry.t -> unit;
       (* port the instance's counters onto a registry, *adding* to values
-         already there — sampling several instances into one registry sums
-         across instances instead of last-writer-wins *)
+         already there *)
 }
 
 (** A system under test: builds an instance inside the setup fiber.
@@ -55,9 +54,9 @@ type result = {
   telemetry : Telemetry.Registry.snapshot;
       (** typed snapshot of the run's registry: system-specific counters
           (distributed-lock acquisitions, log mirror reads/stores,
-          checkpoint counts, ...) summed across instances, plus — when the
-          run was given a live registry — phase spans, histograms and
-          per-primitive NVM accounting *)
+          checkpoint counts, ...), plus — when the run was given a live
+          registry — phase spans, histograms and per-primitive NVM
+          accounting *)
 }
 
 (* The system-specific counter keys that predate the telemetry layer, in
@@ -119,10 +118,6 @@ let write_bench_json path contents =
 
 (** Run one throughput experiment.
 
-    [instances] (default 1) builds that many independent instances of the
-    system and assigns worker [w] to instance [w mod instances]; all
-    instances' counters are summed into the result's registry snapshot.
-
     [op_batch] (default 1) makes each worker draw that many operations
     from the workload at once and submit them through the instance's
     [exec_batch] (when it has one — systems without it run the batch
@@ -134,16 +129,14 @@ let write_bench_json path contents =
     the memory model, simulator and constructions record per-primitive
     costs, scheduler events and phase spans into it, each worker's
     operations are wrapped in an ["op"] root span, and worker tracks get
-    stable names for the trace export. Without it only the instances'
+    stable names for the trace export. Without it only the instance's
     counters are sampled (into a private registry), so the default path
     stays as cheap and exactly as deterministic as before. *)
 let run ?(seed = 7L) ?(topology = Sim.Topology.default)
-    ?(duration_ns = 4_000_000) ?(warmup_ns = 800_000) ?(bg_period = 50_000)
-    ?(instances = 1) ?(op_batch = 1) ?telemetry ~system
-    ~(workload : Workload.t) ~workers () =
+    ?(duration_ns = 4_000_000) ?(warmup_ns = 800_000) ?(op_batch = 1)
+    ?telemetry ~system ~(workload : Workload.t) ~workers () =
   if workers >= Sim.Topology.total_cores topology then
     invalid_arg "Experiment.run: last core is reserved";
-  if instances < 1 then invalid_arg "Experiment.run: instances < 1";
   if op_batch < 1 then invalid_arg "Experiment.run: op_batch < 1";
   let duration_ns = duration_ns * system.duration_factor in
   let warmup_ns = warmup_ns * system.duration_factor in
@@ -179,20 +172,15 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
     | None -> f ops
   in
   let sim = Sim.create ~seed topology in
-  let mem = Memory.make ~bg_period ~sockets:topology.Sim.Topology.sockets () in
+  let mem = Memory.make ~sockets:topology.Sim.Topology.sockets () in
   let counts = Array.make workers 0 in
   let done_count = ref 0 in
   let set_up = ref None in
   ignore
     (Sim.spawn sim ~socket:0 (fun () ->
-         (* one root directory (it must be arena 0), shared by every
-            instance; a throughput run never recovers, so instances
-            overwriting each other's root slots is harmless *)
          let roots = Roots.make mem in
-         let insts =
-           Array.init instances (fun _ ->
-               system.make mem roots ~workers
-                 ~prefill:workload.Workload.prefill)
+         let inst =
+           system.make mem roots ~workers ~prefill:workload.Workload.prefill
          in
          let t0 = Sim.now () in
          set_up := Some t0;
@@ -200,7 +188,6 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
          let deadline = measure_start + duration_ns in
          for w = 0 to workers - 1 do
            let socket, core = Sim.Topology.place topology w in
-           let inst = insts.(w mod instances) in
            ignore
              (Sim.spawn sim ~socket ~core (fun () ->
                   (match telemetry with
@@ -251,11 +238,8 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
          while !done_count < workers do
            Sim.tick 50_000
          done;
-         Array.iter (fun inst -> inst.teardown ()) insts;
-         (* sample at the same point the old code read its counters, so
-            values stay bit-identical for a fixed seed; [sample] adds, so
-            several instances sum instead of overwriting each other *)
-         Array.iter (fun inst -> inst.sample acc) insts));
+         inst.teardown ();
+         inst.sample acc));
   (* The horizon is a safety net: a correct run always finishes by itself.
      It starts when set-up ends, so a long prefill cannot eat it. *)
   (match
@@ -388,13 +372,13 @@ module Systems (Ds : Seqds.Ds_intf.S) = struct
           });
     }
 
-  let cx ?(queue_capacity = 1 lsl 18) () =
+  let cx =
     {
       sys_name = "CX-PUC";
       duration_factor = 10;
       make =
         (fun mem roots ~workers ~prefill ->
-          let cx = C.create ~prefill ~queue_capacity mem roots ~workers in
+          let cx = C.create ~prefill mem roots ~workers in
           {
             register = (fun () -> C.register_worker cx);
             exec = (fun ~op ~args -> C.execute cx ~op ~args);

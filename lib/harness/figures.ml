@@ -225,14 +225,14 @@ let fig2 scale =
       [
         Hm.prep ~log_size:ls ~mode:Prep.Config.Buffered ~epsilon:eps ();
         Hm.prep ~log_size:ls ~mode:Prep.Config.Durable ~epsilon:eps ();
-        Hm.cx ();
+        Hm.cx;
       ]);
   subheading "(b) red-black tree";
   panels (fun eps ->
       [
         Rb.prep ~log_size:ls ~mode:Prep.Config.Buffered ~epsilon:eps ();
         Rb.prep ~log_size:ls ~mode:Prep.Config.Durable ~epsilon:eps ();
-        Rb.cx ();
+        Rb.cx;
       ])
 
 (* ---- Figure 3: effect of epsilon ---- *)
@@ -272,7 +272,7 @@ let fig4 scale =
         [
           Pq.prep ~log_size:scale.log_size ~mode:Prep.Config.Buffered ~epsilon:eps ();
           Pq.prep ~log_size:scale.log_size ~mode:Prep.Config.Durable ~epsilon:eps ();
-          Pq.cx ();
+          Pq.cx;
         ]
       ~workload:(Workload.pqueue_pairs ~prefill_n)
   in
@@ -294,7 +294,7 @@ let fig5 scale =
         [
           St.prep ~log_size:scale.log_size ~mode:Prep.Config.Buffered ~epsilon:eps ();
           St.prep ~log_size:scale.log_size ~mode:Prep.Config.Durable ~epsilon:eps ();
-          St.cx ();
+          St.cx;
         ]
       ~workload:(Workload.stack_pairs ~prefill_n)
   in

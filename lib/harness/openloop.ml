@@ -42,19 +42,20 @@ let goodput p =
   if p.ol_arrivals = 0 then 1.0
   else float_of_int p.ol_completed /. float_of_int p.ol_arrivals
 
-(** Run one open-loop point. [poll_ns] is how long an idle service worker
-    waits before re-checking the admission queue. [shed] is a drop-tail
-    admission policy: an arrival that finds the queue already [shed] deep
-    is refused instead of enqueued (and counted, not censored — a shed
-    operation never entered the system, so it has no sojourn). Without it
-    the queue is unbounded, which is what lets a sweep expose the knee;
-    with it the queue — and therefore the sojourn tail — is capped, at
-    the price of goodput. *)
+(* How long an idle service worker waits before re-checking the admission
+   queue, simulated ns. *)
+let poll_ns = 400
+
+(** Run one open-loop point. [shed] is a drop-tail admission policy: an
+    arrival that finds the queue already [shed] deep is refused instead of
+    enqueued (and counted, not censored — a shed operation never entered
+    the system, so it has no sojourn). Without it the queue is unbounded,
+    which is what lets a sweep expose the knee; with it the queue — and
+    therefore the sojourn tail — is capped, at the price of goodput. *)
 let run ?(seed = 7L) ?(topology = Sim.Topology.default)
-    ?(duration_ns = 4_000_000) ?(warmup_ns = 800_000) ?(bg_period = 50_000)
-    ?(poll_ns = 400) ?shed ~(system : Experiment.system)
-    ~(workload : Workload.t) ~(arrival : Workload.Arrival.proc) ~workers ()
-    =
+    ?(duration_ns = 4_000_000) ?(warmup_ns = 800_000) ?shed
+    ~(system : Experiment.system) ~(workload : Workload.t)
+    ~(arrival : Workload.Arrival.proc) ~workers () =
   if workers >= Sim.Topology.total_cores topology then
     invalid_arg "Openloop.run: last core is reserved";
   let duration_ns = duration_ns * system.Experiment.duration_factor in
@@ -62,7 +63,7 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
   let reg = Telemetry.Registry.create () in
   let sojourn = Telemetry.Registry.histogram reg "openloop.sojourn_ns" in
   let sim = Sim.create ~seed topology in
-  let mem = Memory.make ~bg_period ~sockets:topology.Sim.Topology.sockets () in
+  let mem = Memory.make ~sockets:topology.Sim.Topology.sockets () in
   let queue : (int * int array * int) Queue.t = Queue.create () in
   (match shed with
    | Some d when d < 1 -> invalid_arg "Openloop.run: shed depth < 1"
@@ -179,11 +180,11 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
 
 (** The saturation knee of a curve (points in increasing offered-load
     order): the first offered rate whose tail latency has left the
-    service-time regime — p99 sojourn above [blowup] times the
-    lowest-rate p99 — or whose goodput has collapsed (completions below
-    [min_goodput] of admissions, i.e. the queue is growing without
-    bound). [None] if the swept range never saturates. *)
-let knee ?(blowup = 8.0) ?(min_goodput = 0.95) (points : point list) =
+    service-time regime — p99 sojourn above 8 times the lowest-rate p99 —
+    or whose goodput has collapsed (completions below 95% of admissions,
+    i.e. the queue is growing without bound). [None] if the swept range
+    never saturates. *)
+let knee (points : point list) =
   match points with
   | [] -> None
   | base :: _ ->
@@ -194,7 +195,7 @@ let knee ?(blowup = 8.0) ?(min_goodput = 0.95) (points : point list) =
     List.find_map
       (fun p ->
         let p99 = float_of_int p.ol_sojourn.Telemetry.Registry.hs_p99 in
-        if p99 > blowup *. base_p99 || goodput p < min_goodput then
+        if p99 > 8.0 *. base_p99 || goodput p < 0.95 then
           Some p.ol_offered
         else None)
       points

@@ -48,8 +48,6 @@ type config = {
                       finishes early injects fewer) *)
   detect : bool;  (** detectable execution: resume via [resolve] *)
   lsm_ckpt : bool;  (** the incremental checkpoint backend *)
-  bg_period : int;  (** mean ops between background cache write-backs *)
-  preempt_prob : float;
   fault : Prep.Config.fault;  (** planted protocol fault, for the checks' teeth *)
 }
 
@@ -63,8 +61,6 @@ let default_config =
     crashes = 3;
     detect = true;
     lsm_ckpt = false;
-    bg_period = 2_000;
-    preempt_prob = 0.02;
     fault = Prep.Config.No_fault;
   }
 
@@ -156,7 +152,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       Memory.make
         ~seed:(Int64.of_int (cfg.seed + 7919))
         ~sockets:Check.Fuzz.topology.Sim.Topology.sockets
-        ~bg_period:cfg.bg_period ()
+        ~bg_period:Check.Fuzz.bg_period ()
     in
     let uc_cfg =
       Prep.Config.make ~mode:Prep.Config.Durable ~log_size:cfg.log_size
@@ -247,7 +243,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       let run =
         Check.Epoch.run ~topology:Check.Fuzz.topology
           ~seed:(Int64.of_int (cfg.seed + (31 * epoch)))
-          ~preempt_prob:cfg.preempt_prob ~mem ~horizon ~crash
+          ~preempt_prob:Check.Fuzz.preempt_prob ~mem ~horizon ~crash
           ~set_up:(fun () ->
             match !uc_ref with
             | None -> Some (Uc.create mem (Roots.make mem) uc_cfg)

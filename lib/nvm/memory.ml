@@ -132,13 +132,13 @@ type t = {
          hardware instruction stream exactly as written *)
 }
 
-let make ?(seed = 42L) ?(sockets = 2) ?(bg_period = 50_000) ?(flit = false) () =
+let make ?(seed = 42L) ?(sockets = 2) ?(bg_period = 50_000) () =
   let m =
     {
       m_arenas = Array.make 64 dummy_arena;
       m_count = 0;
       m_dirty_by_socket = Array.init sockets (fun _ -> Hashtbl.create 4096);
-      m_flit = flit;
+      m_flit = false;
       m_wpq = Hashtbl.create 256;
       m_rng = Sim.Rng.create seed;
       m_bg_period = bg_period;
@@ -163,10 +163,8 @@ let tel_op m name cost =
   match m.m_tel with
   | None -> ()
   | Some r ->
-    if Telemetry.Registry.enabled r then begin
-      Telemetry.Registry.add_to r ("nvm." ^ name) 1;
-      Telemetry.Registry.add_to r ("nvm." ^ name ^ "_ns") cost
-    end
+    Telemetry.Registry.add_to r ("nvm." ^ name) 1;
+    Telemetry.Registry.add_to r ("nvm." ^ name ^ "_ns") cost
 
 (* Per-site flush/fence telemetry ([Persist.split_counter] is the reader).
    An *emitted* instruction records its count and its simulated-ns share
@@ -179,19 +177,15 @@ let tel_emit m prim site cost =
   match m.m_tel with
   | None -> ()
   | Some r ->
-    if Telemetry.Registry.enabled r then begin
-      let s = Persist.to_string site in
-      Telemetry.Registry.add_to r ("nvm." ^ prim ^ "@" ^ s) 1;
-      Telemetry.Registry.add_to r ("nvm." ^ prim ^ "_ns@" ^ s) cost
-    end
+    let s = Persist.to_string site in
+    Telemetry.Registry.add_to r ("nvm." ^ prim ^ "@" ^ s) 1;
+    Telemetry.Registry.add_to r ("nvm." ^ prim ^ "_ns@" ^ s) cost
 
 let tel_site_count m metric site =
   match m.m_tel with
   | None -> ()
   | Some r ->
-    if Telemetry.Registry.enabled r then
-      Telemetry.Registry.add_to r
-        ("nvm." ^ metric ^ "@" ^ Persist.to_string site) 1
+    Telemetry.Registry.add_to r ("nvm." ^ metric ^ "@" ^ Persist.to_string site) 1
 
 let tel_instant m name =
   match m.m_tel with

@@ -31,7 +31,6 @@ type t = {
   topology : Topology.t;
   costs : Costs.t;
   rng : Rng.t;                    (** scheduler stream (background flushes etc.) *)
-  quantum : int;
   preempt_prob : float;           (** chance per [tick] of a forced, jittered
                                       preemption (schedule fuzzing) *)
   mutable heap : entry option array;
@@ -96,19 +95,21 @@ let self () =
   | Some f -> f
   | None -> failwith "Sim: not inside a fiber"
 
+(* The most jitter one forced preemption charges, ns. *)
+let quantum = 150
+
 (** [preempt_prob] randomizes preemption: on each [tick], with that
     probability, the fiber is charged up to one extra quantum of jitter and
     forced to yield. This perturbs which fiber is globally earliest at
     synchronization points, so different seeds explore different
     interleavings — deterministic schedule fuzzing for the crash harness.
     The default 0.0 keeps the exact seed behaviour. *)
-let create ?(seed = 1L) ?(costs = Costs.default) ?(quantum = 150)
-    ?(preempt_prob = 0.0) topology =
+let create ?(seed = 1L) ?(costs = Costs.default) ?(preempt_prob = 0.0)
+    topology =
   {
     topology;
     costs;
     rng = Rng.create seed;
-    quantum;
     preempt_prob;
     heap = Array.make 1024 None;
     heap_len = 0;
@@ -233,15 +234,13 @@ let run_under_handler t fiber f =
 (** [spawn t ~socket ?core f] registers a fiber pinned to [socket]/[core].
     If called from inside a running fiber, the child starts at the parent's
     current clock; otherwise at time 0. *)
-let spawn t ~socket ?(core = 0) ?(at = -1) f =
+let spawn t ~socket ?(core = 0) f =
   if socket < 0 || socket >= t.topology.Topology.sockets then
     invalid_arg "Sim.spawn: bad socket";
   let start_time =
-    if at >= 0 then at
-    else
-      match (ambient ()).amb_fiber with
-      | Some parent -> parent.clock
-      | None -> 0
+    match (ambient ()).amb_fiber with
+    | Some parent -> parent.clock
+    | None -> 0
   in
   let fiber =
     {
@@ -377,7 +376,7 @@ let tick cost =
     ()
   | None ->
     if t.preempt_prob > 0.0 && Rng.float t.rng < t.preempt_prob then begin
-      f.clock <- f.clock + Rng.int t.rng t.quantum;
+      f.clock <- f.clock + Rng.int t.rng quantum;
       Telemetry.Registry.cur_add "sim.preemptions" 1;
       Effect.perform Yield
     end

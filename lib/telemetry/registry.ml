@@ -24,9 +24,9 @@
     [set_clock]/[set_track] callbacks, which [Sim] installs at link time.
     When no simulation is running both default to 0.
 
-    Cost when disabled: instrumentation sites are guarded either by an
-    [option] captured at subsystem creation ([Nvm.Memory], [Prep_uc]) or
-    by the one-word [current ()] check, so the default path pays a load
+    Cost without a registry: instrumentation sites are guarded either by
+    an [option] captured at subsystem creation ([Nvm.Memory], [Prep_uc])
+    or by the one-word [current ()] check, so the default path pays a load
     and a branch, nothing more. *)
 
 (* ---- ambient callbacks (installed by Sim) ---- *)
@@ -83,11 +83,11 @@ type track_info = {
   mutable tk_covered : int; (* total ns inside depth-0 spans *)
 }
 
+(* Trace events kept per registry; later ones are counted as dropped. *)
+let max_events = 4_000_000
+
 type t = {
-  mutable enabled : bool;
   mutable tracing : bool; (* collect Chrome-trace events *)
-  sample_events : int; (* emit every Nth complete event per span kind *)
-  max_events : int;
   counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
@@ -100,13 +100,9 @@ type t = {
   mutable dropped_events : int;
 }
 
-let create ?(enabled = true) ?(tracing = false) ?(sample_events = 1)
-    ?(max_events = 4_000_000) () =
+let create ?(tracing = false) () =
   {
-    enabled;
     tracing;
-    sample_events = max 1 sample_events;
-    max_events;
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 32;
@@ -119,8 +115,7 @@ let create ?(enabled = true) ?(tracing = false) ?(sample_events = 1)
     dropped_events = 0;
   }
 
-let enabled t = t.enabled
-let tracing t = t.tracing && t.enabled
+let tracing t = t.tracing
 
 (* ---- the ambient registry ---- *)
 
@@ -222,16 +217,16 @@ let observe h v =
   h.h_counts.(b) <- h.h_counts.(b) + 1
 
 (** Add [by] to counter [name] of registry [t] (find-or-create). *)
-let add_to t name by = if t.enabled then add (counter t name) by
+let add_to t name by = add (counter t name) by
 
 (** Convenience: bump a counter on the ambient registry, if any. *)
 let cur_add name by =
   match cur () with
   | None -> ()
-  | Some t -> if t.enabled then add (counter t name) by
+  | Some t -> add (counter t name) by
 
 let push_event t ev =
-  if t.n_events >= t.max_events then t.dropped_events <- t.dropped_events + 1
+  if t.n_events >= max_events then t.dropped_events <- t.dropped_events + 1
   else begin
     t.events <- ev :: t.events;
     t.n_events <- t.n_events + 1
@@ -262,71 +257,64 @@ let track_info t tid =
     i
 
 let span_enter t sp =
-  if t.enabled then begin
-    let tid = track () in
-    let stack =
-      match Hashtbl.find_opt t.stacks tid with Some s -> s | None -> []
-    in
-    Hashtbl.replace t.stacks tid
-      ({ fr_span = sp; fr_t0 = now (); fr_child = 0 } :: stack)
-  end
+  let tid = track () in
+  let stack =
+    match Hashtbl.find_opt t.stacks tid with Some s -> s | None -> []
+  in
+  Hashtbl.replace t.stacks tid
+    ({ fr_span = sp; fr_t0 = now (); fr_child = 0 } :: stack)
 
 let span_exit t sp =
-  if t.enabled then begin
-    let tid = track () in
-    match Hashtbl.find_opt t.stacks tid with
-    | None | Some [] -> () (* unbalanced exit: ignore *)
-    | Some (fr :: rest) ->
-      if fr.fr_span != sp then begin
-        (* unbalanced (an exception unwound past an enter): pop down to the
-           matching frame, discarding orphans rather than mis-attributing
-           their time; if [sp] isn't open on this track at all, ignore *)
-        if List.exists (fun f -> f.fr_span == sp) rest then begin
-          let rec drop = function
-            | f :: tl when f.fr_span != sp -> drop tl
-            | _ :: tl -> tl
-            | [] -> []
-          in
-          Hashtbl.replace t.stacks tid (drop rest)
-        end
+  let tid = track () in
+  match Hashtbl.find_opt t.stacks tid with
+  | None | Some [] -> () (* unbalanced exit: ignore *)
+  | Some (fr :: rest) ->
+    if fr.fr_span != sp then begin
+      (* unbalanced (an exception unwound past an enter): pop down to the
+         matching frame, discarding orphans rather than mis-attributing
+         their time; if [sp] isn't open on this track at all, ignore *)
+      if List.exists (fun f -> f.fr_span == sp) rest then begin
+        let rec drop = function
+          | f :: tl when f.fr_span != sp -> drop tl
+          | _ :: tl -> tl
+          | [] -> []
+        in
+        Hashtbl.replace t.stacks tid (drop rest)
       end
-      else begin
-        Hashtbl.replace t.stacks tid rest;
-        let t1 = now () in
-        let dur = t1 - fr.fr_t0 in
-        observe sp.sp_hist dur;
-        sp.sp_self <- sp.sp_self + dur - fr.fr_child;
-        (match rest with
-         | parent :: _ -> parent.fr_child <- parent.fr_child + dur
-         | [] ->
-           let info = track_info t tid in
-           if fr.fr_t0 < info.tk_first then info.tk_first <- fr.fr_t0;
-           if t1 > info.tk_last then info.tk_last <- t1;
-           info.tk_covered <- info.tk_covered + dur);
-        if t.tracing && sp.sp_hist.h_n mod t.sample_events = 0 then
-          push_event t
-            (Complete
-               { ev_name = sp.sp_name; ev_track = tid; ev_t0 = fr.fr_t0;
-                 ev_dur = dur })
-      end
-  end
+    end
+    else begin
+      Hashtbl.replace t.stacks tid rest;
+      let t1 = now () in
+      let dur = t1 - fr.fr_t0 in
+      observe sp.sp_hist dur;
+      sp.sp_self <- sp.sp_self + dur - fr.fr_child;
+      (match rest with
+       | parent :: _ -> parent.fr_child <- parent.fr_child + dur
+       | [] ->
+         let info = track_info t tid in
+         if fr.fr_t0 < info.tk_first then info.tk_first <- fr.fr_t0;
+         if t1 > info.tk_last then info.tk_last <- t1;
+         info.tk_covered <- info.tk_covered + dur);
+      if t.tracing then
+        push_event t
+          (Complete
+             { ev_name = sp.sp_name; ev_track = tid; ev_t0 = fr.fr_t0;
+               ev_dur = dur })
+    end
 
 (** Run [f] inside span [sp]. Exception-safe: the span is closed (and its
     time recorded) even if [f] raises — the crash fuzzer aborts fibers by
     raising from a memory-access hook, and an unwound span must not
     corrupt the nesting of later spans on the same track. *)
 let with_span t sp f =
-  if not t.enabled then f ()
-  else begin
-    span_enter t sp;
-    match f () with
-    | v ->
-      span_exit t sp;
-      v
-    | exception e ->
-      span_exit t sp;
-      raise e
-  end
+  span_enter t sp;
+  match f () with
+  | v ->
+    span_exit t sp;
+    v
+  | exception e ->
+    span_exit t sp;
+    raise e
 
 (* ---- snapshots ---- *)
 

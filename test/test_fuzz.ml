@@ -908,7 +908,41 @@ let test_session_recovery_raise_is_a_failure () =
        (List.length vs));
   let last = List.nth o.Harness.Session.epochs (List.length o.Harness.Session.epochs - 1) in
   check_bool "the last epoch is listed as recovery raised" true
-    (last.Harness.Session.status = Harness.Session.Recovery_raised)
+    (last.Harness.Session.status = Harness.Session.Recovery_raised);
+  (* the CLI's --json artifact validates and names the backend, planted
+     fault, system and seed it ran, for a faulty classic run and a clean
+     lsm one *)
+  let open Telemetry.Json in
+  let named args =
+    let json = Filename.temp_file "session" ".json" in
+    let cli =
+      Filename.concat (Filename.dirname Sys.executable_name) "../bin/prep_cli.exe"
+    in
+    ignore
+      (Sys.command
+         (Printf.sprintf "%s session %s --json %s > /dev/null 2>&1"
+            (Filename.quote cli) args (Filename.quote json)));
+    let contents = In_channel.with_open_text json In_channel.input_all in
+    Sys.remove json;
+    check_bool ("artifact validates: " ^ args) true
+      (validate_string validate_bench contents = Ok ());
+    let v = parse contents in
+    match (member "config" v, member "sessions" v) with
+    | Some c, Some (List (s :: _)) ->
+      [ member "lsm_ckpt" c; member "fault" c; member "system" s;
+        Option.bind (member "counters" s) (member "seed") ]
+    | _ -> Alcotest.failf "no config or session in the artifact of %s" args
+  in
+  check_bool "a faulty classic detect run reads as one" true
+    (named
+       "--ds rbtree --threads 4 --ops 40 --crashes 6 --detect --fault \
+        commit-before-copies-persist"
+     = [ Some (Bool false); Some (Str "commit-before-copies-persist");
+         Some (Str "PREP-Durable/det"); Some (Num 1.) ]);
+  check_bool "a clean lsm run reads as one" true
+    (named "--ds hashmap --threads 3 --ops 12 --crashes 1 --lsm-ckpt --seed 5"
+     = [ Some (Bool true); Some (Str "none"); Some (Str "PREP-Durable/lsm");
+         Some (Num 5.) ])
 
 (* ---- the crash-epoch driver's contract ---- *)
 

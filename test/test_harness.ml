@@ -52,7 +52,9 @@ let test_experiment_produces_throughput () =
   let r =
     Experiment.run ~topology:small_topology ~duration_ns:500_000
       ~warmup_ns:100_000
-      ~system:(Hm.prep ~log_size:4096 ~mode:Prep.Config.Buffered ~epsilon:512 ())
+      ~system:
+        (Hm.prep ~log_size:4096 ~dist_rw:true ~mode:Prep.Config.Buffered
+           ~epsilon:512 ())
       ~workload:(Workload.map_workload ~read_pct:90 ~key_range:512 ~prefill_n:256)
       ~workers:4 ()
   in
@@ -61,7 +63,13 @@ let test_experiment_produces_throughput () =
     (abs_float
        (r.Experiment.throughput
        -. (float_of_int r.Experiment.ops *. 1e9 /. float_of_int r.Experiment.duration_ns))
-    < 1.0)
+    < 1.0);
+  (* the instance's counters are sampled into the result *)
+  let counters = Experiment.counters r in
+  check_bool "legacy counters present" true
+    (List.mem_assoc "rw_read_acquires" counters);
+  check_bool "read acquires sampled" true
+    (List.assoc "rw_read_acquires" counters > 0)
 
 let test_experiment_deterministic () =
   let go () =
@@ -72,61 +80,6 @@ let test_experiment_deterministic () =
       ~workers:6 ()
   in
   check "same ops both runs" (go ()).Experiment.ops (go ()).Experiment.ops
-
-(* Regression for the counter-sampling bug: with several instances the
-   runner used to *overwrite* the sampled counters (last writer wins)
-   instead of summing them. A stub system whose every instance samples a
-   known constant makes the difference unmissable: overwrite yields 7,
-   summing yields instances * 7. *)
-let test_multi_instance_counters_sum () =
-  let built = ref 0 in
-  let stub =
-    {
-      Experiment.sys_name = "stub";
-      duration_factor = 1;
-      make =
-        (fun _mem _roots ~workers:_ ~prefill:_ ->
-          incr built;
-          {
-            Experiment.register = (fun () -> ());
-            exec =
-              (fun ~op:_ ~args:_ ->
-                Sim.tick 200;
-                0);
-            exec_batch = None;
-            teardown = (fun () -> ());
-            sample = (fun reg -> Telemetry.Registry.add_to reg "stub_samples" 7);
-          });
-    }
-  in
-  let r =
-    Experiment.run ~topology:small_topology ~duration_ns:100_000
-      ~warmup_ns:10_000 ~instances:3 ~system:stub
-      ~workload:(Workload.map_workload ~read_pct:90 ~key_range:64 ~prefill_n:8)
-      ~workers:3 ()
-  in
-  check "three instances built" 3 !built;
-  check "samples summed across instances" 21
-    (Telemetry.Registry.find_counter r.Experiment.telemetry "stub_samples")
-
-let test_multi_instance_real_system () =
-  (* two real PREP instances: the run completes and the legacy counters
-     (sampled per instance) are present and positive after summing *)
-  let r =
-    Experiment.run ~seed:13L ~topology:small_topology ~duration_ns:400_000
-      ~warmup_ns:50_000 ~instances:2
-      ~system:
-        (Hm.prep ~log_size:4096 ~dist_rw:true ~log_mirror:true
-           ~mode:Prep.Config.Durable ~epsilon:256 ())
-      ~workload:(Workload.map_workload ~read_pct:90 ~key_range:512 ~prefill_n:64)
-      ~workers:4 ()
-  in
-  check_bool "ops on both instances" true (r.Experiment.ops > 0);
-  let counters = Experiment.counters r in
-  check_bool "legacy counters present" true
-    (List.mem_assoc "rw_read_acquires" counters);
-  check_bool "read acquires accumulated" true
-    (List.assoc "rw_read_acquires" counters > 0)
 
 let test_experiment_rejects_last_core () =
   Alcotest.check_raises "last core reserved"
@@ -479,10 +432,6 @@ let () =
           Alcotest.test_case "produces throughput" `Quick
             test_experiment_produces_throughput;
           Alcotest.test_case "deterministic" `Quick test_experiment_deterministic;
-          Alcotest.test_case "multi-instance counters sum" `Quick
-            test_multi_instance_counters_sum;
-          Alcotest.test_case "multi-instance real system" `Quick
-            test_multi_instance_real_system;
           Alcotest.test_case "rejects last core" `Quick
             test_experiment_rejects_last_core;
           Alcotest.test_case "system names" `Quick test_system_names;

@@ -487,7 +487,8 @@ let test_fence_keeps_later_commit () =
   List.iter
     (fun (flit, name, commit) ->
       in_sim (fun () ->
-          let m = Memory.make ~bg_period:0 ~flit () in
+          let m = Memory.make ~bg_period:0 () in
+          Memory.set_flit m flit;
           let aid = Memory.new_arena m ~kind:Memory.Nvm ~home:0 in
           let a = Memory.addr_of ~aid ~offset:8 in
           Memory.write m a 1;
@@ -508,7 +509,10 @@ let test_fence_keeps_later_commit () =
 
 (* ---- FliT flush elimination ---- *)
 
-let fresh_flit ?(bg_period = 0) () = Memory.make ~bg_period ~flit:true ()
+let fresh_flit () =
+  let m = Memory.make ~bg_period:0 () in
+  Memory.set_flit m true;
+  m
 
 let test_flit_clean_clwb_elided () =
   in_sim (fun () ->
@@ -634,7 +638,8 @@ let prop_flit_media_matches_baseline =
     (fun rounds ->
       Sim.run_one (fun () ->
           let run flit =
-            let m = Memory.make ~bg_period:0 ~flit () in
+            let m = Memory.make ~bg_period:0 () in
+            Memory.set_flit m flit;
             let aid = Memory.new_arena m ~kind:Memory.Nvm ~home:0 in
             let addr off = Memory.addr_of ~aid ~offset:(8 + off) in
             List.iter

@@ -25,14 +25,6 @@ let test_counters () =
   check_bool "sorted by name" true
     (snap.R.sn_counters = List.sort compare snap.R.sn_counters)
 
-let test_disabled_registry_records_nothing () =
-  let reg = R.create ~enabled:false () in
-  R.add_to reg "a" 3;
-  R.instant reg "boom";
-  let snap = R.snapshot reg in
-  check "no counters" 0 (List.length snap.R.sn_counters);
-  check "no events" 0 (R.n_events reg)
-
 let test_cur_add_without_ambient_registry () =
   (* must be a silent no-op, not a crash: this is the default path *)
   R.set_current None;
@@ -380,8 +372,6 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "counters sum" `Quick test_counters;
-          Alcotest.test_case "disabled records nothing" `Quick
-            test_disabled_registry_records_nothing;
           Alcotest.test_case "no ambient registry" `Quick
             test_cur_add_without_ambient_registry;
           Alcotest.test_case "with_current restores" `Quick
