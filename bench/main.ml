@@ -530,13 +530,10 @@ let ckpt_episode ~lsm ~n ~ops_per_worker =
   let module Uc = Prep.Prep_uc.Make (Seqds.Rbtree) in
   let module R = Seqds.Rbtree in
   let topology = Sim.Topology.default in
-  let sim = Sim.create ~seed:(Int64.of_int seed) topology in
   let mem =
     Nvm.Memory.make ~sockets:topology.Sim.Topology.sockets ~bg_period:5000 ()
   in
-  let uc_ref = ref None in
   let work_ns = ref 0 in
-  let done_count = ref 0 in
   let dirty_range = max 64 (n * ck_dirty_pct / 100) in
   (* The crash lands after a closing phase over a small FIXED window, so
      the log suffix recovery must replay describes the same workload at
@@ -544,49 +541,58 @@ let ckpt_episode ~lsm ~n ~ops_per_worker =
      the dirty set (which scales with n by design). *)
   let tail_range = 512 in
   let tail_per_worker = max 1 (3 * epsilon / 2 / threads) in
-  ignore
-    (Sim.spawn sim ~socket:0 (fun () ->
-         let roots = Nvm.Roots.make mem in
-         let cfg =
-           (* the baseline checkpoints with the practical whole-replica
-              heap walk (O(n) lines), not the flat-cost WBINVD stall —
-              that is the curve the O(dirty) claim is measured against *)
-           Prep.Config.make ~mode:Prep.Config.Durable ~log_size:16384
-             ~epsilon ~workers:threads ~flush:Prep.Config.Flush_heap
-             ~lsm_ckpt:lsm ~lsm_fanout:ck_lsm_fanout ()
-         in
-         let prefill = List.init n (fun k -> (R.op_insert, [| k; k |])) in
-         let uc = Uc.create ~prefill mem roots cfg in
-         uc_ref := Some uc;
-         Uc.start_persistence uc;
-         for w = 0 to threads - 1 do
-           let socket, core = Sim.Topology.place topology w in
-           Sim.spawn_here ~socket ~core (fun () ->
-               Uc.register_worker uc;
-               let rng = Sim.fiber_rng () in
-               for _ = 1 to ops_per_worker do
-                 let k = Sim.Rng.int rng dirty_range in
-                 ignore
-                   (Uc.execute uc ~op:R.op_insert
-                      ~args:[| k; 1 + Sim.Rng.int rng 1000 |])
-               done;
-               for _ = 1 to tail_per_worker do
-                 let k = Sim.Rng.int rng tail_range in
-                 ignore
-                   (Uc.execute uc ~op:R.op_insert
-                      ~args:[| k; 1 + Sim.Rng.int rng 1000 |])
-               done;
-               incr done_count)
-         done;
-         while !done_count < threads do
-           Sim.tick 50_000
-         done;
-         work_ns := Sim.now ();
-         Uc.stop uc));
-  (match Sim.run sim () with
-   | `Done -> ()
-   | `Cut _ -> failwith "ckptscale: workload wedged");
-  let uc = Option.get !uc_ref in
+  let ops = threads * (ops_per_worker + tail_per_worker) in
+  let workload =
+    (* the fuzzer's wedge budget, one operation per prefilled key and one
+       per workload op *)
+    Check.Epoch.run ~topology ~seed:(Int64.of_int seed) ~preempt_prob:0.0
+      ~mem ~horizon:(Check.Fuzz.wedge_horizon_ns ~ops:(n + ops))
+      ~crash:No_crash
+      ~set_up:(fun () ->
+        let roots = Nvm.Roots.make mem in
+        let cfg =
+          (* the baseline checkpoints with the practical whole-replica
+             heap walk (O(n) lines), not the flat-cost WBINVD stall —
+             that is the curve the O(dirty) claim is measured against *)
+          Prep.Config.make ~mode:Prep.Config.Durable ~log_size:16384
+            ~epsilon ~workers:threads ~flush:Prep.Config.Flush_heap
+            ~lsm_ckpt:lsm ~lsm_fanout:ck_lsm_fanout ()
+        in
+        let prefill = List.init n (fun k -> (R.op_insert, [| k; k |])) in
+        Uc.create ~prefill mem roots cfg)
+      ~body:(fun uc ->
+        Uc.start_persistence uc;
+        let done_count = ref 0 in
+        for w = 0 to threads - 1 do
+          let socket, core = Sim.Topology.place topology w in
+          Sim.spawn_here ~socket ~core (fun () ->
+              Uc.register_worker uc;
+              let rng = Sim.fiber_rng () in
+              for _ = 1 to ops_per_worker do
+                let k = Sim.Rng.int rng dirty_range in
+                ignore
+                  (Uc.execute uc ~op:R.op_insert
+                     ~args:[| k; 1 + Sim.Rng.int rng 1000 |])
+              done;
+              for _ = 1 to tail_per_worker do
+                let k = Sim.Rng.int rng tail_range in
+                ignore
+                  (Uc.execute uc ~op:R.op_insert
+                     ~args:[| k; 1 + Sim.Rng.int rng 1000 |])
+              done;
+              incr done_count)
+        done;
+        while !done_count < threads do
+          Sim.tick 50_000
+        done;
+        work_ns := Sim.now ();
+        Uc.stop uc)
+  in
+  let uc =
+    match workload with
+    | { ended = Quiescent; set_up = Some uc; _ } -> uc
+    | _ -> failwith "ckptscale: workload wedged"
+  in
   let counter name =
     match List.assoc_opt name (Uc.counters uc) with Some v -> v | None -> 0
   in
@@ -612,7 +618,7 @@ let ckpt_episode ~lsm ~n ~ops_per_worker =
   {
     ck_system = (if lsm then "PREP-Durable/lsm" else "PREP-Durable");
     ck_keys = n;
-    ck_ops = threads * (ops_per_worker + tail_per_worker);
+    ck_ops = ops;
     ck_duration_ns = !work_ns;
     ck_ckpts = ckpts;
     ck_cost_avg = (if ckpts = 0 then 0 else cost_total / ckpts);

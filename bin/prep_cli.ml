@@ -50,7 +50,7 @@
        --threads-list 1,11,23 --read-pcts 50 --epsilon 4096 \
        --json flit.json                  # flush traffic (drop --flit: baseline)
      dune exec bin/prep_cli.exe -- serve-sim --arrival bursty \
-       --rates 5e5,1e6,2e6 --theta 0.99 --shed 64 --json curve.json
+       --rates 5e5,1e6,2e6 --theta 0.99 --json curve.json
      dune exec bin/prep_cli.exe -- run --system prep-durable --lsm-ckpt \
        --ds rbtree --threads 8          # incremental checkpoint backend *)
 
@@ -669,7 +669,7 @@ let exp_sockets_arg = int_arg [ "sockets" ] 2 "NUMA sockets."
 let exp_cores_arg = int_arg [ "cores" ] 2 "Cores per socket (= beta)."
 
 let max_schedules_arg =
-  Arg.(value & opt int Check.Explore.default_budget.Check.Explore.max_schedules
+  Arg.(value & opt int Check.Explore.default_max_schedules
        & info [ "max-schedules" ] ~docv:"N" ~doc:"Schedule budget.")
 
 let no_prune_arg =
@@ -718,7 +718,7 @@ let no_persistence_arg =
   in
   Arg.(value & flag & info [ "no-persistence" ] ~doc)
 
-(* The explorer's scope and budget, shared by explore and optimize-persist.
+(* The explorer's scope, shared by explore and optimize-persist.
    The scope prunes; explore's --no-prune turns that off. *)
 let scope_term =
   let scope threads ops epsilon log_size seed sockets cores no_persistence =
@@ -738,12 +738,6 @@ let scope_term =
     const scope $ exp_threads_arg $ exp_ops_arg $ exp_epsilon_arg
     $ exp_log_size_arg $ exp_seed_arg $ exp_sockets_arg $ exp_cores_arg
     $ no_persistence_arg)
-
-let budget_term =
-  let budget max_schedules =
-    { Check.Explore.default_budget with Check.Explore.max_schedules }
-  in
-  Term.(const budget $ max_schedules_arg)
 
 let report_explore_result ~repro_command res =
   let s = res.Check.Explore.stats in
@@ -794,8 +788,8 @@ let sharded_explore_gen rng =
   | 2 -> (Seqds.Hashmap.op_get, [| k |])
   | _ -> (Prep.Sharded_uc.op_transfer, [| k; k + 3; 1 |])
 
-let explore mode ds scope fault features budget no_prune shards uc_shards jobs
-    replay crash_step frontier =
+let explore mode ds scope fault features max_schedules no_prune shards
+    uc_shards jobs replay crash_step frontier =
   let scope = { scope with Check.Explore.prune = not no_prune } in
   let { Check.Explore.threads; epsilon; log_size; _ } = scope in
   let (module Ds), gen_op = fuzz_ds ds in
@@ -825,7 +819,7 @@ let explore mode ds scope fault features budget no_prune shards uc_shards jobs
         (E.replay ~config ~mode ~fault ~gen_op ~scope ~decisions ?crash ())
     | None ->
       let explore shard =
-        E.explore ~config ~budget ~shard ~mode ~fault ~gen_op ~scope ()
+        E.explore ~config ~max_schedules ~shard ~mode ~fault ~gen_op ~scope ()
       in
       let res =
         if shards = 1 then explore (0, 1)
@@ -849,7 +843,7 @@ let explore_cmd =
     Term.(
       ret
         (const explore $ variant_arg $ ds_arg $ scope_term $ fault_arg
-       $ features_term $ budget_term $ no_prune_arg $ shards_arg
+       $ features_term $ max_schedules_arg $ no_prune_arg $ shards_arg
        $ uc_shards_arg $ jobs_arg $ replay_arg $ crash_step_arg $ frontier_arg))
 
 (* ---- optimize-persist ---- *)
@@ -872,7 +866,7 @@ let op_fuzz_iters_arg =
        & info [ "fuzz-iters" ] ~docv:"N"
            ~doc:"Crash episodes in the per-candidate differential fuzz soak.")
 
-let optimize_persist mode ds scope features budget fuzz_iters out
+let optimize_persist mode ds scope features max_schedules fuzz_iters out
     report_file =
   let { Check.Explore.threads; epsilon; log_size; seed; _ } = scope in
   match (mode, fuzz_ds ds) with
@@ -903,9 +897,8 @@ let optimize_persist mode ds scope features budget fuzz_iters out
         }
       in
       let report =
-        PI.infer ~config ~log:print_endline ~mode ~gen_op ~scope ~budget
-          ~template
-          ~fuzz_iters ~ds ()
+        PI.infer ~config ~log:print_endline ~mode ~gen_op ~scope ~max_schedules
+          ~template ~fuzz_iters ~ds ()
       in
       let write path contents =
         let oc = open_out path in
@@ -947,7 +940,7 @@ let optimize_persist_cmd =
     Term.(
       ret
         (const optimize_persist $ variant_arg $ ds_arg $ scope_term
-       $ features_term $ budget_term $ op_fuzz_iters_arg $ op_out_arg
+       $ features_term $ max_schedules_arg $ op_fuzz_iters_arg $ op_out_arg
        $ op_report_arg))
 
 (* Write a bench-schema artifact; one that fails the schema fails the
@@ -994,7 +987,7 @@ let session ds threads ops epsilon log_size crashes seed sessions detect
       ( true,
         Printf.sprintf "--threads must be between 1 and %d (got %d)"
           Check.Fuzz.max_threads threads )
-  else begin
+  else
     let cfg =
       {
         Session.seed;
@@ -1008,6 +1001,13 @@ let session ds threads ops epsilon log_size crashes seed sessions detect
         fault;
       }
     in
+    match
+      validated_config ~ds
+        ~beta:Check.Fuzz.topology.Sim.Topology.cores_per_socket
+        (Session.uc_config cfg)
+    with
+    | Error m -> `Error (true, m)
+    | Ok uc_cfg ->
     let outcomes = S.campaign ~j:jobs cfg ~gen_op ~sessions in
     List.iteri
       (fun i (o : Session.outcome) ->
@@ -1042,11 +1042,7 @@ let session ds threads ops epsilon log_size crashes seed sessions detect
       | None -> `Ok ()
       | Some path ->
         let module Sy = Experiment.Systems (Ds) in
-        let system =
-          Sy.system_name ~router:false
-            (Prep.Config.make ~mode:Prep.Config.Durable ~detect ~lsm_ckpt
-               ~workers:threads ())
-        in
+        let system = Sy.system_name ~router:false uc_cfg in
         write_artifact path
           (Printf.sprintf
              "{\n  \"schema_version\": %d,\n\
@@ -1091,7 +1087,6 @@ let session ds threads ops epsilon log_size crashes seed sessions detect
         viol;
       `Error (false, "durable-linearizability violations found")
     end
-  end
 
 let session_cmd =
   Cmd.v
@@ -1202,8 +1197,8 @@ let sweep_cmd =
 (* ---- serve-sim: open-loop arrival-process points ---- *)
 
 let arrival_arg =
-  let doc = "Arrival process: poisson, bursty (MMPP-2) or diurnal." in
-  let procs = List.map (fun a -> (a, a)) [ "poisson"; "bursty"; "diurnal" ] in
+  let doc = "Arrival process: poisson or bursty (MMPP-2)." in
+  let procs = List.map (fun a -> (a, a)) [ "poisson"; "bursty" ] in
   Arg.(value & opt (enum procs) "poisson" & info [ "arrival" ] ~docv:"PROC" ~doc)
 
 let rates_arg =
@@ -1214,46 +1209,20 @@ let theta_arg =
   let doc = "Zipfian key-popularity skew in (0,1); 0 means uniform keys." in
   Arg.(value & opt float 0.0 & info [ "theta" ] ~docv:"THETA" ~doc)
 
-let burst_ratio_arg =
-  let doc = "Bursty arrivals: high-phase rate over low-phase rate." in
-  Arg.(value & opt float 4.0 & info [ "burst-ratio" ] ~docv:"R" ~doc)
-
-let dwell_arg =
-  let doc = "Bursty arrivals: mean phase dwell time, simulated ns." in
-  Arg.(value & opt int 200_000 & info [ "dwell" ] ~docv:"NS" ~doc)
-
-let period_arg =
-  let doc = "Diurnal arrivals: modulation period, simulated ns." in
-  Arg.(value & opt int 2_000_000 & info [ "period" ] ~docv:"NS" ~doc)
-
 (* An arrival process with the requested mean rate. Bursty splits the mean
-   across the two phases at [burst_ratio]; diurnal inverts the 0.55-of-peak
-   mean of the thinned cosine profile. *)
-let arrival_of ~arrival ~burst_ratio ~dwell ~period rate =
+   across two phases, the high one 4 times the low, each held for a mean
+   200 us of simulated time. *)
+let arrival_of ~arrival rate =
   match arrival with
   | "poisson" -> Workload.Arrival.Poisson { rate }
-  | "bursty" ->
+  | _ (* bursty *) ->
+    let burst_ratio = 4.0 in
     let rate_low = 2.0 *. rate /. (1.0 +. burst_ratio) in
     Workload.Arrival.Bursty
-      {
-        rate_low;
-        rate_high = burst_ratio *. rate_low;
-        dwell_ns = float_of_int dwell;
-      }
-  | _ (* diurnal *) ->
-    Workload.Arrival.Diurnal
-      { rate_peak = rate /. 0.55; period_ns = float_of_int period }
-
-let shed_arg =
-  let doc =
-    "Drop-tail admission control: arrivals beyond a backlog of $(docv) \
-     queued requests are shed at arrival time instead of queued; shed \
-     counts and shed rate are reported per point and in the JSON."
-  in
-  Arg.(value & opt (some int) None & info [ "shed" ] ~docv:"DEPTH" ~doc)
+      { rate_low; rate_high = burst_ratio *. rate_low; dwell_ns = 200_000.0 }
 
 let serve_sim system ds threads epsilon read_pct keys duration seed features
-    uc_shards arrival rates_l theta burst_ratio dwell period shed jobs json =
+    uc_shards arrival rates_l theta jobs json =
   let fail msg = `Error (true, msg) in
   if not (is_map ds) then fail (not_a_map ds)
   else if rates_l = [] then fail "empty --rates list"
@@ -1280,8 +1249,7 @@ let serve_sim system ds threads epsilon read_pct keys duration seed features
         Campaign.map ~j:jobs
           (fun rate ->
             Openloop.run ~seed:(Int64.of_int seed) ~duration_ns:duration
-              ?shed ~system:sys ~workload
-              ~arrival:(arrival_of ~arrival ~burst_ratio ~dwell ~period rate)
+              ~system:sys ~workload ~arrival:(arrival_of ~arrival rate)
               ~workers:threads ())
           (Array.of_list rates_l)
         |> Array.to_list
@@ -1290,14 +1258,11 @@ let serve_sim system ds threads epsilon read_pct keys duration seed features
         (fun (p : Openloop.point) ->
           Printf.printf
             "%s | %s | offered %.0f/s: completed %d/%d (backlog %d, qpeak \
-             %d%s)  sojourn p50 %d p95 %d p99 %d ns\n"
+             %d)  sojourn p50 %d p95 %d p99 %d ns\n"
             p.Openloop.ol_system p.Openloop.ol_workload
             p.Openloop.ol_offered p.Openloop.ol_completed
             p.Openloop.ol_arrivals p.Openloop.ol_backlogged
             p.Openloop.ol_qmax
-            (if p.Openloop.ol_shed > 0 then
-               Printf.sprintf ", shed %d" p.Openloop.ol_shed
-             else "")
             p.Openloop.ol_sojourn.Telemetry.Registry.hs_p50
             p.Openloop.ol_sojourn.Telemetry.Registry.hs_p95
             p.Openloop.ol_sojourn.Telemetry.Registry.hs_p99)
@@ -1325,7 +1290,7 @@ let serve_sim_cmd =
   Cmd.v
     (Cmd.info "serve-sim"
        ~doc:
-         "Open-loop service simulation: a Poisson/bursty/diurnal arrival \
+         "Open-loop service simulation: a Poisson or bursty arrival \
           process feeds an admission queue in front of the flat-combining \
           slots; reports arrival-to-response sojourn percentiles per \
           offered load and the saturation knee")
@@ -1333,8 +1298,7 @@ let serve_sim_cmd =
       ret
         (const serve_sim $ system_arg $ ds_arg $ threads_arg $ epsilon_arg
        $ read_pct_arg $ keys_arg $ duration_arg $ seed_arg $ features_term
-       $ uc_shards_arg $ arrival_arg $ rates_arg $ theta_arg
-       $ burst_ratio_arg $ dwell_arg $ period_arg $ shed_arg $ jobs_arg
+       $ uc_shards_arg $ arrival_arg $ rates_arg $ theta_arg $ jobs_arg
        $ sweep_json_arg))
 
 

@@ -1,5 +1,6 @@
-(** One crash epoch: the scaffold every crash checker runs a simulated
-    incarnation of the system in.
+(** One epoch: the scaffold every simulated run but the explorer's
+    controlled schedules runs in — a crash checker's incarnation of the
+    system or a measured window.
 
     An epoch is a fresh [Sim] whose one socket-0 fiber runs a set-up
     (create the system, or recover it and judge the recovery) and then a
@@ -9,9 +10,13 @@
     and reports how the epoch ended. It only reports a power failure: the
     caller crashes the memory ([Memory.crash]) before it recovers.
 
+    The horizon is checked between dispatches: a set-up that runs alone
+    on the epoch's fiber is never cut part-way.
+
     The fuzzer's episodes and recoveries, every [Harness.Session] epoch,
-    the explorer's recoveries and bench ckptscale's recovery timing all
-    run through [run]. *)
+    the explorer's recoveries, [Harness.Experiment.run]'s and
+    [Harness.Openloop.run]'s measured windows and bench ckptscale's
+    workload and recovery all run through [run]. *)
 
 open Nvm
 

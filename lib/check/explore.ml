@@ -52,21 +52,20 @@
     (media, ghost trace, config) only. Exhaustion is reported only when
     no budget, depth or frontier cap was hit. *)
 
-type budget = {
-  max_schedules : int;  (** schedules (complete or pruned) to execute *)
-  max_states : int;  (** distinct deduplicated states to visit *)
-  max_steps : int;  (** runtime scheduler steps per schedule (depth) *)
-  max_frontier_lines : int;
-      (** dirty-line cap per crash point: k lines -> 2^k subsets *)
-}
+(* The explorer's caps. A search that hits one did not exhaust. Only the
+   schedule budget is a parameter ([explore ?max_schedules]). *)
 
-let default_budget =
-  {
-    max_schedules = 50_000;
-    max_states = 200_000;
-    max_steps = 50_000;
-    max_frontier_lines = 8;
-  }
+(** schedules (complete or pruned) to execute, unless the caller says *)
+let default_max_schedules = 50_000
+
+(** distinct deduplicated states to visit *)
+let max_states = 200_000
+
+(** runtime scheduler steps per schedule (depth) *)
+let max_steps = 50_000
+
+(** dirty-line cap per crash point: k lines -> 2^k subsets *)
+let max_frontier_lines = 8
 
 (** Small-scope workload under exploration. [prune] disables the sleep-set
     and state-dedup reductions (naive enumeration, for the reduction-factor
@@ -519,7 +518,7 @@ module Run (U : Sut.S) = struct
     Context.restore saved_ctx;
     v
 
-  let explore ~cfg ~budget ~shard ~gen_op ~scope =
+  let explore ~cfg ~max_schedules ~shard ~gen_op ~scope =
     let shard_ix, shard_n = shard in
     let mine h = shard_n = 1 || (h land max_int) mod shard_n = shard_ix in
     let workload = gen_workload ~gen_op ~scope in
@@ -610,7 +609,7 @@ module Run (U : Sut.S) = struct
         let mem = x.mem in
         let dirty = Memory.dirty_nvm_line_keys mem in
         let k_all = List.length dirty in
-        let k = min k_all budget.max_frontier_lines in
+        let k = min k_all max_frontier_lines in
         if k_all > k then begin
           truncated := true;
           stats.frontier_truncations <- stats.frontier_truncations + 1
@@ -676,7 +675,7 @@ module Run (U : Sut.S) = struct
         let this_step = !step_idx in
         incr step_idx;
         stats.steps <- stats.steps + 1;
-        if !step_idx > budget.max_steps then begin
+        if !step_idx > max_steps then begin
           depth_cut := true;
           stats.depth_cutoffs <- stats.depth_cutoffs + 1;
           raise Pruned
@@ -729,7 +728,7 @@ module Run (U : Sut.S) = struct
                | None -> Hashtbl.add seen_states key [ s ])
             end;
             if !fresh_state then stats.states <- stats.states + 1;
-            if stats.states >= budget.max_states then begin
+            if stats.states >= max_states then begin
               budget_hit := true;
               raise Budget_exhausted
             end
@@ -839,7 +838,7 @@ module Run (U : Sut.S) = struct
     (try
        let continue = ref true in
        while !continue do
-         if stats.schedules >= budget.max_schedules then begin
+         if stats.schedules >= max_schedules then begin
            budget_hit := true;
            continue := false
          end
@@ -929,7 +928,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       anyway), so shards stay in lockstep; [merge_shards] reassembles the
       full result and audits that lockstep. The default [(0, 1)] is the
       exact unsharded search. *)
-  let explore ?config ?(budget = default_budget)
+  let explore ?config ?(max_schedules = default_max_schedules)
       ?(shard = (0, 1)) ~mode ~fault ~gen_op ~scope () =
     if scope.threads < 1 || scope.threads > max_threads scope then
       invalid_arg "Explore: thread count out of range";
@@ -942,7 +941,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     in
     let module U = (val Systems.select cfg : Sut.S) in
     let module R = Run (U) in
-    R.explore ~cfg ~budget ~shard ~gen_op ~scope
+    R.explore ~cfg ~max_schedules ~shard ~gen_op ~scope
 
   (** Re-execute exactly one schedule from its decision trace; optionally
       crash at [crash = (step, frontier_mask)] — the mask selects, bit [b],

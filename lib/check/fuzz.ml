@@ -88,7 +88,8 @@ let pp_episode ppf ep =
     40 ns a turn, so the horizon also bounds the host time a wedged run
     burns (seconds, not a hang).
     The fuzzer's episodes and recoveries, the explorer's recoveries,
-    [Harness.Session]'s epochs and bench ckptscale's recovery use it. *)
+    [Harness.Session]'s epochs and bench ckptscale's workload and recovery
+    use it. *)
 let wedge_horizon_ns ~ops = max 20_000_000 (200_000 * ops)
 
 (** The background write-back period (mean memory operations between

@@ -220,10 +220,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
      explorer must exhaust its scope clean; the fuzz soak must match the
      baseline crash-free run and survive its crash plan. Rejections carry
      a repro command for the configuration that failed. *)
-  let check ~config ~mode ~gen_op ~scope ~budget ~template ~fuzz_iters ~ds
-      ~baseline =
+  let check ~config ~mode ~gen_op ~scope ~max_schedules ~template ~fuzz_iters
+      ~ds ~baseline =
     let fault = Prep.Config.No_fault in
-    let eres = E.explore ~config ~budget ~mode ~fault ~gen_op ~scope () in
+    let eres =
+      E.explore ~config ~max_schedules ~mode ~fault ~gen_op ~scope ()
+    in
     match eres.Explore.violation with
     | Some v ->
       let desc =
@@ -261,12 +263,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       end
 
   (** Run the full inference: measure, rank, greedily weaken, prove.
-      [scope]/[budget] bound the explorer oracle; [template]/[fuzz_iters]
-      drive the measurement run and the fuzz soak; [ds] names the data
-      structure in emitted repro commands. Returns the proven policy and
-      the full decision log. *)
+      [scope]/[max_schedules] bound the explorer oracle;
+      [template]/[fuzz_iters] drive the measurement run and the fuzz soak;
+      [ds] names the data structure in emitted repro commands. Returns the
+      proven policy and the full decision log. *)
   let infer ?(config = Sut.default_config) ?(log = fun (_ : string) -> ())
-      ~mode ~gen_op ~scope ~budget ~template ~fuzz_iters ~ds () =
+      ~mode ~gen_op ~scope ~max_schedules ~template ~fuzz_iters ~ds () =
     let with_policy p = { config with Prep.Config.persist_policy = Some p } in
     let baseline, table = measure ~config ~mode ~gen_op template in
     if baseline.Fuzz.violations <> [] then
@@ -305,8 +307,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                  (Persist.action_to_string action)
                  weight);
             let verdict, repro =
-              check ~config:(with_policy trial) ~mode ~gen_op ~scope ~budget
-                ~template ~fuzz_iters ~ds ~baseline
+              check ~config:(with_policy trial) ~mode ~gen_op ~scope
+                ~max_schedules ~template ~fuzz_iters ~ds ~baseline
             in
             record
               { d_site = site; d_action = action; d_weight = weight;

@@ -116,6 +116,27 @@ let write_bench_json path contents =
     List.iter (fun e -> Printf.eprintf "%s: %s\n" path e) errs;
     Error (Printf.sprintf "%s does not validate against the bench schema" path)
 
+(** Run one measured window through the checkers' epoch driver
+    ([Check.Epoch.run]) and return the memory it ran on: set-up builds
+    [system]'s instance on a fresh memory and simulation, [body] runs the
+    window on it. The wedge horizon is 1,000 times [window_ns] (warm-up
+    plus measurement), counted from time 0 until set-up returns and from
+    set-up's end after that; a correct run finishes long before it, and
+    one still going there fails as wedged. *)
+let run_epoch ~name ~seed ~topology ~system ~workers ~prefill ~window_ns body =
+  let mem = Memory.make ~sockets:topology.Sim.Topology.sockets () in
+  let e =
+    Check.Epoch.run ~topology ~seed ~preempt_prob:0.0 ~mem
+      ~horizon:(1_000 * window_ns) ~crash:No_crash
+      ~set_up:(fun () ->
+        let roots = Roots.make mem in
+        system.make mem roots ~workers ~prefill)
+      ~body
+  in
+  if e.Check.Epoch.ended <> Quiescent then
+    failwith (Printf.sprintf "%s: system wedged: %s" name system.sys_name);
+  mem
+
 (** Run one throughput experiment.
 
     [op_batch] (default 1) makes each worker draw that many operations
@@ -171,85 +192,65 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
     | Some (reg, sp) -> Telemetry.Registry.with_span reg sp (fun () -> f ops)
     | None -> f ops
   in
-  let sim = Sim.create ~seed topology in
-  let mem = Memory.make ~sockets:topology.Sim.Topology.sockets () in
   let counts = Array.make workers 0 in
   let done_count = ref 0 in
-  let set_up = ref None in
-  ignore
-    (Sim.spawn sim ~socket:0 (fun () ->
-         let roots = Roots.make mem in
-         let inst =
-           system.make mem roots ~workers ~prefill:workload.Workload.prefill
-         in
-         let t0 = Sim.now () in
-         set_up := Some t0;
-         let measure_start = t0 + warmup_ns in
-         let deadline = measure_start + duration_ns in
-         for w = 0 to workers - 1 do
-           let socket, core = Sim.Topology.place topology w in
-           ignore
-             (Sim.spawn sim ~socket ~core (fun () ->
-                  (match telemetry with
-                   | Some reg ->
-                     Telemetry.Registry.name_track reg (Sim.self ()).Sim.fid
-                       (Printf.sprintf "worker-%d" w)
-                   | None -> ());
-                  inst.register ();
-                  let rng = Sim.fiber_rng () in
-                  let phase = ref 0 in
-                  (if op_batch = 1 then
-                     while Sim.now () < deadline do
-                       let op, args =
-                         workload.Workload.next rng ~phase:!phase
-                       in
-                       incr phase;
-                       ignore (exec_in_op_span inst ~op ~args);
-                       if Sim.now () > measure_start && Sim.now () <= deadline
-                       then counts.(w) <- counts.(w) + 1
-                     done
-                   else
-                     while Sim.now () < deadline do
-                       let ops =
-                         Array.init op_batch (fun _ ->
-                             let o =
-                               workload.Workload.next rng ~phase:!phase
-                             in
-                             incr phase;
-                             o)
-                       in
-                       let started = Sim.now () in
-                       (match inst.exec_batch with
-                        | Some f -> ignore (batch_in_op_span f ops)
-                        | None ->
-                          Array.iter
-                            (fun (op, args) ->
-                              ignore (exec_in_op_span inst ~op ~args))
-                            ops);
-                       (* a batch only counts when it ran entirely inside
-                          the window — undercounting the two edge batches
-                          beats crediting up to op_batch warmup ops *)
-                       if started > measure_start && Sim.now () <= deadline
-                       then counts.(w) <- counts.(w) + op_batch
-                     done);
-                  incr done_count))
-         done;
-         (* supervisor: tear down once every worker has drained *)
-         while !done_count < workers do
-           Sim.tick 50_000
-         done;
-         inst.teardown ();
-         inst.sample acc));
-  (* The horizon is a safety net: a correct run always finishes by itself.
-     It starts when set-up ends, so a long prefill cannot eat it. *)
-  (match
-     Sim.run_horizon sim
-       ~started:(fun () -> !set_up)
-       ~horizon:(1_000 * (duration_ns + warmup_ns))
-       ()
-   with
-   | `Done -> ()
-   | `Cut _ -> failwith ("Experiment.run: system wedged: " ^ system.sys_name));
+  let run_workers inst =
+    let measure_start = Sim.now () + warmup_ns in
+    let deadline = measure_start + duration_ns in
+    for w = 0 to workers - 1 do
+      let socket, core = Sim.Topology.place topology w in
+      Sim.spawn_here ~socket ~core (fun () ->
+          (match telemetry with
+           | Some reg ->
+             Telemetry.Registry.name_track reg (Sim.self ()).Sim.fid
+               (Printf.sprintf "worker-%d" w)
+           | None -> ());
+          inst.register ();
+          let rng = Sim.fiber_rng () in
+          let phase = ref 0 in
+          (if op_batch = 1 then
+             while Sim.now () < deadline do
+               let op, args = workload.Workload.next rng ~phase:!phase in
+               incr phase;
+               ignore (exec_in_op_span inst ~op ~args);
+               if Sim.now () > measure_start && Sim.now () <= deadline then
+                 counts.(w) <- counts.(w) + 1
+             done
+           else
+             while Sim.now () < deadline do
+               let ops =
+                 Array.init op_batch (fun _ ->
+                     let o = workload.Workload.next rng ~phase:!phase in
+                     incr phase;
+                     o)
+               in
+               let started = Sim.now () in
+               (match inst.exec_batch with
+                | Some f -> ignore (batch_in_op_span f ops)
+                | None ->
+                  Array.iter
+                    (fun (op, args) -> ignore (exec_in_op_span inst ~op ~args))
+                    ops);
+               (* a batch only counts when it ran entirely inside the
+                  window — undercounting the two edge batches beats
+                  crediting up to op_batch warmup ops *)
+               if started > measure_start && Sim.now () <= deadline then
+                 counts.(w) <- counts.(w) + op_batch
+             done);
+          incr done_count)
+    done;
+    (* supervisor: tear down once every worker has drained *)
+    while !done_count < workers do
+      Sim.tick 50_000
+    done;
+    inst.teardown ();
+    inst.sample acc
+  in
+  let mem =
+    run_epoch ~name:"Experiment.run" ~seed ~topology ~system ~workers
+      ~prefill:workload.Workload.prefill
+      ~window_ns:(duration_ns + warmup_ns) run_workers
+  in
   let ops = Array.fold_left ( + ) 0 counts in
   let stats = Memory.stats mem in
   {

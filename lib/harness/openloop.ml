@@ -19,8 +19,6 @@
     complete, and dropping them would make the tail look better the more
     saturated the system is. *)
 
-open Nvm
-
 type point = {
   ol_system : string;
   ol_workload : string;
@@ -29,7 +27,6 @@ type point = {
   ol_arrivals : int; (* admitted during the measure window *)
   ol_completed : int; (* completed during the measure window *)
   ol_backlogged : int; (* admitted in-window, still queued at the deadline *)
-  ol_shed : int; (* arrivals dropped in-window by the admission policy *)
   ol_qmax : int; (* peak admission-queue depth in-window *)
   ol_sojourn : Telemetry.Registry.hist_stats;
       (* arrival->response, completed plus censored backlog *)
@@ -46,14 +43,9 @@ let goodput p =
    queue, simulated ns. *)
 let poll_ns = 400
 
-(** Run one open-loop point. [shed] is a drop-tail admission policy: an
-    arrival that finds the queue already [shed] deep is refused instead of
-    enqueued (and counted, not censored — a shed operation never entered
-    the system, so it has no sojourn). Without it the queue is unbounded,
-    which is what lets a sweep expose the knee; with it the queue — and
-    therefore the sojourn tail — is capped, at the price of goodput. *)
+(** Run one open-loop point. *)
 let run ?(seed = 7L) ?(topology = Sim.Topology.default)
-    ?(duration_ns = 4_000_000) ?(warmup_ns = 800_000) ?shed
+    ?(duration_ns = 4_000_000) ?(warmup_ns = 800_000)
     ~(system : Experiment.system) ~(workload : Workload.t)
     ~(arrival : Workload.Arrival.proc) ~workers () =
   if workers >= Sim.Topology.total_cores topology then
@@ -62,96 +54,72 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
   let warmup_ns = warmup_ns * system.Experiment.duration_factor in
   let reg = Telemetry.Registry.create () in
   let sojourn = Telemetry.Registry.histogram reg "openloop.sojourn_ns" in
-  let sim = Sim.create ~seed topology in
-  let mem = Memory.make ~sockets:topology.Sim.Topology.sockets () in
   let queue : (int * int array * int) Queue.t = Queue.create () in
-  (match shed with
-   | Some d when d < 1 -> invalid_arg "Openloop.run: shed depth < 1"
-   | _ -> ());
   let arrivals = ref 0
   and completed = ref 0
-  and shed_count = ref 0
   and qmax = ref 0
   and done_count = ref 0 in
   let gen_done = ref false in
-  let measure_start = ref 0 and deadline = ref 0 and set_up = ref None in
+  let measure_start = ref 0 and deadline = ref 0 in
+  let serve inst =
+    measure_start := Sim.now () + warmup_ns;
+    deadline := !measure_start + duration_ns;
+    let in_window t = t > !measure_start && t <= !deadline in
+    (* the generator: samples the arrival process and admits operations;
+       never blocks on the system under test *)
+    Sim.spawn_here ~socket:0 (fun () ->
+        let rng = Sim.fiber_rng () in
+        let arr = Workload.Arrival.make arrival in
+        let phase = ref 0 in
+        while Sim.now () < !deadline do
+          let gap = Workload.Arrival.next_gap arr rng ~now:(Sim.now ()) in
+          Sim.sleep_until (Sim.now () + gap);
+          if Sim.now () < !deadline then begin
+            let op, args = workload.Workload.next rng ~phase:!phase in
+            incr phase;
+            Queue.push (op, args, Sim.now ()) queue;
+            if in_window (Sim.now ()) then begin
+              incr arrivals;
+              let depth = Queue.length queue in
+              if depth > !qmax then qmax := depth
+            end
+          end
+        done;
+        gen_done := true);
+    (* service workers: drain the admission queue *)
+    for w = 0 to workers - 1 do
+      let socket, core = Sim.Topology.place topology w in
+      Sim.spawn_here ~socket ~core (fun () ->
+          inst.Experiment.register ();
+          while Sim.now () < !deadline do
+            match Queue.take_opt queue with
+            | Some (op, args, arrived) ->
+              ignore (inst.Experiment.exec ~op ~args);
+              let finished = Sim.now () in
+              if in_window finished then begin
+                incr completed;
+                Telemetry.Registry.observe sojourn (finished - arrived)
+              end
+            | None -> Sim.tick poll_ns
+          done;
+          incr done_count)
+    done;
+    (* supervisor: wait for the drain, then censor the backlog *)
+    while (not !gen_done) || !done_count < workers do
+      Sim.tick 50_000
+    done;
+    Queue.iter
+      (fun (_, _, arrived) ->
+        if in_window arrived then
+          Telemetry.Registry.observe sojourn (!deadline - arrived))
+      queue;
+    inst.Experiment.teardown ();
+    inst.Experiment.sample reg
+  in
   ignore
-    (Sim.spawn sim ~socket:0 (fun () ->
-         let roots = Roots.make mem in
-         let inst =
-           system.Experiment.make mem roots ~workers
-             ~prefill:workload.Workload.prefill
-         in
-         let t0 = Sim.now () in
-         set_up := Some t0;
-         measure_start := t0 + warmup_ns;
-         deadline := !measure_start + duration_ns;
-         let in_window t = t > !measure_start && t <= !deadline in
-         (* the generator: samples the arrival process and admits
-            operations; never blocks on the system under test *)
-         Sim.spawn_here ~socket:0 (fun () ->
-             let rng = Sim.fiber_rng () in
-             let arr = Workload.Arrival.make arrival in
-             let phase = ref 0 in
-             while Sim.now () < !deadline do
-               let gap =
-                 Workload.Arrival.next_gap arr rng ~now:(Sim.now ())
-               in
-               Sim.sleep_until (Sim.now () + gap);
-               if Sim.now () < !deadline then begin
-                 let op, args = workload.Workload.next rng ~phase:!phase in
-                 incr phase;
-                 match shed with
-                 | Some d when Queue.length queue >= d ->
-                   if in_window (Sim.now ()) then incr shed_count
-                 | _ ->
-                   Queue.push (op, args, Sim.now ()) queue;
-                   if in_window (Sim.now ()) then begin
-                     incr arrivals;
-                     let depth = Queue.length queue in
-                     if depth > !qmax then qmax := depth
-                   end
-               end
-             done;
-             gen_done := true);
-         (* service workers: drain the admission queue *)
-         for w = 0 to workers - 1 do
-           let socket, core = Sim.Topology.place topology w in
-           Sim.spawn_here ~socket ~core (fun () ->
-               inst.Experiment.register ();
-               while Sim.now () < !deadline do
-                 match Queue.take_opt queue with
-                 | Some (op, args, arrived) ->
-                   ignore (inst.Experiment.exec ~op ~args);
-                   let finished = Sim.now () in
-                   if in_window finished then begin
-                     incr completed;
-                     Telemetry.Registry.observe sojourn (finished - arrived)
-                   end
-                 | None -> Sim.tick poll_ns
-               done;
-               incr done_count)
-         done;
-         (* supervisor: wait for the drain, then censor the backlog *)
-         while (not !gen_done) || !done_count < workers do
-           Sim.tick 50_000
-         done;
-         Queue.iter
-           (fun (_, _, arrived) ->
-             if in_window arrived then
-               Telemetry.Registry.observe sojourn (!deadline - arrived))
-           queue;
-         inst.Experiment.teardown ();
-         inst.Experiment.sample reg));
-  (match
-     Sim.run_horizon sim
-       ~started:(fun () -> !set_up)
-       ~horizon:(1_000 * (duration_ns + warmup_ns))
-       ()
-   with
-   | `Done -> ()
-   | `Cut _ ->
-     failwith ("Openloop.run: system wedged: " ^ system.Experiment.sys_name));
+    (Experiment.run_epoch ~name:"Openloop.run" ~seed ~topology ~system
+       ~workers ~prefill:workload.Workload.prefill
+       ~window_ns:(duration_ns + warmup_ns) serve);
   let backlogged =
     Queue.fold
       (fun acc (_, _, arrived) ->
@@ -168,7 +136,6 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
     ol_arrivals = !arrivals;
     ol_completed = !completed;
     ol_backlogged = backlogged;
-    ol_shed = !shed_count;
     ol_qmax = !qmax;
     ol_sojourn = Telemetry.Registry.hist_stats sojourn;
     ol_duration_ns = duration_ns;
@@ -225,11 +192,6 @@ let curve_to_json ~indent (points : point list) =
         bpf "%s      \"arrivals\": %d,\n" pad p.ol_arrivals;
         bpf "%s      \"completed\": %d,\n" pad p.ol_completed;
         bpf "%s      \"backlogged\": %d,\n" pad p.ol_backlogged;
-        bpf "%s      \"shed\": %d,\n" pad p.ol_shed;
-        bpf "%s      \"shed_rate\": %.4f,\n" pad
-          (let offered_n = p.ol_arrivals + p.ol_shed in
-           if offered_n = 0 then 0.0
-           else float_of_int p.ol_shed /. float_of_int offered_n);
         bpf "%s      \"queue_peak\": %d,\n" pad p.ol_qmax;
         bpf "%s      \"throughput_ops_per_s\": %.1f,\n" pad p.ol_throughput;
         bpf "%s      \"sojourn_p50_ns\": %d,\n" pad

@@ -98,6 +98,12 @@ type outcome = {
   mem_stats : Memory.stats;
 }
 
+(** The PREP-Durable configuration a session runs. *)
+let uc_config (cfg : config) =
+  Prep.Config.make ~mode:Prep.Config.Durable ~log_size:cfg.log_size
+    ~epsilon:cfg.epsilon ~detect:cfg.detect ~lsm_ckpt:cfg.lsm_ckpt
+    ~fault:cfg.fault ~workers:cfg.threads ()
+
 module Make (Ds : Seqds.Ds_intf.S) = struct
   module Uc = Prep.Prep_uc.Make (Ds)
   module Dl = Check.Durable_lin.Make (Ds.Model)
@@ -154,12 +160,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         ~sockets:Check.Fuzz.topology.Sim.Topology.sockets
         ~bg_period:Check.Fuzz.bg_period ()
     in
-    let uc_cfg =
-      Prep.Config.make ~mode:Prep.Config.Durable ~log_size:cfg.log_size
-        ~epsilon:cfg.epsilon ~detect:cfg.detect ~lsm_ckpt:cfg.lsm_ckpt
-        ~fault:cfg.fault
-        ~workers:cfg.threads ()
-    in
+    let uc_cfg = uc_config cfg in
     (* client ghost state; [next] is rebuilt from [resolve] on restart when
        detectability is on, so it is client knowledge, not an oracle *)
     let next = Array.make cfg.threads 1 in

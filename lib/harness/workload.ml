@@ -221,10 +221,6 @@ module Arrival = struct
             between [rate_low] and [rate_high], staying in each phase for
             an exponential dwell with mean [dwell_ns]. Long-run mean rate
             is the plain average of the two (equal mean dwells). *)
-    | Diurnal of { rate_peak : float; period_ns : float }
-        (** nonhomogeneous Poisson whose rate ramps sinusoidally between
-            10% and 100% of [rate_peak] over one period (a day compressed
-            onto the sim clock), sampled by Lewis-Shedler thinning *)
 
   type t = {
     proc : proc;
@@ -238,7 +234,6 @@ module Arrival = struct
     match t.proc with
     | Poisson { rate } -> rate
     | Bursty { rate_low; rate_high; _ } -> 0.5 *. (rate_low +. rate_high)
-    | Diurnal { rate_peak; _ } -> 0.55 *. rate_peak
 
   (* exponential gap in ns at [rate] ops/s; 1-u keeps log's argument in
      (0,1] (Rng.float is [0,1)) *)
@@ -249,11 +244,6 @@ module Arrival = struct
   let exp_dwell rng ~mean =
     let u = Sim.Rng.float rng in
     int_of_float (-.Float.log (1.0 -. u) *. mean)
-
-  (* 0.1..1.0 of peak, sinusoidal over one period *)
-  let diurnal_rate ~rate_peak ~period_ns t =
-    let x = 2.0 *. Float.pi *. (float_of_int t /. period_ns) in
-    rate_peak *. (0.55 -. (0.45 *. Float.cos x))
 
   (** Draw the gap from simulated time [now] to the next arrival. *)
   let next_gap t rng ~now =
@@ -276,14 +266,4 @@ module Arrival = struct
         end
       in
       go now
-    | Diurnal { rate_peak; period_ns } ->
-      (* thinning: propose at the peak rate, accept with rate(t)/peak *)
-      let rec thin at =
-        let cand = at + exp_gap rng ~rate:rate_peak in
-        let accept =
-          diurnal_rate ~rate_peak ~period_ns cand /. rate_peak
-        in
-        if Sim.Rng.float rng < accept then cand - now else thin cand
-      in
-      thin now
 end

@@ -329,25 +329,6 @@ let run ?(until = max_int) t () =
   | result -> cleanup (); result
   | exception e -> cleanup (); raise e
 
-(** [run_horizon t ~started ~horizon ()] is [run] with a wedge watchdog
-    measured from a point inside the run rather than from time 0: it cuts
-    the run [horizon] ns of simulated time after [started ()], which
-    reports [None] until that point is reached (a set-up of any length
-    runs uncut). A correct run returns [`Done]; [`Cut] means it was still
-    going at the horizon. Resuming a cut run dispatches exactly what one
-    uncut run would, so the watchdog never perturbs the schedule. *)
-let run_horizon t ~started ~horizon () =
-  let rec go until =
-    match run ~until t () with
-    | `Done -> `Done
-    | `Cut at as cut -> (
-      match started () with
-      | Some t0 when t0 + horizon <= until -> cut
-      | Some t0 -> go (t0 + horizon)
-      | None -> go (at + horizon))
-  in
-  go horizon
-
 (* ---- fiber-facing API ---- *)
 
 let now () = (self ()).clock

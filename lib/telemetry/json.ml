@@ -24,10 +24,11 @@ exception Parse_error of string
     keys they know.
 
     v2: loadcurve points grew required [shed]/[shed_rate] keys (drop-tail
-    admission accounting — a consumer summing [arrivals] as offered load
-    would silently under-count on shedding runs, hence the bump rather
-    than an additive change), and [bench shardscale] emits result objects
-    whose [system] names carry a [/xN] shard suffix. *)
+    admission accounting), and [bench shardscale] emits result objects
+    whose [system] names carry a [/xN] shard suffix. The shed keys were
+    later dropped with the shedding without a bump: no command ever
+    turned shedding on, so every artifact that carried them read 0 in
+    both, and [arrivals] is the whole offered count. *)
 let schema_version = 2
 
 (* ---- parser ---- *)
@@ -261,9 +262,9 @@ let result_keys =
 (* Per-point keys of a loadcurve curve object ([bench loadcurve] /
    [prep_cli serve-sim]); all numeric. *)
 let curve_point_keys =
-  [ "offered_ops_per_s"; "arrivals"; "completed"; "backlogged"; "shed";
-    "shed_rate"; "queue_peak"; "throughput_ops_per_s"; "sojourn_p50_ns";
-    "sojourn_p95_ns"; "sojourn_p99_ns"; "sojourn_mean_ns" ]
+  [ "offered_ops_per_s"; "arrivals"; "completed"; "backlogged";
+    "queue_peak"; "throughput_ops_per_s"; "sojourn_p50_ns"; "sojourn_p95_ns";
+    "sojourn_p99_ns"; "sojourn_mean_ns" ]
 
 (** Bench JSON as written by the bench modes: a top-level object with
     [schema_version]; every nested object that has a

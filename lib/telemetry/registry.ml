@@ -5,7 +5,6 @@
 
     - {e counters} — monotonically increasing ints (flush counts per call
       site, scheduler events, ported optimisation counters);
-    - {e gauges} — last-written ints (configuration echoes, watermarks);
     - {e histograms} — distributions of simulated-ns values in log2
       buckets, with approximate p50/p95/p99;
     - {e spans} — named phases ("combine", "persist", ...) timed on the
@@ -42,7 +41,6 @@ let track () = !track_fn ()
 (* ---- metrics ---- *)
 
 type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : int }
 
 let hist_buckets = 63
 (* bucket [b] holds values v with [bits v = b], i.e. v in [2^(b-1), 2^b);
@@ -89,7 +87,6 @@ let max_events = 4_000_000
 type t = {
   mutable tracing : bool; (* collect Chrome-trace events *)
   counters : (string, counter) Hashtbl.t;
-  gauges : (string, gauge) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
   spans : (string, span) Hashtbl.t;
   stacks : (int, frame list) Hashtbl.t; (* track -> open spans, innermost first *)
@@ -104,7 +101,6 @@ let create ?(tracing = false) () =
   {
     tracing;
     counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 32;
     spans = Hashtbl.create 16;
     stacks = Hashtbl.create 16;
@@ -154,14 +150,6 @@ let counter t name =
     Hashtbl.replace t.counters name c;
     c
 
-let gauge t name =
-  match Hashtbl.find_opt t.gauges name with
-  | Some g -> g
-  | None ->
-    let g = { g_name = name; g_value = 0 } in
-    Hashtbl.replace t.gauges name g;
-    g
-
 let new_hist name =
   {
     h_name = name;
@@ -193,7 +181,6 @@ let span t name =
 let add c by = c.c_value <- c.c_value + by
 let incr c = add c 1
 let value (c : counter) = c.c_value
-let set (g : gauge) v = g.g_value <- v
 
 (* bucket index = number of significant bits of v; 0 maps to bucket 0 *)
 let bucket_of v =
@@ -332,7 +319,6 @@ type span_stats = { ss_stats : hist_stats; ss_self : int }
 
 type snapshot = {
   sn_counters : (string * int) list; (* sorted by name *)
-  sn_gauges : (string * int) list;
   sn_hists : (string * hist_stats) list;
   sn_spans : (string * span_stats) list;
   sn_wall : int; (* latest depth-0 span end across tracks *)
@@ -344,7 +330,6 @@ type snapshot = {
 let empty_snapshot =
   {
     sn_counters = [];
-    sn_gauges = [];
     sn_hists = [];
     sn_spans = [];
     sn_wall = 0;
@@ -402,7 +387,6 @@ let snapshot t =
     t.tracks;
   {
     sn_counters = sorted_bindings t.counters (fun c -> c.c_value);
-    sn_gauges = sorted_bindings t.gauges (fun g -> g.g_value);
     sn_hists = sorted_bindings t.histograms hist_stats;
     sn_spans =
       sorted_bindings t.spans (fun s ->

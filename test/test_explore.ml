@@ -41,8 +41,7 @@ let scope_1w =
     persistence = true;
   }
 
-let budget =
-  { Check.Explore.default_budget with Check.Explore.max_schedules = 20_000 }
+let budget = 20_000
 
 (* checker configuration with the given feature flags; the explorer sets
    mode, fault, epsilon, log size and workers itself *)
@@ -57,7 +56,7 @@ let explore ?flit ?dist_rw ?log_mirror ?detect ?lsm_ckpt ?lsm_fanout
     ~config:
       (cfg ?flit ?dist_rw ?log_mirror ?detect ?lsm_ckpt ?lsm_fanout
          ?persist_policy ())
-    ~budget ~mode ~fault ~gen_op ~scope ()
+    ~max_schedules:budget ~mode ~fault ~gen_op ~scope ()
 
 (* The planted instruction-removal fault: a policy that elides the
    completedTail CLFLUSH durable mode's zero-loss promise rests on. *)
@@ -251,8 +250,7 @@ let test_pruning_reduction () =
   check_bool "state dedup fired" true (ps.Check.Explore.dedup_hits > 0);
   let naive =
     explore
-      ~budget:
-        { budget with Check.Explore.max_schedules = ps.Check.Explore.schedules }
+      ~budget:ps.Check.Explore.schedules
       ~scope:{ scope with Check.Explore.prune = false }
       Config.Buffered Config.No_fault
   in
@@ -320,8 +318,7 @@ let test_equiv_two_thread_budgeted () =
     persistence = true;
     }
   in
-  let budget =
-    { Check.Explore.default_budget with Check.Explore.max_schedules = 1_500 }
+  let budget = 1_500
   in
   List.iter
     (fun (label, dist_rw, log_mirror) ->
@@ -382,8 +379,7 @@ let test_detect_two_thread_budgeted () =
     persistence = true;
     }
   in
-  let budget =
-    { Check.Explore.default_budget with Check.Explore.max_schedules = 1_500 }
+  let budget = 1_500
   in
   let res = explore ~detect:true ~budget ~scope Config.Durable Config.No_fault in
   check_bool "no violation in budget" true
@@ -430,7 +426,7 @@ let lsm_budget =
      stable tail roughly double the interleavings of the classic scope;
      measured exhaustion is ~68k schedules, the budget leaves headroom
      without masking a blow-up *)
-  { Check.Explore.default_budget with Check.Explore.max_schedules = 100_000 }
+  100_000
 
 let test_lsm_scope_exhausts () =
   let res =

@@ -51,7 +51,6 @@ let canned_loadcurve () =
         ol_arrivals = arrivals;
         ol_completed = completed;
         ol_backlogged = backlogged;
-        ol_shed = 0;
         ol_qmax = qmax;
         ol_sojourn = sojourn;
         ol_duration_ns = 4_000_000;

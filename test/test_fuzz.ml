@@ -913,11 +913,11 @@ let test_session_recovery_raise_is_a_failure () =
      fault, system and seed it ran, for a faulty classic run and a clean
      lsm one *)
   let open Telemetry.Json in
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/prep_cli.exe"
+  in
   let named args =
     let json = Filename.temp_file "session" ".json" in
-    let cli =
-      Filename.concat (Filename.dirname Sys.executable_name) "../bin/prep_cli.exe"
-    in
     ignore
       (Sys.command
          (Printf.sprintf "%s session %s --json %s > /dev/null 2>&1"
@@ -942,7 +942,26 @@ let test_session_recovery_raise_is_a_failure () =
   check_bool "a clean lsm run reads as one" true
     (named "--ds hashmap --threads 3 --ops 12 --crashes 1 --lsm-ckpt --seed 5"
      = [ Some (Bool true); Some (Str "none"); Some (Str "PREP-Durable/lsm");
-         Some (Num 5.) ])
+         Some (Num 5.) ]);
+  (* a configuration the config layer refuses is a usage error (exit
+     124, its reason on the first line), not an uncaught exception *)
+  List.iter
+    (fun args ->
+      let out = Filename.temp_file "session" ".out" in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s session %s > %s 2>&1" (Filename.quote cli) args
+             (Filename.quote out))
+      in
+      let text = In_channel.with_open_text out In_channel.input_all in
+      Sys.remove out;
+      Alcotest.(check int) (Printf.sprintf "exit code of %s\n%s" args text)
+        124 code;
+      check_bool ("refused as a usage error: " ^ args) true
+        (String.starts_with ~prefix:"prep-cli: " text
+        && not (String.starts_with ~prefix:"prep-cli: internal error" text)))
+    [ "--fault commit-before-prepare"; "--fault response-before-log-persist";
+      "--ds queue --lsm-ckpt" ]
 
 (* ---- the crash-epoch driver's contract ---- *)
 

@@ -237,8 +237,7 @@ let scope_1w =
     persistence = true;
   }
 
-let budget =
-  { Check.Explore.default_budget with Check.Explore.max_schedules = 20_000 }
+let max_schedules = 20_000
 
 (* checker configuration carrying [persist_policy]; the checkers set mode,
    fault, epsilon, log size and workers themselves *)
@@ -248,7 +247,7 @@ let policy_config persist_policy =
 let explore_policy spec =
   E.explore
     ~config:(policy_config (Some (policy_of_spec spec)))
-    ~budget ~mode:Prep.Config.Durable ~fault:Prep.Config.No_fault ~gen_op
+    ~max_schedules ~mode:Prep.Config.Durable ~fault:Prep.Config.No_fault ~gen_op
     ~scope:scope_1w ()
 
 let rejected label (res : Check.Explore.result) =
@@ -393,7 +392,7 @@ module PI = Check.Persist_infer.Make (H)
 
 let test_infer_end_to_end () =
   let report =
-    PI.infer ~mode:Prep.Config.Durable ~gen_op ~scope:scope_1w ~budget
+    PI.infer ~mode:Prep.Config.Durable ~gen_op ~scope:scope_1w ~max_schedules
       ~template:{ (template ~seed:6) with Check.Fuzz.threads = 1;
                   ops_per_worker = 60 }
       ~fuzz_iters:6 ~ds:"hashmap" ()
@@ -443,7 +442,7 @@ let test_infer_flit_repro_replays () =
   let config = Prep.Config.make ~flit:true ~workers:1 () in
   let report =
     PI.infer ~config ~mode:Prep.Config.Durable ~gen_op ~scope:scope_1w
-      ~budget
+      ~max_schedules
       ~template:{ (template ~seed:6) with Check.Fuzz.threads = 1;
                   ops_per_worker = 60 }
       ~fuzz_iters:6 ~ds:"hashmap" ()

@@ -11,7 +11,7 @@ let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
-(* ---- registry: counters and gauges ---- *)
+(* ---- registry: counters ---- *)
 
 let test_counters () =
   let reg = R.create () in

@@ -195,42 +195,6 @@ let test_bursty_gaps () =
     (Printf.sprintf "overdispersed: cv^2 %.3f > 1.2" cv2)
     true (cv2 > 1.2)
 
-(* Diurnal: the thinned process realises 0.55 x peak on average, and the
-   half-period centred on the rate maximum must collect visibly more
-   arrivals than the half centred on the trough. *)
-let test_diurnal_gaps () =
-  let period = 1_000_000.0 in
-  let proc =
-    Workload.Arrival.Diurnal { rate_peak = 2e6; period_ns = period }
-  in
-  let gaps = sample_gaps proc ~seed:37 ~n:100_000 in
-  let mean, _ = mean_var gaps in
-  let want_mean = 1e9 /. (0.55 *. 2e6) in
-  check_bool
-    (Printf.sprintf "mean gap %.1f within 10%% of %.1f" mean want_mean)
-    true
-    (Float.abs (mean -. want_mean) /. want_mean < 0.10);
-  let peak_half = ref 0 and trough_half = ref 0 in
-  let now = ref 0 in
-  List.iter
-    (fun g ->
-      now := !now + g;
-      let x = float_of_int !now /. period in
-      let frac = x -. Float.of_int (int_of_float x) in
-      (* rate = peak * (0.55 - 0.45 cos 2pi f): maximal at f = 0.5 *)
-      if frac > 0.25 && frac <= 0.75 then incr peak_half
-      else incr trough_half)
-    gaps;
-  check_bool
-    (Printf.sprintf "seasonality: %d peak-half vs %d trough-half arrivals"
-       !peak_half !trough_half)
-    true
-    (float_of_int !peak_half > 1.5 *. float_of_int !trough_half)
-
-(* ---- pair workloads ---- *)
-
-(* Regression for the phase-alternation contract: even phases push, odd
-   phases pop, regardless of what the rng returns. *)
 let test_pair_alternation () =
   let cases =
     [
@@ -286,8 +250,6 @@ let () =
           Alcotest.test_case "poisson mean and cv^2" `Quick test_poisson_gaps;
           Alcotest.test_case "bursty mean and overdispersion" `Quick
             test_bursty_gaps;
-          Alcotest.test_case "diurnal mean and seasonality" `Quick
-            test_diurnal_gaps;
         ] );
       ( "pairs",
         [
