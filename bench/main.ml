@@ -77,9 +77,10 @@ let run_smoke path =
       ~duration_ns:scale.Figures.duration_ns
       ~warmup_ns:scale.Figures.warmup_ns
       ~system:
-        (Hm.prep ~log_size:scale.Figures.log_size ~flit:true ~dist_rw:opt
-           ~log_mirror:opt ~mode:Prep.Config.Durable
-           ~epsilon:scale.Figures.eps_large ())
+        (Hm.of_config
+           (Prep.Config.make ~log_size:scale.Figures.log_size ~flit:true
+              ~dist_rw:opt ~log_mirror:opt ~mode:Prep.Config.Durable
+              ~epsilon:scale.Figures.eps_large ~workers:1 ()))
       ~workload:workload90 ~workers:threads90 ()
   in
   let base90 = run_variant90 false in
@@ -180,9 +181,10 @@ let run_persistgain path =
       ~duration_ns:scale.Figures.duration_ns
       ~warmup_ns:scale.Figures.warmup_ns
       ~system:
-        (Hm.prep ~log_size:scale.Figures.log_size ~flit
-           ?persist_policy:(if pol then Some policy else None)
-           ~mode:Prep.Config.Durable ~epsilon ())
+        (Hm.of_config
+           (Prep.Config.make ~log_size:scale.Figures.log_size ~flit
+              ?persist_policy:(if pol then Some policy else None)
+              ~mode:Prep.Config.Durable ~epsilon ~workers:1 ()))
       ~workload ~workers:threads ()
   in
   let base = run_variant ~flit:false ~pol:false in
@@ -289,10 +291,13 @@ let run_loadcurve path =
     [
       Hm.prep ~log_size:ls ~mode:Prep.Config.Durable ~epsilon:eps ();
       Hm.prep ~log_size:ls ~flit:true ~mode:Prep.Config.Durable ~epsilon:eps ();
-      Hm.prep ~log_size:ls ~flit:true ~dist_rw:true ~log_mirror:true
-        ~mode:Prep.Config.Durable ~epsilon:eps ();
-      Hm.prep ~log_size:ls ~detect:true ~mode:Prep.Config.Durable ~epsilon:eps
-        ();
+      Hm.of_config
+        (Prep.Config.make ~log_size:ls ~flit:true ~dist_rw:true
+           ~log_mirror:true ~mode:Prep.Config.Durable ~epsilon:eps ~workers:1
+           ());
+      Hm.of_config
+        (Prep.Config.make ~log_size:ls ~detect:true ~mode:Prep.Config.Durable
+           ~epsilon:eps ~workers:1 ());
     ]
   in
   let curve system =

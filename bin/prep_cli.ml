@@ -1,20 +1,12 @@
 (* prep-cli: drive the PREP-UC reproduction from the command line.
 
-   Subcommands:
-     run       run a single throughput point with explicit parameters
-     profile   run one point with telemetry and print the phase breakdown
-     validate  check a bench-JSON or trace-JSON artifact against its schema
-     fuzz      crash-point fuzzing with durable-linearizability checking
-     explore   bounded exhaustive schedule-and-crash exploration
-     session   crash-restart-continue client sessions (exactly-once check)
-     sweep     closed-loop threads x read-pct grid, bench-schema JSON
-     serve-sim open-loop arrival-process points (offered load vs sojourn)
-     optimize-persist  derive a proven per-site persistency policy
+   Subcommands (prep_cli --help lists them): run, profile, validate, fuzz,
+   explore, session, sweep, serve-sim and optimize-persist.
 
-   Every PREP subcommand takes the same feature flags (--flit, --dist-rw,
-   --log-mirror, --detect, --lsm-ckpt, --lsm-fanout, --persist-policy),
-   read by one cmdliner term into a [Prep.Config.t] that [Config.validate]
-   accepts or refuses once.
+   Every feature flag and planted fault is declared once, in the table in
+   [Prep.Config] ([Feature.all], [Fault.all]) that also says which
+   subcommands take it; [config_term] builds each subcommand's flags from
+   it and [Config.validate] accepts or refuses the result once.
 
    The harness subcommands take [-j N] to fan independent simulations
    across N domains (Harness.Campaign); results are deterministic — byte
@@ -27,32 +19,19 @@
    Examples:
      dune exec bin/prep_cli.exe -- run --system prep-buffered --threads 8 \
        --epsilon 1024 --read-pct 90
-     dune exec bin/prep_cli.exe -- run --system prep-durable --uc-shards 4 \
-       --threads 12                      # hash-routed sharded construction
      dune exec bin/prep_cli.exe -- profile --system prep-durable --threads 4 \
        --trace trace.json               # open trace.json in ui.perfetto.dev
-     dune exec bin/prep_cli.exe -- profile --system prep-durable \
-       --uc-shards 4 --threads 8        # shard<i>/ counters, per-shard spans
      dune exec bin/prep_cli.exe -- validate --kind trace trace.json
      dune exec bin/prep_cli.exe -- fuzz --variant buffered --seed 43 \
        --crash-at 900000                 # replay one checked crash
      dune exec bin/prep_cli.exe -- fuzz --iters 200 --variant buffered -j 4
      dune exec bin/prep_cli.exe -- fuzz --variant durable --ds rbtree \
        --seed 57 --crash-op 81000        # replay one exact episode
-     dune exec bin/prep_cli.exe -- fuzz --variant durable --uc-shards 4 \
-       --multi-pct 40 --cross-pct 100 -j 4   # cross-shard 2PC atomicity
      dune exec bin/prep_cli.exe -- explore --threads 2 --ops 2 --shards 8 -j 4
-     dune exec bin/prep_cli.exe -- explore --variant durable --uc-shards 2 \
-       --no-persistence --ops 1          # exhaustive cross-shard crashes
      dune exec bin/prep_cli.exe -- sweep --threads-list 2,8,16 \
        --read-pcts 50,90 -j 4 --json sweep.json
-     dune exec bin/prep_cli.exe -- sweep --system prep-durable --flit \
-       --threads-list 1,11,23 --read-pcts 50 --epsilon 4096 \
-       --json flit.json                  # flush traffic (drop --flit: baseline)
      dune exec bin/prep_cli.exe -- serve-sim --arrival bursty \
-       --rates 5e5,1e6,2e6 --theta 0.99 --json curve.json
-     dune exec bin/prep_cli.exe -- run --system prep-durable --lsm-ckpt \
-       --ds rbtree --threads 8          # incremental checkpoint backend *)
+       --rates 5e5,1e6,2e6 --theta 0.99 --json curve.json *)
 
 open Cmdliner
 open Harness
@@ -132,100 +111,47 @@ let seed_arg = int_arg ~docv:"SEED" [ "seed" ] 7 "Simulation seed."
 
 let log_size = 16384
 
-let flit_arg =
-  let doc =
-    "Enable the FliT flush-elimination layer (PREP systems only): per-line \
-     flush tracking plus a deferred combiner payload fence \
-     (log.fence_payload=defer-to-next-fence unless --persist-policy sets \
-     that site)."
-  in
-  Arg.(value & flag & info [ "flit" ] ~doc)
+module Feature = Prep.Config.Feature
+module Fault = Prep.Config.Fault
 
-let dist_rw_arg =
-  let doc =
-    "Protect each replica with the distributed per-core reader-writer lock \
-     (PREP systems only): readers touch only their own cache line."
+(* Subcommand [sub]'s configuration flags, read into [Config.default]: one
+   per feature the table says [sub] takes and, with [~faults], the faults
+   offered to [sub]. [sub] sets mode, epsilon, log size and workers. *)
+let config_term ?(faults = false) sub =
+  let feature (f : Feature.t) =
+    let doc = f.doc and names = [ f.flag ] in
+    match f.value with
+    | Feature.Flag set ->
+      Term.(const (fun on c -> Ok (set c on)) $ Arg.(value & flag & info names ~doc))
+    | Feature.Int { docv; get; set } ->
+      Term.(
+        const (fun n c -> Ok (set c n))
+        $ Arg.(value & opt int (get Prep.Config.default) & info names ~docv ~doc))
+    | Feature.Spec { docv; load; _ } ->
+      Term.(
+        const (fun s c -> Option.fold ~none:(Ok c) ~some:(load c) s)
+        $ Arg.(value & opt (some string) None & info names ~docv ~doc))
   in
-  Arg.(value & flag & info [ "dist-rw" ] ~doc)
-
-let log_mirror_arg =
-  let doc =
-    "Shadow the durable log into a DRAM mirror and serve replica catch-up \
-     reads from it (PREP-Durable only; recovery still reads NVM)."
+  let fault =
+    let offered = Fault.offered sub in
+    let names = List.map (fun (p : Fault.t) -> (p.name, p.fault)) offered in
+    let doc = Fault.help offered in
+    Term.(
+      const (fun fault c -> Ok { c with Prep.Config.fault })
+      $ Arg.(
+          value
+          & opt (enum names) Prep.Config.No_fault
+          & info [ Fault.flag ] ~docv:"FAULT" ~doc))
   in
-  Arg.(value & flag & info [ "log-mirror" ] ~doc)
-
-let detect_arg =
-  let doc =
-    "Enable detectable execution (PREP-Durable only): per-thread persistent \
-     announce/response records, so after a crash every client can resolve \
-     whether its in-flight op took effect and re-submit exactly the lost \
-     ones."
+  let takes (f : Feature.t) = List.mem sub f.subcommands in
+  let steps =
+    List.map feature (List.filter takes Feature.all) @ if faults then [ fault ] else []
   in
-  Arg.(value & flag & info [ "detect" ] ~doc)
-
-let lsm_ckpt_arg =
-  let doc =
-    "Replace the whole-replica checkpoint with the incremental \
-     log-structured backend (PREP-Buffered/Durable maps only): dirty keys \
-     accumulate in a volatile memtable sealed into immutable sorted NVM \
-     segments behind a fenced manifest; recovery mounts the manifest and \
-     replays only the log suffix past the last seal."
-  in
-  Arg.(value & flag & info [ "lsm-ckpt" ] ~doc)
-
-let lsm_fanout_arg =
-  let doc =
-    "With --lsm-ckpt: size-tiered compaction fanout — the background \
-     fiber merges every run of $(docv) same-level segments into one \
-     segment a level up."
-  in
-  Arg.(value & opt int 4 & info [ "lsm-fanout" ] ~docv:"K" ~doc)
-
-let uc_shards_arg =
-  let doc =
-    "Run $(docv) hash-routed PREP-Durable shards behind the cross-shard \
-     router (prep-durable maps only): each shard is an independent log + \
-     replica set + combiner, single-key ops route by key hash. Telemetry \
-     is reported per shard (shard<i>/ counters, per-shard phase spans and \
-     persistence tracks). Under fuzz, cross-shard transactions join the \
-     mix (--multi-pct, --cross-pct)."
-  in
-  Arg.(value & opt int 1 & info [ "uc-shards" ] ~docv:"N" ~doc)
-
-let persist_policy_arg =
-  let doc =
-    "Per-site persistency policy: a JSON file emitted by optimize-persist \
-     or an inline spec like \
-     'log.fence_payload=defer-to-next-fence,prep.init=elide'. Sites not \
-     named stay at emit. PREP systems only."
-  in
-  Arg.(value
-       & opt (some string) None
-       & info [ "persist-policy" ] ~docv:"SPEC|FILE" ~doc)
-
-(* The feature part of a [Prep.Config.t], parsed once for every PREP
-   subcommand. Mode, epsilon, log size, shards, workers and fault stay at
-   [Config.make]'s defaults for the subcommand to set. *)
-let features_term =
-  let features flit dist_rw log_mirror detect lsm_ckpt lsm_fanout
-      persist_policy =
-    let policy =
-      match persist_policy with
-      | None -> Ok None
-      | Some arg -> Result.map Option.some (Nvm.Persist.load arg)
-    in
-    match policy with
-    | Error e -> `Error (true, e)
-    | Ok persist_policy ->
-      `Ok
-        (Prep.Config.make ~flit ~dist_rw ~log_mirror ~detect ~lsm_ckpt
-           ~lsm_fanout ?persist_policy ~workers:1 ())
-  in
+  let apply acc step = Term.(const Result.bind $ acc $ step) in
   Term.(
     ret
-      (const features $ flit_arg $ dist_rw_arg $ log_mirror_arg $ detect_arg
-     $ lsm_ckpt_arg $ lsm_fanout_arg $ persist_policy_arg))
+      (const (function Ok c -> `Ok c | Error e -> `Error (true, e))
+      $ List.fold_left apply (const (Ok Prep.Config.default)) steps))
 
 let trace_arg =
   let doc =
@@ -242,40 +168,41 @@ let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 (* Every PREP subcommand builds one configuration and validates it once,
-   up front, against the machine's beta: every feature-combination rule
-   lives in [Config.validate], and a refusal is a usage error. The two
-   rules below need the data structure, which the configuration does not
-   name. *)
+   up front, against the machine's beta: the feature table's mode rules,
+   the planted faults' needs and every other combination rule live in
+   [Config.validate], and a refusal is a usage error. The two rules below
+   need the data structure, which the configuration does not name. *)
 let validated_config ~beta ~ds cfg =
   match Prep.Config.validate cfg ~beta with
   | exception Invalid_argument m -> Error m
   | () ->
     if cfg.Prep.Config.lsm_ckpt && not (is_map ds) then
-      Error "--lsm-ckpt needs a map data structure (per-key dirty tracking)"
+      Error
+        (Feature.(flag lsm_ckpt)
+        ^ " needs a map data structure (per-key dirty tracking)")
     else if cfg.Prep.Config.shards > 1 && not (is_map ds) then
       Error "sharding needs a map data structure (ops route by key)"
     else Ok cfg
 
 (* The [--system] of run/profile/sweep/serve-sim on [--ds]: a PREP mode is
-   [features] at that mode, built through [Systems.of_config]; the other
-   systems are not PREP and take no feature flag. *)
-let experiment_system ~system ~ds ~epsilon ~uc_shards ~workers features =
+   [cfg] at that mode, built through [Systems.of_config]; the other
+   systems are not PREP and take no configuration flag. *)
+let experiment_system ~system ~ds ~epsilon ~workers cfg =
   let (module Ds), _ = List.assoc ds data_structures in
   let module Sy = Experiment.Systems (Ds) in
   let prep mode =
     validated_config ~ds
       ~beta:Sim.Topology.default.Sim.Topology.cores_per_socket
-      { features with
-        Prep.Config.mode; epsilon; log_size; shards = uc_shards; workers }
+      { cfg with Prep.Config.mode; epsilon; log_size; workers }
     |> Result.map (fun cfg -> Sy.of_config cfg)
   in
   let baseline sys =
-    if features <> Check.Sut.default_config || uc_shards <> 1 then
+    if cfg <> Prep.Config.default then
       Error
         (Printf.sprintf
-           "--system %s is not a PREP system: feature flags and \
-            --uc-shards need prep-v, prep-buffered or prep-durable"
-           system)
+           "--system %s is not a PREP system: feature flags and %s need \
+            prep-v, prep-buffered or prep-durable"
+           system Feature.(flag uc_shards))
     else Ok sys
   in
   match system with
@@ -289,11 +216,8 @@ let experiment_system ~system ~ds ~epsilon ~uc_shards ~workers features =
   | other -> Error (Printf.sprintf "unknown system %S" other)
 
 let run_point ~profile system ds threads epsilon read_pct keys duration seed
-    features uc_shards trace =
-  match
-    experiment_system ~system ~ds ~epsilon ~uc_shards ~workers:threads
-      features
-  with
+    cfg trace =
+  match experiment_system ~system ~ds ~epsilon ~workers:threads cfg with
   | Error m -> `Error (true, m)
   | Ok sys ->
     let workload =
@@ -358,26 +282,23 @@ let run_point ~profile system ds threads epsilon read_pct keys duration seed
             "trace failed self-validation:\n  " ^ String.concat "\n  " errs ))
     | _ -> `Ok ()
 
-let point_term ~profile =
-  Term.(
-    ret
-      (const (run_point ~profile) $ system_arg $ ds_arg $ threads_arg
-     $ epsilon_arg $ read_pct_arg $ keys_arg $ duration_arg $ seed_arg
-     $ features_term $ uc_shards_arg $ trace_arg))
+let point_cmd sub ~profile ~doc =
+  Cmd.v (Cmd.info sub ~doc)
+    Term.(
+      ret
+        (const (run_point ~profile) $ system_arg $ ds_arg $ threads_arg
+       $ epsilon_arg $ read_pct_arg $ keys_arg $ duration_arg $ seed_arg
+       $ config_term sub $ trace_arg))
 
 let run_cmd =
-  Cmd.v
-    (Cmd.info "run" ~doc:"Run a single throughput point")
-    (point_term ~profile:false)
+  point_cmd "run" ~profile:false ~doc:"Run a single throughput point"
 
 let profile_cmd =
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run a single throughput point with telemetry enabled and print \
-          the simulated-time phase breakdown (combine/publish/persist/\
-          catch-up spans, latency percentiles, per-primitive NVM counters)")
-    (point_term ~profile:true)
+  point_cmd "profile" ~profile:true
+    ~doc:
+      "Run a single throughput point with telemetry enabled and print the \
+       simulated-time phase breakdown (combine/publish/persist/catch-up \
+       spans, latency percentiles, per-primitive NVM counters)"
 
 (* ---- validate ---- *)
 
@@ -488,30 +409,6 @@ let variant_arg =
     & opt (enum modes) Prep.Config.Buffered
     & info [ "variant" ] ~docv:"VARIANT" ~doc)
 
-let fault_arg =
-  let doc =
-    "Injected protocol fault: none, early-boundary, mirror-read-recovery, \
-     response-before-log-persist (requires --detect), commit-before-prepare \
-     (requires sharding: the cross-shard commit decision is flushed before \
-     any prepare is durably logged) or manifest-before-seal (requires \
-     --lsm-ckpt: the checkpoint manifest is published before the segment \
-     bodies it points at are fenced) or commit-before-copies-persist \
-     (classic checkpoints: a recovery commits its background checkpoint \
-     copies before writing their heaps back)."
-  in
-  let faults =
-    List.map
-      (fun f -> (Prep.Config.fault_name f, f))
-      Prep.Config.
-        [ No_fault; Early_boundary_advance; Mirror_read_on_recovery;
-          Response_before_log_persist; Commit_before_prepare_persist;
-          Manifest_before_segment_seal; Commit_before_copies_persist ]
-  in
-  Arg.(
-    value
-    & opt (enum faults) Prep.Config.No_fault
-    & info [ "fault" ] ~docv:"FAULT" ~doc)
-
 let fuzz_threads_arg = int_arg [ "threads"; "t" ] 6 "Worker threads (1-7)."
 let fuzz_epsilon_arg = int_arg ~docv:"EPS" [ "epsilon"; "e" ] 16 "Flush boundary step."
 let fuzz_log_size_arg = int_arg [ "log-size" ] 256 "Shared log entries."
@@ -530,14 +427,17 @@ let no_crash_arg =
   let doc = "Replay one crash-free episode (quiescent-state check only)." in
   Arg.(value & flag & info [ "no-crash" ] ~doc)
 
+let with_uc_shards = "With " ^ Feature.(flag uc_shards) ^ ": "
+
 let multi_pct_arg =
-  let doc = "With --uc-shards: percent of ops that are multi-key transactions." in
+  let doc = with_uc_shards ^ "percent of ops that are multi-key transactions." in
   Arg.(value & opt int 25 & info [ "multi-pct" ] ~docv:"PCT" ~doc)
 
 let cross_pct_arg =
   let doc =
-    "With --uc-shards: percent of multi-key transactions whose keys land on \
-     different shards (the rest collapse to single-shard commits)."
+    with_uc_shards
+    ^ "percent of multi-key transactions whose keys land on different shards \
+       (the rest collapse to single-shard commits)."
   in
   Arg.(value & opt int 75 & info [ "cross-pct" ] ~docv:"PCT" ~doc)
 
@@ -553,20 +453,19 @@ let verdict violations =
   end
   else `Error (false, "durable-linearizability violations found")
 
-let fuzz iters mode ds threads epsilon log_size ops seed fault crash_op
-    crash_time no_crash features shards multi_pct cross_pct jobs =
+let fuzz iters mode ds threads epsilon log_size ops seed crash_op crash_time
+    no_crash cfg multi_pct cross_pct jobs =
   let (module Ds), gen_op = fuzz_ds ds in
   let module F = Check.Fuzz.Make (Ds) in
   let config =
     validated_config ~ds
       ~beta:Check.Fuzz.topology.Sim.Topology.cores_per_socket
-      { features with
-        Prep.Config.mode; log_size; epsilon; shards; fault;
-        workers = threads }
+      { cfg with Prep.Config.mode; log_size; epsilon; workers = threads }
   in
   match config with
   | Error m -> `Error (true, m)
   | Ok config ->
+  let { Prep.Config.shards; fault; _ } = config in
   if threads < 1 || threads > Check.Fuzz.max_threads then
     `Error
       ( true,
@@ -654,8 +553,8 @@ let fuzz_cmd =
       ret
         (const fuzz $ iters_arg $ variant_arg $ ds_arg $ fuzz_threads_arg
        $ fuzz_epsilon_arg $ fuzz_log_size_arg $ fuzz_ops_arg $ fuzz_seed_arg
-       $ fault_arg $ crash_op_arg $ crash_time_arg $ no_crash_arg
-       $ features_term $ uc_shards_arg $ multi_pct_arg $ cross_pct_arg
+       $ crash_op_arg $ crash_time_arg $ no_crash_arg
+       $ config_term ~faults:true "fuzz" $ multi_pct_arg $ cross_pct_arg
        $ jobs_arg))
 
 (* ---- explore ---- *)
@@ -713,8 +612,9 @@ let no_persistence_arg =
      space. Sound when the scope's total op count stays below --epsilon and \
      the log cannot wrap: combiners never reach a flush boundary, and \
      recovery replays the whole log over the empty checkpoint. Required in \
-     practice for --uc-shards, whose per-shard checkpoint fibers never \
-     quiesce and make the space unbounded."
+     practice for " ^ Feature.(flag uc_shards)
+    ^ ", whose per-shard checkpoint fibers never quiesce and make the space \
+       unbounded."
   in
   Arg.(value & flag & info [ "no-persistence" ] ~doc)
 
@@ -788,22 +688,23 @@ let sharded_explore_gen rng =
   | 2 -> (Seqds.Hashmap.op_get, [| k |])
   | _ -> (Prep.Sharded_uc.op_transfer, [| k; k + 3; 1 |])
 
-let explore mode ds scope fault features max_schedules no_prune shards
-    uc_shards jobs replay crash_step frontier =
+let explore mode ds scope cfg max_schedules no_prune shards jobs replay
+    crash_step frontier =
   let scope = { scope with Check.Explore.prune = not no_prune } in
   let { Check.Explore.threads; epsilon; log_size; _ } = scope in
   let (module Ds), gen_op = fuzz_ds ds in
   let config =
     validated_config ~ds ~beta:scope.Check.Explore.cores_per_socket
-      { features with
-        Prep.Config.mode; log_size; epsilon; shards = uc_shards; fault;
-        workers = threads }
+      { cfg with Prep.Config.mode; log_size; epsilon; workers = threads }
   in
   match config with
   | Error m -> `Error (true, m)
   | Ok config ->
+  let fault = config.Prep.Config.fault in
   let module E = Check.Explore.Make (Ds) in
-  let gen_op = if uc_shards > 1 then sharded_explore_gen else gen_op in
+  let gen_op =
+    if config.Prep.Config.shards > 1 then sharded_explore_gen else gen_op
+  in
   if threads < 1 || threads > Check.Explore.max_threads scope then
     `Error
       ( true,
@@ -842,9 +743,9 @@ let explore_cmd =
           frontier, DPOR-style pruning, replayable decision traces")
     Term.(
       ret
-        (const explore $ variant_arg $ ds_arg $ scope_term $ fault_arg
-       $ features_term $ max_schedules_arg $ no_prune_arg $ shards_arg
-       $ uc_shards_arg $ jobs_arg $ replay_arg $ crash_step_arg $ frontier_arg))
+        (const explore $ variant_arg $ ds_arg $ scope_term
+       $ config_term ~faults:true "explore" $ max_schedules_arg $ no_prune_arg
+       $ shards_arg $ jobs_arg $ replay_arg $ crash_step_arg $ frontier_arg))
 
 (* ---- optimize-persist ---- *)
 
@@ -852,7 +753,8 @@ let op_out_arg =
   Arg.(value
        & opt string "persist-policy.json"
        & info [ "out"; "o" ] ~docv:"FILE"
-           ~doc:"Write the proven policy JSON here (--persist-policy input).")
+           ~doc:(Printf.sprintf "Write the proven policy JSON here (%s input)."
+                   Feature.(flag persist_policy)))
 
 let op_report_arg =
   Arg.(value
@@ -866,19 +768,17 @@ let op_fuzz_iters_arg =
        & info [ "fuzz-iters" ] ~docv:"N"
            ~doc:"Crash episodes in the per-candidate differential fuzz soak.")
 
-let optimize_persist mode ds scope features max_schedules fuzz_iters out
+let optimize_persist mode ds scope cfg max_schedules fuzz_iters out
     report_file =
   let { Check.Explore.threads; epsilon; log_size; seed; _ } = scope in
   match (mode, fuzz_ds ds) with
   | Prep.Config.Volatile, _ ->
     `Error
       (true, "optimize-persist needs a persistent variant (buffered/durable)")
-  | _ when features.Prep.Config.persist_policy <> None ->
-    `Error (true, "optimize-persist derives a --persist-policy; it takes none")
   | mode, ((module Ds), gen_op) ->
     match
       validated_config ~ds ~beta:scope.Check.Explore.cores_per_socket
-        { features with Prep.Config.mode; log_size; epsilon; workers = threads }
+        { cfg with Prep.Config.mode; log_size; epsilon; workers = threads }
     with
     | Error m -> `Error (true, m)
     | Ok config ->
@@ -930,18 +830,20 @@ let optimize_persist_cmd =
   Cmd.v
     (Cmd.info "optimize-persist"
        ~doc:
-         "Infer a minimal per-site persistency policy: measure which \
-          flush/fence sites are hot, greedily propose one-site weakenings \
-          (elide, downgrade, defer) hottest-first, and admit each only if \
-          the bounded-exhaustive explorer exhausts its scope with zero \
-          violations AND a differential crash-fuzz soak stays clean. Emits \
-          the proven policy as JSON for --persist-policy; rejected \
-          candidates are recorded with replayable repro commands")
+         (Printf.sprintf
+            "Infer a minimal per-site persistency policy: measure which \
+             flush/fence sites are hot, greedily propose one-site weakenings \
+             (elide, downgrade, defer) hottest-first, and admit each only if \
+             the bounded-exhaustive explorer exhausts its scope with zero \
+             violations AND a differential crash-fuzz soak stays clean. Emits \
+             the proven policy as JSON for %s; rejected candidates are \
+             recorded with replayable repro commands"
+            Feature.(flag persist_policy)))
     Term.(
       ret
         (const optimize_persist $ variant_arg $ ds_arg $ scope_term
-       $ features_term $ max_schedules_arg $ op_fuzz_iters_arg $ op_out_arg
-       $ op_report_arg))
+       $ config_term "optimize-persist" $ max_schedules_arg $ op_fuzz_iters_arg
+       $ op_out_arg $ op_report_arg))
 
 (* Write a bench-schema artifact; one that fails the schema fails the
    subcommand. *)
@@ -978,8 +880,8 @@ let json_of_outcome ~system ~ds ~threads ~seed (o : Session.outcome) =
       ("duplicated", o.Session.duplicated);
       ("violations", List.length o.Session.violations) ]
 
-let session ds threads ops epsilon log_size crashes seed sessions detect
-    lsm_ckpt fault jobs json =
+let session ds threads ops epsilon log_size crashes seed sessions cfg jobs
+    json =
   let (module Ds), gen_op = fuzz_ds ds in
   let module S = Session.Make (Ds) in
   if threads < 1 || threads > Check.Fuzz.max_threads then
@@ -988,27 +890,21 @@ let session ds threads ops epsilon log_size crashes seed sessions detect
         Printf.sprintf "--threads must be between 1 and %d (got %d)"
           Check.Fuzz.max_threads threads )
   else
-    let cfg =
-      {
-        Session.seed;
-        threads;
-        ops_per_client = ops;
-        epsilon;
-        log_size;
-        crashes;
-        detect;
-        lsm_ckpt;
-        fault;
-      }
-    in
     match
       validated_config ~ds
         ~beta:Check.Fuzz.topology.Sim.Topology.cores_per_socket
-        (Session.uc_config cfg)
+        { cfg with
+          Prep.Config.mode = Prep.Config.Durable; log_size; epsilon;
+          workers = threads }
     with
     | Error m -> `Error (true, m)
-    | Ok uc_cfg ->
-    let outcomes = S.campaign ~j:jobs cfg ~gen_op ~sessions in
+    | Ok uc ->
+    let { Prep.Config.detect; lsm_ckpt; fault; _ } = uc in
+    let outcomes =
+      S.campaign ~j:jobs
+        { Session.seed; ops_per_client = ops; crashes; uc }
+        ~gen_op ~sessions
+    in
     List.iteri
       (fun i (o : Session.outcome) ->
         Printf.printf "session %d (seed %d):\n" i (seed + i);
@@ -1042,7 +938,7 @@ let session ds threads ops epsilon log_size crashes seed sessions detect
       | None -> `Ok ()
       | Some path ->
         let module Sy = Experiment.Systems (Ds) in
-        let system = Sy.system_name ~router:false uc_cfg in
+        let system = Sy.system_name ~router:false uc in
         write_artifact path
           (Printf.sprintf
              "{\n  \"schema_version\": %d,\n\
@@ -1076,15 +972,14 @@ let session ds threads ops epsilon log_size crashes seed sessions detect
       end
     else if dup = 0 && viol = 0 then begin
       Printf.printf
-        "baseline (no --detect): %d crashes, %d lost, 0 duplicated — \
-         losses are the gap --detect closes\n"
-        crashes_tot lost;
+        "baseline (no %s): %d crashes, %d lost, 0 duplicated — losses are \
+         the gap %s closes\n"
+        Feature.(flag detect) crashes_tot lost Feature.(flag detect);
       `Ok ()
     end
     else begin
-      Printf.printf
-        "baseline (no --detect): FAIL (%d duplicated, %d violations)\n" dup
-        viol;
+      Printf.printf "baseline (no %s): FAIL (%d duplicated, %d violations)\n"
+        Feature.(flag detect) dup viol;
       `Error (false, "durable-linearizability violations found")
     end
 
@@ -1092,15 +987,17 @@ let session_cmd =
   Cmd.v
     (Cmd.info "session"
        ~doc:
-         "Crash-restart-continue sessions: scripted clients survive injected \
-          power failures, resume via resolve under --detect, and the \
-          cumulative history is checked for exactly-once application")
+         (Printf.sprintf
+            "Crash-restart-continue sessions: scripted clients survive \
+             injected power failures, resume via resolve under %s, and the \
+             cumulative history is checked for exactly-once application"
+            Feature.(flag detect)))
     Term.(
       ret
         (const session $ ds_arg $ session_threads_arg $ session_ops_arg
        $ session_epsilon_arg $ session_log_size_arg $ session_crashes_arg
-       $ session_seed_arg $ sessions_arg $ detect_arg
-       $ lsm_ckpt_arg $ fault_arg $ jobs_arg $ session_json_arg))
+       $ session_seed_arg $ sessions_arg $ config_term ~faults:true "session"
+       $ jobs_arg $ session_json_arg))
 
 (* ---- sweep: closed-loop threads x read-pct grid, campaign-parallel ---- *)
 
@@ -1123,8 +1020,7 @@ let sweep_json_arg =
   let doc = "Write a bench-schema JSON artifact of the grid to $(docv)." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-let sweep system ds threads_l pcts epsilon keys duration seed features
-    uc_shards jobs json =
+let sweep system ds threads_l pcts epsilon keys duration seed cfg jobs json =
   let fail msg = `Error (true, msg) in
   let max_workers = Sim.Topology.total_cores Sim.Topology.default - 1 in
   if not (is_map ds) then fail (not_a_map ds)
@@ -1138,8 +1034,8 @@ let sweep system ds threads_l pcts epsilon keys duration seed features
          max_workers)
   else
     match
-      experiment_system ~system ~ds ~epsilon ~uc_shards
-        ~workers:(List.fold_left max 1 threads_l) features
+      experiment_system ~system ~ds ~epsilon
+        ~workers:(List.fold_left max 1 threads_l) cfg
     with
     | Error m -> fail m
     | Ok sys ->
@@ -1191,8 +1087,8 @@ let sweep_cmd =
     Term.(
       ret
         (const sweep $ system_arg $ ds_arg $ threads_list_arg $ read_pcts_arg
-       $ epsilon_arg $ keys_arg $ duration_arg $ seed_arg $ features_term
-       $ uc_shards_arg $ jobs_arg $ sweep_json_arg))
+       $ epsilon_arg $ keys_arg $ duration_arg $ seed_arg
+       $ config_term "sweep" $ jobs_arg $ sweep_json_arg))
 
 (* ---- serve-sim: open-loop arrival-process points ---- *)
 
@@ -1221,8 +1117,8 @@ let arrival_of ~arrival rate =
     Workload.Arrival.Bursty
       { rate_low; rate_high = burst_ratio *. rate_low; dwell_ns = 200_000.0 }
 
-let serve_sim system ds threads epsilon read_pct keys duration seed features
-    uc_shards arrival rates_l theta jobs json =
+let serve_sim system ds threads epsilon read_pct keys duration seed cfg
+    arrival rates_l theta jobs json =
   let fail msg = `Error (true, msg) in
   if not (is_map ds) then fail (not_a_map ds)
   else if rates_l = [] then fail "empty --rates list"
@@ -1232,8 +1128,7 @@ let serve_sim system ds threads epsilon read_pct keys duration seed features
     fail "--theta must be 0 (uniform) or in (0,1)"
   else
     match
-      experiment_system ~system ~ds ~epsilon ~uc_shards ~workers:threads
-        features
+      experiment_system ~system ~ds ~epsilon ~workers:threads cfg
     with
     | Error m -> fail m
     | Ok sys ->
@@ -1297,9 +1192,9 @@ let serve_sim_cmd =
     Term.(
       ret
         (const serve_sim $ system_arg $ ds_arg $ threads_arg $ epsilon_arg
-       $ read_pct_arg $ keys_arg $ duration_arg $ seed_arg $ features_term
-       $ uc_shards_arg $ arrival_arg $ rates_arg $ theta_arg $ jobs_arg
-       $ sweep_json_arg))
+       $ read_pct_arg $ keys_arg $ duration_arg $ seed_arg
+       $ config_term "serve-sim" $ arrival_arg $ rates_arg $ theta_arg
+       $ jobs_arg $ sweep_json_arg))
 
 
 let () =

@@ -325,7 +325,7 @@ let max_threads scope = (scope.sockets * scope.cores_per_socket) - 1
 
 (** A copy-pasteable [explore --replay] command for one schedule of
     [scope] under [config], optionally crashing at [crash]. *)
-let repro_command ?(config = Sut.default_config) ~mode ~fault ~ds ~scope
+let repro_command ?(config = Prep.Config.default) ~mode ~fault ~ds ~scope
     decisions crash =
   Printf.sprintf
     "dune exec bin/prep_cli.exe -- explore --variant %s --ds %s --threads %d \

@@ -66,7 +66,7 @@ let crash_flag = function
 (** A copy-pasteable replay of [ep] under [config]: runs exactly one
     episode. A sharded workload's [--multi-pct]/[--cross-pct] belong to
     the generator, not the configuration; the caller appends them. *)
-let repro_command ?(config = Sut.default_config) ~mode ~fault ~ds ep =
+let repro_command ?(config = Prep.Config.default) ~mode ~fault ~ds ep =
   Printf.sprintf
     "dune exec bin/prep_cli.exe -- fuzz --variant %s --ds %s --threads %d \
      --epsilon %d --log-size %d --ops %d --seed %d%s %s"

@@ -7,7 +7,7 @@
     that every one of those instructions is load-bearing. But a few are
     provably not: the combiner's phase-1 payload fence is subsumed by the
     phase-2 fence (a log entry is one cache line, so its payload and
-    emptyBit reach media together; [--flit] installs the same deferral),
+    emptyBit reach media together; [Config.flit] installs the same deferral),
     and the build-time zero-initialisation flushes write values the media
     already holds. This module *derives* that set instead of trusting a
     human: it measures which sites are hot, proposes one-site weakenings
@@ -24,8 +24,8 @@
 
     Rejected candidates are kept in the report with a replayable repro
     command: each one is a machine-found planted fault, and CI replays the
-    canonical rejection (the completedTail elision,
-    [--persist-policy "prep.completed_tail=elide"], also the planted fault
+    canonical rejection (the completedTail elision, the policy spec
+    ["prep.completed_tail=elide"], also the planted fault
     the explorer and fuzzer suites run) to prove the oracles keep their
     teeth.
 
@@ -267,7 +267,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       [template]/[fuzz_iters] drive the measurement run and the fuzz soak;
       [ds] names the data structure in emitted repro commands. Returns the
       proven policy and the full decision log. *)
-  let infer ?(config = Sut.default_config) ?(log = fun (_ : string) -> ())
+  let infer ?(config = Prep.Config.default) ?(log = fun (_ : string) -> ())
       ~mode ~gen_op ~scope ~max_schedules ~template ~fuzz_iters ~ds () =
     let with_policy p = { config with Prep.Config.persist_policy = Some p } in
     let baseline, table = measure ~config ~mode ~gen_op template in

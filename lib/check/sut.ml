@@ -7,7 +7,7 @@
 
     - [Single] wraps one [Prep.Prep_uc] instance. Recovery is judged by
       [Durable_lin] at the mode's loss bound (ε+β−1 buffered, 0 durable),
-      plus the [resolve] consistency check under [--detect];
+      plus the [resolve] consistency check under [Config.detect];
     - [Sharded] wraps [Prep.Sharded_uc] and judges the multi-shard run as
       ONE history: every shard's trace at loss bound 0 with transaction
       prepares whose decision never reached media excused — those are
@@ -26,12 +26,9 @@ type verdict = {
   applied : int;  (** ops present in the recovered state *)
 }
 
-(** Checkers start from [Config.make]'s defaults. *)
-let default_config = Prep.Config.make ~workers:1 ()
-
 (** The configuration a checker runs: [config]'s feature set with the
     checker's own mode, fault, ε, log size and worker count. *)
-let checker_config ?(config = default_config) ~mode ~fault ~epsilon
+let checker_config ?(config = Prep.Config.default) ~mode ~fault ~epsilon
     ~log_size ~workers () =
   { config with Prep.Config.mode; fault; epsilon; log_size; workers }
 

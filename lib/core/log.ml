@@ -158,8 +158,8 @@ let persist_range t ~first ~n =
 (** Persistent fence (durable mode only). The combiner's two-phase persist
     passes its own [site] ([Log_fence_payload] / [Log_fence_publish]) so
     the two fences are separately addressable by the persistency policy:
-    [optimize-persist] proves the payload fence deferrable, and [--flit]
-    installs that deferral ([Prep_uc.build]). *)
+    [optimize-persist] proves the payload fence deferrable, and
+    [Config.flit] installs that deferral ([Prep_uc.build]). *)
 let fence ?(site = Persist.Log_fence) t =
   if t.durable then Memory.sfence ~site t.mem
 

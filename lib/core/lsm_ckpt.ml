@@ -340,7 +340,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     | Seqds.Ds_intf.Keyed { written; read } -> Some (written, read)
     | Seqds.Ds_intf.Read_all -> None
     | Seqds.Ds_intf.Opaque ->
-      invalid_arg "Prep_uc: --lsm-ckpt requires keyed-map operations"
+      invalid_arg
+        ("Prep_uc: " ^ Config.Feature.(flag lsm_ckpt)
+        ^ " requires keyed-map operations")
 
   (** Ensure [key]'s truth is in [ds]: if [view] hasn't resolved it yet,
       look it up in the segment store and [key_put] a live hit. Charged

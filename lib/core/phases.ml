@@ -19,10 +19,10 @@ type t = {
           persistence (combiner side) under detectable execution *)
   seal : Telemetry.Registry.span;
       (** incremental-checkpoint seal: memtable drain, segment builds and
-          the manifest publish ([--lsm-ckpt] only) *)
+          the manifest publish ([Config.lsm_ckpt] only) *)
   compact : Telemetry.Registry.span;
       (** background segment merges on the compaction fiber
-          ([--lsm-ckpt] only) *)
+          ([Config.lsm_ckpt] only) *)
 }
 
 (** The phase names, in canonical display order. *)

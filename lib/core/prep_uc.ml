@@ -1307,7 +1307,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   let snapshot t = t.ckpt.snapshot t.replicas.(0).ds
 
   (** Hash of the instance's ghost (OCaml-heap) progress the memory
-      fingerprints cannot see — stop flag, trace, [--lsm-ckpt] state,
+      fingerprints cannot see — stop flag, trace, [Config.lsm_ckpt] state,
       client seqno counters — for the explorer's state dedup and
       parked-fiber wakes. *)
   let ghost_hash t =

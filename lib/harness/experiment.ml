@@ -280,25 +280,19 @@ module Systems (Ds : Seqds.Ds_intf.S) = struct
   module C = Prep.Cx_puc.Make (Ds)
   module Sh = Prep.Sharded_uc.Make (Ds)
 
-  (* The name a configuration runs under: the mode plus one tag per
-     feature for a single instance; the shard count (and [+lsm]) for the
-     hash router. *)
+  (* The name a configuration runs under: the mode, then the tag of every
+     feature that is on for a single instance, or the shard count and the
+     lsm tag for the hash router. *)
   let system_name ~router (cfg : Prep.Config.t) =
+    let tag (f : Prep.Config.Feature.t) = if f.on cfg then f.name_tag else None in
+    let parts =
+      if router then
+        Printf.sprintf "x%d" cfg.Prep.Config.shards
+        :: Option.to_list (tag Prep.Config.Feature.lsm_ckpt)
+      else List.filter_map tag Prep.Config.Feature.all
+    in
     let mode = Prep.Config.mode_name cfg.Prep.Config.mode in
-    if router then
-      Printf.sprintf "%s/x%d%s" mode cfg.Prep.Config.shards
-        (if cfg.Prep.Config.lsm_ckpt then "+lsm" else "")
-    else
-      let tags =
-        List.filter_map
-          (fun (on, tag) -> if on then Some tag else None)
-          Prep.Config.
-            [ (cfg.flit, "flit"); (cfg.dist_rw, "dist");
-              (cfg.log_mirror, "mir");
-              (cfg.detect, "det"); (cfg.lsm_ckpt, "lsm");
-              (cfg.persist_policy <> None, "pol") ]
-      in
-      if tags = [] then mode else mode ^ "/" ^ String.concat "+" tags
+    if parts = [] then mode else mode ^ "/" ^ String.concat "+" parts
 
   (* [router] puts the hash router ([Sharded_uc]) in front even of one
      shard. Its [sample] adds per-shard [shard<i>/...] keys alongside the
@@ -342,19 +336,15 @@ module Systems (Ds : Seqds.Ds_intf.S) = struct
   let of_config ?name (cfg : Prep.Config.t) =
     build ?name ~router:(cfg.Prep.Config.shards > 1) cfg
 
-  let prep ?log_size ?flush ?flit ?dist_rw ?log_mirror ?detect ?lsm_ckpt
-      ?lsm_fanout ?persist_policy ?name ~mode ~epsilon () =
+  let prep ?log_size ?flush ?flit ?name ~mode ~epsilon () =
     of_config ?name
-      (Prep.Config.make ?log_size ?flush ?flit ?dist_rw ?log_mirror ?detect
-         ?lsm_ckpt ?lsm_fanout ?persist_policy ~mode ~epsilon ~workers:1 ())
+      (Prep.Config.make ?log_size ?flush ?flit ~mode ~epsilon ~workers:1 ())
 
   (** Hash-routed durable shards, the router kept even for [shards = 1]. *)
-  let prep_sharded ?log_size ?flush ?flit ?lsm_ckpt ?lsm_fanout
-      ?persist_policy ?name ~shards ~epsilon () =
-    build ?name ~router:true
-      (Prep.Config.make ?log_size ?flush ?flit ?lsm_ckpt ?lsm_fanout
-         ?persist_policy ~mode:Prep.Config.Durable ~shards ~epsilon
-         ~workers:1 ())
+  let prep_sharded ?log_size ?flit ~shards ~epsilon () =
+    build ~router:true
+      (Prep.Config.make ?log_size ?flit ~mode:Prep.Config.Durable ~shards
+         ~epsilon ~workers:1 ())
 
   let global_lock =
     {

@@ -40,28 +40,24 @@ open Nvm
 
 type config = {
   seed : int;  (** seeds scripts, schedules and crash points *)
-  threads : int;  (** client threads (≤ total cores − 1) *)
   ops_per_client : int;  (** scripted update ops per client *)
-  epsilon : int;
-  log_size : int;
   crashes : int;  (** crash epochs to inject (best effort: a session that
                       finishes early injects fewer) *)
-  detect : bool;  (** detectable execution: resume via [resolve] *)
-  lsm_ckpt : bool;  (** the incremental checkpoint backend *)
-  fault : Prep.Config.fault;  (** planted protocol fault, for the checks' teeth *)
+  uc : Prep.Config.t;
+      (** the PREP-Durable configuration the session runs: its [workers]
+          are the client threads (≤ total cores − 1), [detect] makes
+          clients resume via [resolve], and its planted [fault] gives the
+          checks their teeth *)
 }
 
 let default_config =
   {
     seed = 1;
-    threads = 4;
     ops_per_client = 40;
-    epsilon = 8;
-    log_size = 1024;
     crashes = 3;
-    detect = true;
-    lsm_ckpt = false;
-    fault = Prep.Config.No_fault;
+    uc =
+      Prep.Config.make ~mode:Prep.Config.Durable ~log_size:1024 ~epsilon:8
+        ~detect:true ~workers:4 ();
   }
 
 (** How a session epoch ended. *)
@@ -98,12 +94,6 @@ type outcome = {
   mem_stats : Memory.stats;
 }
 
-(** The PREP-Durable configuration a session runs. *)
-let uc_config (cfg : config) =
-  Prep.Config.make ~mode:Prep.Config.Durable ~log_size:cfg.log_size
-    ~epsilon:cfg.epsilon ~detect:cfg.detect ~lsm_ckpt:cfg.lsm_ckpt
-    ~fault:cfg.fault ~workers:cfg.threads ()
-
 module Make (Ds : Seqds.Ds_intf.S) = struct
   module Uc = Prep.Prep_uc.Make (Ds)
   module Dl = Check.Durable_lin.Make (Ds.Model)
@@ -116,7 +106,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       exactly-once contract is about effects). The session is a
       deterministic function of [cfg]. *)
   let rec run (cfg : config) ~gen_op =
-    if cfg.threads < 1 || cfg.threads > Check.Fuzz.max_threads then
+    let { Prep.Config.workers = threads; detect; _ } = cfg.uc in
+    if threads < 1 || threads > Check.Fuzz.max_threads then
       invalid_arg "Session: thread count out of range";
     if cfg.crashes < 0 then invalid_arg "Session: negative crash count";
     (* calibration: the same session without crashes sizes the
@@ -125,7 +116,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       if cfg.crashes = 0 then None else Some (run { cfg with crashes = 0 } ~gen_op)
     in
     let horizon =
-      Check.Fuzz.wedge_horizon_ns ~ops:(cfg.threads * cfg.ops_per_client)
+      Check.Fuzz.wedge_horizon_ns ~ops:(threads * cfg.ops_per_client)
     in
     let crash_rng =
       Sim.Rng.create (Int64.of_int ((cfg.seed * 1_000_003) + 41))
@@ -151,7 +142,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       go 1_000
     in
     let scripts =
-      Array.init cfg.threads (fun _ ->
+      Array.init threads (fun _ ->
           Array.init cfg.ops_per_client (fun _ -> draw_update script_rng))
     in
     let mem =
@@ -160,11 +151,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         ~sockets:Check.Fuzz.topology.Sim.Topology.sockets
         ~bg_period:Check.Fuzz.bg_period ()
     in
-    let uc_cfg = uc_config cfg in
     (* client ghost state; [next] is rebuilt from [resolve] on restart when
        detectability is on, so it is client knowledge, not an oracle *)
-    let next = Array.make cfg.threads 1 in
-    let submitted = Array.make cfg.threads 0 in
+    let next = Array.make threads 1 in
+    let submitted = Array.make threads 0 in
     let submit_total = ref 0 in
     let resubmit_total = ref 0 in
     let history = ref [] in
@@ -210,9 +200,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
             ~applied:report.Prep.Prep_uc.applied ~completed
             ~recovered_snapshot:(Uc.snapshot uc') ~loss_bound:0 ();
       List.iter (survived old_trace) report.Prep.Prep_uc.applied;
-      if cfg.detect then begin
+      if detect then begin
         let resolutions =
-          List.init cfg.threads (fun w -> (tid w, Uc.resolve uc' ~tid:(tid w)))
+          List.init threads (fun w -> (tid w, Uc.resolve uc' ~tid:(tid w)))
         in
         violations :=
           !violations
@@ -247,10 +237,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           ~preempt_prob:Check.Fuzz.preempt_prob ~mem ~horizon ~crash
           ~set_up:(fun () ->
             match !uc_ref with
-            | None -> Some (Uc.create mem (Roots.make mem) uc_cfg)
+            | None -> Some (Uc.create mem (Roots.make mem) cfg.uc)
             | Some old_uc -> restart old_uc)
           ~body:(Option.iter @@ fun uc ->
-            Check.Epoch.run_workers ~threads:cfg.threads
+            Check.Epoch.run_workers ~threads
               ~start:(fun () -> Uc.start_persistence uc)
               ~finish:(fun () ->
                 Uc.stop uc;
@@ -310,10 +300,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     end;
     let history = List.rev !history in
     let scripted =
-      if not cfg.detect then []
+      if not detect then []
       else
         List.concat
-          (List.init cfg.threads (fun w ->
+          (List.init threads (fun w ->
                List.init cfg.ops_per_client (fun i -> (tid w, i + 1))))
     in
     violations :=
@@ -331,9 +321,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
        per-thread totals otherwise (seqno tags are only written under
        [detect]) — sound because without resubmission each scripted op is
        submitted, hence applied, at most once *)
-    let total_scripted = cfg.threads * cfg.ops_per_client in
+    let total_scripted = threads * cfg.ops_per_client in
     let lost, duplicated =
-      if cfg.detect then begin
+      if detect then begin
         let counts = Hashtbl.create 256 in
         List.iter
           (fun (t, s, _, _) ->
@@ -342,7 +332,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                 (1 + Option.value ~default:0 (Hashtbl.find_opt counts (t, s))))
           history;
         let lost = ref 0 and dup = ref 0 in
-        for w = 0 to cfg.threads - 1 do
+        for w = 0 to threads - 1 do
           for s = 1 to cfg.ops_per_client do
             match Hashtbl.find_opt counts (tid w, s) with
             | None -> incr lost
@@ -360,7 +350,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
               (1 + Option.value ~default:0 (Hashtbl.find_opt per_tid t)))
           history;
         let lost = ref 0 in
-        for w = 0 to cfg.threads - 1 do
+        for w = 0 to threads - 1 do
           let n = Option.value ~default:0 (Hashtbl.find_opt per_tid (tid w)) in
           lost := !lost + max 0 (cfg.ops_per_client - n)
         done;

@@ -21,7 +21,7 @@
       asynchronous CLWB, or defer an SFENCE to the next emitted fence.
     - [policy]: a site-indexed action table, serializable to/from JSON so
       an inferred set can flow between [optimize-persist], the fuzzer, the
-      explorer and the benchmarks ([--persist-policy]).
+      explorer and the benchmarks ([Config.persist_policy]).
 
     The inference pass that searches this space lives in
     [Check.Persist_infer]; this module is mechanism only. *)

@@ -138,14 +138,12 @@ let test_fuzz_counterexample_equivalence () =
 
 let session_cfg ~seed =
   {
-    Harness.Session.default_config with
     Harness.Session.seed;
-    threads = 3;
     ops_per_client = 12;
-    epsilon = 4;
-    log_size = 256;
     crashes = 2;
-    detect = true;
+    uc =
+      Config.make ~mode:Config.Durable ~log_size:256 ~epsilon:4 ~detect:true
+        ~workers:3 ();
   }
 
 let test_session_campaign_parallel_identical () =

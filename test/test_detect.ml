@@ -323,14 +323,12 @@ let test_detect_invisible_without_crash () =
 
 let session_cfg ~seed ~crashes ~detect =
   {
-    Harness.Session.default_config with
     Harness.Session.seed;
-    threads = 3;
     ops_per_client = 12;
-    epsilon = 4;
-    log_size = 256;
     crashes;
-    detect;
+    uc =
+      Config.make ~mode:Config.Durable ~log_size:256 ~epsilon:4 ~detect
+        ~workers:3 ();
   }
 
 let test_session_exactly_once_with_detect () =

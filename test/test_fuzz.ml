@@ -865,8 +865,10 @@ module S_stuck = Harness.Session.Make (Stuck)
 let test_session_wedge_is_a_failure () =
   let gen_op rng = (H.op_insert, [| Sim.Rng.int rng 64; 1 |]) in
   let cfg =
-    { Harness.Session.default_config with
-      Harness.Session.threads = 2; ops_per_client = 2 }
+    let d = Harness.Session.default_config in
+    { d with
+      Harness.Session.ops_per_client = 2;
+      uc = { d.Harness.Session.uc with Config.workers = 2 } }
   in
   let horizon_ns = Check.Fuzz.wedge_horizon_ns ~ops:4 in
   List.iter
@@ -896,9 +898,12 @@ let test_session_recovery_raise_is_a_failure () =
   in
   let o =
     S_rbtree.run
-      { Harness.Session.default_config with
-        Harness.Session.crashes = 6;
-        fault = Config.Commit_before_copies_persist }
+      (let d = Harness.Session.default_config in
+       { d with
+         Harness.Session.crashes = 6;
+         uc =
+           { d.Harness.Session.uc with
+             Config.fault = Config.Commit_before_copies_persist } })
       ~gen_op
   in
   (match o.Harness.Session.violations with

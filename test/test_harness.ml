@@ -53,8 +53,9 @@ let test_experiment_produces_throughput () =
     Experiment.run ~topology:small_topology ~duration_ns:500_000
       ~warmup_ns:100_000
       ~system:
-        (Hm.prep ~log_size:4096 ~dist_rw:true ~mode:Prep.Config.Buffered
-           ~epsilon:512 ())
+        (Hm.of_config
+           (Prep.Config.make ~log_size:4096 ~dist_rw:true
+              ~mode:Prep.Config.Buffered ~epsilon:512 ~workers:1 ()))
       ~workload:(Workload.map_workload ~read_pct:90 ~key_range:512 ~prefill_n:256)
       ~workers:4 ()
   in
@@ -99,15 +100,23 @@ let test_system_names () =
     [
       ("PREP-V", Hm.prep ~mode:Prep.Config.Volatile ~epsilon:1 ());
       ( "PREP-Durable/flit+lsm",
-        Hm.prep ~flit:true ~lsm_ckpt:true ~mode:Prep.Config.Durable
-          ~epsilon:64 () );
+        Hm.of_config
+          (Prep.Config.make ~flit:true ~lsm_ckpt:true
+             ~mode:Prep.Config.Durable ~epsilon:64 ~workers:1 ()) );
       ( "PREP-Buffered/dist+mir+pol",
-        Hm.prep ~dist_rw:true ~log_mirror:true
-          ~persist_policy:(Nvm.Persist.default ()) ~mode:Prep.Config.Buffered
-          ~epsilon:64 () );
-      ("PREP-Durable/det", Hm.prep ~detect:true ~mode:Prep.Config.Durable ~epsilon:64 ());
+        Hm.of_config
+          (Prep.Config.make ~dist_rw:true ~log_mirror:true
+             ~persist_policy:(Nvm.Persist.default ())
+             ~mode:Prep.Config.Buffered ~epsilon:64 ~workers:1 ()) );
+      ( "PREP-Durable/det",
+        Hm.of_config
+          (Prep.Config.make ~detect:true ~mode:Prep.Config.Durable
+             ~epsilon:64 ~workers:1 ()) );
       ("PREP-Durable/x4", Hm.prep_sharded ~flit:true ~shards:4 ~epsilon:64 ());
-      ("PREP-Durable/x4+lsm", Hm.prep_sharded ~lsm_ckpt:true ~shards:4 ~epsilon:64 ());
+      ( "PREP-Durable/x4+lsm",
+        Hm.of_config
+          (Prep.Config.make ~lsm_ckpt:true ~mode:Prep.Config.Durable ~shards:4
+             ~epsilon:64 ~workers:1 ()) );
       ("PREP-Durable/x1", Hm.prep_sharded ~shards:1 ~epsilon:64 ());
       ( "PREP-Durable/x4",
         Hm.of_config
@@ -115,20 +124,64 @@ let test_system_names () =
              ~log_mirror:true ~shards:4 ~workers:1 ()) );
     ]
 
-(* The CLI refuses exactly what [Config.validate] refuses: every subset of
-   the boolean feature flags, with and without sharding, on every PREP
-   mode and one non-PREP system, which takes no feature flag at all. An
-   accepted run's first line names the system [Systems.of_config] names. *)
-let test_cli_refuses_what_config_refuses () =
-  let cli =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bin/prep_cli.exe"
+let cli =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/prep_cli.exe"
+
+(* Run [prep_cli args]; its exit code, stdout and stderr. *)
+let run_cli args =
+  let out = Filename.temp_file "cli" ".out" and err = Filename.temp_file "cli" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote cli) args
+         (Filename.quote out) (Filename.quote err))
   in
-  let flags =
-    [| "--flit"; "--dist-rw"; "--log-mirror"; "--detect"; "--lsm-ckpt" |]
+  let read f = In_channel.with_open_text f In_channel.input_all in
+  let o = read out and e = read err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, o, e)
+
+(* The [--flag]s a text names, sorted and without repeats. *)
+let long_flags text =
+  let n = String.length text in
+  let flag_char c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-' in
+  let rec go i acc =
+    if i + 2 >= n then List.sort_uniq compare acc
+    else if text.[i] = '-' && text.[i + 1] = '-' && text.[i + 2] >= 'a'
+            && text.[i + 2] <= 'z' && (i = 0 || text.[i - 1] <> '-')
+    then begin
+      let j = ref (i + 2) in
+      while !j < n && flag_char text.[!j] do incr j done;
+      go !j (String.sub text i (!j - i) :: acc)
+    end
+    else go (i + 1) acc
+  in
+  go 0 []
+
+let help_flags sub =
+  let code, help, _ = run_cli (sub ^ " --help=plain") in
+  check ("help of " ^ sub) 0 code;
+  long_flags help
+
+module Feature = Prep.Config.Feature
+
+(* The CLI refuses exactly what [Config.validate] refuses: every subset of
+   the feature table's switches that [run] takes, with and without
+   sharding, on every PREP mode and one non-PREP system, which takes no
+   feature flag at all. An accepted run's first line names the system
+   [Systems.of_config] names. *)
+let test_cli_refuses_what_config_refuses () =
+  let switches =
+    List.filter_map
+      (fun (f : Feature.t) ->
+        match f.value with
+        | Feature.Flag set when List.mem "run" f.subcommands ->
+          Some (Feature.flag f, set)
+        | Feature.Flag _ | Feature.Int _ | Feature.Spec _ -> None)
+      Feature.all
   in
   let beta = Sim.Topology.default.Sim.Topology.cores_per_socket in
-  let log = Filename.temp_file "cli_config" ".out" in
-  for mask = 0 to (1 lsl Array.length flags) - 1 do
+  for mask = 0 to (1 lsl List.length switches) - 1 do
     let on i = mask land (1 lsl i) <> 0 in
     List.iter
       (fun shards ->
@@ -139,9 +192,11 @@ let test_cli_refuses_what_config_refuses () =
               | None -> if mask = 0 && shards = 1 then Some "GL" else None
               | Some mode -> (
                 let cfg =
-                  Prep.Config.make ~mode ~log_size:16384 ~epsilon:1024
-                    ~flit:(on 0) ~dist_rw:(on 1) ~log_mirror:(on 2)
-                    ~detect:(on 3) ~lsm_ckpt:(on 4) ~shards ~workers:2 ()
+                  List.fold_left
+                    (fun cfg (i, (_, set)) -> set cfg (on i))
+                    (Prep.Config.make ~mode ~log_size:16384 ~epsilon:1024
+                       ~shards ~workers:2 ())
+                    (List.mapi (fun i s -> (i, s)) switches)
                 in
                 match Prep.Config.validate cfg ~beta with
                 | () -> Some (Hm.of_config cfg).Experiment.sys_name
@@ -154,33 +209,94 @@ let test_cli_refuses_what_config_refuses () =
                 system shards
                 (String.concat ""
                    (List.filteri (fun i _ -> on i)
-                      (List.map (fun f -> " " ^ f) (Array.to_list flags))))
+                      (List.map (fun (f, _) -> " " ^ f) switches)))
             in
-            let code =
-              Sys.command
-                (Printf.sprintf "%s %s > %s 2>/dev/null" (Filename.quote cli)
-                   args (Filename.quote log))
-            in
-            let first =
-              In_channel.with_open_text log In_channel.input_line
-              |> Option.value ~default:""
-            in
+            let code, out, _ = run_cli args in
+            let first = List.hd (String.split_on_char '\n' out) in
             match want with
             | None -> check ("usage error from " ^ args) 124 code
             | Some name ->
               check ("exit code of " ^ args) 0 code;
-              let prefix = name ^ " | " in
               check_bool
                 (Printf.sprintf "%s: first line %S names %s" args first name)
                 true
-                (String.length first >= String.length prefix
-                && String.sub first 0 (String.length prefix) = prefix))
+                (String.starts_with ~prefix:(name ^ " | ") first))
           [ ("prep-v", Some Prep.Config.Volatile);
             ("prep-buffered", Some Prep.Config.Buffered);
             ("prep-durable", Some Prep.Config.Durable); ("gl", None) ])
       [ 1; 2 ]
-  done;
-  Sys.remove log
+  done
+
+(* A repro names only flags its checker takes: with every table entry on
+   and a planted fault, each flag [Config.to_flags] renders is an option
+   of [fuzz] and of [explore]. *)
+let test_repro_flags_are_checker_options () =
+  let cfg =
+    List.fold_left
+      (fun cfg (f : Feature.t) ->
+        match f.value with
+        | Feature.Flag set -> set cfg true
+        | Feature.Int { get; set; _ } -> set cfg (get cfg + 1)
+        | Feature.Spec { load; _ } ->
+          Result.get_ok (load cfg "log.fence_payload=defer-to-next-fence"))
+      { Prep.Config.default with fault = Prep.Config.Early_boundary_advance }
+      Feature.all
+  in
+  let rendered = long_flags (Prep.Config.to_flags cfg) in
+  check "every entry and the fault rendered" (List.length Feature.all + 1)
+    (List.length rendered);
+  List.iter
+    (fun sub ->
+      let options = help_flags sub in
+      List.iter
+        (fun flag ->
+          check_bool (Printf.sprintf "%s takes %s" sub flag) true
+            (List.mem flag options))
+        rendered)
+    [ "fuzz"; "explore" ]
+
+(* A refusal names only flags its subcommand takes: every subcommand with
+   a [--fault], given every fault name on a tiny scope, either runs or
+   is refused with a message whose [--flag]s are all in its help. *)
+let test_fault_refusals_name_own_flags () =
+  let _, top, _ = run_cli "--help=plain" in
+  (* the COMMANDS section lists each subcommand as "       NAME [OPTION]…" *)
+  let rec commands in_section = function
+    | [] -> []
+    | line :: rest when String.trim line = "COMMANDS" -> commands true rest
+    | line :: _ when in_section && line <> "" && line.[0] <> ' ' -> []
+    | line :: rest -> (
+      match String.split_on_char ' ' (String.trim line) with
+      | [ sub; "[OPTION]…" ] when in_section -> sub :: commands true rest
+      | _ -> commands in_section rest)
+  in
+  let subs =
+    commands false (String.split_on_char '\n' top)
+    |> List.filter (fun sub -> List.mem "--fault" (help_flags sub))
+  in
+  check_bool "fuzz, explore and session take --fault" true
+    (List.for_all (fun s -> List.mem s subs) [ "fuzz"; "explore"; "session" ]);
+  let tiny = function
+    | "fuzz" -> " --iters 1 --ops 2 --threads 1"
+    | "explore" -> " --threads 1 --ops 1 --max-schedules 1"
+    | "session" -> " --threads 1 --ops 1 --crashes 0"
+    | _ -> ""
+  in
+  List.iter
+    (fun sub ->
+      let options = help_flags sub in
+      List.iter
+        (fun (p : Prep.Config.Fault.t) ->
+          let args = Printf.sprintf "%s --fault %s%s" sub p.name (tiny sub) in
+          let _, _, err = run_cli args in
+          List.iter
+            (fun flag ->
+              check_bool
+                (Printf.sprintf "%s: stderr names %s, an option of %s" args flag sub)
+                true (List.mem flag options))
+            (long_flags err))
+        Prep.Config.Fault.all)
+    subs
 
 (* A prefill whose simulated build outlasts 1,000 x (warmup + window) is
    not a wedge. Both runs below spend longer than that in their 20k-key
@@ -189,9 +305,6 @@ let test_cli_refuses_what_config_refuses () =
    after set-up has returned and counts the horizon from there; the
    open-loop runner shares the driver. *)
 let test_horizon_starts_after_set_up () =
-  let cli =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bin/prep_cli.exe"
-  in
   let out = Filename.temp_file "cli_horizon" ".out" in
   let code =
     Sys.command
@@ -482,6 +595,10 @@ let () =
           Alcotest.test_case "system names" `Quick test_system_names;
           Alcotest.test_case "CLI refuses what Config refuses" `Slow
             test_cli_refuses_what_config_refuses;
+          Alcotest.test_case "repro flags are checker options" `Quick
+            test_repro_flags_are_checker_options;
+          Alcotest.test_case "fault refusals name only their own flags" `Slow
+            test_fault_refusals_name_own_flags;
           Alcotest.test_case "wedge horizon starts after set-up" `Quick
             test_horizon_starts_after_set_up;
           Alcotest.test_case "closed-loop wedge fails the run" `Quick

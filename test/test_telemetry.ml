@@ -267,8 +267,10 @@ let run_point ?telemetry () =
   Experiment.run ?telemetry ~seed:90L ~topology:small_topology
     ~duration_ns:400_000 ~warmup_ns:50_000
     ~system:
-      (Hm.prep ~log_size:4096 ~flit:true ~dist_rw:true ~log_mirror:true
-         ~mode:Prep.Config.Durable ~epsilon:256 ())
+      (Hm.of_config
+         (Prep.Config.make ~log_size:4096 ~flit:true ~dist_rw:true
+            ~log_mirror:true ~mode:Prep.Config.Durable ~epsilon:256 ~workers:1
+            ()))
     ~workload:(Workload.map_workload ~read_pct:50 ~key_range:512 ~prefill_n:128)
     ~workers:5 ()
 
