@@ -3,11 +3,22 @@
     The address space is divided into fixed-size arenas, each homed on a
     NUMA socket and backed by either DRAM (volatile) or NVM. All stores
     first take effect in the coherent view ([values]) and dirty their cache
-    line; NVM arenas additionally carry a [media] array holding the last
+    line; NVM arenas additionally carry a [media] view holding the last
     *persisted* value of every word. A line's contents reach media only via
     [clwb]+[sfence], [clflush], [wbinvd], or a random seeded *background
     flush* — the cache-coherence-induced write-backs the paper warns about
     (§2.2, §4.1). [crash] discards everything except media.
+
+    Both views are paged: an arena's [values] (and an NVM arena's [media])
+    is a table of [page_words]-word pages that all start as one shared,
+    never-written [zero_page]; a page gets its own array at the first
+    store of a non-zero word, so an arena costs what its program wrote,
+    not [arena_words]. [crash] copies an NVM arena's media pages that were
+    written into its values and points every other page, and every DRAM
+    page, back at the zero page; [snapshot] copies only written pages and
+    [restore] copies them back. Paging is invisible to the simulation:
+    addresses, [arena_words], the dirty map, every charged cost and the
+    four fingerprints are those of one flat array per view.
 
     The write-pending queue (WPQ) holds at most one capture per line: a
     [clwb] captures the line's current contents, replacing any earlier
@@ -29,6 +40,14 @@ let arena_shift = 16
 let arena_words = 1 lsl arena_shift (* 65536 words per arena *)
 let line_words = 8
 let lines_per_arena = arena_words / line_words
+let page_shift = 9
+let page_words = 1 lsl page_shift (* 512 words, 64 lines, per page *)
+let pages_per_arena = arena_words / page_words
+
+(* Every page no store has written. Shared by every arena of every memory,
+   in every domain, so it is only ever read: [set_page_word] gives a page
+   its own array before the first non-zero store into it. *)
+let zero_page = Array.make page_words 0
 
 let null = 0
 
@@ -38,8 +57,8 @@ type arena = {
   aid : int;
   kind : kind;
   home : int; (* socket the arena is homed on *)
-  values : int array; (* coherent view, what loads observe *)
-  media : int array; (* persisted view; length 0 for DRAM arenas *)
+  values : int array array; (* coherent view's pages, what loads observe *)
+  media : int array array; (* persisted view's pages; [||] for DRAM arenas *)
   dirty : Bytes.t; (* per line: 0 = clean, 1 + socket = dirty in that socket's cache *)
 }
 
@@ -280,8 +299,8 @@ let new_arena m ~kind ~home =
       aid;
       kind;
       home;
-      values = Array.make arena_words 0;
-      media = (match kind with Nvm -> Array.make arena_words 0 | Dram -> [||]);
+      values = Array.make pages_per_arena zero_page;
+      media = (match kind with Nvm -> Array.make pages_per_arena zero_page | Dram -> [||]);
       dirty = Bytes.make lines_per_arena '\000';
     }
   in
@@ -300,25 +319,58 @@ let addr_of ~aid ~offset = (aid lsl arena_shift) lor offset
 
 let is_nvm m addr = (arena_of_addr m addr).kind = Nvm
 
+(* ---- pages ---- *)
+
+let get pages off = pages.(off lsr page_shift).(off land (page_words - 1))
+
+(* Store [v] at [off], whose word differs from [v]. A zero page gets its
+   own array first; the store is then a non-zero one, as the zero page
+   reads 0. *)
+let set_page_word pages off v =
+  let p = off lsr page_shift in
+  let page = pages.(p) in
+  let page =
+    if page == zero_page then begin
+      let own = Array.make page_words 0 in
+      pages.(p) <- own;
+      own
+    end
+    else page
+  in
+  page.(off land (page_words - 1)) <- v
+
+(* The [n] words from [off], a fresh array; the span may cross pages. *)
+let sub pages off n =
+  let first = off land (page_words - 1) in
+  if first + n <= page_words then Array.sub pages.(off lsr page_shift) first n
+  else Array.init n (fun i -> get pages (off + i))
+
+(* Make page [p] of [pages] hold [src]'s words, copying only a written
+   page and reusing [pages]' own array where it has one. *)
+let copy_page pages p src =
+  if src == zero_page then pages.(p) <- zero_page
+  else if pages.(p) == zero_page then pages.(p) <- Array.copy src
+  else Array.blit src 0 pages.(p) 0 page_words
+
 (* Every mutation of [values]/[media] funnels through these two setters so
-   the incremental fingerprints can never drift from the arrays. *)
+   the incremental fingerprints can never drift from the pages. *)
 
 let set_value m arena off v =
-  let old = arena.values.(off) in
+  let old = get arena.values off in
   if old <> v then begin
     let addr = addr_of ~aid:arena.aid ~offset:off in
     m.m_value_hash <-
       m.m_value_hash lxor word_h addr old lxor word_h addr v;
-    arena.values.(off) <- v
+    set_page_word arena.values off v
   end
 
 let set_media_word m arena off v =
-  let old = arena.media.(off) in
+  let old = get arena.media off in
   if old <> v then begin
     let addr = addr_of ~aid:arena.aid ~offset:off in
     m.m_media_hash <-
       m.m_media_hash lxor word_h addr old lxor word_h addr v;
-    arena.media.(off) <- v
+    set_page_word arena.media off v
   end
 
 (* ---- cost accounting ---- *)
@@ -344,7 +396,7 @@ let commit_line_to_media m arena line =
   if arena.kind = Nvm then begin
     let base = line * line_words in
     for i = 0 to line_words - 1 do
-      set_media_word m arena (base + i) arena.values.(base + i)
+      set_media_word m arena (base + i) (get arena.values (base + i))
     done
   end
 
@@ -408,7 +460,7 @@ let read m addr =
   Sim.tick cost;
   tel_op m "read" cost;
   m.m_stats.reads <- m.m_stats.reads + 1;
-  let v = arena.values.(off) in
+  let v = get arena.values off in
   access_point m (dirty_key arena.aid line) ~addr ~write:false v;
   v
 
@@ -440,10 +492,10 @@ let read_words m addr n =
    | Some _ ->
      for line = first_line to last_line do
        let key = dirty_key arena.aid line in
-       let words = Array.sub arena.values (line * line_words) line_words in
+       let words = sub arena.values (line * line_words) line_words in
        access_point m key ~addr:(-1) ~write:false (words_h key words)
      done);
-  Array.sub arena.values off n
+  sub arena.values off n
 
 (** Load the [n] words from [addr] one cache line at a time, one
     [read_words] per line, and call [f i v] on word [addr + i], in order:
@@ -529,7 +581,7 @@ let cas m addr ~expected ~desired =
      wake every parked fiber in the explorer's await machinery (two CAS
      spinners would then wake each other forever). Read-vs-write conflicts
      still give the sleep sets the dependency they need. *)
-  if arena.values.(off) = expected then begin
+  if get arena.values off = expected then begin
     access_point m (dirty_key arena.aid line) ~addr ~write:true expected;
     set_value m arena off desired;
     mark_dirty m arena line (Sim.socket ());
@@ -538,7 +590,7 @@ let cas m addr ~expected ~desired =
   end
   else begin
     access_point m (dirty_key arena.aid line) ~addr ~write:false
-      arena.values.(off);
+      (get arena.values off);
     false
   end
 
@@ -552,7 +604,7 @@ let faa m addr delta =
   let cost = c.Sim.Costs.cas + access_cost m arena ~line_dirty:true in
   Sim.tick cost;
   tel_op m "faa" cost;
-  let old = arena.values.(off) in
+  let old = get arena.values off in
   set_value m arena off (old + delta);
   mark_dirty m arena line (Sim.socket ());
   access_point m (dirty_key arena.aid line) ~addr ~write:true old;
@@ -606,7 +658,7 @@ let clwb ~site m addr =
        (re-)queue the line's current contents rather than mutating a
        possibly-orphaned capture *)
     wpq_prune m arena line;
-    let words = Array.sub arena.values base line_words in
+    let words = sub arena.values base line_words in
     Hashtbl.replace m.m_wpq key words;
     m.m_wpq_hash <- m.m_wpq_hash lxor pending_entry_h key words;
     clear_dirty m arena line;
@@ -774,18 +826,28 @@ let flush_arena ~site m aid =
 
 (* ---- crash and inspection (no simulated cost: harness-side) ---- *)
 
+(* Clean every dirty line's byte in the arenas' dirty maps, leaving the
+   per-socket tables to the caller. *)
+let clean_dirty_bytes m =
+  Array.iter
+    (Hashtbl.iter (fun key () ->
+         Bytes.set_uint8 m.m_arenas.(key / lines_per_arena).dirty
+           (key mod lines_per_arena) 0))
+    m.m_dirty_by_socket
+
 (** Full-system power failure: caches and DRAM vanish; only NVM media
-    survives. The coherent view of every NVM arena is rebuilt from media;
-    DRAM arenas are zeroed. *)
+    survives. The coherent view of every NVM arena is rebuilt from media,
+    copying only the media pages that were written; DRAM arenas read zero
+    again. *)
 let crash m =
   tel_instant m "crash";
   for aid = 0 to m.m_count - 1 do
     let arena = m.m_arenas.(aid) in
-    (match arena.kind with
-     | Nvm -> Array.blit arena.media 0 arena.values 0 arena_words
-     | Dram -> Array.fill arena.values 0 arena_words 0);
-    Bytes.fill arena.dirty 0 (Bytes.length arena.dirty) '\000'
+    match arena.kind with
+    | Nvm -> Array.iteri (copy_page arena.values) arena.media
+    | Dram -> Array.fill arena.values 0 pages_per_arena zero_page
   done;
+  clean_dirty_bytes m;
   Array.iter Hashtbl.reset m.m_dirty_by_socket;
   Hashtbl.reset m.m_wpq;
   (* post-crash the coherent view of NVM equals media and DRAM is all
@@ -796,13 +858,13 @@ let crash m =
   m.m_wpq_hash <- 0
 
 (** Read a word without charging simulated time (test/assertion helper). *)
-let peek m addr = (arena_of_addr m addr).values.(offset_of_addr addr)
+let peek m addr = get (arena_of_addr m addr).values (offset_of_addr addr)
 
 (** Read a word as it would be recovered after a crash right now. *)
 let peek_media m addr =
   let arena = arena_of_addr m addr in
   match arena.kind with
-  | Nvm -> arena.media.(offset_of_addr addr)
+  | Nvm -> get arena.media (offset_of_addr addr)
   | Dram -> 0
 
 let arena_kind m aid = m.m_arenas.(aid).kind
@@ -844,10 +906,10 @@ let line_commit_delta m key =
   let d = ref 0 in
   for i = 0 to line_words - 1 do
     let off = base + i in
-    if arena.values.(off) <> arena.media.(off) then begin
+    let v = get arena.values off and w = get arena.media off in
+    if v <> w then begin
       let addr = addr_of ~aid ~offset:off in
-      d := !d lxor word_h addr arena.values.(off)
-           lxor word_h addr arena.media.(off)
+      d := !d lxor word_h addr v lxor word_h addr w
     end
   done;
   !d
@@ -861,11 +923,11 @@ let commit_line m key =
 
 type snap = {
   s_count : int;
-  s_values : int array array;
-  s_media : int array array;
-  s_dirty : Bytes.t array;
-  s_dirty_tbls : (int, unit) Hashtbl.t array;
-  s_wpq : (int, int array) Hashtbl.t;
+  s_values : int array array array;
+      (* per arena, copies of its value pages; [||] when none was written *)
+  s_media : int array array array; (* the same for media pages *)
+  s_dirty : int array array; (* per socket, its dirty lines' keys *)
+  s_wpq : (int * int array) array;
   s_flit : bool;
   s_value_hash : int;
   s_media_hash : int;
@@ -875,16 +937,28 @@ type snap = {
   s_countdown : int;
 }
 
-(** Capture the complete simulated-memory state. Pending-line captures are
-    immutable once queued, so they are shared, not copied. *)
+(* Copies of [pages]' written pages, sharing the zero page. *)
+let snap_pages pages =
+  if Array.for_all (fun page -> page == zero_page) pages then [||]
+  else Array.map (fun page -> if page == zero_page then page else Array.copy page) pages
+
+let restore_pages pages copies =
+  if Array.length copies = 0 then Array.fill pages 0 (Array.length pages) zero_page
+  else Array.iteri (copy_page pages) copies
+
+(** Capture the complete simulated-memory state, copying only written
+    pages. The dirty map is kept as its per-socket tables' keys, which
+    say every line's byte. Pending-line captures are immutable once
+    queued, so they are shared, not copied. Tables are listed in their
+    iteration order, so a restore rebuilds them as they were. *)
 let snapshot m =
+  let arenas = Array.sub m.m_arenas 0 m.m_count in
   {
     s_count = m.m_count;
-    s_values = Array.init m.m_count (fun i -> Array.copy m.m_arenas.(i).values);
-    s_media = Array.init m.m_count (fun i -> Array.copy m.m_arenas.(i).media);
-    s_dirty = Array.init m.m_count (fun i -> Bytes.copy m.m_arenas.(i).dirty);
-    s_dirty_tbls = Array.map Hashtbl.copy m.m_dirty_by_socket;
-    s_wpq = Hashtbl.copy m.m_wpq;
+    s_values = Array.map (fun a -> snap_pages a.values) arenas;
+    s_media = Array.map (fun a -> snap_pages a.media) arenas;
+    s_dirty = Array.map (fun tbl -> Array.of_seq (Hashtbl.to_seq_keys tbl)) m.m_dirty_by_socket;
+    s_wpq = Array.of_seq (Hashtbl.to_seq m.m_wpq);
     s_flit = m.m_flit;
     s_value_hash = m.m_value_hash;
     s_media_hash = m.m_media_hash;
@@ -899,22 +973,26 @@ let snapshot m =
     as if the interlude never happened. A snapshot may be restored any
     number of times. *)
 let restore m s =
+  clean_dirty_bytes m;
   m.m_count <- s.s_count;
   for aid = 0 to s.s_count - 1 do
     let a = m.m_arenas.(aid) in
-    Array.blit s.s_values.(aid) 0 a.values 0 arena_words;
-    if Array.length a.media > 0 then
-      Array.blit s.s_media.(aid) 0 a.media 0 arena_words;
-    Bytes.blit s.s_dirty.(aid) 0 a.dirty 0 (Bytes.length a.dirty)
+    restore_pages a.values s.s_values.(aid);
+    restore_pages a.media s.s_media.(aid)
   done;
   Array.iteri
-    (fun i tbl ->
-      let dst = m.m_dirty_by_socket.(i) in
+    (fun socket keys ->
+      let dst = m.m_dirty_by_socket.(socket) in
       Hashtbl.reset dst;
-      Hashtbl.iter (fun k () -> Hashtbl.replace dst k ()) tbl)
-    s.s_dirty_tbls;
+      Array.iter
+        (fun key ->
+          Bytes.set_uint8 m.m_arenas.(key / lines_per_arena).dirty
+            (key mod lines_per_arena) (socket + 1);
+          Hashtbl.replace dst key ())
+        keys)
+    s.s_dirty;
   Hashtbl.reset m.m_wpq;
-  Hashtbl.iter (fun k v -> Hashtbl.replace m.m_wpq k v) s.s_wpq;
+  Array.iter (fun (k, v) -> Hashtbl.replace m.m_wpq k v) s.s_wpq;
   m.m_flit <- s.s_flit;
   m.m_value_hash <- s.s_value_hash;
   m.m_media_hash <- s.s_media_hash;

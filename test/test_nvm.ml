@@ -717,6 +717,267 @@ let prop_alloc_blocks_disjoint =
           in
           disjoint blocks))
 
+(* ---- paged memory ---- *)
+
+(* An independent model of the memory: one flat table per view, keyed by
+   address (absent = 0), the dirty lines with their socket and the
+   write-pending queue's captures. *)
+type model = {
+  mutable kinds : Memory.kind array; (* per live arena *)
+  values : (int, int) Hashtbl.t;
+  media : (int, int) Hashtbl.t;
+  dirty : (int, int) Hashtbl.t; (* line key -> socket *)
+  wpq : (int, int array) Hashtbl.t; (* line key -> captured words *)
+}
+
+let model_copy md =
+  { kinds = md.kinds; values = Hashtbl.copy md.values;
+    media = Hashtbl.copy md.media; dirty = Hashtbl.copy md.dirty;
+    wpq = Hashtbl.copy md.wpq }
+
+let model_restore md s =
+  md.kinds <- s.kinds;
+  List.iter
+    (fun (dst, src) -> Hashtbl.reset dst; Hashtbl.iter (Hashtbl.replace dst) src)
+    [ (md.values, s.values); (md.media, s.media); (md.dirty, s.dirty) ];
+  Hashtbl.reset md.wpq;
+  Hashtbl.iter (Hashtbl.replace md.wpq) s.wpq
+
+let get tbl addr = Option.value (Hashtbl.find_opt tbl addr) ~default:0
+let set tbl addr v = if v = 0 then Hashtbl.remove tbl addr else Hashtbl.replace tbl addr v
+let key_of addr =
+  Memory.dirty_key (addr / Memory.arena_words)
+    (Memory.offset_of_addr addr / Memory.line_words)
+let line_addrs key =
+  let aid = key / Memory.lines_per_arena and line = key mod Memory.lines_per_arena in
+  List.init Memory.line_words (fun i ->
+      Memory.addr_of ~aid ~offset:((line * Memory.line_words) + i))
+let model_nvm md key = md.kinds.(key / Memory.lines_per_arena) = Memory.Nvm
+
+(* a line reaching media other than by a fence: its capture goes too *)
+let model_commit md key =
+  if model_nvm md key then
+    List.iter (fun a -> set md.media a (get md.values a)) (line_addrs key);
+  Hashtbl.remove md.wpq key;
+  Hashtbl.remove md.dirty key
+
+let model_crash md =
+  let nvm a = md.kinds.(a / Memory.arena_words) = Memory.Nvm in
+  Hashtbl.reset md.values;
+  Hashtbl.iter (fun a v -> if nvm a then Hashtbl.replace md.values a v) md.media;
+  Hashtbl.reset md.dirty;
+  Hashtbl.reset md.wpq
+
+let xor_fold f tbl = Hashtbl.fold (fun k v acc -> acc lxor f k v) tbl 0
+
+(* Offsets in 16-word windows across page boundaries, at both ends of an
+   arena and across its middle. *)
+let windows = [| 0; 504; 1016; 32_760; Memory.arena_words - 16 |]
+
+(* Compare every window word's coherent and media value, and the four
+   fingerprints, with the model's. *)
+let check_model ~at m md =
+  let addrs =
+    List.concat_map
+      (fun aid ->
+        List.concat_map
+          (fun base -> List.init 16 (fun i -> Memory.addr_of ~aid ~offset:(base + i)))
+          (Array.to_list windows))
+      (List.init (Array.length md.kinds) Fun.id)
+  in
+  let words = Alcotest.(check (list int)) in
+  words (at ^ ": peek") (List.map (get md.values) addrs) (List.map (Memory.peek m) addrs);
+  words (at ^ ": peek_media") (List.map (get md.media) addrs)
+    (List.map (Memory.peek_media m) addrs);
+  check (at ^ ": value hash") (xor_fold Memory.word_h md.values) (Memory.value_hash m);
+  check (at ^ ": media hash") (xor_fold Memory.word_h md.media) (Memory.media_hash m);
+  check (at ^ ": dirty hash")
+    (xor_fold (fun key s -> Memory.h2 key (s + 1)) md.dirty)
+    (Memory.dirty_hash m);
+  check (at ^ ": wpq hash") (xor_fold Memory.pending_entry_h md.wpq) (Memory.wpq_hash m)
+
+(* One random step on [m] and on the model, run by a fiber of a random
+   socket. [top] steps may also snapshot, run two bursts each ended by a
+   restore of that one snapshot, and check after each restore. *)
+let rec model_step ~at ~top rng m md =
+  let socket = Random.State.int rng 2 in
+  let on_socket f =
+    let r = ref None in
+    Sim.fork_join [ (socket, 0, fun () -> r := Some (f ())) ] ignore;
+    Option.get !r
+  in
+  let aids = Array.length md.kinds in
+  let pick_addr nvm_only =
+    let rec aid () =
+      let a = Random.State.int rng aids in
+      if nvm_only && md.kinds.(a) <> Memory.Nvm then aid () else a
+    in
+    let base = windows.(Random.State.int rng (Array.length windows)) in
+    Memory.addr_of ~aid:(aid ()) ~offset:(base + Random.State.int rng 16)
+  in
+  let value () = Random.State.int rng 4 in
+  (* a store's background flush, if it drew one, commits the stored line *)
+  let stored key f =
+    let before = (Memory.stats m).Memory.bg_flushes in
+    let r = on_socket f in
+    if (Memory.stats m).Memory.bg_flushes > before then model_commit md key;
+    r
+  in
+  let store a v =
+    set md.values a v;
+    Hashtbl.replace md.dirty (key_of a) socket
+  in
+  match Random.State.int rng (if top then 13 else 12) with
+  | 0 | 1 ->
+    let a = pick_addr false and v = value () in
+    store a v;
+    stored (key_of a) (fun () -> Memory.write m a v)
+  | 2 ->
+    (* a read's charge says whether its line is dirty *)
+    let a = pick_addr false in
+    let line_dirty = Hashtbl.mem md.dirty (key_of a) in
+    let v, cost, charged =
+      on_socket (fun () ->
+          let cost = Memory.access_cost m (Memory.arena_of_addr m a) ~line_dirty in
+          let t0 = Sim.now () in
+          let v = Memory.read m a in
+          (v, cost, Sim.now () - t0))
+    in
+    check (at ^ ": read") (get md.values a) v;
+    check (at ^ ": read cost") cost charged
+  | 3 ->
+    let a = pick_addr false in
+    let n = 1 + Random.State.int rng 20 in
+    let n = min n (Memory.arena_words - Memory.offset_of_addr a) in
+    let want = Array.init n (fun i -> get md.values (a + i)) in
+    let got = on_socket (fun () -> Memory.read_words m a n) in
+    Alcotest.(check (array int)) (at ^ ": read_words") want got
+  | 4 ->
+    let a = pick_addr false in
+    let expected = if Random.State.bool rng then get md.values a else value () in
+    let desired = value () in
+    let ok = get md.values a = expected in
+    if ok then store a desired;
+    check_bool (at ^ ": cas")
+      ok (stored (key_of a) (fun () -> Memory.cas m a ~expected ~desired))
+  | 5 ->
+    let a = pick_addr false and d = value () - 1 in
+    let old = get md.values a in
+    store a (old + d);
+    check (at ^ ": faa") old (on_socket (fun () -> Memory.faa m a d))
+  | 6 ->
+    let a = pick_addr true in
+    let key = key_of a in
+    Hashtbl.replace md.wpq key
+      (Array.of_list (List.map (get md.values) (line_addrs key)));
+    Hashtbl.remove md.dirty key;
+    on_socket (fun () -> Memory.clwb ~site:Persist.Test m a)
+  | 7 ->
+    Hashtbl.iter
+      (fun key words -> List.iteri (fun i a -> set md.media a words.(i)) (line_addrs key))
+      md.wpq;
+    Hashtbl.reset md.wpq;
+    on_socket (fun () -> Memory.sfence ~site:Persist.Test m)
+  | 8 ->
+    let a = pick_addr true in
+    model_commit md (key_of a);
+    on_socket (fun () -> Memory.clflush ~site:Persist.Test m a)
+  | 9 ->
+    let mine = Hashtbl.fold (fun k s acc -> if s = socket then k :: acc else acc) md.dirty [] in
+    List.iter (model_commit md) mine;
+    on_socket (fun () -> Memory.wbinvd ~site:Persist.Test m)
+  | 10 ->
+    model_crash md;
+    Memory.crash m
+  | 11 ->
+    if aids < 6 then begin
+      let kind = if Random.State.bool rng then Memory.Nvm else Memory.Dram in
+      md.kinds <- Array.append md.kinds [| kind |];
+      ignore (Memory.new_arena m ~kind ~home:(Random.State.int rng 2))
+    end
+  | _ ->
+    let snap = Memory.snapshot m and saved = model_copy md in
+    for round = 1 to 2 do
+      for _ = 1 to Random.State.int rng 12 do
+        model_step ~at ~top:false rng m md
+      done;
+      Memory.restore m snap;
+      model_restore md saved;
+      check_model ~at:(Printf.sprintf "%s, restore %d" at round) m md
+    done
+
+let test_paged_matches_flat_model () =
+  for seed = 1 to 30 do
+    Sim.run_one (fun () ->
+        let rng = Random.State.make [| seed |] in
+        let m = Memory.make ~seed:(Int64.of_int seed) ~bg_period:6 () in
+        let kinds = [| Memory.Dram; Memory.Nvm; Memory.Dram; Memory.Nvm |] in
+        Array.iteri (fun i kind -> ignore (Memory.new_arena m ~kind ~home:(i / 2))) kinds;
+        let md = { kinds; values = Hashtbl.create 64; media = Hashtbl.create 64;
+                   dirty = Hashtbl.create 64; wpq = Hashtbl.create 8 } in
+        for step = 1 to 150 do
+          let at = Printf.sprintf "seed %d, step %d" seed step in
+          model_step ~at ~top:true rng m md;
+          check_model ~at m md
+        done)
+  done
+
+(* Reading memory no store has written gives no page its own array. *)
+let test_untouched_reads_allocate_nothing () =
+  in_sim (fun () ->
+      let m = fresh () in
+      let aids =
+        List.map (fun kind -> Memory.new_arena m ~kind ~home:0) [ Memory.Dram; Memory.Nvm ]
+      in
+      Memory.write m (Memory.addr_of ~aid:1 ~offset:3) 7;
+      let words = Obj.reachable_words (Obj.repr m) in
+      List.iter
+        (fun aid ->
+          for offset = 0 to Memory.arena_words - 1 do
+            let a = Memory.addr_of ~aid ~offset in
+            ignore (Memory.read m a + Memory.peek m a + Memory.peek_media m a)
+          done;
+          ignore (Memory.read_words m (Memory.addr_of ~aid ~offset:500) 30))
+        aids;
+      check "reachable words after reading every word" words
+        (Obj.reachable_words (Obj.repr m)))
+
+(* A snapshot holds the pages that were written, not every arena's
+   [arena_words]: 16 arenas with one written word fit in a few pages. *)
+let test_snapshot_size () =
+  in_sim (fun () ->
+      let m = fresh () in
+      for i = 0 to 15 do
+        ignore
+          (Memory.new_arena m ~kind:(if i mod 2 = 0 then Memory.Nvm else Memory.Dram)
+             ~home:(i mod 2))
+      done;
+      Memory.write m (Memory.addr_of ~aid:4 ~offset:1000) 1;
+      let words = Obj.reachable_words (Obj.repr (Memory.snapshot m)) in
+      check_bool
+        (Printf.sprintf "snapshot of 16 arenas is %d words, under 4 pages" words)
+        true (words < 4 * Memory.page_words))
+
+(* Domains share the zero page: a two-domain sharded exploration must
+   leave it all zero. *)
+let test_zero_page_survives_domains () =
+  let module E = Check.Explore.Make (Seqds.Hashmap) in
+  let scope =
+    { Check.Explore.seed = 6; threads = 1; ops_per_worker = 1; epsilon = 1;
+      log_size = 16; sockets = 2; cores_per_socket = 1; prune = true;
+      persistence = true }
+  in
+  let gen_op rng = (Seqds.Hashmap.op_insert, [| Sim.Rng.int rng 64; 1 |]) in
+  let res =
+    Check.Explore.merge_shards
+      (Harness.Campaign.run ~j:2
+         (Array.init 2 (fun i () ->
+              E.explore ~max_schedules:300 ~shard:(i, 2) ~mode:Prep.Config.Buffered
+                ~fault:Prep.Config.No_fault ~gen_op ~scope ())))
+  in
+  check_bool "explored crashes" true (res.Check.Explore.stats.Check.Explore.recoveries > 0);
+  check_bool "zero page still all zero" true (Array.for_all (( = ) 0) Memory.zero_page)
+
 let () =
   Alcotest.run "nvm"
     [
@@ -729,6 +990,17 @@ let () =
             test_read_words_values_and_charge;
           Alcotest.test_case "read_words hook per line" `Quick
             test_read_words_hook;
+        ] );
+      ( "pages",
+        [
+          Alcotest.test_case "paged memory matches a flat model" `Quick
+            test_paged_matches_flat_model;
+          Alcotest.test_case "untouched reads allocate nothing" `Quick
+            test_untouched_reads_allocate_nothing;
+          Alcotest.test_case "snapshot holds written pages only" `Quick
+            test_snapshot_size;
+          Alcotest.test_case "zero page survives two domains" `Quick
+            test_zero_page_survives_domains;
         ] );
       ( "persistence",
         [
