@@ -764,35 +764,35 @@ let ckptscale_cmd =
 
 let () =
   let scale = Figures.scale_of_env () in
-  match if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" with
-  | "all" -> Figures.all scale
-  | "table1" -> Figures.table1 ()
-  | "fig1" -> Figures.fig1 scale
-  | "fig2" -> Figures.fig2 scale
-  | "fig3" -> Figures.fig3 scale
-  | "fig4" -> Figures.fig4 scale
-  | "fig5" -> Figures.fig5 scale
-  | "fig6" -> Figures.fig6 scale
-  | "ablation" -> Figures.ablation scale
-  | "smoke" ->
-    run_smoke (if Array.length Sys.argv > 2 then Sys.argv.(2) else "bench-smoke.json")
-  | "persistgain" ->
-    run_persistgain
-      (if Array.length Sys.argv > 2 then Sys.argv.(2) else "bench-persistgain.json")
-  | "loadcurve" ->
-    run_loadcurve
-      (if Array.length Sys.argv > 2 then Sys.argv.(2) else "bench-loadcurve.json")
-  | "shardscale" ->
-    run_shardscale
-      (if Array.length Sys.argv > 2 then Sys.argv.(2) else "bench-shardscale.json")
-  | "ckptscale" ->
-    exit
-      (Cmd.eval
-         ~argv:(Array.sub Sys.argv 1 (Array.length Sys.argv - 1))
-         ckptscale_cmd)
-  | other ->
-    Printf.eprintf
-      "unknown command %S (expected \
-       all|table1|fig1|fig2|fig3|fig4|fig5|fig6|ablation|smoke|persistgain|loadcurve|shardscale|ckptscale)\n"
-      other;
+  let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
+  (* a gated mode writes its artifact to argv.(2), default bench-MODE.json *)
+  let out () =
+    if Array.length Sys.argv > 2 then Sys.argv.(2) else "bench-" ^ mode ^ ".json"
+  in
+  let modes =
+    [ ("all", fun () -> Figures.all scale);
+      ("table1", Figures.table1);
+      ("fig1", fun () -> Figures.fig1 scale);
+      ("fig2", fun () -> Figures.fig2 scale);
+      ("fig3", fun () -> Figures.fig3 scale);
+      ("fig4", fun () -> Figures.fig4 scale);
+      ("fig5", fun () -> Figures.fig5 scale);
+      ("fig6", fun () -> Figures.fig6 scale);
+      ("ablation", fun () -> Figures.ablation scale);
+      ("smoke", fun () -> run_smoke (out ()));
+      ("persistgain", fun () -> run_persistgain (out ()));
+      ("loadcurve", fun () -> run_loadcurve (out ()));
+      ("shardscale", fun () -> run_shardscale (out ()));
+      ( "ckptscale",
+        fun () ->
+          exit
+            (Cmd.eval
+               ~argv:(Array.sub Sys.argv 1 (Array.length Sys.argv - 1))
+               ckptscale_cmd) ) ]
+  in
+  match List.assoc_opt mode modes with
+  | Some run -> run ()
+  | None ->
+    Printf.eprintf "unknown command %S (expected %s)\n" mode
+      (String.concat "|" (List.map fst modes));
     exit 1

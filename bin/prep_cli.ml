@@ -6,7 +6,9 @@
    Every feature flag and planted fault is declared once, in the table in
    [Prep.Config] ([Feature.all], [Fault.all]) that also says which
    subcommands take it; [config_term] builds each subcommand's flags from
-   it and [Config.validate] accepts or refuses the result once.
+   it and [Config.validate] accepts or refuses the result once. A flag
+   exists only where a documented command passes it; elsewhere it is a
+   constant.
 
    The harness subcommands take [-j N] to fan independent simulations
    across N domains (Harness.Campaign); results are deterministic — byte
@@ -18,7 +20,7 @@
 
    Examples:
      dune exec bin/prep_cli.exe -- run --system prep-buffered --threads 8 \
-       --epsilon 1024 --read-pct 90
+       --read-pct 90
      dune exec bin/prep_cli.exe -- profile --system prep-durable --threads 4 \
        --trace trace.json               # open trace.json in ui.perfetto.dev
      dune exec bin/prep_cli.exe -- validate --kind trace trace.json
@@ -98,16 +100,47 @@ let ds_arg =
   Arg.(value & opt names "hashmap" & info [ "ds" ] ~docv:"DS" ~doc)
 
 (* An integer option [names] defaulting to [default]; the subcommands
-   share names like --threads, --epsilon and --seed but not defaults. *)
-let int_arg ?(docv = "N") names default doc =
-  Arg.(value & opt int default & info names ~docv ~doc)
+   share names like --threads, --epsilon and --seed but not defaults. A
+   value outside [lo]..[hi] is a usage error that names the flag. *)
+let int_arg ?(docv = "N") ?(lo = min_int) ?(hi = max_int) names default doc =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.int s) (fun n ->
+        if n >= lo && n <= hi then Ok n
+        else if hi = max_int then Error (`Msg (Printf.sprintf "%d is below %d" n lo))
+        else Error (`Msg (Printf.sprintf "%d is not in %d..%d" n lo hi)))
+  in
+  let bounded = Arg.conv (parse, Arg.conv_printer Arg.int) in
+  Arg.(value & opt bounded default & info names ~docv ~doc)
 
-let threads_arg = int_arg [ "threads"; "t" ] 8 "Worker threads."
-let epsilon_arg = int_arg ~docv:"EPS" [ "epsilon"; "e" ] 1024 "Flush boundary step."
-let read_pct_arg = int_arg ~docv:"PCT" [ "read-pct" ] 90 "Read-only percentage (maps only)."
-let keys_arg = int_arg [ "keys" ] 4096 "Key range (maps) or prefill size (pairs)."
-let duration_arg = int_arg ~docv:"NS" [ "duration" ] 2_000_000 "Measured simulated time, ns."
-let seed_arg = int_arg ~docv:"SEED" [ "seed" ] 7 "Simulation seed."
+(* A throughput point's workload where its subcommand has no flag for it:
+   only sweep sets epsilon, and only run the key range and window. *)
+let point_seed = 7
+let point_epsilon = 1024
+let point_read_pct = 90
+let point_keys = 4096
+let point_duration = 2_000_000
+
+(* The last core is reserved for the simulator. *)
+let max_workers = Sim.Topology.total_cores Sim.Topology.default - 1
+
+(* The shortest window [run] takes: twice the longest minimum over every
+   --system, data structure and 1, 8 or 23 threads (500 ns). Shorter, an op
+   in flight at the deadline can outlast the wedge horizon, 1,000 windows. *)
+let min_duration = 1_000
+
+let threads_arg = int_arg ~lo:1 ~hi:max_workers [ "threads"; "t" ] 8 "Worker threads."
+let epsilon_arg = int_arg ~docv:"EPS" [ "epsilon"; "e" ] point_epsilon "Flush boundary step."
+
+let read_pct_arg =
+  int_arg ~docv:"PCT" ~lo:0 ~hi:100 [ "read-pct" ] point_read_pct
+    "Read-only percentage (maps only)."
+
+let keys_arg =
+  int_arg ~lo:1 [ "keys" ] point_keys "Key range (maps) or prefill size (pairs)."
+
+let duration_arg =
+  int_arg ~docv:"NS" ~lo:min_duration [ "duration" ] point_duration
+    "Measured simulated time, ns."
 
 let log_size = 16384
 
@@ -200,9 +233,9 @@ let experiment_system ~system ~ds ~epsilon ~workers cfg =
     if cfg <> Prep.Config.default then
       Error
         (Printf.sprintf
-           "--system %s is not a PREP system: feature flags and %s need \
-            prep-v, prep-buffered or prep-durable"
-           system Feature.(flag uc_shards))
+           "--system %s is not a PREP system: feature flags need prep-v, \
+            prep-buffered or prep-durable"
+           system)
     else Ok sys
   in
   match system with
@@ -215,9 +248,13 @@ let experiment_system ~system ~ds ~epsilon ~workers cfg =
   | "soft-10k" -> baseline (Experiment.soft ~nbuckets:10_000)
   | other -> Error (Printf.sprintf "unknown system %S" other)
 
-let run_point ~profile system ds threads epsilon read_pct keys duration seed
-    cfg trace =
-  match experiment_system ~system ~ds ~epsilon ~workers:threads cfg with
+(* [profile] is [None] for a plain [run], which keeps the registry-free
+   default path, and [Some trace] for [profile], whose live registry also
+   records a trace when [trace] names a file. *)
+let run_point ~profile system ds threads read_pct keys duration cfg =
+  match
+    experiment_system ~system ~ds ~epsilon:point_epsilon ~workers:threads cfg
+  with
   | Error m -> `Error (true, m)
   | Ok sys ->
     let workload =
@@ -226,15 +263,13 @@ let run_point ~profile system ds threads epsilon read_pct keys duration seed
         Workload.map_workload ~read_pct ~key_range:keys ~prefill_n:(keys / 2)
       | _, Some (_, _, pairs) -> pairs ~prefill_n:(keys / 2)
     in
-    (* profiling and tracing both need a live ambient registry; the plain
-       [run] subcommand keeps the registry-free default path *)
     let tel =
-      if profile || trace <> None then
-        Some (Telemetry.Registry.create ~tracing:(trace <> None) ())
-      else None
+      Option.map
+        (fun trace -> Telemetry.Registry.create ~tracing:(trace <> None) ())
+        profile
     in
     let r =
-      Experiment.run ?telemetry:tel ~seed:(Int64.of_int seed)
+      Experiment.run ?telemetry:tel ~seed:(Int64.of_int point_seed)
         ~duration_ns:duration ~warmup_ns:(duration / 5) ~system:sys ~workload
         ~workers:threads ()
     in
@@ -253,7 +288,7 @@ let run_point ~profile system ds threads epsilon read_pct keys duration seed
          fences elided\n"
         r.Experiment.clwb_elided r.Experiment.clwb_coalesced
         r.Experiment.clflush_elided r.Experiment.sfence_elided;
-    if profile then begin
+    if profile <> None then begin
       print_newline ();
       print_string (Profile.render r.Experiment.telemetry)
     end
@@ -267,8 +302,8 @@ let run_point ~profile system ds threads epsilon read_pct keys duration seed
         print_newline ()
       end
     end;
-    match (trace, tel) with
-    | Some path, Some reg -> (
+    match (profile, tel) with
+    | Some (Some path), Some reg -> (
       match Telemetry.Trace_export.write reg path with
       | Ok () ->
         Printf.printf "trace: %d events written to %s (%d dropped)\n"
@@ -282,23 +317,29 @@ let run_point ~profile system ds threads epsilon read_pct keys duration seed
             "trace failed self-validation:\n  " ^ String.concat "\n  " errs ))
     | _ -> `Ok ()
 
-let point_cmd sub ~profile ~doc =
-  Cmd.v (Cmd.info sub ~doc)
+let run_cmd =
+  Cmd.v
+    (Cmd.info "run" ~doc:"Run a single throughput point")
     Term.(
       ret
-        (const (run_point ~profile) $ system_arg $ ds_arg $ threads_arg
-       $ epsilon_arg $ read_pct_arg $ keys_arg $ duration_arg $ seed_arg
-       $ config_term sub $ trace_arg))
+        (const (run_point ~profile:None) $ system_arg $ ds_arg $ threads_arg
+       $ read_pct_arg $ keys_arg $ duration_arg $ config_term "run"))
 
-let run_cmd =
-  point_cmd "run" ~profile:false ~doc:"Run a single throughput point"
-
+(* profile runs the hashmap over the default key range and window *)
 let profile_cmd =
-  point_cmd "profile" ~profile:true
-    ~doc:
-      "Run a single throughput point with telemetry enabled and print the \
-       simulated-time phase breakdown (combine/publish/persist/catch-up \
-       spans, latency percentiles, per-primitive NVM counters)"
+  Cmd.v
+    (Cmd.info "profile"
+       ~doc:
+         "Run a single throughput point with telemetry enabled and print the \
+          simulated-time phase breakdown (combine/publish/persist/catch-up \
+          spans, latency percentiles, per-primitive NVM counters)")
+    Term.(
+      ret
+        (const (fun system threads read_pct cfg trace ->
+             run_point ~profile:(Some trace) system "hashmap" threads read_pct
+               point_keys point_duration cfg)
+        $ system_arg $ threads_arg $ read_pct_arg $ config_term "profile"
+        $ trace_arg))
 
 (* ---- validate ---- *)
 
@@ -308,10 +349,12 @@ let validate_kind_arg =
      (optimize-persist persistency-policy JSON), or report \
      (optimize-persist decision-report JSON)."
   in
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "kind"; "k" ] ~docv:"KIND" ~doc)
+  let kinds =
+    Arg.enum
+      [ ("trace", `Trace); ("bench", `Bench); ("policy", `Policy);
+        ("report", `Report) ]
+  in
+  Arg.(required & opt (some kinds) None & info [ "kind"; "k" ] ~docv:"KIND" ~doc)
 
 let validate_file_arg =
   Arg.(
@@ -320,25 +363,22 @@ let validate_file_arg =
     & info [] ~docv:"FILE" ~doc:"JSON artifact to validate.")
 
 let validate kind file =
-  let contents () =
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+  let contents = In_channel.with_open_bin file In_channel.input_all in
+  let valid fmt =
+    Printf.ksprintf (fun m -> Printf.printf "%s: valid %s\n" file m; `Ok ()) fmt
   in
-  if kind = "report" then (
+  let invalid errs =
+    List.iter (Printf.printf "%s: %s\n" file) errs;
+    `Error (false, "validation failed")
+  in
+  match kind with
+  | `Report -> (
     (* the optimize-persist decision report: check the schema tag and
        the presence/shape of every section *)
     let module J = Telemetry.Json in
-    match J.parse_result (contents ()) with
-    | Error e ->
-      Printf.printf "%s: %s\n" file e;
-      `Error (false, "validation failed")
+    match J.parse_result contents with
+    | Error e -> invalid [ e ]
     | Ok v -> (
-      let bad m =
-        Printf.printf "%s: %s\n" file m;
-        `Error (false, "validation failed")
-      in
       match J.member "schema" v with
       | Some (J.Str "prep.persist-report/1") -> (
         match
@@ -348,42 +388,29 @@ let validate kind file =
         with
         | Some (J.Obj _), Some (J.Obj _), Some (J.Obj adm),
           Some (J.List ds), Some (J.List _) ->
-          Printf.printf
-            "%s: valid persist-report (%d weakenings, %d decisions)\n" file
-            (List.length adm) (List.length ds);
-          `Ok ()
-        | _ -> bad "persist-report: missing or malformed section")
+          valid "persist-report (%d weakenings, %d decisions)"
+            (List.length adm) (List.length ds)
+        | _ -> invalid [ "persist-report: missing or malformed section" ])
       | _ ->
-        bad "persist-report: missing or wrong \"schema\" (want \
-             \"prep.persist-report/1\")"))
-  else if kind = "policy" then (
-    match Nvm.Persist.of_json (contents ()) with
+        invalid
+          [ "persist-report: missing or wrong \"schema\" (want \
+             \"prep.persist-report/1\")" ]))
+  | `Policy -> (
+    match Nvm.Persist.of_json contents with
     | Ok p ->
-      Printf.printf "%s: valid persist-policy (%s; %d weakenings)\n" file
-        Nvm.Persist.schema
-        (List.length (Nvm.Persist.weakenings p));
-      `Ok ()
-    | Error e ->
-      Printf.printf "%s: %s\n" file e;
-      `Error (false, "validation failed"))
-  else
-  let validator =
-    match kind with
-    | "trace" -> Ok Telemetry.Json.validate_trace
-    | "bench" -> Ok Telemetry.Json.validate_bench
-    | other -> Error (Printf.sprintf "unknown artifact kind %S" other)
-  in
-  match validator with
-  | Error m -> `Error (true, m)
-  | Ok validator -> (
-    match Telemetry.Json.validate_string validator (contents ()) with
+      valid "persist-policy (%s; %d weakenings)" Nvm.Persist.schema
+        (List.length (Nvm.Persist.weakenings p))
+    | Error e -> invalid [ e ])
+  | (`Trace | `Bench) as kind -> (
+    let name, validator =
+      match kind with
+      | `Trace -> ("trace", Telemetry.Json.validate_trace)
+      | `Bench -> ("bench", Telemetry.Json.validate_bench)
+    in
+    match Telemetry.Json.validate_string validator contents with
     | Ok () ->
-      Printf.printf "%s: valid %s artifact (schema_version %d)\n" file kind
-        Telemetry.Json.schema_version;
-      `Ok ()
-    | Error errs ->
-      List.iter (fun e -> Printf.printf "%s: %s\n" file e) errs;
-      `Error (false, "validation failed"))
+      valid "%s artifact (schema_version %d)" name Telemetry.Json.schema_version
+    | Error errs -> invalid errs)
 
 let validate_cmd =
   Cmd.v
@@ -409,7 +436,9 @@ let variant_arg =
     & opt (enum modes) Prep.Config.Buffered
     & info [ "variant" ] ~docv:"VARIANT" ~doc)
 
-let fuzz_threads_arg = int_arg [ "threads"; "t" ] 6 "Worker threads (1-7)."
+let fuzz_threads_arg =
+  int_arg ~lo:1 ~hi:Check.Fuzz.max_threads [ "threads"; "t" ] 6
+    "Worker threads (1-7)."
 let fuzz_epsilon_arg = int_arg ~docv:"EPS" [ "epsilon"; "e" ] 16 "Flush boundary step."
 let fuzz_log_size_arg = int_arg [ "log-size" ] 256 "Shared log entries."
 let fuzz_ops_arg = int_arg [ "ops" ] 300 "Operations per worker."
@@ -430,16 +459,14 @@ let no_crash_arg =
 let with_uc_shards = "With " ^ Feature.(flag uc_shards) ^ ": "
 
 let multi_pct_arg =
-  let doc = with_uc_shards ^ "percent of ops that are multi-key transactions." in
-  Arg.(value & opt int 25 & info [ "multi-pct" ] ~docv:"PCT" ~doc)
+  int_arg ~docv:"PCT" ~lo:0 ~hi:100 [ "multi-pct" ] 25
+    (with_uc_shards ^ "percent of ops that are multi-key transactions.")
 
 let cross_pct_arg =
-  let doc =
-    with_uc_shards
+  int_arg ~docv:"PCT" ~lo:0 ~hi:100 [ "cross-pct" ] 75
+    (with_uc_shards
     ^ "percent of multi-key transactions whose keys land on different shards \
-       (the rest collapse to single-shard commits)."
-  in
-  Arg.(value & opt int 75 & info [ "cross-pct" ] ~docv:"PCT" ~doc)
+       (the rest collapse to single-shard commits).")
 
 (* A checker's verdict on one run: its violations, or "no violations". *)
 let verdict violations =
@@ -466,19 +493,8 @@ let fuzz iters mode ds threads epsilon log_size ops seed crash_op crash_time
   | Error m -> `Error (true, m)
   | Ok config ->
   let { Prep.Config.shards; fault; _ } = config in
-  if threads < 1 || threads > Check.Fuzz.max_threads then
-    `Error
-      ( true,
-        Printf.sprintf "--threads must be between 1 and %d (got %d)"
-          Check.Fuzz.max_threads threads )
-  else if
-    mode = Prep.Config.Volatile && (crash_op <> None || crash_time <> None)
-  then
+  if mode = Prep.Config.Volatile && (crash_op <> None || crash_time <> None) then
     `Error (true, "volatile episodes cannot crash: drop the crash flag")
-  else if
-    shards > 1
-    && (multi_pct < 0 || multi_pct > 100 || cross_pct < 0 || cross_pct > 100)
-  then `Error (true, "--multi-pct/--cross-pct must be in 0..100")
   else
   (* sharded runs mix multi-key transactions into the map workload; the
      generator's knobs ride along on the repro command *)
@@ -568,8 +584,7 @@ let exp_sockets_arg = int_arg [ "sockets" ] 2 "NUMA sockets."
 let exp_cores_arg = int_arg [ "cores" ] 2 "Cores per socket (= beta)."
 
 let max_schedules_arg =
-  Arg.(value & opt int Check.Explore.default_max_schedules
-       & info [ "max-schedules" ] ~docv:"N" ~doc:"Schedule budget.")
+  int_arg [ "max-schedules" ] Check.Explore.default_max_schedules "Schedule budget."
 
 let no_prune_arg =
   let doc =
@@ -586,7 +601,7 @@ let shards_arg =
      varying -j: the merge is a function of the shard set, not of how many \
      domains ran it."
   in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
+  int_arg ~docv:"K" ~lo:1 [ "shards" ] 1 doc
 
 let replay_arg =
   let doc =
@@ -618,10 +633,11 @@ let no_persistence_arg =
   in
   Arg.(value & flag & info [ "no-persistence" ] ~doc)
 
-(* The explorer's scope, shared by explore and optimize-persist.
-   The scope prunes; explore's --no-prune turns that off. *)
+(* The explorer's scope, shared by explore and optimize-persist. It
+   prunes and runs the checkpoint fibers; explore's --no-prune and
+   --no-persistence turn those off. *)
 let scope_term =
-  let scope threads ops epsilon log_size seed sockets cores no_persistence =
+  let scope threads ops epsilon log_size seed sockets cores =
     {
       Check.Explore.seed;
       threads;
@@ -631,13 +647,12 @@ let scope_term =
       sockets;
       cores_per_socket = cores;
       prune = true;
-      persistence = not no_persistence;
+      persistence = true;
     }
   in
   Term.(
     const scope $ exp_threads_arg $ exp_ops_arg $ exp_epsilon_arg
-    $ exp_log_size_arg $ exp_seed_arg $ exp_sockets_arg $ exp_cores_arg
-    $ no_persistence_arg)
+    $ exp_log_size_arg $ exp_seed_arg $ exp_sockets_arg $ exp_cores_arg)
 
 let report_explore_result ~repro_command res =
   let s = res.Check.Explore.stats in
@@ -688,9 +703,12 @@ let sharded_explore_gen rng =
   | 2 -> (Seqds.Hashmap.op_get, [| k |])
   | _ -> (Prep.Sharded_uc.op_transfer, [| k; k + 3; 1 |])
 
-let explore mode ds scope cfg max_schedules no_prune shards jobs replay
-    crash_step frontier =
-  let scope = { scope with Check.Explore.prune = not no_prune } in
+let explore mode ds scope no_persistence cfg max_schedules no_prune shards
+    jobs replay crash_step frontier =
+  let scope =
+    { scope with
+      Check.Explore.prune = not no_prune; persistence = not no_persistence }
+  in
   let { Check.Explore.threads; epsilon; log_size; _ } = scope in
   let (module Ds), gen_op = fuzz_ds ds in
   let config =
@@ -710,7 +728,6 @@ let explore mode ds scope cfg max_schedules no_prune shards jobs replay
       ( true,
         Printf.sprintf "--threads must be between 1 and %d (got %d)"
           (Check.Explore.max_threads scope) threads )
-  else if shards < 1 then `Error (true, "--shards must be at least 1")
   else
     match replay with
     | Some trace_str ->
@@ -743,7 +760,7 @@ let explore_cmd =
           frontier, DPOR-style pruning, replayable decision traces")
     Term.(
       ret
-        (const explore $ variant_arg $ ds_arg $ scope_term
+        (const explore $ variant_arg $ ds_arg $ scope_term $ no_persistence_arg
        $ config_term ~faults:true "explore" $ max_schedules_arg $ no_prune_arg
        $ shards_arg $ jobs_arg $ replay_arg $ crash_step_arg $ frontier_arg))
 
@@ -764,12 +781,10 @@ let op_report_arg =
                  rejected candidates, measurements, repro commands).")
 
 let op_fuzz_iters_arg =
-  Arg.(value & opt int 30
-       & info [ "fuzz-iters" ] ~docv:"N"
-           ~doc:"Crash episodes in the per-candidate differential fuzz soak.")
+  int_arg [ "fuzz-iters" ] 30 "Crash episodes in the per-candidate differential fuzz soak."
 
-let optimize_persist mode ds scope cfg max_schedules fuzz_iters out
-    report_file =
+(* over the baseline configuration, with the default schedule budget *)
+let optimize_persist mode ds scope fuzz_iters out report_file =
   let { Check.Explore.threads; epsilon; log_size; seed; _ } = scope in
   match (mode, fuzz_ds ds) with
   | Prep.Config.Volatile, _ ->
@@ -778,7 +793,7 @@ let optimize_persist mode ds scope cfg max_schedules fuzz_iters out
   | mode, ((module Ds), gen_op) ->
     match
       validated_config ~ds ~beta:scope.Check.Explore.cores_per_socket
-        { cfg with Prep.Config.mode; log_size; epsilon; workers = threads }
+        { Prep.Config.default with mode; log_size; epsilon; workers = threads }
     with
     | Error m -> `Error (true, m)
     | Ok config ->
@@ -797,14 +812,12 @@ let optimize_persist mode ds scope cfg max_schedules fuzz_iters out
         }
       in
       let report =
-        PI.infer ~config ~log:print_endline ~mode ~gen_op ~scope ~max_schedules
-          ~template ~fuzz_iters ~ds ()
+        PI.infer ~config ~log:print_endline ~mode ~gen_op ~scope
+          ~max_schedules:Check.Explore.default_max_schedules ~template
+          ~fuzz_iters ~ds ()
       in
       let write path contents =
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc contents)
+        Out_channel.with_open_text path (fun oc -> output_string oc contents)
       in
       write out (Nvm.Persist.to_json report.Check.Persist_infer.r_policy);
       Printf.printf "policy written to %s\n" out;
@@ -842,8 +855,11 @@ let optimize_persist_cmd =
     Term.(
       ret
         (const optimize_persist $ variant_arg $ ds_arg $ scope_term
-       $ config_term "optimize-persist" $ max_schedules_arg $ op_fuzz_iters_arg
-       $ op_out_arg $ op_report_arg))
+       $ op_fuzz_iters_arg $ op_out_arg $ op_report_arg))
+
+let json_arg =
+  let doc = "Write a bench-schema JSON artifact of the results to $(docv)." in
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 (* Write a bench-schema artifact; one that fails the schema fails the
    subcommand. *)
@@ -856,17 +872,14 @@ let write_artifact path contents =
 
 (* ---- session ---- *)
 
-let session_threads_arg = int_arg [ "threads"; "t" ] 4 "Client threads (1-7)."
+let session_threads_arg =
+  int_arg ~lo:1 ~hi:Check.Fuzz.max_threads [ "threads"; "t" ] 4
+    "Client threads (1-7)."
+
 let session_ops_arg = int_arg [ "ops" ] 40 "Scripted update operations per client."
 let session_epsilon_arg = int_arg ~docv:"EPS" [ "epsilon"; "e" ] 8 "Flush boundary step."
-let session_log_size_arg = int_arg [ "log-size" ] 1024 "Shared log entries."
 let session_crashes_arg = int_arg [ "crashes" ] 3 "Power failures to inject per session."
-let session_seed_arg = int_arg ~docv:"SEED" [ "seed" ] 1 "Base seed."
 let sessions_arg = int_arg [ "sessions" ] 1 "Independent sessions on consecutive seeds."
-
-let session_json_arg =
-  let doc = "Write a bench-schema JSON artifact of the campaign to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 let json_of_outcome ~system ~ds ~threads ~seed (o : Session.outcome) =
   Experiment.json_of_run ~system ~workload:("session " ^ ds)
@@ -880,108 +893,104 @@ let json_of_outcome ~system ~ds ~threads ~seed (o : Session.outcome) =
       ("duplicated", o.Session.duplicated);
       ("violations", List.length o.Session.violations) ]
 
-let session ds threads ops epsilon log_size crashes seed sessions cfg jobs
-    json =
+(* Sessions run over a 1,024-entry log; session [i] of a campaign runs
+   seed [1 + i]. *)
+let session ds threads ops epsilon crashes sessions cfg jobs json =
+  let log_size = 1024 and seed = 1 in
   let (module Ds), gen_op = fuzz_ds ds in
   let module S = Session.Make (Ds) in
-  if threads < 1 || threads > Check.Fuzz.max_threads then
-    `Error
-      ( true,
-        Printf.sprintf "--threads must be between 1 and %d (got %d)"
-          Check.Fuzz.max_threads threads )
-  else
-    match
-      validated_config ~ds
-        ~beta:Check.Fuzz.topology.Sim.Topology.cores_per_socket
-        { cfg with
-          Prep.Config.mode = Prep.Config.Durable; log_size; epsilon;
-          workers = threads }
-    with
-    | Error m -> `Error (true, m)
-    | Ok uc ->
-    let { Prep.Config.detect; lsm_ckpt; fault; _ } = uc in
-    let outcomes =
-      S.campaign ~j:jobs
-        { Session.seed; ops_per_client = ops; crashes; uc }
-        ~gen_op ~sessions
-    in
-    List.iteri
-      (fun i (o : Session.outcome) ->
-        Printf.printf "session %d (seed %d):\n" i (seed + i);
-        List.iter
-          (fun (e : Session.epoch_info) ->
-            Printf.printf
-              "  epoch %d: %s, %d re-submitted\n" e.Session.epoch
-              (Session.status_to_string e.Session.status)
-              e.Session.resubmitted)
-          o.Session.epochs;
-        Printf.printf
-          "  submitted %d  applied %d  completed %d/%d  lost %d  \
-           duplicated %d  violations %d\n"
-          o.Session.submitted o.Session.history_len o.Session.completed
-          (threads * ops) o.Session.lost o.Session.duplicated
-          (List.length o.Session.violations);
-        List.iter
-          (fun v ->
-            Printf.printf "  VIOLATION: %s\n"
-              (Check.Durable_lin.violation_to_string v))
-          o.Session.violations)
-      outcomes;
-    let total f = List.fold_left (fun a o -> a + f o) 0 outcomes in
-    let crashes_tot = total (fun o -> o.Session.crashes_injected) in
-    let resub = total (fun o -> o.Session.resubmitted) in
-    let lost = total (fun o -> o.Session.lost) in
-    let dup = total (fun o -> o.Session.duplicated) in
-    let viol = total (fun o -> List.length o.Session.violations) in
-    let artifact =
-      match json with
-      | None -> `Ok ()
-      | Some path ->
-        let module Sy = Experiment.Systems (Ds) in
-        let system = Sy.system_name ~router:false uc in
-        write_artifact path
-          (Printf.sprintf
-             "{\n  \"schema_version\": %d,\n\
-             \  \"config\": {\"ds\": %S, \"threads\": %d, \"ops\": %d, \
-              \"epsilon\": %d, \"log_size\": %d, \"crashes\": %d, \"seed\": \
-              %d, \"detect\": %b, \"lsm_ckpt\": %b, \"fault\": %S},\n\
-             \  \"sessions\": [\n    %s\n  ]\n}\n"
-             Telemetry.Json.schema_version ds threads ops epsilon log_size
-             crashes seed detect lsm_ckpt (Prep.Config.fault_name fault)
-             (String.concat ",\n    "
-                (List.mapi
-                   (fun i -> json_of_outcome ~system ~ds ~threads ~seed:(seed + i))
-                   outcomes)))
-    in
-    match artifact with
-    | `Error _ as failed -> failed
-    | `Ok () ->
-    if detect then
-      if lost = 0 && dup = 0 && viol = 0 then begin
-        Printf.printf
-          "exactly-once: PASS (%d clients, %d crashes, %d resubmitted, 0 \
-           lost, 0 duplicated)\n"
-          (threads * sessions) crashes_tot resub;
-        `Ok ()
-      end
-      else begin
-        Printf.printf
-          "exactly-once: FAIL (%d lost, %d duplicated, %d violations)\n"
-          lost dup viol;
-        `Error (false, "exactly-once contract violated")
-      end
-    else if dup = 0 && viol = 0 then begin
+  match
+    validated_config ~ds
+      ~beta:Check.Fuzz.topology.Sim.Topology.cores_per_socket
+      { cfg with
+        Prep.Config.mode = Prep.Config.Durable; log_size; epsilon;
+        workers = threads }
+  with
+  | Error m -> `Error (true, m)
+  | Ok uc ->
+  let { Prep.Config.detect; lsm_ckpt; fault; _ } = uc in
+  let outcomes =
+    S.campaign ~j:jobs
+      { Session.seed; ops_per_client = ops; crashes; uc }
+      ~gen_op ~sessions
+  in
+  List.iteri
+    (fun i (o : Session.outcome) ->
+      Printf.printf "session %d (seed %d):\n" i (seed + i);
+      List.iter
+        (fun (e : Session.epoch_info) ->
+          Printf.printf
+            "  epoch %d: %s, %d re-submitted\n" e.Session.epoch
+            (Session.status_to_string e.Session.status)
+            e.Session.resubmitted)
+        o.Session.epochs;
       Printf.printf
-        "baseline (no %s): %d crashes, %d lost, 0 duplicated — losses are \
-         the gap %s closes\n"
-        Feature.(flag detect) crashes_tot lost Feature.(flag detect);
+        "  submitted %d  applied %d  completed %d/%d  lost %d  \
+         duplicated %d  violations %d\n"
+        o.Session.submitted o.Session.history_len o.Session.completed
+        (threads * ops) o.Session.lost o.Session.duplicated
+        (List.length o.Session.violations);
+      List.iter
+        (fun v ->
+          Printf.printf "  VIOLATION: %s\n"
+            (Check.Durable_lin.violation_to_string v))
+        o.Session.violations)
+    outcomes;
+  let total f = List.fold_left (fun a o -> a + f o) 0 outcomes in
+  let crashes_tot = total (fun o -> o.Session.crashes_injected) in
+  let resub = total (fun o -> o.Session.resubmitted) in
+  let lost = total (fun o -> o.Session.lost) in
+  let dup = total (fun o -> o.Session.duplicated) in
+  let viol = total (fun o -> List.length o.Session.violations) in
+  let artifact =
+    match json with
+    | None -> `Ok ()
+    | Some path ->
+      let module Sy = Experiment.Systems (Ds) in
+      let system = Sy.system_name ~router:false uc in
+      write_artifact path
+        (Printf.sprintf
+           "{\n  \"schema_version\": %d,\n\
+           \  \"config\": {\"ds\": %S, \"threads\": %d, \"ops\": %d, \
+            \"epsilon\": %d, \"log_size\": %d, \"crashes\": %d, \"seed\": \
+            %d, \"detect\": %b, \"lsm_ckpt\": %b, \"fault\": %S},\n\
+           \  \"sessions\": [\n    %s\n  ]\n}\n"
+           Telemetry.Json.schema_version ds threads ops epsilon log_size
+           crashes seed detect lsm_ckpt (Prep.Config.fault_name fault)
+           (String.concat ",\n    "
+              (List.mapi
+                 (fun i -> json_of_outcome ~system ~ds ~threads ~seed:(seed + i))
+                 outcomes)))
+  in
+  match artifact with
+  | `Error _ as failed -> failed
+  | `Ok () ->
+  if detect then
+    if lost = 0 && dup = 0 && viol = 0 then begin
+      Printf.printf
+        "exactly-once: PASS (%d clients, %d crashes, %d resubmitted, 0 \
+         lost, 0 duplicated)\n"
+        (threads * sessions) crashes_tot resub;
       `Ok ()
     end
     else begin
-      Printf.printf "baseline (no %s): FAIL (%d duplicated, %d violations)\n"
-        Feature.(flag detect) dup viol;
-      `Error (false, "durable-linearizability violations found")
+      Printf.printf
+        "exactly-once: FAIL (%d lost, %d duplicated, %d violations)\n"
+        lost dup viol;
+      `Error (false, "exactly-once contract violated")
     end
+  else if dup = 0 && viol = 0 then begin
+    Printf.printf
+      "baseline (no %s): %d crashes, %d lost, 0 duplicated — losses are \
+       the gap %s closes\n"
+      Feature.(flag detect) crashes_tot lost Feature.(flag detect);
+    `Ok ()
+  end
+  else begin
+    Printf.printf "baseline (no %s): FAIL (%d duplicated, %d violations)\n"
+      Feature.(flag detect) dup viol;
+    `Error (false, "durable-linearizability violations found")
+  end
 
 let session_cmd =
   Cmd.v
@@ -995,9 +1004,8 @@ let session_cmd =
     Term.(
       ret
         (const session $ ds_arg $ session_threads_arg $ session_ops_arg
-       $ session_epsilon_arg $ session_log_size_arg $ session_crashes_arg
-       $ session_seed_arg $ sessions_arg $ config_term ~faults:true "session"
-       $ jobs_arg $ session_json_arg))
+       $ session_epsilon_arg $ session_crashes_arg $ sessions_arg $ config_term ~faults:true "session"
+       $ jobs_arg $ json_arg))
 
 (* ---- sweep: closed-loop threads x read-pct grid, campaign-parallel ---- *)
 
@@ -1016,13 +1024,8 @@ let read_pcts_arg =
   let doc = "Comma-separated read percentages to sweep." in
   Arg.(value & opt (list int) [ 50; 90 ] & info [ "read-pcts" ] ~docv:"LIST" ~doc)
 
-let sweep_json_arg =
-  let doc = "Write a bench-schema JSON artifact of the grid to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-
-let sweep system ds threads_l pcts epsilon keys duration seed cfg jobs json =
+let sweep system ds threads_l pcts epsilon cfg jobs json =
   let fail msg = `Error (true, msg) in
-  let max_workers = Sim.Topology.total_cores Sim.Topology.default - 1 in
   if not (is_map ds) then fail (not_a_map ds)
   else if threads_l = [] || pcts = [] then fail "empty sweep grid"
   else if
@@ -1048,11 +1051,12 @@ let sweep system ds threads_l pcts epsilon keys duration seed cfg jobs json =
       let results =
         Campaign.map ~j:jobs
           (fun (t, p) ->
-            Experiment.run ~seed:(Int64.of_int seed) ~duration_ns:duration
-              ~warmup_ns:(duration / 5) ~system:sys
+            Experiment.run ~seed:(Int64.of_int point_seed)
+              ~duration_ns:point_duration ~warmup_ns:(point_duration / 5)
+              ~system:sys
               ~workload:
-                (Workload.map_workload ~read_pct:p ~key_range:keys
-                   ~prefill_n:(keys / 2))
+                (Workload.map_workload ~read_pct:p ~key_range:point_keys
+                   ~prefill_n:(point_keys / 2))
               ~workers:t ())
           grid
       in
@@ -1071,8 +1075,8 @@ let sweep system ds threads_l pcts epsilon keys duration seed cfg jobs json =
              \  \"config\": {\"system_name\": %S, \"ds\": %S, \"epsilon\": %d, \
               \"key_range\": %d, \"duration_ns\": %d, \"seed\": %d},\n\
              \  \"results\": [\n    %s\n  ]\n}\n"
-             Telemetry.Json.schema_version system ds epsilon keys duration
-             seed
+             Telemetry.Json.schema_version system ds epsilon point_keys
+             point_duration point_seed
              (String.concat ",\n    "
                 (Array.to_list (Array.map Experiment.json_of_result results)))
          in
@@ -1087,8 +1091,7 @@ let sweep_cmd =
     Term.(
       ret
         (const sweep $ system_arg $ ds_arg $ threads_list_arg $ read_pcts_arg
-       $ epsilon_arg $ keys_arg $ duration_arg $ seed_arg
-       $ config_term "sweep" $ jobs_arg $ sweep_json_arg))
+       $ epsilon_arg $ config_term "sweep" $ jobs_arg $ json_arg))
 
 (* ---- serve-sim: open-loop arrival-process points ---- *)
 
@@ -1117,8 +1120,9 @@ let arrival_of ~arrival rate =
     Workload.Arrival.Bursty
       { rate_low; rate_high = burst_ratio *. rate_low; dwell_ns = 200_000.0 }
 
-let serve_sim system ds threads epsilon read_pct keys duration seed cfg
-    arrival rates_l theta jobs json =
+(* serve-sim offers the point workload to the baseline configuration *)
+let serve_sim system ds threads arrival rates_l theta jobs json =
+  let read_pct = point_read_pct and keys = point_keys in
   let fail msg = `Error (true, msg) in
   if not (is_map ds) then fail (not_a_map ds)
   else if rates_l = [] then fail "empty --rates list"
@@ -1128,7 +1132,8 @@ let serve_sim system ds threads epsilon read_pct keys duration seed cfg
     fail "--theta must be 0 (uniform) or in (0,1)"
   else
     match
-      experiment_system ~system ~ds ~epsilon ~workers:threads cfg
+      experiment_system ~system ~ds ~epsilon:point_epsilon ~workers:threads
+        Prep.Config.default
     with
     | Error m -> fail m
     | Ok sys ->
@@ -1143,7 +1148,8 @@ let serve_sim system ds threads epsilon read_pct keys duration seed cfg
       let points =
         Campaign.map ~j:jobs
           (fun rate ->
-            Openloop.run ~seed:(Int64.of_int seed) ~duration_ns:duration
+            Openloop.run ~seed:(Int64.of_int point_seed)
+              ~duration_ns:point_duration
               ~system:sys ~workload ~arrival:(arrival_of ~arrival rate)
               ~workers:threads ())
           (Array.of_list rates_l)
@@ -1176,7 +1182,7 @@ let serve_sim system ds threads epsilon read_pct keys duration seed cfg
               \"duration_ns\": %d, \"seed\": %d},\n\
              \  \"curves\": [\n%s\n  ]\n}\n"
              Telemetry.Json.schema_version system ds arrival read_pct theta
-             epsilon duration seed
+             point_epsilon point_duration point_seed
              (Openloop.curve_to_json ~indent:4 points)
          in
          write_artifact path contents))
@@ -1191,10 +1197,8 @@ let serve_sim_cmd =
           offered load and the saturation knee")
     Term.(
       ret
-        (const serve_sim $ system_arg $ ds_arg $ threads_arg $ epsilon_arg
-       $ read_pct_arg $ keys_arg $ duration_arg $ seed_arg
-       $ config_term "serve-sim" $ arrival_arg $ rates_arg $ theta_arg
-       $ jobs_arg $ sweep_json_arg))
+        (const serve_sim $ system_arg $ ds_arg $ threads_arg $ arrival_arg
+       $ rates_arg $ theta_arg $ jobs_arg $ json_arg))
 
 
 let () =

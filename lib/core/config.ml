@@ -132,7 +132,7 @@ module Feature = struct
     on : config -> bool;  (** rendered, tagged and mode-checked when on *)
     name_tag : string option;
     refused : mode list * string;  (** modes it may not be on in, and why *)
-    subcommands : string list;
+    subcommands : string list;  (** where a documented command or a repro passes it *)
   }
 
   let flag f = "--" ^ f.flag
@@ -140,17 +140,11 @@ module Feature = struct
   let feature ?name_tag ?(refused = ([], "")) ~subcommands flag value on doc =
     { flag; doc; value; on; name_tag; refused; subcommands }
 
-  (* The subcommands that take every feature, then with the two that take
-     only some: optimize-persist and session. *)
-  let standard = [ "run"; "profile"; "sweep"; "serve-sim"; "fuzz"; "explore" ]
-  let with_optimize = "optimize-persist" :: standard
-  let with_session = "session" :: with_optimize
-
   (** Installed on the memory at build time ([Nvm.Memory.set_policy]);
       off leaves the memory's all-[Emit] default. The construction itself
       never weakens anything. Before [flit], whose help names it. *)
   let persist_policy =
-    feature "persist-policy" ~name_tag:"pol" ~subcommands:standard
+    feature "persist-policy" ~name_tag:"pol" ~subcommands:[ "run"; "fuzz"; "explore" ]
       (Spec
          { docv = "SPEC|FILE";
            spec =
@@ -173,7 +167,7 @@ module Feature = struct
       deferred payload fence (the weakening [optimize-persist] admits)
       leaves one log fence per combine round instead of two. *)
   let flit =
-    feature "flit" ~name_tag:"flit" ~subcommands:with_optimize
+    feature "flit" ~name_tag:"flit" ~subcommands:[ "run"; "sweep"; "fuzz"; "explore" ]
       (Flag (fun c flit -> { c with flit })) (fun c -> c.flit)
       ("Enable the FliT flush-elimination layer (PREP systems only): \
         per-line flush tracking plus a deferred combiner payload fence \
@@ -183,7 +177,7 @@ module Feature = struct
   (** [Locks.Dist_rwlock] in place of the single-word lock; semantically
       invisible. *)
   let dist_rw =
-    feature "dist-rw" ~name_tag:"dist" ~subcommands:with_optimize
+    feature "dist-rw" ~name_tag:"dist" ~subcommands:[ "run"; "sweep"; "fuzz"; "explore" ]
       (Flag (fun c dist_rw -> { c with dist_rw })) (fun c -> c.dist_rw)
       "Protect each replica with the distributed per-core reader-writer \
        lock (PREP systems only): readers touch only their own cache line."
@@ -192,7 +186,7 @@ module Feature = struct
       recovery keep the NVM copy as the sole durability source. No effect
       outside durable mode. *)
   let log_mirror =
-    feature "log-mirror" ~name_tag:"mir" ~subcommands:with_optimize
+    feature "log-mirror" ~name_tag:"mir" ~subcommands:[ "run"; "sweep"; "fuzz"; "explore" ]
       (Flag (fun c log_mirror -> { c with log_mirror })) (fun c -> c.log_mirror)
       "Shadow the durable log into a DRAM mirror and serve replica catch-up \
        reads from it (PREP-Durable only; recovery still reads NVM)."
@@ -202,7 +196,8 @@ module Feature = struct
       response before the completedTail passes it; after a crash
       [Prep_uc.resolve] answers each client. *)
   let detect =
-    feature "detect" ~name_tag:"det" ~subcommands:with_session
+    feature "detect" ~name_tag:"det"
+      ~subcommands:[ "run"; "session"; "fuzz"; "explore" ]
       ~refused:
         ( [ Volatile; Buffered ],
           "detectable execution requires durable mode (a buffered \
@@ -216,7 +211,7 @@ module Feature = struct
   (** [Sharded_uc]: multi-key operations commit across shards through a
       2PC-style prepare/decision protocol. *)
   let uc_shards =
-    feature "uc-shards" ~subcommands:standard
+    feature "uc-shards" ~subcommands:[ "run"; "profile"; "fuzz"; "explore" ]
       ~refused:
         ( [ Volatile; Buffered ],
           "sharding requires durable mode (cross-shard commit decisions are \
@@ -236,7 +231,8 @@ module Feature = struct
       ops that do not classify as [Put]/[Del]/[Read] raise at runtime. *)
   let lsm_ckpt =
     let flag = "lsm-ckpt" in
-    feature flag ~name_tag:"lsm" ~subcommands:with_session
+    feature flag ~name_tag:"lsm"
+      ~subcommands:[ "run"; "session"; "fuzz"; "explore" ]
       ~refused:
         ( [ Volatile ],
           "--" ^ flag
@@ -251,7 +247,7 @@ module Feature = struct
 
   (** Rendered only with [lsm_ckpt], the backend it tunes. *)
   let lsm_fanout =
-    feature "lsm-fanout" ~subcommands:with_optimize
+    feature "lsm-fanout" ~subcommands:[ "fuzz"; "explore" ]
       (Int
          { docv = "K"; get = (fun c -> c.lsm_fanout);
            set = (fun c lsm_fanout -> { c with lsm_fanout }) })

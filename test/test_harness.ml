@@ -288,7 +288,10 @@ let test_fault_refusals_name_own_flags () =
       List.iter
         (fun (p : Prep.Config.Fault.t) ->
           let args = Printf.sprintf "%s --fault %s%s" sub p.name (tiny sub) in
-          let _, _, err = run_cli args in
+          let code, _, err = run_cli args in
+          (* a fault without the feature it needs is refused, by
+             [Config.validate] or, where [sub] lacks the feature, the enum *)
+          if p.needs <> None then check ("usage error from " ^ args) 124 code;
           List.iter
             (fun flag ->
               check_bool
@@ -297,6 +300,36 @@ let test_fault_refusals_name_own_flags () =
             (long_flags err))
         Prep.Config.Fault.all)
     subs
+
+(* An out-of-range workload value is a usage error that names its flag,
+   before anything is simulated. *)
+let test_workload_usage_error (args, flag) () =
+  let code, _, err = run_cli args in
+  check ("exit code of " ^ args) 124 code;
+  check_bool
+    (Printf.sprintf "%s: stderr %S names %s" args err flag)
+    true
+    (let quoted = "'" ^ flag ^ "'" and n = String.length flag + 2 in
+     let rec go i =
+       i + n <= String.length err && (String.sub err i n = quoted || go (i + 1))
+     in
+     go 0)
+
+let bad_workload_values =
+  [ ("run --threads 24", "--threads"); ("profile --threads 30", "--threads");
+    ("serve-sim --threads 24", "--threads");
+    ("run --system gl --threads 0", "--threads"); ("run --keys 0", "--keys");
+    ("run --read-pct 150", "--read-pct"); ("run --duration 1", "--duration");
+    ("run --duration 10", "--duration"); ("run --duration 999", "--duration") ]
+
+(* The shortest [--duration] [run] takes runs on every system. *)
+let test_duration_floor_runs_everywhere () =
+  List.iter
+    (fun system ->
+      let args = "run --duration 1000 --system " ^ system in
+      let code, _, err = run_cli args in
+      check (Printf.sprintf "exit code of %s\n%s" args err) 0 code)
+    [ "gl"; "prep-v"; "prep-buffered"; "prep-durable"; "cx"; "soft-1k"; "soft-10k" ]
 
 (* A prefill whose simulated build outlasts 1,000 x (warmup + window) is
    not a wedge. Both runs below spend longer than that in their 20k-key
@@ -599,6 +632,8 @@ let () =
             test_repro_flags_are_checker_options;
           Alcotest.test_case "fault refusals name only their own flags" `Slow
             test_fault_refusals_name_own_flags;
+          Alcotest.test_case "duration floor runs on every system" `Quick
+            test_duration_floor_runs_everywhere;
           Alcotest.test_case "wedge horizon starts after set-up" `Quick
             test_horizon_starts_after_set_up;
           Alcotest.test_case "closed-loop wedge fails the run" `Quick
@@ -606,6 +641,11 @@ let () =
           Alcotest.test_case "open-loop wedge fails the run" `Quick
             test_openloop_wedge;
         ] );
+      ( "usage-errors",
+        List.map
+          (fun ((args, _) as bad) ->
+            Alcotest.test_case args `Quick (test_workload_usage_error bad))
+          bad_workload_values );
       ( "liveness",
         [
           Alcotest.test_case "tiny log, all updates" `Quick
